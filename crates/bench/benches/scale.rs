@@ -183,19 +183,18 @@ fn bench_scale(c: &mut Criterion) {
         sketch_bytes / edges,
     );
 
-    // The 100k-node round — the scale this PR makes routine: sketch
-    // observations (dense would hold ~640 MiB at 100 blocks) over a
-    // sharded analytic flood. One warm-up-free hand-timed triple.
+    // The 100k-node round: sketch observations (dense would hold
+    // ~640 MiB at 100 blocks) over the analytic flood. One
+    // warm-up-free hand-timed triple.
     let (pop100k, lat100k, topo100k) = world(HUGE_NODES, 9);
     let view100k = TopologyView::new(&topo100k, &lat100k, &pop100k);
-    let mut engine100k = engine_with_backend(
+    let engine100k = engine_with_backend(
         &pop100k,
         &lat100k,
         &topo100k,
         HUGE_BLOCKS,
         ObservationBackend::Sketch,
     );
-    engine100k.set_shards(rayon::current_num_threads());
     let mut rng = StdRng::seed_from_u64(10);
     let miners100k = MinerSampler::new(&pop100k).sample_round(HUGE_BLOCKS, &mut rng);
     let mut huge = [0.0f64; 3];
@@ -210,10 +209,9 @@ fn bench_scale(c: &mut Criterion) {
     let huge_bytes = huge_store.observations().matrix_bytes();
     println!(
         "scale: 100k-node {HUGE_BLOCKS}-block round {huge_s:.3} s \
-         ({:.1} blocks/s, {} shards), sketch store {:.1} MiB over {huge_edges} edges \
+         ({:.1} blocks/s), sketch store {:.1} MiB over {huge_edges} edges \
          (dense would hold {:.1} MiB)",
         HUGE_BLOCKS as f64 / huge_s,
-        engine100k.shards(),
         huge_bytes as f64 / (1024.0 * 1024.0),
         (huge_edges * HUGE_BLOCKS * 4) as f64 / (1024.0 * 1024.0),
     );
@@ -228,7 +226,7 @@ fn bench_scale(c: &mut Criterion) {
          \"sketch_backend\": {{ \"seconds\": {sketch_s:.4}, \"store_bytes\": {sketch_bytes}, \
          \"bytes_per_edge\": {:.1}, \"dense_over_sketch\": {:.1} }},\n  \
          \"round_100k\": {{ \"nodes\": {HUGE_NODES}, \"blocks\": {HUGE_BLOCKS}, \
-         \"seconds\": {huge_s:.4}, \"blocks_per_s\": {:.1}, \"shards\": {}, \
+         \"seconds\": {huge_s:.4}, \"blocks_per_s\": {:.1}, \
          \"sketch_store_bytes\": {huge_bytes}, \"directed_edges\": {huge_edges} }},\n  \
          \"gossip_1k_100blocks_1thread\": {{ \"flood_s\": {flood_1k:.4}, \"inv_s\": {inv_1k:.4} }}\n",
         SCALE_BLOCKS as f64 / round_s,
@@ -237,7 +235,6 @@ fn bench_scale(c: &mut Criterion) {
         sketch_bytes as f64 / edges as f64,
         dense_bytes as f64 / sketch_bytes as f64,
         HUGE_BLOCKS as f64 / huge_s,
-        engine100k.shards(),
     );
     let json = bench_json(
         "scale",
@@ -292,43 +289,18 @@ fn bench_scale_smoke(c: &mut Criterion) {
     );
 }
 
-/// CI's gate on this PR's three load-bearing claims, at 300 nodes:
-/// sharded propagation is bit-identical to unsharded on both backends,
-/// the sketch store is ≥ 4× smaller than dense at 100 blocks with
+/// CI's gate on the sketch store and compaction, at 300 nodes: the
+/// sketch store is ≥ 4× smaller than dense at 100 blocks with
 /// bit-identical λ-curves, and free-list compaction under churn leaves
 /// the carried view exactly equal to a fresh build.
-fn bench_shard_smoke(c: &mut Criterion) {
+fn bench_sketch_smoke(c: &mut Criterion) {
     let _ = c;
-    if !section_enabled("shard_smoke") {
+    if !section_enabled("sketch_smoke") {
         return;
     }
     const NODES: usize = 300;
 
-    // 1. Shard-count invariance: every shard count must reproduce the
-    //    single-shard round bit for bit, dense and sketch alike.
-    for backend in [ObservationBackend::Dense, ObservationBackend::Sketch] {
-        let (pop, lat, topo) = world(NODES, 11);
-        let view = TopologyView::new(&topo, &lat, &pop);
-        let mut rng = StdRng::seed_from_u64(12);
-        let miners = MinerSampler::new(&pop).sample_round(SMOKE_BLOCKS, &mut rng);
-        let mut reference = engine_with_backend(&pop, &lat, &topo, SMOKE_BLOCKS, backend);
-        reference.set_shards(1);
-        let want = reference.observe_round_with(&view, &miners);
-        for shards in [2, 8] {
-            let mut sharded = engine_with_backend(&pop, &lat, &topo, SMOKE_BLOCKS, backend);
-            sharded.set_shards(shards);
-            let got = sharded.observe_round_with(&view, &miners);
-            assert_eq!(
-                got.observations(),
-                want.observations(),
-                "{backend:?} store diverged at {shards} shards"
-            );
-            assert_eq!(got.lambda90_ms(), want.lambda90_ms());
-            assert_eq!(got.lambda50_ms(), want.lambda50_ms());
-        }
-    }
-
-    // 2. The sketch-vs-dense ablation gate: at 100 blocks the sketch
+    // 1. The sketch-vs-dense ablation gate: at 100 blocks the sketch
     //    store must be ≥ 4× smaller, and the λ-curves — computed from
     //    the floods, not the store — must not move at all.
     let (pop, lat, topo) = world(NODES, 13);
@@ -347,7 +319,7 @@ fn bench_shard_smoke(c: &mut Criterion) {
     assert_eq!(dense.lambda90_ms(), sketch.lambda90_ms());
     assert_eq!(dense.lambda50_ms(), sketch.lambda50_ms());
 
-    // 3. Compaction under churn: retire slots for a few rounds, compact,
+    // 2. Compaction under churn: retire slots for a few rounds, compact,
     //    and the carried view must still equal a fresh build — then keep
     //    running on the renumbered world.
     let (pop, lat, topo) = world(NODES, 15);
@@ -369,11 +341,11 @@ fn bench_shard_smoke(c: &mut Criterion) {
     engine.assert_view_consistency();
 
     println!(
-        "shard_smoke: shard invariance (dense+sketch), sketch {sketch_bytes} B vs dense \
-         {dense_bytes} B ({:.1}x), compaction reclaimed {reclaimed} -> all gates passed",
+        "sketch_smoke: sketch {sketch_bytes} B vs dense {dense_bytes} B ({:.1}x), \
+         compaction reclaimed {reclaimed} -> all gates passed",
         dense_bytes as f64 / sketch_bytes as f64
     );
 }
 
-criterion_group!(benches, bench_scale, bench_scale_smoke, bench_shard_smoke);
+criterion_group!(benches, bench_scale, bench_scale_smoke, bench_sketch_smoke);
 criterion_main!(benches);

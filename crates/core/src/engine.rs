@@ -12,10 +12,9 @@ use rayon::prelude::*;
 
 use perigee_metrics::P2Quantile;
 use perigee_netsim::{
-    BatchMessage, BroadcastScratch, ChurnProcess, FaultPlan, GossipConfig, GossipScratch,
-    LatencyModel, MinerSampler, NetsimError, NodeId, Population, QueueKind, Region, RoundDelta,
-    RoundFaults, ShardWorkspace, SimCounters, SimTime, Topology, TopologyView, TrafficConfig,
-    TrafficMessage, WorldDelta,
+    BroadcastScratch, ChurnProcess, FaultPlan, GossipConfig, GossipScratch, LatencyModel,
+    MinerSampler, NetsimError, NodeId, Population, QueueKind, Region, RoundDelta, RoundFaults,
+    SimCounters, SimTime, Topology, TopologyView, TrafficConfig, TrafficMessage, WorldDelta,
 };
 use perigee_telemetry::{PhaseTimer, RunTelemetry};
 
@@ -24,7 +23,7 @@ use crate::config::PerigeeConfig;
 use crate::discovery::AddressBook;
 use crate::liveness::{LivenessTracker, PeerHealth};
 use crate::observation::{
-    ObservationBackend, ObservationCollector, RoundStore, SketchObservationStore,
+    ObservationBackend, ObservationCollector, ObservationStore, RoundStore, SketchObservationStore,
 };
 use crate::score::{ScoringMethod, SelectionStrategy, StatefulSplit};
 use crate::snapshot::{RunSnapshot, SnapshotError};
@@ -190,12 +189,6 @@ pub struct PerigeeEngine<L> {
     /// Which priority-queue implementation the per-worker scratches run
     /// on (calendar by default; the reference heap for equivalence runs).
     queue: QueueKind,
-    /// How many contiguous node-range shards each analytic flood splits
-    /// into (`1` = the flat single-queue flood). Results are bit-identical
-    /// for every value (see [`ShardWorkspace`]), so this is a pure
-    /// performance knob for huge worlds where blocks-per-round is smaller
-    /// than the core count and per-block parallelism runs dry.
-    shards: usize,
     round: usize,
     /// The CSR snapshot carried across rounds: after each rewiring the
     /// engine patches it in place ([`TopologyView::apply_rewiring`], or
@@ -371,7 +364,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             address_book: None,
             parallel: true,
             queue: QueueKind::default(),
-            shards: 1,
             round: 0,
             view: None,
             view_rebuilds: 0,
@@ -797,7 +789,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 address_book,
                 parallel,
                 queue,
-                shards: 1,
                 round: round as usize,
                 view: None,
                 view_rebuilds: 0,
@@ -848,23 +839,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// The priority-queue implementation rounds simulate on.
     pub fn queue_kind(&self) -> QueueKind {
         self.queue
-    }
-
-    /// Splits every analytic flood into `shards` contiguous node-range
-    /// shards ([`ShardWorkspace`]); `0` and `1` both mean the flat flood.
-    /// Results are bit-identical for every value — sharding changes the
-    /// relaxation schedule, never the arrival fixpoint — so this is a
-    /// pure performance knob (useful when blocks-per-round is smaller
-    /// than the core count, where the per-block fan-out runs dry).
-    /// Ignored under [`PropagationMode::Gossip`], whose event loop is
-    /// inherently cross-node sequential.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
-
-    /// How many shards analytic floods split into (1 = flat flood).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Restricts peer discovery to per-node partial views (§2.1's
@@ -987,158 +961,65 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         faults: Option<&RoundFaults>,
         base_block: usize,
     ) -> RoundObservations {
-        let chunk_count = if self.parallel {
-            rayon::current_num_threads().clamp(1, miners.len().max(1))
-        } else {
-            1
-        };
-        let mut chunk_size = miners.len().max(1).div_ceil(chunk_count);
-        if self.config.observation_backend == ObservationBackend::Sketch {
-            // Sketch mode bounds the *transient* dense memory too: every
-            // worker chunk is capped at a constant number of blocks (even
-            // sequentially), so peak usage is O(edges), independent of
-            // blocks-per-round. Chunk size never affects results — the
-            // dense merge is an ordered append and the sketch fold is
-            // chunking-invariant — so this is purely a memory knob.
-            chunk_size = chunk_size.min(SKETCH_CHUNK_BLOCKS);
-        }
-        // Each chunk carries its block offset so per-block fault keys
-        // stay global: chunking is a scheduling detail, never a semantic
-        // one.
-        let chunks: Vec<(usize, &[NodeId])> = miners
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(ci, chunk)| (base_block + ci * chunk_size, chunk))
-            .collect();
-
-        type Part = (
-            ObservationCollector,
-            Vec<f64>,
-            Vec<f64>,
-            Vec<u32>,
-            SimCounters,
-        );
-        let parts: Vec<Part> = match self.mode {
-            PropagationMode::Analytic => chunks
-                .par_iter()
-                .map(|&(start, chunk)| {
-                    let mut scratch =
-                        BroadcastScratch::with_capacity_and_queue(view.len(), self.queue);
-                    // Each worker owns a shard workspace (reused across
-                    // its blocks) when flood sharding is on.
-                    let mut shard_ws = (self.shards > 1)
-                        .then(|| ShardWorkspace::with_queue(self.shards, self.queue));
-                    let mut collector = ObservationCollector::from_view(view);
-                    collector.reserve_blocks(chunk.len());
-                    let mut l90 = Vec::with_capacity(chunk.len());
-                    let mut l50 = Vec::with_capacity(chunk.len());
-                    let mut coverage = [SimTime::ZERO; 2];
-                    let mut seen = vec![0u32; view.len()];
-                    for (j, &miner) in chunk.iter().enumerate() {
-                        let bf = faults.map(|rf| rf.block(start + j));
-                        match &mut shard_ws {
-                            Some(ws) => view.broadcast_sharded_into_faulted(
-                                miner,
-                                &mut scratch,
-                                bf.as_ref(),
-                                ws,
-                            ),
-                            None => view.broadcast_into_faulted(miner, &mut scratch, bf.as_ref()),
+        let (observations, parts, counters) =
+            self.fan_out(view, miners, None, |start, chunk, collector| {
+                let mut stats = BlockStats::new(chunk.len(), view.len());
+                let mut coverage = [SimTime::ZERO; 2];
+                // Keyed on the block's global index, so a block's fault
+                // pattern does not depend on the chunking.
+                let block_faults = |j: usize| faults.map(|rf| rf.block(base_block + start + j));
+                let counters = match self.mode {
+                    PropagationMode::Analytic => {
+                        let mut scratch =
+                            BroadcastScratch::with_capacity_and_queue(view.len(), self.queue);
+                        for (j, &miner) in chunk.iter().enumerate() {
+                            let bf = block_faults(j);
+                            view.broadcast_into_faulted(miner, &mut scratch, bf.as_ref());
+                            scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
+                            stats.push(coverage, scratch.arrivals());
+                            match &bf {
+                                Some(b) => collector.record_scratch_faulted(view, &scratch, b),
+                                None => collector.record_scratch(view, &scratch),
+                            }
                         }
-                        scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
-                        l90.push(coverage[0].as_ms());
-                        l50.push(coverage[1].as_ms());
-                        for (s, t) in seen.iter_mut().zip(scratch.arrivals()) {
-                            *s += u32::from(t.as_ms().is_finite());
-                        }
-                        match &bf {
-                            Some(b) => collector.record_scratch_faulted(view, &scratch, b),
-                            None => collector.record_scratch(view, &scratch),
-                        }
+                        scratch.take_counters()
                     }
-                    let counters = scratch.take_counters();
-                    (collector, l90, l50, seen, counters)
-                })
-                .collect(),
-            PropagationMode::Gossip(cfg) => chunks
-                .par_iter()
-                .map(|&(start, chunk)| {
-                    let mut scratch = GossipScratch::with_capacity_and_queue(
-                        view.len(),
-                        view.directed_edge_count(),
-                        self.queue,
-                    );
-                    let mut collector = ObservationCollector::from_view(view);
-                    collector.reserve_blocks(chunk.len());
-                    let mut l90 = Vec::with_capacity(chunk.len());
-                    let mut l50 = Vec::with_capacity(chunk.len());
-                    let mut coverage = [SimTime::ZERO; 2];
-                    let mut seen = vec![0u32; view.len()];
-                    for (j, &miner) in chunk.iter().enumerate() {
-                        let bf = faults.map(|rf| rf.block(start + j));
-                        view.gossip_into_faulted(miner, &cfg, &mut scratch, bf.as_ref());
-                        scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
-                        l90.push(coverage[0].as_ms());
-                        l50.push(coverage[1].as_ms());
-                        for (s, t) in seen.iter_mut().zip(scratch.arrivals()) {
-                            *s += u32::from(t.as_ms().is_finite());
+                    PropagationMode::Gossip(cfg) => {
+                        let mut scratch = GossipScratch::with_capacity_and_queue(
+                            view.len(),
+                            view.directed_edge_count(),
+                            self.queue,
+                        );
+                        for (j, &miner) in chunk.iter().enumerate() {
+                            let bf = block_faults(j);
+                            view.gossip_into_faulted(miner, &cfg, &mut scratch, bf.as_ref());
+                            scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
+                            stats.push(coverage, scratch.arrivals());
+                            // The delivery matrix already holds the faulted
+                            // announcement times, so the fault-free
+                            // collector reads it unchanged.
+                            collector.record_gossip_scratch(view, &scratch);
                         }
-                        // The gossip scratch's delivery matrix already
-                        // holds the faulted announcement times, so the
-                        // fault-free collector reads it unchanged.
-                        collector.record_gossip_scratch(view, &scratch);
+                        scratch.take_counters()
                     }
-                    let counters = scratch.take_counters();
-                    (collector, l90, l50, seen, counters)
-                })
-                .collect(),
-        };
-
-        // Merge chunks back in block order; per-node seen counts are
-        // integer sums, so elementwise accumulation is order-exact.
-        // Dense mode appends the chunk matrices (one memcpy each); sketch
-        // mode folds each chunk into the per-edge sketches and drops it,
-        // so at most one chunk's matrix is live at a time.
-        let mut lambda90_ms = Vec::with_capacity(miners.len());
-        let mut lambda50_ms = Vec::with_capacity(miners.len());
-        let mut seen = vec![0u32; view.len()];
-        let mut dense: Option<ObservationCollector> = None;
-        let mut sketch = match self.config.observation_backend {
-            ObservationBackend::Dense => None,
-            ObservationBackend::Sketch => Some(SketchObservationStore::from_view(
-                view,
-                self.config.percentile,
-            )),
-        };
-        let mut counters = SimCounters::ZERO;
-        for (c, l90, l50, s, ctr) in parts {
-            match &mut sketch {
-                Some(sk) => sk.ingest(&c.finish()),
-                None => match &mut dense {
-                    Some(acc) => acc.append(c),
-                    None => dense = Some(c),
-                },
-            }
-            lambda90_ms.extend(l90);
-            lambda50_ms.extend(l50);
-            for (acc, x) in seen.iter_mut().zip(s) {
+                };
+                (stats, counters)
+            });
+        // Per-node seen counts are integer sums, so elementwise
+        // accumulation is order-exact.
+        let mut stats = BlockStats::new(miners.len(), view.len());
+        for part in parts {
+            stats.lambda90_ms.extend(part.lambda90_ms);
+            stats.lambda50_ms.extend(part.lambda50_ms);
+            for (acc, x) in stats.seen.iter_mut().zip(part.seen) {
                 *acc += x;
             }
-            counters.merge(&ctr);
         }
-        let observations = match sketch {
-            Some(sk) => RoundStore::Sketch(sk),
-            None => RoundStore::Dense(
-                dense
-                    .unwrap_or_else(|| ObservationCollector::from_view(view))
-                    .finish(),
-            ),
-        };
         RoundObservations {
             observations,
-            lambda90_ms,
-            lambda50_ms,
-            seen,
+            lambda90_ms: stats.lambda90_ms,
+            lambda50_ms: stats.lambda50_ms,
+            seen: stats.seen,
             counters,
         }
     }
@@ -1149,70 +1030,48 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// observation row behind the rows already in `observations`, and
     /// returns the per-class λ-statistics.
     ///
-    /// Messages are mutually independent like blocks, so the batch is
-    /// split into contiguous chunks fanned out over the rayon pool —
-    /// each worker pushes its chunk through one
-    /// [`TopologyView::gossip_batch_into`] call with its own scratch,
-    /// and chunks merge back in message order: bit-identical to one
+    /// Messages are mutually independent like blocks, so they go through
+    /// the same fan-out: each worker pushes its chunk through one
+    /// [`TopologyView::gossip_batch_into`] call with its own scratch, and
+    /// chunks merge back in message order — bit-identical to one
     /// sequential [`TopologyView::gossip_into`] call per message (the
-    /// batch engine's contract), whatever the thread count. Under the
-    /// sketch backend, chunks are capped at [`SKETCH_CHUNK_BLOCKS`]
-    /// messages so the transient dense memory stays O(edges) even
-    /// though a traffic round records thousands of rows.
+    /// batch engine's contract), whatever the thread count.
     fn observe_traffic(
         &self,
         view: &TopologyView,
         config: &TrafficConfig,
         messages: &[TrafficMessage],
-        observations: &mut RoundStore,
-    ) -> (TrafficRoundStats, SimCounters) {
+        observations: RoundStore,
+    ) -> (RoundStore, TrafficRoundStats, SimCounters) {
         let mut batch = Vec::new();
         config.batch_for(messages, &mut batch);
-        let chunk_count = if self.parallel {
-            rayon::current_num_threads().clamp(1, batch.len().max(1))
-        } else {
-            1
-        };
-        let mut chunk_size = batch.len().max(1).div_ceil(chunk_count);
-        if self.config.observation_backend == ObservationBackend::Sketch {
-            chunk_size = chunk_size.min(SKETCH_CHUNK_BLOCKS);
-        }
-        let chunks: Vec<(usize, &[BatchMessage])> = batch
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(ci, chunk)| (ci * chunk_size, chunk))
-            .collect();
-
-        type Part = (ObservationCollector, Vec<(u32, f64, f64)>, SimCounters);
-        let parts: Vec<Part> = chunks
-            .par_iter()
-            .map(|&(base, chunk)| {
+        let (observations, parts, counters) = self.fan_out(
+            view,
+            &batch,
+            Some(observations),
+            |start, chunk, collector| {
                 let mut scratch = GossipScratch::with_capacity_and_queue(
                     view.len(),
                     view.directed_edge_count(),
                     self.queue,
                 );
-                let mut collector = ObservationCollector::from_view(view);
-                collector.reserve_blocks(chunk.len());
                 let mut per_message = Vec::with_capacity(chunk.len());
                 let mut coverage = [SimTime::ZERO; 2];
                 view.gossip_batch_into(chunk, &mut scratch, |i, s| {
                     s.batch_coverage_times_into(view, &[0.9, 0.5], &mut coverage);
                     collector.record_gossip_scratch(view, s);
                     per_message.push((
-                        messages[base + i].class,
+                        messages[start + i].class,
                         coverage[0].as_ms(),
                         coverage[1].as_ms(),
                     ));
                 });
-                let counters = scratch.take_counters();
-                (collector, per_message, counters)
-            })
-            .collect();
+                (per_message, scratch.take_counters())
+            },
+        );
 
-        // Merge in message order: rows append behind the round's block
-        // rows (dense) or fold into the per-edge sketches (sketch), and
-        // the per-class sums left-fold exactly like a sequential loop.
+        // The per-class sums left-fold in message order, exactly like a
+        // sequential loop.
         let mut per_class: Vec<TrafficClassRoundStats> = config
             .classes
             .iter()
@@ -1223,20 +1082,11 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 mean_lambda50_ms: 0.0,
             })
             .collect();
-        let mut counters = SimCounters::ZERO;
-        for (collector, per_message, ctr) in parts {
-            counters.merge(&ctr);
-            let rows = collector.finish();
-            match observations {
-                RoundStore::Dense(acc) => acc.append(rows),
-                RoundStore::Sketch(acc) => acc.ingest(&rows),
-            }
-            for (class, l90, l50) in per_message {
-                let c = &mut per_class[class as usize];
-                c.messages += 1;
-                c.mean_lambda90_ms += l90;
-                c.mean_lambda50_ms += l50;
-            }
+        for (class, l90, l50) in parts.into_iter().flatten() {
+            let c = &mut per_class[class as usize];
+            c.messages += 1;
+            c.mean_lambda90_ms += l90;
+            c.mean_lambda50_ms += l50;
         }
         for c in &mut per_class {
             if c.messages > 0 {
@@ -1248,12 +1098,99 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             }
         }
         (
+            observations,
             TrafficRoundStats {
                 messages: messages.len(),
                 per_class,
             },
             counters,
         )
+    }
+
+    /// The one observation fan-out behind the block and traffic phases.
+    /// Splits `items` (a round's blocks or its traffic messages) into
+    /// contiguous chunks — one per pool thread when
+    /// [`PerigeeEngine::parallel`] is set — and runs
+    /// `body(start, chunk, collector)` for each on the rayon pool, where
+    /// `start` is the chunk's offset into `items`. The chunks then merge
+    /// back in item order: their observation rows append to (dense) or
+    /// fold into (sketch) `store` — a fresh store of the configured
+    /// backend when `None` — and their counters add up. Returns the
+    /// store, each chunk's own results in chunk order, and the counters.
+    ///
+    /// Items are mutually independent and consume no RNG, and chunk size
+    /// never affects results (the dense merge is an ordered append, the
+    /// sketch fold is chunking-invariant), so the outcome is bit-identical
+    /// to a sequential loop whatever the thread count.
+    fn fan_out<I, P, B>(
+        &self,
+        view: &TopologyView,
+        items: &[I],
+        store: Option<RoundStore>,
+        body: B,
+    ) -> (RoundStore, Vec<P>, SimCounters)
+    where
+        I: Sync,
+        P: Send,
+        B: Fn(usize, &[I], &mut ObservationCollector) -> (P, SimCounters) + Sync,
+    {
+        let chunk_count = if self.parallel {
+            rayon::current_num_threads().clamp(1, items.len().max(1))
+        } else {
+            1
+        };
+        let mut chunk_size = items.len().max(1).div_ceil(chunk_count);
+        if self.config.observation_backend == ObservationBackend::Sketch {
+            // Sketch mode bounds the *transient* dense memory too: every
+            // chunk is capped at a constant number of items (even
+            // sequentially), so peak usage is O(edges), independent of
+            // how many blocks or messages the round carries.
+            chunk_size = chunk_size.min(SKETCH_CHUNK_BLOCKS);
+        }
+        // At least one (possibly empty) chunk, so even an empty round
+        // leaves a store over the view's skeleton.
+        let chunks: Vec<(usize, &[I])> = (0..items.len().div_ceil(chunk_size).max(1))
+            .map(|ci| {
+                let start = ci * chunk_size;
+                (start, &items[start..(start + chunk_size).min(items.len())])
+            })
+            .collect();
+        let parts: Vec<(ObservationCollector, P, SimCounters)> = chunks
+            .par_iter()
+            .map(|&(start, chunk)| {
+                let mut collector = ObservationCollector::from_view(view);
+                collector.reserve_blocks(chunk.len());
+                let (part, counters) = body(start, chunk, &mut collector);
+                (collector, part, counters)
+            })
+            .collect();
+
+        // A fresh store only now: the workers' scratches are gone, so
+        // they never coexist with the per-edge sketches.
+        let mut store = store.unwrap_or_else(|| match self.config.observation_backend {
+            ObservationBackend::Dense => RoundStore::Dense(ObservationStore::default()),
+            ObservationBackend::Sketch => RoundStore::Sketch(SketchObservationStore::from_view(
+                view,
+                self.config.percentile,
+            )),
+        });
+        let mut counters = SimCounters::ZERO;
+        let results = parts
+            .into_iter()
+            .map(|(collector, part, ctr)| {
+                let rows = collector.finish();
+                match &mut store {
+                    // The first dense chunk becomes the store: a move,
+                    // not a copy of the round's largest allocation.
+                    RoundStore::Dense(acc) if acc.is_empty() => *acc = rows,
+                    RoundStore::Dense(acc) => acc.append(rows),
+                    RoundStore::Sketch(acc) => acc.ingest(&rows),
+                }
+                counters.merge(&ctr);
+                part
+            })
+            .collect();
+        (store, results, counters)
     }
 
     /// Runs one full round: mine, observe (blocks, then the traffic
@@ -1307,12 +1244,14 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         // rows land behind the block rows, so scoring and liveness below
         // read the combined load; `seen` and the gating mask stay
         // blocks-only by design.
-        let traffic_stats = self.traffic.as_ref().map(|traffic| {
+        let mut traffic_stats = None;
+        if let Some(traffic) = &self.traffic {
             let messages = traffic.messages_for_round(self.round as u64, &self.population);
-            let (stats, tc) = self.observe_traffic(&view, traffic, &messages, &mut observations);
+            let (store, stats, tc) = self.observe_traffic(&view, traffic, &messages, observations);
+            observations = store;
             round_counters.merge(&tc);
-            stats
-        });
+            traffic_stats = Some(stats);
+        }
         timer.lap("traffic");
         let traffic_messages = traffic_stats.as_ref().map_or(0, |t| t.messages);
         if traffic_stats.is_some() {
@@ -1937,6 +1876,33 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                     log.push((v, u));
                 }
             }
+        }
+    }
+}
+
+/// Per-block results of a run of blocks, in block order: λ90 and λ50
+/// in ms, and how many of the blocks each node received.
+struct BlockStats {
+    lambda90_ms: Vec<f64>,
+    lambda50_ms: Vec<f64>,
+    seen: Vec<u32>,
+}
+
+impl BlockStats {
+    fn new(blocks: usize, nodes: usize) -> Self {
+        BlockStats {
+            lambda90_ms: Vec::with_capacity(blocks),
+            lambda50_ms: Vec::with_capacity(blocks),
+            seen: vec![0; nodes],
+        }
+    }
+
+    /// Records one block from its `[λ90, λ50]` and its arrivals.
+    fn push(&mut self, coverage: [SimTime; 2], arrivals: &[SimTime]) {
+        self.lambda90_ms.push(coverage[0].as_ms());
+        self.lambda50_ms.push(coverage[1].as_ms());
+        for (s, t) in self.seen.iter_mut().zip(arrivals) {
+            *s += u32::from(t.as_ms().is_finite());
         }
     }
 }

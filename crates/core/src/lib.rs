@@ -40,14 +40,14 @@
 //! reads whichever backend the round carried through the same
 //! [`RoundStore`](observation::RoundStore) interface.
 //!
-//! Block fan-out is sharded:
-//! [`PerigeeEngine::set_shards`](engine::PerigeeEngine::set_shards)
-//! splits a round's blocks into per-worker workspaces that are merged
-//! in block order afterwards, so **any shard count produces
-//! bit-identical output** — 1, 2 and 8 shards are interchangeable, and
-//! CI's `shard_smoke` gate holds the engine to it. Determinism comes
-//! from the merge discipline (fixed block order, no cross-shard
-//! accumulation order dependence), not from luck.
+//! Both observation phases — the round's blocks, in either propagation
+//! mode, and its traffic messages — go through one fan-out: the items
+//! split into contiguous per-worker chunks (capped at a few blocks under
+//! the sketch backend, so transient dense memory stays O(edges)), each
+//! chunk runs on the rayon pool with its own scratch, and the chunks
+//! merge back in item order. Determinism comes from that merge
+//! discipline (fixed item order, order-independent counter sums), so
+//! the output is **bit-identical for any thread count**.
 //!
 //! ## Dynamic worlds
 //!

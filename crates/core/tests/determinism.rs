@@ -478,62 +478,6 @@ fn ucb_parallel_rounds_are_bit_identical_to_sequential() {
     assert_eq!(par.evaluate(0.9), seq.evaluate(0.9));
 }
 
-/// Sharded analytic floods are a pure scheduling change: whole learning
-/// trajectories with `set_shards` are bit-identical to the flat flood —
-/// across shard counts, thread counts (1, 2 and 8 pinned pools) and both
-/// priority-queue kinds, with an active fault plan in force so the
-/// faulted sharded path is exercised too.
-#[test]
-fn sharded_rounds_are_bit_identical_to_flat_rounds() {
-    use perigee_core::RoundStats;
-    use perigee_netsim::{FaultPlan, LinkFaultRates, QueueKind};
-
-    let plan = FaultPlan {
-        base: LinkFaultRates {
-            drop_prob: 0.1,
-            extra_delay: SimTime::from_ms(3.0),
-            jitter: SimTime::from_ms(15.0),
-            duplicate_prob: 0.1,
-        },
-        ..FaultPlan::inert(0x54A2)
-    };
-    let run = |shards: usize, threads: Option<usize>, kind: QueueKind| {
-        let (mut e, mut rng) = engine(100, 10, 77);
-        e.set_shards(shards);
-        e.set_queue_kind(kind);
-        e.set_fault_plan(plan.clone()).unwrap();
-        let rounds = |e: &mut PerigeeEngine<GeoLatencyModel>,
-                      rng: &mut StdRng|
-         -> Vec<RoundStats> { (0..6).map(|_| e.run_round(rng)).collect() };
-        let stats = match threads {
-            None => rounds(&mut e, &mut rng),
-            Some(t) => rayon::ThreadPoolBuilder::new()
-                .num_threads(t)
-                .build()
-                .unwrap()
-                .install(|| rounds(&mut e, &mut rng)),
-        };
-        (stats, e.topology().clone())
-    };
-
-    let (ref_stats, ref_topo) = run(1, None, QueueKind::Calendar);
-    for (shards, threads, kind) in [
-        (4, Some(1), QueueKind::Calendar),
-        (4, Some(2), QueueKind::BinaryHeap),
-        (4, Some(8), QueueKind::Calendar),
-        (7, Some(1), QueueKind::BinaryHeap),
-        (7, Some(8), QueueKind::BinaryHeap),
-        (256, Some(2), QueueKind::Calendar), // more shards than fits: clamps
-    ] {
-        let (stats, topo) = run(shards, threads, kind);
-        assert_eq!(
-            stats, ref_stats,
-            "sharded run diverged at {shards} shards, {threads:?} threads, {kind:?}"
-        );
-        assert_eq!(topo, ref_topo, "topology diverged at {shards} shards");
-    }
-}
-
 /// Sketch-backed rounds keep the determinism guarantee: with the
 /// observation store folded into per-edge P² sketches, whole learning
 /// trajectories are bit-identical across thread counts and queue kinds

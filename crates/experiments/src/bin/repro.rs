@@ -165,12 +165,16 @@ fn emit(table: &Table, out: &Option<PathBuf>, file: &str) -> Result<(), String> 
     Ok(())
 }
 
-/// `repro trace FILE`: parse every JSONL record and print the aggregate
-/// phase breakdown (plus record counts per run label).
+/// `repro trace FILE`: parse every JSONL record and print the phase
+/// breakdown of the engine rounds, then that of the command profiles
+/// (plus record counts per run label). The two stay in separate tables:
+/// a command's laps time the whole subcommand, rounds included, so one
+/// table over both would count every round twice.
 fn summarize_trace(path: &PathBuf, out: &Option<PathBuf>) -> Result<(), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let mut profile = PhaseProfile::new();
+    let mut round_phases = PhaseProfile::new();
+    let mut command_phases = PhaseProfile::new();
     let mut rounds = 0u64;
     let mut commands = 0u64;
     let mut runs: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
@@ -182,10 +186,16 @@ fn summarize_trace(path: &PathBuf, out: &Option<PathBuf>) -> Result<(), String> 
             JsonValue::parse(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
         let rec = TraceRecord::from_json(&value)
             .map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
-        match rec.kind.as_str() {
-            "round" => rounds += 1,
-            _ => commands += 1,
-        }
+        let profile = match rec.kind.as_str() {
+            "round" => {
+                rounds += 1;
+                &mut round_phases
+            }
+            _ => {
+                commands += 1;
+                &mut command_phases
+            }
+        };
         *runs.entry(rec.run.clone()).or_insert(0) += 1;
         for (name, secs) in &rec.phases_s {
             profile.add(name, *secs);
@@ -201,7 +211,13 @@ fn summarize_trace(path: &PathBuf, out: &Option<PathBuf>) -> Result<(), String> 
     for (run, n) in &runs {
         println!("  {run}: {n} record(s)");
     }
-    emit(&profile.table(), out, "trace_phases.csv")
+    println!("\nround phases:");
+    emit(&round_phases.table(), out, "trace_phases.csv")?;
+    if commands > 0 {
+        println!("\ncommand phases (wall clock of whole subcommands, rounds included):");
+        emit(&command_phases.table(), out, "trace_commands.csv")?;
+    }
+    Ok(())
 }
 
 fn run_command(cmd: &str, args: &Args) -> Result<(), String> {
@@ -580,16 +596,15 @@ fn run_command(cmd: &str, args: &Args) -> Result<(), String> {
             let out = out
                 .clone()
                 .or_else(|| Some(PathBuf::from("artifacts/scale")));
-            banner("Scale sweep: sketch-backed rounds, one shard per thread");
+            banner("Scale sweep: sketch-backed rounds, blocks fanned out over the pool");
             let sizes: Vec<usize> = [1, 2, 5, 10].iter().map(|&k| scenario.nodes * k).collect();
-            let r = scale::run(scenario, &sizes, 0);
+            let r = scale::run(scenario, &sizes);
             emit(&r.table(), &out, "scale.csv")?;
             for p in &r.points {
                 println!(
-                    "{} nodes: {:.3} s/round on {} shard(s), sketch store {:.1}x smaller than dense",
+                    "{} nodes: {:.3} s/round, sketch store {:.1}x smaller than dense",
                     p.nodes,
                     p.seconds_per_round,
-                    p.shards,
                     p.dense_over_sketch()
                 );
             }

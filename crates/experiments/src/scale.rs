@@ -1,9 +1,9 @@
 //! Scale sweeps: how far one box takes a Perigee world.
 //!
 //! The paper evaluates at 1000 nodes (§5.1); this module measures what
-//! the sketch observation backend and the sharded analytic flood buy at
-//! larger sizes. For each requested node count it runs full engine
-//! rounds with sketch-backed observations and reports
+//! the sketch observation backend buys at larger sizes. For each
+//! requested node count it runs full engine rounds with sketch-backed
+//! observations (blocks fanned out over the rayon pool) and reports
 //!
 //! * the median per-round wall-clock cost,
 //! * the observation store's actual bytes (48 B per directed edge,
@@ -43,8 +43,6 @@ pub struct ScalePoint {
     pub sketch_store_bytes: usize,
     /// Bytes the dense matrix would hold at this blocks-per-round.
     pub dense_store_bytes: usize,
-    /// Propagation shards the engine ran with.
-    pub shards: usize,
     /// Median per-block λ90 of the last round, in ms.
     pub median_lambda90_ms: f64,
 }
@@ -101,7 +99,6 @@ fn scale_engine(
     nodes: usize,
     seed: u64,
     backend: ObservationBackend,
-    shards: usize,
 ) -> (PerigeeEngine<WorldLatency>, StdRng) {
     let sized = Scenario {
         nodes,
@@ -126,7 +123,6 @@ fn scale_engine(
         config,
     )
     .expect("valid scale scenario");
-    engine.set_shards(shards);
     crate::trace::attach(&mut engine, "scale", seed);
     (engine, rng)
 }
@@ -143,14 +139,8 @@ fn observe_store(
 }
 
 /// Runs the sweep: for each size, `scenario.rounds` full sketch-backed
-/// rounds (the last one timed and inspected). `shards = 0` means "one
-/// shard per available thread".
-pub fn run(scenario: &Scenario, sizes: &[usize], shards: usize) -> ScaleResult {
-    let shards = if shards == 0 {
-        rayon::current_num_threads()
-    } else {
-        shards
-    };
+/// rounds (the last one timed and inspected).
+pub fn run(scenario: &Scenario, sizes: &[usize]) -> ScaleResult {
     let points = sizes
         .iter()
         .map(|&nodes| {
@@ -159,7 +149,6 @@ pub fn run(scenario: &Scenario, sizes: &[usize], shards: usize) -> ScaleResult {
                 nodes,
                 scenario.seeds[0],
                 ObservationBackend::Sketch,
-                shards,
             );
             let mut last = 0.0;
             // The shared phase timer replaces ad-hoc Instant bookkeeping:
@@ -184,7 +173,6 @@ pub fn run(scenario: &Scenario, sizes: &[usize], shards: usize) -> ScaleResult {
                 seconds_per_round,
                 sketch_store_bytes: store.matrix_bytes(),
                 dense_store_bytes: directed_edges * scenario.blocks_per_round * 4,
-                shards: engine.shards(),
                 median_lambda90_ms: last,
             }
         })
@@ -257,7 +245,7 @@ impl BackendComparison {
 /// Runs the same world once per backend and compares the outcome.
 pub fn run_backend_comparison(scenario: &Scenario, seed: u64) -> BackendComparison {
     let leg = |backend| {
-        let (mut engine, mut rng) = scale_engine(scenario, scenario.nodes, seed, backend, 1);
+        let (mut engine, mut rng) = scale_engine(scenario, scenario.nodes, seed, backend);
         let mut initial = f64::NAN;
         let mut last = f64::NAN;
         for round in 0..scenario.rounds {
@@ -297,14 +285,13 @@ mod tests {
 
     #[test]
     fn sweep_reports_sublinear_store_and_finite_delays() {
-        let r = run(&tiny(), &[80, 160], 1);
+        let r = run(&tiny(), &[80, 160]);
         assert_eq!(r.points.len(), 2);
         for p in &r.points {
             assert!(p.median_lambda90_ms.is_finite() && p.median_lambda90_ms > 0.0);
             assert_eq!(p.sketch_store_bytes, p.directed_edges * 48);
             // 15 blocks x 4 B = 60 B/edge dense vs 48 B/edge sketch.
             assert!(p.dense_store_bytes > p.sketch_store_bytes);
-            assert_eq!(p.shards, 1);
         }
         assert_eq!(r.table().len(), 2);
     }

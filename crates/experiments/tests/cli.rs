@@ -185,6 +185,74 @@ fn trace_flag_writes_parseable_jsonl_and_trace_summarizes_it() {
     assert!(stdout.contains("propagation"), "got: {stdout}");
 }
 
+/// Rows of a phase-table CSV as `(phase, total_s)`.
+fn phase_totals(csv: &std::path::Path) -> Vec<(String, f64)> {
+    std::fs::read_to_string(csv)
+        .expect("phase table written")
+        .lines()
+        .skip(1)
+        .map(|line| {
+            let mut cells = line.split(',');
+            let phase = cells.next().unwrap().to_string();
+            (phase, cells.next().unwrap().parse().unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn trace_summary_keeps_round_and_command_phases_apart() {
+    // Two rounds and the command that ran them: the command's lap covers
+    // the rounds, so folding it into the round table would double count.
+    let dir = std::env::temp_dir().join("repro-cli-trace-tables");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("hand.jsonl");
+    let lines = [
+        r#"{"schema":1,"kind":"round","run":"demo","seed":7,"round":0,"phases_s":{"mine":0.25,"propagation":1.5},"counters":{},"values":{}}"#,
+        r#"{"schema":1,"kind":"round","run":"demo","seed":7,"round":1,"phases_s":{"mine":0.5,"propagation":0.75},"counters":{},"values":{}}"#,
+        r#"{"schema":1,"kind":"command","run":"demo","seed":7,"round":0,"phases_s":{"convergence":3.125},"counters":{},"values":{}}"#,
+    ];
+    std::fs::write(&trace, lines.join("\n")).unwrap();
+    let out_dir = dir.join("out");
+    let out = repro(&[
+        "trace",
+        trace.to_str().unwrap(),
+        "--out",
+        out_dir.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "trace summary must succeed, stderr: {}",
+        stderr(&out)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("2 round(s), 1 command profile(s)"),
+        "got: {stdout}"
+    );
+
+    let rounds = phase_totals(&out_dir.join("trace_phases.csv"));
+    let (total, phases) = rounds.split_last().unwrap();
+    assert_eq!(total.0, "total");
+    let names: Vec<&str> = phases.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        ["mine", "propagation"],
+        "no command lap in the round table"
+    );
+    let sum: f64 = phases.iter().map(|(_, s)| s).sum();
+    assert_eq!(total.1, sum, "round total is the sum of the round phases");
+    assert_eq!(total.1, 3.0);
+
+    let commands = phase_totals(&out_dir.join("trace_commands.csv"));
+    assert_eq!(
+        commands,
+        [
+            ("convergence".to_string(), 3.125),
+            ("total".to_string(), 3.125)
+        ]
+    );
+}
+
 #[test]
 fn trace_without_a_file_fails() {
     let out = repro(&["trace"]);

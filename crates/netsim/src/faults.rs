@@ -42,6 +42,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::counters::SimCounters;
 use crate::node::Region;
 use crate::time::SimTime;
 use crate::view::TopologyView;
@@ -517,6 +518,53 @@ impl BlockFaults<'_> {
         } else {
             base * rf.slow[e]
         }
+    }
+}
+
+/// How a propagation kernel sees its links: the flood and the gossip
+/// event loop are each written once, generic over this lens. The
+/// zero-size [`NoFaults`] lens returns every base latency untouched and
+/// is monomorphized into the plain fault-free loop; `&BlockFaults` is
+/// the faulted one.
+pub(crate) trait FaultLens: Copy {
+    /// The announcement leg across directed edge `e` whose fault-free
+    /// latency is `base` ([`BlockFaults::announce_leg`]): `None` when it
+    /// never arrives. Tallies what the lens did into `counters`.
+    fn announce(self, e: usize, base: SimTime, counters: &mut SimCounters) -> Option<SimTime>;
+
+    /// A reliable request/response leg ([`BlockFaults::scaled`]).
+    fn reliable(self, e: usize, base: SimTime) -> SimTime;
+}
+
+/// The fault-free lens.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NoFaults;
+
+impl FaultLens for NoFaults {
+    #[inline(always)]
+    fn announce(self, _: usize, base: SimTime, _: &mut SimCounters) -> Option<SimTime> {
+        Some(base)
+    }
+
+    #[inline(always)]
+    fn reliable(self, _: usize, base: SimTime) -> SimTime {
+        base
+    }
+}
+
+impl FaultLens for &BlockFaults<'_> {
+    #[inline]
+    fn announce(self, e: usize, base: SimTime, counters: &mut SimCounters) -> Option<SimTime> {
+        let fate = self.announce_leg_classified(e, base);
+        counters.fault_delays += fate.delayed as u64;
+        counters.fault_dupes += fate.duplicated as u64;
+        counters.fault_drops += fate.time.is_none() as u64;
+        fate.time
+    }
+
+    #[inline]
+    fn reliable(self, e: usize, base: SimTime) -> SimTime {
+        self.scaled(e, base)
     }
 }
 

@@ -29,12 +29,20 @@
 //!   equal to a fresh rebuild, at ~2·n instead of ~14·n delay evaluations.
 //! * [`BroadcastScratch`] — reusable analytic flood state for
 //!   [`TopologyView::broadcast_into`]; [`broadcast()`] is a thin per-call
-//!   wrapper over it.
-//! * [`GossipScratch`] — reusable message-level state (index-based event
-//!   pool, flat per-edge delivery matrix, bit-packed flags) for
-//!   [`TopologyView::gossip_into`]: direct flood or Bitcoin's
-//!   `INV`/`GETDATA` exchange with bandwidth, cross-validated against the
-//!   analytic engine. [`gossip_block`] is the thin per-call wrapper.
+//!   wrapper over it. One flood body serves both
+//!   [`TopologyView::broadcast_into`] and
+//!   [`TopologyView::broadcast_into_faulted`]: it is generic over a
+//!   crate-private link-fault lens whose no-fault instance compiles to
+//!   the plain Dijkstra.
+//! * [`GossipScratch`] — reusable message-level state (packed event
+//!   queue, flat per-edge delivery matrix, epoch-stamped per-node flags)
+//!   for direct flood, Bitcoin's `INV`/`GETDATA` exchange or the
+//!   push/pull hybrid, with bandwidth, cross-validated against the
+//!   analytic engine. One event loop serves
+//!   [`TopologyView::gossip_batch_into`], [`TopologyView::gossip_into`]
+//!   and [`TopologyView::gossip_into_faulted`]: a single message is a
+//!   batch of one, over the same fault lens. [`gossip_block`] is the
+//!   thin per-call wrapper.
 //! * [`pq`] — the deterministic calendar/bucket priority queue both
 //!   scratch engines run on by default ([`QueueKind::Calendar`]): exact
 //!   packed keys inside sub-millisecond buckets, pop order bit-identical
@@ -175,4 +183,4 @@ pub use population::{HashPowerDist, IdRemap, Population, PopulationBuilder, Vali
 pub use pq::{CalendarQueue, PackedQueue, QueueKind, TimeKey};
 pub use time::SimTime;
 pub use traffic::{FanoutPolicy, TrafficClass, TrafficConfig, TrafficMessage};
-pub use view::{BroadcastScratch, RoundDelta, ShardWorkspace, TopologyView};
+pub use view::{BroadcastScratch, RoundDelta, TopologyView};

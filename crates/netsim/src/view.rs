@@ -46,7 +46,7 @@ use crate::broadcast::Propagation;
 use crate::counters::SimCounters;
 use crate::dynamics::WorldDelta;
 use crate::error::NetsimError;
-use crate::faults::BlockFaults;
+use crate::faults::{BlockFaults, FaultLens, NoFaults};
 use crate::graph::Topology;
 use crate::latency::LatencyModel;
 use crate::node::{Behavior, NodeId};
@@ -331,6 +331,34 @@ impl TopologyView {
     /// Behaviour matches [`broadcast`](crate::broadcast()) exactly; see the
     /// module docs for the determinism guarantee.
     pub fn broadcast_into(&self, source: NodeId, scratch: &mut BroadcastScratch) {
+        self.flood(source, scratch, NoFaults);
+    }
+
+    /// [`TopologyView::broadcast_into`] with a link-fault lens applied to
+    /// every announcement leg: each relaxation edge `e` crosses at
+    /// [`BlockFaults::announce_leg`]`(e, delay[e])` instead of `delay[e]`
+    /// — or not at all (`None`: the link is down or the block was
+    /// dropped).
+    ///
+    /// Both entry points run the same flood body; with `faults: None` it
+    /// is instantiated on the no-fault lens, and with an inert plan the
+    /// lens returns the base delay bitwise, so both are bit-identical to
+    /// the fault-free flood.
+    pub fn broadcast_into_faulted(
+        &self,
+        source: NodeId,
+        scratch: &mut BroadcastScratch,
+        faults: Option<&BlockFaults<'_>>,
+    ) {
+        match faults {
+            Some(faults) => self.flood(source, scratch, faults),
+            None => self.flood(source, scratch, NoFaults),
+        }
+    }
+
+    /// The one flood body: a Dijkstra over the announcement legs as the
+    /// lens `faults` sees them.
+    fn flood<F: FaultLens>(&self, source: NodeId, scratch: &mut BroadcastScratch, faults: F) {
         let n = self.len();
         scratch.source = source;
         scratch.arrival.clear();
@@ -360,74 +388,11 @@ impl TopologyView {
             }
             let (start, end) = (self.offsets[ui], self.offsets[ui + 1]);
             scratch.counters.flood_relaxations += (end - start) as u64;
-            for (&v, &delay) in self.edges[start..end].iter().zip(&self.delay[start..end]) {
-                let vi = v as usize;
-                let tv = relay + delay;
-                if tv.as_ms() < scratch.arrival[vi].as_ms() {
-                    scratch.arrival[vi] = tv;
-                    scratch.counters.flood_improvements += 1;
-                    scratch.queue.push((tv.as_ms().to_bits(), v));
-                }
-            }
-            scratch.counters.queue_peak =
-                scratch.counters.queue_peak.max(scratch.queue.len() as u64);
-        }
-    }
-
-    /// [`TopologyView::broadcast_into`] with a link-fault lens applied to
-    /// every announcement leg: each relaxation edge `e` crosses at
-    /// [`BlockFaults::announce_leg`]`(e, delay[e])` instead of `delay[e]`
-    /// — or not at all (`None`: the link is down or the block was
-    /// dropped).
-    ///
-    /// With `faults: None` this *is* [`TopologyView::broadcast_into`]
-    /// (same code path), and with an inert plan the lens returns the base
-    /// delay bitwise, so both are bit-identical to the fault-free flood.
-    pub fn broadcast_into_faulted(
-        &self,
-        source: NodeId,
-        scratch: &mut BroadcastScratch,
-        faults: Option<&BlockFaults<'_>>,
-    ) {
-        let Some(faults) = faults else {
-            return self.broadcast_into(source, scratch);
-        };
-        let n = self.len();
-        scratch.source = source;
-        scratch.arrival.clear();
-        scratch.arrival.resize(n, SimTime::INFINITY);
-        scratch.relay_at.clear();
-        scratch.relay_at.resize(n, SimTime::INFINITY);
-        scratch.queue.clear();
-
-        scratch.arrival[source.index()] = SimTime::ZERO;
-        scratch
-            .queue
-            .push((SimTime::ZERO.as_ms().to_bits(), source.as_u32()));
-
-        while let Some((t_bits, u)) = scratch.queue.pop() {
-            scratch.counters.flood_pops += 1;
-            let ui = u as usize;
-            let t = SimTime::from_ms(f64::from_bits(t_bits));
-            if t.as_ms() > scratch.arrival[ui].as_ms() {
-                continue; // stale entry
-            }
-            let relay = self.relay[ui].relay_time(t, u == source.as_u32());
-            scratch.relay_at[ui] = relay;
-            if relay.is_infinite() {
-                continue; // silent node: absorbs the block
-            }
-            let (start, end) = (self.offsets[ui], self.offsets[ui + 1]);
-            scratch.counters.flood_relaxations += (end - start) as u64;
-            for e in start..end {
-                let fate = faults.announce_leg_classified(e, self.delay[e]);
-                scratch.counters.fault_delays += fate.delayed as u64;
-                scratch.counters.fault_dupes += fate.duplicated as u64;
-                let Some(leg) = fate.time else {
-                    scratch.counters.fault_drops += 1;
+            let row = self.edges[start..end].iter().zip(&self.delay[start..end]);
+            for (k, (&v, &delay)) in row.enumerate() {
+                let Some(leg) = faults.announce(start + k, delay, &mut scratch.counters) else {
                     continue; // dropped or the link is down
                 };
-                let v = self.edges[e];
                 let vi = v as usize;
                 let tv = relay + leg;
                 if tv.as_ms() < scratch.arrival[vi].as_ms() {
@@ -449,174 +414,6 @@ impl TopologyView {
         let mut scratch = BroadcastScratch::new();
         self.broadcast_into(source, &mut scratch);
         scratch.into_propagation()
-    }
-
-    /// [`TopologyView::broadcast_into`] sharded by contiguous node range:
-    /// the node set is split into `workspace.shard_count()` equal ranges,
-    /// each owned by one worker that runs a local label-correcting
-    /// Dijkstra over its own nodes; relaxations crossing a shard boundary
-    /// become frontier messages, merged between waves in deterministic
-    /// `(shard, packed-key)` order. See [`ShardWorkspace`] for why the
-    /// result is **bit-identical** to the single-queue flood — on any
-    /// shard count, thread count or [`QueueKind`].
-    pub fn broadcast_sharded_into(
-        &self,
-        source: NodeId,
-        scratch: &mut BroadcastScratch,
-        workspace: &mut ShardWorkspace,
-    ) {
-        self.broadcast_sharded_into_faulted(source, scratch, None, workspace);
-    }
-
-    /// [`TopologyView::broadcast_sharded_into`] with a link-fault lens,
-    /// mirroring [`TopologyView::broadcast_into_faulted`]: every
-    /// relaxation leg — local or cross-shard — consults
-    /// [`BlockFaults::announce_leg`] for its directed-edge index, so the
-    /// candidate set is the faulted one and the fixpoint matches the
-    /// faulted single-queue flood bit for bit.
-    pub fn broadcast_sharded_into_faulted(
-        &self,
-        source: NodeId,
-        scratch: &mut BroadcastScratch,
-        faults: Option<&BlockFaults<'_>>,
-        workspace: &mut ShardWorkspace,
-    ) {
-        let n = self.len();
-        let shards = workspace.shards.clamp(1, n.max(1));
-        let shard_size = n.max(1).div_ceil(shards);
-        workspace.reset(n, shards, shard_size);
-        scratch.source = source;
-        let ShardWorkspace { states, inbox, .. } = &mut *workspace;
-
-        // Seed the source's shard.
-        {
-            let state = &mut states[source.index() / shard_size];
-            state.arrival[source.index() - state.base] = SimTime::ZERO;
-            state
-                .queue
-                .push((SimTime::ZERO.as_ms().to_bits(), source.as_u32()));
-        }
-
-        // BSP waves: drain every shard's queue in parallel, then route the
-        // cross-shard frontier messages and go again until nothing moved.
-        let src = source.as_u32();
-        loop {
-            let outboxes: Vec<Vec<(u32, u64)>> =
-                rayon::par_map_chunks_mut(states.as_mut_slice(), 1, |_, chunk| {
-                    let state = &mut chunk[0];
-                    let base = state.base;
-                    let end = base + state.arrival.len();
-                    let mut outbox = std::mem::take(&mut state.outbox);
-                    while let Some((t_bits, u)) = state.queue.pop() {
-                        state.counters.flood_pops += 1;
-                        let ui = u as usize;
-                        let t = SimTime::from_ms(f64::from_bits(t_bits));
-                        if t.as_ms() > state.arrival[ui - base].as_ms() {
-                            continue; // stale entry
-                        }
-                        let relay = self.relay[ui].relay_time(t, u == src);
-                        if relay.is_infinite() {
-                            continue; // silent node: absorbs the block
-                        }
-                        let (row_start, row_end) = (self.offsets[ui], self.offsets[ui + 1]);
-                        state.counters.flood_relaxations += (row_end - row_start) as u64;
-                        for e in row_start..row_end {
-                            let leg = match faults {
-                                Some(f) => {
-                                    let fate = f.announce_leg_classified(e, self.delay[e]);
-                                    state.counters.fault_delays += fate.delayed as u64;
-                                    state.counters.fault_dupes += fate.duplicated as u64;
-                                    match fate.time {
-                                        Some(l) => l,
-                                        None => {
-                                            state.counters.fault_drops += 1;
-                                            continue; // dropped or the link is down
-                                        }
-                                    }
-                                }
-                                None => self.delay[e],
-                            };
-                            let v = self.edges[e];
-                            let vi = v as usize;
-                            let tv = relay + leg;
-                            if vi >= base && vi < end {
-                                if tv.as_ms() < state.arrival[vi - base].as_ms() {
-                                    state.arrival[vi - base] = tv;
-                                    state.counters.flood_improvements += 1;
-                                    state.queue.push((tv.as_ms().to_bits(), v));
-                                }
-                            } else {
-                                // Cross-shard relaxation: the owner's label
-                                // is not visible here, so ship the
-                                // candidate and let the merge min it in.
-                                outbox.push((v, tv.as_ms().to_bits()));
-                            }
-                        }
-                    }
-                    outbox
-                });
-
-            // Deterministic merge: messages ordered by (shard, packed key)
-            // — shard ownership is monotone in the node id, and the packed
-            // key is (target, time-bits), so one sort covers both levels.
-            // The merge itself is a running f64 min per target, which is
-            // order-independent anyway; the sort makes the schedule (and
-            // any instrumentation of it) reproducible too, not just the
-            // fixpoint.
-            inbox.clear();
-            for (state, mut outbox) in states.iter_mut().zip(outboxes) {
-                inbox.append(&mut outbox);
-                state.outbox = outbox; // keep the allocation for next wave
-                                       // The wave drained the queue; clearing resets the
-                                       // calendar cursor (O(1) after a full drain) so next
-                                       // wave's seeds may be earlier than this wave's last pop.
-                state.queue.clear();
-            }
-            if inbox.is_empty() {
-                break;
-            }
-            inbox.sort_unstable();
-            let mut progressed = false;
-            for &(v, t_bits) in inbox.iter() {
-                let vi = v as usize;
-                let tv = SimTime::from_ms(f64::from_bits(t_bits));
-                let state = &mut states[vi / shard_size];
-                if tv.as_ms() < state.arrival[vi - state.base].as_ms() {
-                    state.arrival[vi - state.base] = tv;
-                    state.counters.flood_improvements += 1;
-                    state.queue.push((t_bits, v));
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-
-        // Write the per-shard labels back into the flat scratch and derive
-        // relay starts: at the fixpoint `relay_at[u]` is a pure function
-        // of `arrival[u]` (the single-queue flood computes it from the
-        // same settled arrival), so one pass reproduces it bitwise.
-        scratch.arrival.clear();
-        for state in states.iter() {
-            scratch.arrival.extend_from_slice(&state.arrival);
-            // Shard tallies sum in shard order; the totals are the same
-            // for any order (counts add, peaks max).
-            scratch.counters.merge(&state.counters);
-        }
-        scratch.relay_at.clear();
-        scratch
-            .relay_at
-            .extend(scratch.arrival.iter().zip(&self.relay).enumerate().map(
-                |(ui, (&t, profile))| {
-                    if t.is_finite() {
-                        profile.relay_time(t, ui == source.index())
-                    } else {
-                        SimTime::INFINITY
-                    }
-                },
-            ));
-        scratch.queue.clear();
     }
 
     /// Patches the snapshot to reflect one round of rewiring instead of
@@ -1179,132 +976,6 @@ impl BroadcastScratch {
     }
 }
 
-/// One shard's slice of the sharded flood: the contiguous node range
-/// `[base, base + arrival.len())`, its local arrival labels, its own
-/// frontier queue and the outbox of cross-shard relaxations produced by
-/// the current wave.
-#[derive(Debug, Clone)]
-struct ShardState {
-    /// First node id owned by this shard.
-    base: usize,
-    /// Arrival labels for the owned range, indexed by `node - base`.
-    arrival: Vec<SimTime>,
-    /// Local Dijkstra frontier (same packed keys as the flat flood).
-    queue: PackedQueue<(u64, u32)>,
-    /// Cross-shard candidates `(target node, time bits)` emitted this
-    /// wave; drained into the merge, allocation reused across waves.
-    outbox: Vec<(u32, u64)>,
-    /// Hot-path tallies for this shard's waves; summed into the flat
-    /// scratch at write-back (order-independent, see [`crate::counters`]).
-    counters: SimCounters,
-}
-
-/// Reusable state for [`TopologyView::broadcast_sharded_into`]: per-shard
-/// arrival slices, frontier queues and outboxes, plus the merge inbox.
-///
-/// # Why the sharded flood is bit-identical to the single-queue one
-///
-/// The flood computes, for every node `u`, the minimum over all paths of
-/// the path's arrival expression — a chain of `relay_time` and `+ delay`
-/// f64 operations. That fixpoint is unique: IEEE-754 `min` over a fixed
-/// candidate set is exact and order-independent, and every individual
-/// candidate is computed by the *same* sequence of float operations here
-/// as in [`TopologyView::broadcast_into`] (same `relay_time` call on the
-/// settled arrival, same `relay + delay` addition per edge). Sharding
-/// only changes the *schedule* on which candidates are discovered — the
-/// label-correcting shard loop may evaluate extra, stale candidates, but
-/// every such candidate is ≥ the final label it is compared against and
-/// therefore cannot change any minimum. Hence arrivals, and the relay
-/// starts derived from them by a pure final pass, match the single-queue
-/// flood bit for bit on every shard count, thread count and
-/// [`QueueKind`].
-///
-/// Between parallel waves, cross-shard candidates are merged
-/// sequentially in sorted `(shard, packed-key)` order — shard ownership
-/// is monotone in the node id and the packed key is `(node, time-bits)`,
-/// so one `sort_unstable` over the combined inbox fixes the schedule.
-/// The merge itself is a running min per target, so the sort is about a
-/// reproducible schedule (wave counts, queue contents) rather than the
-/// fixpoint, which no ordering can perturb.
-#[derive(Debug, Clone)]
-pub struct ShardWorkspace {
-    /// Requested shard count (clamped to the node count per flood).
-    shards: usize,
-    /// Queue implementation each shard's frontier runs on.
-    kind: QueueKind,
-    /// Per-shard state, rebuilt only when the geometry or kind changes.
-    states: Vec<ShardState>,
-    /// Merge buffer for the cross-shard candidates of one wave.
-    inbox: Vec<(u32, u64)>,
-}
-
-impl ShardWorkspace {
-    /// Creates a workspace that splits floods into `shards` contiguous
-    /// node ranges, on the default queue kind. `shards` is clamped to at
-    /// least 1 (and to the node count at flood time); 1 shard reproduces
-    /// the flat flood through the same code path.
-    pub fn new(shards: usize) -> Self {
-        Self::with_queue(shards, QueueKind::default())
-    }
-
-    /// [`ShardWorkspace::new`] on an explicit [`QueueKind`] for the
-    /// per-shard frontiers. The kind is pure performance — pop order is
-    /// bit-identical either way.
-    pub fn with_queue(shards: usize, kind: QueueKind) -> Self {
-        ShardWorkspace {
-            shards: shards.max(1),
-            kind,
-            states: Vec::new(),
-            inbox: Vec::new(),
-        }
-    }
-
-    /// The configured shard count (before per-flood clamping).
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// Which priority-queue implementation the shard frontiers run on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.kind
-    }
-
-    /// Prepares the per-shard states for a flood over `n` nodes split
-    /// into `shards` ranges of `shard_size`: (re)builds the geometry if
-    /// it changed, then resets every label to `INFINITY` and empties the
-    /// queues and outboxes (allocations kept).
-    fn reset(&mut self, n: usize, shards: usize, shard_size: usize) {
-        let geometry_changed = self.states.len() != shards
-            || self.states.last().is_some_and(|s| {
-                s.base + s.arrival.len() != n || s.base != (shards - 1) * shard_size
-            });
-        if geometry_changed {
-            let kind = self.kind;
-            self.states = (0..shards)
-                .map(|k| {
-                    let base = k * shard_size;
-                    let len = n.saturating_sub(base).min(shard_size);
-                    ShardState {
-                        base,
-                        arrival: vec![SimTime::INFINITY; len],
-                        queue: PackedQueue::with_kind(kind),
-                        outbox: Vec::new(),
-                        counters: SimCounters::ZERO,
-                    }
-                })
-                .collect();
-        } else {
-            for state in &mut self.states {
-                state.arrival.fill(SimTime::INFINITY);
-                state.queue.clear();
-                state.outbox.clear();
-                state.counters = SimCounters::ZERO;
-            }
-        }
-        self.inbox.clear();
-    }
-}
-
 /// Validates a coverage fraction under the shared contract of every
 /// `coverage_time`/`coverage_times`/`coverage_times_into` entry point:
 /// `NaN` is a programming error and panics; any other out-of-range value
@@ -1442,121 +1113,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sharded_flood_is_bit_identical_across_shards_and_queues() {
-        for seed in 0..4 {
-            let (pop, lat, topo, mut rng) = random_world(150, seed);
-            let view = TopologyView::new(&topo, &lat, &pop);
-            let mut reference = BroadcastScratch::new();
-            for _ in 0..3 {
-                let src = NodeId::new(rng.gen_range(0..150));
-                view.broadcast_into(src, &mut reference);
-                for kind in [QueueKind::BinaryHeap, QueueKind::Calendar] {
-                    for shards in [1, 2, 3, 7] {
-                        let mut ws = ShardWorkspace::with_queue(shards, kind);
-                        let mut scratch = BroadcastScratch::with_queue(kind);
-                        view.broadcast_sharded_into(src, &mut scratch, &mut ws);
-                        assert_eq!(
-                            scratch.arrivals(),
-                            reference.arrivals(),
-                            "arrivals diverged: seed {seed}, {shards} shards, {kind:?}"
-                        );
-                        assert_eq!(
-                            scratch.relay_starts(),
-                            reference.relay_starts(),
-                            "relay starts diverged: seed {seed}, {shards} shards, {kind:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_flood_is_thread_count_invariant() {
-        let (pop, lat, topo, _) = random_world(200, 11);
-        let view = TopologyView::new(&topo, &lat, &pop);
-        let mut reference = BroadcastScratch::new();
-        view.broadcast_into(NodeId::new(3), &mut reference);
-        for threads in [1, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
-                let mut ws = ShardWorkspace::new(5);
-                let mut scratch = BroadcastScratch::new();
-                view.broadcast_sharded_into(NodeId::new(3), &mut scratch, &mut ws);
-                assert_eq!(
-                    scratch.arrivals(),
-                    reference.arrivals(),
-                    "{threads} threads"
-                );
-                assert_eq!(
-                    scratch.relay_starts(),
-                    reference.relay_starts(),
-                    "{threads} threads"
-                );
-            });
-        }
-    }
-
-    #[test]
-    fn sharded_faulted_flood_matches_flat_faulted_flood() {
-        use crate::faults::{FaultPlan, LinkFaultRates};
-        let (pop, lat, topo, mut rng) = random_world(120, 5);
-        let view = TopologyView::new(&topo, &lat, &pop);
-        let regions: Vec<_> = pop.iter().map(|p| p.region).collect();
-        let plan = FaultPlan {
-            seed: 9,
-            base: LinkFaultRates {
-                drop_prob: 0.2,
-                extra_delay: SimTime::from_ms(3.0),
-                jitter: SimTime::from_ms(2.0),
-                duplicate_prob: 0.1,
-            },
-            ..FaultPlan::default()
-        };
-        let rf = plan.compile(2, &view, &regions);
-        let mut reference = BroadcastScratch::new();
-        let mut scratch = BroadcastScratch::new();
-        let mut ws = ShardWorkspace::new(4); // reused across blocks, like the engine would
-        for block in 0..4 {
-            let bf = rf.block(block);
-            let src = NodeId::new(rng.gen_range(0..120));
-            view.broadcast_into_faulted(src, &mut reference, Some(&bf));
-            view.broadcast_sharded_into_faulted(src, &mut scratch, Some(&bf), &mut ws);
-            assert_eq!(scratch.arrivals(), reference.arrivals(), "block {block}");
-            assert_eq!(
-                scratch.relay_starts(),
-                reference.relay_starts(),
-                "block {block}"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_workspace_adapts_to_changing_world_size() {
-        let mut ws = ShardWorkspace::new(3);
-        let mut scratch = BroadcastScratch::new();
-        let mut reference = BroadcastScratch::new();
-        for (n, seed) in [(60usize, 1u64), (97, 2), (60, 3), (5, 4)] {
-            let (pop, lat, topo, _) = random_world(n, seed);
-            let view = TopologyView::new(&topo, &lat, &pop);
-            view.broadcast_into(NodeId::new(0), &mut reference);
-            view.broadcast_sharded_into(NodeId::new(0), &mut scratch, &mut ws);
-            assert_eq!(scratch.arrivals(), reference.arrivals(), "n = {n}");
-            assert_eq!(scratch.relay_starts(), reference.relay_starts(), "n = {n}");
-        }
-        // More shards than nodes clamps instead of panicking.
-        let (pop, lat, topo, _) = random_world(4, 9);
-        let view = TopologyView::new(&topo, &lat, &pop);
-        let mut wide = ShardWorkspace::new(64);
-        view.broadcast_into(NodeId::new(1), &mut reference);
-        view.broadcast_sharded_into(NodeId::new(1), &mut scratch, &mut wide);
-        assert_eq!(scratch.arrivals(), reference.arrivals());
     }
 
     #[test]

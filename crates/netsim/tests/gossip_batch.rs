@@ -10,8 +10,9 @@ use rand::{Rng, SeedableRng};
 
 use perigee_netsim::gossip::BatchMessage;
 use perigee_netsim::{
-    ConnectionLimits, GeoLatencyModel, GossipConfig, GossipScratch, NodeId, Population,
-    PopulationBuilder, QueueKind, SimTime, Topology, TopologyView, TrafficConfig,
+    ConnectionLimits, FaultPlan, GeoLatencyModel, GossipConfig, GossipScratch, LinkFaultRates,
+    NodeId, Population, PopulationBuilder, QueueKind, SimTime, Topology, TopologyView,
+    TrafficConfig,
 };
 
 fn random_world(n: usize, seed: u64) -> (Population, GeoLatencyModel, Topology, StdRng) {
@@ -96,25 +97,68 @@ fn batch_is_bit_identical_to_sequential_on_both_queue_kinds() {
     }
 }
 
+/// Every observable of the scratch's last single-message run.
+fn single_run(view: &TopologyView, s: &GossipScratch) -> (Vec<SimTime>, Vec<SimTime>) {
+    let deliveries = (0..view.directed_edge_count())
+        .map(|e| s.delivery(e))
+        .collect();
+    (s.arrivals().to_vec(), deliveries)
+}
+
 #[test]
 fn repeated_batches_reuse_the_scratch_without_drift() {
     let (pop, lat, topo, mut rng) = random_world(50, 7);
     let view = TopologyView::new(&topo, &lat, &pop);
-    // Three consecutive batches through ONE scratch (epochs keep
-    // climbing) must equal fresh-scratch runs of the same batches.
-    let mut carried = GossipScratch::new();
-    for round in 0..3 {
-        let batch = mixed_batch(50, 16, &mut rng);
-        let mut fresh = GossipScratch::new();
-        let mut expect: Vec<Vec<SimTime>> = Vec::new();
-        view.gossip_batch_into(&batch, &mut fresh, |_, s| {
-            expect.push((0..50).map(|v| s.batch_arrival(NodeId::new(v))).collect());
-        });
-        let mut got: Vec<Vec<SimTime>> = Vec::new();
-        view.gossip_batch_into(&batch, &mut carried, |_, s| {
-            got.push((0..50).map(|v| s.batch_arrival(NodeId::new(v))).collect());
-        });
-        assert_eq!(expect, got, "round {round}");
+    let regions: Vec<_> = pop.iter().map(|p| p.region).collect();
+    let plan = FaultPlan {
+        seed: 5,
+        base: LinkFaultRates {
+            drop_prob: 0.2,
+            extra_delay: SimTime::from_ms(2.0),
+            jitter: SimTime::from_ms(3.0),
+            duplicate_prob: 0.25,
+        },
+        ..FaultPlan::default()
+    };
+    for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
+        // Three consecutive batches through ONE scratch (epochs keep
+        // climbing), with plain and faulted single-message runs on the
+        // same scratch in between, must equal fresh-scratch runs.
+        let mut carried = GossipScratch::with_queue(kind);
+        for round in 0..3 {
+            let batch = mixed_batch(50, 16, &mut rng);
+            let mut fresh = GossipScratch::with_queue(kind);
+            let mut expect: Vec<Vec<SimTime>> = Vec::new();
+            view.gossip_batch_into(&batch, &mut fresh, |_, s| {
+                expect.push((0..50).map(|v| s.batch_arrival(NodeId::new(v))).collect());
+            });
+            let mut got: Vec<Vec<SimTime>> = Vec::new();
+            view.gossip_batch_into(&batch, &mut carried, |_, s| {
+                got.push((0..50).map(|v| s.batch_arrival(NodeId::new(v))).collect());
+            });
+            assert_eq!(expect, got, "round {round} ({kind:?})");
+
+            let msg = &batch[round];
+            let mut fresh = GossipScratch::with_queue(kind);
+            view.gossip_into(msg.source, &msg.config, &mut fresh);
+            view.gossip_into(msg.source, &msg.config, &mut carried);
+            assert_eq!(
+                single_run(&view, &fresh),
+                single_run(&view, &carried),
+                "single message after round {round} ({kind:?})"
+            );
+
+            let rf = plan.compile(round, &view, &regions);
+            let bf = rf.block(round);
+            let mut fresh = GossipScratch::with_queue(kind);
+            view.gossip_into_faulted(msg.source, &msg.config, &mut fresh, Some(&bf));
+            view.gossip_into_faulted(msg.source, &msg.config, &mut carried, Some(&bf));
+            assert_eq!(
+                single_run(&view, &fresh),
+                single_run(&view, &carried),
+                "faulted message after round {round} ({kind:?})"
+            );
+        }
     }
 }
 
