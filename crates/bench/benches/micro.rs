@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use perigee_core::{ObservationCollector, ScoringMethod};
+use perigee_core::{NodeHistory, ObservationCollector, ScoringMethod};
 use perigee_metrics::percentile_or_inf;
 use perigee_netsim::{
     broadcast, gossip_block, ConnectionLimits, GeoLatencyModel, GossipConfig, MinerSampler, NodeId,
@@ -65,12 +65,13 @@ fn bench_scoring(c: &mut Criterion) {
             BenchmarkId::from_parameter(method),
             &method,
             |b, &method| {
-                let mut strategy = method.strategy(500, 6, 90.0, 50.0);
+                let strategy = method.strategy(500, 6, 90.0, 50.0);
+                let mut histories = vec![NodeHistory::default(); 500];
                 b.iter(|| {
-                    for i in 0..500u32 {
-                        let v = NodeId::new(i);
+                    for (i, history) in histories.iter_mut().enumerate() {
+                        let v = NodeId::new(i as u32);
                         let outgoing = topo.outgoing_vec(v);
-                        let _ = strategy.retain(v, &outgoing, observations.node(v), &mut rng);
+                        let _ = strategy.retain(v, &outgoing, observations.node(v), history);
                     }
                 });
             },

@@ -19,7 +19,7 @@
 //!   per-message coverage times are bit-identical to sequential
 //!   single-message passes on both queue kinds, a combined round under
 //!   the paper stream reports every class with finite λ, and a 2-round
-//!   combined trajectory is bit-identical across the parallel switch.
+//!   combined trajectory is bit-identical across pool widths.
 //! * `traffic-report` — hand-timed (local only): one sketch-backed
 //!   1000-node engine under [`TrafficConfig::paper_stream`] — ≥ 10k
 //!   messages per combined round — plus the batching margin and the
@@ -209,16 +209,23 @@ fn bench_traffic_smoke(c: &mut Criterion) {
     }
 
     // Contract 2: a combined 2-round trajectory is bit-identical across
-    // the parallel switch, and every class reports finite λ.
+    // pool widths (8 threads vs the sequential one-thread pool), and every
+    // class reports finite λ.
     let (mut par, mut rng_par) =
         engine_with_traffic(SMOKE_NODES, 10, 7, ObservationBackend::Sketch);
     let (mut seq, mut rng_seq) =
         engine_with_traffic(SMOKE_NODES, 10, 7, ObservationBackend::Sketch);
-    seq.set_parallel(false);
+    let pool = |threads| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    };
+    let (wide, narrow) = (pool(8), pool(1));
     for _ in 0..2 {
-        let a = par.run_round(&mut rng_par);
-        let b = seq.run_round(&mut rng_seq);
-        assert_eq!(a, b, "combined rounds diverged across the parallel switch");
+        let a = wide.install(|| par.run_round(&mut rng_par));
+        let b = narrow.install(|| seq.run_round(&mut rng_seq));
+        assert_eq!(a, b, "combined rounds diverged across pool widths");
     }
     assert_eq!(par.last_traffic_stats(), seq.last_traffic_stats());
     let stats = par

@@ -118,17 +118,7 @@ impl AddressBook {
     /// `retire` for lazy rejection — are unmappable and dropped here:
     /// after renumbering they would collide with live ids.
     pub fn compact(&mut self, plan: &perigee_netsim::IdRemap) {
-        assert_eq!(
-            plan.old_len(),
-            self.known.len(),
-            "compaction plan covers a different world size"
-        );
-        let mut i = 0u32;
-        self.known.retain(|_| {
-            let keep = plan.new_id(NodeId::new(i)).is_some();
-            i += 1;
-            keep
-        });
+        plan.retain_live(&mut self.known);
         for book in &mut self.known {
             *book = book.iter().filter_map(|&a| plan.new_id(a)).collect();
         }

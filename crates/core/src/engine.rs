@@ -5,6 +5,11 @@
 //! retain its best neighbors, and refill freed slots with random
 //! exploration connections. Connection updates execute synchronously at the
 //! end of the round (§2.1).
+//!
+//! [`PerigeeEngine::run_round`] is a short driver over one private method
+//! per phase, each named after the telemetry lap that times it.
+
+#![warn(clippy::too_many_lines)]
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -25,7 +30,7 @@ use crate::liveness::{LivenessTracker, PeerHealth};
 use crate::observation::{
     ObservationBackend, ObservationCollector, ObservationStore, RoundStore, SketchObservationStore,
 };
-use crate::score::{ScoringMethod, SelectionStrategy, StatefulSplit};
+use crate::score::{NodeHistory, ScoringMethod, SelectionStrategy};
 use crate::snapshot::{RunSnapshot, SnapshotError};
 
 /// Blocks per dense worker chunk under the sketch observation backend:
@@ -180,12 +185,18 @@ pub struct PerigeeEngine<L> {
     latency: L,
     topology: Topology,
     strategy: Box<dyn SelectionStrategy>,
+    /// Per-node cross-round score memory, one entry per node slot: the
+    /// [`NodeHistory`] each node's [`SelectionStrategy::retain`] call
+    /// reads and updates (UCB's `T̿u,v`; blank under Vanilla and Subset).
+    /// The engine forgets an entry when its connection goes, follows the
+    /// node set under churn, and compacts, audits and checkpoints the
+    /// array with the rest of the world.
+    histories: Vec<NodeHistory>,
     sampler: MinerSampler,
     config: PerigeeConfig,
     adopters: Vec<bool>,
     mode: PropagationMode,
     address_book: Option<AddressBook>,
-    parallel: bool,
     /// Which priority-queue implementation the per-worker scratches run
     /// on (calendar by default; the reference heap for equivalence runs).
     queue: QueueKind,
@@ -348,6 +359,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         );
         let sampler = MinerSampler::new(&population);
         let adopters = vec![true; population.len()];
+        let histories = vec![NodeHistory::default(); population.len()];
         let liveness = config
             .liveness
             .enabled
@@ -357,12 +369,12 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             latency,
             topology,
             strategy,
+            histories,
             sampler,
             config,
             adopters,
             mode: PropagationMode::Analytic,
             address_book: None,
-            parallel: true,
             queue: QueueKind::default(),
             round: 0,
             view: None,
@@ -611,13 +623,11 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         if let Some(churn) = &mut self.churn {
             churn.compact(&plan);
         }
-        self.strategy.compact(&plan);
-        let mut i = 0u32;
-        self.adopters.retain(|_| {
-            let keep = plan.new_id(NodeId::new(i)).is_some();
-            i += 1;
-            keep
-        });
+        plan.retain_live(&mut self.adopters);
+        plan.retain_live(&mut self.histories);
+        for h in &mut self.histories {
+            h.compact(&plan);
+        }
         self.sampler = MinerSampler::new(&self.population);
         self.last_delta = WorldDelta::default();
         self.compaction_epoch += 1;
@@ -673,7 +683,9 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 audit_world(&view, &self.population, &mut violations);
             }
         }
-        self.strategy.audit(&mut violations);
+        for (v, h) in self.histories.iter().enumerate() {
+            h.audit(v, &mut violations);
+        }
         if let Some(tracker) = &self.liveness {
             tracker.audit(&self.config.liveness, &mut violations);
         }
@@ -705,10 +717,9 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             config: self.config,
             method: self.method,
             queue: self.queue,
-            parallel: self.parallel,
             mode: self.mode,
             adopters: self.adopters.clone(),
-            strategy_state: self.strategy.snapshot_state(),
+            histories: self.histories.clone(),
             population: self.population.clone(),
             topology: self.topology.clone(),
             address_book: self.address_book.clone(),
@@ -731,8 +742,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// # Errors
     ///
     /// [`SnapshotError`] when the captured latency model does not decode
-    /// to `L`, does not cover the population, or the strategy state does
-    /// not fit the captured method/world.
+    /// to `L` or does not cover the population.
     pub fn resume(snapshot: RunSnapshot) -> Result<(Self, rand::rngs::StdRng), SnapshotError>
     where
         L: serde::bin::Decode,
@@ -744,10 +754,9 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             config,
             method,
             queue,
-            parallel,
             mode,
             adopters,
-            strategy_state,
+            histories,
             population,
             topology,
             address_book,
@@ -765,13 +774,12 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 "latency model does not cover the population",
             ));
         }
-        let mut strategy = method.strategy(
+        let strategy = method.strategy(
             population.len(),
             config.retain_count(),
             config.percentile,
             config.ucb_c,
         );
-        strategy.restore_state(&strategy_state)?;
         let sampler = MinerSampler::new(&population);
         // check_consistency rejected the all-zero state at decode time,
         // and a live RNG can never reach it, so this cannot panic.
@@ -782,12 +790,12 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 latency,
                 topology,
                 strategy,
+                histories,
                 sampler,
                 config,
                 adopters,
                 mode,
                 address_book,
-                parallel,
                 queue,
                 round: round as usize,
                 view: None,
@@ -814,24 +822,11 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         ))
     }
 
-    /// Enables or disables the parallel block fan-out inside rounds
-    /// (enabled by default). Results are bit-identical either way — blocks
-    /// within a round are independent and merged in block order — so this
-    /// only exists for determinism tests and single-core benchmarking.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = parallel;
-    }
-
-    /// Whether rounds fan blocks out across the rayon pool.
-    pub fn parallel(&self) -> bool {
-        self.parallel
-    }
-
     /// Selects the priority-queue implementation every propagation
     /// scratch runs on ([`QueueKind::Calendar`] by default). Results are
     /// bit-identical either way — the calendar queue pops in exactly the
-    /// `BinaryHeap` order — so, like [`PerigeeEngine::set_parallel`],
-    /// this only exists for the equivalence suite and benchmarking.
+    /// `BinaryHeap` order — so this only exists for the equivalence
+    /// suite and benchmarking.
     pub fn set_queue_kind(&mut self, kind: QueueKind) {
         self.queue = kind;
     }
@@ -917,9 +912,8 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     }
 
     /// The propagation phase of a round: floods `miners`' blocks over the
-    /// current topology (fanned out across the rayon pool when
-    /// [`PerigeeEngine::parallel`] is set) and collects every node's
-    /// per-neighbor observations plus per-block λ50/λ90.
+    /// current topology (fanned out across the rayon pool) and collects
+    /// every node's per-neighbor observations plus per-block λ50/λ90.
     ///
     /// Blocks are independent under the §2.1 model and consume no RNG, so
     /// each worker pushes a contiguous chunk of blocks through one
@@ -1109,8 +1103,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
 
     /// The one observation fan-out behind the block and traffic phases.
     /// Splits `items` (a round's blocks or its traffic messages) into
-    /// contiguous chunks — one per pool thread when
-    /// [`PerigeeEngine::parallel`] is set — and runs
+    /// contiguous chunks — one per pool thread — and runs
     /// `body(start, chunk, collector)` for each on the rayon pool, where
     /// `start` is the chunk's offset into `items`. The chunks then merge
     /// back in item order: their observation rows append to (dense) or
@@ -1134,16 +1127,11 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         P: Send,
         B: Fn(usize, &[I], &mut ObservationCollector) -> (P, SimCounters) + Sync,
     {
-        let chunk_count = if self.parallel {
-            rayon::current_num_threads().clamp(1, items.len().max(1))
-        } else {
-            1
-        };
-        let mut chunk_size = items.len().max(1).div_ceil(chunk_count);
+        let mut chunk_size = chunk_len(items.len());
         if self.config.observation_backend == ObservationBackend::Sketch {
             // Sketch mode bounds the *transient* dense memory too: every
-            // chunk is capped at a constant number of items (even
-            // sequentially), so peak usage is O(edges), independent of
+            // chunk is capped at a constant number of items (even on a
+            // one-thread pool), so peak usage is O(edges), independent of
             // how many blocks or messages the round carries.
             chunk_size = chunk_size.min(SKETCH_CHUNK_BLOCKS);
         }
@@ -1207,307 +1195,30 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         let k = self.config.blocks_per_round;
         let miners = self.sampler.sample_round(k, rng);
         timer.lap("mine");
-        let mut view = match self.view.take() {
-            Some(view) => view,
-            None => {
-                self.view_rebuilds += 1;
-                TopologyView::new(&self.topology, &self.latency, &self.population)
-            }
-        };
+        let view = self.view();
         timer.lap("view");
-        // Compile this round's link faults against the carried snapshot
-        // (`None` — the common case — costs nothing); key every block on
-        // its run-global index so fault patterns are chunking-invariant.
-        let faults = self.fault_plan.as_ref().and_then(|plan| {
-            let regions: Vec<Region> = self.population.iter().map(|p| p.region).collect();
-            let compiled = plan.compile(self.round, &view, &regions);
-            // A round that compiles to no faults (inert plan, or a
-            // windowed plan outside its windows) takes the untouched
-            // zero-fault hot path.
-            (!compiled.is_inert()).then_some(compiled)
-        });
+        let faults = self.fault_compile(&view);
         timer.lap("fault_compile");
         let base_block = self.blocks_simulated;
         let round_obs = self.observe_round_faulted(&view, &miners, faults.as_ref(), base_block);
-        timer.lap("propagation");
         self.blocks_simulated += miners.len();
-        let mut round_counters = round_obs.counters();
-        let (mut observations, lambda90, lambda50, seen) = round_obs.into_parts();
-        // Left-fold in block order: the exact accumulation order of the
-        // legacy sequential loop, so the means are bit-identical.
-        let sum90: f64 = lambda90.iter().sum();
-        let sum50: f64 = lambda50.iter().sum();
-
-        // The traffic phase: the round's transaction stream rides the
-        // same carried snapshot, keyed on the pre-increment round index
-        // (the exact key a resumed run regenerates). Its observation
-        // rows land behind the block rows, so scoring and liveness below
-        // read the combined load; `seen` and the gating mask stay
-        // blocks-only by design.
-        let mut traffic_stats = None;
-        if let Some(traffic) = &self.traffic {
-            let messages = traffic.messages_for_round(self.round as u64, &self.population);
-            let (store, stats, tc) = self.observe_traffic(&view, traffic, &messages, observations);
-            observations = store;
-            round_counters.merge(&tc);
-            traffic_stats = Some(stats);
-        }
+        timer.lap("propagation");
+        let mut counters = round_obs.counters();
+        let (observations, lambda90, lambda50, seen) = round_obs.into_parts();
+        let (observations, traffic_messages) =
+            self.traffic_phase(&view, observations, &mut counters);
         timer.lap("traffic");
-        let traffic_messages = traffic_stats.as_ref().map_or(0, |t| t.messages);
-        if traffic_stats.is_some() {
-            self.last_traffic = traffic_stats;
-        }
-
-        // Stability gating (rusty-kaspa's `PerigeeManager` behaviour): a
-        // node whose view of the round was visibly degraded — its
-        // blocks-seen count deviates from the round's block count beyond
-        // the tolerance — must not read the round's timings as a
-        // neighbor-quality signal: that is network weather, not neighbor
-        // slowness. Gated nodes skip scoring (and UCB history
-        // absorption) below, but keep exploring. On a healthy network
-        // every node sees every block, so this mask is all-false and the
-        // round is bit-identical to an ungated one.
-        let tol = self.config.stability_tolerance;
-        let mut gated = Vec::new();
-        if tol.is_finite() {
-            gated = (0..self.population.len())
-                .map(|i| {
-                    self.adopters[i]
-                        && self.population.is_alive(NodeId::new(i as u32))
-                        && k.saturating_sub(seen[i] as usize) as f64 > tol * k as f64
-                })
-                .collect();
-        }
-        let gated_any = gated.iter().any(|&g| g);
-        let effective: Vec<bool>;
-        let score_adopters: &[bool] = if gated_any {
-            effective = self
-                .adopters
-                .iter()
-                .zip(&gated)
-                .map(|(&a, &g)| a && !g)
-                .collect();
-            &effective
-        } else {
-            &self.adopters
-        };
-
-        // Phase 1: every adopter decides which outgoing neighbors to keep,
-        // based on the same synchronous snapshot. Nodes score
-        // independently, so scoring fans out over the rayon pool in
-        // id-ordered chunks; merging the chunks in order reproduces the
-        // sequential loop exactly. Stateless strategies (Vanilla/Subset —
-        // no cross-round state, no RNG) share themselves immutably;
-        // stateful-but-partitioned strategies (UCB) split into a shared
-        // scorer plus disjoint per-node `&mut` histories
-        // ([`SelectionStrategy::split_stateful`]), so each worker mutates
-        // only its own chunk's state. Neither path consumes RNG, so the
-        // stream matches the sequential loop either way.
-        let mut drops: Vec<(NodeId, Vec<NodeId>)> = if self.parallel && self.strategy.is_stateless()
-        {
-            let n = self.population.len();
-            let ids: Vec<u32> = (0..n as u32).collect();
-            let chunk_count = rayon::current_num_threads().clamp(1, n.max(1));
-            let chunk_size = n.max(1).div_ceil(chunk_count);
-            let chunks: Vec<&[u32]> = ids.chunks(chunk_size).collect();
-            let (strategy, topology, adopters) = (&self.strategy, &self.topology, score_adopters);
-            let observations = &observations;
-            let parts: Vec<Vec<(NodeId, Vec<NodeId>)>> = chunks
-                .par_iter()
-                .map(|chunk| {
-                    compute_drops(chunk.iter().copied(), adopters, topology, |v, outgoing| {
-                        strategy.retain_stateless(v, outgoing, observations.node(v))
-                    })
-                })
-                .collect();
-            parts.into_iter().flatten().collect()
-        } else if self.parallel && self.strategy.split_stateful().is_some() {
-            let n = self.population.len();
-            let chunk_size = n
-                .max(1)
-                .div_ceil(rayon::current_num_threads().clamp(1, n.max(1)));
-            let (strategy, topology, adopters) =
-                (&mut self.strategy, &self.topology, score_adopters);
-            let observations = &observations;
-            let StatefulSplit { scorer, states } =
-                strategy.split_stateful().expect("checked above");
-            assert_eq!(states.len(), n, "per-node state must cover every node");
-            let parts: Vec<Vec<(NodeId, Vec<NodeId>)>> =
-                rayon::par_map_chunks_mut(states, chunk_size, |ci, chunk| {
-                    let base = (ci * chunk_size) as u32;
-                    let mut drops = Vec::new();
-                    for (j, state) in chunk.iter_mut().enumerate() {
-                        let v = NodeId::new(base + j as u32);
-                        if !adopters[v.index()] {
-                            continue;
-                        }
-                        let outgoing = topology.outgoing_vec(v);
-                        if outgoing.is_empty() {
-                            continue;
-                        }
-                        let retained =
-                            scorer.retain_stateful(v, &outgoing, observations.node(v), state);
-                        let dropped = diff_drops(&outgoing, &retained);
-                        if !dropped.is_empty() {
-                            drops.push((v, dropped));
-                        }
-                    }
-                    drops
-                });
-            parts.into_iter().flatten().collect()
-        } else {
-            let (strategy, topology, adopters) =
-                (&mut self.strategy, &self.topology, score_adopters);
-            let observations = &observations;
-            compute_drops(0..self.population.len() as u32, adopters, topology, {
-                |v, outgoing| strategy.retain(v, outgoing, observations.node(v), &mut *rng)
-            })
-        };
-
-        // Gated nodes still explore, but conservatively: each drops one
-        // random outgoing link (bounded by the explore budget) so the
-        // refill below draws a fresh candidate — the escape hatch that
-        // keeps a weather-wedged topology moving without scrambling the
-        // learned neighborhood while its quality signal is unreadable.
-        // A node gated through a long outage thus keeps most of its
-        // pre-outage links, which is the point of gating: transient
-        // weather must not evict durable good peers. Sequential and
-        // id-ordered, and RNG is consumed only when gating actually
-        // fired, so clean runs stay bit-identical.
-        let mut gated_count = 0usize;
-        if gated_any {
-            let explore = self.config.explore.min(1);
-            for (i, &is_gated) in gated.iter().enumerate() {
-                if !is_gated {
-                    continue;
-                }
-                gated_count += 1;
-                if explore == 0 {
-                    continue;
-                }
-                let v = NodeId::new(i as u32);
-                let mut outgoing = self.topology.outgoing_vec(v);
-                if outgoing.is_empty() {
-                    continue;
-                }
-                outgoing.shuffle(rng);
-                outgoing.truncate(explore);
-                drops.push((v, outgoing));
-            }
-        }
+        let (mut drops, gated) = self.scoring(&observations, &seen, rng);
         timer.lap("scoring");
-
-        // Peer liveness: feed the round's deliveries to the tracker and
-        // force-drop connections whose far side has been silent past the
-        // eviction threshold; evicted peers go under reconnect backoff
-        // so the refill below stops redrawing them until it expires.
-        let mut evicted_count = 0usize;
-        if let Some(tracker) = &mut self.liveness {
-            let lcfg = self.config.liveness;
-            let round = self.round as u64;
-            let mut verdicts = Vec::new();
-            for (i, &seen_i) in seen.iter().enumerate().take(self.population.len()) {
-                let v = NodeId::new(i as u32);
-                if !self.population.is_alive(v) {
-                    continue;
-                }
-                let outgoing = self.topology.outgoing_vec(v);
-                if outgoing.is_empty() {
-                    continue;
-                }
-                let obs = observations.node(v);
-                let mut delivered = |u: NodeId| obs.times_for(u).any(|t| t.is_finite());
-                tracker.observe(
-                    &lcfg,
-                    v,
-                    &outgoing,
-                    seen_i > 0,
-                    &mut delivered,
-                    &mut verdicts,
-                );
-                let mut dead = Vec::new();
-                for (&u, &verdict) in outgoing.iter().zip(verdicts.iter()) {
-                    if verdict == PeerHealth::Evict {
-                        dead.push(u);
-                        tracker.note_failure(&lcfg, v, u, round);
-                    } else if delivered(u) {
-                        tracker.note_success(v, u);
-                    }
-                }
-                if !dead.is_empty() {
-                    evicted_count += dead.len();
-                    drops.push((v, dead));
-                }
-            }
-        }
+        let evicted = self.liveness(&observations, &seen, &mut drops);
         timer.lap("liveness");
-
-        // Phase 2: apply all disconnections first (freeing incoming slots
-        // network-wide), then let the world itself move, then refill in
-        // random node order for fairness. Every net change to the
-        // undirected communication graph is logged so the view can be
-        // patched instead of rebuilt.
-        let mut removed: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut added: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut dropped_total = 0;
-        for (v, dropped) in &drops {
-            for &u in dropped {
-                if !self.topology.are_connected(*v, u) {
-                    // Already severed by an earlier drop entry this
-                    // round (a gated exploration drop and a liveness
-                    // eviction may pick the same link).
-                    continue;
-                }
-                self.topology.disconnect(*v, u);
-                self.strategy.on_disconnect(*v, u);
-                if !self.topology.are_connected(*v, u) {
-                    removed.push((*v, u));
-                }
-                dropped_total += 1;
-            }
-        }
+        let (mut removed, dropped) = self.rewiring_drop(&drops);
         timer.lap("rewiring");
-
-        // Phase 2.5: the lifetime process — departures tear down (their
-        // freed incoming slots are refilled by survivors in the loop
-        // below, via the same exploration/discovery path as scoring
-        // drops), arrivals spawn into fresh stable ids and bootstrap in
-        // that same loop.
-        let delta = self.run_churn_phase(&mut removed, rng);
+        let delta = self.churn(&mut removed, rng);
         timer.lap("churn");
-
-        let mut order: Vec<u32> = (0..self.population.len() as u32).collect();
-        order.shuffle(rng);
-        for &i in &order {
-            let v = NodeId::new(i);
-            if !self.adopters[v.index()] || !self.population.is_alive(v) {
-                continue;
-            }
-            self.fill_random_connections(v, rng, Some(&mut added));
-        }
-
-        // Refresh partial views by gossiping addresses along the new edges.
-        if let Some(book) = &mut self.address_book {
-            book.exchange(&self.topology, 2, rng);
-        }
+        let added = self.rewiring_refill(rng);
         timer.lap("rewiring");
-
-        // Carry the snapshot into the next round: patch the rewired edges
-        // (and, under churn, the moved node set) in place — latency calls
-        // only for the additions.
-        let rewiring = RoundDelta::new(removed, added);
-        if delta.is_empty() {
-            view.apply_rewiring(&rewiring, &self.latency);
-        } else {
-            view.apply_world_delta(&delta, &rewiring, &self.latency, &self.population);
-        }
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            view,
-            TopologyView::new(&self.topology, &self.latency, &self.population),
-            "incrementally patched view diverged from a fresh build"
-        );
-        self.view = Some(view);
+        self.view_patch(view, &delta, removed, added);
         timer.lap("view_patch");
 
         // Track the round's λ90 distribution (not just its mean) with the
@@ -1517,8 +1228,20 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         for &l in &lambda90 {
             p90.observe(l);
         }
-
-        let (joined, departed) = (delta.joined.len(), delta.departed.len());
+        let stats = RoundStats {
+            round: self.round,
+            // Left-folds in block order: the exact accumulation order of
+            // the legacy sequential loop, so the means are bit-identical.
+            mean_lambda90_ms: lambda90.iter().sum::<f64>() / k as f64,
+            mean_lambda50_ms: lambda50.iter().sum::<f64>() / k as f64,
+            p90_lambda90_ms: p90.estimate_or_inf(),
+            blocks: k,
+            dropped,
+            joined: delta.joined.len(),
+            departed: delta.departed.len(),
+            gated,
+            evicted,
+        };
         self.last_delta = delta;
         self.round += 1;
 
@@ -1534,61 +1257,309 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             }
             timer.lap("audit");
         }
-
-        let stats = RoundStats {
-            round: self.round - 1,
-            mean_lambda90_ms: sum90 / k as f64,
-            mean_lambda50_ms: sum50 / k as f64,
-            p90_lambda90_ms: p90.estimate_or_inf(),
-            blocks: k,
-            dropped: dropped_total,
-            joined,
-            departed,
-            gated: gated_count,
-            evicted: evicted_count,
-        };
-
-        // One self-describing trace record per round. The take/put-back
-        // avoids borrowing `self` twice; everything below is pure
-        // observation of already-computed state.
-        if let Some(mut tel) = self.telemetry.take() {
-            let mut rec = tel.round_record(stats.round as u64);
-            rec.set_phases(timer.profile());
-            for (name, v) in round_counters.entries() {
-                rec.counter(name, v);
-            }
-            rec.counter("blocks", stats.blocks as u64);
-            rec.counter("dropped", stats.dropped as u64);
-            rec.counter("joined", stats.joined as u64);
-            rec.counter("departed", stats.departed as u64);
-            rec.counter("gated", stats.gated as u64);
-            rec.counter("evicted", stats.evicted as u64);
-            rec.counter("traffic_messages", traffic_messages as u64);
-            rec.counter("view_rebuilds", self.view_rebuilds as u64);
-            rec.counter("compaction_epoch", self.compaction_epoch);
-            rec.value("mean_lambda90_ms", stats.mean_lambda90_ms);
-            rec.value("mean_lambda50_ms", stats.mean_lambda50_ms);
-            rec.value("p90_lambda90_ms", stats.p90_lambda90_ms);
-            tel.emit(&rec);
-            self.telemetry = Some(tel);
-        }
-
+        self.emit_trace(&stats, &timer, counters, traffic_messages);
         stats
     }
 
-    /// The dynamic-world half of a round: consumes the installed
-    /// [`ChurnProcess`] (a no-op returning an empty delta when none is
-    /// installed). Departures and resets are torn out of the topology
-    /// with every removed edge logged into `removed`; arrivals spawn
-    /// (stable fresh ids), grow the topology/latency/address-book/score
-    /// state, and are reported back to the process so their sessions get
-    /// scheduled. Hash power renormalizes and the miner sampler rebuilds
-    /// whenever the live node set actually changed.
-    fn run_churn_phase<R: Rng>(
+    /// The `view` phase: takes the snapshot carried over from the last
+    /// round, building one from scratch only when none is carried (the
+    /// first round, or after an out-of-band population edit).
+    fn view(&mut self) -> TopologyView {
+        self.view.take().unwrap_or_else(|| {
+            self.view_rebuilds += 1;
+            TopologyView::new(&self.topology, &self.latency, &self.population)
+        })
+    }
+
+    /// The `fault_compile` phase: compiles this round's link faults
+    /// against the carried snapshot. `None` — no plan, or a round the
+    /// plan leaves fault-free (inert, or outside its windows) — takes the
+    /// untouched zero-fault hot path.
+    fn fault_compile(&self, view: &TopologyView) -> Option<RoundFaults> {
+        let plan = self.fault_plan.as_ref()?;
+        let regions: Vec<Region> = self.population.iter().map(|p| p.region).collect();
+        let compiled = plan.compile(self.round, view, &regions);
+        (!compiled.is_inert()).then_some(compiled)
+    }
+
+    /// The `traffic` phase (plain `traffic` is the workload getter): the
+    /// round's transaction stream rides the same carried snapshot, keyed
+    /// on the pre-increment round index (the exact key a resumed run
+    /// regenerates). Its observation rows land behind the block rows, so
+    /// scoring and liveness read the combined load; `seen` and the gating
+    /// mask stay blocks-only by design. Returns the combined store and
+    /// the round's message count.
+    fn traffic_phase(
         &mut self,
-        removed: &mut Vec<(NodeId, NodeId)>,
+        view: &TopologyView,
+        observations: RoundStore,
+        counters: &mut SimCounters,
+    ) -> (RoundStore, usize) {
+        let Some(traffic) = &self.traffic else {
+            return (observations, 0);
+        };
+        let messages = traffic.messages_for_round(self.round as u64, &self.population);
+        let (store, stats, tc) = self.observe_traffic(view, traffic, &messages, observations);
+        counters.merge(&tc);
+        let count = stats.messages;
+        self.last_traffic = Some(stats);
+        (store, count)
+    }
+
+    /// The `scoring` phase, Algorithm 1's "keep the best": every adopter
+    /// not gated this round decides from the same synchronous snapshot
+    /// which outgoing neighbors to keep, and every gated node gives one
+    /// random link up to exploration. Returns the drops — scoring drops
+    /// in node order, then gated ones — and the gated count.
+    fn scoring<R: Rng>(
+        &mut self,
+        observations: &RoundStore,
+        seen: &[u32],
         rng: &mut R,
-    ) -> WorldDelta {
+    ) -> (Vec<(NodeId, Vec<NodeId>)>, usize) {
+        // Stability gating (rusty-kaspa's `PerigeeManager` behaviour): a
+        // node whose view of the round was visibly degraded — its
+        // blocks-seen count deviates from the round's block count beyond
+        // the tolerance — must not read the round's timings as a
+        // neighbor-quality signal: that is network weather, not neighbor
+        // slowness. Gated nodes skip scoring (and history absorption) but
+        // keep exploring. On a healthy network no node is gated, and the
+        // round is bit-identical to an ungated one.
+        let (n, k) = (self.population.len(), self.config.blocks_per_round);
+        let tol = self.config.stability_tolerance;
+        let mut gated = Vec::new();
+        if tol.is_finite() {
+            gated = (0..n)
+                .map(|i| {
+                    self.adopters[i]
+                        && self.population.is_alive(NodeId::new(i as u32))
+                        && k.saturating_sub(seen[i] as usize) as f64 > tol * k as f64
+                })
+                .collect();
+        }
+
+        // Nodes score independently, so every method fans out over the
+        // rayon pool in id-ordered chunks of the history array: each
+        // worker mutates only its own chunk's histories, no strategy
+        // consumes RNG, and the chunks merge in order — bit-identical to
+        // a sequential loop whatever the pool width.
+        assert_eq!(self.histories.len(), n, "histories must cover every node");
+        let (strategy, topology, adopters) = (&self.strategy, &self.topology, &self.adopters);
+        let chunk = chunk_len(n);
+        let parts = rayon::par_map_chunks_mut(&mut self.histories, chunk, |ci, histories| {
+            let mut drops = Vec::new();
+            for (j, history) in histories.iter_mut().enumerate() {
+                let v = NodeId::new((ci * chunk + j) as u32);
+                if !adopters[v.index()] || gated.get(v.index()) == Some(&true) {
+                    continue;
+                }
+                let outgoing = topology.outgoing_vec(v);
+                if outgoing.is_empty() {
+                    continue;
+                }
+                let retained = strategy.retain(v, &outgoing, observations.node(v), history);
+                let dropped: Vec<NodeId> = outgoing
+                    .iter()
+                    .copied()
+                    .filter(|u| !retained.contains(u))
+                    .collect();
+                if !dropped.is_empty() {
+                    drops.push((v, dropped));
+                }
+            }
+            drops
+        });
+        let mut drops: Vec<(NodeId, Vec<NodeId>)> = parts.into_iter().flatten().collect();
+
+        // Gated nodes still explore, but conservatively: each drops one
+        // random outgoing link (bounded by the explore budget) so the
+        // refill draws a fresh candidate — the escape hatch that keeps a
+        // weather-wedged topology moving without scrambling the learned
+        // neighborhood while its quality signal is unreadable. A node
+        // gated through a long outage thus keeps most of its pre-outage
+        // links: transient weather must not evict durable good peers.
+        // Sequential and id-ordered, and RNG is consumed only when gating
+        // actually fired, so clean runs stay bit-identical.
+        let explore = self.config.explore.min(1);
+        let mut gated_count = 0;
+        for (i, _) in gated.iter().enumerate().filter(|&(_, &g)| g) {
+            gated_count += 1;
+            let v = NodeId::new(i as u32);
+            let mut outgoing = self.topology.outgoing_vec(v);
+            if explore > 0 && !outgoing.is_empty() {
+                outgoing.shuffle(rng);
+                outgoing.truncate(explore);
+                drops.push((v, outgoing));
+            }
+        }
+        (drops, gated_count)
+    }
+
+    /// The `liveness` phase: feeds the round's deliveries to the tracker
+    /// and force-drops connections whose far side has been silent past
+    /// the eviction threshold; evicted peers go under reconnect backoff
+    /// so the refill stops redrawing them until it expires. Like scoring
+    /// and the refill, it leaves non-adopters alone — they keep their
+    /// initial neighbors. Returns how many connections it evicted.
+    fn liveness(
+        &mut self,
+        observations: &RoundStore,
+        seen: &[u32],
+        drops: &mut Vec<(NodeId, Vec<NodeId>)>,
+    ) -> usize {
+        let Some(tracker) = &mut self.liveness else {
+            return 0;
+        };
+        let lcfg = self.config.liveness;
+        let round = self.round as u64;
+        let mut evicted = 0;
+        let mut verdicts = Vec::new();
+        for (i, &seen_i) in seen.iter().enumerate().take(self.population.len()) {
+            let v = NodeId::new(i as u32);
+            if !self.adopters[i] || !self.population.is_alive(v) {
+                continue;
+            }
+            let outgoing = self.topology.outgoing_vec(v);
+            if outgoing.is_empty() {
+                continue;
+            }
+            let obs = observations.node(v);
+            let mut delivered = |u: NodeId| obs.times_for(u).any(|t| t.is_finite());
+            tracker.observe(
+                &lcfg,
+                v,
+                &outgoing,
+                seen_i > 0,
+                &mut delivered,
+                &mut verdicts,
+            );
+            let mut dead = Vec::new();
+            for (&u, &verdict) in outgoing.iter().zip(verdicts.iter()) {
+                if verdict == PeerHealth::Evict {
+                    dead.push(u);
+                    tracker.note_failure(&lcfg, v, u, round);
+                } else if delivered(u) {
+                    tracker.note_success(v, u);
+                }
+            }
+            if !dead.is_empty() {
+                evicted += dead.len();
+                drops.push((v, dead));
+            }
+        }
+        evicted
+    }
+
+    /// The first half of the `rewiring` lap: applies every drop, freeing
+    /// incoming slots network-wide before anyone refills, and forgets
+    /// each severed connection's score history. Returns the undirected
+    /// edges that vanished (for the view patch) and the drop count.
+    fn rewiring_drop(&mut self, drops: &[(NodeId, Vec<NodeId>)]) -> (Vec<(NodeId, NodeId)>, usize) {
+        let mut removed = Vec::new();
+        let mut dropped = 0;
+        for (v, peers) in drops {
+            for &u in peers {
+                if !self.topology.are_connected(*v, u) {
+                    // Already severed by an earlier drop entry this
+                    // round (a gated exploration drop and a liveness
+                    // eviction may pick the same link).
+                    continue;
+                }
+                self.topology.disconnect(*v, u);
+                self.histories[v.index()].forget(u);
+                if !self.topology.are_connected(*v, u) {
+                    removed.push((*v, u));
+                }
+                dropped += 1;
+            }
+        }
+        (removed, dropped)
+    }
+
+    /// The second half of the `rewiring` lap, after the world moved:
+    /// every live adopter refills its free outgoing slots, in random node
+    /// order for fairness, then address books gossip along the new edges.
+    /// Returns the undirected edges that appeared (for the view patch).
+    fn rewiring_refill<R: Rng>(&mut self, rng: &mut R) -> Vec<(NodeId, NodeId)> {
+        let mut added = Vec::new();
+        let mut order: Vec<u32> = (0..self.population.len() as u32).collect();
+        order.shuffle(rng);
+        for v in order.into_iter().map(NodeId::new) {
+            if self.adopters[v.index()] && self.population.is_alive(v) {
+                self.fill_random_connections(v, rng, &mut added);
+            }
+        }
+        if let Some(book) = &mut self.address_book {
+            book.exchange(&self.topology, 2, rng);
+        }
+        added
+    }
+
+    /// The `view_patch` phase: carries the snapshot into the next round,
+    /// patching the rewired edges (and, under churn, the moved node set)
+    /// in place — latency calls only for the additions.
+    fn view_patch(
+        &mut self,
+        mut view: TopologyView,
+        delta: &WorldDelta,
+        removed: Vec<(NodeId, NodeId)>,
+        added: Vec<(NodeId, NodeId)>,
+    ) {
+        let rewiring = RoundDelta::new(removed, added);
+        if delta.is_empty() {
+            view.apply_rewiring(&rewiring, &self.latency);
+        } else {
+            view.apply_world_delta(delta, &rewiring, &self.latency, &self.population);
+        }
+        self.view = Some(view);
+        #[cfg(debug_assertions)]
+        self.assert_view_consistency();
+    }
+
+    /// Emits the round's self-describing trace record into the installed
+    /// telemetry handle (a no-op without one) — pure observation of
+    /// already-computed state.
+    fn emit_trace(
+        &mut self,
+        stats: &RoundStats,
+        timer: &PhaseTimer,
+        counters: SimCounters,
+        traffic_messages: usize,
+    ) {
+        let Some(tel) = &mut self.telemetry else {
+            return;
+        };
+        let mut rec = tel.round_record(stats.round as u64);
+        rec.set_phases(timer.profile());
+        for (name, v) in counters.entries() {
+            rec.counter(name, v);
+        }
+        rec.counter("blocks", stats.blocks as u64);
+        rec.counter("dropped", stats.dropped as u64);
+        rec.counter("joined", stats.joined as u64);
+        rec.counter("departed", stats.departed as u64);
+        rec.counter("gated", stats.gated as u64);
+        rec.counter("evicted", stats.evicted as u64);
+        rec.counter("traffic_messages", traffic_messages as u64);
+        rec.counter("view_rebuilds", self.view_rebuilds as u64);
+        rec.counter("compaction_epoch", self.compaction_epoch);
+        rec.value("mean_lambda90_ms", stats.mean_lambda90_ms);
+        rec.value("mean_lambda50_ms", stats.mean_lambda50_ms);
+        rec.value("p90_lambda90_ms", stats.p90_lambda90_ms);
+        tel.emit(&rec);
+    }
+
+    /// The `churn` phase, the dynamic-world half of a round: consumes the
+    /// installed [`ChurnProcess`] (a no-op returning an empty delta when
+    /// none is installed). Departures and resets are torn out of the
+    /// topology with every removed edge logged into `removed` (survivors
+    /// refill the freed slots in the refill that follows, like scoring
+    /// drops); arrivals spawn (stable fresh ids), grow the
+    /// topology/latency/address-book/score state, and are reported back
+    /// to the process so their sessions get scheduled. Hash power
+    /// renormalizes and the miner sampler rebuilds whenever the live node
+    /// set actually changed.
+    fn churn<R: Rng>(&mut self, removed: &mut Vec<(NodeId, NodeId)>, rng: &mut R) -> WorldDelta {
         if self.churn.is_none() {
             return WorldDelta::default();
         }
@@ -1665,8 +1636,12 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             self.sampler = MinerSampler::new(&self.population);
         }
         let delta = WorldDelta { joined, departed };
-        self.strategy
-            .on_world_delta(&delta, self.population.len(), self.config.score_staleness);
+        follow_world_delta(
+            &mut self.histories,
+            &delta,
+            self.population.len(),
+            self.config.score_staleness,
+        );
         delta
     }
 
@@ -1679,13 +1654,11 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// *reset* (`keep_pinned = true`) preserves them, since §5.4 relay
     /// overlay links are infrastructure no protocol decision may remove.
     fn teardown_node(&mut self, v: NodeId, removed: &mut Vec<(NodeId, NodeId)>, keep_pinned: bool) {
-        let outgoing = self.topology.outgoing_vec(v);
-        for &u in &outgoing {
-            self.strategy.on_disconnect(v, u);
+        for u in self.topology.outgoing(v) {
+            self.histories[v.index()].forget(u);
         }
-        let incoming: Vec<NodeId> = self.topology.incoming(v).collect();
-        for &w in &incoming {
-            self.strategy.on_disconnect(w, v);
+        for w in self.topology.incoming(v) {
+            self.histories[w.index()].forget(v);
         }
         let severed = if keep_pinned {
             self.topology.clear_connections(v)
@@ -1742,7 +1715,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             tracker.retire(v);
         }
         let mut added = Vec::new();
-        self.fill_random_connections(v, rng, Some(&mut added));
+        self.fill_random_connections(v, rng, &mut added);
         if let Some(view) = self.view.as_mut() {
             view.apply_world_delta(
                 &WorldDelta::reset(v),
@@ -1760,7 +1733,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// [`PerigeeEngine::evaluate_in_mode`] to measure under the active
     /// propagation mode instead.
     pub fn evaluate(&self, fraction: f64) -> Vec<f64> {
-        evaluate_topology_multi_with_queue(
+        evaluate_multi(
             &self.topology,
             &self.latency,
             &self.population,
@@ -1793,49 +1766,35 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// through one frozen [`TopologyView`] with per-worker scratches over
     /// the rayon pool; values land in id order either way.
     pub fn evaluate_in_mode(&self, fraction: f64) -> Vec<f64> {
-        match self.mode {
-            PropagationMode::Analytic => self.evaluate(fraction),
-            PropagationMode::Gossip(cfg) => {
-                let n = self.population.len();
-                let view = TopologyView::new(&self.topology, &self.latency, &self.population);
-                let view = &view;
-                let chunk_count = rayon::current_num_threads().clamp(1, n.max(1));
-                let chunk_size = n.max(1).div_ceil(chunk_count);
-                let sources: Vec<u32> = (0..n as u32).collect();
-                let chunks: Vec<&[u32]> = sources.chunks(chunk_size).collect();
-                let parts: Vec<Vec<f64>> = chunks
-                    .par_iter()
-                    .map(|chunk| {
-                        let mut scratch = GossipScratch::with_capacity_and_queue(
-                            view.len(),
-                            view.directed_edge_count(),
-                            self.queue,
-                        );
-                        let mut coverage = [SimTime::ZERO];
-                        let mut out = Vec::with_capacity(chunk.len());
-                        for &src in *chunk {
-                            view.gossip_into(NodeId::new(src), &cfg, &mut scratch);
-                            scratch.coverage_times_into(view, &[fraction], &mut coverage);
-                            out.push(coverage[0].as_ms());
-                        }
-                        out
-                    })
-                    .collect();
-                parts.into_iter().flatten().collect()
-            }
-        }
+        let PropagationMode::Gossip(cfg) = self.mode else {
+            return self.evaluate(fraction);
+        };
+        let view = TopologyView::new(&self.topology, &self.latency, &self.population);
+        let scratch = || {
+            GossipScratch::with_capacity_and_queue(
+                view.len(),
+                view.directed_edge_count(),
+                self.queue,
+            )
+        };
+        per_source(view.len(), scratch, |scratch, src| {
+            view.gossip_into(src, &cfg, scratch);
+            let mut coverage = [SimTime::ZERO];
+            scratch.coverage_times_into(&view, &[fraction], &mut coverage);
+            coverage[0].as_ms()
+        })
     }
 
     /// Refills `v`'s free outgoing slots with random exploration peers.
     /// Each successful `connect` creates a brand-new communication edge
     /// (duplicates in either direction are rejected by the topology), so
-    /// when `added` is given every new undirected edge is logged for the
+    /// every new undirected edge is logged into `added` for the
     /// incremental view patch.
     fn fill_random_connections<R: Rng>(
         &mut self,
         v: NodeId,
         rng: &mut R,
-        mut added: Option<&mut Vec<(NodeId, NodeId)>>,
+        added: &mut Vec<(NodeId, NodeId)>,
     ) {
         let n = self.population.len() as u32;
         let dout = self
@@ -1872,9 +1831,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 }
             }
             if self.topology.connect(v, u).is_ok() {
-                if let Some(log) = added.as_deref_mut() {
-                    log.push((v, u));
-                }
+                added.push((v, u));
             }
         }
     }
@@ -1907,45 +1864,56 @@ impl BlockStats {
     }
 }
 
-/// The per-node drop computation shared by the sequential and parallel
-/// scoring phases: for every adopting node in `ids` with outgoing
-/// connections, asks `retain` which to keep and collects the rest. Keeping
-/// this body in one place is what guarantees the two phases can only
-/// differ in the retain call itself.
-fn compute_drops(
-    ids: impl Iterator<Item = u32>,
-    adopters: &[bool],
-    topology: &Topology,
-    mut retain: impl FnMut(NodeId, &[NodeId]) -> Vec<NodeId>,
-) -> Vec<(NodeId, Vec<NodeId>)> {
-    let mut drops = Vec::new();
-    for i in ids {
-        let v = NodeId::new(i);
-        if !adopters[v.index()] {
-            continue;
-        }
-        let outgoing = topology.outgoing_vec(v);
-        if outgoing.is_empty() {
-            continue;
-        }
-        let retained = retain(v, &outgoing);
-        let dropped = diff_drops(&outgoing, &retained);
-        if !dropped.is_empty() {
-            drops.push((v, dropped));
-        }
-    }
-    drops
+/// Items per chunk when `items` independent work items fan out over the
+/// rayon pool: one contiguous chunk per pool thread, so a one-thread pool
+/// runs the sequential loop. Every fan-out in the engine sizes its chunks
+/// by this rule, and none of their results depends on it.
+fn chunk_len(items: usize) -> usize {
+    let items = items.max(1);
+    items.div_ceil(rayon::current_num_threads().clamp(1, items))
 }
 
-/// The connections a retain decision gives up: `outgoing` minus
-/// `retained`, in outgoing order — shared by every scoring path so drops
-/// can only differ if the retain calls themselves do.
-fn diff_drops(outgoing: &[NodeId], retained: &[NodeId]) -> Vec<NodeId> {
-    outgoing
-        .iter()
-        .copied()
-        .filter(|u| !retained.contains(u))
-        .collect()
+/// Moves the score histories with the node set: new slots up to `n`
+/// start blank (a joiner has no beliefs), every departed or reset node's
+/// own history goes wholesale (survivors' beliefs *about* it were
+/// forgotten edge by edge at teardown), and surviving buffers age by
+/// `staleness` (see [`NodeHistory::decay`]) — UCB's bounds (eqs. 3–4)
+/// tighten with sample count, so certainty earned against a departed
+/// world must decay instead of keeping stale neighbors pinned.
+fn follow_world_delta(
+    histories: &mut Vec<NodeHistory>,
+    delta: &WorldDelta,
+    n: usize,
+    staleness: f64,
+) {
+    histories.resize(n, NodeHistory::default());
+    for &v in &delta.departed {
+        histories[v.index()].clear();
+    }
+    if staleness < 1.0 {
+        for h in histories.iter_mut() {
+            h.decay(staleness);
+        }
+    }
+}
+
+/// The per-source sweep behind every evaluation: runs `source` once per
+/// node as the block source, fanning contiguous source chunks over the
+/// rayon pool with one `scratch()` per chunk, and returns the results in
+/// id order — identical to a sequential loop whatever the pool width.
+fn per_source<S, T: Send>(
+    n: usize,
+    scratch: impl Fn() -> S + Sync,
+    source: impl Fn(&mut S, NodeId) -> T + Sync,
+) -> Vec<T> {
+    let chunk = chunk_len(n);
+    let parts: Vec<Vec<T>> = rayon::par_map_index(n.div_ceil(chunk), |ci| {
+        let mut s = scratch();
+        (ci * chunk..n.min((ci + 1) * chunk))
+            .map(|i| source(&mut s, NodeId::new(i as u32)))
+            .collect()
+    });
+    parts.into_iter().flatten().collect()
 }
 
 /// Evaluates λ(`fraction`) for every node as block source on a static
@@ -1974,7 +1942,7 @@ pub fn evaluate_topology_multi<L: LatencyModel + ?Sized>(
     population: &Population,
     fractions: &[f64],
 ) -> Vec<Vec<f64>> {
-    evaluate_topology_multi_with_queue(
+    evaluate_multi(
         topology,
         latency,
         population,
@@ -1983,47 +1951,27 @@ pub fn evaluate_topology_multi<L: LatencyModel + ?Sized>(
     )
 }
 
-/// Like [`evaluate_topology_multi`], flooding on an explicit
-/// [`QueueKind`] — what [`PerigeeEngine::evaluate`] threads its
-/// configured kind through, so heap-reference runs stay comparable end
-/// to end.
-pub fn evaluate_topology_multi_with_queue<L: LatencyModel + ?Sized>(
+/// [`evaluate_topology_multi`] on an explicit [`QueueKind`] — what
+/// [`PerigeeEngine::evaluate`] threads its configured kind through, so
+/// heap-reference runs stay comparable end to end.
+fn evaluate_multi<L: LatencyModel + ?Sized>(
     topology: &Topology,
     latency: &L,
     population: &Population,
     fractions: &[f64],
     queue: QueueKind,
 ) -> Vec<Vec<f64>> {
-    let n = population.len();
     let view = TopologyView::new(topology, latency, population);
-    let view = &view;
-    let chunk_count = rayon::current_num_threads().clamp(1, n.max(1));
-    let chunk_size = n.max(1).div_ceil(chunk_count);
-    let sources: Vec<u32> = (0..n as u32).collect();
-    let chunks: Vec<&[u32]> = sources.chunks(chunk_size).collect();
-    let parts: Vec<Vec<Vec<f64>>> = chunks
-        .par_iter()
-        .map(|chunk| {
-            let mut scratch = BroadcastScratch::with_capacity_and_queue(n, queue);
-            let mut coverage = vec![SimTime::ZERO; fractions.len()];
-            let mut out = vec![Vec::with_capacity(chunk.len()); fractions.len()];
-            for &src in *chunk {
-                view.broadcast_into(NodeId::new(src), &mut scratch);
-                scratch.coverage_times_into(view, fractions, &mut coverage);
-                for (k, &c) in coverage.iter().enumerate() {
-                    out[k].push(c.as_ms());
-                }
-            }
-            out
-        })
-        .collect();
-    let mut out = vec![Vec::with_capacity(n); fractions.len()];
-    for part in parts {
-        for (k, column) in part.into_iter().enumerate() {
-            out[k].extend(column);
-        }
-    }
-    out
+    let scratch = || BroadcastScratch::with_capacity_and_queue(view.len(), queue);
+    let rows = per_source(view.len(), scratch, |scratch, src| {
+        view.broadcast_into(src, scratch);
+        let mut coverage = vec![SimTime::ZERO; fractions.len()];
+        scratch.coverage_times_into(&view, fractions, &mut coverage);
+        coverage
+    });
+    (0..fractions.len())
+        .map(|k| rows.iter().map(|row| row[k].as_ms()).collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -2122,6 +2070,95 @@ mod tests {
         let before = engine.topology().outgoing_vec(frozen);
         engine.run_rounds(4, &mut rng);
         assert_eq!(engine.topology().outgoing_vec(frozen), before);
+    }
+
+    #[test]
+    fn liveness_leaves_non_adopters_peers_alone() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let pop = PopulationBuilder::new(60).build(&mut rng).unwrap();
+        let lat = GeoLatencyModel::new(&pop, 5);
+        let topo =
+            RandomBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
+        let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Subset);
+        cfg.blocks_per_round = 10;
+        cfg.liveness = crate::LivenessConfig::aggressive();
+        let mut engine = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg).unwrap();
+        let frozen = NodeId::new(7);
+        let mut adopters = vec![true; 60];
+        adopters[frozen.index()] = false;
+        engine.set_adopters(adopters);
+        // A free-rider relays nothing — its own blocks included — so the
+        // frozen node hears nothing from it, round after round.
+        let before = engine.topology().outgoing_vec(frozen);
+        crate::adversary::make_free_rider(engine.population_mut(), before[0]);
+        let rounds = cfg.liveness.evict_after as usize + 2;
+        engine.run_rounds(rounds, &mut rng);
+        assert_eq!(
+            engine.topology().outgoing_vec(frozen),
+            before,
+            "a non-adopter keeps its initial neighbors, silent ones included"
+        );
+    }
+
+    #[test]
+    fn world_delta_resizes_clears_and_decays() {
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        let mut histories = vec![NodeHistory::default(); 3];
+        histories[0].absorb(b, (0..10).map(f64::from));
+        histories[2].absorb(a, (0..10).map(f64::from));
+
+        // A grown world with node 2 departed and 50% staleness.
+        let delta = WorldDelta {
+            joined: vec![NodeId::new(3), NodeId::new(4)],
+            departed: vec![NodeId::new(2)],
+        };
+        follow_world_delta(&mut histories, &delta, 5, 0.5);
+        assert_eq!(histories[0].sample_count(b), 5, "survivor history halves");
+        assert_eq!(
+            histories[2].sample_count(a),
+            0,
+            "departed node's own beliefs are gone"
+        );
+        // The new slots are usable immediately.
+        let ucb = crate::UcbScoring::new(90.0, 1.0);
+        let bounds = ucb.bounds_of(histories[4].samples_for(a), &mut Vec::new());
+        assert!(bounds.estimate.is_infinite());
+        // staleness 1.0 is a pure resize.
+        follow_world_delta(&mut histories, &WorldDelta::default(), 5, 1.0);
+        assert_eq!(histories[0].sample_count(b), 5);
+    }
+
+    #[test]
+    fn disconnect_forgets_history() {
+        use perigee_netsim::ChurnProcess;
+        let (mut engine, mut rng) = small_engine(40, ScoringMethod::Ucb, 2, 31);
+        engine.set_churn(ChurnProcess::steady_state(40, 0.05, 32));
+        // Every sample a node holds is about a current outgoing neighbor:
+        // dropped, departed and reset connections take theirs along.
+        let held_by_current_neighbors = |e: &PerigeeEngine<GeoLatencyModel>| {
+            let n = e.population().len() as u32;
+            let mut held = 0;
+            for v in (0..n).map(NodeId::new) {
+                let outgoing = e.topology().outgoing_vec(v);
+                for u in (0..n).map(NodeId::new) {
+                    let count = e.histories[v.index()].sample_count(u);
+                    assert!(count == 0 || outgoing.contains(&u), "{v} remembers {u}");
+                    held += count;
+                }
+            }
+            held
+        };
+        let (mut held, mut severed) = (0, 0);
+        for _ in 0..6 {
+            let stats = engine.run_round(&mut rng);
+            severed += stats.dropped + stats.departed;
+            held += held_by_current_neighbors(&engine);
+        }
+        assert!(held > 0, "UCB rounds must build history");
+        assert!(severed > 0, "drops and departures must fire");
+        let v = NodeId::new(0);
+        engine.churn_reset(v, &mut rng);
+        held_by_current_neighbors(&engine);
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!   [`NodeObservations`] windows;
 //! * [`score`] — the three published scoring methods:
 //!   [`VanillaScoring`] (§4.2.1), [`UcbScoring`] (§4.2.2) and
-//!   [`SubsetScoring`] (§4.3), behind the [`SelectionStrategy`] trait;
-//!   all three fan over the rayon pool — Vanilla/Subset statelessly, UCB
-//!   through the split-borrow `split_stateful` API that hands each node a
-//!   disjoint `&mut` slice of its own connection history;
+//!   [`SubsetScoring`] (§4.3), behind the [`SelectionStrategy`] trait; a
+//!   strategy holds only its parameters, and the engine passes each node
+//!   its own [`NodeHistory`] (UCB's connection history, blank otherwise),
+//!   so all three are scored through one fan-out over the rayon pool;
 //! * [`engine`] — [`PerigeeEngine`], Algorithm 1's round loop
 //!   (observe → score → retain best → explore), including incremental
 //!   deployment; the round's CSR snapshot is carried across rounds and
@@ -60,15 +60,14 @@
 //! bootstrap random neighbors, and the carried snapshot is *patched*
 //! through `TopologyView::apply_world_delta`, never rebuilt
 //! ([`PerigeeEngine::view_rebuilds`](engine::PerigeeEngine::view_rebuilds)
-//! stays at 1 for an entire churny run). Cross-round score state follows
-//! the node set through [`SelectionStrategy::on_world_delta`]: UCB resizes
-//! its per-node [`NodeHistory`] array by the delta, drops departed nodes'
-//! state wholesale, and ages surviving sample buffers by the
-//! `score_staleness` knob of [`PerigeeConfig`] — each round only the
-//! newest `⌈len · staleness⌉` samples per neighbor survive, so confidence
-//! earned against a world that no longer exists decays instead of
-//! pinning stale neighbors (Vanilla/Subset hold no cross-round state and
-//! are churn-immune by construction). The legacy
+//! stays at 1 for an entire churny run). The engine's per-node
+//! [`NodeHistory`] array follows the node set: it grows by the delta,
+//! drops departed nodes' histories wholesale, and ages surviving sample
+//! buffers by the `score_staleness` knob of [`PerigeeConfig`] — each
+//! round only the newest `⌈len · staleness⌉` samples per neighbor
+//! survive, so UCB confidence earned against a world that no longer
+//! exists decays instead of pinning stale neighbors (Vanilla/Subset keep
+//! their histories blank and are churn-immune by construction). The legacy
 //! [`PerigeeEngine::churn_reset`](engine::PerigeeEngine::churn_reset) is
 //! now a thin wrapper over a one-node
 //! [`WorldDelta::reset`](perigee_netsim::WorldDelta::reset).
@@ -79,7 +78,7 @@
 //! [`IdRemap`](perigee_netsim::IdRemap): survivors are renumbered
 //! **order-preservingly** (so every sorted structure stays sorted for
 //! free) and every id-bearing subsystem — topology, latency placement
-//! keys, carried view, address books, liveness, UCB history, churn
+//! keys, carried view, address books, liveness, score histories, churn
 //! schedule — is remapped in one step, with surviving pair delays and
 //! view floats preserved bit for bit. Compaction is a *semantic world
 //! edit*, never an implicit optimization: it changes downstream RNG
@@ -135,8 +134,8 @@ pub use audit::{AuditCheck, AuditReport, AuditViolation};
 pub use config::PerigeeConfig;
 pub use discovery::AddressBook;
 pub use engine::{
-    evaluate_topology, evaluate_topology_multi, evaluate_topology_multi_with_queue, PerigeeEngine,
-    PropagationMode, RoundObservations, RoundStats, TrafficClassRoundStats, TrafficRoundStats,
+    evaluate_topology, evaluate_topology_multi, PerigeeEngine, PropagationMode, RoundObservations,
+    RoundStats, TrafficClassRoundStats, TrafficRoundStats,
 };
 pub use liveness::{LivenessConfig, LivenessTracker, PeerHealth};
 pub use observation::{
@@ -144,7 +143,6 @@ pub use observation::{
     SketchObservationStore, TimesIter,
 };
 pub use score::{
-    NodeHistory, ScoringMethod, SelectionStrategy, StatefulScorer, StatefulSplit, SubsetScoring,
-    UcbScoring, VanillaScoring,
+    NodeHistory, ScoringMethod, SelectionStrategy, SubsetScoring, UcbScoring, VanillaScoring,
 };
 pub use snapshot::{RunSnapshot, SnapshotError};

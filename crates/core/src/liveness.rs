@@ -176,23 +176,8 @@ impl LivenessTracker {
     /// here. The remap is monotone on live ids, so both per-slot lists
     /// stay sorted by peer without re-sorting.
     pub fn compact(&mut self, plan: &perigee_netsim::IdRemap) {
-        assert_eq!(
-            plan.old_len(),
-            self.silent.len(),
-            "compaction plan covers a different world size"
-        );
-        let mut i = 0u32;
-        self.silent.retain(|_| {
-            let keep = plan.new_id(NodeId::new(i)).is_some();
-            i += 1;
-            keep
-        });
-        let mut i = 0u32;
-        self.backoff.retain(|_| {
-            let keep = plan.new_id(NodeId::new(i)).is_some();
-            i += 1;
-            keep
-        });
+        plan.retain_live(&mut self.silent);
+        plan.retain_live(&mut self.backoff);
         for s in &mut self.silent {
             for (peer, _) in s.iter_mut() {
                 // Live-to-live references only: retire() pruned the rest.

@@ -13,12 +13,13 @@
 //! All are [`SelectionStrategy`] implementations consumed by
 //! [`PerigeeEngine`](crate::PerigeeEngine). Scoring reads the round's
 //! flat [`ObservationStore`](crate::ObservationStore) through borrowed
-//! [`NodeObservations`] windows, and parallelizes along one of two paths:
-//! stateless strategies (Vanilla/Subset) fan out directly
-//! ([`SelectionStrategy::retain_stateless`]), while stateful ones expose
-//! their per-node cross-round state through the split-borrow
-//! [`SelectionStrategy::split_stateful`] API so the engine can hand every
-//! node a disjoint `&mut` [`NodeHistory`] on the rayon pool.
+//! [`NodeObservations`] windows. A strategy holds only its parameters:
+//! the one cross-round memory a published method needs — UCB's
+//! per-connection history `T̿u,v` — is a per-node [`NodeHistory`] that
+//! the engine owns and passes to [`SelectionStrategy::retain`]. Every
+//! method is therefore scored through the same fan-out, each worker
+//! mutating only its own chunk of histories; Vanilla and Subset leave
+//! theirs blank.
 
 mod subset;
 mod ucb;
@@ -28,9 +29,7 @@ pub use subset::SubsetScoring;
 pub use ucb::{ConfidenceBounds, UcbScoring};
 pub use vanilla::VanillaScoring;
 
-use rand::RngCore;
-
-use perigee_netsim::{NodeId, WorldDelta};
+use perigee_netsim::NodeId;
 
 use crate::observation::NodeObservations;
 
@@ -167,9 +166,9 @@ impl NodeHistory {
 }
 
 mod codec {
-    //! Checkpoint codec impls (see `serde::bin`): UCB's cross-round
-    //! per-connection history is the score state a resumed run must
-    //! carry to stay bit-identical with an uninterrupted one.
+    //! Checkpoint codec impls (see `serde::bin`): the per-node histories
+    //! are the score state a resumed run must carry to stay bit-identical
+    //! with an uninterrupted one.
 
     use serde::bin::{Decode, DecodeError, Encode, Reader};
 
@@ -218,148 +217,35 @@ mod codec {
     }
 }
 
-/// The immutable scoring half of a stateful strategy, usable from any
-/// thread once the per-node state has been split off.
-pub trait StatefulScorer: Send + Sync {
-    /// Scores node `v` using only its own split-off `state` — callable
-    /// concurrently for different nodes, since each call touches exactly
-    /// one [`NodeHistory`]. Must match the strategy's sequential
-    /// [`SelectionStrategy::retain`] bit for bit.
-    fn retain_stateful(
-        &self,
-        v: NodeId,
-        outgoing: &[NodeId],
-        observations: NodeObservations<'_>,
-        state: &mut NodeHistory,
-    ) -> Vec<NodeId>;
-}
-
-/// The split-borrow view of a stateful strategy: scoring parameters
-/// (immutable, shared across threads) and the per-node state array
-/// (mutable, indexed by node id, handed out in disjoint chunks).
-///
-/// Produced by [`SelectionStrategy::split_stateful`]; the borrow split is
-/// what lets UCB's `retain` fan over the rayon pool — each worker mutates
-/// only the [`NodeHistory`] entries of its own chunk while all workers
-/// share the scorer.
-pub struct StatefulSplit<'a> {
-    /// The shared, immutable scoring logic.
-    pub scorer: &'a dyn StatefulScorer,
-    /// Per-node state, indexed by node id.
-    pub states: &'a mut [NodeHistory],
-}
-
-impl std::fmt::Debug for StatefulSplit<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StatefulSplit")
-            .field("states", &self.states.len())
-            .finish_non_exhaustive()
-    }
-}
-
 /// Decides which outgoing neighbors a node keeps at the end of a round.
 ///
-/// Implementations may hold per-node state across rounds (UCB keeps each
-/// neighbor's observation history for as long as the connection lives).
+/// A strategy holds only its scoring parameters. Whatever a node
+/// remembers across rounds lives in the [`NodeHistory`] passed to
+/// [`SelectionStrategy::retain`], which the engine keeps per node.
 pub trait SelectionStrategy: Send + Sync {
-    /// Returns the subset of `outgoing` that node `v` retains. Anything not
-    /// returned is disconnected; the engine refills the freed slots with
-    /// random exploration peers.
+    /// Returns the subset of `outgoing` that node `v` retains, reading
+    /// the round's `observations` and updating `v`'s own `history`.
+    /// Anything not returned is disconnected; the engine refills the
+    /// freed slots with random exploration peers.
     fn retain(
-        &mut self,
+        &self,
         v: NodeId,
         outgoing: &[NodeId],
         observations: NodeObservations<'_>,
-        rng: &mut dyn RngCore,
+        history: &mut NodeHistory,
     ) -> Vec<NodeId>;
 
-    /// Returns `true` when [`SelectionStrategy::retain`] is a pure
-    /// function of its inputs — no cross-round state mutated, no
-    /// randomness consumed (Vanilla and Subset). The engine then fans
-    /// per-node scoring across the rayon pool via
-    /// [`SelectionStrategy::retain_stateless`], with results bit-identical
-    /// to the sequential loop.
-    fn is_stateless(&self) -> bool {
-        false
-    }
-
-    /// Parallel-safe scoring, used by the engine when
-    /// [`SelectionStrategy::is_stateless`] returns `true`; strategies
-    /// advertising statelessness must override it to match
-    /// [`SelectionStrategy::retain`] exactly.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation panics: a stateful strategy has no
-    /// stateless retain path.
+    /// [`SelectionStrategy::retain`] on a blank history: the decision a
+    /// node makes from this round's observations alone (exactly the
+    /// engine's decision under Vanilla and Subset, which keep none).
     fn retain_stateless(
         &self,
-        _v: NodeId,
-        _outgoing: &[NodeId],
-        _observations: NodeObservations<'_>,
+        v: NodeId,
+        outgoing: &[NodeId],
+        observations: NodeObservations<'_>,
     ) -> Vec<NodeId> {
-        panic!("{} has no stateless retain path", self.name());
+        self.retain(v, outgoing, observations, &mut NodeHistory::default())
     }
-
-    /// Splits a *stateful* strategy into shared scoring parameters and
-    /// per-node state (`Some` for UCB, `None` for stateless strategies
-    /// and strategies whose state does not partition by node). The engine
-    /// uses the split to run `retain` for all nodes concurrently: every
-    /// node's call gets a disjoint `&mut` slice of its own history, so
-    /// the fan-out is bit-identical to the sequential loop by
-    /// construction.
-    fn split_stateful(&mut self) -> Option<StatefulSplit<'_>> {
-        None
-    }
-
-    /// Notifies the strategy that `v`'s connection to `u` is gone (history,
-    /// if any, must be forgotten — the paper keeps per-neighbor history only
-    /// while connected).
-    fn on_disconnect(&mut self, _v: NodeId, _u: NodeId) {}
-
-    /// Serializes the strategy's cross-round state for a checkpoint
-    /// (see [`crate::snapshot`]). Stateless strategies (Vanilla/Subset)
-    /// keep the default — an empty buffer, since everything they need is
-    /// re-derived from the round's observations.
-    fn snapshot_state(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    /// Restores cross-round state captured by
-    /// [`SelectionStrategy::snapshot_state`] on a freshly built strategy
-    /// of the same method and world size. The default accepts only an
-    /// empty buffer: bytes arriving at a stateless strategy mean the
-    /// snapshot was written by a different method.
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), serde::bin::DecodeError> {
-        if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(serde::bin::DecodeError::new(
-                "stateless strategy given non-empty score state",
-            ))
-        }
-    }
-
-    /// Release-mode legality check of the cross-round state, reporting
-    /// violations into `out` (see [`crate::audit`]). Stateless
-    /// strategies have nothing to check (the default no-op).
-    fn audit(&self, _out: &mut Vec<crate::audit::AuditViolation>) {}
-
-    /// Notifies the strategy that the node set moved: per-node state must
-    /// now cover `n` slots (new slots start blank), the state of every
-    /// departed/reset node in `delta` must be dropped wholesale, and
-    /// surviving buffers age by `staleness` (see
-    /// [`NodeHistory::decay`]). Stateless strategies (Vanilla/Subset hold
-    /// no cross-round state) keep the default no-op — churn cannot
-    /// poison what is re-learned from scratch every round.
-    fn on_world_delta(&mut self, _delta: &WorldDelta, _n: usize, _staleness: f64) {}
-
-    /// Applies a free-list compaction plan (see
-    /// [`perigee_netsim::Population::compact`]): per-node state must be
-    /// permuted to the survivors' new ids and any stored neighbor ids
-    /// renumbered. Stateless strategies keep the default no-op — they
-    /// hold nothing keyed by id.
-    fn compact(&mut self, _plan: &perigee_netsim::IdRemap) {}
 
     /// Strategy name for reports.
     fn name(&self) -> &'static str;
@@ -384,21 +270,28 @@ impl ScoringMethod {
         ScoringMethod::Subset,
     ];
 
-    /// Instantiates the strategy for a network of `n` nodes, retaining
-    /// `retain_count` neighbors (Vanilla/Subset) and scoring at
-    /// `percentile`; `ucb_c` is the confidence-width constant of eqs. (3–4).
+    /// Instantiates the strategy, retaining `retain_count` neighbors
+    /// (Vanilla/Subset) and scoring at `percentile`; `ucb_c` is the
+    /// confidence-width constant of eqs. (3–4). Strategies keep no
+    /// per-node state, so the network size `_n` does not shape them.
     pub fn strategy(
         self,
-        n: usize,
+        _n: usize,
         retain_count: usize,
         percentile: f64,
         ucb_c: f64,
     ) -> Box<dyn SelectionStrategy> {
         match self {
             ScoringMethod::Vanilla => Box::new(VanillaScoring::new(retain_count, percentile)),
-            ScoringMethod::Ucb => Box::new(UcbScoring::new(n, percentile, ucb_c)),
+            ScoringMethod::Ucb => Box::new(UcbScoring::new(percentile, ucb_c)),
             ScoringMethod::Subset => Box::new(SubsetScoring::new(retain_count, percentile)),
         }
+    }
+
+    /// Whether the method's scoring writes to its [`NodeHistory`] — only
+    /// UCB does; the others' histories stay blank.
+    pub(crate) fn keeps_history(self) -> bool {
+        self == ScoringMethod::Ucb
     }
 
     /// The paper's round length for this method (§5.1): 100 blocks for
@@ -443,10 +336,8 @@ mod tests {
     #[test]
     fn factory_builds_each_strategy() {
         for m in ScoringMethod::ALL {
-            let mut s = m.strategy(10, 6, 90.0, 1.0);
+            let s = m.strategy(10, 6, 90.0, 1.0);
             assert!(!s.name().is_empty());
-            // Exactly one parallel path is advertised per strategy.
-            assert_ne!(s.is_stateless(), s.split_stateful().is_some());
         }
     }
 

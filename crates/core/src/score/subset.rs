@@ -14,21 +14,18 @@
 //! i.e. a candidate is only charged for blocks the already-chosen neighbors
 //! did not themselves deliver quickly.
 
-use rand::RngCore;
-
 use perigee_metrics::percentile_or_inf_mut;
 use perigee_netsim::NodeId;
 
 use crate::observation::NodeObservations;
-use crate::score::SelectionStrategy;
+use crate::score::{NodeHistory, SelectionStrategy};
 
 /// Greedy complementary subset selection at a percentile target.
 ///
-/// Like Vanilla, Subset keeps no cross-round state — group scores are
-/// recomputed from the current round's observation matrix every time — so
-/// a dynamic world ([`perigee_netsim::dynamics`]) needs no state surgery
-/// here: the default no-op [`SelectionStrategy::on_world_delta`] applies,
-/// and joiners/departures are picked up automatically through the
+/// Like Vanilla, Subset leaves its [`NodeHistory`] blank — group scores
+/// are recomputed from the current round's observation matrix every time
+/// — so a dynamic world ([`perigee_netsim::dynamics`]) needs no state
+/// surgery here: joiners and departures are picked up through the
 /// per-round store resize.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubsetScoring {
@@ -56,7 +53,8 @@ impl SubsetScoring {
     ///
     /// **Dense-only** (panics on the sketch backend): the per-block joint
     /// minimum is exactly the statistic a marginal per-edge sketch cannot
-    /// reconstruct — see [`SubsetScoring::select`]'s sketch fallback.
+    /// reconstruct — see the sketch fallback of its
+    /// [`SelectionStrategy::retain`].
     pub fn group_score(&self, observations: &NodeObservations<'_>, group: &[NodeId]) -> f64 {
         if group.is_empty() {
             return f64::INFINITY;
@@ -71,9 +69,10 @@ impl SubsetScoring {
             .collect();
         percentile_or_inf_mut(&mut per_block, self.percentile)
     }
+}
 
-    /// The greedy selection itself: pure in its inputs, shared by the
-    /// sequential and parallel retain paths.
+impl SelectionStrategy for SubsetScoring {
+    /// The greedy complementary selection.
     ///
     /// On the sketch backend the greedy complementary criterion is
     /// unavailable — it needs the per-block joint minimum across the
@@ -83,7 +82,13 @@ impl SubsetScoring {
     /// percentiles (Vanilla's ordering, same deterministic id
     /// tie-break). This is the documented approximation of sketch mode;
     /// runs that need the joint criterion keep the dense backend.
-    fn select(&self, outgoing: &[NodeId], observations: NodeObservations<'_>) -> Vec<NodeId> {
+    fn retain(
+        &self,
+        _v: NodeId,
+        outgoing: &[NodeId],
+        observations: NodeObservations<'_>,
+        _history: &mut NodeHistory,
+    ) -> Vec<NodeId> {
         if observations.is_sketch() {
             let mut buf = Vec::new();
             let mut scored: Vec<(f64, NodeId)> = Vec::with_capacity(outgoing.len());
@@ -159,31 +164,6 @@ impl SubsetScoring {
         }
         chosen
     }
-}
-
-impl SelectionStrategy for SubsetScoring {
-    fn retain(
-        &mut self,
-        _v: NodeId,
-        outgoing: &[NodeId],
-        observations: NodeObservations<'_>,
-        _rng: &mut dyn RngCore,
-    ) -> Vec<NodeId> {
-        self.select(outgoing, observations)
-    }
-
-    fn is_stateless(&self) -> bool {
-        true
-    }
-
-    fn retain_stateless(
-        &self,
-        _v: NodeId,
-        outgoing: &[NodeId],
-        observations: NodeObservations<'_>,
-    ) -> Vec<NodeId> {
-        self.select(outgoing, observations)
-    }
 
     fn name(&self) -> &'static str {
         "perigee-subset"
@@ -197,8 +177,6 @@ mod tests {
     use perigee_netsim::{
         broadcast, ConnectionLimits, MetricLatencyModel, NodeProfile, Population, SimTime, Topology,
     };
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     /// Two-cluster world. Node 0 (the chooser) has three outgoing
     /// neighbors: gateways 1 and 2 both sit near mining cluster A (source
@@ -257,15 +235,9 @@ mod tests {
     #[test]
     fn picks_a_complementary_pair_not_redundant_gateways() {
         let store = observe_rounds(&mixed_sources());
-        let mut s = SubsetScoring::new(2, 90.0);
+        let s = SubsetScoring::new(2, 90.0);
         let outgoing = vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)];
-        let mut rng = StdRng::seed_from_u64(0);
-        let kept = s.retain(
-            NodeId::new(0),
-            &outgoing,
-            store.node(NodeId::new(0)),
-            &mut rng,
-        );
+        let kept = s.retain_stateless(NodeId::new(0), &outgoing, store.node(NodeId::new(0)));
         assert_eq!(kept.len(), 2);
         assert!(
             kept.contains(&NodeId::new(3)),
@@ -283,10 +255,9 @@ mod tests {
         // scoring.
         let store = observe_rounds(&mixed_sources());
         let obs = store.node(NodeId::new(0));
-        let mut v = crate::score::VanillaScoring::new(2, 90.0);
+        let v = crate::score::VanillaScoring::new(2, 90.0);
         let outgoing = vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)];
-        let mut rng = StdRng::seed_from_u64(0);
-        let kept = v.retain(NodeId::new(0), &outgoing, obs, &mut rng);
+        let kept = v.retain_stateless(NodeId::new(0), &outgoing, obs);
         assert!(kept.contains(&NodeId::new(1)) && kept.contains(&NodeId::new(2)));
         // And the subset group-score of vanilla's choice is strictly worse.
         let s = SubsetScoring::new(2, 90.0);
@@ -314,10 +285,9 @@ mod tests {
     fn greedy_matches_exhaustive_on_this_instance() {
         let store = observe_rounds(&mixed_sources());
         let obs = store.node(NodeId::new(0));
-        let mut s = SubsetScoring::new(2, 90.0);
+        let s = SubsetScoring::new(2, 90.0);
         let outgoing = vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)];
-        let mut rng = StdRng::seed_from_u64(0);
-        let kept = s.retain(NodeId::new(0), &outgoing, obs, &mut rng);
+        let kept = s.retain_stateless(NodeId::new(0), &outgoing, obs);
         // Exhaustive best pair:
         let mut best: Option<(f64, Vec<NodeId>)> = None;
         for i in 0..outgoing.len() {
@@ -340,15 +310,9 @@ mod tests {
     #[test]
     fn retains_everything_when_budget_exceeds_neighbors() {
         let store = observe_rounds(&[4]);
-        let mut s = SubsetScoring::new(6, 90.0);
+        let s = SubsetScoring::new(6, 90.0);
         let outgoing = vec![NodeId::new(1), NodeId::new(2)];
-        let mut rng = StdRng::seed_from_u64(0);
-        let kept = s.retain(
-            NodeId::new(0),
-            &outgoing,
-            store.node(NodeId::new(0)),
-            &mut rng,
-        );
+        let kept = s.retain_stateless(NodeId::new(0), &outgoing, store.node(NodeId::new(0)));
         assert_eq!(kept.len(), 2);
     }
 

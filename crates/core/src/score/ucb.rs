@@ -15,42 +15,26 @@
 //! even accounting for sampling noise, and disconnects exactly that one;
 //! otherwise all neighbors are retained.
 //!
-//! # Parallelism
+//! # Per-connection history
 //!
-//! The per-connection history partitions exactly by choosing node: node
-//! `v`'s `retain` reads the round matrix (shared, immutable) and mutates
-//! only `history[v]`. The strategy therefore stores the history as a flat
-//! `Vec<NodeHistory>` indexed by node id and exposes it through the
-//! split-borrow [`SelectionStrategy::split_stateful`] API: the engine
-//! hands each rayon worker a disjoint `&mut` chunk while all workers
-//! share the immutable [`UcbParams`] scorer — bit-identical to the
-//! sequential loop by construction, and no `HashMap` in sight.
-
-use rand::RngCore;
+//! The history partitions exactly by choosing node: node `v`'s `retain`
+//! reads the round matrix (shared, immutable) and mutates only its own
+//! [`NodeHistory`], which the engine owns and passes in. The strategy is
+//! therefore just its two parameters, shared by every rayon worker while
+//! each worker updates only its own chunk of histories — bit-identical
+//! to a sequential loop by construction.
 
 use perigee_metrics::percentile_or_inf_mut;
 use perigee_netsim::NodeId;
 
-use perigee_netsim::WorldDelta;
-
 use crate::observation::NodeObservations;
-use crate::score::{NodeHistory, SelectionStrategy, StatefulScorer, StatefulSplit};
+use crate::score::{NodeHistory, SelectionStrategy};
 
-/// The immutable scoring parameters of [`UcbScoring`] — the shared half
-/// of its split-borrow decomposition.
+/// Confidence-bound scoring over each connection's observation history.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UcbParams {
+pub struct UcbScoring {
     percentile: f64,
     c: f64,
-}
-
-/// Confidence-bound scoring with per-connection observation history.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UcbScoring {
-    params: UcbParams,
-    /// `history[v]` holds, for each current neighbor of `v`, the finite
-    /// normalized observations accumulated since the connection was made.
-    history: Vec<NodeHistory>,
 }
 
 /// The per-neighbor estimate with its confidence interval.
@@ -66,10 +50,21 @@ pub struct ConfidenceBounds {
     pub samples: usize,
 }
 
-impl UcbParams {
-    /// Computes the bounds from a neighbor's accumulated sample buffer. A
-    /// neighbor with no finite samples has all-infinite bounds —
-    /// maximally distrusted.
+impl UcbScoring {
+    /// Creates the strategy with confidence constant `c`, scoring at
+    /// `percentile`.
+    pub fn new(percentile: f64, c: f64) -> Self {
+        assert!(
+            (0.0..=100.0).contains(&percentile),
+            "percentile must be in [0, 100]"
+        );
+        assert!(c >= 0.0, "confidence constant must be non-negative");
+        UcbScoring { percentile, c }
+    }
+
+    /// Computes the bounds from a neighbor's accumulated sample buffer
+    /// ([`NodeHistory::samples_for`]). A neighbor with no finite samples
+    /// has all-infinite bounds — maximally distrusted.
     pub fn bounds_of(&self, samples: &[f32], scratch: &mut Vec<f64>) -> ConfidenceBounds {
         let m = samples.len();
         if m == 0 {
@@ -95,18 +90,18 @@ impl UcbParams {
     }
 }
 
-impl StatefulScorer for UcbParams {
-    fn retain_stateful(
+impl SelectionStrategy for UcbScoring {
+    fn retain(
         &self,
         _v: NodeId,
         outgoing: &[NodeId],
         observations: NodeObservations<'_>,
-        state: &mut NodeHistory,
+        history: &mut NodeHistory,
     ) -> Vec<NodeId> {
         // Fold this round into the per-connection history first — only
         // finite timestamps enter `T̿u,v` (the paper filters `t̃ < ∞`).
         for &u in outgoing {
-            state.absorb(u, observations.times_for(u));
+            history.absorb(u, observations.times_for(u));
         }
         if outgoing.len() <= 1 {
             return outgoing.to_vec();
@@ -114,7 +109,7 @@ impl StatefulScorer for UcbParams {
         let mut scratch = Vec::new();
         let bounds: Vec<(NodeId, ConfidenceBounds)> = outgoing
             .iter()
-            .map(|&u| (u, self.bounds_of(state.samples_for(u), &mut scratch)))
+            .map(|&u| (u, self.bounds_of(history.samples_for(u), &mut scratch)))
             .collect();
         // max lcb (worst plausible neighbor) vs min ucb (best pessimistic).
         let (worst, worst_b) = bounds
@@ -136,136 +131,6 @@ impl StatefulScorer for UcbParams {
             outgoing.to_vec()
         }
     }
-}
-
-impl UcbScoring {
-    /// Creates the strategy for `n` nodes with confidence constant `c`
-    /// scoring at `percentile`.
-    pub fn new(n: usize, percentile: f64, c: f64) -> Self {
-        assert!(
-            (0.0..=100.0).contains(&percentile),
-            "percentile must be in [0, 100]"
-        );
-        assert!(c >= 0.0, "confidence constant must be non-negative");
-        UcbScoring {
-            params: UcbParams { percentile, c },
-            history: vec![NodeHistory::default(); n],
-        }
-    }
-
-    /// Computes the bounds for neighbor `u` of `v` from the accumulated
-    /// history (call after [`Self::absorb`]).
-    pub fn bounds(&self, v: NodeId, u: NodeId) -> ConfidenceBounds {
-        let mut scratch = Vec::new();
-        self.params
-            .bounds_of(self.history[v.index()].samples_for(u), &mut scratch)
-    }
-
-    /// Folds one round of observations into the history of `v`'s current
-    /// outgoing neighbors. Only finite timestamps enter `T̿u,v` (the paper
-    /// filters `t̃ < ∞`).
-    pub fn absorb(&mut self, v: NodeId, outgoing: &[NodeId], observations: NodeObservations<'_>) {
-        let h = &mut self.history[v.index()];
-        for &u in outgoing {
-            h.absorb(u, observations.times_for(u));
-        }
-    }
-
-    /// Number of stored samples for a (v, u) pair — for tests/inspection.
-    pub fn sample_count(&self, v: NodeId, u: NodeId) -> usize {
-        self.history[v.index()].sample_count(u)
-    }
-}
-
-impl SelectionStrategy for UcbScoring {
-    fn retain(
-        &mut self,
-        v: NodeId,
-        outgoing: &[NodeId],
-        observations: NodeObservations<'_>,
-        _rng: &mut dyn RngCore,
-    ) -> Vec<NodeId> {
-        self.params
-            .retain_stateful(v, outgoing, observations, &mut self.history[v.index()])
-    }
-
-    fn split_stateful(&mut self) -> Option<StatefulSplit<'_>> {
-        Some(StatefulSplit {
-            scorer: &self.params,
-            states: &mut self.history,
-        })
-    }
-
-    fn on_disconnect(&mut self, v: NodeId, u: NodeId) {
-        self.history[v.index()].forget(u);
-    }
-
-    /// The checkpointed state is exactly the per-connection history
-    /// (`T̿u,v` for every live connection) — the parameters travel in the
-    /// run's [`PerigeeConfig`](crate::PerigeeConfig) and the strategy is
-    /// rebuilt from them on resume.
-    fn snapshot_state(&self) -> Vec<u8> {
-        use serde::bin::Encode;
-        self.history.to_bytes()
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), serde::bin::DecodeError> {
-        use serde::bin::{Decode, DecodeError};
-        let history: Vec<NodeHistory> = Decode::from_bytes(bytes)?;
-        if history.len() != self.history.len() {
-            return Err(DecodeError::new(
-                "score-state snapshot covers a different world size",
-            ));
-        }
-        self.history = history;
-        Ok(())
-    }
-
-    fn audit(&self, out: &mut Vec<crate::audit::AuditViolation>) {
-        for (v, h) in self.history.iter().enumerate() {
-            h.audit(v, out);
-        }
-    }
-
-    /// The stateful churn hook: the history array is resized to cover
-    /// new slots (blank — a joiner starts with no beliefs), every
-    /// departed/reset node's own history is dropped wholesale (its
-    /// connections are gone with it; survivors' beliefs *about* it are
-    /// forgotten edge-by-edge through
-    /// [`SelectionStrategy::on_disconnect`]), and surviving buffers age
-    /// by `staleness` so confidence built against a departed world decays
-    /// instead of keeping stale neighbors pinned (eqs. 3–4 tighten with
-    /// sample count — under churn that certainty must be re-earned).
-    fn on_world_delta(&mut self, delta: &WorldDelta, n: usize, staleness: f64) {
-        if self.history.len() < n {
-            self.history.resize(n, NodeHistory::default());
-        }
-        for &v in &delta.departed {
-            self.history[v.index()].clear();
-        }
-        if staleness < 1.0 {
-            for h in &mut self.history {
-                h.decay(staleness);
-            }
-        }
-    }
-
-    fn compact(&mut self, plan: &perigee_netsim::IdRemap) {
-        assert_eq!(
-            plan.old_len(),
-            self.history.len(),
-            "compaction plan covers a different world size"
-        );
-        let mut i = 0u32;
-        self.history.retain(|_| {
-            let keep = plan.new_id(NodeId::new(i)).is_some();
-            i += 1;
-            keep
-        });
-        for h in &mut self.history {
-            h.compact(plan);
-        }
-    }
 
     fn name(&self) -> &'static str {
         "perigee-ucb"
@@ -279,8 +144,6 @@ mod tests {
     use perigee_netsim::{
         broadcast, ConnectionLimits, MetricLatencyModel, NodeProfile, Population, SimTime, Topology,
     };
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn star_world(dists: &[f64]) -> (Population, MetricLatencyModel, Topology) {
         let mut coords = vec![0.0];
@@ -315,32 +178,41 @@ mod tests {
         c.finish()
     }
 
+    /// Folds one round into `h` for every listed neighbor, as `retain`
+    /// does before it scores.
+    fn absorb(h: &mut NodeHistory, outgoing: &[NodeId], store: &ObservationStore) {
+        let obs = store.node(NodeId::new(0));
+        for &u in outgoing {
+            h.absorb(u, obs.times_for(u));
+        }
+    }
+
     #[test]
     fn accumulates_history_across_rounds() {
         let (pop, lat, topo) = star_world(&[5.0, 50.0]);
-        let mut s = UcbScoring::new(3, 90.0, 1.0);
+        let s = UcbScoring::new(90.0, 1.0);
         let outgoing = vec![NodeId::new(1), NodeId::new(2)];
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut h = NodeHistory::default();
         for _ in 0..4 {
             let store = one_round(&pop, &lat, &topo, 1);
             let _ = s.retain(
                 NodeId::new(0),
                 &outgoing,
                 store.node(NodeId::new(0)),
-                &mut rng,
+                &mut h,
             );
         }
-        assert_eq!(s.sample_count(NodeId::new(0), NodeId::new(1)), 4);
-        assert_eq!(s.sample_count(NodeId::new(0), NodeId::new(2)), 4);
+        assert_eq!(h.sample_count(NodeId::new(1)), 4);
+        assert_eq!(h.sample_count(NodeId::new(2)), 4);
     }
 
     #[test]
     fn drops_a_clearly_worse_neighbor_once_confident() {
         let (pop, lat, topo) = star_world(&[5.0, 500.0]);
         // c small => narrow intervals => quick separation.
-        let mut s = UcbScoring::new(3, 90.0, 10.0);
+        let s = UcbScoring::new(90.0, 10.0);
         let outgoing = vec![NodeId::new(1), NodeId::new(2)];
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut h = NodeHistory::default();
         let mut kept = outgoing.clone();
         for _ in 0..20 {
             let store = one_round(&pop, &lat, &topo, 1);
@@ -348,7 +220,7 @@ mod tests {
                 NodeId::new(0),
                 &outgoing,
                 store.node(NodeId::new(0)),
-                &mut rng,
+                &mut h,
             );
             if kept.len() < outgoing.len() {
                 break;
@@ -386,9 +258,9 @@ mod tests {
         topo.connect(NodeId::new(3), NodeId::new(1)).unwrap();
         topo.connect(NodeId::new(3), NodeId::new(2)).unwrap();
 
-        let mut s = UcbScoring::new(4, 90.0, 1.0);
+        let s = UcbScoring::new(90.0, 1.0);
         let outgoing = vec![NodeId::new(1), NodeId::new(2)];
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut h = NodeHistory::default();
         for _ in 0..10 {
             let mut c = ObservationCollector::new(&topo);
             c.record(&broadcast(&topo, &lat, &pop, NodeId::new(3)), &lat);
@@ -397,7 +269,7 @@ mod tests {
                 NodeId::new(0),
                 &outgoing,
                 store.node(NodeId::new(0)),
-                &mut rng,
+                &mut h,
             );
             assert_eq!(kept.len(), 2, "equal neighbors are never separated");
         }
@@ -406,19 +278,19 @@ mod tests {
     #[test]
     fn confidence_width_shrinks_with_samples() {
         let (pop, lat, topo) = star_world(&[5.0, 50.0]);
-        let mut s = UcbScoring::new(3, 90.0, 1.0);
+        let s = UcbScoring::new(90.0, 1.0);
         let outgoing = vec![NodeId::new(1), NodeId::new(2)];
+        let mut h = NodeHistory::default();
+        let mut scratch = Vec::new();
         for _ in 0..2 {
-            let store = one_round(&pop, &lat, &topo, 1);
-            s.absorb(NodeId::new(0), &outgoing, store.node(NodeId::new(0)));
+            absorb(&mut h, &outgoing, &one_round(&pop, &lat, &topo, 1));
         }
-        let b2 = s.bounds(NodeId::new(0), NodeId::new(1));
+        let b2 = s.bounds_of(h.samples_for(NodeId::new(1)), &mut scratch);
         let w2 = b2.ucb - b2.lcb;
         for _ in 0..30 {
-            let store = one_round(&pop, &lat, &topo, 1);
-            s.absorb(NodeId::new(0), &outgoing, store.node(NodeId::new(0)));
+            absorb(&mut h, &outgoing, &one_round(&pop, &lat, &topo, 1));
         }
-        let b32 = s.bounds(NodeId::new(0), NodeId::new(1));
+        let b32 = s.bounds_of(h.samples_for(NodeId::new(1)), &mut scratch);
         let w32 = b32.ucb - b32.lcb;
         assert!(w32 < w2, "width {w32} should shrink below {w2}");
         assert_eq!(b32.samples, 32);
@@ -426,8 +298,9 @@ mod tests {
 
     #[test]
     fn unseen_neighbor_has_infinite_bounds() {
-        let s = UcbScoring::new(2, 90.0, 1.0);
-        let b = s.bounds(NodeId::new(0), NodeId::new(1));
+        let s = UcbScoring::new(90.0, 1.0);
+        let h = NodeHistory::default();
+        let b = s.bounds_of(h.samples_for(NodeId::new(1)), &mut Vec::new());
         assert!(b.estimate.is_infinite() && b.lcb.is_infinite() && b.ucb.is_infinite());
         assert_eq!(b.samples, 0);
     }
@@ -436,9 +309,9 @@ mod tests {
     fn never_delivering_neighbor_is_dropped() {
         let (mut pop, lat, topo) = star_world(&[5.0, 50.0]);
         pop.profile_mut(NodeId::new(2)).behavior = perigee_netsim::Behavior::Silent;
-        let mut s = UcbScoring::new(3, 90.0, 1.0);
+        let s = UcbScoring::new(90.0, 1.0);
         let outgoing = vec![NodeId::new(1), NodeId::new(2)];
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut h = NodeHistory::default();
         let mut kept = outgoing.clone();
         for _ in 0..5 {
             let store = one_round(&pop, &lat, &topo, 1);
@@ -446,7 +319,7 @@ mod tests {
                 NodeId::new(0),
                 &outgoing,
                 store.node(NodeId::new(0)),
-                &mut rng,
+                &mut h,
             );
             if kept.len() < 2 {
                 break;
@@ -456,96 +329,15 @@ mod tests {
     }
 
     #[test]
-    fn world_delta_resizes_clears_and_decays() {
-        let (pop, lat, topo) = star_world(&[5.0, 50.0]);
-        let mut s = UcbScoring::new(3, 90.0, 1.0);
-        let outgoing = vec![NodeId::new(1), NodeId::new(2)];
-        for _ in 0..10 {
-            let store = one_round(&pop, &lat, &topo, 1);
-            s.absorb(NodeId::new(0), &outgoing, store.node(NodeId::new(0)));
-        }
-        assert_eq!(s.sample_count(NodeId::new(0), NodeId::new(1)), 10);
-
-        // A grown world with node 2 departed and 50% staleness.
-        let delta = WorldDelta {
-            joined: vec![NodeId::new(3), NodeId::new(4)],
-            departed: vec![NodeId::new(2)],
-        };
-        s.on_world_delta(&delta, 5, 0.5);
-        assert_eq!(
-            s.sample_count(NodeId::new(0), NodeId::new(1)),
-            5,
-            "survivor history halves"
-        );
-        assert_eq!(
-            s.sample_count(NodeId::new(2), NodeId::new(0)),
-            0,
-            "departed node's own beliefs are gone"
-        );
-        // The new slots are usable immediately.
-        assert!(s
-            .bounds(NodeId::new(4), NodeId::new(0))
-            .estimate
-            .is_infinite());
-        // staleness 1.0 is a pure resize.
-        s.on_world_delta(&WorldDelta::default(), 5, 1.0);
-        assert_eq!(s.sample_count(NodeId::new(0), NodeId::new(1)), 5);
-    }
-
-    #[test]
-    fn disconnect_forgets_history() {
-        let (pop, lat, topo) = star_world(&[5.0]);
-        let mut s = UcbScoring::new(2, 90.0, 1.0);
-        let outgoing = vec![NodeId::new(1)];
-        let store = one_round(&pop, &lat, &topo, 1);
-        s.absorb(NodeId::new(0), &outgoing, store.node(NodeId::new(0)));
-        assert_eq!(s.sample_count(NodeId::new(0), NodeId::new(1)), 1);
-        s.on_disconnect(NodeId::new(0), NodeId::new(1));
-        assert_eq!(s.sample_count(NodeId::new(0), NodeId::new(1)), 0);
-    }
-
-    #[test]
     fn single_neighbor_is_always_retained() {
         let (pop, lat, topo) = star_world(&[5.0]);
-        let mut s = UcbScoring::new(2, 90.0, 1.0);
-        let mut rng = StdRng::seed_from_u64(0);
+        let s = UcbScoring::new(90.0, 1.0);
         let store = one_round(&pop, &lat, &topo, 1);
-        let kept = s.retain(
+        let kept = s.retain_stateless(
             NodeId::new(0),
             &[NodeId::new(1)],
             store.node(NodeId::new(0)),
-            &mut rng,
         );
         assert_eq!(kept, vec![NodeId::new(1)]);
-    }
-
-    #[test]
-    fn split_halves_agree_with_sequential_retain() {
-        let (pop, lat, topo) = star_world(&[5.0, 50.0, 500.0]);
-        let outgoing: Vec<NodeId> = (1..4).map(NodeId::new).collect();
-        let mut seq = UcbScoring::new(4, 90.0, 10.0);
-        let mut split = UcbScoring::new(4, 90.0, 10.0);
-        let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..10 {
-            let store = one_round(&pop, &lat, &topo, 1);
-            let a = seq.retain(
-                NodeId::new(0),
-                &outgoing,
-                store.node(NodeId::new(0)),
-                &mut rng,
-            );
-            let b = {
-                let StatefulSplit { scorer, states } =
-                    split.split_stateful().expect("ucb is split-stateful");
-                scorer.retain_stateful(
-                    NodeId::new(0),
-                    &outgoing,
-                    store.node(NodeId::new(0)),
-                    &mut states[0],
-                )
-            };
-            assert_eq!(a, b, "split-borrow path must match retain exactly");
-        }
-        assert_eq!(seq, split, "histories evolve identically");
     }
 }

@@ -1,11 +1,9 @@
 //! VanillaScoring (§4.2.1): independent per-neighbor percentile scores.
 
-use rand::RngCore;
-
 use perigee_netsim::NodeId;
 
 use crate::observation::NodeObservations;
-use crate::score::SelectionStrategy;
+use crate::score::{NodeHistory, SelectionStrategy};
 
 /// Scores each outgoing neighbor by the 90th percentile of its normalized
 /// delivery times within the round and keeps the `retain_count` best.
@@ -14,10 +12,9 @@ use crate::score::SelectionStrategy;
 /// blocks close to the earliest delivery `v` saw. Ties break toward the
 /// smaller node id, keeping rounds deterministic.
 ///
-/// Vanilla holds no cross-round state, so churn cannot poison it: under a
-/// dynamic world ([`perigee_netsim::dynamics`]) every round's scores are
-/// re-learned from that round's observations alone and the default no-op
-/// [`SelectionStrategy::on_world_delta`] is exactly right — only the
+/// Vanilla leaves its [`NodeHistory`] blank, so churn cannot poison it:
+/// under a dynamic world ([`perigee_netsim::dynamics`]) every round's
+/// scores are re-learned from that round's observations alone — only the
 /// observation store (rebuilt per round on the grown snapshot) needs to
 /// track the node set.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,15 +47,23 @@ impl VanillaScoring {
             None => f64::INFINITY,
         }
     }
+}
 
-    /// The selection itself: pure in its inputs, shared by the sequential
-    /// and parallel retain paths. The per-neighbor statistic comes from
+impl SelectionStrategy for VanillaScoring {
+    /// Keeps the `retain_count` best-scored neighbors. The per-neighbor
+    /// statistic comes from
     /// [`NodeObservations::column_percentile_or_inf`] — on the dense
     /// backend that is the exact percentile over one reusable column
     /// buffer (the observation reads are borrowed strided walks over the
     /// round matrix), on the sketch backend the edge's constant-space P²
     /// estimate.
-    fn select(&self, outgoing: &[NodeId], observations: NodeObservations<'_>) -> Vec<NodeId> {
+    fn retain(
+        &self,
+        _v: NodeId,
+        outgoing: &[NodeId],
+        observations: NodeObservations<'_>,
+        _history: &mut NodeHistory,
+    ) -> Vec<NodeId> {
         let mut col: Vec<f64> = Vec::with_capacity(observations.block_count());
         let mut scored: Vec<(f64, NodeId)> = Vec::with_capacity(outgoing.len());
         for &u in outgoing {
@@ -75,31 +80,6 @@ impl VanillaScoring {
             .map(|(_, u)| u)
             .collect()
     }
-}
-
-impl SelectionStrategy for VanillaScoring {
-    fn retain(
-        &mut self,
-        _v: NodeId,
-        outgoing: &[NodeId],
-        observations: NodeObservations<'_>,
-        _rng: &mut dyn RngCore,
-    ) -> Vec<NodeId> {
-        self.select(outgoing, observations)
-    }
-
-    fn is_stateless(&self) -> bool {
-        true
-    }
-
-    fn retain_stateless(
-        &self,
-        _v: NodeId,
-        outgoing: &[NodeId],
-        observations: NodeObservations<'_>,
-    ) -> Vec<NodeId> {
-        self.select(outgoing, observations)
-    }
 
     fn name(&self) -> &'static str {
         "perigee-vanilla"
@@ -112,8 +92,6 @@ mod tests {
     use perigee_netsim::{
         broadcast, ConnectionLimits, MetricLatencyModel, NodeProfile, Population, SimTime, Topology,
     };
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     use crate::observation::{ObservationCollector, ObservationStore};
 
@@ -152,15 +130,9 @@ mod tests {
         // Distances from the center: neighbor 1 at 5 (and the miner),
         // neighbor 2 at 50, neighbor 3 at 20.
         let store = star_observations(&[5.0, 50.0, 20.0], 10);
-        let mut s = VanillaScoring::new(2, 90.0);
+        let s = VanillaScoring::new(2, 90.0);
         let outgoing = vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)];
-        let mut rng = StdRng::seed_from_u64(0);
-        let kept = s.retain(
-            NodeId::new(0),
-            &outgoing,
-            store.node(NodeId::new(0)),
-            &mut rng,
-        );
+        let kept = s.retain_stateless(NodeId::new(0), &outgoing, store.node(NodeId::new(0)));
         assert_eq!(kept, vec![NodeId::new(1), NodeId::new(3)]);
     }
 
@@ -190,17 +162,11 @@ mod tests {
     #[test]
     fn retains_at_most_retain_count() {
         let store = star_observations(&[5.0, 6.0, 7.0, 8.0], 5);
-        let mut s = VanillaScoring::new(2, 90.0);
+        let s = VanillaScoring::new(2, 90.0);
         let outgoing: Vec<NodeId> = (1..5).map(NodeId::new).collect();
-        let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(
-            s.retain(
-                NodeId::new(0),
-                &outgoing,
-                store.node(NodeId::new(0)),
-                &mut rng
-            )
-            .len(),
+            s.retain_stateless(NodeId::new(0), &outgoing, store.node(NodeId::new(0)))
+                .len(),
             2
         );
     }
@@ -208,17 +174,11 @@ mod tests {
     #[test]
     fn fewer_neighbors_than_retain_count_keeps_all() {
         let store = star_observations(&[5.0], 2);
-        let mut s = VanillaScoring::new(6, 90.0);
+        let s = VanillaScoring::new(6, 90.0);
         let outgoing = vec![NodeId::new(1)];
-        let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(
-            s.retain(
-                NodeId::new(0),
-                &outgoing,
-                store.node(NodeId::new(0)),
-                &mut rng
-            )
-            .len(),
+            s.retain_stateless(NodeId::new(0), &outgoing, store.node(NodeId::new(0)))
+                .len(),
             1
         );
     }
@@ -227,15 +187,9 @@ mod tests {
     fn ties_break_deterministically_by_id() {
         // Two neighbors at identical distance score identically.
         let store = star_observations(&[5.0, 10.0, 10.0], 4);
-        let mut s = VanillaScoring::new(2, 90.0);
+        let s = VanillaScoring::new(2, 90.0);
         let outgoing = vec![NodeId::new(3), NodeId::new(2), NodeId::new(1)];
-        let mut rng = StdRng::seed_from_u64(0);
-        let kept = s.retain(
-            NodeId::new(0),
-            &outgoing,
-            store.node(NodeId::new(0)),
-            &mut rng,
-        );
+        let kept = s.retain_stateless(NodeId::new(0), &outgoing, store.node(NodeId::new(0)));
         assert_eq!(kept, vec![NodeId::new(1), NodeId::new(2)]);
     }
 

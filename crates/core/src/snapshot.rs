@@ -4,11 +4,10 @@
 //! A snapshot captures *complete* cross-round run state — everything the
 //! determinism contract depends on: the engine configuration and round
 //! counter, the [`Population`] (free-list, stable ids, hash power), the
-//! learned [`Topology`], the strategy's cross-round score state (UCB's
-//! per-connection histories) as opaque bytes via
-//! [`SelectionStrategy::snapshot_state`](crate::SelectionStrategy::snapshot_state),
-//! the [`AddressBook`], the [`LivenessTracker`]'s counters and backoff
-//! timers, the [`ChurnProcess`]'s RNG and session queue, the
+//! learned [`Topology`], the engine's per-node score histories
+//! ([`NodeHistory`] — UCB's per-connection `T̿u,v`, blank under Vanilla
+//! and Subset), the [`AddressBook`], the [`LivenessTracker`]'s counters
+//! and backoff timers, the [`ChurnProcess`]'s RNG and session queue, the
 //! [`FaultPlan`] (pure config — its per-block draws are keyed on the
 //! checkpointed global block counter), the latency model, and the run
 //! RNG's raw state. What is *not* serialized is derived state rebuilt on
@@ -51,7 +50,7 @@ use crate::config::PerigeeConfig;
 use crate::discovery::AddressBook;
 use crate::engine::PropagationMode;
 use crate::liveness::LivenessTracker;
-use crate::score::ScoringMethod;
+use crate::score::{NodeHistory, ScoringMethod};
 
 /// The envelope magic: "PRGS" (PeRiGee Snapshot).
 const MAGIC: [u8; 4] = *b"PRGS";
@@ -66,11 +65,15 @@ const MAGIC: [u8; 4] = *b"PRGS";
 /// fields); **3** — adds the continuous-traffic workload (an optional
 /// [`TrafficConfig`] after the fault plan): traffic origination is a
 /// pure hash of `(seed, round, class, node)`, so the config alone lets
-/// a resumed run regenerate the identical message stream. Older
+/// a resumed run regenerate the identical message stream; **4** — the
+/// score state becomes a typed per-node [`NodeHistory`] array owned by
+/// the engine (it was the strategy's opaque byte blob), and the
+/// parallel-switch byte is gone (the rayon pool width is the only
+/// parallelism setting, and results never depend on it). Older
 /// envelopes are rejected with [`SnapshotError::UnsupportedVersion`] —
 /// re-run the capture, don't guess at a world whose id space may have
 /// been renumbered.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Why a snapshot could not be read back.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,10 +128,9 @@ pub struct RunSnapshot {
     pub(crate) config: PerigeeConfig,
     pub(crate) method: ScoringMethod,
     pub(crate) queue: QueueKind,
-    pub(crate) parallel: bool,
     pub(crate) mode: PropagationMode,
     pub(crate) adopters: Vec<bool>,
-    pub(crate) strategy_state: Vec<u8>,
+    pub(crate) histories: Vec<NodeHistory>,
     pub(crate) population: Population,
     pub(crate) topology: Topology,
     pub(crate) address_book: Option<AddressBook>,
@@ -182,10 +184,9 @@ impl RunSnapshot {
         self.config.encode(out);
         self.method.encode(out);
         self.queue.encode(out);
-        self.parallel.encode(out);
         self.mode.encode(out);
         self.adopters.encode(out);
-        self.strategy_state.encode(out);
+        self.histories.encode(out);
         self.population.encode(out);
         self.topology.encode(out);
         self.address_book.encode(out);
@@ -206,10 +207,9 @@ impl RunSnapshot {
             config: Decode::decode(r)?,
             method: Decode::decode(r)?,
             queue: Decode::decode(r)?,
-            parallel: bool::decode(r)?,
             mode: Decode::decode(r)?,
             adopters: Vec::decode(r)?,
-            strategy_state: Vec::decode(r)?,
+            histories: Vec::decode(r)?,
             population: Decode::decode(r)?,
             topology: Decode::decode(r)?,
             address_book: Option::decode(r)?,
@@ -236,6 +236,18 @@ impl RunSnapshot {
         if self.adopters.len() != n {
             return Err(SnapshotError::Inconsistent(
                 "adopter flags do not cover the population",
+            ));
+        }
+        if self.histories.len() != n {
+            return Err(SnapshotError::Inconsistent(
+                "score histories do not cover the population",
+            ));
+        }
+        if !self.method.keeps_history()
+            && self.histories.iter().any(|h| h != &NodeHistory::default())
+        {
+            return Err(SnapshotError::Inconsistent(
+                "a scoring method without history carries score history",
             ));
         }
         if self.config.liveness.enabled != self.liveness.is_some() {
@@ -347,10 +359,9 @@ mod tests {
             config: PerigeeConfig::default(),
             method: ScoringMethod::Subset,
             queue: QueueKind::Calendar,
-            parallel: true,
             mode: PropagationMode::Analytic,
             adopters: vec![true, true],
-            strategy_state: Vec::new(),
+            histories: vec![NodeHistory::default(); 2],
             population,
             topology,
             address_book: None,
@@ -431,5 +442,29 @@ mod tests {
             RunSnapshot::from_bytes(&bytes).unwrap_err(),
             SnapshotError::Inconsistent("adopter flags do not cover the population")
         );
+    }
+
+    #[test]
+    fn score_histories_must_cover_the_population() {
+        let mut s = tiny_snapshot();
+        s.histories.pop();
+        assert_eq!(
+            RunSnapshot::from_bytes(&s.to_bytes()).unwrap_err(),
+            SnapshotError::Inconsistent("score histories do not cover the population")
+        );
+    }
+
+    #[test]
+    fn only_ucb_may_carry_score_history() {
+        use perigee_netsim::NodeId;
+        let mut s = tiny_snapshot();
+        s.histories[0].absorb(NodeId::new(1), [3.0].into_iter());
+        assert_eq!(
+            RunSnapshot::from_bytes(&s.to_bytes()).unwrap_err(),
+            SnapshotError::Inconsistent("a scoring method without history carries score history")
+        );
+        s.method = ScoringMethod::Ucb;
+        let back = RunSnapshot::from_bytes(&s.to_bytes()).expect("UCB keeps history");
+        assert_eq!(back.histories, s.histories);
     }
 }

@@ -1,8 +1,8 @@
 //! The parallel round engine must be *bit-identical* to the sequential
-//! path: same RoundStats floats, same learned topology, same observation
-//! rows — and the view-based propagation must reproduce the legacy
-//! per-call `broadcast()` + `ObservationCollector::record` pipeline
-//! exactly.
+//! path — a one-thread rayon pool: same RoundStats floats, same learned
+//! topology, same observation rows — and the view-based propagation must
+//! reproduce the legacy per-call `broadcast()` +
+//! `ObservationCollector::record` pipeline exactly.
 
 use perigee_core::{
     ObservationCollector, PerigeeConfig, PerigeeEngine, PropagationMode, ScoringMethod,
@@ -17,6 +17,15 @@ use rand::SeedableRng;
 
 fn engine(n: usize, blocks: usize, seed: u64) -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
     engine_with(n, blocks, seed, ScoringMethod::Subset)
+}
+
+/// Runs `f` inside a dedicated rayon pool of `threads` workers.
+fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(f)
 }
 
 fn engine_with(
@@ -35,18 +44,16 @@ fn engine_with(
     (engine, rng)
 }
 
-/// Parallel fan-out vs forced single-thread: every per-round statistic is
+/// An 8-thread pool vs a one-thread pool: every per-round statistic is
 /// the same IEEE-754 value, and the learned topologies match edge for
 /// edge.
 #[test]
 fn parallel_rounds_are_bit_identical_to_sequential() {
     let (mut par, mut rng_par) = engine(150, 30, 42);
     let (mut seq, mut rng_seq) = engine(150, 30, 42);
-    par.set_parallel(true);
-    seq.set_parallel(false);
     for _ in 0..4 {
-        let a = par.run_round(&mut rng_par);
-        let b = seq.run_round(&mut rng_seq);
+        let a = in_pool(8, || par.run_round(&mut rng_par));
+        let b = in_pool(1, || seq.run_round(&mut rng_seq));
         assert_eq!(a, b, "RoundStats must match bit for bit");
     }
     assert_eq!(par.topology(), seq.topology());
@@ -57,8 +64,8 @@ fn parallel_rounds_are_bit_identical_to_sequential() {
     );
 }
 
-/// The same holds when the thread count is pinned through the rayon pool
-/// rather than the engine flag.
+/// The same holds for the propagation phase alone, against the default
+/// pool.
 #[test]
 fn pinned_thread_pool_matches_default_pool() {
     let (engine_a, mut rng) = engine(120, 25, 7);
@@ -113,10 +120,9 @@ fn gossip_mode_is_thread_count_independent() {
     let (mut seq, mut rng_seq) = engine(80, 12, 23);
     par.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)));
     seq.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)));
-    seq.set_parallel(false);
     for _ in 0..3 {
-        let a = par.run_round(&mut rng_par);
-        let b = seq.run_round(&mut rng_seq);
+        let a = in_pool(8, || par.run_round(&mut rng_par));
+        let b = in_pool(1, || seq.run_round(&mut rng_seq));
         assert_eq!(a, b);
     }
     assert_eq!(par.topology(), seq.topology());
@@ -458,20 +464,18 @@ fn fault_injected_gossip_rounds_are_queue_kind_independent() {
     }
 }
 
-/// A full UCB run — the *stateful* strategy, parallelized through the
-/// split-borrow `split_stateful` path — is bit-identical to the forced
-/// sequential loop: same RoundStats floats, same per-connection history
-/// evolution (observable through the learned topology), round after
-/// round.
+/// A full UCB run — the method that writes its per-node histories, each
+/// worker mutating only its own chunk of them — is bit-identical on an
+/// 8-thread pool and a one-thread pool: same RoundStats floats, same
+/// per-connection history evolution (observable through the learned
+/// topology), round after round.
 #[test]
 fn ucb_parallel_rounds_are_bit_identical_to_sequential() {
     let (mut par, mut rng_par) = engine_with(150, 2, 91, ScoringMethod::Ucb);
     let (mut seq, mut rng_seq) = engine_with(150, 2, 91, ScoringMethod::Ucb);
-    par.set_parallel(true);
-    seq.set_parallel(false);
     for _ in 0..8 {
-        let a = par.run_round(&mut rng_par);
-        let b = seq.run_round(&mut rng_seq);
+        let a = in_pool(8, || par.run_round(&mut rng_par));
+        let b = in_pool(1, || seq.run_round(&mut rng_seq));
         assert_eq!(a, b, "UCB RoundStats must match bit for bit");
     }
     assert_eq!(par.topology(), seq.topology());

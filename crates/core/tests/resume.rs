@@ -2,11 +2,12 @@
 //! the on-disk envelope, decode, resume, and run to round *N* — the
 //! result must be **bit-identical** to the uninterrupted *N*-round run.
 //! The suite exercises the hardest configuration the engine supports:
-//! UCB scoring (per-arm history buffers), aggressive liveness (silence
-//! counters + backoff timers), Poisson churn (its own RNG stream), an
-//! *active* fault plan (burst loss, flaps, a timed partition) and an
-//! address book — across pinned 1/2/8-thread rayon pools and both
-//! priority-queue kinds. The invariant auditor runs every round on both
+//! UCB scoring (per-arm history buffers; the headline test also runs
+//! Vanilla and Subset, whose histories stay blank), aggressive liveness
+//! (silence counters + backoff timers), Poisson churn (its own RNG
+//! stream), an *active* fault plan (burst loss, flaps, a timed
+//! partition) and an address book — across pinned 1/2/8-thread rayon
+//! pools and both priority-queue kinds. The invariant auditor runs every round on both
 //! legs and must stay green throughout.
 
 use perigee_core::{
@@ -58,14 +59,23 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 /// The hardest engine we can build: UCB scores, aggressive liveness,
 /// Poisson churn, the chaos plan, an address book, auditing every round.
 fn chaos_engine(seed: u64, kind: QueueKind) -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
+    chaos_engine_with(seed, kind, ScoringMethod::Ucb)
+}
+
+/// [`chaos_engine`] scoring with `method`.
+fn chaos_engine_with(
+    seed: u64,
+    kind: QueueKind,
+    method: ScoringMethod,
+) -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
     let pop = PopulationBuilder::new(70).build(&mut rng).unwrap();
     let lat = GeoLatencyModel::new(&pop, seed);
     let topo = RandomBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
-    let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Ucb);
+    let mut cfg = PerigeeConfig::paper_default(method);
     cfg.blocks_per_round = 6;
     cfg.liveness = perigee_core::LivenessConfig::aggressive();
-    let mut engine = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Ucb, cfg).unwrap();
+    let mut engine = PerigeeEngine::new(pop, lat, topo, method, cfg).unwrap();
     engine.set_queue_kind(kind);
     engine.set_churn(ChurnProcess::steady_state(70, 0.04, seed ^ 0x5EED));
     engine.set_fault_plan(chaos_plan(seed ^ 0xFA17)).unwrap();
@@ -80,10 +90,11 @@ fn chaos_engine(seed: u64, kind: QueueKind) -> (PerigeeEngine<GeoLatencyModel>, 
 fn run_straight(
     seed: u64,
     kind: QueueKind,
+    method: ScoringMethod,
     total: usize,
     threads: Option<usize>,
 ) -> (Vec<RoundStats>, PerigeeEngine<GeoLatencyModel>) {
-    let (mut engine, mut rng) = chaos_engine(seed, kind);
+    let (mut engine, mut rng) = chaos_engine_with(seed, kind, method);
     let stats = match threads {
         None => (0..total).map(|_| engine.run_round(&mut rng)).collect(),
         Some(t) => rayon::ThreadPoolBuilder::new()
@@ -101,11 +112,12 @@ fn run_straight(
 fn run_killed(
     seed: u64,
     kind: QueueKind,
+    method: ScoringMethod,
     total: usize,
     k: usize,
     threads: Option<usize>,
 ) -> (Vec<RoundStats>, PerigeeEngine<GeoLatencyModel>) {
-    let (mut engine, mut rng) = chaos_engine(seed, kind);
+    let (mut engine, mut rng) = chaos_engine_with(seed, kind, method);
     let mut stats: Vec<RoundStats> = (0..k).map(|_| engine.run_round(&mut rng)).collect();
     assert!(engine.audit_failures().is_empty(), "pre-kill audit failed");
 
@@ -133,50 +145,53 @@ fn run_killed(
 /// serialized envelope, and every per-round statistic, the learned
 /// topology, the population (ids, hash power, free-list) and the final
 /// evaluation are the same IEEE-754 values as the uninterrupted run —
-/// for each queue kind, and regardless of which thread count either leg
-/// ran under.
+/// for each scoring method and queue kind, and regardless of which
+/// thread count either leg ran under.
 #[test]
 fn kill_and_resume_is_bit_identical_to_uninterrupted() {
     const SEED: u64 = 2020;
     const TOTAL: usize = 18;
     const K: usize = 9;
 
-    for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-        let (ref_stats, ref_engine) = run_straight(SEED, kind, TOTAL, None);
+    for (method, kind) in ScoringMethod::ALL
+        .into_iter()
+        .flat_map(|m| [(m, QueueKind::Calendar), (m, QueueKind::BinaryHeap)])
+    {
+        let (ref_stats, ref_engine) = run_straight(SEED, kind, method, TOTAL, None);
         assert!(
             ref_stats.iter().any(|s| s.joined > 0) && ref_stats.iter().any(|s| s.departed > 0),
-            "churn must fire on {kind:?} for this test to bite"
+            "churn must fire on {method}/{kind:?} for this test to bite"
         );
         assert!(
             ref_engine.audit_failures().is_empty(),
-            "reference run must audit clean on {kind:?}"
+            "reference run must audit clean on {method}/{kind:?}"
         );
         assert_eq!(ref_engine.audits_run(), TOTAL);
 
         for threads in [Some(1), Some(2), Some(8)] {
-            let (stats, engine) = run_killed(SEED, kind, TOTAL, K, threads);
+            let (stats, engine) = run_killed(SEED, kind, method, TOTAL, K, threads);
             assert_eq!(
                 stats, ref_stats,
-                "resumed RoundStats diverged at {threads:?} threads on {kind:?}"
+                "resumed RoundStats diverged at {threads:?} threads on {method}/{kind:?}"
             );
             assert_eq!(
                 engine.topology(),
                 ref_engine.topology(),
-                "topology diverged at {threads:?}/{kind:?}"
+                "topology diverged at {threads:?}/{method}/{kind:?}"
             );
             assert_eq!(
                 engine.population(),
                 ref_engine.population(),
-                "population diverged at {threads:?}/{kind:?}"
+                "population diverged at {threads:?}/{method}/{kind:?}"
             );
             assert_eq!(
                 engine.evaluate(0.9),
                 ref_engine.evaluate(0.9),
-                "evaluation diverged at {threads:?}/{kind:?}"
+                "evaluation diverged at {threads:?}/{method}/{kind:?}"
             );
             assert!(
                 engine.audit_failures().is_empty(),
-                "resumed run must audit clean at {threads:?}/{kind:?}"
+                "resumed run must audit clean at {threads:?}/{method}/{kind:?}"
             );
             assert_eq!(engine.rounds_run(), TOTAL);
         }
@@ -281,25 +296,36 @@ fn corrupted_snapshots_are_rejected_with_structured_errors() {
     ));
 }
 
-/// A checked-in format-version-1 envelope (written before the snapshot
-/// carried the compaction epoch and the latency placement keys) is
+/// Checked-in envelopes of older format versions — version 1 (written
+/// before the snapshot carried the compaction epoch and the latency
+/// placement keys) and version 3 (a UCB run whose score state was still
+/// the strategy's opaque bytes, next to the parallel-switch byte) — are
 /// rejected with a *structured* [`SnapshotError::UnsupportedVersion`] —
 /// never a panic, never a misdecoded world. Truncated prefixes of the
-/// old file must not panic either.
+/// old files must not panic either.
 #[test]
-fn version_1_snapshots_are_rejected_with_unsupported_version() {
-    let bytes: &[u8] = include_bytes!("fixtures/snapshot_v1.bin");
-    assert_eq!(&bytes[..4], b"PRGS", "fixture is a perigee envelope");
-    assert_eq!(bytes[4], 1, "fixture was written as format version 1");
-    assert!(matches!(
-        RunSnapshot::from_bytes(bytes),
-        Err(SnapshotError::UnsupportedVersion(1))
-    ));
-    for cut in [0, 3, 4, 7, 8, 20, bytes.len() / 2, bytes.len() - 1] {
-        assert!(
-            RunSnapshot::from_bytes(&bytes[..cut]).is_err(),
-            "truncation at {cut} must fail, not panic"
+fn old_snapshot_versions_are_rejected_with_unsupported_version() {
+    let fixtures: [(&[u8], u32); 2] = [
+        (include_bytes!("fixtures/snapshot_v1.bin"), 1),
+        (include_bytes!("fixtures/snapshot_v3.bin"), 3),
+    ];
+    for (bytes, version) in fixtures {
+        assert_eq!(&bytes[..4], b"PRGS", "fixture is a perigee envelope");
+        assert_eq!(
+            u32::from(bytes[4]),
+            version,
+            "fixture was written as format version {version}"
         );
+        assert_eq!(
+            RunSnapshot::from_bytes(bytes).unwrap_err(),
+            SnapshotError::UnsupportedVersion(version)
+        );
+        for cut in [0, 3, 4, 7, 8, 20, bytes.len() / 2, bytes.len() - 1] {
+            assert!(
+                RunSnapshot::from_bytes(&bytes[..cut]).is_err(),
+                "truncation at {cut} of v{version} must fail, not panic"
+            );
+        }
     }
 }
 

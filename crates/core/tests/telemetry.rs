@@ -244,6 +244,45 @@ fn trace_counters_and_values_are_thread_and_queue_independent() {
     }
 }
 
+/// Every round record names its laps in pipeline order — the keys
+/// `repro trace`'s tables and the round benchmark's per-layer groups
+/// read. `audit` is appended on audit rounds and only there.
+#[test]
+fn round_laps_come_in_pipeline_order() {
+    const PIPELINE: [&str; 10] = [
+        "mine",
+        "view",
+        "fault_compile",
+        "propagation",
+        "traffic",
+        "scoring",
+        "liveness",
+        "rewiring",
+        "churn",
+        "view_patch",
+    ];
+    const AUDIT_EVERY: u64 = 3;
+    let (mut e, mut rng) = hard_world_engine(QueueKind::Calendar);
+    let sink = CollectingSink::default();
+    e.set_telemetry(RunTelemetry::new("laps", 67).with_sink(Box::new(sink.clone())));
+    e.set_audit_every(AUDIT_EVERY as usize);
+    let stats = e.run_rounds(7, &mut rng);
+    assert!(
+        stats.iter().any(|s| s.joined > 0 || s.departed > 0),
+        "churn must fire for this test to bite"
+    );
+    let records = sink.0.lock().unwrap().clone();
+    assert_eq!(records.len(), stats.len(), "one trace record per round");
+    for rec in &records {
+        let names: Vec<&str> = rec.phases_s.iter().map(|(n, _)| n.as_str()).collect();
+        let mut expected = PIPELINE.to_vec();
+        if (rec.round + 1) % AUDIT_EVERY == 0 {
+            expected.push("audit");
+        }
+        assert_eq!(names, expected, "laps of round {}", rec.round);
+    }
+}
+
 /// The registry folds every emitted record: whole-run counter totals
 /// equal the sum of the per-round records, and the handle survives a
 /// `take_telemetry` round-trip.

@@ -77,8 +77,8 @@ fn batched_observation_rows_match_sequential_single_passes() {
     }
 }
 
-/// Combined rounds are bit-identical across the parallel/sequential
-/// switch, pinned 1/2/8-thread rayon pools and both queue kinds — the
+/// Combined rounds are bit-identical across pinned 1/2/8-thread rayon
+/// pools and both queue kinds — the
 /// same guarantee the blocks-only engine gives, now under ~10× more
 /// messages per round.
 #[test]
@@ -92,18 +92,23 @@ fn combined_rounds_are_thread_and_queue_independent() {
     };
 
     let mut variants: Vec<(Vec<RoundStats>, TrafficRoundStats, Vec<f64>)> = Vec::new();
-    // Sequential, and the reference heap queue.
-    for (parallel, kind) in [
-        (false, QueueKind::Calendar),
-        (true, QueueKind::BinaryHeap),
-        (false, QueueKind::BinaryHeap),
+    // Sequential (a one-thread pool), and the reference heap queue.
+    for (threads, kind) in [
+        (1, QueueKind::Calendar),
+        (8, QueueKind::BinaryHeap),
+        (1, QueueKind::BinaryHeap),
     ] {
-        let (mut engine, mut rng) = engine_with(60, 8, 17, ObservationBackend::Dense);
-        engine.set_parallel(parallel);
-        engine.set_queue_kind(kind);
-        let stats = engine.run_rounds(ROUNDS, &mut rng);
-        let traffic = engine.last_traffic_stats().unwrap().clone();
-        variants.push((stats, traffic, engine.evaluate(0.9)));
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        variants.push(pool.install(|| {
+            let (mut engine, mut rng) = engine_with(60, 8, 17, ObservationBackend::Dense);
+            engine.set_queue_kind(kind);
+            let stats = engine.run_rounds(ROUNDS, &mut rng);
+            let traffic = engine.last_traffic_stats().unwrap().clone();
+            (stats, traffic, engine.evaluate(0.9))
+        }));
     }
     // Pinned pools: the chunk layout changes, the results must not.
     for threads in [1, 2, 8] {
@@ -167,7 +172,7 @@ fn traffic_stats_are_backend_independent_and_cover_every_class() {
 
 /// Traffic composes with the message-level block path: a gossip-mode
 /// engine with a workload installed still runs bit-identically across
-/// the parallel switch.
+/// pool widths.
 #[test]
 fn gossip_block_mode_composes_with_traffic() {
     let (mut par, mut rng_par) = engine_with(50, 5, 41, ObservationBackend::Dense);
@@ -175,10 +180,16 @@ fn gossip_block_mode_composes_with_traffic() {
     for engine in [&mut par, &mut seq] {
         engine.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.001)));
     }
-    seq.set_parallel(false);
+    let pool = |threads| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    };
+    let (wide, narrow) = (pool(8), pool(1));
     for _ in 0..2 {
-        let a = par.run_round(&mut rng_par);
-        let b = seq.run_round(&mut rng_seq);
+        let a = wide.install(|| par.run_round(&mut rng_par));
+        let b = narrow.install(|| seq.run_round(&mut rng_seq));
         assert_eq!(a, b);
     }
     assert_eq!(par.last_traffic_stats(), seq.last_traffic_stats());

@@ -277,24 +277,10 @@ impl LatencyModel for GeoLatencyModel {
     /// their new, shifted-down indices — every surviving pair's delay is
     /// bit-identical across the renumbering.
     fn compact(&mut self, plan: &crate::population::IdRemap) {
-        assert_eq!(
-            plan.old_len(),
-            self.regions.len(),
-            "compaction plan covers a different world size"
-        );
-        let live = |i: &mut usize| {
-            let keep = plan.new_id(NodeId::new(*i as u32)).is_some();
-            *i += 1;
-            keep
-        };
-        let mut i = 0;
-        self.regions.retain(|_| live(&mut i));
-        let mut i = 0;
-        self.pos.retain(|_| live(&mut i));
-        let mut i = 0;
-        self.access_ms.retain(|_| live(&mut i));
-        let mut i = 0;
-        self.key.retain(|_| live(&mut i));
+        plan.retain_live(&mut self.regions);
+        plan.retain_live(&mut self.pos);
+        plan.retain_live(&mut self.access_ms);
+        plan.retain_live(&mut self.key);
     }
 }
 
@@ -393,17 +379,7 @@ impl LatencyModel for MetricLatencyModel {
     /// Deletes dead nodes' coordinates; delays are a pure function of the
     /// per-node coordinates, so surviving pairs are bit-identical.
     fn compact(&mut self, plan: &crate::population::IdRemap) {
-        assert_eq!(
-            plan.old_len(),
-            self.coords.len(),
-            "compaction plan covers a different world size"
-        );
-        let mut i = 0;
-        self.coords.retain(|_| {
-            let keep = plan.new_id(NodeId::new(i as u32)).is_some();
-            i += 1;
-            keep
-        });
+        plan.retain_live(&mut self.coords);
     }
 }
 

@@ -109,6 +109,23 @@ impl IdRemap {
             .unwrap_or_else(|| panic!("compaction: {old} is dead or out of range"))
     }
 
+    /// Keeps the entries of the surviving slots of a per-slot array, in
+    /// order — the compaction step every id-indexed structure shares.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` does not hold one entry per slot before
+    /// compaction.
+    pub fn retain_live<T>(&self, slots: &mut Vec<T>) {
+        assert_eq!(
+            slots.len(),
+            self.old_len(),
+            "compaction plan covers a different world size"
+        );
+        let mut live = self.forward.iter().map(|&new| new != Self::DEAD);
+        slots.retain(|_| live.next().expect("lengths checked above"));
+    }
+
     /// Iterates `(old, new)` id pairs of surviving nodes, ascending.
     pub fn iter_live(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.forward
@@ -980,6 +997,28 @@ mod tests {
                 (NodeId::new(4), NodeId::new(2)),
             ]
         );
+    }
+
+    #[test]
+    fn retain_live_keeps_survivor_slots_in_order() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut pop = PopulationBuilder::new(5).build(&mut rng).unwrap();
+        pop.retire(NodeId::new(1));
+        pop.retire(NodeId::new(3));
+        let plan = pop.compaction_plan().expect("two dead slots");
+        let mut slots = vec!['a', 'b', 'c', 'd', 'e'];
+        plan.retain_live(&mut slots);
+        assert_eq!(slots, ['a', 'c', 'e']);
+    }
+
+    #[test]
+    #[should_panic(expected = "compaction plan covers a different world size")]
+    fn retain_live_rejects_a_differently_sized_array() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut pop = PopulationBuilder::new(5).build(&mut rng).unwrap();
+        pop.retire(NodeId::new(1));
+        let plan = pop.compaction_plan().expect("one dead slot");
+        plan.retain_live(&mut vec![0u8; 4]);
     }
 
     #[test]

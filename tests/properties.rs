@@ -155,8 +155,8 @@ proptest! {
         }
         let store = collector.finish();
         let obs = store.node(NodeId::new(0));
-        let mut scorer = VanillaScoring::new(4, 90.0);
-        let kept = scorer.retain(NodeId::new(0), &outgoing, obs, &mut rng);
+        let scorer = VanillaScoring::new(4, 90.0);
+        let kept = scorer.retain_stateless(NodeId::new(0), &outgoing, obs);
         prop_assert_eq!(kept.len(), 4);
         // Every kept neighbor scores no worse than every dropped one.
         let dropped: Vec<NodeId> =
@@ -187,11 +187,11 @@ proptest! {
         collector.record(&broadcast(&topo, &lat, &pop, NodeId::new(0)), &lat);
         let all_obs = collector.finish();
         for method in ScoringMethod::ALL {
-            let mut strategy = method.strategy(n, 3, 90.0, 50.0);
+            let strategy = method.strategy(n, 3, 90.0, 50.0);
             for i in 0..n as u32 {
                 let v = NodeId::new(i);
                 let outgoing = topo.outgoing_vec(v);
-                let kept = strategy.retain(v, &outgoing, all_obs.node(v), &mut rng);
+                let kept = strategy.retain_stateless(v, &outgoing, all_obs.node(v));
                 for u in &kept {
                     prop_assert!(outgoing.contains(u), "{method}: invented neighbor");
                 }
