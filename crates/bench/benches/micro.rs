@@ -8,8 +8,8 @@ use rand::{Rng, SeedableRng};
 use perigee_core::{NodeHistory, ObservationCollector, ScoringMethod};
 use perigee_metrics::percentile_or_inf;
 use perigee_netsim::{
-    broadcast, gossip_block, ConnectionLimits, GeoLatencyModel, GossipConfig, MinerSampler, NodeId,
-    Population, PopulationBuilder, Topology,
+    BroadcastScratch, ConnectionLimits, GeoLatencyModel, GossipConfig, GossipScratch, MinerSampler,
+    NodeId, Population, PopulationBuilder, Topology, TopologyView,
 };
 use perigee_topology::{GeographicBuilder, KademliaBuilder, RandomBuilder, TopologyBuilder};
 
@@ -25,23 +25,20 @@ fn bench_broadcast(c: &mut Criterion) {
     let mut group = c.benchmark_group("broadcast");
     for n in [250usize, 1000] {
         let (pop, lat, topo) = world(n, 1);
+        let view = TopologyView::new(&topo, &lat, &pop);
         group.bench_with_input(BenchmarkId::new("dijkstra", n), &n, |b, _| {
-            b.iter(|| broadcast(&topo, &lat, &pop, NodeId::new(0)));
+            let mut scratch = BroadcastScratch::new();
+            b.iter(|| view.broadcast_into(NodeId::new(0), &mut scratch));
         });
-        group.bench_with_input(BenchmarkId::new("event_flood", n), &n, |b, _| {
-            b.iter(|| gossip_block(&topo, &lat, &pop, NodeId::new(0), &GossipConfig::flood()));
-        });
-        group.bench_with_input(BenchmarkId::new("event_inv_getdata", n), &n, |b, _| {
-            b.iter(|| {
-                gossip_block(
-                    &topo,
-                    &lat,
-                    &pop,
-                    NodeId::new(0),
-                    &GossipConfig::inv_getdata(0.0),
-                )
+        for (name, cfg) in [
+            ("event_flood", GossipConfig::flood()),
+            ("event_inv_getdata", GossipConfig::inv_getdata(0.0)),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+                let mut scratch = GossipScratch::new();
+                b.iter(|| view.gossip_into(NodeId::new(0), &cfg, &mut scratch));
             });
-        });
+        }
     }
     group.finish();
 }
@@ -52,10 +49,12 @@ fn bench_scoring(c: &mut Criterion) {
     let (pop, lat, topo) = world(500, 2);
     let mut rng = StdRng::seed_from_u64(3);
     let sampler = MinerSampler::new(&pop);
-    let mut collector = ObservationCollector::new(&topo);
+    let view = TopologyView::new(&topo, &lat, &pop);
+    let mut collector = ObservationCollector::from_view(&view);
+    let mut scratch = BroadcastScratch::new();
     for _ in 0..100 {
-        let src = sampler.sample(&mut rng);
-        collector.record(&broadcast(&topo, &lat, &pop, src), &lat);
+        view.broadcast_into(sampler.sample(&mut rng), &mut scratch);
+        collector.record_scratch(&view, &scratch);
     }
     let observations = collector.finish();
 

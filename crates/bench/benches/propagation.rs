@@ -9,11 +9,10 @@
 //! call `delay` per neighbor per block, and a freshly allocated + sorted
 //! weighted vector per `coverage_time` call (twice per block).
 //!
-//! Four comparisons:
+//! Three comparisons:
 //!
-//! * `broadcast/*` — one flood: the legacy Dijkstra vs the per-call
-//!   [`broadcast`] wrapper (one view snapshot per block) vs an
-//!   allocation-free flood through a prebuilt [`TopologyView`].
+//! * `broadcast/*` — one flood: the legacy Dijkstra vs an allocation-free
+//!   flood through a prebuilt [`TopologyView`].
 //! * `round/*` — a full observation round (floods + observation rows +
 //!   λ50/λ90 per block): the legacy sequential pipeline vs
 //!   [`PerigeeEngine::observe_round`] (one snapshot per round, cached edge
@@ -30,7 +29,7 @@
 //! have a perf trajectory.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -39,9 +38,9 @@ use rand::SeedableRng;
 
 use perigee_core::{PerigeeConfig, PerigeeEngine, ScoringMethod};
 use perigee_netsim::{
-    broadcast, reference, Behavior, BroadcastScratch, ConnectionLimits, GeoLatencyModel,
-    GossipConfig, GossipScratch, LatencyModel, MinerSampler, NodeId, Population, PopulationBuilder,
-    SimTime, Topology, TopologyView,
+    reference, Behavior, BroadcastScratch, ConnectionLimits, GeoLatencyModel, GossipConfig,
+    GossipScratch, LatencyModel, MinerSampler, NodeId, Population, PopulationBuilder, SimTime,
+    Topology, TopologyView,
 };
 use perigee_topology::{RandomBuilder, TopologyBuilder};
 
@@ -101,25 +100,6 @@ fn legacy_flood(
     (arrival, relay_at)
 }
 
-/// The seed's `coverage_time`: a fresh weighted vector, a full sort, and a
-/// scan — per call.
-fn legacy_coverage(arrival: &[SimTime], pop: &Population, fraction: f64) -> SimTime {
-    let mut weighted: Vec<(SimTime, f64)> = arrival
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| (t, pop.hash_power(NodeId::new(i as u32))))
-        .collect();
-    weighted.sort_by_key(|&(t, _)| t);
-    let mut acc = 0.0;
-    for (t, w) in weighted {
-        acc += w;
-        if acc >= fraction - 1e-12 {
-            return t;
-        }
-    }
-    SimTime::INFINITY
-}
-
 /// The seed's observation recording: `LatencyModel::delay` per neighbor
 /// per block, one freshly allocated row per node per block.
 fn legacy_record(
@@ -166,8 +146,10 @@ fn legacy_round(
     let mut sum90 = 0.0;
     for &miner in miners {
         let (arrival, relay_at) = legacy_flood(topo, lat, pop, miner);
-        sum90 += legacy_coverage(&arrival, pop, 0.9).as_ms();
-        let _ = legacy_coverage(&arrival, pop, 0.5);
+        // The seed's `coverage_time`: a fresh weighted vector, a full
+        // sort and a scan per call — the reference definition.
+        sum90 += reference::coverage_times(&arrival, pop, &[0.9])[0].as_ms();
+        let _ = reference::coverage_times(&arrival, pop, &[0.5]);
         legacy_record(&mut rows, &neighbors, lat, &relay_at);
     }
     sum90
@@ -189,9 +171,6 @@ fn bench_broadcast(c: &mut Criterion) {
     group.bench_function("legacy_1000", |b| {
         b.iter(|| legacy_flood(&topo, &lat, &pop, NodeId::new(0)));
     });
-    group.bench_function("snapshot_per_call_1000", |b| {
-        b.iter(|| broadcast(&topo, &lat, &pop, NodeId::new(0)));
-    });
     group.bench_function("csr_1000", |b| {
         let mut scratch = BroadcastScratch::with_capacity(NODES);
         b.iter(|| view.broadcast_into(NodeId::new(0), &mut scratch));
@@ -200,10 +179,11 @@ fn bench_broadcast(c: &mut Criterion) {
 
     // Sanity: the legacy replica and the CSR engine agree exactly.
     let (arrival, _) = legacy_flood(&topo, &lat, &pop, NodeId::new(0));
-    let prop = view.broadcast(NodeId::new(0));
+    let mut scratch = BroadcastScratch::new();
+    view.broadcast_into(NodeId::new(0), &mut scratch);
     assert_eq!(
         arrival,
-        prop.arrivals(),
+        scratch.arrivals(),
         "legacy replica diverged from CSR engine"
     );
 }
@@ -317,13 +297,14 @@ fn bench_gossip(c: &mut Criterion) {
             legacy_arrival.as_slice(),
             "legacy gossip replica diverged from the pooled engine"
         );
-        let outcome = scratch.to_outcome(&view);
         for i in 0..view.len() as u32 {
             let v = NodeId::new(i);
-            assert_eq!(
-                outcome.neighbor_deliveries(v),
-                &legacy_deliveries[v.index()]
-            );
+            let log: BTreeMap<NodeId, SimTime> = view
+                .neighbors(v)
+                .zip(scratch.neighbor_deliveries(&view, v))
+                .filter(|(_, t)| t.is_finite())
+                .collect();
+            assert_eq!(log, legacy_deliveries[v.index()]);
         }
     }
 

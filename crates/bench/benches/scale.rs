@@ -274,13 +274,15 @@ fn bench_scale_smoke(c: &mut Criterion) {
     });
     group.finish();
 
-    // The smoke pass also cross-checks the flat store against the legacy
-    // recording path once, so CI exercises the equivalence, not just the
-    // speed.
+    // The smoke pass also cross-checks the flat store against the
+    // reference recording path (a latency-model call per neighbor) once,
+    // so CI exercises the equivalence, not just the speed.
     let round = engine.observe_round_with(&view, &miners);
-    let mut legacy = perigee_core::ObservationCollector::new(&topo);
+    let mut legacy = perigee_core::ObservationCollector::from_view(&view);
+    let mut scratch = BroadcastScratch::new();
     for &miner in &miners {
-        legacy.record(&perigee_netsim::broadcast(&topo, &lat, &pop, miner), &lat);
+        view.broadcast_into(miner, &mut scratch);
+        legacy.record(&scratch, &lat);
     }
     assert_eq!(
         round.observations().as_dense().unwrap(),

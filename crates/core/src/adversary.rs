@@ -10,8 +10,8 @@
 //! * **eclipse attackers** that deliver fast to lure a victim, then
 //!   withhold;
 //! * **geo-spoofing**, which degrades the geographic baseline but is
-//!   invisible to Perigee (modelled in
-//!   [`GeographicBuilder::with_spoofed`](perigee_topology::GeographicBuilder::with_spoofed)).
+//!   invisible to Perigee (modelled in the topology crate's
+//!   `GeographicBuilder::with_spoofed`).
 
 use perigee_netsim::{Behavior, NodeId, Population, SimTime};
 

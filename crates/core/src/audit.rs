@@ -27,7 +27,7 @@
 //!   no dead slot holds edges (the stable-id contract);
 //! * **score-state legality** — every stored per-neighbor sample is
 //!   finite (∞ never enters `T̿u,v`; a NaN means corrupted state), via
-//!   [`SelectionStrategy::audit`](crate::SelectionStrategy::audit);
+//!   each node's [`NodeHistory`](crate::NodeHistory) audit;
 //! * **liveness state-machine legality** — silence counters and backoff
 //!   records are sorted, in range, and no counter has escaped past
 //!   `evict_after` (a peer the engine should have evicted).

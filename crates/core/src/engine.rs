@@ -513,8 +513,9 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         self.last_traffic.as_ref()
     }
 
-    /// The peer-liveness state, if [`LivenessConfig::enabled`]
-    /// ([`crate::LivenessConfig`]) — observability for experiments
+    /// The peer-liveness state, if
+    /// [`LivenessConfig::enabled`](crate::LivenessConfig::enabled) —
+    /// observability for experiments
     /// (e.g. counting active reconnect backoffs).
     pub fn liveness_tracker(&self) -> Option<&LivenessTracker> {
         self.liveness.as_ref()
@@ -1697,35 +1698,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         (0..rounds).map(|_| self.run_round(rng)).collect()
     }
 
-    /// Simulates one node's churn: `v` leaves (its outgoing and incoming
-    /// connections are torn down; pinned §5.4 relay links are permanent
-    /// infrastructure and survive) and immediately rejoins with fresh
-    /// random outgoing connections, forgetting all scoring history about
-    /// and of it.
-    ///
-    /// A thin wrapper over the one-node
-    /// [`WorldDelta::reset`](perigee_netsim::WorldDelta::reset): the
-    /// cached round snapshot is *patched* through
-    /// [`TopologyView::apply_world_delta`], not invalidated — prefer
-    /// [`PerigeeEngine::set_churn`] for whole-world lifetime processes.
-    pub fn churn_reset<R: Rng>(&mut self, v: NodeId, rng: &mut R) {
-        let mut removed = Vec::new();
-        self.teardown_node(v, &mut removed, true);
-        if let Some(tracker) = &mut self.liveness {
-            tracker.retire(v);
-        }
-        let mut added = Vec::new();
-        self.fill_random_connections(v, rng, &mut added);
-        if let Some(view) = self.view.as_mut() {
-            view.apply_world_delta(
-                &WorldDelta::reset(v),
-                &RoundDelta::new(removed, added),
-                &self.latency,
-                &self.population,
-            );
-        }
-    }
-
     /// Evaluates the current topology: for every node `v`, the time λv for
     /// a block mined by `v` to reach `fraction` of the hash power.
     /// Returns per-node values in id order (ms). Always uses the analytic
@@ -2130,7 +2102,7 @@ mod tests {
 
     #[test]
     fn disconnect_forgets_history() {
-        use perigee_netsim::ChurnProcess;
+        use perigee_netsim::{ChurnProcess, LifetimeEvent, LifetimeEventKind};
         let (mut engine, mut rng) = small_engine(40, ScoringMethod::Ucb, 2, 31);
         engine.set_churn(ChurnProcess::steady_state(40, 0.05, 32));
         // Every sample a node holds is about a current outgoing neighbor:
@@ -2156,23 +2128,25 @@ mod tests {
         }
         assert!(held > 0, "UCB rounds must build history");
         assert!(severed > 0, "drops and departures must fire");
-        let v = NodeId::new(0);
-        engine.churn_reset(v, &mut rng);
-        held_by_current_neighbors(&engine);
-    }
 
-    #[test]
-    fn churn_reset_rewires_a_node() {
-        let (mut engine, mut rng) = small_engine(60, ScoringMethod::Subset, 10, 6);
-        let v = NodeId::new(3);
-        engine.run_round(&mut rng);
-        engine.churn_reset(v, &mut rng);
-        engine.topology().assert_invariants();
-        assert_eq!(engine.topology().out_degree(v), 8);
-        assert_eq!(engine.topology().in_degree(v), 0);
-        // And rounds continue fine afterwards.
-        engine.run_round(&mut rng);
-        engine.topology().assert_invariants();
+        // An in-place reset takes the node's beliefs, and its choosers'
+        // beliefs about it, along too.
+        let (mut engine, mut rng) = small_engine(40, ScoringMethod::Ucb, 2, 31);
+        let v = NodeId::new(0);
+        engine.set_churn(ChurnProcess::replay(
+            vec![LifetimeEvent {
+                round: 4,
+                kind: LifetimeEventKind::Reset(v),
+            }],
+            32,
+        ));
+        for round in 0..6 {
+            engine.run_round(&mut rng);
+            if round == 4 {
+                assert_eq!(engine.last_world_delta(), &WorldDelta::reset(v));
+            }
+            held_by_current_neighbors(&engine);
+        }
     }
 
     #[test]

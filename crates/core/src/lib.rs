@@ -67,10 +67,12 @@
 //! round only the newest `⌈len · staleness⌉` samples per neighbor
 //! survive, so UCB confidence earned against a world that no longer
 //! exists decays instead of pinning stale neighbors (Vanilla/Subset keep
-//! their histories blank and are churn-immune by construction). The legacy
-//! [`PerigeeEngine::churn_reset`](engine::PerigeeEngine::churn_reset) is
-//! now a thin wrapper over a one-node
-//! [`WorldDelta::reset`](perigee_netsim::WorldDelta::reset).
+//! their histories blank and are churn-immune by construction). A node
+//! that restarts in place is a traced
+//! [`LifetimeEventKind::Reset`](perigee_netsim::LifetimeEventKind::Reset):
+//! it keeps its id and pinned relay links, loses every protocol
+//! connection and learned belief, and rejoins from a fresh bootstrap
+//! address book.
 //!
 //! Long churny runs accumulate dead free-list slots. An explicit
 //! [`PerigeeEngine::compact`](engine::PerigeeEngine::compact) reclaims

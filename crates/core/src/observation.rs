@@ -29,7 +29,7 @@
 //! 100 blocks, and 100× that before 1M-block rounds. Scoring, however,
 //! consumes *percentile statistics* of each edge's column, not the raw
 //! samples — so [`ObservationBackend::Sketch`] replaces the matrix with
-//! one 48-byte [`EdgeSketch`](perigee_metrics::EdgeSketch) per directed
+//! one 48-byte [`EdgeSketch`] per directed
 //! edge ([`SketchObservationStore`]): memory is `O(edges)`, independent
 //! of the round's block count.
 //!
@@ -59,15 +59,17 @@
 //!   marginal ranking in sketch mode (see
 //!   [`SubsetScoring`](crate::score::SubsetScoring)).
 
+use std::collections::BTreeMap;
+
 use perigee_metrics::{percentile_or_inf_mut, EdgeSketch, SketchParams};
-use perigee_netsim::{BroadcastScratch, LatencyModel, NodeId, Propagation, Topology, TopologyView};
+use perigee_netsim::{BroadcastScratch, LatencyModel, NodeId, SimTime, TopologyView};
 use serde::{Deserialize, Serialize};
 
 /// Which representation a round's observations are stored in.
 ///
 /// `Dense` is the exact reference: the full `blocks × edges` `f32`
 /// matrix. `Sketch` stores one constant-space
-/// [`EdgeSketch`](perigee_metrics::EdgeSketch) per directed edge —
+/// [`EdgeSketch`] per directed edge —
 /// memory independent of blocks-per-round, percentile queries
 /// approximate beyond 5 finite samples per edge (see the module docs
 /// for what each scoring strategy does with that).
@@ -196,7 +198,7 @@ impl ObservationStore {
 }
 
 /// One round's observations compressed to one
-/// [`EdgeSketch`](perigee_metrics::EdgeSketch) per directed edge over
+/// [`EdgeSketch`] per directed edge over
 /// the same CSR skeleton as the dense [`ObservationStore`] — 48 bytes
 /// per edge regardless of how many blocks the round mined.
 ///
@@ -668,38 +670,15 @@ impl ExactSizeIterator for TimesIter<'_> {}
 pub struct ObservationCollector {
     store: ObservationStore,
     /// Reusable per-node row for the two-pass normalization of the
-    /// latency-model and `GossipOutcome` recording paths.
+    /// reference recorders and of the fast paths' miner and unreached
+    /// rows.
     row: Vec<f64>,
 }
 
 impl ObservationCollector {
-    /// Snapshots the neighbor sets of `topology`.
-    ///
-    /// Prefer [`ObservationCollector::from_view`] when a [`TopologyView`]
-    /// for the round already exists: it copies the frozen CSR arrays
-    /// directly instead of re-walking the topology's `BTreeSet`s. This
-    /// constructor delegates to the same flat representation — the two
-    /// paths produce identical stores by construction.
-    pub fn new(topology: &Topology) -> Self {
-        let n = topology.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::new();
-        offsets.push(0);
-        for i in 0..n as u32 {
-            for v in topology.neighbors(NodeId::new(i)) {
-                edges.push(v.as_u32());
-            }
-            offsets.push(edges.len());
-        }
-        ObservationCollector {
-            store: ObservationStore::from_csr(offsets, edges),
-            row: Vec::new(),
-        }
-    }
-
-    /// Snapshots the neighbor sets of a frozen [`TopologyView`] — same
-    /// sets as [`ObservationCollector::new`] on the view's source
-    /// topology, copied straight from the CSR arrays.
+    /// Snapshots the neighbor sets of a frozen [`TopologyView`] —
+    /// [`Topology::neighbors`](perigee_netsim::Topology::neighbors) of
+    /// every node at snapshot time, copied straight from the CSR arrays.
     pub fn from_view(view: &TopologyView) -> Self {
         ObservationCollector {
             store: ObservationStore::from_csr(
@@ -734,42 +713,45 @@ impl ObservationCollector {
         }
     }
 
-    /// Records one block's propagation: appends, for every node, the
-    /// normalized per-neighbor delivery times.
+    /// Records one block flooded into `scratch`: appends, for every node
+    /// `v`, its neighbors' normalized delivery times `relay_start(u) +
+    /// δ(u,v)`, with `δ` from the latency model — the reference that
+    /// [`ObservationCollector::record_scratch`] must match bit for bit.
     ///
     /// Normalization is relative to the first delivery from any neighbor
     /// (eq. 2). If no neighbor ever delivers, the row carries no
     /// information and stays all-infinite.
-    pub fn record<L: LatencyModel + ?Sized>(&mut self, propagation: &Propagation, latency: &L) {
+    pub fn record<L: LatencyModel + ?Sized>(&mut self, scratch: &BroadcastScratch, latency: &L) {
         for i in 0..self.store.len() {
             let v = NodeId::new(i as u32);
             let (start, end) = (self.store.offsets[i], self.store.offsets[i + 1]);
             self.row.clear();
             for e in start..end {
                 let u = NodeId::new(self.store.edges[e]);
-                self.row.push(propagation.delivery(latency, u, v).as_ms());
+                // ∞ (never relayed) + δ stays ∞.
+                self.row
+                    .push((scratch.relay_start(u) + latency.delay(u, v)).as_ms());
             }
             self.push_normalized_row();
         }
         self.store.blocks += 1;
     }
 
-    /// Records one block's propagation as simulated by the message-level
-    /// gossip engine: per-neighbor announcement times come straight from
-    /// the engine's delivery log (a neighbor that never announced reads
-    /// `∞`, the paper's convention).
-    pub fn record_gossip(&mut self, outcome: &perigee_netsim::GossipOutcome) {
-        for i in 0..self.store.len() {
-            let v = NodeId::new(i as u32);
+    /// Records one block from the per-node delivery logs that
+    /// [`reference::gossip_block`](perigee_netsim::reference::gossip_block)
+    /// returns (a neighbor absent from a log never announced and reads
+    /// `∞`, the paper's convention) — the reference that
+    /// [`ObservationCollector::record_gossip_scratch`] must match bit for
+    /// bit. Panics unless there is exactly one log per node.
+    pub fn record_gossip(&mut self, logs: &[BTreeMap<NodeId, SimTime>]) {
+        assert_eq!(logs.len(), self.store.len(), "one delivery log per node");
+        for (i, log) in logs.iter().enumerate() {
             let (start, end) = (self.store.offsets[i], self.store.offsets[i + 1]);
             self.row.clear();
             for e in start..end {
                 let u = NodeId::new(self.store.edges[e]);
-                self.row.push(
-                    outcome
-                        .neighbor_delivery(v, u)
-                        .map_or(f64::INFINITY, |t| t.as_ms()),
-                );
+                self.row
+                    .push(log.get(&u).map_or(f64::INFINITY, |t| t.as_ms()));
             }
             self.push_normalized_row();
         }
@@ -783,9 +765,8 @@ impl ObservationCollector {
     /// no allocation per node per block.
     ///
     /// Produces bit-identical rows to [`ObservationCollector::record_gossip`]
-    /// on the equivalent [`GossipOutcome`](perigee_netsim::GossipOutcome),
-    /// provided this collector was built from the same view
-    /// ([`ObservationCollector::from_view`]).
+    /// on the same block's delivery logs, provided this collector was
+    /// built from the same view ([`ObservationCollector::from_view`]).
     ///
     /// # Panics
     ///
@@ -832,8 +813,8 @@ impl ObservationCollector {
     /// with no latency-model call per neighbor per block.
     ///
     /// Produces bit-identical rows to [`ObservationCollector::record`] on
-    /// the equivalent [`Propagation`], provided this collector was built
-    /// from the same view ([`ObservationCollector::from_view`]).
+    /// the same scratch, provided this collector was built from the same
+    /// view ([`ObservationCollector::from_view`]).
     ///
     /// # Panics
     ///
@@ -968,12 +949,39 @@ impl ObservationCollector {
     }
 }
 
+/// Unit-test shorthand: floods one block from each of `sources` through
+/// a fresh view of the world and returns the round's store as the
+/// production recorder writes it, after asserting that the reference
+/// recorder writes the same rows.
+#[cfg(test)]
+pub(crate) fn observe_blocks<L: LatencyModel + ?Sized>(
+    topology: &perigee_netsim::Topology,
+    latency: &L,
+    population: &perigee_netsim::Population,
+    sources: &[u32],
+) -> ObservationStore {
+    let view = TopologyView::new(topology, latency, population);
+    let mut fast = ObservationCollector::from_view(&view);
+    let mut reference = ObservationCollector::from_view(&view);
+    let mut scratch = BroadcastScratch::new();
+    for &source in sources {
+        view.broadcast_into(NodeId::new(source), &mut scratch);
+        fast.record_scratch(&view, &scratch);
+        reference.record(&scratch, latency);
+    }
+    let store = fast.finish();
+    assert_eq!(
+        store,
+        reference.finish(),
+        "record_scratch must equal record"
+    );
+    store
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perigee_netsim::{
-        broadcast, ConnectionLimits, MetricLatencyModel, NodeProfile, Population, SimTime,
-    };
+    use perigee_netsim::{ConnectionLimits, MetricLatencyModel, NodeProfile, Population, Topology};
 
     /// Line world: nodes at 1-d coordinates, unit latency scale.
     fn world(coords: &[f64]) -> (Population, MetricLatencyModel, Topology) {
@@ -1000,10 +1008,7 @@ mod tests {
         topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
         topo.connect(NodeId::new(0), NodeId::new(2)).unwrap();
         topo.connect(NodeId::new(1), NodeId::new(2)).unwrap();
-        let mut c = ObservationCollector::new(&topo);
-        let prop = broadcast(&topo, &lat, &pop, NodeId::new(0));
-        c.record(&prop, &lat);
-        let store = c.finish();
+        let store = observe_blocks(&topo, &lat, &pop, &[0]);
 
         let o2 = store.node(NodeId::new(2));
         assert_eq!(o2.block_count(), 1);
@@ -1016,10 +1021,7 @@ mod tests {
         let (pop, lat, mut topo) = world(&[0.0, 10.0, 30.0]);
         topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
         topo.connect(NodeId::new(0), NodeId::new(2)).unwrap();
-        let mut c = ObservationCollector::new(&topo);
-        let prop = broadcast(&topo, &lat, &pop, NodeId::new(0));
-        c.record(&prop, &lat);
-        let store = c.finish();
+        let store = observe_blocks(&topo, &lat, &pop, &[0]);
         // The miner's neighbors echo the block back after validating:
         // node1 at 10+10+10=30, node2 at 30+10+30=70; normalized to 0, 40.
         let o0 = store.node(NodeId::new(0));
@@ -1033,10 +1035,7 @@ mod tests {
         topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
         topo.connect(NodeId::new(1), NodeId::new(2)).unwrap();
         pop.profile_mut(NodeId::new(1)).behavior = perigee_netsim::Behavior::Silent;
-        let mut c = ObservationCollector::new(&topo);
-        let prop = broadcast(&topo, &lat, &pop, NodeId::new(0));
-        c.record(&prop, &lat);
-        let store = c.finish();
+        let store = observe_blocks(&topo, &lat, &pop, &[0]);
         // Node 2's only neighbor (1) is silent: row is all-infinite.
         assert!(store
             .node(NodeId::new(2))
@@ -1053,10 +1052,7 @@ mod tests {
     fn non_neighbor_queries_are_empty_or_infinite() {
         let (pop, lat, mut topo) = world(&[0.0, 10.0, 30.0]);
         topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
-        let mut c = ObservationCollector::new(&topo);
-        let prop = broadcast(&topo, &lat, &pop, NodeId::new(0));
-        c.record(&prop, &lat);
-        let store = c.finish();
+        let store = observe_blocks(&topo, &lat, &pop, &[0]);
         assert_eq!(
             store.node(NodeId::new(0)).times_for(NodeId::new(2)).len(),
             0
@@ -1073,12 +1069,7 @@ mod tests {
         let (pop, lat, mut topo) = world(&[0.0, 10.0, 30.0]);
         topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
         topo.connect(NodeId::new(1), NodeId::new(2)).unwrap();
-        let mut c = ObservationCollector::new(&topo);
-        for src in [0u32, 2, 1] {
-            let prop = broadcast(&topo, &lat, &pop, NodeId::new(src));
-            c.record(&prop, &lat);
-        }
-        let store = c.finish();
+        let store = observe_blocks(&topo, &lat, &pop, &[0, 2, 1]);
         let o1 = store.node(NodeId::new(1));
         assert_eq!(o1.block_count(), 3);
         assert_eq!(o1.times_for(NodeId::new(0)).len(), 3);
@@ -1092,16 +1083,18 @@ mod tests {
         let (pop, lat, mut topo) = world(&[0.0, 10.0, 30.0]);
         topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
         topo.connect(NodeId::new(1), NodeId::new(2)).unwrap();
-        let mut seq = ObservationCollector::new(&topo);
-        let mut a = ObservationCollector::new(&topo);
-        let mut b = ObservationCollector::new(&topo);
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut seq = ObservationCollector::from_view(&view);
+        let mut a = ObservationCollector::from_view(&view);
+        let mut b = ObservationCollector::from_view(&view);
+        let mut scratch = BroadcastScratch::new();
         for (i, src) in [0u32, 2, 1, 1].into_iter().enumerate() {
-            let prop = broadcast(&topo, &lat, &pop, NodeId::new(src));
-            seq.record(&prop, &lat);
+            view.broadcast_into(NodeId::new(src), &mut scratch);
+            seq.record(&scratch, &lat);
             if i < 2 {
-                a.record(&prop, &lat)
+                a.record(&scratch, &lat)
             } else {
-                b.record(&prop, &lat)
+                b.record(&scratch, &lat)
             }
         }
         a.append(b);
@@ -1119,14 +1112,8 @@ mod tests {
 
         // Collect 8 blocks three ways: one chunk, 2+6, and 3+3+2.
         let sources = [0u32, 2, 1, 3, 0, 1, 2, 3];
-        let collect = |range: std::ops::Range<usize>| {
-            let mut c = ObservationCollector::from_view(&view);
-            for &src in &sources[range] {
-                let prop = broadcast(&topo, &lat, &pop, NodeId::new(src));
-                c.record(&prop, &lat);
-            }
-            c.finish()
-        };
+        let collect =
+            |range: std::ops::Range<usize>| observe_blocks(&topo, &lat, &pop, &sources[range]);
 
         let mut whole = SketchObservationStore::from_view(&view, 90.0);
         whole.ingest(&collect(0..8));
@@ -1153,12 +1140,7 @@ mod tests {
         topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
         topo.connect(NodeId::new(1), NodeId::new(2)).unwrap();
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut c = ObservationCollector::from_view(&view);
-        for src in [0u32, 2, 1] {
-            let prop = broadcast(&topo, &lat, &pop, NodeId::new(src));
-            c.record(&prop, &lat);
-        }
-        let dense = c.finish();
+        let dense = observe_blocks(&topo, &lat, &pop, &[0, 2, 1]);
         let mut sketch = SketchObservationStore::from_view(&view, 90.0);
         sketch.ingest(&dense);
 
@@ -1195,22 +1177,8 @@ mod tests {
         let (pop, lat, mut topo) = world(&[0.0, 10.0]);
         topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut c = ObservationCollector::from_view(&view);
-        let prop = broadcast(&topo, &lat, &pop, NodeId::new(0));
-        c.record(&prop, &lat);
         let mut sketch = SketchObservationStore::from_view(&view, 90.0);
-        sketch.ingest(&c.finish());
+        sketch.ingest(&observe_blocks(&topo, &lat, &pop, &[0]));
         let _ = sketch.node(NodeId::new(0)).row(0);
-    }
-
-    #[test]
-    fn collector_paths_share_one_skeleton() {
-        let (pop, lat, mut topo) = world(&[0.0, 10.0, 30.0]);
-        topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
-        topo.connect(NodeId::new(1), NodeId::new(2)).unwrap();
-        let view = TopologyView::new(&topo, &lat, &pop);
-        let from_topo = ObservationCollector::new(&topo).finish();
-        let from_view = ObservationCollector::from_view(&view).finish();
-        assert_eq!(from_topo, from_view, "the two constructors must agree");
     }
 }

@@ -18,6 +18,7 @@ use perigee_metrics::percentile_or_inf_mut;
 use perigee_netsim::NodeId;
 
 use crate::observation::NodeObservations;
+use crate::score::vanilla::retain_best_scored;
 use crate::score::{NodeHistory, SelectionStrategy};
 
 /// Greedy complementary subset selection at a percentile target.
@@ -90,21 +91,7 @@ impl SelectionStrategy for SubsetScoring {
         _history: &mut NodeHistory,
     ) -> Vec<NodeId> {
         if observations.is_sketch() {
-            let mut buf = Vec::new();
-            let mut scored: Vec<(f64, NodeId)> = Vec::with_capacity(outgoing.len());
-            for &u in outgoing {
-                let score = match observations.index_of(u) {
-                    Some(i) => observations.column_percentile_or_inf(i, self.percentile, &mut buf),
-                    None => f64::INFINITY,
-                };
-                scored.push((score, u));
-            }
-            scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            return scored
-                .into_iter()
-                .take(self.retain_count)
-                .map(|(_, u)| u)
-                .collect();
+            return retain_best_scored(outgoing, &observations, self.percentile, self.retain_count);
         }
         let blocks = observations.block_count();
         // One column-major copy of just the outgoing columns (cols[k·B..])
@@ -173,9 +160,10 @@ impl SelectionStrategy for SubsetScoring {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::{ObservationCollector, ObservationStore};
+    use crate::observation::{observe_blocks, ObservationStore, SketchObservationStore};
     use perigee_netsim::{
-        broadcast, ConnectionLimits, MetricLatencyModel, NodeProfile, Population, SimTime, Topology,
+        ConnectionLimits, MetricLatencyModel, NodeProfile, Population, SimTime, Topology,
+        TopologyView,
     };
 
     /// Two-cluster world. Node 0 (the chooser) has three outgoing
@@ -225,11 +213,7 @@ mod tests {
 
     fn observe_rounds(sources: &[u32]) -> ObservationStore {
         let (pop, lat, topo) = cluster_world();
-        let mut c = ObservationCollector::new(&topo);
-        for &s in sources {
-            c.record(&broadcast(&topo, &lat, &pop, NodeId::new(s)), &lat);
-        }
-        c.finish()
+        observe_blocks(&topo, &lat, &pop, sources)
     }
 
     #[test]
@@ -314,6 +298,24 @@ mod tests {
         let outgoing = vec![NodeId::new(1), NodeId::new(2)];
         let kept = s.retain_stateless(NodeId::new(0), &outgoing, store.node(NodeId::new(0)));
         assert_eq!(kept.len(), 2);
+    }
+
+    #[test]
+    fn sketch_fallback_keeps_vanillas_neighbors() {
+        let (pop, lat, topo) = cluster_world();
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut sketch = SketchObservationStore::from_view(&view, 90.0);
+        sketch.ingest(&observe_rounds(&mixed_sources()));
+        let subset = SubsetScoring::new(2, 90.0);
+        let vanilla = crate::score::VanillaScoring::new(2, 90.0);
+        for v in (0..6).map(NodeId::new) {
+            let outgoing = topo.outgoing_vec(v);
+            assert_eq!(
+                subset.retain_stateless(v, &outgoing, sketch.node(v)),
+                vanilla.retain_stateless(v, &outgoing, sketch.node(v)),
+                "node {v}"
+            );
+        }
     }
 
     #[test]

@@ -140,9 +140,9 @@ impl SelectionStrategy for UcbScoring {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::{ObservationCollector, ObservationStore};
+    use crate::observation::{observe_blocks, ObservationStore};
     use perigee_netsim::{
-        broadcast, ConnectionLimits, MetricLatencyModel, NodeProfile, Population, SimTime, Topology,
+        ConnectionLimits, MetricLatencyModel, NodeProfile, Population, SimTime, Topology,
     };
 
     fn star_world(dists: &[f64]) -> (Population, MetricLatencyModel, Topology) {
@@ -173,9 +173,7 @@ mod tests {
         topo: &Topology,
         src: u32,
     ) -> ObservationStore {
-        let mut c = ObservationCollector::new(topo);
-        c.record(&broadcast(topo, lat, pop, NodeId::new(src)), lat);
-        c.finish()
+        observe_blocks(topo, lat, pop, &[src])
     }
 
     /// Folds one round into `h` for every listed neighbor, as `retain`
@@ -262,9 +260,7 @@ mod tests {
         let outgoing = vec![NodeId::new(1), NodeId::new(2)];
         let mut h = NodeHistory::default();
         for _ in 0..10 {
-            let mut c = ObservationCollector::new(&topo);
-            c.record(&broadcast(&topo, &lat, &pop, NodeId::new(3)), &lat);
-            let store = c.finish();
+            let store = observe_blocks(&topo, &lat, &pop, &[3]);
             let kept = s.retain(
                 NodeId::new(0),
                 &outgoing,

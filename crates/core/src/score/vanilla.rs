@@ -64,21 +64,7 @@ impl SelectionStrategy for VanillaScoring {
         observations: NodeObservations<'_>,
         _history: &mut NodeHistory,
     ) -> Vec<NodeId> {
-        let mut col: Vec<f64> = Vec::with_capacity(observations.block_count());
-        let mut scored: Vec<(f64, NodeId)> = Vec::with_capacity(outgoing.len());
-        for &u in outgoing {
-            let score = match observations.index_of(u) {
-                Some(i) => observations.column_percentile_or_inf(i, self.percentile, &mut col),
-                None => f64::INFINITY,
-            };
-            scored.push((score, u));
-        }
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        scored
-            .into_iter()
-            .take(self.retain_count)
-            .map(|(_, u)| u)
-            .collect()
+        retain_best_scored(outgoing, &observations, self.percentile, self.retain_count)
     }
 
     fn name(&self) -> &'static str {
@@ -86,14 +72,43 @@ impl SelectionStrategy for VanillaScoring {
     }
 }
 
+/// Vanilla's ranking, shared with Subset's sketch fallback: scores every
+/// outgoing neighbor by its `percentile`-th percentile (`∞` for one
+/// absent from the observation row) and keeps the `retain_count` best,
+/// ties broken toward the smaller id. The column buffer is allocated on
+/// the first dense column and never on the sketch backend, whose
+/// percentiles are read straight off the edge sketches.
+pub(crate) fn retain_best_scored(
+    outgoing: &[NodeId],
+    observations: &NodeObservations<'_>,
+    percentile: f64,
+    retain_count: usize,
+) -> Vec<NodeId> {
+    let mut col = Vec::new();
+    let mut scored: Vec<(f64, NodeId)> = Vec::with_capacity(outgoing.len());
+    for &u in outgoing {
+        let score = match observations.index_of(u) {
+            Some(i) => observations.column_percentile_or_inf(i, percentile, &mut col),
+            None => f64::INFINITY,
+        };
+        scored.push((score, u));
+    }
+    scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    scored
+        .into_iter()
+        .take(retain_count)
+        .map(|(_, u)| u)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use perigee_netsim::{
-        broadcast, ConnectionLimits, MetricLatencyModel, NodeProfile, Population, SimTime, Topology,
+        ConnectionLimits, MetricLatencyModel, NodeProfile, Population, SimTime, Topology,
     };
 
-    use crate::observation::{ObservationCollector, ObservationStore};
+    use crate::observation::{observe_blocks, ObservationStore};
 
     /// Star world: center node 0 connected to peripherals at distances
     /// given by `dists`; block always mined at node 1 (first peripheral).
@@ -117,12 +132,7 @@ mod tests {
         for i in 1..n {
             topo.connect(NodeId::new(0), NodeId::new(i as u32)).unwrap();
         }
-        let mut c = ObservationCollector::new(&topo);
-        for _ in 0..blocks {
-            let prop = broadcast(&topo, &lat, &pop, NodeId::new(1));
-            c.record(&prop, &lat);
-        }
-        c.finish()
+        observe_blocks(&topo, &lat, &pop, &vec![1; blocks])
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! The parallel round engine must be *bit-identical* to the sequential
 //! path — a one-thread rayon pool: same RoundStats floats, same learned
-//! topology, same observation rows — and the view-based propagation must
-//! reproduce the legacy per-call `broadcast()` +
-//! `ObservationCollector::record` pipeline exactly.
+//! topology, same observation rows — and its propagation phase must
+//! reproduce the reference pipeline exactly: a flood through a freshly
+//! built view (or the seed's event-queue gossip engine), recorded by
+//! `ObservationCollector::record` (or `record_gossip`) and measured by
+//! `reference::coverage_times`.
 
 use perigee_core::{
     ObservationCollector, PerigeeConfig, PerigeeEngine, PropagationMode, ScoringMethod,
 };
 use perigee_netsim::{
-    broadcast, gossip_block, ConnectionLimits, GeoLatencyModel, GossipConfig, MinerSampler, NodeId,
-    PopulationBuilder, SimTime,
+    reference, BroadcastScratch, ConnectionLimits, GeoLatencyModel, GossipConfig, MinerSampler,
+    NodeId, PopulationBuilder, SimTime, TopologyView,
 };
 use perigee_topology::{RandomBuilder, TopologyBuilder};
 use rand::rngs::StdRng;
@@ -81,9 +83,10 @@ fn pinned_thread_pool_matches_default_pool() {
     assert_eq!(wide.observations(), narrow.observations());
 }
 
-/// The view-based propagation phase reproduces the legacy sequential
-/// pipeline — per-call `broadcast()`, `record()` against the latency
-/// model, `coverage_time()` per fraction — bit for bit.
+/// The engine's propagation phase — carried view, parallel fan-out,
+/// `record_scratch`, production coverage — reproduces the reference
+/// sequential pipeline — a fresh view, `record()` against the latency
+/// model, `reference::coverage_times` — bit for bit.
 #[test]
 fn observe_round_matches_legacy_pipeline() {
     let (engine_a, mut rng) = engine(130, 20, 11);
@@ -91,19 +94,22 @@ fn observe_round_matches_legacy_pipeline() {
 
     let round = engine_a.observe_round(&miners);
 
-    let mut collector = ObservationCollector::new(engine_a.topology());
+    let view = TopologyView::new(
+        engine_a.topology(),
+        engine_a.latency(),
+        engine_a.population(),
+    );
+    let mut collector = ObservationCollector::from_view(&view);
+    let mut scratch = BroadcastScratch::new();
     let mut legacy90 = Vec::new();
     let mut legacy50 = Vec::new();
     for &miner in &miners {
-        let prop = broadcast(
-            engine_a.topology(),
-            engine_a.latency(),
-            engine_a.population(),
-            miner,
-        );
-        legacy90.push(prop.coverage_time(engine_a.population(), 0.9).as_ms());
-        legacy50.push(prop.coverage_time(engine_a.population(), 0.5).as_ms());
-        collector.record(&prop, engine_a.latency());
+        view.broadcast_into(miner, &mut scratch);
+        let coverage =
+            reference::coverage_times(scratch.arrivals(), engine_a.population(), &[0.9, 0.5]);
+        legacy90.push(coverage[0].as_ms());
+        legacy50.push(coverage[1].as_ms());
+        collector.record(&scratch, engine_a.latency());
     }
     let legacy_obs = collector.finish();
 
@@ -129,10 +135,10 @@ fn gossip_mode_is_thread_count_independent() {
 }
 
 /// The scratch-based Gossip arm of `observe_round` reproduces the legacy
-/// sequential gossip pipeline — per-call `gossip_block()`,
-/// `record_gossip()` over the BTreeMap delivery logs, multi-fraction
-/// coverage on the outcome — bit for bit, for both modes and with
-/// bandwidth-limited transfers.
+/// sequential gossip pipeline — the seed's event-queue engine
+/// `reference::gossip_block()`, `record_gossip()` over its BTreeMap
+/// delivery logs, `reference::coverage_times` on its arrivals — bit for
+/// bit, for both modes and with bandwidth-limited transfers.
 #[test]
 fn gossip_observe_round_matches_legacy_gossip_pipeline() {
     for cfg in [
@@ -146,22 +152,26 @@ fn gossip_observe_round_matches_legacy_gossip_pipeline() {
 
         let round = engine_a.observe_round(&miners);
 
-        let mut collector = ObservationCollector::new(engine_a.topology());
+        let view = TopologyView::new(
+            engine_a.topology(),
+            engine_a.latency(),
+            engine_a.population(),
+        );
+        let mut collector = ObservationCollector::from_view(&view);
         let mut legacy90 = Vec::new();
         let mut legacy50 = Vec::new();
-        let mut coverage = [SimTime::ZERO; 2];
         for &miner in &miners {
-            let outcome = gossip_block(
+            let (arrivals, logs) = reference::gossip_block(
                 engine_a.topology(),
                 engine_a.latency(),
                 engine_a.population(),
                 miner,
                 &cfg,
             );
-            outcome.coverage_times(engine_a.population(), &[0.9, 0.5], &mut coverage);
+            let coverage = reference::coverage_times(&arrivals, engine_a.population(), &[0.9, 0.5]);
             legacy90.push(coverage[0].as_ms());
             legacy50.push(coverage[1].as_ms());
-            collector.record_gossip(&outcome);
+            collector.record_gossip(&logs);
         }
         let legacy_obs = collector.finish();
 

@@ -3,7 +3,7 @@
 //! The paper's evaluation (§5) freezes the node set; its robustness
 //! discussion (§6) asks what happens when the network itself moves. This
 //! module runs Perigee on worlds driven by a
-//! [`ChurnProcess`](perigee_netsim::ChurnProcess):
+//! [`ChurnProcess`]:
 //!
 //! * [`run_steady_churn`] — a population that turns over at a fixed
 //!   per-round fraction while holding its size, the "Ethna-style"
@@ -11,7 +11,7 @@
 //! * [`run_growth`] — a world that grows from `scenario.nodes` to a
 //!   target size mid-run while Perigee keeps adapting, tracking the
 //!   per-round λ90 curve with the constant-space
-//!   [`P2Quantile`](perigee_metrics::P2Quantile) estimator instead of
+//!   [`P2Quantile`] estimator instead of
 //!   storing every block's value.
 //!
 //! Both report the engine's snapshot-rebuild counter: a dynamic run pays

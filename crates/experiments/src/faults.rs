@@ -4,7 +4,7 @@
 //! layer; its robustness discussion (§6) asks how the protocol behaves
 //! when links themselves misbehave. This module drives
 //! [`PerigeeEngine`] through a seeded
-//! [`FaultPlan`](perigee_netsim::FaultPlan) and measures the two
+//! [`FaultPlan`] and measures the two
 //! graceful-degradation levers the engine grew for exactly this regime:
 //!
 //! * **stability gating** — a node whose blocks-seen count deviates from
@@ -240,8 +240,8 @@ fn background_rates() -> LinkFaultRates {
 /// random, it systematically abandons exactly the neighbors that will
 /// be the best ones again the moment the window closes.
 ///
-/// The ablation runs Perigee-UCB: its cross-round [`NodeHistory`]
-/// (see [`perigee_core::NodeHistory`]) is exactly the state the gate
+/// The ablation runs Perigee-UCB: its cross-round
+/// [`NodeHistory`](perigee_core::NodeHistory) is exactly the state the gate
 /// exists to protect. An ungated UCB absorbs the burst's inverted
 /// arrival times into per-neighbor history and walks away from its
 /// best links; a gated UCB skips absorption for the affected rounds

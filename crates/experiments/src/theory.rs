@@ -15,8 +15,8 @@ use rand::{Rng, SeedableRng};
 
 use perigee_metrics::{percentile_or_inf, Table};
 use perigee_netsim::{
-    broadcast, ConnectionLimits, MetricLatencyModel, NodeId, NodeProfile, Population, SimTime,
-    Topology,
+    BroadcastScratch, ConnectionLimits, MetricLatencyModel, NodeId, NodeProfile, Population,
+    SimTime, Topology, TopologyView,
 };
 use perigee_topology::{GeometricBuilder, RandomBuilder, TopologyBuilder};
 
@@ -76,9 +76,11 @@ pub fn median_stretch(
     let n = world.population.len();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stretches = Vec::new();
+    let view = TopologyView::new(topology, &world.latency, &world.population);
+    let mut prop = BroadcastScratch::new();
     for _ in 0..sources {
         let s = NodeId::new(rng.gen_range(0..n as u32));
-        let prop = broadcast(topology, &world.latency, &world.population, s);
+        view.broadcast_into(s, &mut prop);
         for j in 0..n as u32 {
             let t = NodeId::new(j);
             let direct = world.latency.distance(s, t);
@@ -216,12 +218,14 @@ pub fn run_fig1(n: usize, seed: u64) -> Fig1Result {
         &mut rng,
     );
     let euclidean = world.latency.distance(a, b);
-    let random_path = broadcast(&random, &world.latency, &world.population, a)
-        .arrival(b)
-        .as_ms();
-    let geometric_path = broadcast(&geometric, &world.latency, &world.population, a)
-        .arrival(b)
-        .as_ms();
+    let mut scratch = BroadcastScratch::new();
+    let mut path = |topology: &Topology| {
+        TopologyView::new(topology, &world.latency, &world.population)
+            .broadcast_into(a, &mut scratch);
+        scratch.arrival(b).as_ms()
+    };
+    let random_path = path(&random);
+    let geometric_path = path(&geometric);
     Fig1Result {
         euclidean,
         random_path,

@@ -1,6 +1,6 @@
 //! Streaming quantile estimation (the P² algorithm).
 //!
-//! The exact [`percentile`](crate::percentile) definition needs the full
+//! The exact [`percentile`](crate::percentile()) definition needs the full
 //! multiset in memory; per-round λ-curve tracking over long dynamic-world
 //! runs wants a constant-space estimate instead. [`P2Quantile`] implements
 //! the P² algorithm of Jain & Chlamtac (CACM 1985): five markers whose
@@ -12,13 +12,13 @@
 //! crate's percentile conventions:
 //!
 //! * until five *finite* samples have arrived, the estimate is the exact
-//!   [`percentile`](crate::percentile) of the buffered samples (the P²
+//!   [`percentile`](crate::percentile()) of the buffered samples (the P²
 //!   marker invariants need five points to initialize);
 //! * infinite observations — the `t = ∞` "never delivered/covered"
 //!   convention — are counted out-of-band instead of being fed to the
 //!   marker update (a parabolic step over `∞` yields `NaN`): the
 //!   estimate is `+∞` exactly when the requested rank lands in the
-//!   infinite tail, mirroring [`percentile`](crate::percentile)'s
+//!   infinite tail, mirroring [`percentile`](crate::percentile())'s
 //!   treatment, and the finite quantile estimate is returned otherwise.
 //!   The finite-side rank is approximated by the marker state, so mixed
 //!   streams are estimates twice over — fine for tracking, not for
@@ -70,7 +70,7 @@ pub struct P2Quantile {
 
 impl P2Quantile {
     /// Creates an estimator for the `p`-th percentile (`0 ≤ p ≤ 100` —
-    /// the same convention as [`percentile`](crate::percentile)).
+    /// the same convention as [`percentile`](crate::percentile())).
     ///
     /// # Panics
     ///
@@ -105,7 +105,7 @@ impl P2Quantile {
     ///
     /// # Panics
     ///
-    /// Panics on `NaN`, like [`percentile`](crate::percentile).
+    /// Panics on `NaN`, like [`percentile`](crate::percentile()).
     pub fn observe(&mut self, x: f64) {
         assert!(!x.is_nan(), "quantile input must not contain NaN");
         if x.is_infinite() {
@@ -189,7 +189,7 @@ impl P2Quantile {
     /// The current estimate, or `None` before the first observation.
     ///
     /// Returns `+∞` when the requested rank lands in the infinite tail of
-    /// the observed stream (matching [`percentile`](crate::percentile)'s
+    /// the observed stream (matching [`percentile`](crate::percentile())'s
     /// convention for `t = ∞` observations).
     pub fn estimate(&self) -> Option<f64> {
         let total = self.finite + self.infinite;

@@ -1,6 +1,6 @@
 //! Compact per-edge streaming sketches for observation scoring.
 //!
-//! [`P2Quantile`](crate::P2Quantile) is the right tool for a handful of
+//! [`P2Quantile`] is the right tool for a handful of
 //! long-lived trackers (λ-curves), but an observation store carries one
 //! sketch *per directed edge* — 160k at 10k nodes, 1.6M at 100k — so
 //! every byte of per-sketch state is multiplied by the edge count.
@@ -16,11 +16,11 @@
 //!   re-derived on every update;
 //! * the five height slots double as the seed buffer before the markers
 //!   initialize, so small streams (≤ 5 finite samples) are *exact* —
-//!   the same guarantee [`P2Quantile`](crate::P2Quantile) gives.
+//!   the same guarantee [`P2Quantile`] gives.
 //!
 //! Infinite observations (the `t = ∞` "never delivered" convention)
 //! are counted out-of-band exactly like
-//! [`P2Quantile`](crate::P2Quantile): the estimate is `+∞` iff the
+//! [`P2Quantile`]: the estimate is `+∞` iff the
 //! requested rank lands in the infinite tail.
 //!
 //! The update is deterministic: a given sample sequence produces a
@@ -143,7 +143,7 @@ impl EdgeSketch {
     ///
     /// # Panics
     ///
-    /// Panics on `NaN`, like [`percentile`](crate::percentile).
+    /// Panics on `NaN`, like [`percentile`](crate::percentile()).
     pub fn observe(&mut self, x: f32, params: &SketchParams) {
         assert!(!x.is_nan(), "quantile input must not contain NaN");
         if x.is_infinite() {
@@ -226,7 +226,7 @@ impl EdgeSketch {
 
     /// The current estimate of the tracked percentile, or `None` before
     /// the first observation. Exact (matching
-    /// [`percentile`](crate::percentile) up to the `f32` sample
+    /// [`percentile`](crate::percentile()) up to the `f32` sample
     /// representation) while at most five finite samples have arrived;
     /// `+∞` when the requested rank lands in the infinite tail.
     pub fn estimate(&self, params: &SketchParams) -> Option<f64> {

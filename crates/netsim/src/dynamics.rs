@@ -15,8 +15,8 @@
 //!   protocol RNG and identical across thread counts and queue kinds.
 //! * [`WorldDelta`] — the per-round outcome: which ids joined and which
 //!   departed. A node listed in *both* is an in-place session reset (same
-//!   id, fresh edges, forgotten scores) — the shape
-//!   `PerigeeEngine::churn_reset` is a one-node wrapper over.
+//!   id, fresh edges, forgotten scores), planned by a traced
+//!   [`LifetimeEventKind::Reset`].
 //! * [`ChurnPlan`] — the raw per-round intent ([`ChurnProcess::begin_round`]):
 //!   how many nodes arrive (ids are assigned by
 //!   [`Population::spawn`](crate::Population::spawn), never by the

@@ -1,7 +1,7 @@
 //! Message-level gossip engine.
 //!
-//! The fast engine in [`broadcast`](crate::broadcast()) computes arrival times
-//! analytically under the paper's §2 model. This module simulates the same
+//! The analytic engine, [`TopologyView::broadcast_into`], computes arrival
+//! times under the paper's §2 model. This module simulates the same
 //! flood at the *message* level: either direct block pushes
 //! ([`GossipMode::Flood`], which must agree exactly with the fast engine — a
 //! cross-validation exercised by tests and the integration suite), or
@@ -44,30 +44,21 @@
 //! After the first message of a given network size, simulating further
 //! messages performs no heap allocation.
 //!
-//! [`gossip_block`] remains as a thin per-call wrapper: it snapshots a
-//! [`TopologyView`], runs the scratch engine once and converts the flat
-//! delivery matrix into an owned [`GossipOutcome`]. The wrapper is
-//! bit-identical to the scratch engine *by construction*, and both are
-//! bit-identical to the legacy event-queue engine: side-effectful events
-//! are scheduled in the same order and pop in the same order, with time
-//! ties broken by insertion sequence exactly as
-//! [`EventQueue`](crate::EventQueue) did (cross-validated against a
-//! faithful replica of the legacy engine in `tests/gossip_legacy.rs` and
-//! the propagation bench).
-
-use std::collections::BTreeMap;
+//! The engine is bit-identical to the seed's event-queue engine, kept as
+//! the oracle [`reference::gossip_block`](crate::reference::gossip_block):
+//! side-effectful events are scheduled in the same order and pop in the
+//! same order, with time ties broken by insertion sequence exactly as
+//! [`EventQueue`](crate::EventQueue) did (checked event for event by
+//! `tests/gossip_legacy.rs`; the propagation bench times the two).
 
 use crate::bandwidth::TransferModel;
 use crate::counters::SimCounters;
 use crate::error::NetsimError;
 use crate::faults::{BlockFaults, FaultLens, NoFaults};
-use crate::graph::Topology;
-use crate::latency::LatencyModel;
 use crate::node::NodeId;
-use crate::population::Population;
 use crate::pq::{PackedQueue, QueueKind};
 use crate::time::SimTime;
-use crate::view::{coverage_scan, coverage_times_from_arrivals, TopologyView};
+use crate::view::{coverage_times_from_arrivals, TopologyView};
 
 /// Packed events carry a 30-bit payload (a directed CSR edge index or a
 /// node id), so the message-level engine supports worlds with fewer than
@@ -194,73 +185,6 @@ mod config_codec {
     }
 }
 
-/// The outcome of gossiping one block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GossipOutcome {
-    source: NodeId,
-    first_arrival: Vec<SimTime>,
-    /// Per node: the first time each neighbor announced/delivered the block.
-    per_neighbor: Vec<BTreeMap<NodeId, SimTime>>,
-}
-
-impl GossipOutcome {
-    /// The miner of the block.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// First (full-block) arrival time at `v`.
-    pub fn arrival(&self, v: NodeId) -> SimTime {
-        self.first_arrival[v.index()]
-    }
-
-    /// All first-arrival times indexed by node.
-    pub fn arrivals(&self) -> &[SimTime] {
-        &self.first_arrival
-    }
-
-    /// The first time neighbor `u` announced (INV mode) or delivered (flood
-    /// mode) the block to `v`; `None` if it never did.
-    pub fn neighbor_delivery(&self, v: NodeId, u: NodeId) -> Option<SimTime> {
-        self.per_neighbor[v.index()].get(&u).copied()
-    }
-
-    /// Per-neighbor announcement times of node `v`.
-    pub fn neighbor_deliveries(&self, v: NodeId) -> &BTreeMap<NodeId, SimTime> {
-        &self.per_neighbor[v.index()]
-    }
-
-    /// Time to cover `fraction` of the network's hash power.
-    pub fn coverage_time(&self, population: &Population, fraction: f64) -> SimTime {
-        let mut out = [SimTime::ZERO];
-        self.coverage_times(population, &[fraction], &mut out);
-        out[0]
-    }
-
-    /// Computes λ(fraction) for every entry of `fractions` from a single
-    /// sort of the weighted arrivals, writing into `out` — the
-    /// multi-fraction counterpart of [`GossipOutcome::coverage_time`],
-    /// mirroring
-    /// [`BroadcastScratch::coverage_times_into`](crate::BroadcastScratch::coverage_times_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` and `fractions` have different lengths.
-    pub fn coverage_times(&self, population: &Population, fractions: &[f64], out: &mut [SimTime]) {
-        assert_eq!(fractions.len(), out.len(), "one output slot per fraction");
-        let mut weighted: Vec<(SimTime, f64)> = self
-            .first_arrival
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, population.hash_power(NodeId::new(i as u32))))
-            .collect();
-        weighted.sort_unstable_by_key(|&(t, _)| t);
-        for (slot, &fraction) in out.iter_mut().zip(fractions) {
-            *slot = coverage_scan(&weighted, fraction);
-        }
-    }
-}
-
 /// Event kinds of the pooled message-level engine. The discriminants are
 /// the 2-bit kind field of the packed event word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -331,7 +255,7 @@ fn event_payload(word: u128) -> usize {
 /// offsets: entry `e` ([`GossipScratch::delivery`]) is the first time
 /// `edges[e]` announced (INV mode) or delivered (flood mode) the block to
 /// the row owner of `e` (`INFINITY` if it never did) — the flat
-/// replacement for the per-node `BTreeMap` logs of [`GossipOutcome`].
+/// replacement for the reference engine's per-node `BTreeMap` logs.
 /// Entries are epoch-stamped per block, so resetting the matrix between
 /// blocks costs one integer bump instead of an O(m) refill.
 #[derive(Debug, Clone, Default)]
@@ -505,10 +429,12 @@ impl GossipScratch {
     }
 
     /// Per-neighbor announcement/delivery times of node `v`, aligned with
-    /// [`TopologyView::neighbors_raw`] — the zero-copy equivalent of
-    /// [`GossipOutcome::neighbor_deliveries`]. The iterator is `Clone`,
-    /// so min-then-normalize consumers can take two passes without
-    /// allocating.
+    /// [`TopologyView::neighbors_raw`] — the zero-copy equivalent of one
+    /// node's delivery log in
+    /// [`reference::gossip_block`](crate::reference::gossip_block), with
+    /// `INFINITY` for a neighbor that never delivered. The iterator is
+    /// `Clone`, so min-then-normalize consumers can take two passes
+    /// without allocating.
     #[inline]
     pub fn neighbor_deliveries<'a>(
         &'a self,
@@ -520,9 +446,9 @@ impl GossipScratch {
 
     /// Computes λ(fraction) of the last block for every entry of
     /// `fractions` in one pass over a reusable sorted buffer, writing into
-    /// `out` (`out.len()` must equal `fractions.len()`). Equivalent to
-    /// [`GossipOutcome::coverage_time`] per fraction, without the per-call
-    /// allocation and re-sort.
+    /// `out` (`out.len()` must equal `fractions.len()`). Bit-identical to
+    /// [`reference::coverage_times`](crate::reference::coverage_times),
+    /// without its per-call allocation.
     ///
     /// # Panics
     ///
@@ -592,28 +518,6 @@ impl GossipScratch {
             &mut self.coverage,
             &mut self.select,
         );
-    }
-
-    /// Converts the last block's flat state into an owned
-    /// [`GossipOutcome`] (allocates; hot paths should read the scratch
-    /// directly).
-    pub fn to_outcome(&self, view: &TopologyView) -> GossipOutcome {
-        let per_neighbor = (0..view.len() as u32)
-            .map(|i| {
-                let v = NodeId::new(i);
-                view.neighbors_raw(v)
-                    .iter()
-                    .zip(self.neighbor_deliveries(view, v))
-                    .filter(|(_, t)| t.is_finite())
-                    .map(|(&u, t)| (NodeId::new(u), t))
-                    .collect()
-            })
-            .collect();
-        GossipOutcome {
-            source: self.source,
-            first_arrival: self.first_arrival.clone(),
-            per_neighbor,
-        }
     }
 
     /// Prepares the scratch for a batch of `batch_len` messages (a single
@@ -711,11 +615,11 @@ impl TopologyView {
     /// network size once). A single message is a batch of one: this runs
     /// the same event loop as [`TopologyView::gossip_batch_into`].
     ///
-    /// Behaviour matches [`gossip_block`] exactly — which in turn matches
-    /// the original event-queue engine event for event: identical schedule
-    /// order, identical time-tie insertion-sequence break, identical
-    /// `δ(u,v)` call directions (cached per directed edge), identical
-    /// transfer-time floats. In [`GossipMode::Flood`] with negligible
+    /// Behaviour matches the seed's event-queue engine,
+    /// [`reference::gossip_block`](crate::reference::gossip_block), event
+    /// for event: identical schedule order, identical time-tie
+    /// insertion-sequence break, identical `δ(u,v)` call directions
+    /// (cached per directed edge), identical transfer-time floats. In [`GossipMode::Flood`] with negligible
     /// transfer the arrivals are additionally bit-identical to
     /// [`TopologyView::broadcast_into`].
     pub fn gossip_into(&self, source: NodeId, config: &GossipConfig, scratch: &mut GossipScratch) {
@@ -949,34 +853,15 @@ impl TopologyView {
     }
 }
 
-/// Simulates one block mined by `source` at time zero.
-///
-/// Thin per-call wrapper over [`TopologyView::gossip_into`]: snapshots the
-/// topology, runs the scratch engine once and converts the flat delivery
-/// matrix into an owned [`GossipOutcome`]. Hot paths (many blocks on a
-/// constant overlay) should build the view once and reuse a
-/// [`GossipScratch`] instead.
-pub fn gossip_block<L: LatencyModel + ?Sized>(
-    topology: &Topology,
-    latency: &L,
-    population: &Population,
-    source: NodeId,
-    config: &GossipConfig,
-) -> GossipOutcome {
-    let view = TopologyView::new(topology, latency, population);
-    let mut scratch = GossipScratch::with_capacity(view.len(), view.directed_edge_count());
-    view.gossip_into(source, config, &mut scratch);
-    scratch.to_outcome(&view)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broadcast::broadcast;
-    use crate::graph::ConnectionLimits;
-    use crate::latency::GeoLatencyModel;
+    use crate::graph::{ConnectionLimits, Topology};
+    use crate::latency::{GeoLatencyModel, LatencyModel};
     use crate::node::Behavior;
-    use crate::population::PopulationBuilder;
+    use crate::population::{Population, PopulationBuilder};
+    use crate::reference;
+    use crate::view::BroadcastScratch;
     use rand::rngs::StdRng;
     use rand::Rng;
     use rand::SeedableRng;
@@ -998,38 +883,43 @@ mod tests {
         (pop, lat, topo)
     }
 
-    #[test]
-    fn flood_mode_matches_fast_engine_exactly() {
-        let (pop, lat, topo) = random_world(60, 42);
-        let cfg = GossipConfig::flood();
-        for src in [0u32, 7, 33] {
-            let src = NodeId::new(src);
-            let fast = broadcast(&topo, &lat, &pop, src);
-            let slow = gossip_block(&topo, &lat, &pop, src, &cfg);
-            for i in 0..pop.len() as u32 {
-                let v = NodeId::new(i);
-                let (a, b) = (fast.arrival(v).as_ms(), slow.arrival(v).as_ms());
-                assert!(
-                    (a - b).abs() < 1e-9,
-                    "node {v}: fast {a} vs event-driven {b}"
-                );
-            }
-        }
+    /// Gossips one block from `src` into a fresh scratch.
+    fn gossip(view: &TopologyView, src: u32, cfg: &GossipConfig) -> GossipScratch {
+        let mut scratch = GossipScratch::new();
+        view.gossip_into(NodeId::new(src), cfg, &mut scratch);
+        scratch
+    }
+
+    /// The last block's whole delivery matrix, in CSR edge order.
+    fn deliveries(view: &TopologyView, s: &GossipScratch) -> Vec<SimTime> {
+        (0..view.directed_edge_count())
+            .map(|e| s.delivery(e))
+            .collect()
+    }
+
+    /// λ(`fraction`) of the last block.
+    fn coverage(view: &TopologyView, s: &mut GossipScratch, fraction: f64) -> SimTime {
+        let mut out = [SimTime::ZERO];
+        s.coverage_times_into(view, &[fraction], &mut out);
+        out[0]
     }
 
     #[test]
     fn flood_per_neighbor_matches_fast_engine_delivery() {
         let (pop, lat, topo) = random_world(40, 3);
+        let view = TopologyView::new(&topo, &lat, &pop);
         let src = NodeId::new(5);
-        let fast = broadcast(&topo, &lat, &pop, src);
-        let slow = gossip_block(&topo, &lat, &pop, src, &GossipConfig::flood());
-        for i in 0..pop.len() as u32 {
-            let v = NodeId::new(i);
-            for u in topo.neighbors(v) {
-                let expect = fast.delivery(&lat, u, v);
-                match slow.neighbor_delivery(v, u) {
-                    Some(t) => assert!((t.as_ms() - expect.as_ms()).abs() < 1e-9),
-                    None => assert!(expect.is_infinite(), "{u}->{v} should deliver"),
+        let mut fast = BroadcastScratch::new();
+        view.broadcast_into(src, &mut fast);
+        let slow = gossip(&view, 5, &GossipConfig::flood());
+        for v in (0..pop.len() as u32).map(NodeId::new) {
+            for (e, u) in view.edge_range(v).zip(view.neighbors(v)) {
+                let expect = fast.relay_start(u) + lat.delay(u, v);
+                let t = slow.delivery(e);
+                if t.is_finite() {
+                    assert!((t.as_ms() - expect.as_ms()).abs() < 1e-9);
+                } else {
+                    assert!(expect.is_infinite(), "{u}->{v} should deliver");
                 }
             }
         }
@@ -1038,9 +928,9 @@ mod tests {
     #[test]
     fn inv_mode_is_slower_than_flooding() {
         let (pop, lat, topo) = random_world(50, 9);
-        let src = NodeId::new(0);
-        let flood = gossip_block(&topo, &lat, &pop, src, &GossipConfig::flood());
-        let inv = gossip_block(&topo, &lat, &pop, src, &GossipConfig::inv_getdata(0.0));
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut flood = gossip(&view, 0, &GossipConfig::flood());
+        let mut inv = gossip(&view, 0, &GossipConfig::inv_getdata(0.0));
         for i in 1..pop.len() as u32 {
             let v = NodeId::new(i);
             assert!(
@@ -1051,24 +941,24 @@ mod tests {
         }
         // Network-wide, the three-leg exchange costs well under 3x the
         // single-leg flood (validation delays are not tripled).
-        let f90 = flood.coverage_time(&pop, 0.9).as_ms();
-        let i90 = inv.coverage_time(&pop, 0.9).as_ms();
+        let f90 = coverage(&view, &mut flood, 0.9).as_ms();
+        let i90 = coverage(&view, &mut inv, 0.9).as_ms();
         assert!(i90 > f90 && i90 < f90 * 3.0, "flood {f90} vs inv {i90}");
     }
 
     #[test]
     fn inv_records_announcements_from_all_neighbors() {
         let (pop, lat, topo) = random_world(30, 4);
-        let src = NodeId::new(2);
-        let out = gossip_block(&topo, &lat, &pop, src, &GossipConfig::inv_getdata(0.0));
-        for i in 0..pop.len() as u32 {
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let src = 2;
+        let out = gossip(&view, src, &GossipConfig::inv_getdata(0.0));
+        for i in (0..pop.len() as u32).filter(|&i| i != src) {
             let v = NodeId::new(i);
-            if v == src {
-                continue;
-            }
             // Every honest neighbor eventually announces to v.
             assert_eq!(
-                out.neighbor_deliveries(v).len(),
+                out.neighbor_deliveries(&view, v)
+                    .filter(|t| t.is_finite())
+                    .count(),
                 topo.neighbors(v).len(),
                 "all neighbors of {v} announce"
             );
@@ -1078,13 +968,13 @@ mod tests {
     #[test]
     fn bandwidth_slows_flood_delivery() {
         let (pop, lat, topo) = random_world(30, 8);
-        let src = NodeId::new(0);
-        let small = gossip_block(&topo, &lat, &pop, src, &GossipConfig::flood());
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let small = gossip(&view, 0, &GossipConfig::flood());
         let big_cfg = GossipConfig {
             mode: GossipMode::Flood,
             transfer: TransferModel::new(1.0),
         };
-        let big = gossip_block(&topo, &lat, &pop, src, &big_cfg);
+        let big = gossip(&view, 0, &big_cfg);
         for i in 1..pop.len() as u32 {
             let v = NodeId::new(i);
             assert!(big.arrival(v) > small.arrival(v));
@@ -1095,9 +985,17 @@ mod tests {
     fn withholding_miner_delays_everyone() {
         let (mut pop, lat, topo) = random_world(20, 5);
         let src = NodeId::new(0);
-        let honest = gossip_block(&topo, &lat, &pop, src, &GossipConfig::flood());
+        let honest = gossip(
+            &TopologyView::new(&topo, &lat, &pop),
+            0,
+            &GossipConfig::flood(),
+        );
         pop.profile_mut(src).behavior = Behavior::Delay(SimTime::from_ms(500.0));
-        let withheld = gossip_block(&topo, &lat, &pop, src, &GossipConfig::flood());
+        let withheld = gossip(
+            &TopologyView::new(&topo, &lat, &pop),
+            0,
+            &GossipConfig::flood(),
+        );
         for i in 1..pop.len() as u32 {
             let v = NodeId::new(i);
             assert!((withheld.arrival(v) - honest.arrival(v)).as_ms() > 499.0);
@@ -1105,7 +1003,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_across_blocks_and_modes_matches_wrapper() {
+    fn scratch_reuse_across_blocks_and_modes_matches_fresh_scratch() {
         let (pop, lat, topo) = random_world(50, 17);
         let view = TopologyView::new(&topo, &lat, &pop);
         let mut scratch = GossipScratch::new();
@@ -1115,11 +1013,11 @@ mod tests {
             GossipConfig::inv_getdata(1.0),
         ] {
             for src in [0u32, 13, 47] {
-                let src = NodeId::new(src);
-                view.gossip_into(src, &cfg, &mut scratch);
-                let owned = gossip_block(&topo, &lat, &pop, src, &cfg);
-                assert_eq!(scratch.arrivals(), owned.arrivals());
-                assert_eq!(scratch.to_outcome(&view), owned);
+                view.gossip_into(NodeId::new(src), &cfg, &mut scratch);
+                let fresh = gossip(&view, src, &cfg);
+                assert_eq!(scratch.arrivals(), fresh.arrivals());
+                assert_eq!(deliveries(&view, &scratch), deliveries(&view, &fresh));
+                assert_eq!(scratch.source(), fresh.source());
                 assert_eq!(scratch.reached(), 50);
             }
         }
@@ -1129,13 +1027,9 @@ mod tests {
     fn delivery_matrix_aligns_with_view_rows() {
         let (pop, lat, topo) = random_world(40, 21);
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut scratch = GossipScratch::new();
-        view.gossip_into(
-            NodeId::new(3),
-            &GossipConfig::inv_getdata(0.0),
-            &mut scratch,
-        );
-        let out = scratch.to_outcome(&view);
+        let cfg = GossipConfig::inv_getdata(0.0);
+        let scratch = gossip(&view, 3, &cfg);
+        let (_, logs) = reference::gossip_block(&topo, &lat, &pop, NodeId::new(3), &cfg);
         let mut total = 0;
         for i in 0..view.len() as u32 {
             let v = NodeId::new(i);
@@ -1143,7 +1037,7 @@ mod tests {
             total += row.len();
             for (k, u) in view.neighbors(v).enumerate() {
                 assert_eq!(
-                    out.neighbor_delivery(v, u),
+                    logs[v.index()].get(&u).copied(),
                     row[k].is_finite().then(|| row[k])
                 );
                 assert_eq!(scratch.delivery(view.edge_range(v).start + k), row[k]);
@@ -1171,7 +1065,7 @@ mod tests {
         assert_eq!(scratch.first_arrival, fresh.first_arrival);
         assert_eq!(scratch.delivery, fresh.delivery, "matrix fully cleared");
         assert_eq!(scratch.delivery_stamp, fresh.delivery_stamp);
-        assert_eq!(scratch.to_outcome(&view), fresh.to_outcome(&view));
+        assert_eq!(deliveries(&view, &scratch), deliveries(&view, &fresh));
     }
 
     #[test]
@@ -1245,7 +1139,7 @@ mod tests {
         view.gossip_into(src, &GossipConfig::push_pull(0.1, 0), &mut a);
         view.gossip_into(src, &GossipConfig::inv_getdata(0.1), &mut b);
         assert_eq!(a.arrivals(), b.arrivals());
-        assert_eq!(a.to_outcome(&view), b.to_outcome(&view));
+        assert_eq!(deliveries(&view, &a), deliveries(&view, &b));
         // push_degree ≥ max degree pushes every leg, i.e. floods.
         view.gossip_into(src, &GossipConfig::push_pull(0.1, u32::MAX), &mut a);
         let flood = GossipConfig {
@@ -1254,16 +1148,16 @@ mod tests {
         };
         view.gossip_into(src, &flood, &mut b);
         assert_eq!(a.arrivals(), b.arrivals());
-        assert_eq!(a.to_outcome(&view), b.to_outcome(&view));
+        assert_eq!(deliveries(&view, &a), deliveries(&view, &b));
     }
 
     #[test]
     fn push_pull_sits_between_flood_and_inv() {
         let (pop, lat, topo) = random_world(60, 92);
-        let src = NodeId::new(0);
-        let flood = gossip_block(&topo, &lat, &pop, src, &GossipConfig::flood());
-        let hybrid = gossip_block(&topo, &lat, &pop, src, &GossipConfig::push_pull(0.0, 3));
-        let inv = gossip_block(&topo, &lat, &pop, src, &GossipConfig::inv_getdata(0.0));
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut flood = gossip(&view, 0, &GossipConfig::flood());
+        let mut hybrid = gossip(&view, 0, &GossipConfig::push_pull(0.0, 3));
+        let mut inv = gossip(&view, 0, &GossipConfig::inv_getdata(0.0));
         for i in 1..pop.len() as u32 {
             let v = NodeId::new(i);
             assert!(hybrid.arrival(v).is_finite(), "hybrid reaches {v}");
@@ -1279,9 +1173,9 @@ mod tests {
         // Network-wide, pushing the first three legs skips enough
         // INV→GETDATA round trips to land between the two pure modes
         // (deterministic for this seeded world).
-        let f90 = flood.coverage_time(&pop, 0.9);
-        let h90 = hybrid.coverage_time(&pop, 0.9);
-        let i90 = inv.coverage_time(&pop, 0.9);
+        let f90 = coverage(&view, &mut flood, 0.9);
+        let h90 = coverage(&view, &mut hybrid, 0.9);
+        let i90 = coverage(&view, &mut inv, 0.9);
         assert!(
             f90 <= h90 && h90 <= i90,
             "flood {f90} ≤ hybrid {h90} ≤ inv {i90}"
@@ -1306,21 +1200,17 @@ mod tests {
     #[test]
     fn coverage_fractions_clamp_but_reject_nan() {
         let (pop, lat, topo) = random_world(30, 93);
-        let src = NodeId::new(0);
-        let out = gossip_block(&topo, &lat, &pop, src, &GossipConfig::flood());
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut scratch = gossip(&view, 0, &GossipConfig::flood());
+        let cov = reference::coverage_times(scratch.arrivals(), &pop, &[1.7, 1.0, -0.3, 0.0]);
         assert_eq!(
-            out.coverage_time(&pop, 1.7),
-            out.coverage_time(&pop, 1.0),
+            cov[0], cov[1],
             "over-unity fractions clamp to full coverage"
         );
         assert_eq!(
-            out.coverage_time(&pop, -0.3),
-            out.coverage_time(&pop, 0.0),
+            cov[2], cov[3],
             "negative fractions clamp to the first arrival"
         );
-        let view = TopologyView::new(&topo, &lat, &pop);
-        let mut scratch = GossipScratch::new();
-        view.gossip_into(src, &GossipConfig::flood(), &mut scratch);
         let mut clamped = [SimTime::ZERO; 2];
         scratch.coverage_times_into(&view, &[-1.0, 2.0], &mut clamped);
         let mut exact = [SimTime::ZERO; 2];
@@ -1332,8 +1222,9 @@ mod tests {
     #[should_panic(expected = "coverage fraction must not be NaN")]
     fn nan_coverage_fraction_panics() {
         let (pop, lat, topo) = random_world(20, 94);
-        let out = gossip_block(&topo, &lat, &pop, NodeId::new(0), &GossipConfig::flood());
-        out.coverage_time(&pop, f64::NAN);
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut scratch = gossip(&view, 0, &GossipConfig::flood());
+        coverage(&view, &mut scratch, f64::NAN);
     }
 
     #[test]
@@ -1380,21 +1271,15 @@ mod tests {
     }
 
     #[test]
-    fn scratch_coverage_matches_outcome_coverage() {
+    fn scratch_coverage_matches_reference_coverage() {
         let (pop, lat, topo) = random_world(60, 29);
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut scratch = GossipScratch::new();
-        view.gossip_into(
-            NodeId::new(7),
-            &GossipConfig::inv_getdata(0.0),
-            &mut scratch,
-        );
-        let out = scratch.to_outcome(&view);
+        let mut scratch = gossip(&view, 7, &GossipConfig::inv_getdata(0.0));
+        let fractions = [0.5, 0.9, 1.0];
         let mut multi = [SimTime::ZERO; 3];
-        scratch.coverage_times_into(&view, &[0.5, 0.9, 1.0], &mut multi);
-        let mut owned = [SimTime::ZERO; 3];
-        out.coverage_times(&pop, &[0.5, 0.9, 1.0], &mut owned);
-        assert_eq!(multi, owned);
-        assert_eq!(multi[1], out.coverage_time(&pop, 0.9));
+        scratch.coverage_times_into(&view, &fractions, &mut multi);
+        let expected = reference::coverage_times(scratch.arrivals(), &pop, &fractions);
+        assert_eq!(multi.as_slice(), expected.as_slice());
+        assert_eq!(multi[1], coverage(&view, &mut scratch, 0.9));
     }
 }

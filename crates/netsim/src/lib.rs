@@ -16,9 +16,6 @@
 //!   [`OverrideLatencyModel`] (fast miner/relay links, §5.4).
 //! * [`Topology`] — the overlay graph with Bitcoin's `dout`/`din` connection
 //!   limits and pinned (relay) edges.
-//! * [`broadcast()`] — the fast analytic propagation engine (Dijkstra over the
-//!   store-validate-forward flood), exposing both first arrivals and the
-//!   per-neighbor delivery times `tᵇu,v` that Perigee observes.
 //! * [`TopologyView`] — the propagation substrate underneath both engines:
 //!   a frozen CSR snapshot of the overlay with per-edge latencies, reverse
 //!   edge indices, relay profiles and link rates precomputed once. Between
@@ -27,10 +24,12 @@
 //!   net dropped/refilled edges) into the CSR arrays in one linear pass,
 //!   paying latency-model calls only for added edges — field-for-field
 //!   equal to a fresh rebuild, at ~2·n instead of ~14·n delay evaluations.
-//! * [`BroadcastScratch`] — reusable analytic flood state for
-//!   [`TopologyView::broadcast_into`]; [`broadcast()`] is a thin per-call
-//!   wrapper over it. One flood body serves both
-//!   [`TopologyView::broadcast_into`] and
+//! * [`BroadcastScratch`] — reusable state of the fast analytic
+//!   propagation engine, [`TopologyView::broadcast_into`]: a Dijkstra over
+//!   the store-validate-forward flood, exposing first arrivals and relay
+//!   starts, from which the per-neighbor delivery times `tᵇu,v` that
+//!   Perigee observes follow as `relay_start(u) + δ(u,v)`. One flood body
+//!   serves both [`TopologyView::broadcast_into`] and
 //!   [`TopologyView::broadcast_into_faulted`]: it is generic over a
 //!   crate-private link-fault lens whose no-fault instance compiles to
 //!   the plain Dijkstra.
@@ -41,8 +40,10 @@
 //!   analytic engine. One event loop serves
 //!   [`TopologyView::gossip_batch_into`], [`TopologyView::gossip_into`]
 //!   and [`TopologyView::gossip_into_faulted`]: a single message is a
-//!   batch of one, over the same fault lens. [`gossip_block`] is the
-//!   thin per-call wrapper.
+//!   batch of one, over the same fault lens.
+//! * [`reference`](mod@reference) — the crate's test oracles, kept off every hot path:
+//!   the seed's event-queue engine [`reference::gossip_block`] and the
+//!   sort-and-scan coverage time [`reference::coverage_times`].
 //! * [`pq`] — the deterministic calendar/bucket priority queue both
 //!   scratch engines run on by default ([`QueueKind::Calendar`]): exact
 //!   packed keys inside sub-millisecond buckets, pop order bit-identical
@@ -88,12 +89,15 @@
 //! [`GossipScratch`] — and either drop it before the next rewiring or
 //! carry it forward through [`TopologyView::apply_rewiring`]. Both scratch
 //! engines allocate nothing per block after warming up to the network
-//! size. Floods through a view are **bit-identical** to [`broadcast()`] on
-//! the source topology, and message-level runs are bit-identical to
-//! [`gossip_block`]: identical adjacency order, identical cached `δ(u,v)`
-//! values, identical heap tie-breaking. Blocks within a round are mutually
-//! independent (no RNG is consumed inside a block simulation), which is
-//! what makes the round engine's parallel fan-out exactly reproducible.
+//! size, and a result depends only on the view and the block, never on
+//! what the scratch ran before or on which thread: a reused scratch is
+//! **bit-identical** to a fresh one. Message-level runs are bit-identical
+//! to the event-queue oracle [`reference::gossip_block`] (identical
+//! adjacency order, identical `δ(u,v)` values, identical tie-breaking),
+//! and flood-mode gossip reproduces the analytic flood. Blocks within a
+//! round are mutually independent (no RNG is consumed inside a block
+//! simulation), which is what makes the round engine's parallel fan-out
+//! exactly reproducible.
 //!
 //! Fault injection keeps every one of those guarantees: a [`FaultPlan`]'s
 //! decisions are pure hashes of `(seed, round, block, edge)` — never RNG
@@ -108,8 +112,8 @@
 //!
 //! ```
 //! use perigee_netsim::{
-//!     broadcast, ConnectionLimits, GeoLatencyModel, MinerSampler, NodeId,
-//!     PopulationBuilder, Topology,
+//!     BroadcastScratch, ConnectionLimits, GeoLatencyModel, MinerSampler, NodeId,
+//!     PopulationBuilder, SimTime, Topology, TopologyView,
 //! };
 //! use rand::SeedableRng;
 //!
@@ -124,10 +128,14 @@
 //!     topology.connect(NodeId::new(i), NodeId::new((i + 1) % 100))?;
 //! }
 //!
+//! // One view per overlay, one scratch reused for every block.
+//! let view = TopologyView::new(&topology, &latency, &population);
+//! let mut scratch = BroadcastScratch::new();
 //! let miner = MinerSampler::new(&population).sample(&mut rng);
-//! let propagation = broadcast(&topology, &latency, &population, miner);
-//! let lambda_v = propagation.coverage_time(&population, 0.9);
-//! println!("90% hash power reached in {lambda_v}");
+//! view.broadcast_into(miner, &mut scratch);
+//! let mut lambda = [SimTime::ZERO];
+//! scratch.coverage_times_into(&view, &[0.9], &mut lambda);
+//! println!("90% hash power reached in {}", lambda[0]);
 //! # Ok(())
 //! # }
 //! ```
@@ -137,7 +145,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bandwidth;
-pub mod broadcast;
 pub mod counters;
 pub mod dataset;
 pub mod dynamics;
@@ -157,7 +164,6 @@ pub mod traffic;
 pub mod view;
 
 pub use bandwidth::TransferModel;
-pub use broadcast::{broadcast, Propagation};
 pub use counters::SimCounters;
 pub use dynamics::{
     ChurnPlan, ChurnProcess, LifetimeEvent, LifetimeEventKind, SessionDist, WorldDelta,
@@ -168,10 +174,7 @@ pub use faults::{
     BlockFaults, FaultPlan, FaultWindow, LegOutcome, LinkFaultRates, LinkFlaps, PartitionWindow,
     RegionalWindow, RoundFaults,
 };
-pub use gossip::{
-    gossip_block, BatchMessage, GossipConfig, GossipMode, GossipOutcome, GossipScratch,
-    PACKED_PAYLOAD_CAP,
-};
+pub use gossip::{BatchMessage, GossipConfig, GossipMode, GossipScratch, PACKED_PAYLOAD_CAP};
 pub use graph::{ConnectionLimits, Topology};
 pub use latency::{
     GeoLatencyModel, LatencyModel, MetricLatencyModel, OverrideLatencyModel, ACCESS_DELAY_RANGE_MS,

@@ -68,7 +68,8 @@ const BUCKET_INV_MS: f64 = 2.0;
 /// heap instead of growing the wheel without bound.
 const HORIZON_BUCKETS: usize = 1 << 16;
 
-/// The wheel horizon in milliseconds (see [`HORIZON_BUCKETS`]).
+/// The wheel horizon in milliseconds: `BUCKET_WIDTH_MS × 2^16`
+/// (≈ 32.8 s), past which keys go to the exact overflow heap.
 pub const HORIZON_MS: f64 = BUCKET_WIDTH_MS * HORIZON_BUCKETS as f64;
 
 /// A packed priority-queue key whose high bits are the IEEE-754 bits of a

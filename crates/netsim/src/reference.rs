@@ -1,17 +1,20 @@
-//! Executable reference semantics for the message-level engine.
+//! The crate's oracles: executable reference semantics that the tests
+//! check the production engines against, bit for bit. Neither is a hot
+//! path.
 //!
-//! This is the seed's `gossip_block`, verbatim: a generic [`EventQueue`]
-//! with one slot allocation per boxed event, `Vec<bool>` flags, one
-//! `BTreeMap` delivery log per node and a latency-model call per event
-//! leg. It is *not* a hot path — the optimized engine lives in
-//! [`TopologyView::gossip_into`](crate::TopologyView::gossip_into) — but
-//! it is load-bearing: it defines the behaviour the optimized engine must
-//! reproduce **bit for bit**. The cross-validation suite
-//! (`tests/gossip_legacy.rs`) asserts that equality event for event, and
-//! the propagation bench measures the optimized engine's speedup against
-//! this exact implementation. Keeping the one copy here ensures the
-//! oracle the tests check and the baseline the bench times can never
-//! drift apart.
+//! * [`gossip_block`] is the seed's message-level engine, verbatim: a
+//!   generic [`EventQueue`] with one slot allocation per boxed event,
+//!   `Vec<bool>` flags, one `BTreeMap` delivery log per node and a
+//!   latency-model call per event leg. `tests/gossip_legacy.rs` checks
+//!   [`TopologyView::gossip_into`](crate::TopologyView::gossip_into)
+//!   against it event for event, and the propagation bench times the two.
+//! * [`coverage_times`] is λ(f) by its definition, which
+//!   [`BroadcastScratch::coverage_times_into`](crate::BroadcastScratch::coverage_times_into)
+//!   computes from cached weights, by selection when hash power is
+//!   uniform.
+//!
+//! Keeping the one copy of each here ensures the oracle the tests check
+//! and the baseline the bench times can never drift apart.
 
 use std::collections::BTreeMap;
 
@@ -22,6 +25,7 @@ use crate::latency::LatencyModel;
 use crate::node::{Behavior, NodeId};
 use crate::population::Population;
 use crate::time::SimTime;
+use crate::view::clamp_fraction;
 
 #[derive(Debug)]
 enum Event {
@@ -145,4 +149,37 @@ pub fn gossip_block<L: LatencyModel + ?Sized>(
     }
 
     (first_arrival, per_neighbor)
+}
+
+/// λ(f) (§2.2) of a message with first `arrivals` indexed by node: for
+/// each of `fractions`, the time by which nodes holding that share of the
+/// total hash power have it (`INFINITY` if never) — one sort of the
+/// `(arrival, hash power)` pairs, then a cumulative scan. Fractions clamp
+/// into `[0, 1]`; a NaN fraction or a length mismatch panics.
+pub fn coverage_times(
+    arrivals: &[SimTime],
+    population: &Population,
+    fractions: &[f64],
+) -> Vec<SimTime> {
+    assert_eq!(arrivals.len(), population.len(), "one arrival per node");
+    let mut weighted: Vec<(SimTime, f64)> = arrivals
+        .iter()
+        .zip(population.iter())
+        .map(|(&t, p)| (t, p.hash_power))
+        .collect();
+    weighted.sort_unstable_by_key(|&(t, _)| t);
+    fractions
+        .iter()
+        .map(|&fraction| {
+            let fraction = clamp_fraction(fraction);
+            let mut acc = 0.0;
+            for &(t, w) in &weighted {
+                acc += w;
+                if acc >= fraction - 1e-12 {
+                    return t;
+                }
+            }
+            SimTime::INFINITY
+        })
+        .collect()
 }

@@ -20,12 +20,13 @@
 //!
 //! # Determinism
 //!
-//! `broadcast_into` reproduces [`broadcast`](crate::broadcast()) **bit for
-//! bit**: adjacency is stored in the same ascending-id order
-//! [`Topology::neighbors`] yields, cached latencies are the exact `f64`s
-//! the latency model returns, and the Dijkstra queue orders ties identically
-//! — so arrival, relay and delivery times are the same IEEE-754 values
-//! whichever engine computed them, on any thread.
+//! A flood is a pure function of the view and the source: adjacency is
+//! stored in the ascending-id order [`Topology::neighbors`] yields, cached
+//! latencies are the exact `f64`s the latency model returns, and the
+//! Dijkstra queue breaks exact-time ties by ascending node id — so
+//! arrival, relay and delivery times are the same IEEE-754 values on any
+//! thread, through a fresh or a reused [`BroadcastScratch`], and equal to
+//! the message-level engine's in [`GossipMode::Flood`](crate::GossipMode).
 //!
 //! # Bucket quantization and determinism
 //!
@@ -42,7 +43,6 @@
 //! arrival/relay float is bit-identical whichever queue ran (proven by
 //! `tests/pq_equivalence.rs` and the pq proptests).
 
-use crate::broadcast::Propagation;
 use crate::counters::SimCounters;
 use crate::dynamics::WorldDelta;
 use crate::error::NetsimError;
@@ -93,8 +93,8 @@ impl RelayProfile {
 ///
 /// ```
 /// use perigee_netsim::{
-///     broadcast, BroadcastScratch, ConnectionLimits, GeoLatencyModel, NodeId,
-///     PopulationBuilder, Topology, TopologyView,
+///     BroadcastScratch, ConnectionLimits, GeoLatencyModel, NodeId, PopulationBuilder, SimTime,
+///     Topology, TopologyView,
 /// };
 /// use rand::SeedableRng;
 ///
@@ -109,9 +109,10 @@ impl RelayProfile {
 /// let view = TopologyView::new(&topo, &lat, &pop);
 /// let mut scratch = BroadcastScratch::new();
 /// view.broadcast_into(NodeId::new(0), &mut scratch);
-/// // Bit-identical to the legacy engine.
-/// let legacy = broadcast(&topo, &lat, &pop, NodeId::new(0));
-/// assert_eq!(scratch.arrivals(), legacy.arrivals());
+/// assert_eq!(scratch.arrival(NodeId::new(0)), SimTime::ZERO);
+/// assert_eq!(scratch.reached(), 50);
+/// // Node 1 hears the miner's block one link latency after mining.
+/// assert_eq!(scratch.arrival(NodeId::new(1)), view.neighbor_delays(NodeId::new(0))[0]);
 /// # Ok::<(), perigee_netsim::ConnectError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -204,17 +205,6 @@ impl TopologyView {
             }
             offsets.push(edges.len());
         }
-        let mut reverse = vec![0u32; edges.len()];
-        for u in 0..n {
-            for e in offsets[u]..offsets[u + 1] {
-                let v = edges[e] as usize;
-                let row = &edges[offsets[v]..offsets[v + 1]];
-                let k = row
-                    .binary_search(&(u as u32))
-                    .expect("communication graph is symmetric");
-                reverse[e] = (offsets[v] + k) as u32;
-            }
-        }
         if n >= crate::gossip::PACKED_PAYLOAD_CAP
             || edges.len() >= crate::gossip::PACKED_PAYLOAD_CAP
         {
@@ -223,19 +213,20 @@ impl TopologyView {
                 directed_edges: edges.len(),
             });
         }
-        let (relay, hash_power, uplink_mbps, downlink_mbps, uniform_weight) =
-            node_attributes(population);
-        Ok(TopologyView {
+        let mut view = TopologyView {
             offsets,
             edges,
             delay,
-            reverse,
-            relay,
-            hash_power,
-            uplink_mbps,
-            downlink_mbps,
-            uniform_weight,
-        })
+            reverse: Vec::new(),
+            relay: Vec::new(),
+            hash_power: Vec::new(),
+            uplink_mbps: Vec::new(),
+            downlink_mbps: Vec::new(),
+            uniform_weight: None,
+        };
+        view.rebuild_reverse();
+        view.refresh_node_attributes(population);
+        Ok(view)
     }
 
     /// Number of nodes in the snapshot.
@@ -328,8 +319,12 @@ impl TopologyView {
     /// into `scratch` without allocating (after `scratch` has warmed up to
     /// this network size once).
     ///
-    /// Behaviour matches [`broadcast`](crate::broadcast()) exactly; see the
-    /// module docs for the determinism guarantee.
+    /// Behavioural deviations are honoured: [`Behavior::Silent`] nodes
+    /// receive but never relay; [`Behavior::Delay`] nodes add their extra
+    /// delay before relaying. The miner relays its own block without
+    /// validating it; every other node validates (`Δu`) between first
+    /// receipt and relaying. See the module docs for the determinism
+    /// guarantee.
     pub fn broadcast_into(&self, source: NodeId, scratch: &mut BroadcastScratch) {
         self.flood(source, scratch, NoFaults);
     }
@@ -404,16 +399,6 @@ impl TopologyView {
             scratch.counters.queue_peak =
                 scratch.counters.queue_peak.max(scratch.queue.len() as u64);
         }
-    }
-
-    /// Convenience wrapper: floods from `source` into a fresh
-    /// [`Propagation`] (one allocation per call; use
-    /// [`TopologyView::broadcast_into`] with a reused scratch on hot
-    /// paths).
-    pub fn broadcast(&self, source: NodeId) -> Propagation {
-        let mut scratch = BroadcastScratch::new();
-        self.broadcast_into(source, &mut scratch);
-        scratch.into_propagation()
     }
 
     /// Patches the snapshot to reflect one round of rewiring instead of
@@ -494,12 +479,7 @@ impl TopologyView {
             "latency model must cover the grown population"
         );
         self.merge_rewiring(rewiring, latency, n_new);
-        let (relay, hash_power, uplink, downlink, uniform) = node_attributes(population);
-        self.relay = relay;
-        self.hash_power = hash_power;
-        self.uplink_mbps = uplink;
-        self.downlink_mbps = downlink;
-        self.uniform_weight = uniform;
+        self.refresh_node_attributes(population);
         #[cfg(debug_assertions)]
         for v in delta.retired() {
             debug_assert!(
@@ -569,24 +549,8 @@ impl TopologyView {
         self.offsets = offsets;
         self.edges = edges;
         self.delay = delay;
-        self.reverse.clear();
-        self.reverse.resize(self.edges.len(), 0);
-        for u in 0..n_new {
-            for e in self.offsets[u]..self.offsets[u + 1] {
-                let v = self.edges[e] as usize;
-                let row = &self.edges[self.offsets[v]..self.offsets[v + 1]];
-                let k = row
-                    .binary_search(&(u as u32))
-                    .expect("communication graph is symmetric");
-                self.reverse[e] = (self.offsets[v] + k) as u32;
-            }
-        }
-        let (relay, hash_power, uplink, downlink, uniform) = node_attributes(population);
-        self.relay = relay;
-        self.hash_power = hash_power;
-        self.uplink_mbps = uplink;
-        self.downlink_mbps = downlink;
-        self.uniform_weight = uniform;
+        self.rebuild_reverse();
+        self.refresh_node_attributes(population);
     }
 
     /// The shared one-pass CSR merge behind [`TopologyView::apply_rewiring`]
@@ -688,11 +652,18 @@ impl TopologyView {
         self.delay = delay;
         self.offsets = offsets;
         // All offsets after the first touched row shifted, so reverse
-        // indices are recomputed globally — integer work only, no float
-        // math, exactly as in `TopologyView::new`.
+        // indices are recomputed globally.
+        self.rebuild_reverse();
+    }
+
+    /// Recomputes the reverse-edge map from the CSR arrays — integer work
+    /// only, no float math. Every construction and patch path ends here,
+    /// so patched and freshly built views can only agree or both be
+    /// wrong.
+    fn rebuild_reverse(&mut self) {
         self.reverse.clear();
         self.reverse.resize(self.edges.len(), 0);
-        for u in 0..n_new {
+        for u in 0..self.len() {
             for e in self.offsets[u]..self.offsets[u + 1] {
                 let v = self.edges[e] as usize;
                 let row = &self.edges[self.offsets[v]..self.offsets[v + 1]];
@@ -703,42 +674,32 @@ impl TopologyView {
             }
         }
     }
-}
 
-/// Per-node attribute extraction shared — verbatim — by
-/// [`TopologyView::new`] and [`TopologyView::apply_world_delta`], so the
-/// patched and freshly built views can only agree or both be wrong.
-#[allow(clippy::type_complexity)]
-fn node_attributes(
-    population: &Population,
-) -> (Vec<RelayProfile>, Vec<f64>, Vec<f64>, Vec<f64>, Option<f64>) {
-    let relay = population
-        .iter()
-        .map(|p| match p.behavior {
-            Behavior::Honest => RelayProfile::Honest {
-                validation: p.validation_delay,
-            },
-            Behavior::Silent => RelayProfile::Silent,
-            Behavior::Delay(extra) => RelayProfile::Delayed {
-                validation: p.validation_delay,
-                extra,
-            },
-        })
-        .collect();
-    let hash_power: Vec<f64> = population.iter().map(|p| p.hash_power).collect();
-    let uniform_weight = match hash_power.split_first() {
-        Some((&w, rest)) if rest.iter().all(|&x| x == w) => Some(w),
-        _ => None,
-    };
-    let uplink_mbps = population.iter().map(|p| p.uplink_mbps).collect();
-    let downlink_mbps = population.iter().map(|p| p.downlink_mbps).collect();
-    (
-        relay,
-        hash_power,
-        uplink_mbps,
-        downlink_mbps,
-        uniform_weight,
-    )
+    /// Installs the per-node attributes of `population` — relay profiles,
+    /// hash power, link rates — shared verbatim by construction and every
+    /// path that moves the node set.
+    fn refresh_node_attributes(&mut self, population: &Population) {
+        self.relay = population
+            .iter()
+            .map(|p| match p.behavior {
+                Behavior::Honest => RelayProfile::Honest {
+                    validation: p.validation_delay,
+                },
+                Behavior::Silent => RelayProfile::Silent,
+                Behavior::Delay(extra) => RelayProfile::Delayed {
+                    validation: p.validation_delay,
+                    extra,
+                },
+            })
+            .collect();
+        self.hash_power = population.iter().map(|p| p.hash_power).collect();
+        self.uniform_weight = match self.hash_power.split_first() {
+            Some((&w, rest)) if rest.iter().all(|&x| x == w) => Some(w),
+            _ => None,
+        };
+        self.uplink_mbps = population.iter().map(|p| p.uplink_mbps).collect();
+        self.downlink_mbps = population.iter().map(|p| p.downlink_mbps).collect();
+    }
 }
 
 /// The net change one round of rewiring makes to the undirected
@@ -947,8 +908,10 @@ impl BroadcastScratch {
     /// `fractions` in one pass over a reusable sorted buffer, writing into
     /// `out` (`out.len()` must equal `fractions.len()`).
     ///
-    /// Equivalent to calling [`Propagation::coverage_time`] per fraction,
-    /// without the per-call allocation and re-sort.
+    /// Bit-identical to the sort-and-scan definition,
+    /// [`reference::coverage_times`](crate::reference::coverage_times),
+    /// without its per-call allocation, and without any sort when hash
+    /// power is uniform.
     ///
     /// # Panics
     ///
@@ -967,12 +930,6 @@ impl BroadcastScratch {
             &mut self.coverage,
             &mut self.select,
         );
-    }
-
-    /// Converts the scratch into an owned [`Propagation`], consuming the
-    /// buffers (no copy).
-    pub fn into_propagation(self) -> Propagation {
-        Propagation::from_parts(self.source, self.arrival, self.relay_at)
     }
 }
 
@@ -1042,7 +999,7 @@ pub(crate) fn coverage_times_from_arrivals(
 /// Scans weighted arrivals (sorted ascending by time) for the first time
 /// at which the cumulative weight reaches `fraction`. The fraction goes
 /// through [`clamp_fraction`] (NaN panics, out-of-range clamps).
-pub(crate) fn coverage_scan(sorted: &[(SimTime, f64)], fraction: f64) -> SimTime {
+fn coverage_scan(sorted: &[(SimTime, f64)], fraction: f64) -> SimTime {
     let fraction = clamp_fraction(fraction);
     let mut acc = 0.0;
     for &(t, w) in sorted {
@@ -1057,16 +1014,29 @@ pub(crate) fn coverage_scan(sorted: &[(SimTime, f64)], fraction: f64) -> SimTime
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gossip::GossipConfig;
     use crate::graph::ConnectionLimits;
-    use crate::latency::GeoLatencyModel;
-    use crate::population::PopulationBuilder;
-    use crate::{broadcast, LatencyModel};
+    use crate::latency::{GeoLatencyModel, MetricLatencyModel};
+    use crate::node::NodeProfile;
+    use crate::population::{HashPowerDist, PopulationBuilder};
+    use crate::{reference, LatencyModel};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn random_world(n: usize, seed: u64) -> (Population, GeoLatencyModel, Topology, StdRng) {
+        random_world_with(n, seed, HashPowerDist::Uniform)
+    }
+
+    fn random_world_with(
+        n: usize,
+        seed: u64,
+        hash_power: HashPowerDist,
+    ) -> (Population, GeoLatencyModel, Topology, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let pop = PopulationBuilder::new(n).build(&mut rng).unwrap();
+        let pop = PopulationBuilder::new(n)
+            .hash_power(hash_power)
+            .build(&mut rng)
+            .unwrap();
         let lat = GeoLatencyModel::new(&pop, seed);
         let mut topo = Topology::new(n, ConnectionLimits::paper_default());
         for i in 0..n as u32 {
@@ -1095,38 +1065,28 @@ mod tests {
         }
     }
 
+    /// Both branches of the production λ(f) — the selection under
+    /// uniform hash power and the sort-and-scan otherwise — against the
+    /// reference definition.
     #[test]
-    fn flood_is_bit_identical_to_legacy_broadcast() {
-        for seed in 0..10 {
-            let (pop, lat, topo, mut rng) = random_world(120, seed);
+    fn scratch_coverage_matches_reference_coverage() {
+        for (dist, uniform) in [
+            (HashPowerDist::Uniform, true),
+            (HashPowerDist::Exponential, false),
+        ] {
+            let (pop, lat, topo, _) = random_world_with(100, 9, dist.clone());
             let view = TopologyView::new(&topo, &lat, &pop);
+            assert_eq!(view.uniform_weight.is_some(), uniform, "{dist:?}");
             let mut scratch = BroadcastScratch::new();
-            for _ in 0..5 {
-                let src = NodeId::new(rng.gen_range(0..120));
-                let legacy = broadcast(&topo, &lat, &pop, src);
-                view.broadcast_into(src, &mut scratch);
-                assert_eq!(scratch.arrivals(), legacy.arrivals(), "seed {seed}");
-                assert_eq!(scratch.relay_starts().len(), 120);
-                for i in 0..120u32 {
-                    let v = NodeId::new(i);
-                    assert_eq!(scratch.relay_start(v), legacy.relay_start(v));
-                }
+            for src in [4u32, 57] {
+                view.broadcast_into(NodeId::new(src), &mut scratch);
+                let fractions = [0.0, 0.5, 0.9, 1.0];
+                let mut cov = [SimTime::ZERO; 4];
+                scratch.coverage_times_into(&view, &fractions, &mut cov);
+                let expected = reference::coverage_times(scratch.arrivals(), &pop, &fractions);
+                assert_eq!(cov.as_slice(), expected.as_slice(), "{dist:?} source {src}");
             }
         }
-    }
-
-    #[test]
-    fn scratch_coverage_matches_propagation_coverage() {
-        let (pop, lat, topo, _) = random_world(100, 9);
-        let view = TopologyView::new(&topo, &lat, &pop);
-        let mut scratch = BroadcastScratch::new();
-        view.broadcast_into(NodeId::new(4), &mut scratch);
-        let legacy = broadcast(&topo, &lat, &pop, NodeId::new(4));
-        let mut cov = [SimTime::ZERO; 3];
-        scratch.coverage_times_into(&view, &[0.5, 0.9, 1.0], &mut cov);
-        assert_eq!(cov[0], legacy.coverage_time(&pop, 0.5));
-        assert_eq!(cov[1], legacy.coverage_time(&pop, 0.9));
-        assert_eq!(cov[2], legacy.coverage_time(&pop, 1.0));
     }
 
     #[test]
@@ -1135,22 +1095,12 @@ mod tests {
         pop.profile_mut(NodeId::new(3)).behavior = Behavior::Silent;
         pop.profile_mut(NodeId::new(7)).behavior = Behavior::Delay(SimTime::from_ms(250.0));
         let view = TopologyView::new(&topo, &lat, &pop);
-        let legacy = broadcast(&topo, &lat, &pop, NodeId::new(0));
+        let (expected, _) =
+            reference::gossip_block(&topo, &lat, &pop, NodeId::new(0), &GossipConfig::flood());
         let mut scratch = BroadcastScratch::new();
         view.broadcast_into(NodeId::new(0), &mut scratch);
-        assert_eq!(scratch.arrivals(), legacy.arrivals());
+        assert_eq!(scratch.arrivals(), expected.as_slice());
         assert!(scratch.relay_start(NodeId::new(3)).is_infinite());
-    }
-
-    #[test]
-    fn view_broadcast_convenience_matches_into_propagation() {
-        let (pop, lat, topo, _) = random_world(60, 8);
-        let view = TopologyView::new(&topo, &lat, &pop);
-        let a = view.broadcast(NodeId::new(2));
-        let b = broadcast(&topo, &lat, &pop, NodeId::new(2));
-        assert_eq!(a, b);
-        assert_eq!(a.source(), NodeId::new(2));
-        assert_eq!(a.reached(), b.reached());
     }
 
     #[test]
@@ -1362,7 +1312,152 @@ mod tests {
         let src = NodeId::new(rng.gen_range(0..pop.len() as u32));
         let mut scratch = BroadcastScratch::new();
         view.broadcast_into(src, &mut scratch);
-        let legacy = broadcast(&topo, &lat, &pop, src);
-        assert_eq!(scratch.arrivals(), legacy.arrivals());
+        let mut expected = BroadcastScratch::new();
+        fresh.broadcast_into(src, &mut expected);
+        assert_eq!(scratch.arrivals(), expected.arrivals());
+    }
+
+    /// A tiny deterministic world: nodes on a line at given 1-d coords,
+    /// unit scale (so delay in ms equals coordinate distance).
+    fn line_world(coords: &[f64], validation_ms: f64) -> (Population, MetricLatencyModel) {
+        let profiles: Vec<NodeProfile> = coords
+            .iter()
+            .map(|&x| NodeProfile {
+                coords: vec![x],
+                hash_power: 1.0,
+                validation_delay: SimTime::from_ms(validation_ms),
+                ..NodeProfile::default()
+            })
+            .collect();
+        let pop = Population::from_profiles(profiles).unwrap();
+        let lat = MetricLatencyModel::new(&pop, 1.0);
+        (pop, lat)
+    }
+
+    fn path_topology(n: usize) -> Topology {
+        let mut t = Topology::new(n, ConnectionLimits::unlimited());
+        for i in 0..n - 1 {
+            t.connect(NodeId::new(i as u32), NodeId::new(i as u32 + 1))
+                .unwrap();
+        }
+        t
+    }
+
+    /// Floods one block from `source` through a fresh view of the world.
+    fn flood(
+        topo: &Topology,
+        lat: &MetricLatencyModel,
+        pop: &Population,
+        source: u32,
+    ) -> (TopologyView, BroadcastScratch) {
+        let view = TopologyView::new(topo, lat, pop);
+        let mut scratch = BroadcastScratch::new();
+        view.broadcast_into(NodeId::new(source), &mut scratch);
+        (view, scratch)
+    }
+
+    #[test]
+    fn line_arrival_times_are_exact() {
+        // Nodes at 0, 10, 30; validation 5ms; source node 0.
+        let (pop, lat) = line_world(&[0.0, 10.0, 30.0], 5.0);
+        let (_, s) = flood(&path_topology(3), &lat, &pop, 0);
+        // miner relays immediately: node1 at 10; node1 validates 5 then
+        // relays: node2 at 10+5+20 = 35.
+        assert_eq!(s.arrival(NodeId::new(0)).as_ms(), 0.0);
+        assert_eq!(s.arrival(NodeId::new(1)).as_ms(), 10.0);
+        assert_eq!(s.arrival(NodeId::new(2)).as_ms(), 35.0);
+        assert_eq!(s.reached(), 3);
+    }
+
+    #[test]
+    fn delivery_times_cover_all_neighbors_even_late_ones() {
+        let (pop, lat) = line_world(&[0.0, 10.0, 30.0], 5.0);
+        let mut topo = path_topology(3);
+        // Triangle: also connect 0-2 directly.
+        topo.connect(NodeId::new(0), NodeId::new(2)).unwrap();
+        let (_, s) = flood(&topo, &lat, &pop, 0);
+        let delivery = |u: u32, v: u32| {
+            s.relay_start(NodeId::new(u)) + lat.delay(NodeId::new(u), NodeId::new(v))
+        };
+        // node2 hears directly from the miner at 30.
+        assert_eq!(s.arrival(NodeId::new(2)).as_ms(), 30.0);
+        // ...but node1 would still deliver to node2 at 10+5+20 = 35.
+        assert_eq!(delivery(1, 2).as_ms(), 35.0);
+        // And node2 (validating at 30+5) would deliver back to node1 at 55.
+        assert_eq!(delivery(2, 1).as_ms(), 55.0);
+    }
+
+    #[test]
+    fn silent_node_blocks_the_path() {
+        let (mut pop, lat) = line_world(&[0.0, 10.0, 30.0], 5.0);
+        pop.profile_mut(NodeId::new(1)).behavior = Behavior::Silent;
+        let (_, s) = flood(&path_topology(3), &lat, &pop, 0);
+        assert_eq!(s.arrival(NodeId::new(1)).as_ms(), 10.0);
+        assert!(s.arrival(NodeId::new(2)).is_infinite());
+        assert!(s.relay_start(NodeId::new(1)).is_infinite());
+        assert_eq!(s.reached(), 2);
+        let delivery = s.relay_start(NodeId::new(1)) + lat.delay(NodeId::new(1), NodeId::new(2));
+        assert!(delivery.is_infinite());
+    }
+
+    #[test]
+    fn delaying_node_slows_the_path() {
+        let (mut pop, lat) = line_world(&[0.0, 10.0, 30.0], 5.0);
+        pop.profile_mut(NodeId::new(1)).behavior = Behavior::Delay(SimTime::from_ms(100.0));
+        let (_, s) = flood(&path_topology(3), &lat, &pop, 0);
+        assert_eq!(s.arrival(NodeId::new(2)).as_ms(), 135.0);
+    }
+
+    #[test]
+    fn silent_miner_never_shares_its_block() {
+        let (mut pop, lat) = line_world(&[0.0, 10.0], 5.0);
+        pop.profile_mut(NodeId::new(0)).behavior = Behavior::Silent;
+        let (_, s) = flood(&path_topology(2), &lat, &pop, 0);
+        assert!(s.arrival(NodeId::new(1)).is_infinite());
+    }
+
+    #[test]
+    fn coverage_time_uses_hash_power_weights() {
+        // Node powers: 0.5, 0.25, 0.25. Arrivals 0, 10, 35.
+        let (pop, lat) = line_world(&[0.0, 10.0, 30.0], 5.0);
+        let mut profiles: Vec<NodeProfile> = pop.iter().cloned().collect();
+        profiles[0].hash_power = 0.5;
+        profiles[1].hash_power = 0.25;
+        profiles[2].hash_power = 0.25;
+        let pop = Population::from_profiles(profiles).unwrap();
+        let (view, mut s) = flood(&path_topology(3), &lat, &pop, 0);
+        assert!(view.uniform_weight.is_none(), "the weighted branch runs");
+        let mut cov = [SimTime::ZERO; 3];
+        s.coverage_times_into(&view, &[0.5, 0.75, 1.0], &mut cov);
+        // 50% covered instantly by the miner itself.
+        assert_eq!(cov[0].as_ms(), 0.0);
+        // 75% needs node1 (t=10).
+        assert_eq!(cov[1].as_ms(), 10.0);
+        // 100% needs node2 (t=35).
+        assert_eq!(cov[2].as_ms(), 35.0);
+    }
+
+    #[test]
+    fn unreachable_coverage_is_infinite() {
+        let (pop, lat) = line_world(&[0.0, 10.0, 30.0], 5.0);
+        let mut topo = Topology::new(3, ConnectionLimits::unlimited());
+        topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
+        // Node 2 isolated.
+        let (view, mut s) = flood(&topo, &lat, &pop, 0);
+        let mut cov = [SimTime::ZERO; 2];
+        s.coverage_times_into(&view, &[0.9, 0.6], &mut cov);
+        assert!(cov[0].is_infinite());
+        assert_eq!(cov[1].as_ms(), 10.0);
+    }
+
+    #[test]
+    fn shortest_path_beats_direct_slow_link() {
+        // 0 at x=0, 1 at x=5, 2 at x=9; triangle; with zero validation the
+        // direct 0->2 link (9ms) beats the two-hop (5+4=9 plus validation).
+        let (pop, lat) = line_world(&[0.0, 5.0, 9.0], 3.0);
+        let mut topo = path_topology(3);
+        topo.connect(NodeId::new(0), NodeId::new(2)).unwrap();
+        let (_, s) = flood(&topo, &lat, &pop, 0);
+        assert_eq!(s.arrival(NodeId::new(2)).as_ms(), 9.0);
     }
 }

@@ -67,8 +67,8 @@ fn assert_flood_agrees(
 }
 
 /// Simulates `src` on both queue kinds under `cfg` and asserts the full
-/// event record is bit-equal: arrivals, the entire per-edge delivery
-/// matrix and the owned outcome conversion.
+/// event record is bit-equal: arrivals and the entire per-edge delivery
+/// matrix.
 fn assert_gossip_agrees(
     view: &TopologyView,
     src: NodeId,
@@ -84,7 +84,6 @@ fn assert_gossip_agrees(
     for e in 0..view.directed_edge_count() {
         assert_eq!(heap.delivery(e), cal.delivery(e), "delivery {e} diverged");
     }
-    assert_eq!(heap.to_outcome(view), cal.to_outcome(view));
 }
 
 #[test]

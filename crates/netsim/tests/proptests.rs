@@ -1,13 +1,15 @@
 //! Property-based tests of the simulator substrate.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use perigee_netsim::pq::{CalendarQueue, PackedQueue, QueueKind, TimeKey, BUCKET_WIDTH_MS};
 use perigee_netsim::{
-    broadcast, gossip_block, BroadcastScratch, ConnectionLimits, EventQueue, FaultPlan,
-    GeoLatencyModel, GossipConfig, GossipScratch, LatencyModel, LinkFaultRates, LinkFlaps, NodeId,
+    reference, BroadcastScratch, ConnectionLimits, EventQueue, FaultPlan, GeoLatencyModel,
+    GossipConfig, GossipScratch, LatencyModel, LinkFaultRates, LinkFlaps, NodeId,
     PopulationBuilder, Region, RegionalWindow, RoundDelta, SimTime, Topology, TopologyView,
     WorldDelta,
 };
@@ -50,6 +52,13 @@ fn random_connected_topology(n: usize, rng: &mut StdRng) -> Topology {
     topo
 }
 
+/// The last gossiped block's whole delivery matrix, in CSR edge order.
+fn deliveries(view: &TopologyView, s: &GossipScratch) -> Vec<SimTime> {
+    (0..view.directed_edge_count())
+        .map(|e| s.delivery(e))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -71,26 +80,6 @@ proptest! {
         }
     }
 
-    /// The two propagation engines agree exactly in flooding mode on
-    /// arbitrary connected topologies.
-    #[test]
-    fn engines_agree_in_flood_mode(n in 3usize..60, seed in 0u64..500) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pop = PopulationBuilder::new(n).build(&mut rng).unwrap();
-        let lat = GeoLatencyModel::new(&pop, seed);
-        let topo = random_connected_topology(n, &mut rng);
-        let src = NodeId::new(rng.gen_range(0..n as u32));
-        let fast = broadcast(&topo, &lat, &pop, src);
-        let slow = gossip_block(&topo, &lat, &pop, src, &GossipConfig::flood());
-        for i in 0..n as u32 {
-            let v = NodeId::new(i);
-            prop_assert!(
-                (fast.arrival(v).as_ms() - slow.arrival(v).as_ms()).abs() < 1e-9,
-                "disagreement at {}", v
-            );
-        }
-    }
-
     /// Coverage time is monotone in the coverage fraction.
     #[test]
     fn coverage_time_is_monotone(n in 3usize..60, seed in 0u64..300) {
@@ -98,10 +87,13 @@ proptest! {
         let pop = PopulationBuilder::new(n).build(&mut rng).unwrap();
         let lat = GeoLatencyModel::new(&pop, seed);
         let topo = random_connected_topology(n, &mut rng);
-        let prop_out = broadcast(&topo, &lat, &pop, NodeId::new(0));
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut scratch = BroadcastScratch::new();
+        view.broadcast_into(NodeId::new(0), &mut scratch);
+        let mut cov = [SimTime::ZERO; 6];
+        scratch.coverage_times_into(&view, &[0.1, 0.3, 0.5, 0.7, 0.9, 1.0], &mut cov);
         let mut last = SimTime::ZERO;
-        for f in [0.1, 0.3, 0.5, 0.7, 0.9, 1.0] {
-            let t = prop_out.coverage_time(&pop, f);
+        for t in cov {
             prop_assert!(t >= last);
             last = t;
         }
@@ -116,7 +108,9 @@ proptest! {
         let lat = GeoLatencyModel::new(&pop, seed);
         let topo = random_connected_topology(n, &mut rng);
         let src = NodeId::new(rng.gen_range(0..n as u32));
-        let out = broadcast(&topo, &lat, &pop, src);
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut out = BroadcastScratch::new();
+        view.broadcast_into(src, &mut out);
         prop_assert_eq!(out.arrival(src), SimTime::ZERO);
         for i in 0..n as u32 {
             let v = NodeId::new(i);
@@ -166,9 +160,9 @@ proptest! {
     }
 
     /// Allocation-free floods through a reused scratch are bit-identical
-    /// to the per-call `broadcast()` wrapper, across many blocks.
+    /// to floods through a fresh one, across many blocks.
     #[test]
-    fn scratch_floods_match_broadcast(n in 3usize..60, seed in 0u64..300) {
+    fn reused_scratch_floods_match_fresh_scratch(n in 3usize..60, seed in 0u64..300) {
         let mut rng = StdRng::seed_from_u64(seed);
         let pop = PopulationBuilder::new(n).build(&mut rng).unwrap();
         let lat = GeoLatencyModel::new(&pop, seed);
@@ -178,11 +172,12 @@ proptest! {
         for _ in 0..4 {
             let src = NodeId::new(rng.gen_range(0..n as u32));
             view.broadcast_into(src, &mut scratch);
-            let legacy = broadcast(&topo, &lat, &pop, src);
-            prop_assert_eq!(scratch.arrivals(), legacy.arrivals());
+            let mut fresh = BroadcastScratch::new();
+            view.broadcast_into(src, &mut fresh);
+            prop_assert_eq!(scratch.arrivals(), fresh.arrivals());
             for i in 0..n as u32 {
                 let v = NodeId::new(i);
-                prop_assert_eq!(scratch.relay_start(v), legacy.relay_start(v));
+                prop_assert_eq!(scratch.relay_start(v), fresh.relay_start(v));
             }
         }
     }
@@ -214,10 +209,10 @@ proptest! {
         }
     }
 
-    /// The pooled engine and the per-call `gossip_block` wrapper agree in
-    /// INV/GETDATA mode, including the full per-edge delivery matrix.
+    /// The pooled engine and the reference event-queue engine agree in
+    /// INV/GETDATA mode, including every node's full delivery log.
     #[test]
-    fn gossip_scratch_matches_wrapper_in_inv_mode(n in 3usize..50, seed in 0u64..200) {
+    fn gossip_scratch_matches_reference_in_inv_mode(n in 3usize..50, seed in 0u64..200) {
         let mut rng = StdRng::seed_from_u64(seed);
         let pop = PopulationBuilder::new(n).build(&mut rng).unwrap();
         let lat = GeoLatencyModel::new(&pop, seed);
@@ -227,9 +222,17 @@ proptest! {
         let cfg = GossipConfig::inv_getdata(0.0);
         let src = NodeId::new(rng.gen_range(0..n as u32));
         view.gossip_into(src, &cfg, &mut scratch);
-        let owned = gossip_block(&topo, &lat, &pop, src, &cfg);
-        prop_assert_eq!(scratch.arrivals(), owned.arrivals());
-        prop_assert_eq!(&scratch.to_outcome(&view), &owned);
+        let (arrivals, logs) = reference::gossip_block(&topo, &lat, &pop, src, &cfg);
+        prop_assert_eq!(scratch.arrivals(), arrivals.as_slice());
+        for i in 0..n as u32 {
+            let v = NodeId::new(i);
+            let log: BTreeMap<NodeId, SimTime> = view
+                .neighbors(v)
+                .zip(scratch.neighbor_deliveries(&view, v))
+                .filter(|(_, t)| t.is_finite())
+                .collect();
+            prop_assert_eq!(&log, &logs[v.index()], "delivery log of {}", v);
+        }
     }
 
     /// An *inert* `FaultPlan` — zero rates, no windows, no flaps, no
@@ -266,7 +269,7 @@ proptest! {
                 view.gossip_into(src, &cfg, &mut g_plain);
                 view.gossip_into_faulted(src, &cfg, &mut g_faulted, Some(&bf));
                 prop_assert_eq!(g_plain.arrivals(), g_faulted.arrivals());
-                prop_assert_eq!(&g_plain.to_outcome(&view), &g_faulted.to_outcome(&view));
+                prop_assert_eq!(deliveries(&view, &g_plain), deliveries(&view, &g_faulted));
             }
         }
     }
@@ -538,13 +541,14 @@ proptest! {
         let pop = PopulationBuilder::new(n).build(&mut rng).unwrap();
         let lat = GeoLatencyModel::new(&pop, seed);
         let topo = random_connected_topology(n, &mut rng);
-        let src = NodeId::new(0);
-        let out = broadcast(&topo, &lat, &pop, src);
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut out = BroadcastScratch::new();
+        view.broadcast_into(NodeId::new(0), &mut out);
         for i in 0..n as u32 {
             let v = NodeId::new(i);
             for u in topo.neighbors(v) {
                 prop_assert!(
-                    out.delivery(&lat, u, v) >= out.arrival(v),
+                    out.relay_start(u) + lat.delay(u, v) >= out.arrival(v),
                     "neighbor {} delivered to {} before its first arrival", u, v
                 );
             }

@@ -49,7 +49,7 @@ impl TopologyBuilder for FullMeshBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perigee_netsim::{broadcast, GeoLatencyModel, PopulationBuilder};
+    use perigee_netsim::{BroadcastScratch, GeoLatencyModel, PopulationBuilder, TopologyView};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -72,7 +72,9 @@ mod tests {
         let topo =
             FullMeshBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
         let src = NodeId::new(3);
-        let prop = broadcast(&topo, &lat, &pop, src);
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut prop = BroadcastScratch::new();
+        view.broadcast_into(src, &mut prop);
         for i in 0..25u32 {
             let v = NodeId::new(i);
             if v == src {

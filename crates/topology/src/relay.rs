@@ -122,7 +122,9 @@ impl RelayOverlay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perigee_netsim::{broadcast, ConnectionLimits, GeoLatencyModel, PopulationBuilder};
+    use perigee_netsim::{
+        BroadcastScratch, ConnectionLimits, GeoLatencyModel, PopulationBuilder, TopologyView,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -138,7 +140,9 @@ mod tests {
         assert_eq!(topo.edge_count(), 19, "tree over 20 members");
         // The tree alone connects all members.
         let src = overlay.members()[0];
-        let prop = broadcast(&topo, &lat, &pop, src);
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut prop = BroadcastScratch::new();
+        view.broadcast_into(src, &mut prop);
         for &m in overlay.members() {
             assert!(prop.arrival(m).is_finite(), "member {m} reachable");
         }

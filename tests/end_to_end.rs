@@ -4,7 +4,8 @@
 use perigee::core::{PerigeeConfig, PerigeeEngine, PropagationMode, ScoringMethod};
 use perigee::experiments::{fig3, fig5, Algorithm, Scenario};
 use perigee::netsim::{
-    broadcast, gossip_block, ConnectionLimits, GossipConfig, LatencyModel, NodeId, QueueKind,
+    reference, BroadcastScratch, ConnectionLimits, GossipConfig, GossipScratch, LatencyModel,
+    NodeId, QueueKind, TopologyView,
 };
 use perigee::topology::{RandomBuilder, TopologyBuilder};
 use rand::SeedableRng;
@@ -92,9 +93,9 @@ fn figure5_histogram_mass_shifts_low() {
     assert!(perigee.mean_latency_ms < random.mean_latency_ms);
 }
 
-/// The analytic (Dijkstra) engine and the message-level event engine agree
-/// exactly in flooding mode — on a realistic learned topology, not just
-/// toy graphs.
+/// The analytic (Dijkstra) engine and the seed's message-level event
+/// engine agree exactly in flooding mode — on a realistic learned
+/// topology, not just toy graphs.
 #[test]
 fn engines_agree_on_a_learned_topology() {
     let scenario = Scenario {
@@ -106,14 +107,17 @@ fn engines_agree_on_a_learned_topology() {
     };
     let out = perigee::experiments::run_algorithm(Algorithm::PerigeeSubset, &scenario, 5);
     let cfg = GossipConfig::flood();
+    let view = TopologyView::new(&out.topology, &out.latency, &out.population);
+    let mut fast = BroadcastScratch::new();
     for src in [0u32, 42, 141] {
         let src = NodeId::new(src);
-        let fast = broadcast(&out.topology, &out.latency, &out.population, src);
-        let slow = gossip_block(&out.topology, &out.latency, &out.population, src, &cfg);
+        view.broadcast_into(src, &mut fast);
+        let (slow, _) =
+            reference::gossip_block(&out.topology, &out.latency, &out.population, src, &cfg);
         for i in 0..scenario.nodes as u32 {
             let v = NodeId::new(i);
             assert!(
-                (fast.arrival(v).as_ms() - slow.arrival(v).as_ms()).abs() < 1e-6,
+                (fast.arrival(v).as_ms() - slow[v.index()].as_ms()).abs() < 1e-6,
                 "engines disagree at {v}"
             );
         }
@@ -133,20 +137,11 @@ fn inv_getdata_gossip_on_learned_topology() {
     };
     let out = perigee::experiments::run_algorithm(Algorithm::PerigeeSubset, &scenario, 6);
     let src = NodeId::new(7);
-    let flood = gossip_block(
-        &out.topology,
-        &out.latency,
-        &out.population,
-        src,
-        &GossipConfig::flood(),
-    );
-    let inv = gossip_block(
-        &out.topology,
-        &out.latency,
-        &out.population,
-        src,
-        &GossipConfig::inv_getdata(0.0),
-    );
+    let view = TopologyView::new(&out.topology, &out.latency, &out.population);
+    let mut flood = GossipScratch::new();
+    view.gossip_into(src, &GossipConfig::flood(), &mut flood);
+    let mut inv = GossipScratch::new();
+    view.gossip_into(src, &GossipConfig::inv_getdata(0.0), &mut inv);
     for i in 0..scenario.nodes as u32 {
         let v = NodeId::new(i);
         assert!(inv.arrival(v).is_finite());

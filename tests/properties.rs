@@ -3,14 +3,34 @@
 use proptest::prelude::*;
 
 use perigee::core::{
-    ObservationCollector, ScoringMethod, SelectionStrategy, SubsetScoring, VanillaScoring,
+    ObservationCollector, ObservationStore, ScoringMethod, SelectionStrategy, SubsetScoring,
+    VanillaScoring,
 };
 use perigee::metrics::{percentile, DelayCurve};
 use perigee::netsim::{
-    broadcast, ConnectionLimits, GeoLatencyModel, LatencyModel, NodeId, PopulationBuilder, Topology,
+    BroadcastScratch, ConnectionLimits, GeoLatencyModel, LatencyModel, NodeId, Population,
+    PopulationBuilder, Topology, TopologyView,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Floods one block from each of `sources` and collects the round's
+/// observations through the engine's recording path.
+fn observe(
+    topo: &Topology,
+    lat: &GeoLatencyModel,
+    pop: &Population,
+    sources: impl IntoIterator<Item = NodeId>,
+) -> ObservationStore {
+    let view = TopologyView::new(topo, lat, pop);
+    let mut collector = ObservationCollector::from_view(&view);
+    let mut scratch = BroadcastScratch::new();
+    for src in sources {
+        view.broadcast_into(src, &mut scratch);
+        collector.record_scratch(&view, &scratch);
+    }
+    collector.finish()
+}
 
 /// Arbitrary connect/disconnect sequences never violate topology limits.
 fn topology_ops_strategy() -> impl Strategy<Value = (u8, u8, Vec<(u8, u8, bool)>)> {
@@ -94,7 +114,9 @@ proptest! {
             );
         }
         let src = NodeId::new(rng.gen_range(0..n as u32));
-        let prop_result = broadcast(&topo, &lat, &pop, src);
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut prop_result = BroadcastScratch::new();
+        view.broadcast_into(src, &mut prop_result);
         for i in 0..n as u32 {
             let v = NodeId::new(i);
             if v == src { continue; }
@@ -119,12 +141,9 @@ proptest! {
         for i in 6..n as u32 {
             let _ = topo.connect(NodeId::new(i), NodeId::new(i % 6));
         }
-        let mut collector = ObservationCollector::new(&topo);
-        for _ in 0..10 {
-            let src = NodeId::new(rng.gen_range(0..n as u32));
-            collector.record(&broadcast(&topo, &lat, &pop, src), &lat);
-        }
-        let store = collector.finish();
+        let sources: Vec<NodeId> =
+            (0..10).map(|_| NodeId::new(rng.gen_range(0..n as u32))).collect();
+        let store = observe(&topo, &lat, &pop, sources);
         let obs = store.node(NodeId::new(0));
         let scorer = SubsetScoring::new(3, 90.0);
         let all: Vec<NodeId> = (1..6).map(NodeId::new).collect();
@@ -148,12 +167,9 @@ proptest! {
         for i in 9..n as u32 {
             let _ = topo.connect(NodeId::new(i), NodeId::new(1 + (i % 8)));
         }
-        let mut collector = ObservationCollector::new(&topo);
-        for _ in 0..8 {
-            let src = NodeId::new(rng.gen_range(0..n as u32));
-            collector.record(&broadcast(&topo, &lat, &pop, src), &lat);
-        }
-        let store = collector.finish();
+        let sources: Vec<NodeId> =
+            (0..8).map(|_| NodeId::new(rng.gen_range(0..n as u32))).collect();
+        let store = observe(&topo, &lat, &pop, sources);
         let obs = store.node(NodeId::new(0));
         let scorer = VanillaScoring::new(4, 90.0);
         let kept = scorer.retain_stateless(NodeId::new(0), &outgoing, obs);
@@ -183,9 +199,7 @@ proptest! {
                 let _ = topo.connect(NodeId::new(i), NodeId::new(rng.gen_range(0..n as u32)));
             }
         }
-        let mut collector = ObservationCollector::new(&topo);
-        collector.record(&broadcast(&topo, &lat, &pop, NodeId::new(0)), &lat);
-        let all_obs = collector.finish();
+        let all_obs = observe(&topo, &lat, &pop, [NodeId::new(0)]);
         for method in ScoringMethod::ALL {
             let strategy = method.strategy(n, 3, 90.0, 50.0);
             for i in 0..n as u32 {
