@@ -209,9 +209,13 @@ fn bench_traffic_smoke(c: &mut Criterion) {
     }
 
     // Contract 2: a combined 2-round trajectory is bit-identical across
-    // pool widths (8 threads vs the sequential one-thread pool), and every
-    // class reports finite λ.
+    // pool widths (8 and 3 threads vs the sequential one-thread pool), and
+    // every class reports finite λ. The 3-thread pool splits the sketch
+    // fold into uneven edge ranges and runs a partial last wave whenever
+    // a round's chunk count is not a multiple of 3.
     let (mut par, mut rng_par) =
+        engine_with_traffic(SMOKE_NODES, 10, 7, ObservationBackend::Sketch);
+    let (mut mid, mut rng_mid) =
         engine_with_traffic(SMOKE_NODES, 10, 7, ObservationBackend::Sketch);
     let (mut seq, mut rng_seq) =
         engine_with_traffic(SMOKE_NODES, 10, 7, ObservationBackend::Sketch);
@@ -221,13 +225,17 @@ fn bench_traffic_smoke(c: &mut Criterion) {
             .build()
             .unwrap()
     };
-    let (wide, narrow) = (pool(8), pool(1));
+    let (wide, three, narrow) = (pool(8), pool(3), pool(1));
     for _ in 0..2 {
         let a = wide.install(|| par.run_round(&mut rng_par));
-        let b = narrow.install(|| seq.run_round(&mut rng_seq));
-        assert_eq!(a, b, "combined rounds diverged across pool widths");
+        let b = three.install(|| mid.run_round(&mut rng_mid));
+        let c = narrow.install(|| seq.run_round(&mut rng_seq));
+        assert_eq!(a, c, "combined rounds diverged across pool widths (8 vs 1)");
+        assert_eq!(b, c, "combined rounds diverged across pool widths (3 vs 1)");
     }
     assert_eq!(par.last_traffic_stats(), seq.last_traffic_stats());
+    assert_eq!(mid.last_traffic_stats(), seq.last_traffic_stats());
+    assert_eq!(mid.topology(), seq.topology());
     let stats = par
         .last_traffic_stats()
         .expect("workload installed")

@@ -13,7 +13,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use rayon::prelude::*;
 
 use perigee_metrics::P2Quantile;
 use perigee_netsim::{
@@ -33,12 +32,13 @@ use crate::observation::{
 use crate::score::{NodeHistory, ScoringMethod, SelectionStrategy};
 use crate::snapshot::{RunSnapshot, SnapshotError};
 
-/// Blocks per dense worker chunk under the sketch observation backend:
-/// recording always fills exact dense chunks, and sketch mode caps them
-/// at this many blocks before folding each into the per-edge sketches —
-/// bounding the round's transient dense memory at
-/// `SKETCH_CHUNK_BLOCKS × edges × 4` bytes per worker regardless of
-/// `blocks_per_round`.
+/// Blocks (or messages) per dense chunk under the sketch observation
+/// backend: recording always fills exact dense chunks, and sketch mode
+/// caps them at this many items. The fan-out folds each wave of chunks
+/// (one per pool thread) into the per-edge sketches before recording
+/// the next, which bounds the round's transient dense memory at
+/// `SKETCH_CHUNK_BLOCKS × edges × 4` bytes per pool thread, whatever
+/// `blocks_per_round` or the traffic load.
 const SKETCH_CHUNK_BLOCKS: usize = 8;
 
 /// How the engine simulates block propagation inside a round.
@@ -917,8 +917,8 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// every node's per-neighbor observations plus per-block λ50/λ90.
     ///
     /// Blocks are independent under the §2.1 model and consume no RNG, so
-    /// each worker pushes a contiguous chunk of blocks through one
-    /// [`TopologyView`] snapshot with its own reusable scratch — a
+    /// each pool thread pushes contiguous chunks of blocks through one
+    /// [`TopologyView`] snapshot with its own reused scratch — a
     /// [`BroadcastScratch`] under [`PropagationMode::Analytic`], a
     /// [`GossipScratch`] under [`PropagationMode::Gossip`] — and the
     /// chunks are merged back in block order: the result is bit-identical
@@ -956,50 +956,53 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         faults: Option<&RoundFaults>,
         base_block: usize,
     ) -> RoundObservations {
-        let (observations, parts, counters) =
-            self.fan_out(view, miners, None, |start, chunk, collector| {
-                let mut stats = BlockStats::new(chunk.len(), view.len());
-                let mut coverage = [SimTime::ZERO; 2];
-                // Keyed on the block's global index, so a block's fault
-                // pattern does not depend on the chunking.
-                let block_faults = |j: usize| faults.map(|rf| rf.block(base_block + start + j));
-                let counters = match self.mode {
-                    PropagationMode::Analytic => {
-                        let mut scratch =
-                            BroadcastScratch::with_capacity_and_queue(view.len(), self.queue);
-                        for (j, &miner) in chunk.iter().enumerate() {
-                            let bf = block_faults(j);
-                            view.broadcast_into_faulted(miner, &mut scratch, bf.as_ref());
-                            scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
-                            stats.push(coverage, scratch.arrivals());
-                            match &bf {
-                                Some(b) => collector.record_scratch_faulted(view, &scratch, b),
-                                None => collector.record_scratch(view, &scratch),
-                            }
+        // Keyed on the block's global index, so a block's fault pattern
+        // does not depend on the chunking.
+        let block_faults = |i: usize| faults.map(|rf| rf.block(base_block + i));
+        let (observations, parts, counters) = match self.mode {
+            PropagationMode::Analytic => self.fan_out(
+                view,
+                miners,
+                None,
+                || BroadcastScratch::with_capacity_and_queue(view.len(), self.queue),
+                |start, chunk, collector, scratch| {
+                    let mut stats = BlockStats::new(chunk.len(), view.len());
+                    let mut coverage = [SimTime::ZERO; 2];
+                    for (j, &miner) in chunk.iter().enumerate() {
+                        let bf = block_faults(start + j);
+                        view.broadcast_into_faulted(miner, scratch, bf.as_ref());
+                        scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
+                        stats.push(coverage, scratch.arrivals());
+                        match &bf {
+                            Some(b) => collector.record_scratch_faulted(view, scratch, b),
+                            None => collector.record_scratch(view, scratch),
                         }
-                        scratch.take_counters()
                     }
-                    PropagationMode::Gossip(cfg) => {
-                        let mut scratch = GossipScratch::with_capacity_and_queue(
-                            view.len(),
-                            view.directed_edge_count(),
-                            self.queue,
-                        );
-                        for (j, &miner) in chunk.iter().enumerate() {
-                            let bf = block_faults(j);
-                            view.gossip_into_faulted(miner, &cfg, &mut scratch, bf.as_ref());
-                            scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
-                            stats.push(coverage, scratch.arrivals());
-                            // The delivery matrix already holds the faulted
-                            // announcement times, so the fault-free
-                            // collector reads it unchanged.
-                            collector.record_gossip_scratch(view, &scratch);
-                        }
-                        scratch.take_counters()
+                    (stats, scratch.take_counters())
+                },
+            ),
+            PropagationMode::Gossip(cfg) => self.fan_out(
+                view,
+                miners,
+                None,
+                || self.gossip_scratch(view),
+                |start, chunk, collector, scratch| {
+                    let mut stats = BlockStats::new(chunk.len(), view.len());
+                    let mut coverage = [SimTime::ZERO; 2];
+                    for (j, &miner) in chunk.iter().enumerate() {
+                        let bf = block_faults(start + j);
+                        view.gossip_into_faulted(miner, &cfg, scratch, bf.as_ref());
+                        scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
+                        stats.push(coverage, scratch.arrivals());
+                        // The delivery matrix already holds the faulted
+                        // announcement times, so the fault-free
+                        // collector reads it unchanged.
+                        collector.record_gossip_scratch(view, scratch);
                     }
-                };
-                (stats, counters)
-            });
+                    (stats, scratch.take_counters())
+                },
+            ),
+        };
         // Per-node seen counts are integer sums, so elementwise
         // accumulation is order-exact.
         let mut stats = BlockStats::new(miners.len(), view.len());
@@ -1026,9 +1029,10 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// returns the per-class λ-statistics.
     ///
     /// Messages are mutually independent like blocks, so they go through
-    /// the same fan-out: each worker pushes its chunk through one
-    /// [`TopologyView::gossip_batch_into`] call with its own scratch, and
-    /// chunks merge back in message order — bit-identical to one
+    /// the same fan-out: each chunk goes through one
+    /// [`TopologyView::gossip_batch_into`] call on its pool thread's
+    /// reused scratch, and chunks merge back in message order —
+    /// bit-identical to one
     /// sequential [`TopologyView::gossip_into`] call per message (the
     /// batch engine's contract), whatever the thread count.
     fn observe_traffic(
@@ -1044,15 +1048,11 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             view,
             &batch,
             Some(observations),
-            |start, chunk, collector| {
-                let mut scratch = GossipScratch::with_capacity_and_queue(
-                    view.len(),
-                    view.directed_edge_count(),
-                    self.queue,
-                );
+            || self.gossip_scratch(view),
+            |start, chunk, collector, scratch| {
                 let mut per_message = Vec::with_capacity(chunk.len());
                 let mut coverage = [SimTime::ZERO; 2];
-                view.gossip_batch_into(chunk, &mut scratch, |i, s| {
+                view.gossip_batch_into(chunk, scratch, |i, s| {
                     s.batch_coverage_times_into(view, &[0.9, 0.5], &mut coverage);
                     collector.record_gossip_scratch(view, s);
                     per_message.push((
@@ -1104,58 +1104,57 @@ impl<L: LatencyModel> PerigeeEngine<L> {
 
     /// The one observation fan-out behind the block and traffic phases.
     /// Splits `items` (a round's blocks or its traffic messages) into
-    /// contiguous chunks — one per pool thread — and runs
-    /// `body(start, chunk, collector)` for each on the rayon pool, where
-    /// `start` is the chunk's offset into `items`. The chunks then merge
-    /// back in item order: their observation rows append to (dense) or
-    /// fold into (sketch) `store` — a fresh store of the configured
-    /// backend when `None` — and their counters add up. Returns the
-    /// store, each chunk's own results in chunk order, and the counters.
+    /// contiguous chunks and runs `body(start, chunk, collector,
+    /// scratch)` for each on the rayon pool, where `start` is the
+    /// chunk's offset into `items`. Chunks run in *waves* of one chunk
+    /// per pool thread; each pool slot owns one collector and one
+    /// `scratch()`, made once per fan-out and reused by every wave.
+    /// Rows append to (dense) or fold into (sketch) `store` — a fresh
+    /// store of the configured backend when `None` — in item order, and
+    /// the counters add up. Returns the store, each chunk's own results
+    /// in chunk order, and the counters.
     ///
-    /// Items are mutually independent and consume no RNG, and chunk size
-    /// never affects results (the dense merge is an ordered append, the
-    /// sketch fold is chunking-invariant), so the outcome is bit-identical
-    /// to a sequential loop whatever the thread count.
-    fn fan_out<I, P, B>(
+    /// A sketch store folds each wave's rows in before the next wave
+    /// starts, over one disjoint edge range per pool thread, so the
+    /// transient dense rows never exceed pool width ×
+    /// [`SKETCH_CHUNK_BLOCKS`] rows. A dense fan-out has one chunk per
+    /// thread, hence exactly one wave, whose collectors become the store.
+    ///
+    /// Items are mutually independent and consume no RNG, a reused
+    /// scratch simulates exactly like a fresh one, and chunk size never
+    /// affects results (the dense merge is an ordered append, the sketch
+    /// fold is chunking-invariant), so the outcome is bit-identical to a
+    /// sequential loop whatever the thread count.
+    fn fan_out<I, S, P, B>(
         &self,
         view: &TopologyView,
         items: &[I],
         store: Option<RoundStore>,
+        scratch: impl Fn() -> S,
         body: B,
     ) -> (RoundStore, Vec<P>, SimCounters)
     where
         I: Sync,
+        S: Send,
         P: Send,
-        B: Fn(usize, &[I], &mut ObservationCollector) -> (P, SimCounters) + Sync,
+        B: Fn(usize, &[I], &mut ObservationCollector, &mut S) -> (P, SimCounters) + Sync,
     {
         let mut chunk_size = chunk_len(items.len());
         if self.config.observation_backend == ObservationBackend::Sketch {
             // Sketch mode bounds the *transient* dense memory too: every
             // chunk is capped at a constant number of items (even on a
-            // one-thread pool), so peak usage is O(edges), independent of
-            // how many blocks or messages the round carries.
+            // one-thread pool) and folded at the end of its wave, so peak
+            // usage is O(pool × edges), independent of how many blocks or
+            // messages the round carries.
             chunk_size = chunk_size.min(SKETCH_CHUNK_BLOCKS);
         }
         // At least one (possibly empty) chunk, so even an empty round
         // leaves a store over the view's skeleton.
-        let chunks: Vec<(usize, &[I])> = (0..items.len().div_ceil(chunk_size).max(1))
-            .map(|ci| {
-                let start = ci * chunk_size;
-                (start, &items[start..(start + chunk_size).min(items.len())])
-            })
+        let chunk_count = items.len().div_ceil(chunk_size).max(1);
+        let width = rayon::current_num_threads().clamp(1, chunk_count);
+        let mut slots: Vec<(ObservationCollector, S)> = (0..width)
+            .map(|_| (ObservationCollector::from_view(view), scratch()))
             .collect();
-        let parts: Vec<(ObservationCollector, P, SimCounters)> = chunks
-            .par_iter()
-            .map(|&(start, chunk)| {
-                let mut collector = ObservationCollector::from_view(view);
-                collector.reserve_blocks(chunk.len());
-                let (part, counters) = body(start, chunk, &mut collector);
-                (collector, part, counters)
-            })
-            .collect();
-
-        // A fresh store only now: the workers' scratches are gone, so
-        // they never coexist with the per-edge sketches.
         let mut store = store.unwrap_or_else(|| match self.config.observation_backend {
             ObservationBackend::Dense => RoundStore::Dense(ObservationStore::default()),
             ObservationBackend::Sketch => RoundStore::Sketch(SketchObservationStore::from_view(
@@ -1164,22 +1163,45 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             )),
         });
         let mut counters = SimCounters::ZERO;
-        let results = parts
-            .into_iter()
-            .map(|(collector, part, ctr)| {
-                let rows = collector.finish();
-                match &mut store {
-                    // The first dense chunk becomes the store: a move,
-                    // not a copy of the round's largest allocation.
-                    RoundStore::Dense(acc) if acc.is_empty() => *acc = rows,
-                    RoundStore::Dense(acc) => acc.append(rows),
-                    RoundStore::Sketch(acc) => acc.ingest(&rows),
-                }
+        let mut results = Vec::with_capacity(chunk_count);
+        for wave in (0..chunk_count).step_by(width) {
+            let slots = &mut slots[..width.min(chunk_count - wave)];
+            let parts = rayon::par_map_chunks_mut(slots, 1, |i, slot| {
+                let (collector, scratch) = &mut slot[0];
+                let start = (wave + i) * chunk_size;
+                let chunk = &items[start..(start + chunk_size).min(items.len())];
+                collector.reserve_blocks(chunk.len());
+                body(start, chunk, collector, scratch)
+            });
+            for (part, ctr) in parts {
+                results.push(part);
                 counters.merge(&ctr);
-                part
-            })
-            .collect();
+            }
+            if let RoundStore::Sketch(acc) = &mut store {
+                let rows: Vec<&ObservationStore> = slots.iter().map(|(c, _)| c.rows()).collect();
+                acc.ingest_wave(&rows);
+                slots.iter_mut().for_each(|(c, _)| c.clear());
+            }
+        }
+        if let RoundStore::Dense(acc) = &mut store {
+            debug_assert!(chunk_count <= width, "a dense fan-out runs in one wave");
+            for (collector, _) in slots {
+                let rows = collector.finish();
+                // The first dense chunk becomes the store: a move, not a
+                // copy of the round's largest allocation.
+                if acc.is_empty() {
+                    *acc = rows;
+                } else {
+                    acc.append(rows);
+                }
+            }
+        }
         (store, results, counters)
+    }
+
+    /// A gossip scratch sized for `view`, on the engine's queue kind.
+    fn gossip_scratch(&self, view: &TopologyView) -> GossipScratch {
+        GossipScratch::with_capacity_and_queue(view.len(), view.directed_edge_count(), self.queue)
     }
 
     /// Runs one full round: mine, observe (blocks, then the traffic
@@ -1742,13 +1764,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             return self.evaluate(fraction);
         };
         let view = TopologyView::new(&self.topology, &self.latency, &self.population);
-        let scratch = || {
-            GossipScratch::with_capacity_and_queue(
-                view.len(),
-                view.directed_edge_count(),
-                self.queue,
-            )
-        };
+        let scratch = || self.gossip_scratch(&view);
         per_source(view.len(), scratch, |scratch, src| {
             view.gossip_into(src, &cfg, scratch);
             let mut coverage = [SimTime::ZERO];

@@ -42,12 +42,15 @@
 //!
 //! Both observation phases — the round's blocks, in either propagation
 //! mode, and its traffic messages — go through one fan-out: the items
-//! split into contiguous per-worker chunks (capped at a few blocks under
-//! the sketch backend, so transient dense memory stays O(edges)), each
-//! chunk runs on the rayon pool with its own scratch, and the chunks
-//! merge back in item order. Determinism comes from that merge
-//! discipline (fixed item order, order-independent counter sums), so
-//! the output is **bit-identical for any thread count**.
+//! split into contiguous chunks (one per pool thread, or capped at a few
+//! items under the sketch backend), which run on the rayon pool in waves
+//! of one chunk per thread, each thread reusing one collector and one
+//! scratch. The chunks merge back in item order; under the sketch
+//! backend each wave folds into the sketches, one edge range per
+//! thread, before the next wave runs, so transient dense memory stays
+//! O(pool × edges). Determinism comes from that merge discipline (fixed
+//! item order per edge, order-independent counter sums), so the output
+//! is **bit-identical for any thread count**.
 //!
 //! ## Dynamic worlds
 //!

@@ -34,10 +34,13 @@
 //! of the round's block count.
 //!
 //! Recording is unchanged — every path still fills small *dense* chunks
-//! (the per-worker collectors, capped at a constant number of blocks in
-//! sketch mode) — and the sketch store folds each chunk in at merge time
-//! ([`SketchObservationStore::ingest`]), column by column in block
-//! order. Because chunks carry exact raw samples and are ingested in
+//! (the engine's per-slot collectors, capped at a constant number of
+//! blocks in sketch mode) — and the sketch store folds each wave of
+//! chunks in as soon as it is recorded, column by column in block order.
+//! One kernel does every fold: [`SketchObservationStore::ingest`] runs
+//! it over the whole edge range on the calling thread, and the engine
+//! runs it over disjoint edge ranges, one per pool thread. Because
+//! chunks carry exact raw samples and every edge still sees them in
 //! block order, the sketch state is a pure function of the sequential
 //! sample stream: **bit-identical across thread counts and chunk
 //! splits**, with no sketch-merge operator needed.
@@ -270,20 +273,48 @@ impl SketchObservationStore {
     /// a round (in block order) replays the exact sequential sample
     /// stream into every edge's sketch, whatever the chunk sizes were.
     ///
+    /// The sequential reference entry: it runs the one fold kernel over
+    /// the whole edge range on the calling thread, where the engine runs
+    /// the same kernel over one edge range per pool thread.
+    ///
     /// # Panics
     ///
     /// Panics if `chunk` was collected over a different CSR skeleton.
     pub fn ingest(&mut self, chunk: &ObservationStore) {
+        self.check_skeleton(chunk);
+        fold_rows(&mut self.sketches, 0, &self.params, &[chunk]);
+        self.blocks += chunk.blocks;
+    }
+
+    /// [`SketchObservationStore::ingest`] of each of `chunks` in turn,
+    /// on the rayon pool: the edge range splits into one contiguous
+    /// share per pool thread, and each share folds every chunk's rows in
+    /// chunk order. Every sketch therefore sees its samples in the
+    /// sequential order, and the result equals the sequential ingest bit
+    /// for bit at any pool width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a chunk was collected over a different CSR skeleton.
+    pub(crate) fn ingest_wave(&mut self, chunks: &[&ObservationStore]) {
+        for chunk in chunks {
+            self.check_skeleton(chunk);
+        }
+        let share = self
+            .sketches
+            .len()
+            .div_ceil(rayon::current_num_threads())
+            .max(1);
+        let params = &self.params;
+        rayon::par_map_chunks_mut(&mut self.sketches, share, |i, sketches| {
+            fold_rows(sketches, i * share, params, chunks);
+        });
+        self.blocks += chunks.iter().map(|c| c.blocks).sum::<usize>();
+    }
+
+    fn check_skeleton(&self, chunk: &ObservationStore) {
         assert_eq!(self.offsets, chunk.offsets, "CSR offset mismatch");
         assert_eq!(self.edges, chunk.edges, "neighbor snapshot mismatch");
-        let m = self.edges.len();
-        for b in 0..chunk.blocks {
-            let row = &chunk.times[b * m..(b + 1) * m];
-            for (sketch, &t) in self.sketches.iter_mut().zip(row) {
-                sketch.observe(t, &self.params);
-            }
-        }
-        self.blocks += chunk.blocks;
     }
 
     /// Borrowed, allocation-free view of node `v`'s observations.
@@ -298,6 +329,29 @@ impl SketchObservationStore {
                 sketches: &self.sketches,
                 params: &self.params,
             },
+        }
+    }
+}
+
+/// The one sketch fold kernel: feeds every block row of `chunks`, in
+/// order, into `sketches` — the store's edges `lo..lo + sketches.len()`.
+/// Each edge's samples arrive in block order whatever range the caller
+/// hands it, which is what keeps a split fold bit-identical to a whole
+/// one.
+fn fold_rows(
+    sketches: &mut [EdgeSketch],
+    lo: usize,
+    params: &SketchParams,
+    chunks: &[&ObservationStore],
+) {
+    let hi = lo + sketches.len();
+    for chunk in chunks {
+        let m = chunk.edges.len();
+        for b in 0..chunk.blocks {
+            let row = &chunk.times[b * m + lo..b * m + hi];
+            for (sketch, &t) in sketches.iter_mut().zip(row) {
+                sketch.observe(t, params);
+            }
         }
     }
 }
@@ -947,6 +1001,21 @@ impl ObservationCollector {
     pub fn finish(self) -> ObservationStore {
         self.store
     }
+
+    /// The rows recorded so far, borrowed — what a sketch fold reads
+    /// before [`ObservationCollector::clear`] readies the collector for
+    /// its next chunk.
+    pub(crate) fn rows(&self) -> &ObservationStore {
+        &self.store
+    }
+
+    /// Drops every recorded row but keeps the neighbor snapshot and the
+    /// row buffer's capacity, so one collector records chunk after chunk
+    /// without reallocating.
+    pub(crate) fn clear(&mut self) {
+        self.store.times.clear();
+        self.store.blocks = 0;
+    }
 }
 
 /// Unit-test shorthand: floods one block from each of `sources` through
@@ -1130,6 +1199,50 @@ mod tests {
         assert_eq!(whole, split2, "2-way chunking must not change the sketches");
         assert_eq!(whole, split3, "3-way chunking must not change the sketches");
         assert_eq!(whole.block_count(), 8);
+    }
+
+    #[test]
+    fn pool_parallel_fold_matches_sequential_ingest() {
+        // Five links: m = 10 directed edges, which pools of 3 and 7
+        // split into uneven edge ranges.
+        let (pop, lat, mut topo) = world(&[0.0, 10.0, 30.0, 55.0, 70.0]);
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)] {
+            topo.connect(NodeId::new(a), NodeId::new(b)).unwrap();
+        }
+        let view = TopologyView::new(&topo, &lat, &pop);
+        assert_eq!(view.directed_edge_count(), 10);
+
+        // 12 blocks in chunks of 3, 0, 4 and 5: past the sketches' exact
+        // five-sample regime, with one empty chunk.
+        let sources = [0u32, 2, 1, 3, 4, 0, 1, 2, 3, 4, 2, 0];
+        let chunks: Vec<ObservationStore> = [0..3, 3..3, 3..7, 7..12]
+            .into_iter()
+            .map(|range| observe_blocks(&topo, &lat, &pop, &sources[range]))
+            .collect();
+        let chunks: Vec<&ObservationStore> = chunks.iter().collect();
+
+        let mut sequential = SketchObservationStore::from_view(&view, 90.0);
+        for chunk in &chunks {
+            sequential.ingest(chunk);
+        }
+        assert_eq!(sequential.block_count(), 12);
+
+        for threads in [1, 2, 3, 7] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            // All chunks in one wave, and split into two waves.
+            let mut one = SketchObservationStore::from_view(&view, 90.0);
+            let mut two = SketchObservationStore::from_view(&view, 90.0);
+            pool.install(|| {
+                one.ingest_wave(&chunks);
+                two.ingest_wave(&chunks[..2]);
+                two.ingest_wave(&chunks[2..]);
+            });
+            assert_eq!(one, sequential, "one wave, {threads} threads");
+            assert_eq!(two, sequential, "two waves, {threads} threads");
+        }
     }
 
     #[test]

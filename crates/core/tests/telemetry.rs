@@ -171,8 +171,8 @@ fn telemetry_on_and_off_are_bit_identical_in_the_hard_world() {
 
 /// Counter names whose totals depend only on *what was simulated*, not
 /// on how the work was chunked. The excluded four are mechanical:
-/// `epoch_bumps`/`epoch_refills` count per-scratch reuse (each worker
-/// chunk owns a scratch, so they scale with the chunk layout) and the
+/// `epoch_bumps`/`epoch_refills` count per-scratch reuse (each pool
+/// thread owns a scratch, so they scale with the pool width) and the
 /// two `*_peak` gauges watch transient queue/batch occupancy, which may
 /// differ between queue kinds even when every result is identical.
 const SEMANTIC_COUNTERS: [&str; 11] = [
@@ -196,8 +196,8 @@ fn semantic_counters(rec: &TraceRecord) -> Vec<(&str, u64)> {
         .collect()
 }
 
-/// Drops the scratch-lifecycle tallies (one scratch per worker chunk →
-/// they scale with the chunk layout) so a parallel harvest can be
+/// Drops the scratch-lifecycle tallies (one scratch per pool thread →
+/// they scale with the pool width) so a parallel harvest can be
 /// compared field-for-field against a single-scratch sweep.
 fn without_scratch_lifecycle(mut c: SimCounters) -> SimCounters {
     c.epoch_bumps = 0;
@@ -206,7 +206,7 @@ fn without_scratch_lifecycle(mut c: SimCounters) -> SimCounters {
 }
 
 /// The *records* are deterministic too, modulo wall-clock phase
-/// timings and the mechanical chunk-layout counters: every semantic
+/// timings and the mechanical pool-width counters: every semantic
 /// tally and scalar value a round emits is identical across thread
 /// counts and queue kinds, because counter merge is
 /// commutative/associative addition.

@@ -7,7 +7,7 @@
 
 use perigee_core::{
     ObservationBackend, ObservationCollector, PerigeeConfig, PerigeeEngine, PropagationMode,
-    RoundStats, RunSnapshot, ScoringMethod, TrafficRoundStats,
+    RunSnapshot, ScoringMethod,
 };
 use perigee_netsim::{
     ConnectionLimits, GeoLatencyModel, GossipConfig, GossipScratch, PopulationBuilder, QueueKind,
@@ -77,61 +77,66 @@ fn batched_observation_rows_match_sequential_single_passes() {
     }
 }
 
-/// Combined rounds are bit-identical across pinned 1/2/8-thread rayon
-/// pools and both queue kinds — the
-/// same guarantee the blocks-only engine gives, now under ~10× more
-/// messages per round.
+/// Combined rounds are bit-identical across pinned 1/2/3/8-thread rayon
+/// pools and both queue kinds, on both observation backends — the same
+/// guarantee the blocks-only engine gives, now under ~10× more messages
+/// per round. A sketch-mode fan-out runs in waves of one 8-item chunk
+/// per pool thread and folds each wave over one edge range per thread:
+/// 11 blocks end in a short chunk, and the rounds' message counts
+/// (checked below) leave a partial last wave on every multi-thread pool.
 #[test]
 fn combined_rounds_are_thread_and_queue_independent() {
     const ROUNDS: usize = 3;
-    let reference: (Vec<RoundStats>, TrafficRoundStats, Vec<f64>) = {
-        let (mut engine, mut rng) = engine_with(60, 8, 17, ObservationBackend::Dense);
-        let stats = engine.run_rounds(ROUNDS, &mut rng);
-        let traffic = engine.last_traffic_stats().unwrap().clone();
-        (stats, traffic, engine.evaluate(0.9))
-    };
-
-    let mut variants: Vec<(Vec<RoundStats>, TrafficRoundStats, Vec<f64>)> = Vec::new();
-    // Sequential (a one-thread pool), and the reference heap queue.
-    for (threads, kind) in [
-        (1, QueueKind::Calendar),
-        (8, QueueKind::BinaryHeap),
-        (1, QueueKind::BinaryHeap),
-    ] {
+    const BLOCKS: usize = 11;
+    let run = |backend, threads, kind| {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
-        variants.push(pool.install(|| {
-            let (mut engine, mut rng) = engine_with(60, 8, 17, ObservationBackend::Dense);
+        pool.install(|| {
+            let (mut engine, mut rng) = engine_with(59, BLOCKS, 17, backend);
             engine.set_queue_kind(kind);
             let stats = engine.run_rounds(ROUNDS, &mut rng);
             let traffic = engine.last_traffic_stats().unwrap().clone();
-            (stats, traffic, engine.evaluate(0.9))
-        }));
-    }
-    // Pinned pools: the chunk layout changes, the results must not.
-    for threads in [1, 2, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        let variant = pool.install(|| {
-            let (mut engine, mut rng) = engine_with(60, 8, 17, ObservationBackend::Dense);
-            let stats = engine.run_rounds(ROUNDS, &mut rng);
-            let traffic = engine.last_traffic_stats().unwrap().clone();
-            (stats, traffic, engine.evaluate(0.9))
-        });
-        variants.push(variant);
+            (
+                stats,
+                traffic,
+                engine.evaluate(0.9),
+                engine.topology().clone(),
+            )
+        })
+    };
+
+    // The engine caps sketch-mode chunks at 8 items.
+    let (engine, _) = engine_with(59, BLOCKS, 17, ObservationBackend::Sketch);
+    let chunks: Vec<usize> = (0..ROUNDS as u64)
+        .map(|r| {
+            let messages = engine
+                .traffic()
+                .unwrap()
+                .messages_for_round(r, engine.population());
+            messages.len().div_ceil(8)
+        })
+        .collect();
+    for width in [2, 3, 8] {
+        assert!(
+            chunks.iter().any(|c| c % width != 0),
+            "no round leaves a partial last wave on {width} threads: {chunks:?}"
+        );
     }
 
-    for (i, variant) in variants.iter().enumerate() {
-        assert_eq!(&reference.0, &variant.0, "RoundStats differ (variant {i})");
-        assert_eq!(
-            &reference.1, &variant.1,
-            "traffic stats differ (variant {i})"
-        );
-        assert_eq!(&reference.2, &variant.2, "evaluation differs (variant {i})");
+    for backend in [ObservationBackend::Dense, ObservationBackend::Sketch] {
+        let reference = run(backend, 1, QueueKind::Calendar);
+        for threads in [1, 2, 3, 8] {
+            for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
+                let variant = run(backend, threads, kind);
+                let case = format!("{backend:?}, {threads} threads, {kind:?}");
+                assert_eq!(reference.0, variant.0, "RoundStats differ ({case})");
+                assert_eq!(reference.1, variant.1, "traffic stats differ ({case})");
+                assert_eq!(reference.2, variant.2, "evaluation differs ({case})");
+                assert_eq!(reference.3, variant.3, "topology differs ({case})");
+            }
+        }
     }
 }
 
