@@ -207,13 +207,16 @@ fn bench_round_throughput(c: &mut Criterion) {
     )
     .expect("bench configuration is valid");
 
+    // One snapshot per round, like the engine's first round.
+    let round = || engine.observe_round(&TopologyView::new(&topo, &lat, &pop), &miners);
+
     let mut group = c.benchmark_group("round");
     group.sample_size(10);
     group.bench_function("legacy_sequential_1000x100", |b| {
         b.iter(|| legacy_round(&topo, &lat, &pop, &miners));
     });
     group.bench_function("csr_rayon_1000x100", |b| {
-        b.iter(|| engine.observe_round(&miners));
+        b.iter(round);
     });
     group.finish();
 
@@ -222,7 +225,7 @@ fn bench_round_throughput(c: &mut Criterion) {
     }
 
     // Cross-check the pipelines agree before reporting a speedup.
-    let sum90: f64 = engine.observe_round(&miners).lambda90_ms().iter().sum();
+    let sum90: f64 = round().lambda90_ms().iter().sum();
     let legacy_sum90 = legacy_round(&topo, &lat, &pop, &miners);
     assert_eq!(sum90, legacy_sum90, "round pipelines diverged");
 
@@ -237,7 +240,7 @@ fn bench_round_throughput(c: &mut Criterion) {
     let mut fast = [0.0f64; 3];
     for slot in &mut fast {
         let start = Instant::now();
-        criterion::black_box(engine.observe_round(&miners));
+        criterion::black_box(round());
         *slot = start.elapsed().as_secs_f64();
     }
     let (l, f) = (median(&mut legacy), median(&mut fast));

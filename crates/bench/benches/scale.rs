@@ -99,7 +99,7 @@ fn bench_scale(c: &mut Criterion) {
         b.iter(|| view.gossip_into(NodeId::new(0), &cfg, &mut scratch));
     });
     group.bench_function("analytic_round_10000x100", |b| {
-        b.iter(|| engine.observe_round_with(&view, &miners));
+        b.iter(|| engine.observe_round(&view, &miners));
     });
     group.finish();
 
@@ -111,11 +111,11 @@ fn bench_scale(c: &mut Criterion) {
     let mut round = [0.0f64; 3];
     for slot in &mut round {
         let start = Instant::now();
-        criterion::black_box(engine.observe_round_with(&view, &miners));
+        criterion::black_box(engine.observe_round(&view, &miners));
         *slot = start.elapsed().as_secs_f64();
     }
     let round_s = median(&mut round);
-    let store = engine.observe_round_with(&view, &miners);
+    let store = engine.observe_round(&view, &miners);
     let matrix_mb = store.observations().matrix_bytes() as f64 / (1024.0 * 1024.0);
     let edges = store.observations().directed_edge_count();
     println!(
@@ -163,11 +163,11 @@ fn bench_scale(c: &mut Criterion) {
     let mut sk = [0.0f64; 3];
     for slot in &mut sk {
         let start = Instant::now();
-        criterion::black_box(sketch_engine.observe_round_with(&view, &miners));
+        criterion::black_box(sketch_engine.observe_round(&view, &miners));
         *slot = start.elapsed().as_secs_f64();
     }
     let sketch_s = median(&mut sk);
-    let sketch_store = sketch_engine.observe_round_with(&view, &miners);
+    let sketch_store = sketch_engine.observe_round(&view, &miners);
     let sketch_bytes = sketch_store.observations().matrix_bytes();
     let dense_bytes = store.observations().matrix_bytes();
     assert!(
@@ -200,11 +200,11 @@ fn bench_scale(c: &mut Criterion) {
     let mut huge = [0.0f64; 3];
     for slot in &mut huge {
         let start = Instant::now();
-        criterion::black_box(engine100k.observe_round_with(&view100k, &miners100k));
+        criterion::black_box(engine100k.observe_round(&view100k, &miners100k));
         *slot = start.elapsed().as_secs_f64();
     }
     let huge_s = median(&mut huge);
-    let huge_store = engine100k.observe_round_with(&view100k, &miners100k);
+    let huge_store = engine100k.observe_round(&view100k, &miners100k);
     let huge_edges = huge_store.observations().directed_edge_count();
     let huge_bytes = huge_store.observations().matrix_bytes();
     println!(
@@ -270,14 +270,14 @@ fn bench_scale_smoke(c: &mut Criterion) {
         b.iter(|| view.gossip_into(NodeId::new(0), &cfg, &mut scratch));
     });
     group.bench_function("analytic_round_1000x10", |b| {
-        b.iter(|| engine.observe_round_with(&view, &miners));
+        b.iter(|| engine.observe_round(&view, &miners));
     });
     group.finish();
 
     // The smoke pass also cross-checks the flat store against the
     // reference recording path (a latency-model call per neighbor) once,
     // so CI exercises the equivalence, not just the speed.
-    let round = engine.observe_round_with(&view, &miners);
+    let round = engine.observe_round(&view, &miners);
     let mut legacy = perigee_core::ObservationCollector::from_view(&view);
     let mut scratch = BroadcastScratch::new();
     for &miner in &miners {
@@ -309,9 +309,9 @@ fn bench_sketch_smoke(c: &mut Criterion) {
     let view = TopologyView::new(&topo, &lat, &pop);
     let mut rng = StdRng::seed_from_u64(14);
     let miners = MinerSampler::new(&pop).sample_round(100, &mut rng);
-    let dense = engine_for(&pop, &lat, &topo, 100).observe_round_with(&view, &miners);
+    let dense = engine_for(&pop, &lat, &topo, 100).observe_round(&view, &miners);
     let sketch = engine_with_backend(&pop, &lat, &topo, 100, ObservationBackend::Sketch)
-        .observe_round_with(&view, &miners);
+        .observe_round(&view, &miners);
     let dense_bytes = dense.observations().matrix_bytes();
     let sketch_bytes = sketch.observations().matrix_bytes();
     assert!(

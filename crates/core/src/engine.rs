@@ -41,50 +41,6 @@ use crate::snapshot::{RunSnapshot, SnapshotError};
 /// `blocks_per_round` or the traffic load.
 const SKETCH_CHUNK_BLOCKS: usize = 8;
 
-/// How the engine simulates block propagation inside a round.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum PropagationMode {
-    /// The fast analytic engine (Dijkstra over the §2 model). The default;
-    /// exactly equivalent to message-level flooding with negligible blocks.
-    #[default]
-    Analytic,
-    /// The message-level event engine with the given gossip configuration
-    /// (Bitcoin INV/GETDATA exchange and/or bandwidth-limited transfers).
-    /// Perigee then observes *announcement* times, as §4.1 describes
-    /// ("blocks, or advertisements for blocks").
-    Gossip(GossipConfig),
-}
-
-mod codec {
-    //! Checkpoint codec impls (see `serde::bin`).
-
-    use serde::bin::{Decode, DecodeError, Encode, Reader};
-
-    use super::PropagationMode;
-
-    impl Encode for PropagationMode {
-        fn encode(&self, out: &mut Vec<u8>) {
-            match self {
-                PropagationMode::Analytic => 0u8.encode(out),
-                PropagationMode::Gossip(cfg) => {
-                    1u8.encode(out);
-                    cfg.encode(out);
-                }
-            }
-        }
-    }
-
-    impl Decode for PropagationMode {
-        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            match u8::decode(r)? {
-                0 => Ok(PropagationMode::Analytic),
-                1 => Ok(PropagationMode::Gossip(Decode::decode(r)?)),
-                _ => Err(DecodeError::new("unknown propagation mode tag")),
-            }
-        }
-    }
-}
-
 /// Per-round summary statistics (used for convergence plots and the
 /// dynamic-world λ-curve tracking).
 ///
@@ -195,7 +151,10 @@ pub struct PerigeeEngine<L> {
     sampler: MinerSampler,
     config: PerigeeConfig,
     adopters: Vec<bool>,
-    mode: PropagationMode,
+    /// How blocks propagate: the §2 flood by default, or any message-level
+    /// [`GossipConfig`] ([`PerigeeEngine::set_propagation`]). Its
+    /// [`GossipConfig::is_analytic`] picks the kernel.
+    propagation: GossipConfig,
     address_book: Option<AddressBook>,
     /// Which priority-queue implementation the per-worker scratches run
     /// on (calendar by default; the reference heap for equivalence runs).
@@ -373,7 +332,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             sampler,
             config,
             adopters,
-            mode: PropagationMode::Analytic,
+            propagation: GossipConfig::flood(),
             address_book: None,
             queue: QueueKind::default(),
             round: 0,
@@ -440,8 +399,9 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// reproduces the no-plan run exactly.
     ///
     /// Only [`PerigeeEngine::run_round`] is affected:
-    /// [`PerigeeEngine::evaluate`] and friends keep measuring the
-    /// overlay's intrinsic quality on healthy links.
+    /// [`PerigeeEngine::evaluate`], [`PerigeeEngine::observe_round`] and
+    /// [`evaluate_topology`] keep measuring the overlay's intrinsic
+    /// quality on healthy links.
     ///
     /// # Errors
     ///
@@ -718,7 +678,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             config: self.config,
             method: self.method,
             queue: self.queue,
-            mode: self.mode,
+            propagation: self.propagation,
             adopters: self.adopters.clone(),
             histories: self.histories.clone(),
             population: self.population.clone(),
@@ -755,7 +715,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             config,
             method,
             queue,
-            mode,
+            propagation,
             adopters,
             histories,
             population,
@@ -795,7 +755,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 sampler,
                 config,
                 adopters,
-                mode,
+                propagation,
                 address_book,
                 queue,
                 round: round as usize,
@@ -855,15 +815,33 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         self.address_book.as_ref()
     }
 
-    /// Selects how blocks propagate during rounds (analytic flooding by
-    /// default; message-level INV/GETDATA with bandwidth on request).
-    pub fn set_propagation_mode(&mut self, mode: PropagationMode) {
-        self.mode = mode;
+    /// Sets how blocks propagate in rounds and in
+    /// [`PerigeeEngine::evaluate`]: the §2 flood by default
+    /// ([`GossipConfig::flood`]), or message-level INV/GETDATA, push/pull
+    /// and bandwidth-limited transfers on request. Perigee then observes
+    /// *announcement* times, as §4.1 describes ("blocks, or
+    /// advertisements for blocks").
+    ///
+    /// The config alone picks the kernel: when
+    /// [`GossipConfig::is_analytic`] holds (flooding a zero-size block)
+    /// the engine runs the analytic Dijkstra flood, whose arrivals and
+    /// observation rows equal the message-level event loop's bit for bit,
+    /// faults included; any other config runs the event loop.
+    ///
+    /// # Errors
+    ///
+    /// [`NetsimError::InvalidConfig`] for a NaN, infinite or negative
+    /// block size ([`TransferModel::validate`](perigee_netsim::TransferModel::validate)),
+    /// leaving the current config in place.
+    pub fn set_propagation(&mut self, config: GossipConfig) -> Result<(), NetsimError> {
+        config.transfer.validate()?;
+        self.propagation = config;
+        Ok(())
     }
 
-    /// The active propagation mode.
-    pub fn propagation_mode(&self) -> PropagationMode {
-        self.mode
+    /// How blocks propagate ([`PerigeeEngine::set_propagation`]).
+    pub fn propagation(&self) -> GossipConfig {
+        self.propagation
     }
 
     /// Restricts which nodes run Perigee updates; the rest keep their
@@ -912,44 +890,36 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         self.round
     }
 
-    /// The propagation phase of a round: floods `miners`' blocks over the
-    /// current topology (fanned out across the rayon pool) and collects
-    /// every node's per-neighbor observations plus per-block λ50/λ90.
+    /// The propagation phase of a round: floods `miners`' blocks through
+    /// `view` (fanned out across the rayon pool) and collects every
+    /// node's per-neighbor observations plus per-block λ50/λ90.
     ///
     /// Blocks are independent under the §2.1 model and consume no RNG, so
-    /// each pool thread pushes contiguous chunks of blocks through one
-    /// [`TopologyView`] snapshot with its own reused scratch — a
-    /// [`BroadcastScratch`] under [`PropagationMode::Analytic`], a
-    /// [`GossipScratch`] under [`PropagationMode::Gossip`] — and the
-    /// chunks are merged back in block order: the result is bit-identical
-    /// to a sequential loop in either mode.
-    pub fn observe_round(&self, miners: &[NodeId]) -> RoundObservations {
-        let view = TopologyView::new(&self.topology, &self.latency, &self.population);
-        self.observe_round_with(&view, miners)
-    }
-
-    /// Like [`PerigeeEngine::observe_round`] but floods through a
-    /// caller-supplied snapshot instead of building one — the hot path of
-    /// [`PerigeeEngine::run_round`], which carries one view across rounds
-    /// and patches it incrementally between them.
+    /// each pool thread pushes contiguous chunks of blocks through the
+    /// snapshot with its own reused scratch — a [`BroadcastScratch`] when
+    /// the [`PerigeeEngine::propagation`] config is analytic, a
+    /// [`GossipScratch`] otherwise — and the chunks are merged back in
+    /// block order: the result is bit-identical to a sequential loop
+    /// either way.
     ///
     /// # Panics
     ///
     /// Panics (possibly deep in the flood) if `view` is not a faithful
     /// snapshot of the engine's current topology, latency model and
     /// population.
-    pub fn observe_round_with(&self, view: &TopologyView, miners: &[NodeId]) -> RoundObservations {
+    pub fn observe_round(&self, view: &TopologyView, miners: &[NodeId]) -> RoundObservations {
         self.observe_round_faulted(view, miners, None, 0)
     }
 
-    /// Like [`PerigeeEngine::observe_round_with`] but under a compiled
-    /// round of link faults: every announcement leg runs through
-    /// [`RoundFaults::block`]'s per-edge drop/delay/duplication draws
-    /// (`faults: None` takes the exact fault-free code path). Because a
-    /// block's fault pattern is keyed on its *global* index
-    /// `base_block + position`, not on which worker simulates it, the
-    /// result stays bit-identical across thread counts and queue kinds.
-    pub fn observe_round_faulted(
+    /// [`PerigeeEngine::observe_round`] under a compiled round of link
+    /// faults — the `propagation` phase of [`PerigeeEngine::run_round`]:
+    /// every announcement leg runs through [`RoundFaults::block`]'s
+    /// per-edge drop/delay/duplication draws (`faults: None` takes the
+    /// exact fault-free code path). Because a block's fault pattern is
+    /// keyed on its *global* index `base_block + position`, not on which
+    /// worker simulates it, the result stays bit-identical across thread
+    /// counts and queue kinds.
+    fn observe_round_faulted(
         &self,
         view: &TopologyView,
         miners: &[NodeId],
@@ -959,8 +929,9 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         // Keyed on the block's global index, so a block's fault pattern
         // does not depend on the chunking.
         let block_faults = |i: usize| faults.map(|rf| rf.block(base_block + i));
-        let (observations, parts, counters) = match self.mode {
-            PropagationMode::Analytic => self.fan_out(
+        let config = &self.propagation;
+        let (observations, parts, counters) = if config.is_analytic() {
+            self.fan_out(
                 view,
                 miners,
                 None,
@@ -980,18 +951,19 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                     }
                     (stats, scratch.take_counters())
                 },
-            ),
-            PropagationMode::Gossip(cfg) => self.fan_out(
+            )
+        } else {
+            self.fan_out(
                 view,
                 miners,
                 None,
-                || self.gossip_scratch(view),
+                || gossip_scratch(view, self.queue),
                 |start, chunk, collector, scratch| {
                     let mut stats = BlockStats::new(chunk.len(), view.len());
                     let mut coverage = [SimTime::ZERO; 2];
                     for (j, &miner) in chunk.iter().enumerate() {
                         let bf = block_faults(start + j);
-                        view.gossip_into_faulted(miner, &cfg, scratch, bf.as_ref());
+                        view.gossip_into_faulted(miner, config, scratch, bf.as_ref());
                         scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
                         stats.push(coverage, scratch.arrivals());
                         // The delivery matrix already holds the faulted
@@ -1001,7 +973,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                     }
                     (stats, scratch.take_counters())
                 },
-            ),
+            )
         };
         // Per-node seen counts are integer sums, so elementwise
         // accumulation is order-exact.
@@ -1048,7 +1020,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             view,
             &batch,
             Some(observations),
-            || self.gossip_scratch(view),
+            || gossip_scratch(view, self.queue),
             |start, chunk, collector, scratch| {
                 let mut per_message = Vec::with_capacity(chunk.len());
                 let mut coverage = [SimTime::ZERO; 2];
@@ -1197,11 +1169,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             }
         }
         (store, results, counters)
-    }
-
-    /// A gossip scratch sized for `view`, on the engine's queue kind.
-    fn gossip_scratch(&self, view: &TopologyView) -> GossipScratch {
-        GossipScratch::with_capacity_and_queue(view.len(), view.directed_edge_count(), self.queue)
     }
 
     /// Runs one full round: mine, observe (blocks, then the traffic
@@ -1720,57 +1687,24 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         (0..rounds).map(|_| self.run_round(rng)).collect()
     }
 
-    /// Evaluates the current topology: for every node `v`, the time λv for
-    /// a block mined by `v` to reach `fraction` of the hash power.
-    /// Returns per-node values in id order (ms). Always uses the analytic
-    /// engine (on the configured [`PerigeeEngine::queue_kind`]); see
-    /// [`PerigeeEngine::evaluate_in_mode`] to measure under the active
-    /// propagation mode instead.
-    pub fn evaluate(&self, fraction: f64) -> Vec<f64> {
-        evaluate_multi(
-            &self.topology,
-            &self.latency,
-            &self.population,
-            &[fraction],
-            self.queue,
-        )
-        .pop()
-        .expect("one fraction requested")
-    }
-
-    /// Like [`PerigeeEngine::evaluate`] but restricted to *live* sources,
-    /// in id order — the right aggregation for dynamic worlds, where
-    /// retired slots would otherwise contribute meaningless `∞` rows
-    /// (a dead node has no edges and zero hash power). Identical to
-    /// [`PerigeeEngine::evaluate`] on a static world.
-    pub fn evaluate_alive(&self, fraction: f64) -> Vec<f64> {
-        self.evaluate(fraction)
-            .into_iter()
-            .enumerate()
-            .filter(|&(i, _)| self.population.is_alive(NodeId::new(i as u32)))
-            .map(|(_, x)| x)
-            .collect()
-    }
-
-    /// Like [`PerigeeEngine::evaluate`] but measures under the active
-    /// [`PropagationMode`] — e.g. with INV/GETDATA round trips and
-    /// bandwidth-limited block transfers included.
+    /// Evaluates the current topology: for every live node `v`, in id
+    /// order, the time λv (ms) for a block mined by `v` to reach
+    /// `fraction` of the hash power — under the engine's
+    /// [`PerigeeEngine::propagation`] config (INV/GETDATA round trips and
+    /// transfers included when set) and [`PerigeeEngine::queue_kind`].
+    /// Retired slots are skipped: a dead node has no edges and zero hash
+    /// power, so its row would only be a meaningless `∞`. Link faults are
+    /// not applied: this measures the overlay's intrinsic quality.
     ///
-    /// Like [`evaluate_topology_multi`], the per-source simulations run
-    /// through one frozen [`TopologyView`] with per-worker scratches over
-    /// the rayon pool; values land in id order either way.
-    pub fn evaluate_in_mode(&self, fraction: f64) -> Vec<f64> {
-        let PropagationMode::Gossip(cfg) = self.mode else {
-            return self.evaluate(fraction);
-        };
+    /// The per-source simulations run through one fresh
+    /// [`TopologyView`] with one scratch per chunk of sources over the
+    /// rayon pool; values land in id order whatever the pool width.
+    pub fn evaluate(&self, fraction: f64) -> Vec<f64> {
         let view = TopologyView::new(&self.topology, &self.latency, &self.population);
-        let scratch = || self.gossip_scratch(&view);
-        per_source(view.len(), scratch, |scratch, src| {
-            view.gossip_into(src, &cfg, scratch);
-            let mut coverage = [SimTime::ZERO];
-            scratch.coverage_times_into(&view, &[fraction], &mut coverage);
-            coverage[0].as_ms()
-        })
+        let sources: Vec<NodeId> = self.population.ids_alive().collect();
+        evaluate_sources(&view, &sources, &[fraction], &self.propagation, self.queue)
+            .pop()
+            .expect("one fraction requested")
     }
 
     /// Refills `v`'s free outgoing slots with random exploration peers.
@@ -1885,81 +1819,89 @@ fn follow_world_delta(
     }
 }
 
-/// The per-source sweep behind every evaluation: runs `source` once per
-/// node as the block source, fanning contiguous source chunks over the
-/// rayon pool with one `scratch()` per chunk, and returns the results in
-/// id order — identical to a sequential loop whatever the pool width.
-fn per_source<S, T: Send>(
-    n: usize,
-    scratch: impl Fn() -> S + Sync,
-    source: impl Fn(&mut S, NodeId) -> T + Sync,
-) -> Vec<T> {
-    let chunk = chunk_len(n);
-    let parts: Vec<Vec<T>> = rayon::par_map_index(n.div_ceil(chunk), |ci| {
-        let mut s = scratch();
-        (ci * chunk..n.min((ci + 1) * chunk))
-            .map(|i| source(&mut s, NodeId::new(i as u32)))
-            .collect()
-    });
-    parts.into_iter().flatten().collect()
-}
-
-/// Evaluates λ(`fraction`) for every node as block source on a static
-/// topology — the measurement behind every delay-curve figure.
+/// Evaluates a static topology: λ(`fraction`) in ms for every node as
+/// block source, in id order, for every entry of `fractions` (the paper
+/// reports both 90% and 50%) — one vector per fraction, in the order
+/// given — under the §2 flood model. The measurement behind every
+/// delay-curve figure.
+///
+/// Floods one [`TopologyView`] snapshot from every source, fanning the
+/// independent sources across the rayon pool; per-source values land in
+/// id order, so the output is identical to the sequential computation.
 pub fn evaluate_topology<L: LatencyModel + ?Sized>(
     topology: &Topology,
     latency: &L,
     population: &Population,
-    fraction: f64,
-) -> Vec<f64> {
-    evaluate_topology_multi(topology, latency, population, &[fraction])
-        .pop()
-        .expect("one fraction requested")
-}
-
-/// Like [`evaluate_topology`] but measures several coverage fractions from
-/// a single flood per source (the paper reports both 90% and 50%).
-/// Returns one per-node vector per fraction, in the order given.
-///
-/// Floods one [`TopologyView`] snapshot from every source, fanning the
-/// independent sources across the rayon pool; per-source values land in id
-/// order, so the output is identical to the sequential computation.
-pub fn evaluate_topology_multi<L: LatencyModel + ?Sized>(
-    topology: &Topology,
-    latency: &L,
-    population: &Population,
     fractions: &[f64],
 ) -> Vec<Vec<f64>> {
-    evaluate_multi(
-        topology,
-        latency,
-        population,
+    let view = TopologyView::new(topology, latency, population);
+    let sources: Vec<NodeId> = (0..view.len() as u32).map(NodeId::new).collect();
+    evaluate_sources(
+        &view,
+        &sources,
         fractions,
+        &GossipConfig::flood(),
         QueueKind::default(),
     )
 }
 
-/// [`evaluate_topology_multi`] on an explicit [`QueueKind`] — what
-/// [`PerigeeEngine::evaluate`] threads its configured kind through, so
-/// heap-reference runs stay comparable end to end.
-fn evaluate_multi<L: LatencyModel + ?Sized>(
-    topology: &Topology,
-    latency: &L,
-    population: &Population,
+/// The per-source sweep behind both evaluations: propagates one block
+/// from each of `sources` through `view` under `config` on `queue` —
+/// the analytic flood when [`GossipConfig::is_analytic`] holds, else the
+/// message-level engine — and returns λ for each entry of `fractions`,
+/// one vector per fraction, in `sources` order.
+fn evaluate_sources(
+    view: &TopologyView,
+    sources: &[NodeId],
     fractions: &[f64],
+    config: &GossipConfig,
     queue: QueueKind,
 ) -> Vec<Vec<f64>> {
-    let view = TopologyView::new(topology, latency, population);
-    let scratch = || BroadcastScratch::with_capacity_and_queue(view.len(), queue);
-    let rows = per_source(view.len(), scratch, |scratch, src| {
-        view.broadcast_into(src, scratch);
-        let mut coverage = vec![SimTime::ZERO; fractions.len()];
-        scratch.coverage_times_into(&view, fractions, &mut coverage);
-        coverage
-    });
+    let rows = if config.is_analytic() {
+        let scratch = || BroadcastScratch::with_capacity_and_queue(view.len(), queue);
+        per_source(sources, scratch, |s, src| {
+            view.broadcast_into(src, s);
+            let mut coverage = vec![SimTime::ZERO; fractions.len()];
+            s.coverage_times_into(view, fractions, &mut coverage);
+            coverage
+        })
+    } else {
+        let scratch = || gossip_scratch(view, queue);
+        per_source(sources, scratch, |s, src| {
+            view.gossip_into(src, config, s);
+            let mut coverage = vec![SimTime::ZERO; fractions.len()];
+            s.coverage_times_into(view, fractions, &mut coverage);
+            coverage
+        })
+    };
     (0..fractions.len())
         .map(|k| rows.iter().map(|row| row[k].as_ms()).collect())
         .collect()
+}
+
+/// A gossip scratch sized for `view`, on the given queue kind.
+fn gossip_scratch(view: &TopologyView, queue: QueueKind) -> GossipScratch {
+    GossipScratch::with_capacity_and_queue(view.len(), view.directed_edge_count(), queue)
+}
+
+/// Runs `source` once per entry of `sources`, fanning contiguous source
+/// chunks over the rayon pool with one `scratch()` per chunk, and returns
+/// the results in `sources` order — identical to a sequential loop
+/// whatever the pool width.
+fn per_source<S, T: Send>(
+    sources: &[NodeId],
+    scratch: impl Fn() -> S + Sync,
+    source: impl Fn(&mut S, NodeId) -> T + Sync,
+) -> Vec<T> {
+    let chunk = chunk_len(sources.len());
+    let parts: Vec<Vec<T>> = rayon::par_map_index(sources.len().div_ceil(chunk), |ci| {
+        let mut s = scratch();
+        sources[ci * chunk..sources.len().min((ci + 1) * chunk)]
+            .iter()
+            .map(|&src| source(&mut s, src))
+            .collect()
+    });
+    parts.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -2223,7 +2165,7 @@ mod tests {
         assert_eq!(engine.view_rebuilds(), 1);
         engine.assert_view_consistency();
         // Joiners are reachable: λ90 over live sources stays finite.
-        let lambdas = engine.evaluate_alive(0.9);
+        let lambdas = engine.evaluate(0.9);
         assert_eq!(lambdas.len(), alive);
         assert!(
             lambdas.iter().all(|l| l.is_finite()),
@@ -2390,12 +2332,13 @@ mod tests {
 
     #[test]
     fn gossip_mode_rounds_learn_too() {
-        use perigee_netsim::GossipConfig;
         let (mut engine, mut rng) = small_engine(120, ScoringMethod::Subset, 20, 12);
-        engine.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)));
-        let before: f64 = engine.evaluate_in_mode(0.9).iter().sum::<f64>() / 120.0;
+        engine
+            .set_propagation(GossipConfig::inv_getdata(0.0))
+            .unwrap();
+        let before: f64 = engine.evaluate(0.9).iter().sum::<f64>() / 120.0;
         engine.run_rounds(8, &mut rng);
-        let after: f64 = engine.evaluate_in_mode(0.9).iter().sum::<f64>() / 120.0;
+        let after: f64 = engine.evaluate(0.9).iter().sum::<f64>() / 120.0;
         assert!(
             after < before,
             "perigee should learn under INV/GETDATA too: {before:.1} -> {after:.1}"
@@ -2403,16 +2346,86 @@ mod tests {
         engine.topology().assert_invariants();
     }
 
+    /// The default config runs the analytic kernel; the flood-mode event
+    /// loop must give the very same round — same λs, same rows, hence the
+    /// same decisions — with an active fault plan and silent and delaying
+    /// relays in the overlay.
     #[test]
     fn analytic_and_flood_gossip_modes_agree() {
-        use perigee_netsim::GossipConfig;
-        let (mut a, mut rng_a) = small_engine(60, ScoringMethod::Subset, 10, 13);
-        let (mut b, mut rng_b) = small_engine(60, ScoringMethod::Subset, 10, 13);
-        b.set_propagation_mode(PropagationMode::Gossip(GossipConfig::flood()));
-        let sa = a.run_round(&mut rng_a);
-        let sb = b.run_round(&mut rng_b);
-        assert!((sa.mean_lambda90_ms - sb.mean_lambda90_ms).abs() < 1e-6);
-        assert_eq!(a.topology(), b.topology(), "same decisions either way");
+        use perigee_netsim::{Behavior, FaultPlan, LinkFaultRates};
+        let (mut engine, mut rng) = small_engine(60, ScoringMethod::Subset, 10, 13);
+        let pop = engine.population_mut();
+        pop.profile_mut(NodeId::new(3)).behavior = Behavior::Silent;
+        pop.profile_mut(NodeId::new(8)).behavior = Behavior::Delay(SimTime::from_ms(300.0));
+        let plan = FaultPlan {
+            base: LinkFaultRates {
+                drop_prob: 0.1,
+                extra_delay: SimTime::from_ms(4.0),
+                jitter: SimTime::from_ms(20.0),
+                duplicate_prob: 0.1,
+            },
+            ..FaultPlan::inert(7)
+        };
+        engine.set_fault_plan(plan).unwrap();
+        assert!(engine.propagation().is_analytic());
+
+        let view = engine.view();
+        let faults = engine.fault_compile(&view).expect("an active plan");
+        let miners = engine.sampler.sample_round(10, &mut rng);
+        let round = engine.observe_round_faulted(&view, &miners, Some(&faults), 0);
+
+        let mut collector = ObservationCollector::from_view(&view);
+        let mut scratch = GossipScratch::new();
+        let (mut lambda90, mut lambda50) = (Vec::new(), Vec::new());
+        let mut seen = vec![0u32; view.len()];
+        for (i, &miner) in miners.iter().enumerate() {
+            let bf = faults.block(i);
+            view.gossip_into_faulted(miner, &GossipConfig::flood(), &mut scratch, Some(&bf));
+            let mut coverage = [SimTime::ZERO; 2];
+            scratch.coverage_times_into(&view, &[0.9, 0.5], &mut coverage);
+            lambda90.push(coverage[0].as_ms());
+            lambda50.push(coverage[1].as_ms());
+            for (s, t) in seen.iter_mut().zip(scratch.arrivals()) {
+                *s += u32::from(t.is_finite());
+            }
+            collector.record_gossip_scratch(&view, &scratch);
+        }
+        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+        assert!((mean(round.lambda90_ms()) - mean(&lambda90)).abs() < 1e-6);
+        assert_eq!(round.lambda90_ms(), lambda90.as_slice());
+        assert_eq!(round.lambda50_ms(), lambda50.as_slice());
+        assert_eq!(round.seen(), seen.as_slice());
+        assert_eq!(
+            round.observations().as_dense().unwrap(),
+            &collector.finish(),
+            "same rows, hence the same decisions either way"
+        );
+    }
+
+    #[test]
+    fn invalid_block_sizes_are_rejected_and_leave_the_config() {
+        let (mut engine, _) = small_engine(20, ScoringMethod::Subset, 2, 15);
+        let inv = GossipConfig::inv_getdata(0.5);
+        engine.set_propagation(inv).unwrap();
+        for size in [-1.0, -0.001, f64::NAN, f64::INFINITY] {
+            for bad in [
+                GossipConfig::inv_getdata(size),
+                GossipConfig::push_pull(size, 2),
+            ] {
+                assert!(
+                    matches!(
+                        engine.set_propagation(bad),
+                        Err(NetsimError::InvalidConfig(_))
+                    ),
+                    "block size {size} must be rejected"
+                );
+                assert_eq!(
+                    engine.propagation(),
+                    inv,
+                    "a rejected config changes nothing"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,19 @@
 //! * [`engine`] — [`PerigeeEngine`], Algorithm 1's round loop
 //!   (observe → score → retain best → explore), including incremental
 //!   deployment; the round's CSR snapshot is carried across rounds and
-//!   patched in place with the net rewiring delta instead of rebuilt;
+//!   patched in place with the net rewiring delta instead of rebuilt.
+//!   Blocks are messages: one block
+//!   [`GossipConfig`](perigee_netsim::GossipConfig) says how they move
+//!   ([`PerigeeEngine::set_propagation`](engine::PerigeeEngine::set_propagation),
+//!   the §2 flood by default), and the config alone picks the kernel —
+//!   the analytic Dijkstra flood when
+//!   [`GossipConfig::is_analytic`](perigee_netsim::GossipConfig::is_analytic)
+//!   holds (it equals the message-level flood bit for bit), the
+//!   message-level event loop otherwise. Three entry points measure:
+//!   [`PerigeeEngine::evaluate`](engine::PerigeeEngine::evaluate) (λ per
+//!   live source), [`evaluate_topology`] (a static overlay) and
+//!   [`PerigeeEngine::observe_round`](engine::PerigeeEngine::observe_round)
+//!   (one round's propagation phase);
 //! * [`adversary`] — free-rider / eclipse / throttling attacker models.
 //!
 //! ## Memory and scale
@@ -40,8 +52,8 @@
 //! reads whichever backend the round carried through the same
 //! [`RoundStore`](observation::RoundStore) interface.
 //!
-//! Both observation phases — the round's blocks, in either propagation
-//! mode, and its traffic messages — go through one fan-out: the items
+//! Both observation phases — the round's blocks, on either kernel, and
+//! its traffic messages — go through one fan-out: the items
 //! split into contiguous chunks (one per pool thread, or capped at a few
 //! items under the sketch backend), which run on the rayon pool in waves
 //! of one chunk per thread, each thread reusing one collector and one
@@ -139,8 +151,8 @@ pub use audit::{AuditCheck, AuditReport, AuditViolation};
 pub use config::PerigeeConfig;
 pub use discovery::AddressBook;
 pub use engine::{
-    evaluate_topology, evaluate_topology_multi, PerigeeEngine, PropagationMode, RoundObservations,
-    RoundStats, TrafficClassRoundStats, TrafficRoundStats,
+    evaluate_topology, PerigeeEngine, RoundObservations, RoundStats, TrafficClassRoundStats,
+    TrafficRoundStats,
 };
 pub use liveness::{LivenessConfig, LivenessTracker, PeerHealth};
 pub use observation::{

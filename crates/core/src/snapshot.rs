@@ -3,7 +3,7 @@
 //!
 //! A snapshot captures *complete* cross-round run state — everything the
 //! determinism contract depends on: the engine configuration and round
-//! counter, the [`Population`] (free-list, stable ids, hash power), the
+//! counter, the queue kind and the block [`GossipConfig`], the [`Population`] (free-list, stable ids, hash power), the
 //! learned [`Topology`], the engine's per-node score histories
 //! ([`NodeHistory`] — UCB's per-connection `T̿u,v`, blank under Vanilla
 //! and Subset), the [`AddressBook`], the [`LivenessTracker`]'s counters
@@ -43,12 +43,12 @@ use std::fmt;
 use serde::bin::{fnv1a64, Decode, DecodeError, Encode, Reader};
 
 use perigee_netsim::{
-    ChurnProcess, FaultPlan, Population, QueueKind, Topology, TrafficConfig, WorldDelta,
+    ChurnProcess, FaultPlan, GossipConfig, Population, QueueKind, Topology, TrafficConfig,
+    WorldDelta,
 };
 
 use crate::config::PerigeeConfig;
 use crate::discovery::AddressBook;
-use crate::engine::PropagationMode;
 use crate::liveness::LivenessTracker;
 use crate::score::{NodeHistory, ScoringMethod};
 
@@ -69,11 +69,14 @@ const MAGIC: [u8; 4] = *b"PRGS";
 /// score state becomes a typed per-node [`NodeHistory`] array owned by
 /// the engine (it was the strategy's opaque byte blob), and the
 /// parallel-switch byte is gone (the rayon pool width is the only
-/// parallelism setting, and results never depend on it). Older
+/// parallelism setting, and results never depend on it); **5** — the
+/// block propagation setting is the engine's [`GossipConfig`] itself
+/// (v4 stored a propagation-mode tag byte in front of an optional
+/// config), so the kernel is picked from the config on resume. Older
 /// envelopes are rejected with [`SnapshotError::UnsupportedVersion`] —
 /// re-run the capture, don't guess at a world whose id space may have
 /// been renumbered.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be read back.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,7 +131,7 @@ pub struct RunSnapshot {
     pub(crate) config: PerigeeConfig,
     pub(crate) method: ScoringMethod,
     pub(crate) queue: QueueKind,
-    pub(crate) mode: PropagationMode,
+    pub(crate) propagation: GossipConfig,
     pub(crate) adopters: Vec<bool>,
     pub(crate) histories: Vec<NodeHistory>,
     pub(crate) population: Population,
@@ -184,7 +187,7 @@ impl RunSnapshot {
         self.config.encode(out);
         self.method.encode(out);
         self.queue.encode(out);
-        self.mode.encode(out);
+        self.propagation.encode(out);
         self.adopters.encode(out);
         self.histories.encode(out);
         self.population.encode(out);
@@ -207,7 +210,7 @@ impl RunSnapshot {
             config: Decode::decode(r)?,
             method: Decode::decode(r)?,
             queue: Decode::decode(r)?,
-            mode: Decode::decode(r)?,
+            propagation: Decode::decode(r)?,
             adopters: Vec::decode(r)?,
             histories: Vec::decode(r)?,
             population: Decode::decode(r)?,
@@ -359,7 +362,7 @@ mod tests {
             config: PerigeeConfig::default(),
             method: ScoringMethod::Subset,
             queue: QueueKind::Calendar,
-            mode: PropagationMode::Analytic,
+            propagation: GossipConfig::flood(),
             adopters: vec![true, true],
             histories: vec![NodeHistory::default(); 2],
             population,

@@ -6,12 +6,12 @@
 //! `ObservationCollector::record` (or `record_gossip`) and measured by
 //! `reference::coverage_times`.
 
-use perigee_core::{
-    ObservationCollector, PerigeeConfig, PerigeeEngine, PropagationMode, ScoringMethod,
-};
+use perigee_core::{ObservationCollector, PerigeeConfig, PerigeeEngine, ScoringMethod};
+use perigee_metrics::P2Quantile;
 use perigee_netsim::{
-    reference, BroadcastScratch, ConnectionLimits, GeoLatencyModel, GossipConfig, MinerSampler,
-    NodeId, PopulationBuilder, SimTime, TopologyView,
+    reference, Behavior, BroadcastScratch, ConnectionLimits, FaultPlan, GeoLatencyModel,
+    GossipConfig, GossipScratch, LinkFaultRates, MinerSampler, NodeId, PopulationBuilder, Region,
+    SimTime, TopologyView,
 };
 use perigee_topology::{RandomBuilder, TopologyBuilder};
 use rand::rngs::StdRng;
@@ -19,6 +19,11 @@ use rand::SeedableRng;
 
 fn engine(n: usize, blocks: usize, seed: u64) -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
     engine_with(n, blocks, seed, ScoringMethod::Subset)
+}
+
+/// A fresh snapshot of `engine`'s current world.
+fn view_of(engine: &PerigeeEngine<GeoLatencyModel>) -> TopologyView {
+    TopologyView::new(engine.topology(), engine.latency(), engine.population())
 }
 
 /// Runs `f` inside a dedicated rayon pool of `threads` workers.
@@ -72,12 +77,13 @@ fn parallel_rounds_are_bit_identical_to_sequential() {
 fn pinned_thread_pool_matches_default_pool() {
     let (engine_a, mut rng) = engine(120, 25, 7);
     let miners = MinerSampler::new(engine_a.population()).sample_round(25, &mut rng);
-    let wide = engine_a.observe_round(&miners);
+    let view = view_of(&engine_a);
+    let wide = engine_a.observe_round(&view, &miners);
     let narrow = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
         .unwrap()
-        .install(|| engine_a.observe_round(&miners));
+        .install(|| engine_a.observe_round(&view, &miners));
     assert_eq!(wide.lambda90_ms(), narrow.lambda90_ms());
     assert_eq!(wide.lambda50_ms(), narrow.lambda50_ms());
     assert_eq!(wide.observations(), narrow.observations());
@@ -92,13 +98,9 @@ fn observe_round_matches_legacy_pipeline() {
     let (engine_a, mut rng) = engine(130, 20, 11);
     let miners = MinerSampler::new(engine_a.population()).sample_round(20, &mut rng);
 
-    let round = engine_a.observe_round(&miners);
+    let view = view_of(&engine_a);
+    let round = engine_a.observe_round(&view, &miners);
 
-    let view = TopologyView::new(
-        engine_a.topology(),
-        engine_a.latency(),
-        engine_a.population(),
-    );
     let mut collector = ObservationCollector::from_view(&view);
     let mut scratch = BroadcastScratch::new();
     let mut legacy90 = Vec::new();
@@ -124,8 +126,8 @@ fn observe_round_matches_legacy_pipeline() {
 fn gossip_mode_is_thread_count_independent() {
     let (mut par, mut rng_par) = engine(80, 12, 23);
     let (mut seq, mut rng_seq) = engine(80, 12, 23);
-    par.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)));
-    seq.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)));
+    par.set_propagation(GossipConfig::inv_getdata(0.0)).unwrap();
+    seq.set_propagation(GossipConfig::inv_getdata(0.0)).unwrap();
     for _ in 0..3 {
         let a = in_pool(8, || par.run_round(&mut rng_par));
         let b = in_pool(1, || seq.run_round(&mut rng_seq));
@@ -134,11 +136,12 @@ fn gossip_mode_is_thread_count_independent() {
     assert_eq!(par.topology(), seq.topology());
 }
 
-/// The scratch-based Gossip arm of `observe_round` reproduces the legacy
-/// sequential gossip pipeline — the seed's event-queue engine
+/// `observe_round` under every kind of block config reproduces the
+/// legacy sequential gossip pipeline — the seed's event-queue engine
 /// `reference::gossip_block()`, `record_gossip()` over its BTreeMap
 /// delivery logs, `reference::coverage_times` on its arrivals — bit for
-/// bit, for both modes and with bandwidth-limited transfers.
+/// bit: flooding (which the engine runs on the analytic kernel),
+/// INV/GETDATA, and bandwidth-limited transfers.
 #[test]
 fn gossip_observe_round_matches_legacy_gossip_pipeline() {
     for cfg in [
@@ -147,16 +150,12 @@ fn gossip_observe_round_matches_legacy_gossip_pipeline() {
         GossipConfig::inv_getdata(1.0),
     ] {
         let (mut engine_a, mut rng) = engine(100, 15, 19);
-        engine_a.set_propagation_mode(PropagationMode::Gossip(cfg));
+        engine_a.set_propagation(cfg).unwrap();
         let miners = MinerSampler::new(engine_a.population()).sample_round(15, &mut rng);
 
-        let round = engine_a.observe_round(&miners);
+        let view = view_of(&engine_a);
+        let round = engine_a.observe_round(&view, &miners);
 
-        let view = TopologyView::new(
-            engine_a.topology(),
-            engine_a.latency(),
-            engine_a.population(),
-        );
         let mut collector = ObservationCollector::from_view(&view);
         let mut legacy90 = Vec::new();
         let mut legacy50 = Vec::new();
@@ -181,35 +180,114 @@ fn gossip_observe_round_matches_legacy_gossip_pipeline() {
     }
 }
 
-/// Flood-mode gossip rounds are bit-identical to analytic rounds: the
-/// pooled message-level engine computes the exact same arrival floats as
-/// the analytic Dijkstra, both coverage paths share one implementation,
-/// and the observation rows coincide — so whole learning trajectories
-/// match RoundStats for RoundStats and edge for edge.
+/// Flood-mode gossip is bit-identical to the analytic flood, which the
+/// engine runs for its default config: the two kernels — the Dijkstra
+/// (`broadcast_into_faulted` + `record_scratch_faulted`) and the
+/// message-level event loop (`gossip_into_faulted` +
+/// `record_gossip_scratch`) — compute the exact same arrival floats,
+/// coverage times and observation rows, block by block, under an active
+/// fault plan and with silent and delaying relays in the overlay. So the
+/// engine's own rounds carry the event loop's λs RoundStats for
+/// RoundStats, and its decisions read the same rows, round after round
+/// of a learning trajectory.
 #[test]
 fn flood_gossip_rounds_are_bit_identical_to_analytic_rounds() {
-    let (mut analytic, mut rng_a) = engine(120, 20, 37);
-    let (mut flood, mut rng_b) = engine(120, 20, 37);
-    flood.set_propagation_mode(PropagationMode::Gossip(GossipConfig::flood()));
-    for _ in 0..3 {
-        let a = analytic.run_round(&mut rng_a);
-        let b = flood.run_round(&mut rng_b);
-        assert_eq!(a, b, "RoundStats must match bit for bit across engines");
+    const BLOCKS: usize = 20;
+    let (mut engine, mut rng) = engine(120, BLOCKS, 37);
+    let pop = engine.population_mut();
+    pop.profile_mut(NodeId::new(4)).behavior = Behavior::Silent;
+    pop.profile_mut(NodeId::new(9)).behavior = Behavior::Delay(SimTime::from_ms(250.0));
+    let plan = FaultPlan {
+        base: LinkFaultRates {
+            drop_prob: 0.08,
+            extra_delay: SimTime::from_ms(3.0),
+            jitter: SimTime::from_ms(15.0),
+            duplicate_prob: 0.1,
+        },
+        ..FaultPlan::inert(0xF100D)
+    };
+    engine.set_fault_plan(plan.clone()).unwrap();
+    let flood = GossipConfig::flood();
+    assert_eq!(engine.propagation(), flood, "flooding is the default");
+    assert!(flood.is_analytic(), "so rounds run the analytic kernel");
+
+    let mut base_block = 0;
+    for round in 0..3 {
+        let view = view_of(&engine);
+        let regions: Vec<Region> = engine.population().iter().map(|p| p.region).collect();
+        let faults = plan.compile(round, &view, &regions);
+        assert!(!faults.is_inert(), "the plan must bite in round {round}");
+        // The engine's own miner draw: the same sampler on the same RNG.
+        let miners = MinerSampler::new(engine.population()).sample_round(BLOCKS, &mut rng.clone());
+        let (mut analytic, mut gossip) = (BroadcastScratch::new(), GossipScratch::new());
+        let mut lambda90 = Vec::new();
+        let mut lambda50 = Vec::new();
+        for (i, &miner) in miners.iter().enumerate() {
+            let bf = faults.block(base_block + i);
+            view.broadcast_into_faulted(miner, &mut analytic, Some(&bf));
+            view.gossip_into_faulted(miner, &flood, &mut gossip, Some(&bf));
+            assert_eq!(
+                analytic.arrivals(),
+                gossip.arrivals(),
+                "round {round} block {i}: arrivals"
+            );
+            let mut via_analytic = [SimTime::ZERO; 2];
+            let mut via_gossip = [SimTime::ZERO; 2];
+            analytic.coverage_times_into(&view, &[0.9, 0.5], &mut via_analytic);
+            gossip.coverage_times_into(&view, &[0.9, 0.5], &mut via_gossip);
+            assert_eq!(
+                via_analytic, via_gossip,
+                "round {round} block {i}: coverage"
+            );
+            let mut rows_analytic = ObservationCollector::from_view(&view);
+            let mut rows_gossip = ObservationCollector::from_view(&view);
+            rows_analytic.record_scratch_faulted(&view, &analytic, &bf);
+            rows_gossip.record_gossip_scratch(&view, &gossip);
+            assert_eq!(
+                rows_analytic.finish(),
+                rows_gossip.finish(),
+                "round {round} block {i}: observation rows"
+            );
+            lambda90.push(via_gossip[0].as_ms());
+            lambda50.push(via_gossip[1].as_ms());
+        }
+        base_block += BLOCKS;
+
+        let stats = engine.run_round(&mut rng);
+        let mut p90 = P2Quantile::new(90.0);
+        for &l in &lambda90 {
+            p90.observe(l);
+        }
+        assert_eq!(
+            (
+                stats.mean_lambda90_ms,
+                stats.mean_lambda50_ms,
+                stats.p90_lambda90_ms
+            ),
+            (
+                lambda90.iter().sum::<f64>() / BLOCKS as f64,
+                lambda50.iter().sum::<f64>() / BLOCKS as f64,
+                p90.estimate_or_inf()
+            ),
+            "round {round}: RoundStats must match bit for bit across engines"
+        );
     }
-    assert_eq!(analytic.topology(), flood.topology());
+    engine.topology().assert_invariants();
 }
 
 /// Gossip-mode static evaluation is thread-count independent too.
 #[test]
 fn gossip_evaluation_is_thread_count_independent() {
     let (mut engine_a, _) = engine(90, 5, 41);
-    engine_a.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.5)));
-    let wide = engine_a.evaluate_in_mode(0.9);
+    engine_a
+        .set_propagation(GossipConfig::inv_getdata(0.5))
+        .unwrap();
+    let wide = engine_a.evaluate(0.9);
     let narrow = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
         .unwrap()
-        .install(|| engine_a.evaluate_in_mode(0.9));
+        .install(|| engine_a.evaluate(0.9));
     assert_eq!(wide, narrow);
 }
 
@@ -219,7 +297,7 @@ fn gossip_evaluation_is_thread_count_independent() {
 fn per_neighbor_rows_match_legacy_exactly() {
     let (engine_a, _) = engine(90, 5, 31);
     let miners: Vec<NodeId> = (0..5).map(|i| NodeId::new(i * 13)).collect();
-    let round = engine_a.observe_round(&miners);
+    let round = engine_a.observe_round(&view_of(&engine_a), &miners);
     for i in 0..90u32 {
         let v = NodeId::new(i);
         let obs = round.observations().node(v);
@@ -237,18 +315,15 @@ fn per_neighbor_rows_match_legacy_exactly() {
 #[test]
 fn calendar_queue_rounds_match_heap_rounds_across_thread_counts() {
     use perigee_netsim::QueueKind;
-    for mode in [
-        PropagationMode::Analytic,
-        PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)),
-    ] {
+    for config in [GossipConfig::flood(), GossipConfig::inv_getdata(0.0)] {
         let (mut cal, mut rng_cal) = engine(90, 12, 53);
         let (mut heap, mut rng_heap) = engine(90, 12, 53);
         cal.set_queue_kind(QueueKind::Calendar);
         heap.set_queue_kind(QueueKind::BinaryHeap);
         assert_eq!(cal.queue_kind(), QueueKind::Calendar);
         assert_eq!(heap.queue_kind(), QueueKind::BinaryHeap);
-        cal.set_propagation_mode(mode);
-        heap.set_propagation_mode(mode);
+        cal.set_propagation(config).unwrap();
+        heap.set_propagation(config).unwrap();
         let narrow = rayon::ThreadPoolBuilder::new()
             .num_threads(1)
             .build()
@@ -256,12 +331,12 @@ fn calendar_queue_rounds_match_heap_rounds_across_thread_counts() {
         for _ in 0..3 {
             let a = cal.run_round(&mut rng_cal);
             let b = narrow.install(|| heap.run_round(&mut rng_heap));
-            assert_eq!(a, b, "queue kinds diverged under {mode:?}");
+            assert_eq!(a, b, "queue kinds diverged under {config:?}");
         }
         assert_eq!(cal.topology(), heap.topology());
         assert_eq!(
-            cal.evaluate_in_mode(0.9),
-            narrow.install(|| heap.evaluate_in_mode(0.9)),
+            cal.evaluate(0.9),
+            narrow.install(|| heap.evaluate(0.9)),
             "static evaluation must not depend on queue kind or threads"
         );
     }
@@ -449,7 +524,7 @@ fn fault_injected_gossip_rounds_are_queue_kind_independent() {
     };
     let run = |threads: Option<usize>, kind: QueueKind| {
         let (mut e, mut rng) = engine(70, 10, 71);
-        e.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)));
+        e.set_propagation(GossipConfig::inv_getdata(0.0)).unwrap();
         e.set_queue_kind(kind);
         e.set_fault_plan(plan.clone()).unwrap();
         let rounds: Vec<RoundStats> = match threads {

@@ -7,15 +7,16 @@
 //! (silence counters + backoff timers), Poisson churn (its own RNG
 //! stream), an *active* fault plan (burst loss, flaps, a timed
 //! partition) and an address book — across pinned 1/2/8-thread rayon
-//! pools and both priority-queue kinds. The invariant auditor runs every round on both
-//! legs and must stay green throughout.
+//! pools and both priority-queue kinds, on the analytic flood and on
+//! bandwidth-limited INV/GETDATA blocks. The invariant auditor runs every
+//! round on both legs and must stay green throughout.
 
 use perigee_core::{
     PerigeeConfig, PerigeeEngine, RoundStats, RunSnapshot, ScoringMethod, SnapshotError,
 };
 use perigee_netsim::{
-    ChurnProcess, ConnectionLimits, FaultPlan, FaultWindow, GeoLatencyModel, LinkFaultRates,
-    LinkFlaps, PartitionWindow, PopulationBuilder, QueueKind,
+    ChurnProcess, ConnectionLimits, FaultPlan, FaultWindow, GeoLatencyModel, GossipConfig,
+    LinkFaultRates, LinkFlaps, PartitionWindow, PopulationBuilder, QueueKind,
 };
 use perigee_topology::{RandomBuilder, TopologyBuilder};
 use rand::rngs::StdRng;
@@ -59,14 +60,16 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 /// The hardest engine we can build: UCB scores, aggressive liveness,
 /// Poisson churn, the chaos plan, an address book, auditing every round.
 fn chaos_engine(seed: u64, kind: QueueKind) -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
-    chaos_engine_with(seed, kind, ScoringMethod::Ucb)
+    chaos_engine_with(seed, kind, ScoringMethod::Ucb, GossipConfig::flood())
 }
 
-/// [`chaos_engine`] scoring with `method`.
+/// [`chaos_engine`] scoring with `method`, its blocks propagating under
+/// `propagation`.
 fn chaos_engine_with(
     seed: u64,
     kind: QueueKind,
     method: ScoringMethod,
+    propagation: GossipConfig,
 ) -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
     let pop = PopulationBuilder::new(70).build(&mut rng).unwrap();
@@ -77,6 +80,7 @@ fn chaos_engine_with(
     cfg.liveness = perigee_core::LivenessConfig::aggressive();
     let mut engine = PerigeeEngine::new(pop, lat, topo, method, cfg).unwrap();
     engine.set_queue_kind(kind);
+    engine.set_propagation(propagation).unwrap();
     engine.set_churn(ChurnProcess::steady_state(70, 0.04, seed ^ 0x5EED));
     engine.set_fault_plan(chaos_plan(seed ^ 0xFA17)).unwrap();
     let book = perigee_core::AddressBook::bootstrap(engine.population().len(), 4, 24, &mut rng);
@@ -89,12 +93,11 @@ fn chaos_engine_with(
 /// rayon pool.
 fn run_straight(
     seed: u64,
-    kind: QueueKind,
-    method: ScoringMethod,
+    (method, kind, propagation): (ScoringMethod, QueueKind, GossipConfig),
     total: usize,
     threads: Option<usize>,
 ) -> (Vec<RoundStats>, PerigeeEngine<GeoLatencyModel>) {
-    let (mut engine, mut rng) = chaos_engine_with(seed, kind, method);
+    let (mut engine, mut rng) = chaos_engine_with(seed, kind, method, propagation);
     let stats = match threads {
         None => (0..total).map(|_| engine.run_round(&mut rng)).collect(),
         Some(t) => rayon::ThreadPoolBuilder::new()
@@ -111,13 +114,12 @@ fn run_straight(
 /// and run the remaining `total - k` rounds in a pinned pool.
 fn run_killed(
     seed: u64,
-    kind: QueueKind,
-    method: ScoringMethod,
+    (method, kind, propagation): (ScoringMethod, QueueKind, GossipConfig),
     total: usize,
     k: usize,
     threads: Option<usize>,
 ) -> (Vec<RoundStats>, PerigeeEngine<GeoLatencyModel>) {
-    let (mut engine, mut rng) = chaos_engine_with(seed, kind, method);
+    let (mut engine, mut rng) = chaos_engine_with(seed, kind, method, propagation);
     let mut stats: Vec<RoundStats> = (0..k).map(|_| engine.run_round(&mut rng)).collect();
     assert!(engine.audit_failures().is_empty(), "pre-kill audit failed");
 
@@ -145,53 +147,62 @@ fn run_killed(
 /// serialized envelope, and every per-round statistic, the learned
 /// topology, the population (ids, hash power, free-list) and the final
 /// evaluation are the same IEEE-754 values as the uninterrupted run —
-/// for each scoring method and queue kind, and regardless of which
-/// thread count either leg ran under.
+/// for each scoring method and queue kind, on flooded and on 0.5 MB
+/// INV/GETDATA blocks (the block config rides the checkpoint), and
+/// regardless of which thread count either leg ran under.
 #[test]
 fn kill_and_resume_is_bit_identical_to_uninterrupted() {
     const SEED: u64 = 2020;
     const TOTAL: usize = 18;
     const K: usize = 9;
 
-    for (method, kind) in ScoringMethod::ALL
+    let kinds = [QueueKind::Calendar, QueueKind::BinaryHeap];
+    let flooded = ScoringMethod::ALL
         .into_iter()
-        .flat_map(|m| [(m, QueueKind::Calendar), (m, QueueKind::BinaryHeap)])
-    {
-        let (ref_stats, ref_engine) = run_straight(SEED, kind, method, TOTAL, None);
+        .flat_map(|m| kinds.map(|k| (m, k, GossipConfig::flood())));
+    let inv = kinds.map(|k| (ScoringMethod::Ucb, k, GossipConfig::inv_getdata(0.5)));
+    for case in flooded.chain(inv) {
+        let propagation = case.2;
+        let (ref_stats, ref_engine) = run_straight(SEED, case, TOTAL, None);
         assert!(
             ref_stats.iter().any(|s| s.joined > 0) && ref_stats.iter().any(|s| s.departed > 0),
-            "churn must fire on {method}/{kind:?} for this test to bite"
+            "churn must fire on {case:?} for this test to bite"
         );
         assert!(
             ref_engine.audit_failures().is_empty(),
-            "reference run must audit clean on {method}/{kind:?}"
+            "reference run must audit clean on {case:?}"
         );
         assert_eq!(ref_engine.audits_run(), TOTAL);
 
         for threads in [Some(1), Some(2), Some(8)] {
-            let (stats, engine) = run_killed(SEED, kind, method, TOTAL, K, threads);
+            let (stats, engine) = run_killed(SEED, case, TOTAL, K, threads);
+            assert_eq!(
+                engine.propagation(),
+                propagation,
+                "the block config must survive the checkpoint on {case:?}"
+            );
             assert_eq!(
                 stats, ref_stats,
-                "resumed RoundStats diverged at {threads:?} threads on {method}/{kind:?}"
+                "resumed RoundStats diverged at {threads:?} threads on {case:?}"
             );
             assert_eq!(
                 engine.topology(),
                 ref_engine.topology(),
-                "topology diverged at {threads:?}/{method}/{kind:?}"
+                "topology diverged at {threads:?} threads on {case:?}"
             );
             assert_eq!(
                 engine.population(),
                 ref_engine.population(),
-                "population diverged at {threads:?}/{method}/{kind:?}"
+                "population diverged at {threads:?} threads on {case:?}"
             );
             assert_eq!(
                 engine.evaluate(0.9),
                 ref_engine.evaluate(0.9),
-                "evaluation diverged at {threads:?}/{method}/{kind:?}"
+                "evaluation diverged at {threads:?} threads on {case:?}"
             );
             assert!(
                 engine.audit_failures().is_empty(),
-                "resumed run must audit clean at {threads:?}/{method}/{kind:?}"
+                "resumed run must audit clean at {threads:?} threads on {case:?}"
             );
             assert_eq!(engine.rounds_run(), TOTAL);
         }
@@ -298,16 +309,19 @@ fn corrupted_snapshots_are_rejected_with_structured_errors() {
 
 /// Checked-in envelopes of older format versions — version 1 (written
 /// before the snapshot carried the compaction epoch and the latency
-/// placement keys) and version 3 (a UCB run whose score state was still
-/// the strategy's opaque bytes, next to the parallel-switch byte) — are
-/// rejected with a *structured* [`SnapshotError::UnsupportedVersion`] —
-/// never a panic, never a misdecoded world. Truncated prefixes of the
-/// old files must not panic either.
+/// placement keys), version 3 (a UCB run whose score state was still
+/// the strategy's opaque bytes, next to the parallel-switch byte) and
+/// version 4 (a UCB run whose block propagation was still a mode tag in
+/// front of an optional gossip config) — are rejected with a
+/// *structured* [`SnapshotError::UnsupportedVersion`] — never a panic,
+/// never a misdecoded world. Truncated prefixes of the old files must
+/// not panic either.
 #[test]
 fn old_snapshot_versions_are_rejected_with_unsupported_version() {
-    let fixtures: [(&[u8], u32); 2] = [
+    let fixtures: [(&[u8], u32); 3] = [
         (include_bytes!("fixtures/snapshot_v1.bin"), 1),
         (include_bytes!("fixtures/snapshot_v3.bin"), 3),
+        (include_bytes!("fixtures/snapshot_v4.bin"), 4),
     ];
     for (bytes, version) in fixtures {
         assert_eq!(&bytes[..4], b"PRGS", "fixture is a perigee envelope");

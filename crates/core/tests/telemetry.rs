@@ -10,9 +10,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use perigee_core::{
-    LivenessConfig, PerigeeConfig, PerigeeEngine, PropagationMode, RoundStats, ScoringMethod,
-};
+use perigee_core::{LivenessConfig, PerigeeConfig, PerigeeEngine, RoundStats, ScoringMethod};
 use perigee_netsim::{
     reference, BroadcastScratch, ChurnProcess, ConnectionLimits, FaultPlan, FaultWindow,
     GeoLatencyModel, GossipConfig, GossipScratch, LinkFaultRates, LinkFlaps, MinerSampler,
@@ -318,9 +316,9 @@ fn flood_counters_match_a_direct_scratch_sweep() {
     let engine = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg).unwrap();
     let miners = MinerSampler::new(engine.population()).sample_round(15, &mut rng);
 
-    let harvested = engine.observe_round(&miners).counters();
-
     let view = TopologyView::new(engine.topology(), engine.latency(), engine.population());
+    let harvested = engine.observe_round(&view, &miners).counters();
+
     let mut scratch = BroadcastScratch::with_capacity(view.len());
     let mut reached = 0u64;
     for &miner in &miners {
@@ -362,12 +360,12 @@ fn gossip_counters_match_a_direct_scratch_sweep_and_the_outcome() {
     let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Subset);
     cfg.blocks_per_round = 8;
     let mut engine = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg).unwrap();
-    engine.set_propagation_mode(PropagationMode::Gossip(gossip));
+    engine.set_propagation(gossip).unwrap();
     let miners = MinerSampler::new(engine.population()).sample_round(8, &mut rng);
 
-    let harvested = engine.observe_round(&miners).counters();
-
     let view = TopologyView::new(engine.topology(), engine.latency(), engine.population());
+    let harvested = engine.observe_round(&view, &miners).counters();
+
     let mut scratch = GossipScratch::with_capacity(view.len(), view.directed_edge_count());
     for &miner in &miners {
         view.gossip_into(miner, &gossip, &mut scratch);

@@ -6,8 +6,8 @@
 //! a traffic workload rides checkpoints through the on-disk envelope.
 
 use perigee_core::{
-    ObservationBackend, ObservationCollector, PerigeeConfig, PerigeeEngine, PropagationMode,
-    RunSnapshot, ScoringMethod,
+    ObservationBackend, ObservationCollector, PerigeeConfig, PerigeeEngine, RunSnapshot,
+    ScoringMethod,
 };
 use perigee_netsim::{
     ConnectionLimits, GeoLatencyModel, GossipConfig, GossipScratch, PopulationBuilder, QueueKind,
@@ -183,7 +183,9 @@ fn gossip_block_mode_composes_with_traffic() {
     let (mut par, mut rng_par) = engine_with(50, 5, 41, ObservationBackend::Dense);
     let (mut seq, mut rng_seq) = engine_with(50, 5, 41, ObservationBackend::Dense);
     for engine in [&mut par, &mut seq] {
-        engine.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.001)));
+        engine
+            .set_propagation(GossipConfig::inv_getdata(0.001))
+            .unwrap();
     }
     let pool = |threads| {
         rayon::ThreadPoolBuilder::new()

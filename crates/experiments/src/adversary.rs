@@ -257,7 +257,7 @@ pub fn run_spoofing(scenario: &Scenario, seed: u64, spoofers: usize) -> Spoofing
     let clean_topo =
         GeographicBuilder::new().build(&world.population, &world.latency, limits, &mut rng);
     let geographic_clean_ms = perigee_metrics::percentile_or_inf(
-        &evaluate_topology(&clean_topo, &world.latency, &world.population, 0.9),
+        &evaluate_topology(&clean_topo, &world.latency, &world.population, &[0.9])[0],
         50.0,
     );
 
@@ -271,7 +271,7 @@ pub fn run_spoofing(scenario: &Scenario, seed: u64, spoofers: usize) -> Spoofing
         .with_spoofed(spoofed.clone())
         .build(&population, &world.latency, limits, &mut rng);
     let geographic_spoofed_ms = perigee_metrics::percentile_or_inf(
-        &evaluate_topology(&spoofed_topo, &world.latency, &population, 0.9),
+        &evaluate_topology(&spoofed_topo, &world.latency, &population, &[0.9])[0],
         50.0,
     );
 
@@ -340,7 +340,7 @@ pub fn run_churn(scenario: &Scenario, seed: u64, churn_fraction: f64) -> ChurnRe
     use perigee_netsim::ChurnProcess;
     let (mut stable, mut rng1) = fresh_engine(scenario, seed, ScoringMethod::Subset);
     stable.run_rounds(scenario.rounds, &mut rng1);
-    let stable_median90_ms = perigee_metrics::percentile_or_inf(&stable.evaluate_alive(0.9), 50.0);
+    let stable_median90_ms = perigee_metrics::percentile_or_inf(&stable.evaluate(0.9), 50.0);
 
     let (mut churny, mut rng2) = fresh_engine(scenario, seed, ScoringMethod::Subset);
     churny.set_churn(
@@ -354,7 +354,7 @@ pub fn run_churn(scenario: &Scenario, seed: u64, churn_fraction: f64) -> ChurnRe
         departed += stats.departed;
     }
     churny.topology().assert_invariants();
-    let churn_median90_ms = perigee_metrics::percentile_or_inf(&churny.evaluate_alive(0.9), 50.0);
+    let churn_median90_ms = perigee_metrics::percentile_or_inf(&churny.evaluate(0.9), 50.0);
 
     ChurnResult {
         churn_median90_ms,

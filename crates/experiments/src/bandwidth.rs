@@ -16,11 +16,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use perigee_core::{PerigeeConfig, PerigeeEngine, PropagationMode, ScoringMethod};
+use perigee_core::{PerigeeConfig, PerigeeEngine, ScoringMethod};
 use perigee_metrics::{percentile_or_inf, Table};
 use perigee_netsim::{
-    ConnectionLimits, GeoLatencyModel, GossipConfig, GossipMode, OverrideLatencyModel,
-    PopulationBuilder, SimTime, TransferModel, ValidationDist,
+    ConnectionLimits, GeoLatencyModel, GossipConfig, OverrideLatencyModel, PopulationBuilder,
+    SimTime, ValidationDist,
 };
 use perigee_topology::{RandomBuilder, TopologyBuilder};
 
@@ -100,21 +100,18 @@ fn run_one(scenario: &Scenario, seed: u64, block_size_mb: f64) -> BandwidthPoint
         ConnectionLimits::paper_default(),
         &mut rng,
     );
-    let gossip = GossipConfig {
-        mode: GossipMode::InvGetData,
-        transfer: TransferModel::new(block_size_mb),
-    };
-
     let mut config = PerigeeConfig::paper_default(ScoringMethod::Subset);
     config.blocks_per_round = scenario.blocks_per_round;
     let mut engine =
         PerigeeEngine::new(population, latency, topology, ScoringMethod::Subset, config)
             .expect("valid scenario");
-    engine.set_propagation_mode(PropagationMode::Gossip(gossip));
+    engine
+        .set_propagation(GossipConfig::inv_getdata(block_size_mb))
+        .expect("sweep block sizes are finite and non-negative");
 
-    let random_median90_ms = percentile_or_inf(&engine.evaluate_in_mode(scenario.coverage), 50.0);
+    let random_median90_ms = percentile_or_inf(&engine.evaluate(scenario.coverage), 50.0);
     engine.run_rounds(scenario.rounds, &mut rng);
-    let perigee_median90_ms = percentile_or_inf(&engine.evaluate_in_mode(scenario.coverage), 50.0);
+    let perigee_median90_ms = percentile_or_inf(&engine.evaluate(scenario.coverage), 50.0);
 
     BandwidthPoint {
         block_size_mb,

@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use perigee_core::{evaluate_topology_multi, PerigeeConfig, PerigeeEngine};
+use perigee_core::{evaluate_topology, PerigeeConfig, PerigeeEngine};
 use perigee_metrics::{percentile_or_inf, Table};
 use perigee_netsim::ConnectionLimits;
 use perigee_topology::{RandomBuilder, TopologyBuilder};
@@ -83,7 +83,7 @@ pub fn run(algorithm: Algorithm, scenario: &Scenario, seed: u64) -> ConvergenceR
     let mut median90 = Vec::with_capacity(scenario.rounds + 1);
     let mut median50 = Vec::with_capacity(scenario.rounds + 1);
     let measure = |e: &PerigeeEngine<crate::runner::WorldLatency>| {
-        let vals = evaluate_topology_multi(e.topology(), e.latency(), e.population(), &[0.9, 0.5]);
+        let vals = evaluate_topology(e.topology(), e.latency(), e.population(), &[0.9, 0.5]);
         (
             percentile_or_inf(&vals[0], 50.0),
             percentile_or_inf(&vals[1], 50.0),

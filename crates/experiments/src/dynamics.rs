@@ -119,7 +119,7 @@ pub fn run_steady_churn(scenario: &Scenario, seed: u64, churn_fraction: f64) -> 
     engine.topology().assert_invariants();
     SteadyChurnResult {
         per_round_p90_ms,
-        final_median90_ms: percentile_or_inf(&engine.evaluate_alive(0.9), 50.0),
+        final_median90_ms: percentile_or_inf(&engine.evaluate(0.9), 50.0),
         final_alive: engine.population().alive_count(),
         final_slots: engine.population().len(),
         joined,

@@ -34,7 +34,7 @@
 //!
 //! Every per-round λ90 figure below is measured **through** the faults
 //! (that is what nodes actually experience); the pre/post medians use the
-//! fault-free [`PerigeeEngine::evaluate_alive`] so they grade the learned
+//! fault-free [`PerigeeEngine::evaluate`] so they grade the learned
 //! overlay itself, not the weather it was learned under.
 
 use rand::rngs::StdRng;
@@ -128,7 +128,7 @@ fn run_trace(
     };
     for round in 0..rounds {
         if checkpoint == Some(round) {
-            trace.checkpoint_median90_ms = percentile_or_inf(&engine.evaluate_alive(0.9), 50.0);
+            trace.checkpoint_median90_ms = percentile_or_inf(&engine.evaluate(0.9), 50.0);
         }
         let stats = engine.run_round(&mut rng);
         trace.per_round_p90_ms.push(stats.p90_lambda90_ms);
@@ -141,7 +141,7 @@ fn run_trace(
         trace.total_evicted += stats.evicted;
     }
     engine.topology().assert_invariants();
-    trace.final_median90_ms = percentile_or_inf(&engine.evaluate_alive(0.9), 50.0);
+    trace.final_median90_ms = percentile_or_inf(&engine.evaluate(0.9), 50.0);
     if checkpoint.is_none() {
         trace.checkpoint_median90_ms = trace.final_median90_ms;
     }
@@ -376,7 +376,7 @@ pub fn run_partition_heal(scenario: &Scenario, seed: u64, fraction: f64) -> Part
     let mut pre_partition_median90_ms = f64::INFINITY;
     for round in 0..scenario.rounds {
         if round == start {
-            pre_partition_median90_ms = percentile_or_inf(&engine.evaluate_alive(0.9), 50.0);
+            pre_partition_median90_ms = percentile_or_inf(&engine.evaluate(0.9), 50.0);
         }
         let stats = engine.run_round(&mut rng);
         per_round_p90_ms.push(stats.p90_lambda90_ms);
@@ -384,7 +384,7 @@ pub fn run_partition_heal(scenario: &Scenario, seed: u64, fraction: f64) -> Part
         total_evicted += stats.evicted;
     }
     engine.topology().assert_invariants();
-    let recovered_median90_ms = percentile_or_inf(&engine.evaluate_alive(0.9), 50.0);
+    let recovered_median90_ms = percentile_or_inf(&engine.evaluate(0.9), 50.0);
     PartitionHealResult {
         start,
         heal,
@@ -488,7 +488,7 @@ pub fn run_regional_brownout(scenario: &Scenario, seed: u64, slow_factor: f64) -
         end,
         mean_inside_ms: mean(&inside),
         mean_outside_ms: mean(&outside),
-        final_median90_ms: percentile_or_inf(&engine.evaluate_alive(0.9), 50.0),
+        final_median90_ms: percentile_or_inf(&engine.evaluate(0.9), 50.0),
         total_gated,
         per_round_p90_ms,
     }

@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 
 use perigee_core::{
-    evaluate_topology_multi, ObservationBackend, PerigeeConfig, PerigeeEngine, ScoringMethod,
+    evaluate_topology, ObservationBackend, PerigeeConfig, PerigeeEngine, ScoringMethod,
 };
 use perigee_metrics::DelayCurve;
 use perigee_netsim::{
@@ -238,8 +238,7 @@ pub fn run_algorithm(algorithm: Algorithm, scenario: &Scenario, seed: u64) -> Ru
         }
     };
 
-    let mut curves =
-        evaluate_topology_multi(&topology, &latency, &population, &[scenario.coverage, 0.5]);
+    let mut curves = evaluate_topology(&topology, &latency, &population, &[scenario.coverage, 0.5]);
     let curve50 = DelayCurve::from_values(curves.pop().expect("two fractions"));
     let curve90 = DelayCurve::from_values(curves.pop().expect("one fraction"));
 

@@ -23,7 +23,7 @@ use rand::SeedableRng;
 
 use perigee_core::{ObservationBackend, PerigeeConfig, PerigeeEngine, RoundStore, ScoringMethod};
 use perigee_metrics::Table;
-use perigee_netsim::{ConnectionLimits, MinerSampler};
+use perigee_netsim::{ConnectionLimits, MinerSampler, TopologyView};
 use perigee_telemetry::PhaseTimer;
 use perigee_topology::{RandomBuilder, TopologyBuilder};
 
@@ -135,7 +135,8 @@ fn observe_store(
     rng: &mut StdRng,
 ) -> RoundStore {
     let miners = MinerSampler::new(engine.population()).sample_round(blocks, rng);
-    engine.observe_round(&miners).observations().clone()
+    let view = TopologyView::new(engine.topology(), engine.latency(), engine.population());
+    engine.observe_round(&view, &miners).observations().clone()
 }
 
 /// Runs the sweep: for each size, `scenario.rounds` full sketch-backed

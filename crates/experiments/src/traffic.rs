@@ -164,7 +164,7 @@ pub fn run_combined(scenario: &Scenario, seed: u64) -> CombinedTrafficResult {
         per_round,
         total_messages,
         peak_round_messages,
-        final_median90_ms: percentile_or_inf(&engine.evaluate_alive(0.9), 50.0),
+        final_median90_ms: percentile_or_inf(&engine.evaluate(0.9), 50.0),
         view_rebuilds: engine.view_rebuilds(),
     }
 }
@@ -224,7 +224,7 @@ impl TrafficAblationResult {
 /// of the (alive) overlay.
 fn run_arm(scenario: &Scenario, seed: u64, traffic: Option<TrafficConfig>) -> AblationArm {
     let (mut engine, mut rng) = traffic_engine(scenario, seed, traffic);
-    let start_median90_ms = percentile_or_inf(&engine.evaluate_alive(0.9), 50.0);
+    let start_median90_ms = percentile_or_inf(&engine.evaluate(0.9), 50.0);
     let mut per_round_mean90_ms = Vec::with_capacity(scenario.rounds);
     let mut total_messages = 0;
     for _ in 0..scenario.rounds {
@@ -237,7 +237,7 @@ fn run_arm(scenario: &Scenario, seed: u64, traffic: Option<TrafficConfig>) -> Ab
     engine.topology().assert_invariants();
     AblationArm {
         start_median90_ms,
-        final_median90_ms: percentile_or_inf(&engine.evaluate_alive(0.9), 50.0),
+        final_median90_ms: percentile_or_inf(&engine.evaluate(0.9), 50.0),
         per_round_mean90_ms,
         total_messages,
     }

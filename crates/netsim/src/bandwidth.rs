@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::NetsimError;
 use crate::node::NodeId;
 use crate::population::Population;
 use crate::time::SimTime;
@@ -47,6 +48,25 @@ impl TransferModel {
     /// The configured block size in megabytes.
     pub fn block_size_mb(&self) -> f64 {
         self.block_size_mb
+    }
+
+    /// Checks the size is finite and non-negative: the one rule behind
+    /// every config that carries a transfer model — an engine's block
+    /// [`GossipConfig`](crate::GossipConfig), a traffic class, and a
+    /// decoded checkpoint. A negative size would move deliveries back in
+    /// time and a NaN one would poison the event order.
+    ///
+    /// # Errors
+    ///
+    /// [`NetsimError::InvalidConfig`] for a NaN, infinite or negative size.
+    pub fn validate(&self) -> Result<(), NetsimError> {
+        if self.block_size_mb.is_finite() && self.block_size_mb >= 0.0 {
+            Ok(())
+        } else {
+            Err(NetsimError::InvalidConfig(
+                "message size must be finite and non-negative",
+            ))
+        }
     }
 
     /// Time to push one block from `u` to `v`, bottlenecked by
@@ -95,11 +115,13 @@ mod codec {
 
     impl Decode for TransferModel {
         fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            let block_size_mb = f64::decode(r)?;
-            if !block_size_mb.is_finite() || block_size_mb < 0.0 {
-                return Err(DecodeError::new("illegal block size"));
-            }
-            Ok(TransferModel { block_size_mb })
+            let model = TransferModel {
+                block_size_mb: f64::decode(r)?,
+            };
+            model
+                .validate()
+                .map_err(|_| DecodeError::new("illegal block size"))?;
+            Ok(model)
         }
     }
 }
@@ -121,6 +143,26 @@ mod tests {
             })
             .collect();
         Population::from_profiles(profiles).unwrap()
+    }
+
+    #[test]
+    fn sizes_must_be_finite_and_non_negative_in_configs_and_checkpoints() {
+        use serde::bin::{Decode, Encode, Reader};
+        for size in [0.0, -0.0, 0.5, 1e6] {
+            assert_eq!(TransferModel::new(size).validate(), Ok(()));
+        }
+        for size in [-1.0, -0.001, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                TransferModel::new(size).validate(),
+                Err(NetsimError::InvalidConfig(_))
+            ));
+            let mut bytes = Vec::new();
+            TransferModel::new(size).encode(&mut bytes);
+            assert!(
+                TransferModel::decode(&mut Reader::new(&bytes)).is_err(),
+                "the decoder applies the same rule to {size}"
+            );
+        }
     }
 
     #[test]

@@ -36,8 +36,10 @@
 //! * [`GossipScratch`] — reusable message-level state (packed event
 //!   queue, flat per-edge delivery matrix, epoch-stamped per-node flags)
 //!   for direct flood, Bitcoin's `INV`/`GETDATA` exchange or the
-//!   push/pull hybrid, with bandwidth, cross-validated against the
-//!   analytic engine. One event loop serves
+//!   push/pull hybrid, with bandwidth. Flooding a zero-size block
+//!   ([`GossipConfig::is_analytic`]) is exactly the analytic engine, so
+//!   block propagation runs that kernel for such a config. One event
+//!   loop serves
 //!   [`TopologyView::gossip_batch_into`], [`TopologyView::gossip_into`]
 //!   and [`TopologyView::gossip_into_faulted`]: a single message is a
 //!   batch of one, over the same fault lens.
@@ -65,8 +67,8 @@
 //!   pass — latency-model calls only for new edges, zero full rebuilds.
 //! * [`traffic`] — continuous transaction-stream workloads: a seeded
 //!   [`TrafficConfig`] of Poisson-originating message classes (per-class
-//!   size and fan-out policy — flood, `INV`/`GETDATA`, or the push/pull
-//!   hybrid [`GossipMode::PushPull`](gossip::GossipMode)), generated as
+//!   size and [`GossipMode`] — flood, `INV`/`GETDATA`, or the push/pull
+//!   hybrid [`GossipMode::PushPull`]), generated as
 //!   pure hashes and simulated in bulk through
 //!   [`TopologyView::gossip_batch_into`]: tens of thousands of messages
 //!   share one announcement pass over a [`GossipScratch`], per-batch
@@ -94,7 +96,8 @@
 //! **bit-identical** to a fresh one. Message-level runs are bit-identical
 //! to the event-queue oracle [`reference::gossip_block`] (identical
 //! adjacency order, identical `δ(u,v)` values, identical tie-breaking),
-//! and flood-mode gossip reproduces the analytic flood. Blocks within a
+//! and flood-mode gossip of a zero-size block reproduces the analytic
+//! flood, faults included. Blocks within a
 //! round are mutually independent (no RNG is consumed inside a block
 //! simulation), which is what makes the round engine's parallel fan-out
 //! exactly reproducible.
@@ -185,5 +188,5 @@ pub use node::{Behavior, NodeId, NodeProfile, Region};
 pub use population::{HashPowerDist, IdRemap, Population, PopulationBuilder, ValidationDist};
 pub use pq::{CalendarQueue, PackedQueue, QueueKind, TimeKey};
 pub use time::SimTime;
-pub use traffic::{FanoutPolicy, TrafficClass, TrafficConfig, TrafficMessage};
+pub use traffic::{TrafficClass, TrafficConfig, TrafficMessage};
 pub use view::{BroadcastScratch, RoundDelta, TopologyView};

@@ -7,8 +7,8 @@
 //! second. This module generates that stream: a [`TrafficConfig`] holds
 //! one or more [`TrafficClass`]es, each a seeded Poisson origination
 //! process (`λ` messages per node per round) with its own message size
-//! and [`FanoutPolicy`] — flood, Bitcoin-style INV/GETDATA, or the
-//! push/pull hybrid ([`GossipMode::PushPull`](crate::gossip::GossipMode)).
+//! and [`GossipMode`] — flood, Bitcoin-style INV/GETDATA, or the
+//! push/pull hybrid ([`GossipMode::PushPull`]).
 //!
 //! # Determinism
 //!
@@ -44,33 +44,6 @@ use crate::population::Population;
 /// outside any measured per-node transaction load.
 pub const MAX_LAMBDA_PER_NODE: f64 = 64.0;
 
-/// Per-message fan-out policy of a traffic class — the traffic-layer
-/// mirror of [`GossipMode`], without the transfer model (the class's
-/// `size_mb` supplies it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FanoutPolicy {
-    /// Push the full message to every neighbor.
-    Flood,
-    /// Announce, wait for a GETDATA, deliver (Bitcoin transaction relay).
-    InvGetData,
-    /// Push whole to the first `push_degree` CSR neighbors, announce to
-    /// the rest (Ethereum's `sqrt(peers)` transaction relay).
-    PushPull {
-        /// Number of leading CSR-row neighbors that receive full pushes.
-        push_degree: u32,
-    },
-}
-
-impl FanoutPolicy {
-    fn mode(self) -> GossipMode {
-        match self {
-            FanoutPolicy::Flood => GossipMode::Flood,
-            FanoutPolicy::InvGetData => GossipMode::InvGetData,
-            FanoutPolicy::PushPull { push_degree } => GossipMode::PushPull { push_degree },
-        }
-    }
-}
-
 /// One class of traffic: a name for reporting, a Poisson origination
 /// rate, a message size and a fan-out policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,14 +57,14 @@ pub struct TrafficClass {
     /// of this class (`0.0` = negligible transfer).
     pub size_mb: f64,
     /// How messages of this class fan out.
-    pub policy: FanoutPolicy,
+    pub policy: GossipMode,
 }
 
 impl TrafficClass {
     /// The [`GossipConfig`] every message of this class propagates under.
     pub fn gossip_config(&self) -> GossipConfig {
         GossipConfig {
-            mode: self.policy.mode(),
+            mode: self.policy,
             transfer: TransferModel::new(self.size_mb),
         }
     }
@@ -136,19 +109,19 @@ impl TrafficConfig {
                     name: "tx".to_owned(),
                     lambda_per_node: 8.0,
                     size_mb: 0.0005,
-                    policy: FanoutPolicy::InvGetData,
+                    policy: GossipMode::InvGetData,
                 },
                 TrafficClass {
                     name: "announce".to_owned(),
                     lambda_per_node: 2.0,
                     size_mb: 0.002,
-                    policy: FanoutPolicy::PushPull { push_degree: 3 },
+                    policy: GossipMode::PushPull { push_degree: 3 },
                 },
                 TrafficClass {
                     name: "control".to_owned(),
                     lambda_per_node: 0.5,
                     size_mb: 0.0,
-                    policy: FanoutPolicy::Flood,
+                    policy: GossipMode::Flood,
                 },
             ],
         }
@@ -172,11 +145,7 @@ impl TrafficConfig {
                     "traffic class rate must be finite, non-negative and at most 64 per node",
                 ));
             }
-            if !class.size_mb.is_finite() || class.size_mb < 0.0 {
-                return Err(NetsimError::InvalidConfig(
-                    "traffic class size must be finite and non-negative",
-                ));
-            }
+            TransferModel::new(class.size_mb).validate()?;
         }
         Ok(())
     }
@@ -270,33 +239,7 @@ mod codec {
 
     use serde::bin::{Decode, DecodeError, Encode, Reader};
 
-    use super::{FanoutPolicy, TrafficClass, TrafficConfig};
-
-    impl Encode for FanoutPolicy {
-        fn encode(&self, out: &mut Vec<u8>) {
-            match self {
-                FanoutPolicy::Flood => 0u8.encode(out),
-                FanoutPolicy::InvGetData => 1u8.encode(out),
-                FanoutPolicy::PushPull { push_degree } => {
-                    2u8.encode(out);
-                    push_degree.encode(out);
-                }
-            }
-        }
-    }
-
-    impl Decode for FanoutPolicy {
-        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            match u8::decode(r)? {
-                0 => Ok(FanoutPolicy::Flood),
-                1 => Ok(FanoutPolicy::InvGetData),
-                2 => Ok(FanoutPolicy::PushPull {
-                    push_degree: Decode::decode(r)?,
-                }),
-                _ => Err(DecodeError::new("unknown fanout policy tag")),
-            }
-        }
-    }
+    use super::{TrafficClass, TrafficConfig};
 
     impl Encode for TrafficClass {
         fn encode(&self, out: &mut Vec<u8>) {
@@ -409,8 +352,15 @@ mod tests {
         cfg.classes[0].lambda_per_node = MAX_LAMBDA_PER_NODE * 2.0;
         assert!(cfg.validate().is_err());
         cfg.classes[0].lambda_per_node = 1.0;
-        cfg.classes[0].size_mb = f64::INFINITY;
-        assert!(cfg.validate().is_err());
+        for size in [f64::INFINITY, f64::NAN, -0.001] {
+            cfg.classes[0].size_mb = size;
+            assert_eq!(
+                cfg.validate(),
+                TransferModel::new(size).validate(),
+                "one size rule for traffic classes and block configs"
+            );
+            assert!(cfg.validate().is_err());
+        }
         cfg.classes[0].size_mb = 0.1;
         assert!(cfg.validate().is_ok());
         cfg.classes.clear();
@@ -426,6 +376,21 @@ mod tests {
         let back = TrafficConfig::decode(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(cfg, back);
+    }
+
+    #[test]
+    fn class_policies_encode_with_the_gossip_mode_tags() {
+        // A class's policy encodes with the `GossipMode` tags — 0 flood,
+        // 1 INV/GETDATA, 2 plus a `u32` push/pull — the bytes traffic
+        // workloads have always had in snapshot bodies; the length and
+        // digest pin them.
+        let mut bytes = Vec::new();
+        TrafficConfig::paper_stream(7).encode(&mut bytes);
+        assert_eq!(bytes.len(), 112);
+        assert_eq!(serde::bin::fnv1a64(&bytes), 0xe5a7_d358_c8eb_22b9);
+        let mut bad = bytes.clone();
+        bad[42] = 3; // the `tx` class's policy tag
+        assert!(TrafficConfig::decode(&mut Reader::new(&bad)).is_err());
     }
 
     #[test]

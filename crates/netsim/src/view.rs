@@ -47,6 +47,7 @@ use crate::counters::SimCounters;
 use crate::dynamics::WorldDelta;
 use crate::error::NetsimError;
 use crate::faults::{BlockFaults, FaultLens, NoFaults};
+use crate::gossip::check_payload_cap;
 use crate::graph::Topology;
 use crate::latency::LatencyModel;
 use crate::node::{Behavior, NodeId};
@@ -205,14 +206,7 @@ impl TopologyView {
             }
             offsets.push(edges.len());
         }
-        if n >= crate::gossip::PACKED_PAYLOAD_CAP
-            || edges.len() >= crate::gossip::PACKED_PAYLOAD_CAP
-        {
-            return Err(NetsimError::WorldTooLarge {
-                nodes: n,
-                directed_edges: edges.len(),
-            });
-        }
+        check_payload_cap(n, edges.len())?;
         let mut view = TopologyView {
             offsets,
             edges,
@@ -589,14 +583,9 @@ impl TopologyView {
         // Incremental growth obeys the same packed-payload cap that
         // `try_new` enforces at construction: refuse to grow a snapshot
         // the gossip engine could no longer address.
-        assert!(
-            n_new < crate::gossip::PACKED_PAYLOAD_CAP && m_new < crate::gossip::PACKED_PAYLOAD_CAP,
-            "{}",
-            NetsimError::WorldTooLarge {
-                nodes: n_new,
-                directed_edges: m_new,
-            }
-        );
+        if let Err(e) = check_payload_cap(n_new, m_new) {
+            panic!("{e}");
+        }
         let mut edges = Vec::with_capacity(m_new);
         let mut delay = Vec::with_capacity(m_new);
         let mut offsets = Vec::with_capacity(n_new + 1);

@@ -24,10 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Evaluate the random baseline: for every possible miner, how long
     // until 90% of the network's hash power has the block?
-    let baseline: DelayCurve =
-        perigee::core::evaluate_topology(&random_topology, &latency, &population, 0.9)
-            .into_iter()
-            .collect();
+    // (One λ vector per requested coverage fraction.)
+    let baseline = DelayCurve::from_values(
+        perigee::core::evaluate_topology(&random_topology, &latency, &population, &[0.9]).remove(0),
+    );
 
     // 4. Run Perigee-Subset for 15 rounds of 50 blocks each.
     let mut config = PerigeeConfig::paper_default(ScoringMethod::Subset);

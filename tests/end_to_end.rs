@@ -1,7 +1,7 @@
 //! End-to-end integration tests: the paper's headline claims, exercised
 //! through the public API at reduced (CI-friendly) scale.
 
-use perigee::core::{PerigeeConfig, PerigeeEngine, PropagationMode, ScoringMethod};
+use perigee::core::{PerigeeConfig, PerigeeEngine, ScoringMethod};
 use perigee::experiments::{fig3, fig5, Algorithm, Scenario};
 use perigee::netsim::{
     reference, BroadcastScratch, ConnectionLimits, GossipConfig, GossipScratch, LatencyModel,
@@ -205,7 +205,9 @@ fn gossip_mode_round_has_monotone_coverage() {
             cfg,
         )
         .expect("valid engine");
-        engine.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)));
+        engine
+            .set_propagation(GossipConfig::inv_getdata(0.0))
+            .expect("a valid block config");
         engine.set_queue_kind(kind);
         engine
     };
@@ -233,10 +235,7 @@ fn gossip_mode_round_has_monotone_coverage() {
     // Coverage monotonicity under the message-level engine: reaching a
     // larger hash-power fraction can never be faster, for any source.
     let fractions = [0.25, 0.5, 0.75, 0.9, 1.0];
-    let per_fraction: Vec<Vec<f64>> = fractions
-        .iter()
-        .map(|&f| engine.evaluate_in_mode(f))
-        .collect();
+    let per_fraction: Vec<Vec<f64>> = fractions.iter().map(|&f| engine.evaluate(f)).collect();
     for node in 0..ci_scenario().nodes {
         for w in per_fraction.windows(2) {
             assert!(

@@ -1,7 +1,7 @@
 //! Integration tests of the robustness and extension claims, end to end
 //! through the public API.
 
-use perigee::core::{PerigeeConfig, PerigeeEngine, PropagationMode, ScoringMethod};
+use perigee::core::{PerigeeConfig, PerigeeEngine, ScoringMethod};
 use perigee::experiments::{adversary, bandwidth, deployment, discovery, Scenario};
 use perigee::netsim::{Behavior, ConnectionLimits, GossipConfig, NodeId};
 use perigee::topology::{RandomBuilder, TopologyBuilder};
@@ -117,7 +117,9 @@ fn gossip_mode_round_is_robust_to_adversarial_relays() {
     let mut engine =
         PerigeeEngine::new(population, world.latency, topo, ScoringMethod::Subset, cfg)
             .expect("valid engine");
-    engine.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)));
+    engine
+        .set_propagation(GossipConfig::inv_getdata(0.0))
+        .expect("a valid block config");
 
     let stats = engine.run_round(&mut rng);
     assert!(stats.mean_lambda90_ms.is_finite() && stats.mean_lambda90_ms > 0.0);
@@ -134,10 +136,7 @@ fn gossip_mode_round_is_robust_to_adversarial_relays() {
     // fraction may legitimately be unreachable — monotonicity still must
     // hold through infinities).
     let fractions = [0.5, 0.9, 0.95];
-    let per_fraction: Vec<Vec<f64>> = fractions
-        .iter()
-        .map(|&f| engine.evaluate_in_mode(f))
-        .collect();
+    let per_fraction: Vec<Vec<f64>> = fractions.iter().map(|&f| engine.evaluate(f)).collect();
     for node in 0..s.nodes {
         for w in per_fraction.windows(2) {
             assert!(
