@@ -30,7 +30,8 @@
 //!   each node's [`NodeHistory`](crate::NodeHistory) audit;
 //! * **liveness state-machine legality** — silence counters and backoff
 //!   records are sorted, in range, and no counter has escaped past
-//!   `evict_after` (a peer the engine should have evicted).
+//!   [`EVICT_AFTER`](crate::liveness::EVICT_AFTER) (a peer the engine
+//!   should have evicted).
 //!
 //! [`PerigeeEngine::audit`]: crate::PerigeeEngine::audit
 

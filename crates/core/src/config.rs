@@ -22,15 +22,6 @@ pub struct PerigeeConfig {
     pub percentile: f64,
     /// Confidence-width constant `c` of eqs. (3–4).
     pub ucb_c: f64,
-    /// Staleness decay for cross-round score state under churn, in
-    /// `(0, 1]`: each round a [`ChurnProcess`](perigee_netsim::ChurnProcess)
-    /// is installed, every per-neighbor sample buffer keeps only its
-    /// newest `⌈len · score_staleness⌉` samples, so scores learned
-    /// against a world that no longer exists age out instead of
-    /// poisoning reconnection decisions. `1.0` (the default) keeps the
-    /// paper's keep-everything behaviour; stateless strategies
-    /// (Vanilla/Subset) are unaffected either way.
-    pub score_staleness: f64,
     /// Stability-gating tolerance (rusty-kaspa's `PerigeeManager`
     /// behaviour): a node whose blocks-seen count this round deviates
     /// from the round's block count by more than this fraction skips
@@ -44,9 +35,9 @@ pub struct PerigeeConfig {
     /// fires and consumes no randomness — clean runs are bit-identical
     /// with gating on or off.
     pub stability_tolerance: f64,
-    /// Peer-liveness layer: per-peer unresponsiveness timeouts feeding a
-    /// suspect→evict state machine with capped exponential reconnect
-    /// backoff. Disabled by default ([`LivenessConfig::disabled`]).
+    /// Peer-liveness layer: per-peer unresponsiveness timeouts that evict
+    /// silent neighbors, with capped exponential reconnect backoff.
+    /// Disabled by default ([`LivenessConfig::disabled`]).
     pub liveness: LivenessConfig,
     /// How a round's observations are stored: the exact dense
     /// `blocks × edges` matrix (the default, cross-validated reference)
@@ -69,7 +60,6 @@ impl PerigeeConfig {
             blocks_per_round: method.paper_blocks_per_round(),
             percentile: 90.0,
             ucb_c: 50.0,
-            score_staleness: 1.0,
             stability_tolerance: 0.175,
             liveness: LivenessConfig::disabled(),
             observation_backend: ObservationBackend::Dense,
@@ -103,13 +93,9 @@ impl PerigeeConfig {
         if self.ucb_c.is_nan() || self.ucb_c < 0.0 {
             return Err("ucb_c must be non-negative");
         }
-        if !(self.score_staleness > 0.0 && self.score_staleness <= 1.0) {
-            return Err("score_staleness must be in (0, 1]");
-        }
         if self.stability_tolerance.is_nan() || self.stability_tolerance < 0.0 {
             return Err("stability_tolerance must be non-negative");
         }
-        self.liveness.validate()?;
         Ok(())
     }
 }
@@ -134,7 +120,6 @@ mod codec {
             self.blocks_per_round.encode(out);
             self.percentile.encode(out);
             self.ucb_c.encode(out);
-            self.score_staleness.encode(out);
             self.stability_tolerance.encode(out);
             self.liveness.encode(out);
             self.observation_backend.encode(out);
@@ -149,7 +134,6 @@ mod codec {
                 blocks_per_round: usize::decode(r)?,
                 percentile: f64::decode(r)?,
                 ucb_c: f64::decode(r)?,
-                score_staleness: f64::decode(r)?,
                 stability_tolerance: f64::decode(r)?,
                 liveness: Decode::decode(r)?,
                 observation_backend: Decode::decode(r)?,
@@ -209,31 +193,12 @@ mod tests {
         };
         assert!(c.validate().is_err());
         let c = PerigeeConfig {
-            score_staleness: 0.0,
-            ..PerigeeConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = PerigeeConfig {
-            score_staleness: 1.5,
-            ..PerigeeConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = PerigeeConfig {
             stability_tolerance: f64::NAN,
             ..PerigeeConfig::default()
         };
         assert!(c.validate().is_err());
         let c = PerigeeConfig {
             stability_tolerance: -0.1,
-            ..PerigeeConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = PerigeeConfig {
-            liveness: LivenessConfig {
-                enabled: true,
-                suspect_after: 0,
-                ..LivenessConfig::disabled()
-            },
             ..PerigeeConfig::default()
         };
         assert!(c.validate().is_err());

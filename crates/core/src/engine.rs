@@ -76,8 +76,8 @@ pub struct RoundStats {
     /// [`PerigeeConfig::stability_tolerance`] — they still explored.
     pub gated: usize,
     /// Outgoing connections force-dropped by the peer-liveness layer
-    /// (consecutive silent rounds beyond
-    /// [`LivenessConfig::evict_after`](crate::LivenessConfig)).
+    /// (after [`EVICT_AFTER`](crate::liveness::EVICT_AFTER) consecutive
+    /// silent rounds).
     pub evicted: usize,
 }
 
@@ -648,7 +648,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             h.audit(v, &mut violations);
         }
         if let Some(tracker) = &self.liveness {
-            tracker.audit(&self.config.liveness, &mut violations);
+            tracker.audit(&mut violations);
         }
         AuditReport {
             round: self.round as u64,
@@ -1400,7 +1400,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         let Some(tracker) = &mut self.liveness else {
             return 0;
         };
-        let lcfg = self.config.liveness;
         let round = self.round as u64;
         let mut evicted = 0;
         let mut verdicts = Vec::new();
@@ -1415,19 +1414,12 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             }
             let obs = observations.node(v);
             let mut delivered = |u: NodeId| obs.times_for(u).any(|t| t.is_finite());
-            tracker.observe(
-                &lcfg,
-                v,
-                &outgoing,
-                seen_i > 0,
-                &mut delivered,
-                &mut verdicts,
-            );
+            tracker.observe(v, &outgoing, seen_i > 0, &mut delivered, &mut verdicts);
             let mut dead = Vec::new();
             for (&u, &verdict) in outgoing.iter().zip(verdicts.iter()) {
                 if verdict == PeerHealth::Evict {
                     dead.push(u);
-                    tracker.note_failure(&lcfg, v, u, round);
+                    tracker.note_failure(v, u, round);
                 } else if delivered(u) {
                     tracker.note_success(v, u);
                 }
@@ -1626,12 +1618,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             self.sampler = MinerSampler::new(&self.population);
         }
         let delta = WorldDelta { joined, departed };
-        follow_world_delta(
-            &mut self.histories,
-            &delta,
-            self.population.len(),
-            self.config.score_staleness,
-        );
+        follow_world_delta(&mut self.histories, &delta, self.population.len());
         delta
     }
 
@@ -1742,7 +1729,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 // backoff so later rounds stop redrawing it.
                 if u != v {
                     if let Some(tracker) = &mut self.liveness {
-                        tracker.note_failure(&self.config.liveness, v, u, round);
+                        tracker.note_failure(v, u, round);
                     }
                 }
                 continue;
@@ -1796,26 +1783,13 @@ fn chunk_len(items: usize) -> usize {
 }
 
 /// Moves the score histories with the node set: new slots up to `n`
-/// start blank (a joiner has no beliefs), every departed or reset node's
-/// own history goes wholesale (survivors' beliefs *about* it were
-/// forgotten edge by edge at teardown), and surviving buffers age by
-/// `staleness` (see [`NodeHistory::decay`]) — UCB's bounds (eqs. 3–4)
-/// tighten with sample count, so certainty earned against a departed
-/// world must decay instead of keeping stale neighbors pinned.
-fn follow_world_delta(
-    histories: &mut Vec<NodeHistory>,
-    delta: &WorldDelta,
-    n: usize,
-    staleness: f64,
-) {
+/// start blank (a joiner has no beliefs), and every departed or reset
+/// node's own history goes wholesale (survivors' beliefs *about* it were
+/// forgotten edge by edge at teardown).
+fn follow_world_delta(histories: &mut Vec<NodeHistory>, delta: &WorldDelta, n: usize) {
     histories.resize(n, NodeHistory::default());
     for &v in &delta.departed {
         histories[v.index()].clear();
-    }
-    if staleness < 1.0 {
-        for h in histories.iter_mut() {
-            h.decay(staleness);
-        }
     }
 }
 
@@ -2021,7 +1995,7 @@ mod tests {
         // frozen node hears nothing from it, round after round.
         let before = engine.topology().outgoing_vec(frozen);
         crate::adversary::make_free_rider(engine.population_mut(), before[0]);
-        let rounds = cfg.liveness.evict_after as usize + 2;
+        let rounds = crate::liveness::EVICT_AFTER as usize + 2;
         engine.run_rounds(rounds, &mut rng);
         assert_eq!(
             engine.topology().outgoing_vec(frozen),
@@ -2031,19 +2005,20 @@ mod tests {
     }
 
     #[test]
-    fn world_delta_resizes_clears_and_decays() {
+    fn world_delta_resizes_and_clears() {
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let mut histories = vec![NodeHistory::default(); 3];
         histories[0].absorb(b, (0..10).map(f64::from));
         histories[2].absorb(a, (0..10).map(f64::from));
 
-        // A grown world with node 2 departed and 50% staleness.
+        // A grown world with node 2 departed.
         let delta = WorldDelta {
             joined: vec![NodeId::new(3), NodeId::new(4)],
             departed: vec![NodeId::new(2)],
         };
-        follow_world_delta(&mut histories, &delta, 5, 0.5);
-        assert_eq!(histories[0].sample_count(b), 5, "survivor history halves");
+        follow_world_delta(&mut histories, &delta, 5);
+        assert_eq!(histories.len(), 5);
+        assert_eq!(histories[0].sample_count(b), 10, "survivor history kept");
         assert_eq!(
             histories[2].sample_count(a),
             0,
@@ -2053,9 +2028,6 @@ mod tests {
         let ucb = crate::UcbScoring::new(90.0, 1.0);
         let bounds = ucb.bounds_of(histories[4].samples_for(a), &mut Vec::new());
         assert!(bounds.estimate.is_infinite());
-        // staleness 1.0 is a pure resize.
-        follow_world_delta(&mut histories, &WorldDelta::default(), 5, 1.0);
-        assert_eq!(histories[0].sample_count(b), 5);
     }
 
     #[test]
@@ -2275,40 +2247,6 @@ mod tests {
         engine.assert_view_consistency();
         engine.run_round(&mut rng);
         engine.topology().assert_invariants();
-    }
-
-    #[test]
-    fn staleness_decay_ages_ucb_history() {
-        use perigee_netsim::ChurnProcess;
-        let build = |staleness: f64| {
-            let mut rng = StdRng::seed_from_u64(77);
-            let pop = PopulationBuilder::new(40).build(&mut rng).unwrap();
-            let lat = GeoLatencyModel::new(&pop, 77);
-            let topo =
-                RandomBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
-            let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Ucb);
-            cfg.blocks_per_round = 1;
-            cfg.score_staleness = staleness;
-            let mut engine = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Ucb, cfg).unwrap();
-            // A quiet process: no arrivals/departures, but the decay
-            // knob still applies every round a process is installed.
-            engine.set_churn(ChurnProcess::poisson(
-                0.0,
-                perigee_netsim::SessionDist::Constant(f64::INFINITY),
-                1,
-            ));
-            for _ in 0..10 {
-                engine.run_round(&mut rng);
-            }
-            engine
-        };
-        let keep = build(1.0);
-        let decay = build(0.5);
-        // Both run the same world; the decayed engine must not have
-        // diverged structurally (sanity), and its histories are shorter
-        // — observable through different later decisions being possible.
-        keep.topology().assert_invariants();
-        decay.topology().assert_invariants();
     }
 
     #[test]

@@ -76,13 +76,12 @@
 //! through `TopologyView::apply_world_delta`, never rebuilt
 //! ([`PerigeeEngine::view_rebuilds`](engine::PerigeeEngine::view_rebuilds)
 //! stays at 1 for an entire churny run). The engine's per-node
-//! [`NodeHistory`] array follows the node set: it grows by the delta,
-//! drops departed nodes' histories wholesale, and ages surviving sample
-//! buffers by the `score_staleness` knob of [`PerigeeConfig`] — each
-//! round only the newest `⌈len · staleness⌉` samples per neighbor
-//! survive, so UCB confidence earned against a world that no longer
-//! exists decays instead of pinning stale neighbors (Vanilla/Subset keep
-//! their histories blank and are churn-immune by construction). A node
+//! [`NodeHistory`] array follows the node set: it grows by the delta and
+//! drops departed nodes' histories wholesale, while survivors forget a
+//! departed neighbor with the severed connection — UCB keeps samples
+//! only of neighbors it still has, the paper's per-connection `T̿u,v`
+//! (Vanilla/Subset keep their histories blank and are churn-immune by
+//! construction). A node
 //! that restarts in place is a traced
 //! [`LifetimeEventKind::Reset`](perigee_netsim::LifetimeEventKind::Reset):
 //! it keeps its id and pinned relay links, loses every protocol

@@ -1,17 +1,17 @@
-//! Peer liveness: unresponsiveness timeouts, a suspect→evict state
-//! machine, and capped exponential reconnect backoff.
+//! Peer liveness: unresponsiveness timeouts, eviction, and capped
+//! exponential reconnect backoff.
 //!
 //! Perigee's scoring already punishes *slow* peers; what it lacks is a
 //! story for peers that stop responding entirely — a crashed node behind
 //! a flapping link, the far side of a partition, a stale address-book
 //! entry. The [`LivenessTracker`] watches each node's outgoing neighbors
 //! round over round: a neighbor that delivered nothing in a round where
-//! the node itself saw blocks is *silent*; after
-//! [`LivenessConfig::suspect_after`] consecutive silent rounds it becomes
-//! a suspect, and after [`LivenessConfig::evict_after`] the connection is
-//! force-dropped in the engine's disconnect phase (counted in
+//! the node itself saw blocks is *silent*, and after [`EVICT_AFTER`]
+//! consecutive silent rounds the connection is force-dropped in the
+//! engine's disconnect phase (counted in
 //! [`RoundStats::evicted`](crate::RoundStats)). Evicted and
-//! connect-failed addresses go under capped exponential backoff so the
+//! connect-failed addresses go under capped exponential backoff
+//! ([`BACKOFF_BASE`] doubling up to [`BACKOFF_MAX`] rounds) so the
 //! refill phase — and joiners bootstrapping through the
 //! [`AddressBook`](crate::AddressBook) — don't hammer dead addresses;
 //! once the backoff expires the peer becomes a normal candidate again,
@@ -25,64 +25,37 @@ use serde::{Deserialize, Serialize};
 
 use perigee_netsim::NodeId;
 
+/// Consecutive silent rounds before the engine force-drops a connection.
+pub const EVICT_AFTER: u32 = 4;
+
+/// Reconnect backoff after the first eviction or failed connect, in
+/// rounds; each further failure doubles it.
+pub const BACKOFF_BASE: u32 = 2;
+
+/// Backoff cap, in rounds: the doubling stops here.
+pub const BACKOFF_MAX: u32 = 32;
+
 /// Configuration of the peer-liveness layer. Disabled by default —
 /// enable it per run via [`PerigeeConfig::liveness`](crate::PerigeeConfig).
+/// The timers are the module's constants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LivenessConfig {
     /// Master switch; when `false` the tracker is never consulted and
     /// the engine behaves exactly as without the layer.
     pub enabled: bool,
-    /// Consecutive silent rounds before a neighbor becomes a suspect.
-    pub suspect_after: u32,
-    /// Consecutive silent rounds before the connection is force-dropped
-    /// (must be `>= suspect_after`).
-    pub evict_after: u32,
-    /// Backoff after the first eviction/failed connect, in rounds.
-    pub backoff_base: u32,
-    /// Backoff cap, in rounds (the exponential doubling stops here).
-    pub backoff_max: u32,
 }
 
 impl LivenessConfig {
     /// The layer switched off.
     pub const fn disabled() -> Self {
-        LivenessConfig {
-            enabled: false,
-            suspect_after: 2,
-            evict_after: 4,
-            backoff_base: 2,
-            backoff_max: 32,
-        }
+        LivenessConfig { enabled: false }
     }
 
-    /// A reasonable enabled default: suspect after 2 silent rounds,
-    /// evict after 4, retry under backoff 2 → 4 → 8 → … capped at 32
+    /// The layer switched on: evict after [`EVICT_AFTER`] silent rounds,
+    /// retry under backoff 2 → 4 → 8 → … capped at [`BACKOFF_MAX`]
     /// rounds.
     pub const fn aggressive() -> Self {
-        LivenessConfig {
-            enabled: true,
-            ..Self::disabled()
-        }
-    }
-
-    /// Validates the parameters.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        if !self.enabled {
-            return Ok(());
-        }
-        if self.suspect_after == 0 {
-            return Err("liveness suspect_after must be positive");
-        }
-        if self.evict_after < self.suspect_after {
-            return Err("liveness evict_after must be >= suspect_after");
-        }
-        if self.backoff_base == 0 {
-            return Err("liveness backoff_base must be positive");
-        }
-        if self.backoff_max < self.backoff_base {
-            return Err("liveness backoff_max must be >= backoff_base");
-        }
-        Ok(())
+        LivenessConfig { enabled: true }
     }
 }
 
@@ -95,11 +68,9 @@ impl Default for LivenessConfig {
 /// Liveness verdict for one outgoing connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeerHealth {
-    /// Delivering normally (or not yet silent long enough to suspect).
+    /// Delivering, or not yet silent for [`EVICT_AFTER`] rounds.
     Healthy,
-    /// Silent for `suspect_after..evict_after` consecutive rounds.
-    Suspect,
-    /// Silent for `evict_after`+ rounds: the engine must drop it.
+    /// Silent for [`EVICT_AFTER`]+ rounds: the engine must drop it.
     Evict,
 }
 
@@ -205,7 +176,6 @@ impl LivenessTracker {
     /// outgoing peer, aligned with `outgoing`.
     pub fn observe(
         &mut self,
-        config: &LivenessConfig,
         v: NodeId,
         outgoing: &[NodeId],
         saw_blocks: bool,
@@ -221,7 +191,7 @@ impl LivenessTracker {
                     .iter()
                     .find(|&&(peer, _)| peer == u.as_u32())
                     .map_or(0, |&(_, c)| c);
-                verdicts.push(Self::verdict(config, c));
+                verdicts.push(Self::verdict(c));
             }
             return;
         }
@@ -233,17 +203,15 @@ impl LivenessTracker {
                 .map_or(0, |&(_, c)| c);
             let c = if delivered(u) { 0 } else { prev + 1 };
             next.push((u.as_u32(), c));
-            verdicts.push(Self::verdict(config, c));
+            verdicts.push(Self::verdict(c));
         }
         *slot = next;
     }
 
     #[inline]
-    fn verdict(config: &LivenessConfig, consecutive_silent: u32) -> PeerHealth {
-        if consecutive_silent >= config.evict_after {
+    fn verdict(consecutive_silent: u32) -> PeerHealth {
+        if consecutive_silent >= EVICT_AFTER {
             PeerHealth::Evict
-        } else if consecutive_silent >= config.suspect_after {
-            PeerHealth::Suspect
         } else {
             PeerHealth::Healthy
         }
@@ -251,17 +219,14 @@ impl LivenessTracker {
 
     /// Puts `peer` under (or deeper into) backoff for node `v` starting
     /// from `round`: the retry delay doubles per recorded failure, capped
-    /// at [`LivenessConfig::backoff_max`].
-    pub fn note_failure(&mut self, config: &LivenessConfig, v: NodeId, peer: NodeId, round: u64) {
+    /// at [`BACKOFF_MAX`].
+    pub fn note_failure(&mut self, v: NodeId, peer: NodeId, round: u64) {
         let slot = &mut self.backoff[v.index()];
         let id = peer.as_u32();
         match slot.iter_mut().find(|b| b.peer == id) {
             Some(b) => {
                 b.attempts = b.attempts.saturating_add(1);
-                let delay = config
-                    .backoff_base
-                    .saturating_mul(1u32.checked_shl(b.attempts.min(16)).unwrap_or(u32::MAX))
-                    .min(config.backoff_max);
+                let delay = (BACKOFF_BASE << b.attempts.min(16)).min(BACKOFF_MAX);
                 b.until_round = round + u64::from(delay);
             }
             None => {
@@ -270,7 +235,7 @@ impl LivenessTracker {
                     insert_at,
                     Backoff {
                         peer: id,
-                        until_round: round + u64::from(config.backoff_base.min(config.backoff_max)),
+                        until_round: round + u64::from(BACKOFF_BASE),
                         attempts: 0,
                     },
                 );
@@ -317,13 +282,9 @@ impl LivenessTracker {
     /// reporting violations into `out` (see [`crate::audit`]):
     /// counter/backoff lists must be sorted and duplicate-free, reference
     /// only in-range non-self peers, and no silence counter may exceed
-    /// [`LivenessConfig::evict_after`] — a larger value means a peer the
-    /// engine should have evicted is still being counted.
-    pub(crate) fn audit(
-        &self,
-        config: &LivenessConfig,
-        out: &mut Vec<crate::audit::AuditViolation>,
-    ) {
+    /// [`EVICT_AFTER`] — a larger value means a peer the engine should
+    /// have evicted is still being counted.
+    pub(crate) fn audit(&self, out: &mut Vec<crate::audit::AuditViolation>) {
         use crate::audit::{AuditCheck, AuditViolation};
         let n = self.silent.len() as u32;
         let mut push = |detail: String| {
@@ -345,10 +306,9 @@ impl LivenessTracker {
                         "n{vi}: silence counter references invalid peer n{peer}"
                     ));
                 }
-                if config.enabled && count > config.evict_after {
+                if count > EVICT_AFTER {
                     push(format!(
-                        "n{vi}: peer n{peer} silent {count} rounds, past evict_after {}",
-                        config.evict_after
+                        "n{vi}: peer n{peer} silent {count} rounds, past the eviction threshold {EVICT_AFTER}"
                     ));
                 }
             }
@@ -375,8 +335,8 @@ impl LivenessTracker {
 mod codec {
     //! Checkpoint codec impls (see `serde::bin`): the tracker's silence
     //! counters and backoff timers are exactly what must survive a
-    //! restart — a resumed node that forgot a suspect would re-trust a
-    //! dead peer for `suspect_after` extra rounds.
+    //! restart — a resumed node that forgot a silent peer would re-trust
+    //! it for up to `EVICT_AFTER` extra rounds.
 
     use serde::bin::{Decode, DecodeError, Encode, Reader};
 
@@ -385,26 +345,14 @@ mod codec {
     impl Encode for LivenessConfig {
         fn encode(&self, out: &mut Vec<u8>) {
             self.enabled.encode(out);
-            self.suspect_after.encode(out);
-            self.evict_after.encode(out);
-            self.backoff_base.encode(out);
-            self.backoff_max.encode(out);
         }
     }
 
     impl Decode for LivenessConfig {
         fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            let config = LivenessConfig {
+            Ok(LivenessConfig {
                 enabled: bool::decode(r)?,
-                suspect_after: u32::decode(r)?,
-                evict_after: u32::decode(r)?,
-                backoff_base: u32::decode(r)?,
-                backoff_max: u32::decode(r)?,
-            };
-            config
-                .validate()
-                .map_err(|_| DecodeError::new("liveness config fails validation"))?;
-            Ok(config)
+            })
         }
     }
 
@@ -451,82 +399,81 @@ mod codec {
 mod tests {
     use super::*;
 
-    fn cfg() -> LivenessConfig {
-        LivenessConfig::aggressive()
-    }
-
     fn ids(xs: &[u32]) -> Vec<NodeId> {
         xs.iter().map(|&x| NodeId::new(x)).collect()
     }
 
     #[test]
-    fn silence_escalates_healthy_suspect_evict_and_resets_on_delivery() {
-        let c = cfg();
+    fn silence_escalates_to_evict_and_resets_on_delivery() {
         let mut t = LivenessTracker::new(4);
         let v = NodeId::new(0);
         let out = ids(&[1, 2]);
         let mut verdicts = Vec::new();
         // Peer 1 delivers every round, peer 2 never does.
-        for round in 0..4 {
-            t.observe(&c, v, &out, true, |u| u.as_u32() == 1, &mut verdicts);
-            let expected = match round {
-                0 => PeerHealth::Healthy, // 1 silent round
-                1 => PeerHealth::Suspect, // 2
-                2 => PeerHealth::Suspect, // 3
-                _ => PeerHealth::Evict,   // 4 = evict_after
+        for silent in 1..=EVICT_AFTER {
+            t.observe(v, &out, true, |u| u.as_u32() == 1, &mut verdicts);
+            let expected = if silent < EVICT_AFTER {
+                PeerHealth::Healthy
+            } else {
+                PeerHealth::Evict
             };
             assert_eq!(
                 verdicts,
                 vec![PeerHealth::Healthy, expected],
-                "round {round}"
+                "{silent} silent rounds"
             );
         }
         // One delivery wipes the record.
-        t.observe(&c, v, &out, true, |_| true, &mut verdicts);
+        t.observe(v, &out, true, |_| true, &mut verdicts);
         assert_eq!(verdicts, vec![PeerHealth::Healthy; 2]);
-        t.observe(&c, v, &out, true, |u| u.as_u32() == 1, &mut verdicts);
+        t.observe(v, &out, true, |u| u.as_u32() == 1, &mut verdicts);
         assert_eq!(
             verdicts,
             vec![PeerHealth::Healthy; 2],
             "counter must restart"
         );
+        assert_eq!(t.silent[0], vec![(1, 0), (2, 1)]);
     }
 
     #[test]
     fn uninformative_rounds_freeze_counters() {
-        let c = cfg();
         let mut t = LivenessTracker::new(3);
         let v = NodeId::new(0);
         let out = ids(&[1]);
         let mut verdicts = Vec::new();
-        t.observe(&c, v, &out, true, |_| false, &mut verdicts);
+        for _ in 1..EVICT_AFTER {
+            t.observe(v, &out, true, |_| false, &mut verdicts);
+        }
         // Many rounds where v itself saw nothing: no escalation.
         for _ in 0..10 {
-            t.observe(&c, v, &out, false, |_| false, &mut verdicts);
+            t.observe(v, &out, false, |_| false, &mut verdicts);
             assert_eq!(verdicts, vec![PeerHealth::Healthy]);
         }
-        t.observe(&c, v, &out, true, |_| false, &mut verdicts);
-        assert_eq!(verdicts, vec![PeerHealth::Suspect], "2nd informative round");
+        t.observe(v, &out, true, |_| false, &mut verdicts);
+        assert_eq!(
+            verdicts,
+            vec![PeerHealth::Evict],
+            "the next informative round evicts"
+        );
     }
 
     #[test]
     fn backoff_doubles_and_caps_and_clears() {
-        let c = cfg();
         let mut t = LivenessTracker::new(2);
         let (v, p) = (NodeId::new(0), NodeId::new(1));
-        t.note_failure(&c, v, p, 10);
+        t.note_failure(v, p, 10);
         assert!(t.backed_off(v, p, 10));
         assert!(t.backed_off(v, p, 11));
         assert!(!t.backed_off(v, p, 12), "base backoff is 2 rounds");
-        t.note_failure(&c, v, p, 12); // attempt 1 → 4 rounds
+        t.note_failure(v, p, 12); // attempt 1 → 4 rounds
         assert!(t.backed_off(v, p, 15));
         assert!(!t.backed_off(v, p, 16));
         for round in [16u64, 17, 18, 19, 20] {
-            t.note_failure(&c, v, p, round);
+            t.note_failure(v, p, round);
         }
-        // Deep failure history: delay is capped at backoff_max.
-        assert!(t.backed_off(v, p, 20 + u64::from(c.backoff_max) - 1));
-        assert!(!t.backed_off(v, p, 20 + u64::from(c.backoff_max)));
+        // Deep failure history: delay is capped at BACKOFF_MAX.
+        assert!(t.backed_off(v, p, 20 + u64::from(BACKOFF_MAX) - 1));
+        assert!(!t.backed_off(v, p, 20 + u64::from(BACKOFF_MAX)));
         t.note_success(v, p);
         assert!(!t.backed_off(v, p, 21));
         assert_eq!(t.active_backoffs(21), 0);
@@ -534,48 +481,20 @@ mod tests {
 
     #[test]
     fn retire_forgets_both_directions() {
-        let c = cfg();
         let mut t = LivenessTracker::new(3);
         let mut verdicts = Vec::new();
-        // 0 suspects 1; 1 suspects 2; 0 backs off 2.
-        for _ in 0..2 {
-            t.observe(
-                &c,
-                NodeId::new(0),
-                &ids(&[1]),
-                true,
-                |_| false,
-                &mut verdicts,
-            );
-            t.observe(
-                &c,
-                NodeId::new(1),
-                &ids(&[2]),
-                true,
-                |_| false,
-                &mut verdicts,
-            );
+        // 0 counts 1 silent; 1 counts 2 silent; 0 backs off 2.
+        for _ in 1..EVICT_AFTER {
+            t.observe(NodeId::new(0), &ids(&[1]), true, |_| false, &mut verdicts);
+            t.observe(NodeId::new(1), &ids(&[2]), true, |_| false, &mut verdicts);
         }
-        t.note_failure(&c, NodeId::new(0), NodeId::new(2), 0);
+        t.note_failure(NodeId::new(0), NodeId::new(2), 0);
         t.retire(NodeId::new(1));
-        // 1's own state is gone and 0's counters against 1 are gone.
-        t.observe(
-            &c,
-            NodeId::new(0),
-            &ids(&[1]),
-            true,
-            |_| false,
-            &mut verdicts,
-        );
+        // 1's own state is gone and 0's counters against 1 are gone, so
+        // one more silent round evicts neither.
+        t.observe(NodeId::new(0), &ids(&[1]), true, |_| false, &mut verdicts);
         assert_eq!(verdicts, vec![PeerHealth::Healthy]);
-        t.observe(
-            &c,
-            NodeId::new(1),
-            &ids(&[2]),
-            true,
-            |_| false,
-            &mut verdicts,
-        );
+        t.observe(NodeId::new(1), &ids(&[2]), true, |_| false, &mut verdicts);
         assert_eq!(verdicts, vec![PeerHealth::Healthy]);
         // Unrelated backoff survives.
         assert!(t.backed_off(NodeId::new(0), NodeId::new(2), 1));
@@ -583,155 +502,82 @@ mod tests {
 
     #[test]
     fn grow_to_extends_without_touching_existing_state() {
-        let c = cfg();
         let mut t = LivenessTracker::new(2);
         let mut verdicts = Vec::new();
-        for _ in 0..2 {
-            t.observe(
-                &c,
-                NodeId::new(0),
-                &ids(&[1]),
-                true,
-                |_| false,
-                &mut verdicts,
-            );
+        for _ in 1..EVICT_AFTER {
+            t.observe(NodeId::new(0), &ids(&[1]), true, |_| false, &mut verdicts);
         }
         t.grow_to(5);
         assert_eq!(t.len(), 5);
-        t.observe(
-            &c,
-            NodeId::new(0),
-            &ids(&[1]),
-            true,
-            |_| false,
-            &mut verdicts,
-        );
-        assert_eq!(verdicts, vec![PeerHealth::Suspect]);
-        t.observe(
-            &c,
-            NodeId::new(4),
-            &ids(&[0]),
-            true,
-            |_| false,
-            &mut verdicts,
-        );
+        t.observe(NodeId::new(0), &ids(&[1]), true, |_| false, &mut verdicts);
+        assert_eq!(verdicts, vec![PeerHealth::Evict]);
+        t.observe(NodeId::new(4), &ids(&[0]), true, |_| false, &mut verdicts);
         assert_eq!(verdicts, vec![PeerHealth::Healthy]);
     }
 
     #[test]
-    fn validation() {
-        assert!(LivenessConfig::disabled().validate().is_ok());
-        assert!(LivenessConfig::aggressive().validate().is_ok());
-        let bad = LivenessConfig {
-            evict_after: 1,
-            suspect_after: 2,
-            enabled: true,
-            ..LivenessConfig::disabled()
-        };
-        assert!(bad.validate().is_err());
-        let bad = LivenessConfig {
-            backoff_base: 0,
-            enabled: true,
-            ..LivenessConfig::disabled()
-        };
-        assert!(bad.validate().is_err());
-        // A disabled config is never validated further.
-        let off = LivenessConfig {
-            suspect_after: 0,
-            ..LivenessConfig::disabled()
-        };
-        assert!(off.validate().is_ok());
-    }
-
-    #[test]
-    fn churn_departure_of_suspect_leaks_no_counter_slot() {
-        let c = cfg();
+    fn churn_departure_of_silent_peer_leaks_no_counter_slot() {
         let mut t = LivenessTracker::new(4);
         let v = NodeId::new(0);
-        let suspect = NodeId::new(2);
+        let silent = NodeId::new(2);
         let mut verdicts = Vec::new();
-        // Drive peer 2 into Suspect from two different watchers.
+        // Count peer 2 silent from two different watchers.
         for _ in 0..2 {
-            t.observe(
-                &c,
-                v,
-                &ids(&[1, 2]),
-                true,
-                |u| u.as_u32() == 1,
-                &mut verdicts,
-            );
-            t.observe(
-                &c,
-                NodeId::new(3),
-                &ids(&[2]),
-                true,
-                |_| false,
-                &mut verdicts,
-            );
+            t.observe(v, &ids(&[1, 2]), true, |u| u.as_u32() == 1, &mut verdicts);
+            t.observe(NodeId::new(3), &ids(&[2]), true, |_| false, &mut verdicts);
         }
-        assert_eq!(verdicts, vec![PeerHealth::Suspect]);
-        assert_eq!(t.counters_tracking(suspect), 2);
-        // Peer 2 departs via churn while suspected.
-        t.retire(suspect);
+        assert_eq!(t.counters_tracking(silent), 2);
+        // Peer 2 departs via churn while counted silent.
+        t.retire(silent);
         assert_eq!(
-            t.counters_tracking(suspect),
+            t.counters_tracking(silent),
             0,
-            "departed suspect must not leak counter slots"
+            "departed peer must not leak counter slots"
         );
-        // If the id is later reused by a joiner, it starts Healthy with a
-        // fresh counter — no inherited suspicion.
-        t.observe(
-            &c,
-            v,
-            &ids(&[1, 2]),
-            true,
-            |u| u.as_u32() == 1,
-            &mut verdicts,
-        );
-        assert_eq!(verdicts, vec![PeerHealth::Healthy, PeerHealth::Healthy]);
+        // If the id is later reused by a joiner, it starts with a fresh
+        // counter — no inherited silence.
+        t.observe(v, &ids(&[1, 2]), true, |u| u.as_u32() == 1, &mut verdicts);
+        assert_eq!(t.silent[0], vec![(1, 0), (2, 1)]);
         let mut violations = Vec::new();
-        t.audit(&c, &mut violations);
+        t.audit(&mut violations);
         assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]
     fn backoff_at_cap_stays_capped_and_rearms_at_base_after_heal() {
-        let c = cfg();
         let mut t = LivenessTracker::new(2);
         let (v, p) = (NodeId::new(0), NodeId::new(1));
-        // Fail far past the doubling range: delay must pin at backoff_max.
+        // Fail far past the doubling range: delay must pin at BACKOFF_MAX.
         let mut round = 0u64;
         for _ in 0..40 {
-            t.note_failure(&c, v, p, round);
+            t.note_failure(v, p, round);
             round += 1;
         }
         let last = round - 1;
-        assert!(t.backed_off(v, p, last + u64::from(c.backoff_max) - 1));
+        assert!(t.backed_off(v, p, last + u64::from(BACKOFF_MAX) - 1));
         assert!(
-            !t.backed_off(v, p, last + u64::from(c.backoff_max)),
+            !t.backed_off(v, p, last + u64::from(BACKOFF_MAX)),
             "delay must stay exactly at the cap, not overflow past it"
         );
         // A successful reconnect heals the record entirely...
         t.note_success(v, p);
         assert!(!t.backed_off(v, p, last));
         // ...so the next failure re-arms at the base delay, not the cap.
-        t.note_failure(&c, v, p, 1_000);
-        assert!(t.backed_off(v, p, 1_000 + u64::from(c.backoff_base) - 1));
+        t.note_failure(v, p, 1_000);
+        assert!(t.backed_off(v, p, 1_000 + u64::from(BACKOFF_BASE) - 1));
         assert!(
-            !t.backed_off(v, p, 1_000 + u64::from(c.backoff_base)),
-            "healed peer must restart the exponential at backoff_base"
+            !t.backed_off(v, p, 1_000 + u64::from(BACKOFF_BASE)),
+            "healed peer must restart the exponential at BACKOFF_BASE"
         );
     }
 
     #[test]
     fn snapshot_roundtrip_preserves_counters_and_backoffs() {
         use serde::bin::{Decode, Encode};
-        let c = cfg();
         let mut t = LivenessTracker::new(3);
         let mut verdicts = Vec::new();
         for _ in 0..2 {
             t.observe(
-                &c,
                 NodeId::new(0),
                 &ids(&[1, 2]),
                 true,
@@ -739,7 +585,7 @@ mod tests {
                 &mut verdicts,
             );
         }
-        t.note_failure(&c, NodeId::new(1), NodeId::new(2), 7);
+        t.note_failure(NodeId::new(1), NodeId::new(2), 7);
         let bytes = t.to_bytes();
         let back = LivenessTracker::from_bytes(&bytes).expect("round-trip");
         assert_eq!(back.len(), t.len());
@@ -749,9 +595,10 @@ mod tests {
         let mut v1 = Vec::new();
         let mut v2 = Vec::new();
         let mut t2 = back;
-        t.observe(&c, NodeId::new(0), &ids(&[1, 2]), true, |_| false, &mut v1);
-        t2.observe(&c, NodeId::new(0), &ids(&[1, 2]), true, |_| false, &mut v2);
+        t.observe(NodeId::new(0), &ids(&[1, 2]), true, |_| false, &mut v1);
+        t2.observe(NodeId::new(0), &ids(&[1, 2]), true, |_| false, &mut v2);
         assert_eq!(v1, v2);
+        assert_eq!(t2, t);
         // Corruption (slot-count mismatch) is a structured error.
         let mut tampered = Vec::new();
         t.silent.encode(&mut tampered);
@@ -761,14 +608,13 @@ mod tests {
 
     #[test]
     fn audit_flags_illegal_states() {
-        let c = cfg();
         let mut t = LivenessTracker::new(2);
-        // A counter past evict_after means a peer the engine failed to
+        // A counter past EVICT_AFTER means a peer the engine failed to
         // evict; an out-of-range peer id means corrupted state.
-        t.silent[0].push((1, c.evict_after + 3));
+        t.silent[0].push((1, EVICT_AFTER + 3));
         t.silent[1].push((9, 1));
         let mut violations = Vec::new();
-        t.audit(&c, &mut violations);
+        t.audit(&mut violations);
         assert_eq!(violations.len(), 2, "{violations:?}");
         assert!(violations
             .iter()

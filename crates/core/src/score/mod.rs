@@ -76,24 +76,6 @@ impl NodeHistory {
         }
     }
 
-    /// Ages the history under churn: every neighbor buffer keeps only its
-    /// newest `⌈len · staleness⌉` samples (buffers grow in round order,
-    /// so the tail is the newest). `staleness = 1.0` keeps everything;
-    /// smaller values make scores learned against a departed world fade
-    /// geometrically round over round.
-    pub fn decay(&mut self, staleness: f64) {
-        debug_assert!((0.0..=1.0).contains(&staleness));
-        if staleness >= 1.0 {
-            return;
-        }
-        for buf in &mut self.samples {
-            let keep = (buf.len() as f64 * staleness).ceil() as usize;
-            if keep < buf.len() {
-                buf.drain(..buf.len() - keep);
-            }
-        }
-    }
-
     /// Forgets every neighbor at once — the node itself left the network
     /// (or reset in place).
     pub fn clear(&mut self) {
@@ -124,7 +106,7 @@ impl NodeHistory {
 
     /// How many trailing samples per buffer one auditor pass inspects.
     /// Buffers only grow at the tail ([`NodeHistory::absorb`] appends;
-    /// decay/forget drop whole prefixes or buffers), so at
+    /// forget/clear drop whole buffers), so at
     /// audit-every-round cadence every sample is inspected while it *is*
     /// the tail — full coverage paid incrementally. A full sweep would
     /// make the pass O(total samples), which grows with run length and
@@ -353,24 +335,7 @@ mod tests {
         h.forget(a);
         assert_eq!(h.sample_count(a), 0);
         assert_eq!(h.sample_count(b), 1, "forgetting a leaves b intact");
-    }
-
-    #[test]
-    fn node_history_decay_keeps_the_newest_tail() {
-        let mut h = NodeHistory::default();
-        let a = NodeId::new(1);
-        h.absorb(a, (0..10).map(f64::from));
-        h.decay(1.0);
-        assert_eq!(h.sample_count(a), 10, "staleness 1.0 keeps everything");
-        h.decay(0.5);
-        assert_eq!(h.samples_for(a), &[5.0f32, 6.0, 7.0, 8.0, 9.0][..]);
-        h.decay(0.2);
-        assert_eq!(
-            h.samples_for(a),
-            &[9.0f32][..],
-            "the newest sample survives"
-        );
         h.clear();
-        assert_eq!(h.sample_count(a), 0);
+        assert_eq!(h, NodeHistory::default());
     }
 }

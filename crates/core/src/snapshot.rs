@@ -72,11 +72,18 @@ const MAGIC: [u8; 4] = *b"PRGS";
 /// parallelism setting, and results never depend on it); **5** — the
 /// block propagation setting is the engine's [`GossipConfig`] itself
 /// (v4 stored a propagation-mode tag byte in front of an optional
-/// config), so the kernel is picked from the config on resume. Older
-/// envelopes are rejected with [`SnapshotError::UnsupportedVersion`] —
-/// re-run the capture, don't guess at a world whose id space may have
-/// been renumbered.
-pub const FORMAT_VERSION: u32 = 5;
+/// config), so the kernel is picked from the config on resume; **6** —
+/// settings no run varied became constants, so their fields left the
+/// codecs: the [`PerigeeConfig`] score-staleness factor, the
+/// [`LivenessConfig`](crate::LivenessConfig) timers (only its switch
+/// remains), the geographic latency model's jitter fraction, the arrival
+/// [`PopulationBuilder`](perigee_netsim::PopulationBuilder)'s region
+/// weights, and the uniform validation and lognormal/Weibull session
+/// variants (surviving variants keep their tags). Older envelopes are
+/// rejected with [`SnapshotError::UnsupportedVersion`] — re-run the
+/// capture, don't guess at a world whose id space may have been
+/// renumbered.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Why a snapshot could not be read back.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -447,8 +447,9 @@ fn fault_injected_rounds_are_thread_and_queue_independent() {
     };
 
     let run = |threads: Option<usize>, kind: QueueKind| {
-        // Hand-built engine: liveness on, so suspect→evict and backoff
-        // state also prove themselves execution-order independent.
+        // Hand-built engine: liveness on, so silence counters, eviction
+        // and backoff state also prove themselves execution-order
+        // independent.
         let mut rng = StdRng::seed_from_u64(67);
         let pop = PopulationBuilder::new(80).build(&mut rng).unwrap();
         let lat = GeoLatencyModel::new(&pop, 67);
@@ -635,4 +636,108 @@ fn ucb_rounds_are_thread_count_independent() {
         assert_eq!(a, b);
     }
     assert_eq!(wide.topology(), narrow.topology());
+}
+
+/// One hostile trajectory, pinned across commits. A 120-node UCB world
+/// (5 blocks a round) under aggressive liveness, 2% steady-state churn,
+/// a drop/jitter/duplication fault plan with flapping links and a
+/// three-round loss burst, and a free-list compaction every 10 rounds
+/// runs for 30 rounds; every `RoundStats` field (floats by their bits)
+/// and the final outgoing lists fold into one fnv1a64 digest. Eviction,
+/// churn and gating must each fire, so the digest covers the liveness
+/// timers and the session and gating paths. A change meant to keep
+/// every run's behaviour must leave the digest alone.
+#[test]
+fn hostile_trajectory_digest_is_pinned() {
+    use perigee_core::{LivenessConfig, RoundStats};
+    use perigee_netsim::{ChurnProcess, FaultWindow, LinkFlaps};
+
+    const EXPECTED: u64 = 0xd915_64c0_31f0_4425;
+    const SEED: u64 = 1919;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let pop = PopulationBuilder::new(120).build(&mut rng).unwrap();
+    let lat = GeoLatencyModel::new(&pop, SEED);
+    let topo = RandomBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
+    let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Ucb);
+    cfg.blocks_per_round = 5;
+    cfg.liveness = LivenessConfig::aggressive();
+    let mut e = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Ucb, cfg).unwrap();
+    e.set_churn(ChurnProcess::steady_state(120, 0.02, SEED ^ 0xC4A2));
+    e.set_fault_plan(FaultPlan {
+        base: LinkFaultRates {
+            drop_prob: 0.02,
+            extra_delay: SimTime::from_ms(1.0),
+            jitter: SimTime::from_ms(8.0),
+            duplicate_prob: 0.03,
+        },
+        // A burst of heavy loss: some nodes miss blocks, which is what
+        // trips stability gating.
+        windows: vec![FaultWindow {
+            start: 12,
+            end: 15,
+            rates: LinkFaultRates {
+                drop_prob: 0.75,
+                extra_delay: SimTime::from_ms(10.0),
+                jitter: SimTime::from_ms(20.0),
+                duplicate_prob: 0.0,
+            },
+        }],
+        flaps: Some(LinkFlaps {
+            fraction: 0.1,
+            period: 10,
+            down: 5,
+        }),
+        ..FaultPlan::inert(SEED ^ 0xFA17)
+    })
+    .unwrap();
+    e.set_audit_every(1);
+
+    let mut folded = Vec::new();
+    let (mut evicted, mut joined, mut departed, mut gated) = (0, 0, 0, 0);
+    for r in 0..30 {
+        let RoundStats {
+            round,
+            mean_lambda90_ms,
+            mean_lambda50_ms,
+            p90_lambda90_ms,
+            blocks,
+            dropped,
+            joined: j,
+            departed: d,
+            gated: g,
+            evicted: ev,
+        } = e.run_round(&mut rng);
+        let words = [
+            round as u64,
+            blocks as u64,
+            dropped as u64,
+            j as u64,
+            d as u64,
+            g as u64,
+            ev as u64,
+            mean_lambda90_ms.to_bits(),
+            mean_lambda50_ms.to_bits(),
+            p90_lambda90_ms.to_bits(),
+        ];
+        for word in words {
+            folded.extend_from_slice(&word.to_le_bytes());
+        }
+        (evicted, joined, departed, gated) = (evicted + ev, joined + j, departed + d, gated + g);
+        if r % 10 == 9 {
+            e.compact();
+        }
+    }
+    for v in 0..e.population().len() as u32 {
+        let outgoing = e.topology().outgoing_vec(NodeId::new(v));
+        folded.extend_from_slice(&(outgoing.len() as u32).to_le_bytes());
+        for u in outgoing {
+            folded.extend_from_slice(&u.as_u32().to_le_bytes());
+        }
+    }
+    let digest = serde::bin::fnv1a64(&folded);
+    assert!(evicted > 0, "liveness must evict");
+    assert!(joined > 0 && departed > 0, "churn must fire");
+    assert!(gated > 0, "stability gating must fire");
+    assert!(e.audit_failures().is_empty(), "{:?}", e.audit_failures());
+    assert_eq!(digest, EXPECTED, "hostile trajectory moved: {digest:#018x}");
 }

@@ -307,21 +307,65 @@ fn corrupted_snapshots_are_rejected_with_structured_errors() {
     ));
 }
 
+/// A checkpoint whose churn arrival rate was rewritten to NaN, −1 or
+/// +∞ — with the content hash recomputed, so the envelope is sound —
+/// is refused while decoding, as [`SnapshotError::Corrupt`], instead of
+/// resuming into a process whose first round panics.
+#[test]
+fn invalid_churn_rate_in_a_hash_valid_checkpoint_is_corrupt() {
+    let (mut engine, mut rng) = chaos_engine(11, QueueKind::Calendar);
+    for _ in 0..3 {
+        engine.run_round(&mut rng);
+    }
+    let bytes = engine.checkpoint(&rng).to_bytes();
+    // The churn process is `steady_state(70, 0.04, ..)`: the Poisson
+    // mode tag, its arrival rate, then the exponential session tag and
+    // its mean — a pattern that occurs once in the body.
+    let rate = 70.0 * 0.04f64;
+    let mut pattern = vec![0u8];
+    pattern.extend_from_slice(&rate.to_le_bytes());
+    pattern.push(1);
+    pattern.extend_from_slice(&(1.0 / 0.04f64).to_le_bytes());
+    let body_end = bytes.len() - 8;
+    let hits: Vec<usize> = (16..body_end - pattern.len())
+        .filter(|&i| bytes[i..i + pattern.len()] == pattern[..])
+        .collect();
+    assert_eq!(hits.len(), 1, "the churn mode is found exactly once");
+    let at = hits[0] + 1;
+    for bad in [f64::NAN, -1.0, f64::INFINITY] {
+        let mut tampered = bytes.clone();
+        tampered[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+        let digest = serde::bin::fnv1a64(&tampered[16..body_end]);
+        tampered[body_end..].copy_from_slice(&digest.to_le_bytes());
+        assert!(
+            matches!(
+                RunSnapshot::from_bytes(&tampered),
+                Err(SnapshotError::Corrupt(_))
+            ),
+            "rate {bad} must be refused as corrupt"
+        );
+    }
+}
+
 /// Checked-in envelopes of older format versions — version 1 (written
 /// before the snapshot carried the compaction epoch and the latency
 /// placement keys), version 3 (a UCB run whose score state was still
-/// the strategy's opaque bytes, next to the parallel-switch byte) and
+/// the strategy's opaque bytes, next to the parallel-switch byte),
 /// version 4 (a UCB run whose block propagation was still a mode tag in
-/// front of an optional gossip config) — are rejected with a
-/// *structured* [`SnapshotError::UnsupportedVersion`] — never a panic,
-/// never a misdecoded world. Truncated prefixes of the old files must
-/// not panic either.
+/// front of an optional gossip config) and version 5 (a UCB run with
+/// churn, aggressive liveness and a fault plan, whose configs still
+/// carried the score-staleness factor, the liveness timers, the
+/// geographic jitter fraction and the arrival region weights) — are
+/// rejected with a *structured* [`SnapshotError::UnsupportedVersion`] —
+/// never a panic, never a misdecoded world. Truncated prefixes of the
+/// old files must not panic either.
 #[test]
 fn old_snapshot_versions_are_rejected_with_unsupported_version() {
-    let fixtures: [(&[u8], u32); 3] = [
+    let fixtures: [(&[u8], u32); 4] = [
         (include_bytes!("fixtures/snapshot_v1.bin"), 1),
         (include_bytes!("fixtures/snapshot_v3.bin"), 3),
         (include_bytes!("fixtures/snapshot_v4.bin"), 4),
+        (include_bytes!("fixtures/snapshot_v5.bin"), 5),
     ];
     for (bytes, version) in fixtures {
         assert_eq!(&bytes[..4], b"PRGS", "fixture is a perigee envelope");

@@ -13,10 +13,10 @@
 //!   skips scoring (its observations are corrupted by the outage) but
 //!   keeps exploring, so the overlay still mixes while bad evidence is
 //!   quarantined;
-//! * **peer liveness** — persistently silent links escalate
-//!   Healthy → Suspect → Evict and the freed slots refill through the
-//!   address book under capped exponential backoff
-//!   (see [`LivenessConfig`]).
+//! * **peer liveness** — a link silent for
+//!   [`EVICT_AFTER`](perigee_core::liveness::EVICT_AFTER) informative
+//!   rounds is evicted and the freed slot refills through the address
+//!   book under capped exponential backoff (see [`LivenessConfig`]).
 //!
 //! Four scenarios:
 //!

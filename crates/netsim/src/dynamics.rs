@@ -9,7 +9,7 @@
 //!
 //! * [`ChurnProcess`] — the lifetime driver. Either a stochastic process
 //!   (Poisson arrivals per round, session lengths drawn from a
-//!   [`SessionDist`] — constant, exponential, lognormal or Weibull) or a
+//!   [`SessionDist`] — constant or exponential) or a
 //!   deterministic trace replay of [`LifetimeEvent`]s. The process owns
 //!   its own seeded RNG, so the lifetime schedule is independent of the
 //!   protocol RNG and identical across thread counts and queue kinds.
@@ -110,36 +110,9 @@ pub enum SessionDist {
         /// Mean session length in rounds.
         mean: f64,
     },
-    /// Lognormal sessions — the skew measurement studies report for
-    /// real overlay session lengths (many short, a heavy persistent tail).
-    LogNormal {
-        /// Mean of the underlying normal (ln-rounds).
-        mu: f64,
-        /// Standard deviation of the underlying normal.
-        sigma: f64,
-    },
-    /// Weibull sessions — `shape < 1` gives the "young nodes are the most
-    /// likely to leave" hazard seen in p2p measurement work.
-    Weibull {
-        /// Weibull shape parameter `k > 0`.
-        shape: f64,
-        /// Weibull scale parameter `λ > 0`, in rounds.
-        scale: f64,
-    },
 }
 
 impl SessionDist {
-    /// A lognormal with the given *mean* session length (in rounds) and
-    /// ln-space spread `sigma` — `mu` is solved from
-    /// `mean = exp(mu + sigma²/2)`.
-    pub fn lognormal_with_mean(mean_rounds: f64, sigma: f64) -> Self {
-        assert!(mean_rounds > 0.0, "mean session length must be positive");
-        SessionDist::LogNormal {
-            mu: mean_rounds.ln() - sigma * sigma / 2.0,
-            sigma,
-        }
-    }
-
     /// Samples one session length in rounds (not yet rounded).
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         match *self {
@@ -148,27 +121,22 @@ impl SessionDist {
                 let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
                 -mean * u.ln()
             }
-            SessionDist::LogNormal { mu, sigma } => (mu + sigma * standard_normal(rng)).exp(),
-            SessionDist::Weibull { shape, scale } => {
-                let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-                scale * (-u.ln()).powf(1.0 / shape)
-            }
         }
     }
 }
 
-/// One standard-normal draw (Box–Muller over two uniforms).
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+/// Whether `rate` can drive Poisson arrivals: finite and non-negative.
+/// The one rule behind [`ChurnProcess::poisson`] and the checkpoint
+/// decoder.
+fn valid_rate(rate: f64) -> bool {
+    rate.is_finite() && rate >= 0.0
 }
 
 /// Poisson sample via Knuth's product method, chunked so the running
 /// product never reaches the subnormal range even for large rates.
 fn poisson<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> usize {
     assert!(
-        rate.is_finite() && rate >= 0.0,
+        valid_rate(rate),
         "Poisson rate must be finite and non-negative"
     );
     let mut total = 0usize;
@@ -259,11 +227,7 @@ enum Mode {
 /// let mut pop = PopulationBuilder::new(100).build(&mut rng).unwrap();
 /// // ~2 arrivals per round, sessions averaging 50 rounds → steady state
 /// // around 100 nodes.
-/// let mut process = ChurnProcess::poisson(
-///     2.0,
-///     SessionDist::lognormal_with_mean(50.0, 0.5),
-///     7,
-/// );
+/// let mut process = ChurnProcess::poisson(2.0, SessionDist::Exponential { mean: 50.0 }, 7);
 /// process.attach(&pop);
 /// let plan = process.begin_round();
 /// for _ in 0..plan.arrivals {
@@ -296,7 +260,7 @@ impl ChurnProcess {
     /// ([`ChurnProcess::with_arrival_profile`] overrides).
     pub fn poisson(arrival_rate: f64, session: SessionDist, seed: u64) -> Self {
         assert!(
-            arrival_rate.is_finite() && arrival_rate >= 0.0,
+            valid_rate(arrival_rate),
             "arrival rate must be finite and non-negative"
         );
         ChurnProcess {
@@ -317,10 +281,7 @@ impl ChurnProcess {
     /// sessions of mean `1 / churn_fraction` rounds. The exponential's
     /// constant hazard makes the per-round departure rate equal
     /// `churn_fraction` from round zero (no warm-up toward the
-    /// equilibrium age distribution); pick
-    /// [`SessionDist::lognormal_with_mean`] or [`SessionDist::Weibull`]
-    /// explicitly to model the skewed session lengths measurement
-    /// studies report.
+    /// equilibrium age distribution).
     pub fn steady_state(target: usize, churn_fraction: f64, seed: u64) -> Self {
         assert!(
             churn_fraction > 0.0 && churn_fraction < 1.0,
@@ -348,8 +309,8 @@ impl ChurnProcess {
         }
     }
 
-    /// Overrides the builder arrival profiles are sampled from (region
-    /// mix, validation distribution, metric coordinates, bandwidth skew).
+    /// Overrides the builder arrival profiles are sampled from
+    /// (validation distribution, metric coordinates, bandwidth skew).
     pub fn with_arrival_profile(mut self, profile: PopulationBuilder) -> Self {
         self.profile = profile;
         self
@@ -559,16 +520,6 @@ mod codec {
                     1u8.encode(out);
                     mean.encode(out);
                 }
-                SessionDist::LogNormal { mu, sigma } => {
-                    2u8.encode(out);
-                    mu.encode(out);
-                    sigma.encode(out);
-                }
-                SessionDist::Weibull { shape, scale } => {
-                    3u8.encode(out);
-                    shape.encode(out);
-                    scale.encode(out);
-                }
             }
         }
     }
@@ -579,14 +530,6 @@ mod codec {
                 0 => Ok(SessionDist::Constant(f64::decode(r)?)),
                 1 => Ok(SessionDist::Exponential {
                     mean: f64::decode(r)?,
-                }),
-                2 => Ok(SessionDist::LogNormal {
-                    mu: f64::decode(r)?,
-                    sigma: f64::decode(r)?,
-                }),
-                3 => Ok(SessionDist::Weibull {
-                    shape: f64::decode(r)?,
-                    scale: f64::decode(r)?,
                 }),
                 _ => Err(DecodeError::new("invalid session-dist tag")),
             }
@@ -659,10 +602,18 @@ mod codec {
     impl Decode for Mode {
         fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
             match u8::decode(r)? {
-                0 => Ok(Mode::Poisson {
-                    arrival_rate: f64::decode(r)?,
-                    session: SessionDist::decode(r)?,
-                }),
+                0 => {
+                    let arrival_rate = f64::decode(r)?;
+                    if !valid_rate(arrival_rate) {
+                        return Err(DecodeError::new(
+                            "churn arrival rate must be finite and non-negative",
+                        ));
+                    }
+                    Ok(Mode::Poisson {
+                        arrival_rate,
+                        session: SessionDist::decode(r)?,
+                    })
+                }
                 1 => {
                     let events: Vec<LifetimeEvent> = Vec::decode(r)?;
                     let cursor = usize::decode(r)?;
@@ -743,15 +694,6 @@ mod tests {
         for (dist, mean) in [
             (SessionDist::Constant(12.0), 12.0),
             (SessionDist::Exponential { mean: 20.0 }, 20.0),
-            (SessionDist::lognormal_with_mean(25.0, 0.5), 25.0),
-            // Weibull mean = scale·Γ(1 + 1/shape); shape 1 is exponential.
-            (
-                SessionDist::Weibull {
-                    shape: 1.0,
-                    scale: 30.0,
-                },
-                30.0,
-            ),
         ] {
             let total: f64 = (0..n).map(|_| dist.sample(&mut rng)).sum();
             let sample_mean = total / n as f64;
@@ -764,12 +706,30 @@ mod tests {
     }
 
     #[test]
+    fn decoder_rejects_the_rates_the_constructor_refuses() {
+        use serde::bin::{Decode, Encode};
+        let process = ChurnProcess::poisson(2.0, SessionDist::Exponential { mean: 10.0 }, 7);
+        let bytes = process.to_bytes();
+        assert!(ChurnProcess::from_bytes(&bytes).is_ok());
+        // The rate is the f64 right after the Poisson mode tag.
+        assert_eq!(bytes[1..9], 2.0f64.to_le_bytes());
+        for rate in [f64::NAN, -1.0, f64::INFINITY] {
+            assert!(!valid_rate(rate));
+            let mut tampered = bytes.clone();
+            tampered[1..9].copy_from_slice(&rate.to_le_bytes());
+            assert!(
+                ChurnProcess::from_bytes(&tampered).is_err(),
+                "rate {rate} must not decode"
+            );
+        }
+    }
+
+    #[test]
     fn process_is_bit_reproducible() {
         let world = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(1);
             let mut pop = PopulationBuilder::new(50).build(&mut rng).unwrap();
-            let mut p =
-                ChurnProcess::poisson(3.0, SessionDist::lognormal_with_mean(8.0, 0.6), seed);
+            let mut p = ChurnProcess::poisson(3.0, SessionDist::Exponential { mean: 8.0 }, seed);
             p.attach(&pop);
             let mut history = Vec::new();
             for _ in 0..20 {

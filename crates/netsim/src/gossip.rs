@@ -645,6 +645,11 @@ impl TopologyView {
     /// (cached per directed edge), identical transfer-time floats. In [`GossipMode::Flood`] with negligible
     /// transfer the arrivals are additionally bit-identical to
     /// [`TopologyView::broadcast_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, before simulating anything, if the config's message size
+    /// fails [`TransferModel::validate`] (NaN, infinite or negative).
     pub fn gossip_into(&self, source: NodeId, config: &GossipConfig, scratch: &mut GossipScratch) {
         self.gossip_into_faulted(source, config, scratch, None);
     }
@@ -662,6 +667,11 @@ impl TopologyView {
     /// With `faults: None` the loop runs on the no-fault lens, and with
     /// an inert plan the lens returns every base delay bitwise, so both
     /// are bit-identical to the fault-free run.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before simulating anything, if the config's message size
+    /// fails [`TransferModel::validate`] (NaN, infinite or negative).
     pub fn gossip_into_faulted(
         &self,
         source: NodeId,
@@ -701,6 +711,12 @@ impl TopologyView {
     ///
     /// Faults are a block-path concern and are not applied here; the
     /// traffic layer documents message streams as fault-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before simulating any message (so `visit` never runs), if
+    /// any message's size fails [`TransferModel::validate`] (NaN,
+    /// infinite or negative).
     pub fn gossip_batch_into<F>(
         &self,
         batch: &[BatchMessage],
@@ -730,6 +746,14 @@ impl TopologyView {
         let m = self.edges.len();
         if let Err(e) = check_payload_cap(n, m) {
             panic!("{e}");
+        }
+        // A negative size would schedule deliveries behind the queue's
+        // cursor and a NaN one would poison the event order: refuse the
+        // batch before any event is queued.
+        for msg in batch {
+            if let Err(e) = msg.config.transfer.validate() {
+                panic!("{e}");
+            }
         }
         scratch.reset_batch(n, m, batch.len());
         for (i, msg) in batch.iter().enumerate() {
@@ -997,6 +1021,47 @@ mod tests {
             let v = NodeId::new(i);
             assert!(big.arrival(v) > small.arrival(v));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "message size must be finite and non-negative")]
+    fn negative_size_panics_at_the_entry_point() {
+        let (pop, lat, topo) = random_world(60, 8);
+        let view = TopologyView::new(&topo, &lat, &pop);
+        gossip(&view, 0, &GossipConfig::inv_getdata(-1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "message size must be finite and non-negative")]
+    fn nan_size_panics_at_the_entry_point() {
+        let (pop, lat, topo) = random_world(60, 8);
+        let view = TopologyView::new(&topo, &lat, &pop);
+        gossip(&view, 0, &GossipConfig::inv_getdata(f64::NAN));
+    }
+
+    #[test]
+    fn a_bad_message_refuses_its_batch_before_any_visit() {
+        let (pop, lat, topo) = random_world(60, 8);
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let batch = [
+            BatchMessage {
+                source: NodeId::new(0),
+                config: GossipConfig::flood(),
+            },
+            BatchMessage {
+                source: NodeId::new(1),
+                config: GossipConfig::push_pull(-1.0, 2),
+            },
+        ];
+        let mut scratch = GossipScratch::new();
+        let mut visits = 0;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            view.gossip_batch_into(&batch, &mut scratch, |_, _| visits += 1);
+        }));
+        let payload = outcome.expect_err("a negative size must panic");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("message size"), "{message}");
+        assert_eq!(visits, 0, "the good first message must not run either");
     }
 
     #[test]

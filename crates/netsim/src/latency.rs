@@ -131,12 +131,17 @@ pub const REGION_RADIUS_MS: [f64; 7] = [20.0, 15.0, 12.0, 20.0, 15.0, 10.0, 12.0
 /// ... across peers").
 pub const ACCESS_DELAY_RANGE_MS: (f64, f64) = (1.0, 40.0);
 
+/// Per-pair jitter of the geographic model's propagation distance: each
+/// pair's distance is scaled by a fixed factor in `1 ± GEO_JITTER_FRAC`.
+pub const GEO_JITTER_FRAC: f64 = 0.10;
+
 /// Geographic latency model (§5.1): 2-D latency-space embedding.
 ///
 /// `δ(u,v) = access(u) + access(v) + ‖pos(u) − pos(v)‖ · (1 ± jitter)`,
-/// where positions, access delays and the per-pair jitter are all
-/// deterministic functions of `(seed, node id)` — the model is symmetric,
-/// memoryless and reproducible without storing an `n×n` matrix.
+/// with `|jitter| ≤` [`GEO_JITTER_FRAC`], where positions, access delays
+/// and the per-pair jitter are all deterministic functions of
+/// `(seed, node id)` — the model is symmetric, memoryless and
+/// reproducible without storing an `n×n` matrix.
 ///
 /// # Examples
 ///
@@ -168,24 +173,13 @@ pub struct GeoLatencyModel {
     /// Strictly greater than every key ever issued — compaction deletes
     /// key entries but never lowers this, so placements are never reused.
     next_key: u64,
-    jitter_frac: f64,
     seed: u64,
 }
 
 impl GeoLatencyModel {
     /// Builds the model from a population's region assignment with the
-    /// default geometry and ±10% per-pair jitter.
+    /// default geometry and ±10% per-pair jitter ([`GEO_JITTER_FRAC`]).
     pub fn new(population: &Population, seed: u64) -> Self {
-        Self::with_jitter(population, 0.10, seed)
-    }
-
-    /// Builds the model with an explicit per-pair jitter fraction
-    /// (`jitter_frac ∈ [0, 1)`).
-    pub fn with_jitter(population: &Population, jitter_frac: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&jitter_frac),
-            "jitter fraction must be in [0, 1)"
-        );
         let n = population.len();
         let mut pos = Vec::with_capacity(n);
         let mut access_ms = Vec::with_capacity(n);
@@ -201,7 +195,6 @@ impl GeoLatencyModel {
             access_ms,
             key: (0..n as u64).collect(),
             next_key: n as u64,
-            jitter_frac,
             seed,
         }
     }
@@ -241,7 +234,7 @@ impl LatencyModel for GeoLatencyModel {
         // a pair's delay survives free-list compaction bit for bit (keys
         // are monotone in index, so min/max by index is min/max by key).
         let x = unit_hash(self.seed, self.key[a], self.key[b]) * 2.0 - 1.0;
-        let propagation = dist * (1.0 + self.jitter_frac * x);
+        let propagation = dist * (1.0 + GEO_JITTER_FRAC * x);
         SimTime::from_ms(self.access_ms[a] + self.access_ms[b] + propagation)
     }
 
@@ -284,7 +277,7 @@ impl LatencyModel for GeoLatencyModel {
     }
 }
 
-/// The per-node placement shared by [`GeoLatencyModel::with_jitter`] and
+/// The per-node placement shared by [`GeoLatencyModel::new`] and
 /// [`GeoLatencyModel::extend_for`]: a uniform position in the disc around
 /// the region center plus a last-mile access delay, both deterministic
 /// functions of `(seed, placement key)` — the key is the node's id at
@@ -501,7 +494,6 @@ mod codec {
             self.access_ms.encode(out);
             self.key.encode(out);
             self.next_key.encode(out);
-            self.jitter_frac.encode(out);
             self.seed.encode(out);
         }
     }
@@ -514,7 +506,6 @@ mod codec {
                 access_ms: Vec::decode(r)?,
                 key: Vec::decode(r)?,
                 next_key: u64::decode(r)?,
-                jitter_frac: f64::decode(r)?,
                 seed: u64::decode(r)?,
             };
             if model.pos.len() != model.regions.len()
@@ -634,7 +625,7 @@ mod tests {
         let lat = GeoLatencyModel::new(&p, 3);
         let floor = 2.0 * ACCESS_DELAY_RANGE_MS.0;
         // Max possible: two access delays + farthest centers + radii + jitter.
-        let ceiling = 2.0 * ACCESS_DELAY_RANGE_MS.1 + 260.0 * 1.1;
+        let ceiling = 2.0 * ACCESS_DELAY_RANGE_MS.1 + 260.0 * (1.0 + GEO_JITTER_FRAC);
         for i in 0..200u32 {
             for j in (i + 1)..200u32 {
                 let d = lat.delay(NodeId::new(i), NodeId::new(j)).as_ms();
@@ -666,13 +657,6 @@ mod tests {
         let b = GeoLatencyModel::new(&p, 2);
         let (u, v) = (NodeId::new(0), NodeId::new(1));
         assert_ne!(a.delay(u, v), b.delay(u, v));
-    }
-
-    #[test]
-    #[should_panic(expected = "jitter fraction must be in [0, 1)")]
-    fn invalid_jitter_panics() {
-        let p = pop(3);
-        let _ = GeoLatencyModel::with_jitter(&p, 1.0, 1);
     }
 
     #[test]
@@ -791,7 +775,7 @@ mod tests {
     #[test]
     fn geo_compact_preserves_surviving_pair_delays_bit_for_bit() {
         let mut p = pop(40);
-        let mut lat = GeoLatencyModel::with_jitter(&p, 0.2, 7);
+        let mut lat = GeoLatencyModel::new(&p, 7);
         assert_compact_preserves_delays(&mut p, &mut lat, &[0, 7, 13, 39]);
     }
 

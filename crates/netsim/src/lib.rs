@@ -53,7 +53,7 @@
 //!   runtime-selectable for the cross-engine equivalence suite).
 //! * [`MinerSampler`] — hash-power-proportional block sources.
 //! * [`dynamics`] — node lifetime as a simulated process:
-//!   [`ChurnProcess`] (Poisson arrivals, lognormal/Weibull/exponential
+//!   [`ChurnProcess`] (Poisson arrivals, constant or exponential
 //!   session lengths, deterministic [`LifetimeEvent`] trace replay — all
 //!   seeded and bit-reproducible) plans each round's [`WorldDelta`];
 //!   [`Population`] grows/shrinks through stable-id `spawn`/`retire` with
@@ -181,7 +181,7 @@ pub use gossip::{BatchMessage, GossipConfig, GossipMode, GossipScratch, PACKED_P
 pub use graph::{ConnectionLimits, Topology};
 pub use latency::{
     GeoLatencyModel, LatencyModel, MetricLatencyModel, OverrideLatencyModel, ACCESS_DELAY_RANGE_MS,
-    REGION_CENTERS_MS, REGION_RADIUS_MS,
+    GEO_JITTER_FRAC, REGION_CENTERS_MS, REGION_RADIUS_MS,
 };
 pub use mining::MinerSampler;
 pub use node::{Behavior, NodeId, NodeProfile, Region};

@@ -165,8 +165,6 @@ pub enum HashPowerDist {
 pub enum ValidationDist {
     /// All nodes share one fixed delay.
     Constant(SimTime),
-    /// Delay drawn uniformly from `[low, high]`.
-    Uniform(SimTime, SimTime),
     /// Per-node delay drawn from an exponential distribution with the
     /// given mean — the evaluation default (heterogeneous processing
     /// power with a long tail of slow validators).
@@ -502,13 +500,13 @@ impl std::ops::Index<NodeId> for Population {
 /// # Examples
 ///
 /// ```
-/// use perigee_netsim::{PopulationBuilder, HashPowerDist, SimTime};
+/// use perigee_netsim::{PopulationBuilder, HashPowerDist, SimTime, ValidationDist};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 /// let pop = PopulationBuilder::new(500)
 ///     .hash_power(HashPowerDist::Exponential)
-///     .validation_delay_ms(50.0)
+///     .validation(ValidationDist::Exponential(SimTime::from_ms(50.0)))
 ///     .build(&mut rng)
 ///     .unwrap();
 /// assert_eq!(pop.len(), 500);
@@ -516,7 +514,6 @@ impl std::ops::Index<NodeId> for Population {
 #[derive(Debug, Clone)]
 pub struct PopulationBuilder {
     n: usize,
-    region_weights: [f64; 7],
     hash_power: HashPowerDist,
     validation: ValidationDist,
     metric_dim: Option<usize>,
@@ -530,7 +527,6 @@ impl PopulationBuilder {
     pub fn new(n: usize) -> Self {
         PopulationBuilder {
             n,
-            region_weights: crate::dataset::BITNODES_REGION_WEIGHTS,
             hash_power: HashPowerDist::Uniform,
             validation: ValidationDist::default(),
             metric_dim: None,
@@ -538,21 +534,9 @@ impl PopulationBuilder {
         }
     }
 
-    /// Overrides the region mix (weights need not be normalized).
-    pub fn region_weights(&mut self, weights: [f64; 7]) -> &mut Self {
-        self.region_weights = weights;
-        self
-    }
-
     /// Sets the hash power distribution.
     pub fn hash_power(&mut self, dist: HashPowerDist) -> &mut Self {
         self.hash_power = dist;
-        self
-    }
-
-    /// Sets a constant validation delay in milliseconds.
-    pub fn validation_delay_ms(&mut self, ms: f64) -> &mut Self {
-        self.validation = ValidationDist::Constant(SimTime::from_ms(ms));
         self
     }
 
@@ -576,8 +560,8 @@ impl PopulationBuilder {
         self
     }
 
-    /// Samples the static attributes of a *single* node from this
-    /// builder's region / validation / bandwidth configuration — the
+    /// Samples the static attributes of a *single* node from the region
+    /// mix and this builder's validation / bandwidth configuration — the
     /// arrival path of the [`dynamics`](crate::dynamics) subsystem, where
     /// nodes join one at a time mid-run instead of in a batch.
     ///
@@ -588,7 +572,7 @@ impl PopulationBuilder {
     /// (which samples attribute-by-attribute across the batch), so seeded
     /// batch worlds stay bit-identical to previous releases.
     pub fn sample_profile<R: Rng + ?Sized>(&self, rng: &mut R) -> NodeProfile {
-        let region = sample_regions(1, &self.region_weights, rng)[0];
+        let region = sample_regions(1, rng)[0];
         self.sample_attrs(region, 0.0, rng)
     }
 
@@ -604,9 +588,6 @@ impl PopulationBuilder {
     ) -> NodeProfile {
         let validation_delay = match self.validation {
             ValidationDist::Constant(d) => d,
-            ValidationDist::Uniform(lo, hi) => {
-                SimTime::from_ms(rng.gen_range(lo.as_ms()..=hi.as_ms()))
-            }
             ValidationDist::Exponential(mean) => {
                 let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
                 SimTime::from_ms(-mean.as_ms() * u.ln())
@@ -648,7 +629,7 @@ impl PopulationBuilder {
         if self.n == 0 {
             return Err(NetsimError::EmptyPopulation);
         }
-        let regions = sample_regions(self.n, &self.region_weights, rng);
+        let regions = sample_regions(self.n, rng);
         let powers = sample_hash_power(self.n, &self.hash_power, rng);
         let mut profiles = Vec::with_capacity(self.n);
         for i in 0..self.n {
@@ -658,7 +639,10 @@ impl PopulationBuilder {
     }
 }
 
-fn sample_regions<R: Rng + ?Sized>(n: usize, weights: &[f64; 7], rng: &mut R) -> Vec<Region> {
+/// Draws `n` regions from the Bitnodes mix
+/// ([`BITNODES_REGION_WEIGHTS`](crate::dataset::BITNODES_REGION_WEIGHTS)).
+fn sample_regions<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<Region> {
+    let weights = &crate::dataset::BITNODES_REGION_WEIGHTS;
     let total: f64 = weights.iter().sum();
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -784,11 +768,6 @@ mod codec {
                     0u8.encode(out);
                     t.encode(out);
                 }
-                ValidationDist::Uniform(lo, hi) => {
-                    1u8.encode(out);
-                    lo.encode(out);
-                    hi.encode(out);
-                }
                 ValidationDist::Exponential(mean) => {
                     2u8.encode(out);
                     mean.encode(out);
@@ -801,10 +780,7 @@ mod codec {
         fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
             match u8::decode(r)? {
                 0 => Ok(ValidationDist::Constant(SimTime::decode(r)?)),
-                1 => Ok(ValidationDist::Uniform(
-                    SimTime::decode(r)?,
-                    SimTime::decode(r)?,
-                )),
+                // Surviving variants keep their tags, so 1 stays unused.
                 2 => Ok(ValidationDist::Exponential(SimTime::decode(r)?)),
                 _ => Err(DecodeError::new("invalid validation-dist tag")),
             }
@@ -814,7 +790,6 @@ mod codec {
     impl Encode for PopulationBuilder {
         fn encode(&self, out: &mut Vec<u8>) {
             self.n.encode(out);
-            self.region_weights.encode(out);
             self.hash_power.encode(out);
             self.validation.encode(out);
             self.metric_dim.encode(out);
@@ -826,7 +801,6 @@ mod codec {
         fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
             Ok(PopulationBuilder {
                 n: usize::decode(r)?,
-                region_weights: <[f64; 7]>::decode(r)?,
                 hash_power: HashPowerDist::decode(r)?,
                 validation: ValidationDist::decode(r)?,
                 metric_dim: Option::decode(r)?,
