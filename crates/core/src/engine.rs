@@ -17,8 +17,9 @@ use rand::Rng;
 use perigee_metrics::P2Quantile;
 use perigee_netsim::{
     BroadcastScratch, ChurnProcess, FaultPlan, GossipConfig, GossipScratch, LatencyModel,
-    MinerSampler, NetsimError, NodeId, Population, QueueKind, Region, RoundDelta, RoundFaults,
-    SimCounters, SimTime, Topology, TopologyView, TrafficConfig, TrafficMessage, WorldDelta,
+    MinerSampler, NetsimError, NodeId, NodeProfile, Population, QueueKind, Region, RoundDelta,
+    RoundFaults, SimCounters, SimTime, Topology, TopologyView, TrafficConfig, TrafficMessage,
+    WorldDelta,
 };
 use perigee_telemetry::{PhaseTimer, RunTelemetry};
 
@@ -297,8 +298,10 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     ///
     /// # Errors
     ///
-    /// Returns the validation error message for inconsistent configs or
-    /// mismatched population/topology sizes.
+    /// Returns the validation error message for inconsistent configs,
+    /// mismatched population/topology sizes, or a node whose validation
+    /// delay or [`Behavior::Delay`](perigee_netsim::Behavior::Delay) extra
+    /// is negative, NaN or infinite.
     pub fn new(
         population: Population,
         latency: L,
@@ -309,6 +312,9 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         config.validate()?;
         if population.len() != topology.len() {
             return Err("population and topology sizes differ");
+        }
+        if !population.iter().all(NodeProfile::has_valid_delays) {
+            return Err("validation and relay delays must be finite and non-negative");
         }
         let strategy = method.strategy(
             population.len(),
@@ -1901,6 +1907,75 @@ mod tests {
         cfg.blocks_per_round = blocks;
         let engine = PerigeeEngine::new(pop, lat, topo, method, cfg).unwrap();
         (engine, rng)
+    }
+
+    /// 60-node Subset worlds whose delays are made invalid after
+    /// `PerigeeEngine::new` (which refuses them) — through `profile_mut`,
+    /// as an adversary injection would. Each must panic at the view,
+    /// naming the node, before a round propagates anything.
+    fn subset_world_with(edit: impl Fn(NodeId, &mut NodeProfile)) {
+        let (mut engine, mut rng) = small_engine(60, ScoringMethod::Subset, 20, 60);
+        for v in (0..60).map(NodeId::new) {
+            edit(v, engine.population_mut().profile_mut(v));
+        }
+        engine.run_round(&mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "node n0 relays after a negative, NaN or infinite delay")]
+    fn negative_validation_delays_panic_at_the_view() {
+        subset_world_with(|_, p| p.validation_delay = SimTime::from_ms(-30.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "node n17 relays after a negative, NaN or infinite delay")]
+    fn one_negative_relay_delay_panics_at_the_view() {
+        subset_world_with(|v, p| {
+            if v == NodeId::new(17) {
+                p.behavior = perigee_netsim::Behavior::Delay(SimTime::from_ms(-200.0));
+            }
+        });
+    }
+
+    /// Every node relaying 200 ms early once drove the calendar queue into
+    /// a 1 GiB allocation; the view refuses the world before any queue
+    /// exists.
+    #[test]
+    #[should_panic(expected = "node n0 relays after a negative, NaN or infinite delay")]
+    fn negative_relay_delays_everywhere_panic_before_any_queue() {
+        subset_world_with(|_, p| {
+            p.behavior = perigee_netsim::Behavior::Delay(SimTime::from_ms(-200.0));
+        });
+    }
+
+    #[test]
+    fn new_refuses_invalid_relay_delays() {
+        for bad in [-30.0, f64::NAN, f64::INFINITY].map(SimTime::from_ms) {
+            for throttle in [false, true] {
+                let mut rng = StdRng::seed_from_u64(60);
+                let mut pop = PopulationBuilder::new(60).build(&mut rng).unwrap();
+                let p = pop.profile_mut(NodeId::new(7));
+                if throttle {
+                    p.behavior = perigee_netsim::Behavior::Delay(bad);
+                } else {
+                    p.validation_delay = bad;
+                }
+                let lat = GeoLatencyModel::new(&pop, 60);
+                let topo = RandomBuilder::new().build(
+                    &pop,
+                    &lat,
+                    ConnectionLimits::paper_default(),
+                    &mut rng,
+                );
+                let cfg = PerigeeConfig::paper_default(ScoringMethod::Subset);
+                let made = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg);
+                assert_eq!(
+                    made.err(),
+                    Some("validation and relay delays must be finite and non-negative"),
+                    "delay {bad}, throttle {throttle}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@
 
 use std::collections::BTreeMap;
 
-use perigee_metrics::{percentile_or_inf_mut, EdgeSketch, SketchParams};
+use perigee_metrics::{percentile_or_inf_f32_mut, EdgeSketch, SketchParams};
 use perigee_netsim::{BroadcastScratch, LatencyModel, NodeId, SimTime, TopologyView};
 use serde::{Deserialize, Serialize};
 
@@ -582,8 +582,13 @@ impl<'a> NodeObservations<'a> {
     /// The times of the neighbor at row position `i`, in block order
     /// (representatives on the sketch backend — see
     /// [`NodeObservations::times_for`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a position in the row: past the row's end,
+    /// a dense column would read another edge's samples.
     pub fn column(&self, i: usize) -> TimesIter<'a> {
-        debug_assert!(i < self.neighbors.len());
+        self.check_position(i);
         match self.data {
             ObsData::Dense { stride, times } => TimesIter {
                 inner: TimesInner::Dense {
@@ -606,25 +611,58 @@ impl<'a> NodeObservations<'a> {
         }
     }
 
+    /// The dense column at row position `i` as the store's own `f32`
+    /// samples, in block order — what the dense scoring percentiles
+    /// select over. Widening to `f64` is exact, so an order statistic
+    /// picked here is the one [`NodeObservations::column`] would give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a position in the row, or on the sketch
+    /// backend.
+    pub(crate) fn dense_column(&self, i: usize) -> impl Iterator<Item = f32> + 'a {
+        self.check_position(i);
+        let ObsData::Dense { stride, times } = self.data else {
+            panic!("NodeObservations::dense_column needs the dense backend");
+        };
+        let pos = self.start + i;
+        (0..self.blocks).map(move |b| times[b * stride + pos])
+    }
+
+    /// The release-mode bound every column read checks: one compare.
+    fn check_position(&self, i: usize) {
+        assert!(
+            i < self.neighbors.len(),
+            "row position {i} is past a row of {} neighbors",
+            self.neighbors.len()
+        );
+    }
+
     /// The round's scoring statistic for the neighbor at row position
     /// `i`: the `p`-th percentile of its normalized times, `∞` when the
     /// `∞` entries dominate the tail — **the one query every scoring
     /// strategy funnels through**, so dense/sketch dispatch lives here.
     ///
-    /// On the dense backend this collects the column into `buf` and
-    /// calls [`percentile_or_inf_mut`] — bit-identical to what the
-    /// strategies previously computed inline. On the sketch backend it
-    /// reads the edge's P² estimate (`buf` untouched); the store tracks
-    /// exactly one percentile, so `p` must match it.
-    pub fn column_percentile_or_inf(&self, i: usize, p: f64, buf: &mut Vec<f64>) -> f64 {
+    /// On the dense backend this gathers the column's `f32` samples into
+    /// `buf` and selects over them with [`percentile_or_inf_f32_mut`] —
+    /// bit-identical to the percentile of the widened samples. On the
+    /// sketch backend it reads the edge's P² estimate (`buf` untouched);
+    /// the store tracks exactly one percentile, so `p` must match it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a position in the row, or if the sketch
+    /// backend tracks a percentile other than `p`.
+    pub fn column_percentile_or_inf(&self, i: usize, p: f64, buf: &mut Vec<f32>) -> f64 {
         match self.data {
             ObsData::Dense { .. } => {
                 buf.clear();
-                buf.extend(self.column(i));
-                percentile_or_inf_mut(buf, p)
+                buf.extend(self.dense_column(i));
+                percentile_or_inf_f32_mut(buf, p)
             }
             ObsData::Sketch { sketches, params } => {
-                debug_assert!(
+                self.check_position(i);
+                assert!(
                     p == params.percentile(),
                     "sketch store tracks p{}, scoring asked for p{p}",
                     params.percentile()
@@ -1282,6 +1320,41 @@ mod tests {
             }
         }
         assert_eq!(sketch.sketch_bytes(), sketch.directed_edge_count() * 48);
+    }
+
+    #[test]
+    #[should_panic(expected = "row position 1 is past a row of 1 neighbors")]
+    fn dense_column_past_the_row_panics() {
+        // Node 0's row holds one neighbor; position 1 would read node 1's
+        // first sample.
+        let (pop, lat, mut topo) = world(&[0.0, 10.0]);
+        topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
+        let dense = observe_blocks(&topo, &lat, &pop, &[0, 1]);
+        let _ = dense.node(NodeId::new(0)).column(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "row position 1 is past a row of 1 neighbors")]
+    fn dense_percentile_past_the_row_panics() {
+        let (pop, lat, mut topo) = world(&[0.0, 10.0]);
+        topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
+        let dense = observe_blocks(&topo, &lat, &pop, &[0, 1]);
+        let _ = dense
+            .node(NodeId::new(0))
+            .column_percentile_or_inf(1, 90.0, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "sketch store tracks p90, scoring asked for p50")]
+    fn sketch_percentile_of_another_p_panics() {
+        let (pop, lat, mut topo) = world(&[0.0, 10.0]);
+        topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut sketch = SketchObservationStore::from_view(&view, 90.0);
+        sketch.ingest(&observe_blocks(&topo, &lat, &pop, &[0]));
+        let _ = sketch
+            .node(NodeId::new(0))
+            .column_percentile_or_inf(0, 50.0, &mut Vec::new());
     }
 
     #[test]

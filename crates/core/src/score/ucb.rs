@@ -24,7 +24,7 @@
 //! each worker updates only its own chunk of histories — bit-identical
 //! to a sequential loop by construction.
 
-use perigee_metrics::percentile_or_inf_mut;
+use perigee_metrics::percentile_or_inf_f32_mut;
 use perigee_netsim::NodeId;
 
 use crate::observation::NodeObservations;
@@ -64,8 +64,10 @@ impl UcbScoring {
 
     /// Computes the bounds from a neighbor's accumulated sample buffer
     /// ([`NodeHistory::samples_for`]). A neighbor with no finite samples
-    /// has all-infinite bounds — maximally distrusted.
-    pub fn bounds_of(&self, samples: &[f32], scratch: &mut Vec<f64>) -> ConfidenceBounds {
+    /// has all-infinite bounds — maximally distrusted. The percentile is
+    /// selected over an `f32` copy of the buffer in `scratch`,
+    /// bit-identical to selecting over the widened samples.
+    pub fn bounds_of(&self, samples: &[f32], scratch: &mut Vec<f32>) -> ConfidenceBounds {
         let m = samples.len();
         if m == 0 {
             return ConfidenceBounds {
@@ -76,8 +78,8 @@ impl UcbScoring {
             };
         }
         scratch.clear();
-        scratch.extend(samples.iter().map(|&t| t as f64));
-        let estimate = percentile_or_inf_mut(scratch, self.percentile);
+        scratch.extend_from_slice(samples);
+        let estimate = percentile_or_inf_f32_mut(scratch, self.percentile);
         // log(1)/2 = 0 gives a zero-width interval at m = 1, matching the
         // formula; widths shrink as O(sqrt(log m / m)).
         let width = self.c * ((m as f64).ln() / (2.0 * m as f64)).sqrt();

@@ -741,3 +741,86 @@ fn hostile_trajectory_digest_is_pinned() {
     assert!(e.audit_failures().is_empty(), "{:?}", e.audit_failures());
     assert_eq!(digest, EXPECTED, "hostile trajectory moved: {digest:#018x}");
 }
+
+/// Folds every field of one `RoundStats` into `folded`: counts as `u64`
+/// words, floats by their bits.
+fn fold_stats(folded: &mut Vec<u8>, stats: &perigee_core::RoundStats) {
+    let perigee_core::RoundStats {
+        round,
+        mean_lambda90_ms,
+        mean_lambda50_ms,
+        p90_lambda90_ms,
+        blocks,
+        dropped,
+        joined,
+        departed,
+        gated,
+        evicted,
+    } = *stats;
+    let words = [
+        round as u64,
+        blocks as u64,
+        dropped as u64,
+        joined as u64,
+        departed as u64,
+        gated as u64,
+        evicted as u64,
+        mean_lambda90_ms.to_bits(),
+        mean_lambda50_ms.to_bits(),
+        p90_lambda90_ms.to_bits(),
+    ];
+    for word in words {
+        folded.extend_from_slice(&word.to_le_bytes());
+    }
+}
+
+/// The fnv1a64 digest of a 200-node, 100-blocks-a-round dense-store
+/// trajectory scored by `method`: 12 rounds of `RoundStats` (floats by
+/// their bits) and the final outgoing lists, run inside a pool of
+/// `threads` workers.
+fn dense_trajectory_digest(method: ScoringMethod, threads: usize) -> u64 {
+    in_pool(threads, || {
+        let (mut e, mut rng) = engine_with(200, 100, 2020, method);
+        let mut folded = Vec::new();
+        for _ in 0..12 {
+            fold_stats(&mut folded, &e.run_round(&mut rng));
+        }
+        for v in 0..e.population().len() as u32 {
+            let outgoing = e.topology().outgoing_vec(NodeId::new(v));
+            folded.extend_from_slice(&(outgoing.len() as u32).to_le_bytes());
+            for u in outgoing {
+                folded.extend_from_slice(&u.as_u32().to_le_bytes());
+            }
+        }
+        serde::bin::fnv1a64(&folded)
+    })
+}
+
+/// Subset's dense scoring, pinned across commits: every percentile the
+/// greedy takes and every decision it makes feed the digest, so a
+/// change to the percentile kernel or the greedy's arithmetic that is
+/// meant to be exact must leave it alone, on one and two threads.
+#[test]
+fn subset_dense_trajectory_digest_is_pinned() {
+    const EXPECTED: u64 = 0xb65b_2df4_ee81_89c8;
+    for threads in [1, 2] {
+        let digest = dense_trajectory_digest(ScoringMethod::Subset, threads);
+        assert_eq!(
+            digest, EXPECTED,
+            "subset trajectory moved on {threads} threads: {digest:#018x}"
+        );
+    }
+}
+
+/// Vanilla's dense scoring, pinned across commits like Subset's.
+#[test]
+fn vanilla_dense_trajectory_digest_is_pinned() {
+    const EXPECTED: u64 = 0xd668_d17a_6592_6bea;
+    for threads in [1, 2] {
+        let digest = dense_trajectory_digest(ScoringMethod::Vanilla, threads);
+        assert_eq!(
+            digest, EXPECTED,
+            "vanilla trajectory moved on {threads} threads: {digest:#018x}"
+        );
+    }
+}

@@ -347,6 +347,39 @@ fn invalid_churn_rate_in_a_hash_valid_checkpoint_is_corrupt() {
     }
 }
 
+/// A checkpoint whose first node profile was rewritten to validate
+/// blocks in −1 ms — with the content hash recomputed — is refused while
+/// decoding, as [`SnapshotError::Corrupt`], instead of resuming into a
+/// round that queues a relay behind the queue's cursor.
+#[test]
+fn negative_validation_delay_in_a_hash_valid_checkpoint_is_corrupt() {
+    let (mut engine, mut rng) = chaos_engine(13, QueueKind::Calendar);
+    for _ in 0..2 {
+        engine.run_round(&mut rng);
+    }
+    let bytes = engine.checkpoint(&rng).to_bytes();
+    // A default profile encodes its 50 ms validation delay, its empty
+    // coordinate list and its 33 Mbit/s up- and downlink back to back.
+    let mut pattern = 50.0f64.to_le_bytes().to_vec();
+    pattern.extend_from_slice(&0u64.to_le_bytes());
+    pattern.extend_from_slice(&33.0f64.to_le_bytes());
+    pattern.extend_from_slice(&33.0f64.to_le_bytes());
+    let body_end = bytes.len() - 8;
+    let at = (16..body_end - pattern.len())
+        .find(|&i| bytes[i..i + pattern.len()] == pattern[..])
+        .expect("the population holds default profiles");
+    let mut tampered = bytes.clone();
+    tampered[at..at + 8].copy_from_slice(&(-1.0f64).to_le_bytes());
+    let digest = serde::bin::fnv1a64(&tampered[16..body_end]);
+    tampered[body_end..].copy_from_slice(&digest.to_le_bytes());
+    assert!(matches!(
+        RunSnapshot::from_bytes(&tampered),
+        Err(SnapshotError::Corrupt(_))
+    ));
+    // The untouched body still decodes.
+    assert!(RunSnapshot::from_bytes(&bytes).is_ok());
+}
+
 /// Checked-in envelopes of older format versions — version 1 (written
 /// before the snapshot carried the compaction epoch and the latency
 /// placement keys), version 3 (a UCB run whose score state was still

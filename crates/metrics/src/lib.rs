@@ -1,7 +1,8 @@
 //! # perigee-metrics
 //!
 //! Measurement utilities shared by the Perigee reproduction: the single
-//! percentile definition used everywhere ([`percentile()`]), its
+//! percentile definition used everywhere ([`percentile()`], computed by
+//! O(n) selection, with an `f32` entry for scoring), its
 //! constant-space streaming counterpart ([`P2Quantile`], the P² algorithm
 //! used for per-round λ-curve tracking in dynamic-world runs), the
 //! 48-byte per-edge variant powering sketch-backed observation stores
@@ -26,7 +27,9 @@ pub mod table;
 pub use curve::DelayCurve;
 pub use histogram::Histogram;
 pub use p2::P2Quantile;
-pub use percentile::{percentile, percentile_mut, percentile_or_inf, percentile_or_inf_mut};
+pub use percentile::{
+    percentile, percentile_mut, percentile_or_inf, percentile_or_inf_f32_mut, percentile_or_inf_mut,
+};
 pub use sketch::{EdgeSketch, MultiQuantile, SketchParams};
 pub use stats::{mean, median, std_dev, Summary};
 pub use table::Table;

@@ -6,6 +6,11 @@
 //! interpolation between closest ranks (NumPy's default), extended to
 //! handle the `t = ∞` "never delivered" observations that the paper's
 //! observation sets contain.
+//!
+//! Every entry point finds its two closest ranks by O(n) selection rather
+//! than a sort; the interpolation between them is the same.
+
+use std::cmp::Ordering;
 
 /// Returns the `p`-th percentile (`0 ≤ p ≤ 100`) of `values` using linear
 /// interpolation between closest ranks, or `None` for an empty slice.
@@ -31,41 +36,20 @@
 /// assert_eq!(percentile(&[], 90.0), None);
 /// ```
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
-    let mut sorted = values.to_vec();
-    percentile_mut(&mut sorted, p)
+    let mut scratch = values.to_vec();
+    percentile_mut(&mut scratch, p)
 }
 
-/// Like [`percentile`] but sorts `values` in place instead of copying —
-/// the allocation-free variant for hot scoring loops that own a reusable
-/// scratch buffer.
+/// Like [`percentile`] but reorders `values` in place instead of copying
+/// — the allocation-free variant for hot scoring loops that own a
+/// reusable scratch buffer. It finds the two order statistics it needs by
+/// O(n) selection, not a sort, and returns the same value a sort gives.
 ///
 /// # Panics
 ///
 /// Panics if `p` is outside `[0, 100]` or any value is NaN.
 pub fn percentile_mut(values: &mut [f64], p: f64) -> Option<f64> {
-    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-    if values.is_empty() {
-        return None;
-    }
-    assert!(
-        values.iter().all(|v| !v.is_nan()),
-        "percentile input must not contain NaN"
-    );
-    values.sort_by(|a, b| a.total_cmp(b));
-    let sorted = values;
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo_idx = rank.floor() as usize;
-    let hi_idx = rank.ceil() as usize;
-    let frac = rank - lo_idx as f64;
-    let (lo, hi) = (sorted[lo_idx], sorted[hi_idx]);
-    if frac == 0.0 || lo == hi {
-        Some(lo)
-    } else if lo.is_infinite() || hi.is_infinite() {
-        // Interpolating toward (or from) ∞ is ∞; avoid ∞ − ∞ = NaN.
-        Some(f64::INFINITY)
-    } else {
-        Some(lo + frac * (hi - lo))
-    }
+    select_percentile(values, p)
 }
 
 /// Like [`percentile`] but maps the empty multiset to `+∞` — the scoring
@@ -74,9 +58,98 @@ pub fn percentile_or_inf(values: &[f64], p: f64) -> f64 {
     percentile(values, p).unwrap_or(f64::INFINITY)
 }
 
-/// Like [`percentile_or_inf`] but sorts `values` in place — no allocation.
+/// Like [`percentile_or_inf`] but reorders `values` in place by O(n)
+/// selection — no allocation, and the same value a sort gives.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 100]` or any value is NaN.
 pub fn percentile_or_inf_mut(values: &mut [f64], p: f64) -> f64 {
-    percentile_mut(values, p).unwrap_or(f64::INFINITY)
+    select_percentile(values, p).unwrap_or(f64::INFINITY)
+}
+
+/// [`percentile_or_inf_mut`] over `f32` samples — the width the
+/// observation store and the score histories keep. Only the two selected
+/// order statistics are widened to `f64` for the interpolation. Widening
+/// is exact and monotone, and under `total_cmp` an order statistic is a
+/// unique bit pattern, so the result is bit-identical to widening every
+/// sample first and calling [`percentile_or_inf_mut`].
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 100]` or any value is NaN.
+pub fn percentile_or_inf_f32_mut(values: &mut [f32], p: f64) -> f64 {
+    select_percentile(values, p).unwrap_or(f64::INFINITY)
+}
+
+/// A float width the percentile kernel selects over.
+trait Sample: Copy {
+    fn is_nan(self) -> bool;
+    fn total_cmp(a: &Self, b: &Self) -> Ordering;
+    fn widen(self) -> f64;
+}
+
+impl Sample for f64 {
+    fn is_nan(self) -> bool {
+        self.is_nan()
+    }
+    fn total_cmp(a: &Self, b: &Self) -> Ordering {
+        a.total_cmp(b)
+    }
+    fn widen(self) -> f64 {
+        self
+    }
+}
+
+impl Sample for f32 {
+    fn is_nan(self) -> bool {
+        self.is_nan()
+    }
+    fn total_cmp(a: &Self, b: &Self) -> Ordering {
+        a.total_cmp(b)
+    }
+    fn widen(self) -> f64 {
+        f64::from(self)
+    }
+}
+
+/// The one percentile body: linear interpolation between the two closest
+/// ranks, each found by selection. `select_nth_unstable_by` places the
+/// lower rank and partitions everything at or above it to its right; the
+/// upper rank (when it differs) is the minimum of that partition.
+fn select_percentile<T: Sample>(values: &mut [T], p: f64) -> Option<f64> {
+    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
+    if values.is_empty() {
+        return None;
+    }
+    assert!(
+        values.iter().all(|v| !v.is_nan()),
+        "percentile input must not contain NaN"
+    );
+    let rank = p / 100.0 * (values.len() - 1) as f64;
+    let lo_idx = rank.floor() as usize;
+    let hi_idx = rank.ceil() as usize;
+    let frac = rank - lo_idx as f64;
+    let (_, lo, above) = values.select_nth_unstable_by(lo_idx, T::total_cmp);
+    let lo = *lo;
+    let hi = if hi_idx == lo_idx {
+        lo
+    } else {
+        above
+            .iter()
+            .copied()
+            .min_by(T::total_cmp)
+            .expect("the upper rank lies above the lower one")
+    };
+    let (lo, hi) = (lo.widen(), hi.widen());
+    if frac == 0.0 || lo == hi {
+        Some(lo)
+    } else if lo.is_infinite() || hi.is_infinite() {
+        // Interpolating toward (or from) ∞ is ∞; avoid ∞ − ∞ = NaN.
+        Some(f64::INFINITY)
+    } else {
+        Some(lo + frac * (hi - lo))
+    }
 }
 
 #[cfg(test)]

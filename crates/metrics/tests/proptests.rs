@@ -3,8 +3,9 @@
 use proptest::prelude::*;
 
 use perigee_metrics::{
-    mean, percentile, percentile_or_inf, std_dev, DelayCurve, EdgeSketch, Histogram, MultiQuantile,
-    SketchParams, Summary,
+    mean, percentile, percentile_mut, percentile_or_inf, percentile_or_inf_f32_mut,
+    percentile_or_inf_mut, std_dev, DelayCurve, EdgeSketch, Histogram, MultiQuantile, SketchParams,
+    Summary,
 };
 
 proptest! {
@@ -260,4 +261,147 @@ proptest! {
             );
         }
     }
+}
+
+/// The sort-based percentile the selection kernel replaced, kept here as
+/// its oracle: sort by `total_cmp`, then interpolate linearly between
+/// the two closest ranks, `∞` when either rank is infinite.
+fn sorted_percentile(values: &[f64], p: f64) -> Option<f64> {
+    if values.is_empty() {
+        return None;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let lo_idx = rank.floor() as usize;
+    let hi_idx = rank.ceil() as usize;
+    let frac = rank - lo_idx as f64;
+    let (lo, hi) = (sorted[lo_idx], sorted[hi_idx]);
+    if frac == 0.0 || lo == hi {
+        Some(lo)
+    } else if lo.is_infinite() || hi.is_infinite() {
+        Some(f64::INFINITY)
+    } else {
+        Some(lo + frac * (hi - lo))
+    }
+}
+
+/// One letter of a kernel alphabet: signed zeros, both infinities,
+/// subnormals, the extremes, or a continuous value.
+fn kernel_letter() -> impl Strategy<Value = f32> {
+    (0u8..14, -1.0e3f32..1.0e3f32).prop_map(|(sel, r)| match sel {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f32::INFINITY,
+        3 => f32::NEG_INFINITY,
+        4 => 1.0e-40,  // subnormal
+        5 => -1.0e-42, // subnormal
+        6 => f32::MIN_POSITIVE / 2.0,
+        7 => f32::MAX,
+        8 => f32::MIN,
+        _ => r,
+    })
+}
+
+/// 1..=2000 samples drawn from an alphabet of 1..=8 letters, so most
+/// samples repeat: ties at and around every rank.
+fn kernel_samples() -> impl Strategy<Value = Vec<f32>> {
+    (
+        proptest::collection::vec(kernel_letter(), 1..=8),
+        proptest::collection::vec(0usize..8, 1..=2000),
+    )
+        .prop_map(|(alphabet, picks)| {
+            picks
+                .iter()
+                .map(|&i| alphabet[i % alphabet.len()])
+                .collect()
+        })
+}
+
+/// The percentiles each case checks: the scoring and reporting ones,
+/// both ends, a random one, and one whose rank is a whole number.
+fn kernel_ps(len: usize, random_p: f64, k: usize) -> [f64; 6] {
+    let whole_rank = if len > 1 {
+        100.0 * (k % len) as f64 / (len - 1) as f64
+    } else {
+        0.0
+    };
+    [0.0, 50.0, 90.0, 100.0, random_p, whole_rank.min(100.0)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The selection kernel returns exactly the sort-based percentile,
+    /// bit for bit, through the `f64` entries and through the `f32`
+    /// entry (which widens only the two order statistics it selects).
+    #[test]
+    fn selection_kernel_equals_the_sort_oracle(
+        samples in kernel_samples(),
+        random_p in 0.0f64..=100.0,
+        k in 0usize..2000,
+        wide_letter in 0u8..4,
+    ) {
+        // The f64 entries also see values no f32 holds.
+        let wide: Vec<f64> = samples
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| match (i % 7, wide_letter) {
+                (0, 0) => 5e-324, // the least f64 subnormal
+                (0, 1) => -f64::MIN_POSITIVE / 3.0,
+                (0, 2) => 1.0 + f64::EPSILON,
+                _ => f64::from(x),
+            })
+            .collect();
+        let narrow_wide: Vec<f64> = samples.iter().map(|&x| f64::from(x)).collect();
+        for p in kernel_ps(samples.len(), random_p, k) {
+            let oracle = sorted_percentile(&wide, p).unwrap();
+            let got = percentile_mut(&mut wide.clone(), p).unwrap();
+            prop_assert_eq!(got.to_bits(), oracle.to_bits(), "f64 p{}: {} vs {}", p, got, oracle);
+            let got = percentile_or_inf_mut(&mut wide.clone(), p);
+            prop_assert_eq!(got.to_bits(), oracle.to_bits(), "f64 or-inf p{}", p);
+
+            let oracle = sorted_percentile(&narrow_wide, p).unwrap();
+            let got = percentile_or_inf_f32_mut(&mut samples.clone(), p);
+            prop_assert_eq!(got.to_bits(), oracle.to_bits(), "f32 p{}: {} vs {}", p, got, oracle);
+        }
+    }
+}
+
+#[test]
+fn empty_slices_follow_each_entrys_convention() {
+    assert_eq!(percentile_mut(&mut [], 90.0), None);
+    assert_eq!(percentile_or_inf_mut(&mut [], 90.0), f64::INFINITY);
+    assert_eq!(percentile_or_inf_f32_mut(&mut [], 90.0), f64::INFINITY);
+    assert_eq!(percentile_or_inf_f32_mut(&mut [], 0.0), f64::INFINITY);
+}
+
+#[test]
+#[should_panic(expected = "percentile input must not contain NaN")]
+fn f64_kernel_refuses_nan() {
+    let _ = percentile_mut(&mut [1.0, f64::NAN, 3.0], 50.0);
+}
+
+#[test]
+#[should_panic(expected = "percentile input must not contain NaN")]
+fn f32_kernel_refuses_nan() {
+    let _ = percentile_or_inf_f32_mut(&mut [1.0, 2.0, f32::NAN], 90.0);
+}
+
+#[test]
+#[should_panic(expected = "percentile must be in [0, 100]")]
+fn f64_kernel_refuses_p_above_100() {
+    let _ = percentile_or_inf_mut(&mut [1.0, 2.0], 100.5);
+}
+
+#[test]
+#[should_panic(expected = "percentile must be in [0, 100]")]
+fn f32_kernel_refuses_p_below_0() {
+    let _ = percentile_or_inf_f32_mut(&mut [1.0, 2.0], -0.5);
+}
+
+#[test]
+#[should_panic(expected = "percentile must be in [0, 100]")]
+fn f32_kernel_refuses_nan_p() {
+    let _ = percentile_or_inf_f32_mut(&mut [1.0], f64::NAN);
 }

@@ -17,6 +17,9 @@ pub enum NetsimError {
     UnknownNode(NodeId),
     /// A configuration value was out of its valid range.
     InvalidConfig(&'static str),
+    /// A node's validation delay or [`Behavior::Delay`](crate::Behavior::Delay)
+    /// extra was negative, NaN or infinite.
+    InvalidDelay(NodeId),
     /// A world was too large for the message-level engine's packed event
     /// words: node count or directed-edge count at or beyond the 2^30
     /// payload cap ([`PACKED_PAYLOAD_CAP`](crate::gossip::PACKED_PAYLOAD_CAP)).
@@ -40,6 +43,10 @@ impl fmt::Display for NetsimError {
             }
             NetsimError::UnknownNode(id) => write!(f, "node {id} is not part of the population"),
             NetsimError::InvalidConfig(what) => write!(f, "invalid configuration: {what}"),
+            NetsimError::InvalidDelay(id) => write!(
+                f,
+                "node {id} has a negative, NaN or infinite validation or relay delay"
+            ),
             NetsimError::WorldTooLarge {
                 nodes,
                 directed_edges,

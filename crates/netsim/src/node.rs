@@ -162,6 +162,15 @@ impl Behavior {
     }
 }
 
+/// Whether `t` may delay a relay: finite and non-negative. Both
+/// propagation engines schedule a relay at its receipt time plus the
+/// node's delays on a queue that only moves forward, so a negative delay
+/// would schedule an event behind the queue's cursor.
+#[inline]
+pub(crate) fn is_relay_delay(t: SimTime) -> bool {
+    t.is_finite() && t.as_ms() >= 0.0
+}
+
 /// Static attributes of a single node.
 ///
 /// Constructed through [`PopulationBuilder`](crate::PopulationBuilder); the
@@ -185,6 +194,21 @@ pub struct NodeProfile {
     pub downlink_mbps: f64,
     /// Relay behaviour (honest by default).
     pub behavior: Behavior,
+}
+
+impl NodeProfile {
+    /// Whether every delay this node adds to a relay — its validation
+    /// delay and a [`Behavior::Delay`] extra — is finite and
+    /// non-negative. The propagation engines' queues only move forward,
+    /// so a negative delay would schedule a relay behind their cursor.
+    #[inline]
+    pub fn has_valid_delays(&self) -> bool {
+        let extra = match self.behavior {
+            Behavior::Delay(extra) => extra,
+            Behavior::Honest | Behavior::Silent => SimTime::ZERO,
+        };
+        is_relay_delay(self.validation_delay) && is_relay_delay(extra)
+    }
 }
 
 impl Default for NodeProfile {
@@ -258,7 +282,13 @@ mod codec {
             match u8::decode(r)? {
                 0 => Ok(Behavior::Honest),
                 1 => Ok(Behavior::Silent),
-                2 => Ok(Behavior::Delay(SimTime::decode(r)?)),
+                2 => {
+                    let extra = SimTime::decode(r)?;
+                    if !is_relay_delay(extra) {
+                        return Err(DecodeError::new("relay delay is negative, NaN or infinite"));
+                    }
+                    Ok(Behavior::Delay(extra))
+                }
                 _ => Err(DecodeError::new("invalid behavior tag")),
             }
         }
@@ -278,10 +308,18 @@ mod codec {
 
     impl Decode for NodeProfile {
         fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            let region = Region::decode(r)?;
+            let hash_power = f64::decode(r)?;
+            let validation_delay = SimTime::decode(r)?;
+            if !is_relay_delay(validation_delay) {
+                return Err(DecodeError::new(
+                    "validation delay is negative, NaN or infinite",
+                ));
+            }
             Ok(NodeProfile {
-                region: Region::decode(r)?,
-                hash_power: f64::decode(r)?,
-                validation_delay: SimTime::decode(r)?,
+                region,
+                hash_power,
+                validation_delay,
                 coords: Vec::decode(r)?,
                 uplink_mbps: f64::decode(r)?,
                 downlink_mbps: f64::decode(r)?,
@@ -308,6 +346,37 @@ mod tests {
         for (i, r) in Region::ALL.iter().enumerate() {
             assert_eq!(r.index(), i);
         }
+    }
+
+    /// The values no relay may wait: negative, NaN and infinite delays.
+    const BAD_DELAYS_MS: [f64; 4] = [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    #[test]
+    fn decoders_refuse_invalid_relay_delays() {
+        use serde::bin::{Decode, Encode};
+        for bad in BAD_DELAYS_MS.map(SimTime::from_ms) {
+            let slow = NodeProfile {
+                validation_delay: bad,
+                ..NodeProfile::default()
+            };
+            let throttled = NodeProfile {
+                behavior: Behavior::Delay(bad),
+                ..NodeProfile::default()
+            };
+            for profile in [slow, throttled] {
+                assert!(!profile.has_valid_delays(), "{profile:?}");
+                assert!(NodeProfile::from_bytes(&profile.to_bytes()).is_err());
+            }
+            assert!(Behavior::from_bytes(&Behavior::Delay(bad).to_bytes()).is_err());
+        }
+        // Zero is a delay like any other.
+        let instant = NodeProfile {
+            validation_delay: SimTime::ZERO,
+            behavior: Behavior::Delay(SimTime::ZERO),
+            ..NodeProfile::default()
+        };
+        assert!(instant.has_valid_delays());
+        assert_eq!(NodeProfile::from_bytes(&instant.to_bytes()), Ok(instant));
     }
 
     #[test]

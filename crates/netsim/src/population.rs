@@ -46,7 +46,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::error::NetsimError;
-use crate::node::{Behavior, NodeId, NodeProfile, Region};
+use crate::node::{is_relay_delay, Behavior, NodeId, NodeProfile, Region};
 use crate::time::SimTime;
 
 /// An order-preserving node-id renumbering: the compaction plan produced
@@ -208,9 +208,11 @@ impl Population {
     ///
     /// # Errors
     ///
-    /// Returns [`NetsimError::EmptyPopulation`] when `profiles` is empty and
+    /// Returns [`NetsimError::EmptyPopulation`] when `profiles` is empty,
     /// [`NetsimError::InvalidHashPower`] when hash powers are negative or sum
-    /// to zero.
+    /// to zero, and [`NetsimError::InvalidDelay`] naming the first node
+    /// whose validation delay or [`Behavior::Delay`] extra is negative, NaN
+    /// or infinite.
     pub fn from_profiles(mut profiles: Vec<NodeProfile>) -> Result<Self, NetsimError> {
         if profiles.is_empty() {
             return Err(NetsimError::EmptyPopulation);
@@ -218,6 +220,9 @@ impl Population {
         let total: f64 = profiles.iter().map(|p| p.hash_power).sum();
         if total <= 0.0 || total.is_nan() || profiles.iter().any(|p| p.hash_power < 0.0) {
             return Err(NetsimError::InvalidHashPower);
+        }
+        if let Some(i) = profiles.iter().position(|p| !p.has_valid_delays()) {
+            return Err(NetsimError::InvalidDelay(NodeId::new(i as u32)));
         }
         for p in &mut profiles {
             p.hash_power /= total;
@@ -622,9 +627,11 @@ impl PopulationBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NetsimError::EmptyPopulation`] for `n == 0` and
+    /// Returns [`NetsimError::EmptyPopulation`] for `n == 0`,
     /// [`NetsimError::InvalidHashPower`] if the configured hash power
-    /// distribution produced an all-zero assignment.
+    /// distribution produced an all-zero assignment, and
+    /// [`NetsimError::InvalidDelay`] if the validation distribution drew a
+    /// negative, NaN or infinite delay.
     pub fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Population, NetsimError> {
         if self.n == 0 {
             return Err(NetsimError::EmptyPopulation);
@@ -778,12 +785,19 @@ mod codec {
 
     impl Decode for ValidationDist {
         fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            match u8::decode(r)? {
-                0 => Ok(ValidationDist::Constant(SimTime::decode(r)?)),
+            let dist = match u8::decode(r)? {
+                0 => ValidationDist::Constant(SimTime::decode(r)?),
                 // Surviving variants keep their tags, so 1 stays unused.
-                2 => Ok(ValidationDist::Exponential(SimTime::decode(r)?)),
-                _ => Err(DecodeError::new("invalid validation-dist tag")),
+                2 => ValidationDist::Exponential(SimTime::decode(r)?),
+                _ => return Err(DecodeError::new("invalid validation-dist tag")),
+            };
+            let (ValidationDist::Constant(t) | ValidationDist::Exponential(t)) = dist;
+            if !is_relay_delay(t) {
+                return Err(DecodeError::new(
+                    "validation delay is negative, NaN or infinite",
+                ));
             }
+            Ok(dist)
         }
     }
 
@@ -815,6 +829,51 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn invalid_relay_delays_are_refused_where_they_enter() {
+        use serde::bin::{Decode, Encode};
+        for bad in [-30.0, f64::NAN, f64::INFINITY].map(SimTime::from_ms) {
+            let honest = vec![
+                NodeProfile {
+                    hash_power: 1.0,
+                    ..NodeProfile::default()
+                };
+                3
+            ];
+            let mut slow = honest.clone();
+            slow[2].validation_delay = bad;
+            let mut throttled = honest.clone();
+            throttled[1].behavior = Behavior::Delay(bad);
+            assert_eq!(
+                Population::from_profiles(slow),
+                Err(NetsimError::InvalidDelay(NodeId::new(2)))
+            );
+            assert_eq!(
+                Population::from_profiles(throttled),
+                Err(NetsimError::InvalidDelay(NodeId::new(1)))
+            );
+            let mut rng = StdRng::seed_from_u64(0);
+            for dist in [
+                ValidationDist::Constant(bad),
+                ValidationDist::Exponential(bad),
+            ] {
+                assert!(ValidationDist::from_bytes(&dist.to_bytes()).is_err());
+                if bad.as_ms() < 0.0 {
+                    assert_eq!(
+                        PopulationBuilder::new(4).validation(dist).build(&mut rng),
+                        Err(NetsimError::InvalidDelay(NodeId::new(0)))
+                    );
+                }
+            }
+        }
+        assert!(Population::from_profiles(vec![NodeProfile {
+            hash_power: 1.0,
+            validation_delay: SimTime::ZERO,
+            ..NodeProfile::default()
+        }])
+        .is_ok());
+    }
 
     #[test]
     fn empty_population_is_an_error() {

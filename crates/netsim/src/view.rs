@@ -153,9 +153,10 @@ impl TopologyView {
     /// # Panics
     ///
     /// Panics if the topology, latency model and population disagree on
-    /// the node count, or if the world exceeds the message-level engine's
-    /// 2^30 packed-payload cap ([`TopologyView::try_new`] returns the
-    /// structured error instead).
+    /// the node count, if a node's validation delay or
+    /// [`Behavior::Delay`] extra is negative, NaN or infinite, or if the
+    /// world exceeds the message-level engine's 2^30 packed-payload cap
+    /// ([`TopologyView::try_new`] returns the structured error instead).
     pub fn new<L: LatencyModel + ?Sized>(
         topology: &Topology,
         latency: &L,
@@ -185,7 +186,8 @@ impl TopologyView {
     /// # Panics
     ///
     /// Panics if the topology, latency model and population disagree on
-    /// the node count.
+    /// the node count, or if a node's validation delay or
+    /// [`Behavior::Delay`] extra is negative, NaN or infinite.
     pub fn try_new<L: LatencyModel + ?Sized>(
         topology: &Topology,
         latency: &L,
@@ -456,8 +458,9 @@ impl TopologyView {
     ///
     /// Panics if the population shrank (ids are stable, worlds only grow
     /// in slot count), if the latency model does not cover the grown
-    /// population, or if `rewiring` is inconsistent with the snapshot
-    /// (see [`TopologyView::apply_rewiring`]).
+    /// population, if `rewiring` is inconsistent with the snapshot (see
+    /// [`TopologyView::apply_rewiring`]), or if a node's validation delay
+    /// or [`Behavior::Delay`] extra is negative, NaN or infinite.
     pub fn apply_world_delta<L: LatencyModel + ?Sized>(
         &mut self,
         delta: &WorldDelta,
@@ -507,8 +510,9 @@ impl TopologyView {
     /// # Panics
     ///
     /// Panics if the plan covers a different node count, if `population`
-    /// is not the compacted (post-plan) population, or if a dead slot
-    /// still holds edges.
+    /// is not the compacted (post-plan) population, if a dead slot still
+    /// holds edges, or if a node's validation delay or [`Behavior::Delay`]
+    /// extra is negative, NaN or infinite.
     pub fn compact(&mut self, plan: &IdRemap, population: &Population) {
         assert_eq!(
             plan.old_len(),
@@ -667,7 +671,22 @@ impl TopologyView {
     /// Installs the per-node attributes of `population` — relay profiles,
     /// hash power, link rates — shared verbatim by construction and every
     /// path that moves the node set.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the node, if a validation delay or
+    /// [`Behavior::Delay`] extra is negative, NaN or infinite — before any
+    /// propagation queues an event behind its cursor.
     fn refresh_node_attributes(&mut self, population: &Population) {
+        for (i, p) in population.iter().enumerate() {
+            assert!(
+                p.has_valid_delays(),
+                "node n{i} relays after a negative, NaN or infinite delay \
+                 (validation {}, {:?})",
+                p.validation_delay,
+                p.behavior
+            );
+        }
         self.relay = population
             .iter()
             .map(|p| match p.behavior {
