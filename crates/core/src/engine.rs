@@ -528,8 +528,10 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// Asserts the carried snapshot is field-for-field equal to a fresh
     /// build over the current world (a no-op when no snapshot is cached).
     /// The debug builds assert this after every round; this method lets
-    /// release-mode smoke runs (CI's churn smoke) make the same check
-    /// explicitly.
+    /// release builds make the same check explicitly, as CI's release test
+    /// step does after churn (`churny_rounds_are_thread_and_queue_independent`),
+    /// faults (`fault_injected_rounds_are_thread_and_queue_independent`) and
+    /// compaction (`compaction_is_checkpoint_transparent_and_deterministic`).
     ///
     /// # Panics
     ///
@@ -615,8 +617,9 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// pass after every `k`-th completed round, counting passes in
     /// [`PerigeeEngine::audits_run`] and keeping every non-clean
     /// [`AuditReport`] ([`PerigeeEngine::audit_failures`]). The pass is
-    /// O(nodes + edges) — ≲2% of a churny faulted round even at
-    /// audit-every-round (see `BENCH_audit.json`).
+    /// O(nodes + edges): about 5% of a `hostile_1k` round on a 2-vCPU
+    /// Xeon, which audits every round (roundbench's `audit.pass_s` ÷
+    /// `round_s`).
     pub fn set_audit_every(&mut self, every: usize) {
         self.audit_every = every;
     }
@@ -793,7 +796,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// scratch runs on ([`QueueKind::Calendar`] by default). Results are
     /// bit-identical either way — the calendar queue pops in exactly the
     /// `BinaryHeap` order — so this only exists for the equivalence
-    /// suite and benchmarking.
+    /// suites.
     pub fn set_queue_kind(&mut self, kind: QueueKind) {
         self.queue = kind;
     }
@@ -1975,6 +1978,28 @@ mod tests {
                     "delay {bad}, throttle {throttle}"
                 );
             }
+        }
+    }
+
+    /// `ChurnProcess::with_arrival_profile` refuses a negative, NaN or
+    /// infinite arrival delay where it enters (netsim's tests); a valid
+    /// profile reaches the joiners of a running world.
+    #[test]
+    fn valid_arrival_profile_reaches_the_joiners() {
+        let (mut engine, mut rng) = small_engine(60, ScoringMethod::Subset, 20, 60);
+        let delay = SimTime::from_ms(30.0);
+        let mut profile = PopulationBuilder::new(0);
+        profile.validation(perigee_netsim::ValidationDist::Constant(delay));
+        engine.set_churn(
+            ChurnProcess::steady_state(60, 0.05, 9)
+                .with_arrival_profile(profile)
+                .unwrap(),
+        );
+        let joined: usize = (0..3).map(|_| engine.run_round(&mut rng).joined).sum();
+        assert!(joined > 0, "the process must admit someone");
+        let pop = engine.population();
+        for v in (60..pop.len() as u32).map(NodeId::new) {
+            assert_eq!(pop.validation_delay(v), delay, "joiner {v}");
         }
     }
 

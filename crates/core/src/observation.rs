@@ -164,7 +164,7 @@ impl ObservationStore {
     }
 
     /// Bytes held by the observation matrix (the round's dominant
-    /// allocation) — for capacity planning and the scale benches.
+    /// allocation) — for capacity planning.
     pub fn matrix_bytes(&self) -> usize {
         self.times.len() * std::mem::size_of::<f32>()
     }
@@ -424,8 +424,7 @@ impl RoundStore {
     }
 
     /// Bytes held by the round's observation state (the dense matrix or
-    /// the per-edge sketches) — for capacity planning and the scale
-    /// benches.
+    /// the per-edge sketches) — for capacity planning.
     pub fn matrix_bytes(&self) -> usize {
         match self {
             RoundStore::Dense(s) => s.matrix_bytes(),

@@ -233,7 +233,7 @@ pub trait SelectionStrategy: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// The scoring method selector used by engines, experiments and benches.
+/// The scoring method selector used by engines and experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScoringMethod {
     /// Per-neighbor 90th-percentile scoring (§4.2.1).

@@ -555,6 +555,53 @@ fn fault_injected_gossip_rounds_are_queue_kind_independent() {
 /// 8-thread pool and a one-thread pool: same RoundStats floats, same
 /// per-connection history evolution (observable through the learned
 /// topology), round after round.
+/// An inert `FaultPlan` is no plan at all, for every scoring method: a
+/// 12-round world under aggressive liveness, 3% steady-state churn and
+/// an audit every round yields the same RoundStats floats, learned
+/// topology and population with `FaultPlan::inert` installed as without
+/// a plan, and the auditor stays clean in both.
+#[test]
+fn inert_fault_plan_is_bit_identical_to_no_plan() {
+    use perigee_core::LivenessConfig;
+    use perigee_netsim::ChurnProcess;
+
+    for method in ScoringMethod::ALL {
+        let run = |plan: Option<FaultPlan>| {
+            let mut rng = StdRng::seed_from_u64(71);
+            let pop = PopulationBuilder::new(120).build(&mut rng).unwrap();
+            let lat = GeoLatencyModel::new(&pop, 71);
+            let topo =
+                RandomBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
+            let mut cfg = PerigeeConfig::paper_default(method);
+            cfg.blocks_per_round = 5;
+            cfg.liveness = LivenessConfig::aggressive();
+            let mut e = PerigeeEngine::new(pop, lat, topo, method, cfg).unwrap();
+            e.set_churn(ChurnProcess::steady_state(120, 0.03, 72));
+            if let Some(plan) = plan {
+                e.set_fault_plan(plan).unwrap();
+            }
+            e.set_audit_every(1);
+            let stats: Vec<_> = (0..12).map(|_| e.run_round(&mut rng)).collect();
+            assert_eq!(e.audits_run(), 12);
+            assert!(
+                e.audit_failures().is_empty(),
+                "{method:?}: {:?}",
+                e.audit_failures()
+            );
+            (stats, e.topology().clone(), e.population().clone())
+        };
+        let none = run(None);
+        assert!(
+            none.0.iter().any(|s| s.joined > 0) && none.0.iter().any(|s| s.departed > 0),
+            "the world must churn for this test to mean anything"
+        );
+        assert!(
+            run(Some(FaultPlan::inert(99))) == none,
+            "an inert plan perturbed the {method:?} trajectory"
+        );
+    }
+}
+
 #[test]
 fn ucb_parallel_rounds_are_bit_identical_to_sequential() {
     let (mut par, mut rng_par) = engine_with(150, 2, 91, ScoringMethod::Ucb);
@@ -619,6 +666,42 @@ fn sketch_backend_rounds_are_thread_and_queue_independent() {
             assert_eq!(topo, ref_topo);
         }
     }
+}
+
+/// The dense and the sketch store see the same floods: over one view and
+/// one 100-block miner draw, both backends report identical λ-curves
+/// (those come from the floods, not the store), and at 100 blocks the
+/// sketches take at most a quarter of the dense matrix's bytes.
+#[test]
+fn dense_and_sketch_backends_agree_on_lambda() {
+    use perigee_core::ObservationBackend;
+
+    let build = |backend: ObservationBackend| {
+        let mut rng = StdRng::seed_from_u64(13);
+        let pop = PopulationBuilder::new(300).build(&mut rng).unwrap();
+        let lat = GeoLatencyModel::new(&pop, 13);
+        let topo =
+            RandomBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
+        let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Subset);
+        cfg.blocks_per_round = 100;
+        cfg.observation_backend = backend;
+        let e = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg).unwrap();
+        (e, rng)
+    };
+    let (dense, mut rng) = build(ObservationBackend::Dense);
+    let (sketch, _) = build(ObservationBackend::Sketch);
+    let view = view_of(&dense);
+    let miners = MinerSampler::new(dense.population()).sample_round(100, &mut rng);
+    let dense_round = dense.observe_round(&view, &miners);
+    let sketch_round = sketch.observe_round(&view, &miners);
+    assert_eq!(dense_round.lambda90_ms(), sketch_round.lambda90_ms());
+    assert_eq!(dense_round.lambda50_ms(), sketch_round.lambda50_ms());
+    let dense_bytes = dense_round.observations().matrix_bytes();
+    let sketch_bytes = sketch_round.observations().matrix_bytes();
+    assert!(
+        sketch_bytes * 4 <= dense_bytes,
+        "sketches take {sketch_bytes} B, over a quarter of the dense {dense_bytes} B"
+    );
 }
 
 /// The same UCB run is also independent of the rayon pool width.

@@ -345,7 +345,8 @@ pub fn run_churn(scenario: &Scenario, seed: u64, churn_fraction: f64) -> ChurnRe
     let (mut churny, mut rng2) = fresh_engine(scenario, seed, ScoringMethod::Subset);
     churny.set_churn(
         ChurnProcess::steady_state(scenario.nodes, churn_fraction, seed ^ 0xC0D1)
-            .with_arrival_profile(crate::dynamics::arrival_profile(scenario)),
+            .with_arrival_profile(crate::dynamics::arrival_profile(scenario))
+            .expect("valid scenario"),
     );
     let (mut joined, mut departed) = (0, 0);
     for _ in 0..scenario.rounds {

@@ -106,7 +106,8 @@ pub fn run_steady_churn(scenario: &Scenario, seed: u64, churn_fraction: f64) -> 
     let (mut engine, mut rng) = dynamic_engine(scenario, seed, ScoringMethod::Subset);
     engine.set_churn(
         ChurnProcess::steady_state(scenario.nodes, churn_fraction, seed ^ 0x51EA)
-            .with_arrival_profile(arrival_profile(scenario)),
+            .with_arrival_profile(arrival_profile(scenario))
+            .expect("valid scenario"),
     );
     let mut per_round_p90_ms = Vec::with_capacity(scenario.rounds);
     let (mut joined, mut departed) = (0, 0);
@@ -176,7 +177,8 @@ pub fn run_growth(scenario: &Scenario, seed: u64, target_nodes: usize) -> Growth
     let rate = (target_nodes - scenario.nodes) as f64 / scenario.rounds.max(1) as f64;
     engine.set_churn(
         ChurnProcess::poisson(rate, SessionDist::Constant(f64::INFINITY), seed ^ 0x6047)
-            .with_arrival_profile(arrival_profile(scenario)),
+            .with_arrival_profile(arrival_profile(scenario))
+            .expect("valid scenario"),
     );
     let mut per_round_p90_ms = Vec::with_capacity(scenario.rounds);
     let mut run_summary = P2Quantile::new(50.0);

@@ -3,7 +3,7 @@
 //! The reproduction harness: one module per figure of the Perigee paper's
 //! evaluation (§5), plus the theory experiments (§3) and our extension
 //! studies. The `repro` binary drives everything from the command line;
-//! benches and integration tests reuse the same library functions.
+//! the integration tests reuse the same library functions.
 //!
 //! | Module | Paper result |
 //! |--------|--------------|

@@ -4,7 +4,7 @@
 //! pair guarantees that a run killed at any round boundary and resumed
 //! from its snapshot is **bit-identical** to the uninterrupted run. This
 //! module packages that guarantee as an operational workflow for the
-//! `repro resume` subcommand and the `resume_smoke` bench:
+//! `repro resume` subcommand:
 //!
 //! * [`run_kill_resume`] — drive a churny, fault-injected world with
 //!   periodic auto-checkpointing to disk, "kill" it midway, resume from
@@ -59,7 +59,7 @@ impl Default for AuditOptions {
 /// and an *active* fault plan — background loss plus a burst window and
 /// flapping links scaled to the scenario length. Everything the
 /// checkpoint subsystem claims to preserve is exercised at once.
-pub fn chaos_engine(scenario: &Scenario, seed: u64) -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
+fn chaos_engine(scenario: &Scenario, seed: u64) -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
     let pop = PopulationBuilder::new(scenario.nodes)
         .build(&mut rng)

@@ -261,6 +261,21 @@ fn trace_without_a_file_fails() {
 }
 
 #[test]
+fn deeply_nested_trace_line_is_an_error_not_a_crash() {
+    let dir = std::env::temp_dir().join("repro-cli-deep-trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.jsonl");
+    std::fs::write(&path, "[".repeat(100_000)).unwrap();
+    let out = repro(&["trace", path.to_str().unwrap()]);
+    assert!(!out.status.success(), "a hostile trace line must fail");
+    let err = stderr(&out);
+    assert!(
+        err.contains("deep.jsonl:1: json error at byte 128: arrays and objects nest too deeply"),
+        "must name the line and the parse error, got: {err}"
+    );
+}
+
+#[test]
 fn unopenable_trace_output_fails_fast() {
     let out = repro(&[
         "fig1",

@@ -48,6 +48,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::error::NetsimError;
 use crate::node::{NodeId, NodeProfile};
 use crate::population::{Population, PopulationBuilder};
 
@@ -311,9 +312,21 @@ impl ChurnProcess {
 
     /// Overrides the builder arrival profiles are sampled from
     /// (validation distribution, metric coordinates, bandwidth skew).
-    pub fn with_arrival_profile(mut self, profile: PopulationBuilder) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetsimError::InvalidConfig`] if the profile's validation
+    /// distribution has a negative, NaN or infinite parameter, the rule
+    /// the checkpoint decoder applies to the same distribution: an arrival
+    /// with such a delay would relay behind the propagation queues' cursor.
+    pub fn with_arrival_profile(mut self, profile: PopulationBuilder) -> Result<Self, NetsimError> {
+        if !profile.validation.draws_relay_delays() {
+            return Err(NetsimError::InvalidConfig(
+                "arrival validation delay is negative, NaN or infinite",
+            ));
+        }
         self.profile = profile;
-        self
+        Ok(self)
     }
 
     /// Assigns sessions to every currently live node of `population` —
@@ -818,6 +831,29 @@ mod tests {
             "steady state drifted to {alive}"
         );
         assert!(pop.len() > 200, "ids grew monotonically");
+    }
+
+    #[test]
+    fn arrival_profiles_with_invalid_delays_are_refused() {
+        use crate::{SimTime, ValidationDist};
+        for bad in [-30.0, f64::NAN, f64::INFINITY].map(SimTime::from_ms) {
+            for dist in [
+                ValidationDist::Constant(bad),
+                ValidationDist::Exponential(bad),
+            ] {
+                let mut profile = PopulationBuilder::new(0);
+                profile.validation(dist.clone());
+                assert_eq!(
+                    ChurnProcess::steady_state(60, 0.05, 9)
+                        .with_arrival_profile(profile)
+                        .err(),
+                    Some(NetsimError::InvalidConfig(
+                        "arrival validation delay is negative, NaN or infinite"
+                    )),
+                    "{dist:?}"
+                );
+            }
+        }
     }
 
     #[test]

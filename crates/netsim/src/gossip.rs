@@ -54,7 +54,7 @@
 //! side-effectful events are scheduled in the same order and pop in the
 //! same order, with time ties broken by insertion sequence exactly as
 //! [`EventQueue`](crate::EventQueue) did (checked event for event by
-//! `tests/gossip_legacy.rs`; the propagation bench times the two).
+//! `tests/gossip_legacy.rs`).
 
 use crate::bandwidth::TransferModel;
 use crate::counters::SimCounters;

@@ -177,6 +177,17 @@ impl Default for ValidationDist {
     }
 }
 
+impl ValidationDist {
+    /// Whether every delay this distribution draws may delay a relay:
+    /// its parameter is finite and non-negative. The checkpoint decoder
+    /// and [`ChurnProcess::with_arrival_profile`](crate::ChurnProcess::with_arrival_profile)
+    /// refuse any other distribution.
+    pub(crate) fn draws_relay_delays(&self) -> bool {
+        let (ValidationDist::Constant(t) | ValidationDist::Exponential(t)) = *self;
+        is_relay_delay(t)
+    }
+}
+
 /// The full set of simulated nodes.
 ///
 /// # Examples
@@ -520,7 +531,7 @@ impl std::ops::Index<NodeId> for Population {
 pub struct PopulationBuilder {
     n: usize,
     hash_power: HashPowerDist,
-    validation: ValidationDist,
+    pub(crate) validation: ValidationDist,
     metric_dim: Option<usize>,
     bandwidth_skew: bool,
 }
@@ -791,8 +802,7 @@ mod codec {
                 2 => ValidationDist::Exponential(SimTime::decode(r)?),
                 _ => return Err(DecodeError::new("invalid validation-dist tag")),
             };
-            let (ValidationDist::Constant(t) | ValidationDist::Exponential(t)) = dist;
-            if !is_relay_delay(t) {
+            if !dist.draws_relay_delays() {
                 return Err(DecodeError::new(
                     "validation delay is negative, NaN or infinite",
                 ));

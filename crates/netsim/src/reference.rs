@@ -7,14 +7,14 @@
 //!   `Vec<bool>` flags, one `BTreeMap` delivery log per node and a
 //!   latency-model call per event leg. `tests/gossip_legacy.rs` checks
 //!   [`TopologyView::gossip_into`](crate::TopologyView::gossip_into)
-//!   against it event for event, and the propagation bench times the two.
+//!   against it event for event.
 //! * [`coverage_times`] is λ(f) by its definition, which
 //!   [`BroadcastScratch::coverage_times_into`](crate::BroadcastScratch::coverage_times_into)
 //!   computes from cached weights, by selection when hash power is
 //!   uniform.
 //!
-//! Keeping the one copy of each here ensures the oracle the tests check
-//! and the baseline the bench times can never drift apart.
+//! Keeping the one copy of each here means every suite checks against
+//! the same oracle.
 
 use std::collections::BTreeMap;
 

@@ -10,6 +10,12 @@
 
 use std::fmt;
 
+/// How deeply arrays and objects may nest before [`JsonValue::parse`]
+/// refuses the input. The parser recurses once per level, so without a
+/// limit a line of `[`s overflows the thread's stack; a trace record
+/// nests two levels deep.
+const MAX_DEPTH: usize = 128;
+
 /// Escapes `s` for embedding inside a JSON string literal (no quotes
 /// added).
 pub fn escape(s: &str) -> String {
@@ -86,10 +92,16 @@ pub enum JsonValue {
 impl JsonValue {
     /// Parses `text` as a single JSON value (trailing whitespace allowed,
     /// trailing garbage rejected).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] for malformed input, including arrays and
+    /// objects nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -164,6 +176,8 @@ impl JsonValue {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -204,8 +218,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("arrays and objects nest too deeply"));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -431,6 +456,21 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("1 2").is_err());
         assert!(JsonValue::parse("{\"a\" 1}").is_err());
+    }
+
+    /// Hostile nesting is an error, not a stack overflow, even far past
+    /// the limit and on a default-sized test thread.
+    #[test]
+    fn deep_nesting_is_an_error() {
+        for depth in [MAX_DEPTH + 1, 10_000, 1_000_000] {
+            for open in ["[", "{\"a\":"] {
+                let err = JsonValue::parse(&open.repeat(depth)).unwrap_err();
+                assert_eq!(err.message, "arrays and objects nest too deeply");
+                assert_eq!(err.offset, MAX_DEPTH * open.len());
+            }
+        }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&deepest).is_ok());
     }
 
     #[test]

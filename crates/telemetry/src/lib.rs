@@ -31,8 +31,10 @@
 //! bit-identical to the same run with it disabled — across thread counts
 //! and queue kinds — and the determinism suite pins that contract. With
 //! the handle absent the engine makes no clock reads and builds no
-//! records, so the disabled path costs nothing; enabled overhead is
-//! bounded by `BENCH_telemetry.json` (≤2% per round).
+//! records, so the disabled path costs nothing. The enabled cost is what
+//! roundbench reports as `trace.overhead` (the share by which the traced
+//! median round exceeds the untraced one); it reads within run-to-run
+//! spread.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,9 +1,9 @@
 //! Tier-1 smoke coverage for the experiment runners that previously ran
-//! only inside `examples/` and the criterion benches: `fig4` (validation
-//! sweep and both special worlds), `convergence`, plus tiny-size `fig3` /
-//! `fig5` passes. Each runs at toy scale — the point is that the runner
-//! wiring (world construction, parallel seed fan-out, aggregation,
-//! tables) cannot regress without failing `cargo test -q`.
+//! only inside `examples/`: `fig4` (validation sweep and both special
+//! worlds), `convergence`, plus tiny-size `fig3` / `fig5` passes. Each
+//! runs at toy scale — the point is that the runner wiring (world
+//! construction, parallel seed fan-out, aggregation, tables) cannot
+//! regress without failing `cargo test -q`.
 
 use perigee::experiments::{
     convergence, fig3, fig4, fig5, Algorithm, MinerCliqueSpec, RelaySpec, Scenario,
