@@ -37,13 +37,20 @@
 //! (the engine's per-slot collectors, capped at a constant number of
 //! blocks in sketch mode) — and the sketch store folds each wave of
 //! chunks in as soon as it is recorded, column by column in block order.
-//! One kernel does every fold: [`SketchObservationStore::ingest`] runs
-//! it over the whole edge range on the calling thread, and the engine
-//! runs it over disjoint edge ranges, one per pool thread. Because
-//! chunks carry exact raw samples and every edge still sees them in
-//! block order, the sketch state is a pure function of the sequential
-//! sample stream: **bit-identical across thread counts and chunk
-//! splits**, with no sketch-merge operator needed.
+//! One kernel does every fold: [`EdgeSketch::observe_rows`], called
+//! once per edge range with every block row of the wave.
+//! [`SketchObservationStore::ingest`] runs it over the whole edge range
+//! on the calling thread, and the engine runs it over disjoint edge
+//! ranges, one per pool thread. On x86-64 CPUs with AVX2 it folds four
+//! edges at a time in `f64` registers; elsewhere it is the scalar
+//! [`EdgeSketch::observe`] loop, which also stays its oracle. The two
+//! agree bit for bit, because each lane repeats the scalar update's
+//! IEEE operations in order and marker heights stay sorted once
+//! seeded (see [`perigee_metrics::sketch`]). Because chunks carry exact
+//! raw samples and every edge still sees them in block order, the
+//! sketch state is a pure function of the sequential sample stream:
+//! **bit-identical across thread counts, chunk splits and CPUs**, with
+//! no sketch-merge operator needed.
 //!
 //! What scoring sees through [`NodeObservations`]:
 //!
@@ -333,11 +340,11 @@ impl SketchObservationStore {
     }
 }
 
-/// The one sketch fold kernel: feeds every block row of `chunks`, in
-/// order, into `sketches` — the store's edges `lo..lo + sketches.len()`.
-/// Each edge's samples arrive in block order whatever range the caller
-/// hands it, which is what keeps a split fold bit-identical to a whole
-/// one.
+/// The one sketch fold: feeds every block row of `chunks`, in order,
+/// into `sketches` — the store's edges `lo..lo + sketches.len()` — with
+/// one [`EdgeSketch::observe_rows`] call. Each edge's samples arrive in
+/// block order whatever range the caller hands it, which is what keeps
+/// a split fold bit-identical to a whole one.
 fn fold_rows(
     sketches: &mut [EdgeSketch],
     lo: usize,
@@ -345,15 +352,14 @@ fn fold_rows(
     chunks: &[&ObservationStore],
 ) {
     let hi = lo + sketches.len();
-    for chunk in chunks {
-        let m = chunk.edges.len();
-        for b in 0..chunk.blocks {
-            let row = &chunk.times[b * m + lo..b * m + hi];
-            for (sketch, &t) in sketches.iter_mut().zip(row) {
-                sketch.observe(t, params);
-            }
-        }
-    }
+    let rows: Vec<&[f32]> = chunks
+        .iter()
+        .flat_map(|chunk| {
+            let m = chunk.edges.len();
+            (0..chunk.blocks).map(move |b| &chunk.times[b * m + lo..b * m + hi])
+        })
+        .collect();
+    EdgeSketch::observe_rows(sketches, &rows, params);
 }
 
 /// One round's observations in whichever backend the config selected —
@@ -1240,18 +1246,23 @@ mod tests {
 
     #[test]
     fn pool_parallel_fold_matches_sequential_ingest() {
-        // Five links: m = 10 directed edges, which pools of 3 and 7
-        // split into uneven edge ranges.
-        let (pop, lat, mut topo) = world(&[0.0, 10.0, 30.0, 55.0, 70.0]);
-        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)] {
-            topo.connect(NodeId::new(a), NodeId::new(b)).unwrap();
+        // 160 links: m = 320 directed edges. Pools of 3 and 7 split them
+        // into shares of 107 and 46 edges, so share boundaries fall
+        // inside the batch kernel's four-edge groups.
+        let coords: Vec<f64> = (0..40).map(|i| f64::from(i * 37 % 101)).collect();
+        let (pop, lat, mut topo) = world(&coords);
+        for a in 0..40 {
+            for step in [1, 3, 7, 13] {
+                let b = (a + step) % 40;
+                topo.connect(NodeId::new(a), NodeId::new(b)).unwrap();
+            }
         }
         let view = TopologyView::new(&topo, &lat, &pop);
-        assert_eq!(view.directed_edge_count(), 10);
+        assert_eq!(view.directed_edge_count(), 320);
 
         // 12 blocks in chunks of 3, 0, 4 and 5: past the sketches' exact
         // five-sample regime, with one empty chunk.
-        let sources = [0u32, 2, 1, 3, 4, 0, 1, 2, 3, 4, 2, 0];
+        let sources = [0u32, 22, 11, 33, 4, 17, 38, 2, 29, 14, 7, 25];
         let chunks: Vec<ObservationStore> = [0..3, 3..3, 3..7, 7..12]
             .into_iter()
             .map(|range| observe_blocks(&topo, &lat, &pop, &sources[range]))

@@ -907,3 +907,84 @@ fn vanilla_dense_trajectory_digest_is_pinned() {
         );
     }
 }
+
+/// The fnv1a64 digest of a 48-node Subset trajectory on the sketch
+/// store with `paper_stream` traffic installed, run inside a pool of
+/// `threads` workers: four rounds of `RoundStats` and per-class traffic
+/// λs (floats by their bits), the final outgoing lists, and every
+/// edge's scoring percentile after one more 40-block `observe_round`.
+fn sketch_traffic_trajectory_digest(threads: usize) -> u64 {
+    use perigee_core::ObservationBackend;
+    use perigee_netsim::TrafficConfig;
+
+    in_pool(threads, || {
+        const SEED: u64 = 2323;
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let pop = PopulationBuilder::new(48).build(&mut rng).unwrap();
+        let lat = GeoLatencyModel::new(&pop, SEED);
+        let topo =
+            RandomBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
+        let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Subset);
+        cfg.blocks_per_round = 9;
+        cfg.observation_backend = ObservationBackend::Sketch;
+        let mut e = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg).unwrap();
+        e.set_traffic(TrafficConfig::paper_stream(SEED ^ 0x7AFF))
+            .unwrap();
+
+        let mut folded = Vec::new();
+        for _ in 0..4 {
+            fold_stats(&mut folded, &e.run_round(&mut rng));
+            let traffic = e.last_traffic_stats().unwrap();
+            folded.extend_from_slice(&(traffic.messages as u64).to_le_bytes());
+            for class in &traffic.per_class {
+                let words = [
+                    class.messages as u64,
+                    class.mean_lambda90_ms.to_bits(),
+                    class.mean_lambda50_ms.to_bits(),
+                ];
+                for word in words {
+                    folded.extend_from_slice(&word.to_le_bytes());
+                }
+            }
+        }
+        for v in 0..e.population().len() as u32 {
+            let outgoing = e.topology().outgoing_vec(NodeId::new(v));
+            folded.extend_from_slice(&(outgoing.len() as u32).to_le_bytes());
+            for u in outgoing {
+                folded.extend_from_slice(&u.as_u32().to_le_bytes());
+            }
+        }
+
+        let view = view_of(&e);
+        let miners = MinerSampler::new(e.population()).sample_round(40, &mut rng);
+        let round = e.observe_round(&view, &miners);
+        let store = round.observations();
+        let p = e.config().percentile;
+        let mut buf = Vec::new();
+        for v in 0..e.population().len() as u32 {
+            let obs = store.node(NodeId::new(v));
+            for i in 0..obs.degree() {
+                let score = obs.column_percentile_or_inf(i, p, &mut buf);
+                folded.extend_from_slice(&score.to_bits().to_le_bytes());
+            }
+        }
+        serde::bin::fnv1a64(&folded)
+    })
+}
+
+/// The sketch store's fold, pinned across commits: block and traffic
+/// rows stream through every edge's P² sketch, Subset scores the
+/// estimates, and the final percentiles are read back edge by edge, so
+/// a change to the fold kernel that is meant to be exact must leave the
+/// digest alone, on one and two threads.
+#[test]
+fn sketch_traffic_trajectory_digest_is_pinned() {
+    const EXPECTED: u64 = 0x2a49_d3ce_295f_2930;
+    for threads in [1, 2] {
+        let digest = sketch_traffic_trajectory_digest(threads);
+        assert_eq!(
+            digest, EXPECTED,
+            "sketch trajectory moved on {threads} threads: {digest:#018x}"
+        );
+    }
+}

@@ -29,6 +29,28 @@
 //! estimate degrades gracefully, not chaotically, relative to the exact
 //! percentile of the same stream.
 //!
+//! # Folding rows
+//!
+//! A store folds a round's observations row by row: row `r` holds one
+//! sample per edge. [`EdgeSketch::observe_rows`] is that batch entry,
+//! defined as the nested [`EdgeSketch::observe`] loop and equal to it
+//! bit for bit. On x86-64 CPUs where AVX2 is detected at run time it
+//! runs one explicit-intrinsics kernel: four consecutive edges form a
+//! group, their state is loaded once into `f64` lanes (heights are
+//! exact `f32` values, positions and counts exact integers), every row
+//! of the batch is folded in registers, and the state is stored back
+//! once. Each lane performs the scalar update's IEEE-754 operations in
+//! the same order, without FMA, and rounds each new height through
+//! `f32`. The scalar cell search becomes one comparison per marker,
+//! which is exact because marker heights stay sorted once five finite
+//! samples have arrived.
+//!
+//! [`EdgeSketch::observe`] remains the scalar path and the oracle. It
+//! runs on CPUs without AVX2, for lanes still seeding, for the
+//! `len % 4` remainder edges, and wherever a count could overflow
+//! `u32` within the batch. The store layout does not change: the
+//! sketches stay 48-byte array-of-structs, and their codec with them.
+//!
 //! [`MultiQuantile`] bundles several [`P2Quantile`] trackers over one
 //! stream — sized for the production-Kaspa lexicographic score tuple
 //! (p90, p95, p97.5, p100), see [`MultiQuantile::kaspa_tuple`].
@@ -205,6 +227,30 @@ impl EdgeSketch {
         }
     }
 
+    /// Feeds `rows[r][i]` into `sketches[i]` for every row `r` in order:
+    /// the batch form of [`EdgeSketch::observe`], and equal to that
+    /// nested loop bit for bit. On x86-64 CPUs with AVX2 it folds four
+    /// edges at a time in registers (see the module docs); elsewhere it
+    /// is the nested loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's length differs from `sketches.len()`, and on
+    /// `NaN` like [`EdgeSketch::observe`].
+    pub fn observe_rows(sketches: &mut [EdgeSketch], rows: &[&[f32]], params: &SketchParams) {
+        for row in rows {
+            assert_eq!(
+                row.len(),
+                sketches.len(),
+                "row length must equal the sketch count"
+            );
+        }
+        match avx2_kernel() {
+            Some(kernel) => _ = kernel(sketches, rows, params),
+            None => observe_rows_scalar(sketches, rows, params),
+        }
+    }
+
     /// The piecewise-parabolic (P²) height prediction for marker `i`
     /// moved by `d ∈ {−1, +1}` ranks.
     fn parabolic(&self, i: usize, d: f64) -> f64 {
@@ -241,11 +287,8 @@ impl EdgeSketch {
             }
         }
         if self.finite <= 5 {
-            let mut buf: Vec<f64> = self.heights[..self.finite as usize]
-                .iter()
-                .map(|&h| h as f64)
-                .collect();
-            return percentile_mut(&mut buf, params.p);
+            let mut buf = self.heights.map(f64::from);
+            return percentile_mut(&mut buf[..self.finite as usize], params.p);
         }
         Some(self.heights[2] as f64)
     }
@@ -266,6 +309,321 @@ impl EdgeSketch {
     pub fn representatives(&self) -> &[f32] {
         let k = (self.finite as usize).min(5);
         &self.heights[..k]
+    }
+}
+
+/// [`EdgeSketch::observe_rows`] as the nested scalar loop: the fallback
+/// on CPUs without AVX2 and the kernel's oracle.
+fn observe_rows_scalar(sketches: &mut [EdgeSketch], rows: &[&[f32]], params: &SketchParams) {
+    for row in rows {
+        for (sketch, &x) in sketches.iter_mut().zip(*row) {
+            sketch.observe(x, params);
+        }
+    }
+}
+
+/// A batch fold kernel: folds its rows into its sketches like
+/// [`observe_rows_scalar`] and returns how many group-rows it folded in
+/// vector registers.
+type RowKernel = fn(&mut [EdgeSketch], &[&[f32]], &SketchParams) -> usize;
+
+/// The AVX2 fold kernel, when this CPU can run it.
+#[cfg(target_arch = "x86_64")]
+fn avx2_kernel() -> Option<RowKernel> {
+    if !std::arch::is_x86_feature_detected!("avx2") {
+        return None;
+    }
+    Some(|sketches, rows, params| {
+        // SAFETY: `avx2::observe_rows` enables the `avx2` target feature
+        // and nothing else, and this CPU supports AVX2: it was detected
+        // at run time just above, before this kernel was handed out.
+        #[allow(unsafe_code)]
+        unsafe {
+            avx2::observe_rows(sketches, rows, params)
+        }
+    })
+}
+
+/// The AVX2 fold kernel, when this CPU can run it: never off x86-64.
+#[cfg(not(target_arch = "x86_64"))]
+fn avx2_kernel() -> Option<RowKernel> {
+    None
+}
+
+/// The AVX2 fold: four consecutive edges per group, their P² state held
+/// in `f64` lanes across every row of the batch.
+///
+/// Each lane runs [`EdgeSketch::observe`]'s IEEE operations in the same
+/// order, so the result is bit-identical. Heights are exact `f32`
+/// values and positions and counts exact integers, so the `f64` lanes
+/// hold the state exactly. Two steps differ in form, not in result:
+///
+/// * the cell search becomes `n[i] += (x < q[i])` for `i = 1..=3`,
+///   which equals it because heights stay sorted once seeded;
+/// * a height rounds to `f32` (`vcvtpd2ps`, like `as f32`) and widens
+///   back, so later comparisons and arithmetic see the stored value.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    use super::{EdgeSketch, SketchParams};
+
+    /// Edges per group: one `f64` lane each in a 256-bit register.
+    const LANES: usize = 4;
+
+    /// Folds `rows` into `sketches` (see [`EdgeSketch::observe_rows`])
+    /// and returns how many group-rows it folded in registers. A group
+    /// runs the scalar update until all four sketches hold five finite
+    /// samples, then folds the rest of the batch in registers, provided
+    /// the counts cannot overflow `u32` on the way. The `len % 4`
+    /// remainder edges stay scalar.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn observe_rows(
+        sketches: &mut [EdgeSketch],
+        rows: &[&[f32]],
+        params: &SketchParams,
+    ) -> usize {
+        let consts = Consts::new(params);
+        let mut folded = 0;
+        let (groups, tail) = sketches.as_chunks_mut::<LANES>();
+        for (g, group) in groups.iter_mut().enumerate() {
+            let lo = g * LANES;
+            let xs = |row: &&[f32]| -> [f32; LANES] {
+                row[lo..lo + LANES].try_into().expect("four lanes")
+            };
+            let mut r = 0;
+            while r < rows.len() && group.iter().any(|s| s.finite < 5) {
+                for (sketch, x) in group.iter_mut().zip(xs(&rows[r])) {
+                    sketch.observe(x, params);
+                }
+                r += 1;
+            }
+            let rest = &rows[r..];
+            let fits = group
+                .iter()
+                .all(|s| s.count() + rest.len() <= u32::MAX as usize);
+            if rest.is_empty() || !fits {
+                for row in rest {
+                    for (sketch, x) in group.iter_mut().zip(xs(row)) {
+                        sketch.observe(x, params);
+                    }
+                }
+                continue;
+            }
+            let mut state = State::load(group);
+            for row in rest {
+                state.observe(&xs(row), &consts);
+            }
+            state.store(group);
+            folded += rest.len();
+        }
+        let tail_lo = groups.len() * LANES;
+        for row in rows {
+            for (sketch, &x) in tail.iter_mut().zip(&row[tail_lo..]) {
+                sketch.observe(x, params);
+            }
+        }
+        folded
+    }
+
+    /// The store's [`SketchParams`] for markers 1–3, broadcast to every
+    /// lane.
+    struct Consts {
+        initial: [__m256d; 3],
+        increments: [__m256d; 3],
+    }
+
+    impl Consts {
+        #[target_feature(enable = "avx2")]
+        fn new(params: &SketchParams) -> Self {
+            let mut consts = Consts {
+                initial: [_mm256_setzero_pd(); 3],
+                increments: [_mm256_setzero_pd(); 3],
+            };
+            for i in 1..4 {
+                consts.initial[i - 1] = _mm256_set1_pd(params.initial[i]);
+                consts.increments[i - 1] = _mm256_set1_pd(params.increments[i]);
+            }
+            consts
+        }
+    }
+
+    /// Four sketches' state, one per lane, exactly as `f64`.
+    struct State {
+        heights: [__m256d; 5],
+        positions: [__m256d; 5],
+        finite: __m256d,
+        infinite: __m256d,
+    }
+
+    /// One register holding `v[l]` in lane `l`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn pack(v: [f64; LANES]) -> __m256d {
+        _mm256_set_pd(v[3], v[2], v[1], v[0])
+    }
+
+    /// The four lanes of `v`, lowest first.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn lanes(v: __m256d) -> [f64; LANES] {
+        let lo = _mm256_castpd256_pd128(v);
+        let hi = _mm256_extractf128_pd::<1>(v);
+        [
+            _mm_cvtsd_f64(lo),
+            _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo)),
+            _mm_cvtsd_f64(hi),
+            _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)),
+        ]
+    }
+
+    /// `v` rounded to `f32` and widened back: what storing a height as
+    /// `f32` and reading it again gives.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn round_f32(v: __m256d) -> __m256d {
+        _mm256_cvtps_pd(_mm256_cvtpd_ps(v))
+    }
+
+    impl State {
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn load(group: &[EdgeSketch; LANES]) -> Self {
+            let mut state = State {
+                heights: [_mm256_setzero_pd(); 5],
+                positions: [_mm256_setzero_pd(); 5],
+                finite: pack(group.map(|s| f64::from(s.finite))),
+                infinite: pack(group.map(|s| f64::from(s.infinite))),
+            };
+            for i in 0..5 {
+                state.heights[i] = pack(group.map(|s| f64::from(s.heights[i])));
+                state.positions[i] = pack(group.map(|s| f64::from(s.positions[i])));
+            }
+            state
+        }
+
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn store(&self, group: &mut [EdgeSketch; LANES]) {
+            for i in 0..5 {
+                let (h, n) = (lanes(self.heights[i]), lanes(self.positions[i]));
+                for (l, sketch) in group.iter_mut().enumerate() {
+                    sketch.heights[i] = h[l] as f32;
+                    sketch.positions[i] = n[l] as u32;
+                }
+            }
+            let (finite, infinite) = (lanes(self.finite), lanes(self.infinite));
+            for (l, sketch) in group.iter_mut().enumerate() {
+                sketch.finite = finite[l] as u32;
+                sketch.infinite = infinite[l] as u32;
+            }
+        }
+
+        /// [`EdgeSketch::observe`] of `x[l]` into lane `l`, for every
+        /// lane at once.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn observe(&mut self, x: &[f32; LANES], consts: &Consts) {
+            let x = _mm256_cvtps_pd(_mm_set_ps(x[3], x[2], x[1], x[0]));
+            let nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(x, x);
+            assert!(
+                _mm256_movemask_pd(nan) == 0,
+                "quantile input must not contain NaN"
+            );
+            let one = _mm256_set1_pd(1.0);
+            let magnitude = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
+            let finite = _mm256_cmp_pd::<_CMP_LT_OQ>(magnitude, _mm256_set1_pd(f64::INFINITY));
+            self.infinite = _mm256_add_pd(self.infinite, _mm256_andnot_pd(finite, one));
+            if _mm256_movemask_pd(finite) == 0 {
+                return;
+            }
+            self.finite = _mm256_add_pd(self.finite, _mm256_and_pd(finite, one));
+
+            // The extremes (sorted heights let at most one move), then the
+            // positions of the markers above x.
+            let h = &mut self.heights;
+            let n = &mut self.positions;
+            let low = _mm256_and_pd(finite, _mm256_cmp_pd::<_CMP_LT_OQ>(x, h[0]));
+            let high = _mm256_and_pd(finite, _mm256_cmp_pd::<_CMP_GE_OQ>(x, h[4]));
+            h[0] = _mm256_blendv_pd(h[0], x, low);
+            h[4] = _mm256_blendv_pd(h[4], x, high);
+            for i in 1..4 {
+                let under = _mm256_and_pd(finite, _mm256_cmp_pd::<_CMP_LT_OQ>(x, h[i]));
+                n[i] = _mm256_add_pd(n[i], _mm256_and_pd(under, one));
+            }
+            n[4] = _mm256_add_pd(n[4], _mm256_and_pd(finite, one));
+
+            // Nudge markers 1, 2, 3 in turn toward their desired ranks.
+            let minus_one = _mm256_set1_pd(-1.0);
+            let seeded = _mm256_sub_pd(self.finite, _mm256_set1_pd(5.0));
+            for i in 1..4 {
+                let desired = _mm256_add_pd(
+                    consts.initial[i - 1],
+                    _mm256_mul_pd(seeded, consts.increments[i - 1]),
+                );
+                let d = _mm256_sub_pd(desired, n[i]);
+                let above = _mm256_sub_pd(n[i + 1], n[i]);
+                let below = _mm256_sub_pd(n[i - 1], n[i]);
+                let up = _mm256_and_pd(
+                    _mm256_cmp_pd::<_CMP_GE_OQ>(d, one),
+                    _mm256_cmp_pd::<_CMP_GT_OQ>(above, one),
+                );
+                let down = _mm256_and_pd(
+                    _mm256_cmp_pd::<_CMP_LE_OQ>(d, minus_one),
+                    _mm256_cmp_pd::<_CMP_LT_OQ>(below, minus_one),
+                );
+                let adjust = _mm256_and_pd(finite, _mm256_or_pd(up, down));
+                if _mm256_movemask_pd(adjust) == 0 {
+                    continue;
+                }
+                let d = _mm256_blendv_pd(minus_one, one, up);
+                let (q, q_next, q_prev) = (h[i], h[i + 1], h[i - 1]);
+                let (p, p_next, p_prev) = (n[i], n[i + 1], n[i - 1]);
+
+                // EdgeSketch::parabolic, operation for operation.
+                let right = _mm256_div_pd(
+                    _mm256_mul_pd(
+                        _mm256_add_pd(_mm256_sub_pd(p, p_prev), d),
+                        _mm256_sub_pd(q_next, q),
+                    ),
+                    _mm256_sub_pd(p_next, p),
+                );
+                let left = _mm256_div_pd(
+                    _mm256_mul_pd(
+                        _mm256_sub_pd(_mm256_sub_pd(p_next, p), d),
+                        _mm256_sub_pd(q, q_prev),
+                    ),
+                    _mm256_sub_pd(p, p_prev),
+                );
+                let parabolic = round_f32(_mm256_add_pd(
+                    q,
+                    _mm256_mul_pd(
+                        _mm256_div_pd(d, _mm256_sub_pd(p_next, p_prev)),
+                        _mm256_add_pd(right, left),
+                    ),
+                ));
+                let inside = _mm256_and_pd(
+                    _mm256_cmp_pd::<_CMP_LT_OQ>(q_prev, parabolic),
+                    _mm256_cmp_pd::<_CMP_LT_OQ>(parabolic, q_next),
+                );
+                let mut height = parabolic;
+                if _mm256_movemask_pd(_mm256_andnot_pd(inside, adjust)) != 0 {
+                    // EdgeSketch::linear toward the neighbor d points at.
+                    let q_to = _mm256_blendv_pd(q_prev, q_next, up);
+                    let p_to = _mm256_blendv_pd(p_prev, p_next, up);
+                    let linear = round_f32(_mm256_add_pd(
+                        q,
+                        _mm256_div_pd(
+                            _mm256_mul_pd(d, _mm256_sub_pd(q_to, q)),
+                            _mm256_sub_pd(p_to, p),
+                        ),
+                    ));
+                    height = _mm256_blendv_pd(linear, parabolic, inside);
+                }
+                h[i] = _mm256_blendv_pd(q, height, adjust);
+                n[i] = _mm256_add_pd(p, _mm256_and_pd(adjust, d));
+            }
+        }
     }
 }
 
@@ -498,18 +856,80 @@ mod tests {
         );
     }
 
+    /// Sample `i` of an adversarial stream: ties, ±0, subnormals, values
+    /// near the `f32` extremes and ∞ among uniform noise.
+    fn adversarial(i: u64) -> f32 {
+        let u = noise(i);
+        match (u * 20.0) as u32 {
+            0 => f32::INFINITY,
+            1 => -0.0,
+            2 => 0.0,
+            3 => 1.0e-40,
+            4 => 3.0e38,
+            5 => -3.0e38,
+            6..=8 => 7.0,
+            _ => (u * 1000.0) as f32,
+        }
+    }
+
     #[test]
     fn heights_stay_sorted_through_the_update() {
-        let params = SketchParams::new(90.0);
-        let mut s = EdgeSketch::new();
-        for i in 0..3000 {
-            s.observe((noise(i) * 1000.0) as f32, &params);
-            if s.finite() >= 5 {
-                let h = s.heights;
-                assert!(
-                    h.windows(2).all(|w| w[0] <= w[1]),
-                    "heights out of order after sample {i}: {h:?}"
-                );
+        let streams: [fn(u64) -> f32; 2] = [|i| (noise(i) * 1000.0) as f32, adversarial];
+        for p in [0.0, 50.0, 90.0, 100.0] {
+            let params = SketchParams::new(p);
+            for stream in streams {
+                let mut s = EdgeSketch::new();
+                for i in 0..3000 {
+                    s.observe(stream(i), &params);
+                    if s.finite() >= 5 {
+                        let h = s.heights;
+                        assert!(
+                            h.windows(2).all(|w| w[0] <= w[1]),
+                            "p{p}: heights out of order after sample {i}: {h:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The AVX2 kernel, called directly wherever the CPU has AVX2, folds
+    /// in registers and equals the scalar update bit for bit: dispatch
+    /// cannot fall back to scalar unnoticed.
+    #[test]
+    fn avx2_kernel_folds_in_registers_like_the_scalar_update() {
+        use serde::bin::Encode;
+
+        #[cfg(target_arch = "x86_64")]
+        let has_avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has_avx2 = false;
+        assert_eq!(avx2_kernel().is_some(), has_avx2);
+        let Some(kernel) = avx2_kernel() else {
+            return;
+        };
+        // 4 groups and a remainder of 3 edges; three 9-row batches.
+        let m = 19;
+        let batches: Vec<Vec<Vec<f32>>> = (0..3u64)
+            .map(|b| {
+                (0..9u64)
+                    .map(|r| (0..m).map(|i| adversarial((b * 9 + r) * 64 + i)).collect())
+                    .collect()
+            })
+            .collect();
+        for p in [0.0, 50.0, 90.0, 100.0] {
+            let params = SketchParams::new(p);
+            let mut scalar = vec![EdgeSketch::new(); m as usize];
+            let mut vector = scalar.clone();
+            let mut folded = 0;
+            for batch in &batches {
+                let rows: Vec<&[f32]> = batch.iter().map(Vec::as_slice).collect();
+                observe_rows_scalar(&mut scalar, &rows, &params);
+                folded += kernel(&mut vector, &rows, &params);
+            }
+            assert!(folded > 0, "p{p}: no row was folded in registers");
+            for (i, (a, b)) in scalar.iter().zip(&vector).enumerate() {
+                assert_eq!(a.to_bytes(), b.to_bytes(), "p{p}, edge {i}");
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Property-based tests of the measurement utilities.
 
 use proptest::prelude::*;
+use serde::bin::Encode;
 
 use perigee_metrics::{
     mean, percentile, percentile_mut, percentile_or_inf, percentile_or_inf_f32_mut,
@@ -261,6 +262,158 @@ proptest! {
             );
         }
     }
+}
+
+/// One letter of a fold stream: both infinities, signed zeros,
+/// subnormals, values near the `f32` extremes, or a continuous value.
+fn fold_letter() -> impl Strategy<Value = f32> {
+    (0u8..16, -1.0e3f32..1.0e3f32).prop_map(|(sel, r)| match sel {
+        0 => f32::INFINITY,
+        1 => f32::NEG_INFINITY,
+        2 => 0.0,
+        3 => -0.0,
+        4 => 1.0e-40, // subnormal
+        5 => 1.4e-45, // the least subnormal
+        6 => 3.0e38,
+        7 => -3.0e38,
+        8 => f32::MAX,
+        _ => r,
+    })
+}
+
+/// `rows` fold rows over `m` edges. A row is constant one time in
+/// four; otherwise half its entries come from `alphabet` (1–4 values, so
+/// heavy ties) and half are free letters.
+fn fold_rows(
+    m: usize,
+    rows: std::ops::RangeInclusive<usize>,
+) -> impl Strategy<Value = Vec<Vec<f32>>> {
+    (
+        proptest::collection::vec(fold_letter(), 1..=4),
+        proptest::collection::vec(
+            (
+                0u8..4,
+                fold_letter(),
+                proptest::collection::vec((0u8..4, fold_letter()), m),
+            ),
+            rows,
+        ),
+    )
+        .prop_map(|(alphabet, rows)| {
+            rows.into_iter()
+                .map(|(shape, constant, cells)| {
+                    cells
+                        .into_iter()
+                        .map(|(sel, letter)| match (shape, sel) {
+                            (0, _) => constant,
+                            (_, 0..=1) => alphabet[usize::from(sel) % alphabet.len()],
+                            _ => letter,
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+}
+
+/// A fold case over 0–37 edges (every remainder mod 4): a per-edge
+/// prefix of 0–7 samples that leaves sketches part-seeded, then two or
+/// three batches of 0–12 rows.
+#[allow(clippy::type_complexity)]
+fn fold_case() -> impl Strategy<Value = (Vec<Vec<f32>>, Vec<Vec<Vec<f32>>>)> {
+    (0usize..=37).prop_flat_map(|m| {
+        (
+            proptest::collection::vec(proptest::collection::vec(fold_letter(), 0..=7), m),
+            proptest::collection::vec(fold_rows(m, 0..=12), 2..=3),
+        )
+    })
+}
+
+/// Asserts every seeded sketch keeps its marker heights sorted — the
+/// condition under which the batch kernel's cell search equals the
+/// scalar one.
+fn assert_heights_sorted(sketches: &[EdgeSketch]) -> Result<(), TestCaseError> {
+    for (i, s) in sketches.iter().enumerate() {
+        let h = s.representatives();
+        if s.finite() >= 5 {
+            prop_assert!(
+                h.windows(2).all(|w| w[0] <= w[1]),
+                "edge {i}: heights out of order: {:?}",
+                h
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `EdgeSketch::observe_rows` equals the nested `observe` loop bit
+    /// for bit — on the vector path where the CPU has one, across
+    /// seeding, remainder edges, ties, ±0, subnormals, near-overflow
+    /// values and ∞ — and the oracle's heights stay sorted throughout.
+    #[test]
+    fn batch_fold_equals_nested_observe(
+        (prefixes, batches) in fold_case(),
+        random_p in 0.0f64..=100.0,
+    ) {
+        for p in [0.0, 50.0, 90.0, 100.0, random_p] {
+            let params = SketchParams::new(p);
+            let mut oracle = vec![EdgeSketch::new(); prefixes.len()];
+            for (sketch, prefix) in oracle.iter_mut().zip(&prefixes) {
+                for &x in prefix {
+                    sketch.observe(x, &params);
+                }
+            }
+            let mut batched = oracle.clone();
+            for batch in &batches {
+                for row in batch {
+                    for (sketch, &x) in oracle.iter_mut().zip(row) {
+                        sketch.observe(x, &params);
+                    }
+                    assert_heights_sorted(&oracle)?;
+                }
+                let rows: Vec<&[f32]> = batch.iter().map(Vec::as_slice).collect();
+                EdgeSketch::observe_rows(&mut batched, &rows, &params);
+                for (i, (a, b)) in oracle.iter().zip(&batched).enumerate() {
+                    prop_assert_eq!(a.to_bytes(), b.to_bytes(), "p{}, edge {}", p, i);
+                }
+            }
+        }
+    }
+}
+
+/// Eight seeded sketches, for the NaN tests: two full vector groups.
+fn seeded(m: usize, params: &SketchParams) -> Vec<EdgeSketch> {
+    let mut sketches = vec![EdgeSketch::new(); m];
+    for (i, s) in sketches.iter_mut().enumerate() {
+        for k in 0..6 {
+            s.observe((i * 7 + k) as f32, params);
+        }
+    }
+    sketches
+}
+
+#[test]
+#[should_panic(expected = "quantile input must not contain NaN")]
+fn batch_fold_refuses_nan_in_a_vector_lane() {
+    let params = SketchParams::new(90.0);
+    let mut sketches = seeded(8, &params);
+    let clean = [1.0f32; 8];
+    let mut dirty = [2.0f32; 8];
+    dirty[6] = f32::NAN;
+    EdgeSketch::observe_rows(&mut sketches, &[&clean, &dirty, &clean], &params);
+}
+
+#[test]
+#[should_panic(expected = "quantile input must not contain NaN")]
+fn batch_fold_refuses_nan_in_the_remainder() {
+    let params = SketchParams::new(90.0);
+    let mut sketches = seeded(10, &params);
+    let clean = [1.0f32; 10];
+    let mut dirty = [2.0f32; 10];
+    dirty[9] = f32::NAN;
+    EdgeSketch::observe_rows(&mut sketches, &[&clean, &dirty], &params);
 }
 
 /// The sort-based percentile the selection kernel replaced, kept here as
