@@ -68,9 +68,9 @@ pub struct RoundStats {
     pub blocks: usize,
     /// Outgoing connections dropped by scoring decisions this round.
     pub dropped: usize,
-    /// Nodes that joined this round (including in-place resets).
+    /// Nodes that joined this round.
     pub joined: usize,
-    /// Nodes that departed this round (including in-place resets).
+    /// Nodes that departed this round.
     pub departed: usize,
     /// Nodes that skipped scoring this round because their blocks-seen
     /// count deviated from the round's block count beyond the
@@ -157,9 +157,6 @@ pub struct PerigeeEngine<L> {
     /// [`GossipConfig::is_analytic`] picks the kernel.
     propagation: GossipConfig,
     address_book: Option<AddressBook>,
-    /// Which priority-queue implementation the per-worker scratches run
-    /// on (calendar by default; the reference heap for equivalence runs).
-    queue: QueueKind,
     round: usize,
     /// The CSR snapshot carried across rounds: after each rewiring the
     /// engine patches it in place ([`TopologyView::apply_rewiring`], or
@@ -175,9 +172,6 @@ pub struct PerigeeEngine<L> {
     view_rebuilds: usize,
     /// The installed node-lifetime process, if the world is dynamic.
     churn: Option<ChurnProcess>,
-    /// The node-set change of the most recent round (empty for static
-    /// worlds) — observable for tests and experiment harnesses.
-    last_delta: WorldDelta,
     /// The installed link-fault schedule, if any: compiled to a
     /// [`RoundFaults`] at the top of every round and threaded through
     /// the propagation phase. `None` (the default) takes the exact
@@ -340,12 +334,10 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             adopters,
             propagation: GossipConfig::flood(),
             address_book: None,
-            queue: QueueKind::default(),
             round: 0,
             view: None,
             view_rebuilds: 0,
             churn: None,
-            last_delta: WorldDelta::default(),
             fault_plan: None,
             blocks_simulated: 0,
             traffic: None,
@@ -371,7 +363,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// never feeds back into any simulation decision, and the counters
     /// it harvests are tallied unconditionally either way — so an
     /// instrumented run is bit-identical to an uninstrumented one,
-    /// across thread counts and queue kinds (the `telemetry`
+    /// across thread counts (the `telemetry`
     /// integration suite enforces this). Without a handle the engine
     /// takes the zero-cost path: no clock reads, no record building.
     ///
@@ -401,7 +393,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// snapshot). Fault decisions are pure hashes of
     /// `(plan seed, round, global block index, edge)` — they consume no
     /// protocol RNG, so faulted runs stay bit-identical across thread
-    /// counts and queue kinds, and an [`FaultPlan::inert`] plan
+    /// counts, and an [`FaultPlan::inert`] plan
     /// reproduces the no-plan run exactly.
     ///
     /// Only [`PerigeeEngine::run_round`] is affected:
@@ -444,7 +436,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// Origination counts are pure hashes of `(seed, round, class,
     /// node)`: installing traffic consumes **no RNG**, so the block
     /// path's random stream is untouched and rounds stay bit-identical
-    /// across thread counts and queue kinds. Two deliberate boundaries:
+    /// across thread counts. Two deliberate boundaries:
     /// stability gating keeps comparing blocks-seen against the round's
     /// *block* count only (transaction weather must not gate scoring),
     /// and traffic runs fault-free even under an installed
@@ -496,6 +488,11 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// [`TopologyView::apply_world_delta`] instead of being rebuilt.
     /// The process is attached to the current population, so existing
     /// nodes get session lengths too.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the id, if the process already schedules an expiry
+    /// for a slot outside the population (see [`ChurnProcess::attach`]).
     pub fn set_churn(&mut self, mut process: ChurnProcess) {
         process.attach(&self.population);
         self.churn = Some(process);
@@ -512,12 +509,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         self.churn.take()
     }
 
-    /// The node-set change of the most recent round (empty for static
-    /// worlds).
-    pub fn last_world_delta(&self) -> &WorldDelta {
-        &self.last_delta
-    }
-
     /// How many times the engine built its CSR snapshot from scratch. A
     /// run that only ever rewires and churns pays exactly **one** build
     /// (the first round); every later round patches incrementally.
@@ -529,8 +520,8 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// build over the current world (a no-op when no snapshot is cached).
     /// The debug builds assert this after every round; this method lets
     /// release builds make the same check explicitly, as CI's release test
-    /// step does after churn (`churny_rounds_are_thread_and_queue_independent`),
-    /// faults (`fault_injected_rounds_are_thread_and_queue_independent`) and
+    /// step does after churn (`churny_rounds_are_thread_independent`),
+    /// faults (`fault_injected_rounds_are_thread_independent`) and
     /// compaction (`compaction_is_checkpoint_transparent_and_deterministic`).
     ///
     /// # Panics
@@ -561,9 +552,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// required and each call bumps
     /// [`PerigeeEngine::compaction_epoch`], which checkpoints carry —
     /// checkpoint → resume → continue reproduces an uninterrupted run
-    /// bit for bit, compactions included. The previous round's
-    /// [`PerigeeEngine::last_world_delta`] is cleared (it names dead
-    /// ids that no longer exist).
+    /// bit for bit, compactions included.
     ///
     /// Returns the number of reclaimed slots, or `None` (and does
     /// nothing) when the free-list is empty.
@@ -598,7 +587,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             h.compact(&plan);
         }
         self.sampler = MinerSampler::new(&self.population);
-        self.last_delta = WorldDelta::default();
         self.compaction_epoch += 1;
         #[cfg(debug_assertions)]
         self.assert_view_consistency();
@@ -686,7 +674,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             compaction_epoch: self.compaction_epoch,
             config: self.config,
             method: self.method,
-            queue: self.queue,
             propagation: self.propagation,
             adopters: self.adopters.clone(),
             histories: self.histories.clone(),
@@ -697,7 +684,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             churn: self.churn.clone(),
             fault_plan: self.fault_plan.clone(),
             traffic: self.traffic.clone(),
-            last_delta: self.last_delta.clone(),
             latency_bytes: self.latency.to_bytes(),
             rng_state: rng.state(),
         }
@@ -706,13 +692,17 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// Rebuilds an engine (and its run RNG) from a [`RunSnapshot`]:
     /// the inverse of [`PerigeeEngine::checkpoint`]. Running the resumed
     /// engine to round *N* is bit-identical to the uninterrupted run —
-    /// across thread counts, queue kinds, churn and active fault plans
-    /// (the `resume` integration suite enforces this).
+    /// across thread counts, churn and active fault plans (the `resume`
+    /// integration suite enforces this).
+    ///
+    /// The engine is built through [`PerigeeEngine::new`], then the
+    /// carried state is restored over it.
     ///
     /// # Errors
     ///
     /// [`SnapshotError`] when the captured latency model does not decode
-    /// to `L` or does not cover the population.
+    /// to `L` or does not cover the population, or when
+    /// [`PerigeeEngine::new`] refuses the captured world.
     pub fn resume(snapshot: RunSnapshot) -> Result<(Self, rand::rngs::StdRng), SnapshotError>
     where
         L: serde::bin::Decode,
@@ -723,7 +713,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             compaction_epoch,
             config,
             method,
-            queue,
             propagation,
             adopters,
             histories,
@@ -734,7 +723,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             churn,
             fault_plan,
             traffic,
-            last_delta,
             latency_bytes,
             rng_state,
         } = snapshot;
@@ -744,66 +732,29 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 "latency model does not cover the population",
             ));
         }
-        let strategy = method.strategy(
-            population.len(),
-            config.retain_count(),
-            config.percentile,
-            config.ucb_c,
-        );
-        let sampler = MinerSampler::new(&population);
+        let mut engine = Self::new(population, latency, topology, method, config)
+            .map_err(SnapshotError::Inconsistent)?;
+        engine.histories = histories;
+        engine.adopters = adopters;
+        engine.propagation = propagation;
+        engine.address_book = address_book;
+        engine.round = round as usize;
+        engine.churn = churn;
+        engine.fault_plan = fault_plan;
+        engine.blocks_simulated = blocks_simulated as usize;
+        engine.traffic = traffic;
+        engine.liveness = liveness;
+        engine.compaction_epoch = compaction_epoch;
         // check_consistency rejected the all-zero state at decode time,
         // and a live RNG can never reach it, so this cannot panic.
-        let rng = rand::rngs::StdRng::from_state(rng_state);
-        Ok((
-            PerigeeEngine {
-                population,
-                latency,
-                topology,
-                strategy,
-                histories,
-                sampler,
-                config,
-                adopters,
-                propagation,
-                address_book,
-                queue,
-                round: round as usize,
-                view: None,
-                view_rebuilds: 0,
-                churn,
-                last_delta,
-                fault_plan,
-                blocks_simulated: blocks_simulated as usize,
-                traffic,
-                last_traffic: None,
-                liveness,
-                method,
-                compaction_epoch,
-                audit_every: 0,
-                audits_run: 0,
-                audit_failures: Vec::new(),
-                // Telemetry handles hold live sinks (files, shared
-                // buffers) and are observational state, not run state:
-                // a resumed run is bit-identical with or without one.
-                // Callers reinstall via `set_telemetry` to keep tracing.
-                telemetry: None,
-            },
-            rng,
-        ))
+        Ok((engine, rand::rngs::StdRng::from_state(rng_state)))
     }
 
-    /// Selects the priority-queue implementation every propagation
-    /// scratch runs on ([`QueueKind::Calendar`] by default). Results are
-    /// bit-identical either way — the calendar queue pops in exactly the
-    /// `BinaryHeap` order — so this only exists for the equivalence
-    /// suites.
-    pub fn set_queue_kind(&mut self, kind: QueueKind) {
-        self.queue = kind;
-    }
-
-    /// The priority-queue implementation rounds simulate on.
+    /// The priority-queue implementation rounds simulate on: always the
+    /// calendar queue. The `BinaryHeap` is a scratch-level oracle
+    /// ([`BroadcastScratch::with_queue`]) for the equivalence suites.
     pub fn queue_kind(&self) -> QueueKind {
-        self.queue
+        QueueKind::Calendar
     }
 
     /// Restricts peer discovery to per-node partial views (§2.1's
@@ -927,7 +878,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// exact fault-free code path). Because a block's fault pattern is
     /// keyed on its *global* index `base_block + position`, not on which
     /// worker simulates it, the result stays bit-identical across thread
-    /// counts and queue kinds.
+    /// counts.
     fn observe_round_faulted(
         &self,
         view: &TopologyView,
@@ -944,7 +895,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 view,
                 miners,
                 None,
-                || BroadcastScratch::with_capacity_and_queue(view.len(), self.queue),
+                || BroadcastScratch::with_capacity(view.len()),
                 |start, chunk, collector, scratch| {
                     let mut stats = BlockStats::new(chunk.len(), view.len());
                     let mut coverage = [SimTime::ZERO; 2];
@@ -966,7 +917,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 view,
                 miners,
                 None,
-                || gossip_scratch(view, self.queue),
+                || gossip_scratch(view),
                 |start, chunk, collector, scratch| {
                     let mut stats = BlockStats::new(chunk.len(), view.len());
                     let mut coverage = [SimTime::ZERO; 2];
@@ -1029,7 +980,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             view,
             &batch,
             Some(observations),
-            || gossip_scratch(view, self.queue),
+            || gossip_scratch(view),
             |start, chunk, collector, scratch| {
                 let mut per_message = Vec::with_capacity(chunk.len());
                 let mut coverage = [SimTime::ZERO; 2];
@@ -1241,7 +1192,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             gated,
             evicted,
         };
-        self.last_delta = delta;
         self.round += 1;
 
         // Release-mode invariant audit at the configured cadence: the
@@ -1542,7 +1492,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
 
     /// The `churn` phase, the dynamic-world half of a round: consumes the
     /// installed [`ChurnProcess`] (a no-op returning an empty delta when
-    /// none is installed). Departures and resets are torn out of the
+    /// none is installed). Departures are torn out of the
     /// topology with every removed edge logged into `removed` (survivors
     /// refill the freed slots in the refill that follows, like scoring
     /// drops); arrivals spawn (stable fresh ids), grow the
@@ -1555,16 +1505,13 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             return WorldDelta::default();
         }
         let plan = self.churn.as_mut().expect("checked above").begin_round();
-        let mut joined = Vec::new();
         let mut departed = Vec::new();
-        let mut power_changed = false;
         for v in plan.departures {
             if !self.population.is_alive(v) {
-                continue; // stale trace entry
+                continue; // already retired through `population_mut`
             }
-            self.teardown_node(v, removed, false);
+            self.teardown_node(v, removed);
             self.population.retire(v);
-            power_changed = true;
             if let Some(book) = &mut self.address_book {
                 book.retire(v);
             }
@@ -1573,32 +1520,11 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             }
             departed.push(v);
         }
-        let mut resets = Vec::new();
-        for v in plan.resets {
-            if !self.population.is_alive(v) {
-                continue;
-            }
-            // An in-place reset keeps the node (and its pinned relay
-            // links) but loses every protocol connection and every
-            // learned belief; its address book starts over from the
-            // bootstrap server like any rejoining node's.
-            self.teardown_node(v, removed, true);
-            if let Some(book) = &mut self.address_book {
-                book.retire(v);
-            }
-            if let Some(tracker) = &mut self.liveness {
-                tracker.retire(v);
-            }
-            resets.push(v);
-            departed.push(v);
-            joined.push(v);
-        }
-        self.seed_books(&resets, rng);
         // Joiners inherit the mean live hash power, so the paper's
         // uniform default stays exactly uniform through growth; the
         // renormalization below restores the unit total either way.
         let mean_power = self.population.mean_alive_hash_power();
-        let mut spawned: Vec<NodeId> = Vec::with_capacity(plan.arrivals);
+        let mut joined: Vec<NodeId> = Vec::with_capacity(plan.arrivals);
         for _ in 0..plan.arrivals {
             let mut profile = self.churn.as_mut().expect("checked above").sample_profile();
             profile.hash_power = mean_power;
@@ -1606,10 +1532,9 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             self.topology.grow_to(self.population.len());
             self.adopters.push(true);
             self.churn.as_mut().expect("checked above").note_join(id);
-            spawned.push(id);
             joined.push(id);
         }
-        if !spawned.is_empty() {
+        if !joined.is_empty() {
             self.latency.extend_for(&self.population);
             if let Some(book) = &mut self.address_book {
                 book.grow_to(self.population.len());
@@ -1617,48 +1542,39 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             if let Some(tracker) = &mut self.liveness {
                 tracker.grow_to(self.population.len());
             }
-            self.seed_books(&spawned, rng);
+            self.seed_books(&joined, rng);
         }
-        if power_changed || !spawned.is_empty() {
-            // The live power set changed (spawn or true retirement —
-            // in-place resets keep their power): restore the unit total
-            // and rebuild the miner distribution.
+        let delta = WorldDelta { joined, departed };
+        if !delta.is_empty() {
+            // The live power set changed: restore the unit total and
+            // rebuild the miner distribution.
             self.population.renormalize_hash_power();
             self.sampler = MinerSampler::new(&self.population);
         }
-        let delta = WorldDelta { joined, departed };
         follow_world_delta(&mut self.histories, &delta, self.population.len());
         delta
     }
 
-    /// Tears `v`'s connections out of the overlay: scoring history is
-    /// forgotten in both directions (`v`'s beliefs about its outgoing
-    /// neighbors, and every incoming chooser's beliefs about `v`), and
-    /// each removed undirected edge is logged into `removed` for the
-    /// incremental view patch. A *departure* (`keep_pinned = false`)
-    /// also severs pinned relay links — the node is gone; an in-place
-    /// *reset* (`keep_pinned = true`) preserves them, since §5.4 relay
-    /// overlay links are infrastructure no protocol decision may remove.
-    fn teardown_node(&mut self, v: NodeId, removed: &mut Vec<(NodeId, NodeId)>, keep_pinned: bool) {
+    /// Tears departing `v`'s connections, pinned relay links included,
+    /// out of the overlay: scoring history is forgotten in both
+    /// directions (`v`'s beliefs about its outgoing neighbors, and every
+    /// incoming chooser's beliefs about `v`), and each removed undirected
+    /// edge is logged into `removed` for the incremental view patch.
+    fn teardown_node(&mut self, v: NodeId, removed: &mut Vec<(NodeId, NodeId)>) {
         for u in self.topology.outgoing(v) {
             self.histories[v.index()].forget(u);
         }
         for w in self.topology.incoming(v) {
             self.histories[w.index()].forget(v);
         }
-        let severed = if keep_pinned {
-            self.topology.clear_connections(v)
-        } else {
-            self.topology.clear_node(v)
-        };
-        for u in severed {
+        for u in self.topology.clear_node(v) {
             removed.push((v, u));
         }
     }
 
-    /// Seeds each listed node's (fresh or just-cleared) address book with
+    /// Seeds each listed node's fresh address book with
     /// up to `bootstrap_size` random live peers — the bootstrap-server
-    /// contact every (re)joining node makes. A no-op without a book.
+    /// contact every joining node makes. A no-op without a book.
     fn seed_books<R: Rng>(&mut self, ids: &[NodeId], rng: &mut R) {
         let Some(book) = &mut self.address_book else {
             return;
@@ -1687,10 +1603,10 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// order, the time λv (ms) for a block mined by `v` to reach
     /// `fraction` of the hash power — under the engine's
     /// [`PerigeeEngine::propagation`] config (INV/GETDATA round trips and
-    /// transfers included when set) and [`PerigeeEngine::queue_kind`].
-    /// Retired slots are skipped: a dead node has no edges and zero hash
-    /// power, so its row would only be a meaningless `∞`. Link faults are
-    /// not applied: this measures the overlay's intrinsic quality.
+    /// transfers included when set). Retired slots are skipped: a dead
+    /// node has no edges and zero hash power, so its row would only be a
+    /// meaningless `∞`. Link faults are not applied: this measures the
+    /// overlay's intrinsic quality.
     ///
     /// The per-source simulations run through one fresh
     /// [`TopologyView`] with one scratch per chunk of sources over the
@@ -1698,7 +1614,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     pub fn evaluate(&self, fraction: f64) -> Vec<f64> {
         let view = TopologyView::new(&self.topology, &self.latency, &self.population);
         let sources: Vec<NodeId> = self.population.ids_alive().collect();
-        evaluate_sources(&view, &sources, &[fraction], &self.propagation, self.queue)
+        evaluate_sources(&view, &sources, &[fraction], &self.propagation)
             .pop()
             .expect("one fraction requested")
     }
@@ -1792,8 +1708,8 @@ fn chunk_len(items: usize) -> usize {
 }
 
 /// Moves the score histories with the node set: new slots up to `n`
-/// start blank (a joiner has no beliefs), and every departed or reset
-/// node's own history goes wholesale (survivors' beliefs *about* it were
+/// start blank (a joiner has no beliefs), and every departed node's own
+/// history goes wholesale (survivors' beliefs *about* it were
 /// forgotten edge by edge at teardown).
 fn follow_world_delta(histories: &mut Vec<NodeHistory>, delta: &WorldDelta, n: usize) {
     histories.resize(n, NodeHistory::default());
@@ -1819,17 +1735,11 @@ pub fn evaluate_topology<L: LatencyModel + ?Sized>(
 ) -> Vec<Vec<f64>> {
     let view = TopologyView::new(topology, latency, population);
     let sources: Vec<NodeId> = (0..view.len() as u32).map(NodeId::new).collect();
-    evaluate_sources(
-        &view,
-        &sources,
-        fractions,
-        &GossipConfig::flood(),
-        QueueKind::default(),
-    )
+    evaluate_sources(&view, &sources, fractions, &GossipConfig::flood())
 }
 
 /// The per-source sweep behind both evaluations: propagates one block
-/// from each of `sources` through `view` under `config` on `queue` —
+/// from each of `sources` through `view` under `config` —
 /// the analytic flood when [`GossipConfig::is_analytic`] holds, else the
 /// message-level engine — and returns λ for each entry of `fractions`,
 /// one vector per fraction, in `sources` order.
@@ -1838,10 +1748,9 @@ fn evaluate_sources(
     sources: &[NodeId],
     fractions: &[f64],
     config: &GossipConfig,
-    queue: QueueKind,
 ) -> Vec<Vec<f64>> {
     let rows = if config.is_analytic() {
-        let scratch = || BroadcastScratch::with_capacity_and_queue(view.len(), queue);
+        let scratch = || BroadcastScratch::with_capacity(view.len());
         per_source(sources, scratch, |s, src| {
             view.broadcast_into(src, s);
             let mut coverage = vec![SimTime::ZERO; fractions.len()];
@@ -1849,7 +1758,7 @@ fn evaluate_sources(
             coverage
         })
     } else {
-        let scratch = || gossip_scratch(view, queue);
+        let scratch = || gossip_scratch(view);
         per_source(sources, scratch, |s, src| {
             view.gossip_into(src, config, s);
             let mut coverage = vec![SimTime::ZERO; fractions.len()];
@@ -1862,9 +1771,9 @@ fn evaluate_sources(
         .collect()
 }
 
-/// A gossip scratch sized for `view`, on the given queue kind.
-fn gossip_scratch(view: &TopologyView, queue: QueueKind) -> GossipScratch {
-    GossipScratch::with_capacity_and_queue(view.len(), view.directed_edge_count(), queue)
+/// A gossip scratch sized for `view`.
+fn gossip_scratch(view: &TopologyView) -> GossipScratch {
+    GossipScratch::with_capacity(view.len(), view.directed_edge_count())
 }
 
 /// Runs `source` once per entry of `sources`, fanning contiguous source
@@ -2132,11 +2041,10 @@ mod tests {
 
     #[test]
     fn disconnect_forgets_history() {
-        use perigee_netsim::{ChurnProcess, LifetimeEvent, LifetimeEventKind};
         let (mut engine, mut rng) = small_engine(40, ScoringMethod::Ucb, 2, 31);
         engine.set_churn(ChurnProcess::steady_state(40, 0.05, 32));
         // Every sample a node holds is about a current outgoing neighbor:
-        // dropped, departed and reset connections take theirs along.
+        // dropped and departed connections take theirs along.
         let held_by_current_neighbors = |e: &PerigeeEngine<GeoLatencyModel>| {
             let n = e.population().len() as u32;
             let mut held = 0;
@@ -2158,25 +2066,19 @@ mod tests {
         }
         assert!(held > 0, "UCB rounds must build history");
         assert!(severed > 0, "drops and departures must fire");
+    }
 
-        // An in-place reset takes the node's beliefs, and its choosers'
-        // beliefs about it, along too.
-        let (mut engine, mut rng) = small_engine(40, ScoringMethod::Ucb, 2, 31);
-        let v = NodeId::new(0);
-        engine.set_churn(ChurnProcess::replay(
-            vec![LifetimeEvent {
-                round: 4,
-                kind: LifetimeEventKind::Reset(v),
-            }],
-            32,
-        ));
-        for round in 0..6 {
-            engine.run_round(&mut rng);
-            if round == 4 {
-                assert_eq!(engine.last_world_delta(), &WorldDelta::reset(v));
-            }
-            held_by_current_neighbors(&engine);
-        }
+    /// A schedule that names a slot past the world would index out of
+    /// bounds in the first round that pops it; installing it panics
+    /// first, naming the id.
+    #[test]
+    #[should_panic(expected = "churn schedule names node n6000, outside the 60-slot world")]
+    fn set_churn_refuses_a_schedule_outside_the_world() {
+        use perigee_netsim::SessionDist;
+        let (mut engine, _) = small_engine(60, ScoringMethod::Subset, 4, 61);
+        let mut process = ChurnProcess::poisson(0.0, SessionDist::Constant(4.0), 9);
+        process.note_join(NodeId::new(6000));
+        engine.set_churn(process);
     }
 
     #[test]
@@ -2287,66 +2189,6 @@ mod tests {
                 assert!(engine.address_book().unwrap().known_count(id) > 0);
             }
         }
-    }
-
-    #[test]
-    fn trace_resets_reseed_books_and_keep_pinned_edges() {
-        use crate::discovery::AddressBook;
-        use perigee_netsim::{ChurnProcess, LifetimeEvent, LifetimeEventKind};
-        let (engine, mut rng) = small_engine(50, ScoringMethod::Subset, 8, 25);
-        let v = NodeId::new(7);
-        // Pin a relay link onto the reset node: resets must not sever it.
-        let pin_peer = NodeId::new(30);
-        // (pin directly on the topology — engines don't mutate pins.)
-        let mut topo = engine.topology().clone();
-        if !topo.are_connected(v, pin_peer) {
-            topo.pin(v, pin_peer).unwrap();
-        }
-        let pop = engine.population().clone();
-        let lat = engine.latency().clone();
-        let mut cfg = *engine.config();
-        cfg.blocks_per_round = 8;
-        let mut engine = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg).unwrap();
-        let book = AddressBook::bootstrap(50, 8, 30, &mut rng);
-        engine.set_address_book(book);
-        engine.set_churn(ChurnProcess::replay(
-            vec![LifetimeEvent {
-                round: 1,
-                kind: LifetimeEventKind::Reset(v),
-            }],
-            5,
-        ));
-        engine.run_round(&mut rng);
-        let had_pin = engine.topology().are_connected(v, pin_peer);
-        engine.run_round(&mut rng); // the reset fires here
-        assert_eq!(
-            engine.last_world_delta(),
-            &perigee_netsim::WorldDelta::reset(v)
-        );
-        // The reset node got a fresh bootstrap book and real connections.
-        assert!(
-            engine.address_book().unwrap().known_count(v) > 0,
-            "reset node's book must be re-seeded"
-        );
-        // With a bounded 8-entry bootstrap book the refill can fall one
-        // or two short of dout (collisions, full incoming slots) — what
-        // matters is that the node rejoined at all instead of being
-        // stranded with an empty book.
-        assert!(
-            engine.topology().out_degree(v) >= 6,
-            "reset node must rejoin with fresh outgoing connections, got {}",
-            engine.topology().out_degree(v)
-        );
-        if had_pin {
-            assert!(
-                engine.topology().are_connected(v, pin_peer),
-                "pinned relay links survive an in-place reset"
-            );
-        }
-        engine.topology().assert_invariants();
-        engine.assert_view_consistency();
-        engine.run_round(&mut rng);
-        engine.topology().assert_invariants();
     }
 
     #[test]

@@ -81,12 +81,7 @@
 //! departed neighbor with the severed connection — UCB keeps samples
 //! only of neighbors it still has, the paper's per-connection `T̿u,v`
 //! (Vanilla/Subset keep their histories blank and are churn-immune by
-//! construction). A node
-//! that restarts in place is a traced
-//! [`LifetimeEventKind::Reset`](perigee_netsim::LifetimeEventKind::Reset):
-//! it keeps its id and pinned relay links, loses every protocol
-//! connection and learned belief, and rejoins from a fresh bootstrap
-//! address book.
+//! construction).
 //!
 //! Long churny runs accumulate dead free-list slots. An explicit
 //! [`PerigeeEngine::compact`](engine::PerigeeEngine::compact) reclaims

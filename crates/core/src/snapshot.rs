@@ -3,11 +3,12 @@
 //!
 //! A snapshot captures *complete* cross-round run state — everything the
 //! determinism contract depends on: the engine configuration and round
-//! counter, the queue kind and the block [`GossipConfig`], the [`Population`] (free-list, stable ids, hash power), the
-//! learned [`Topology`], the engine's per-node score histories
-//! ([`NodeHistory`] — UCB's per-connection `T̿u,v`, blank under Vanilla
-//! and Subset), the [`AddressBook`], the [`LivenessTracker`]'s counters
-//! and backoff timers, the [`ChurnProcess`]'s RNG and session queue, the
+//! counter, the block [`GossipConfig`], the [`Population`] (free-list,
+//! stable ids, hash power), the learned [`Topology`], the engine's
+//! per-node score histories ([`NodeHistory`] — UCB's per-connection
+//! `T̿u,v`, blank under Vanilla and Subset), the [`AddressBook`], the
+//! [`LivenessTracker`]'s counters and backoff timers, the
+//! [`ChurnProcess`]'s rate, session law, RNG and session queue, the
 //! [`FaultPlan`] (pure config — its per-block draws are keyed on the
 //! checkpointed global block counter), the latency model, and the run
 //! RNG's raw state. What is *not* serialized is derived state rebuilt on
@@ -30,8 +31,11 @@
 //! invariants, so a truncated or bit-flipped file yields a structured
 //! [`SnapshotError`] instead of garbage state. Resuming at round *k* and
 //! running to *N* is bit-identical to an uninterrupted *N*-round run —
-//! across thread counts, queue kinds, churn and active fault plans (the
-//! `resume` integration suite is the enforcement).
+//! across thread counts, churn and active fault plans (the `resume`
+//! integration suite is the enforcement).
+//!
+//! The current body layout is format **7**; [`FORMAT_VERSION`] records
+//! what each version changed.
 //!
 //! [`ChurnProcess`]: perigee_netsim::ChurnProcess
 //! [`FaultPlan`]: perigee_netsim::FaultPlan
@@ -42,10 +46,7 @@ use std::fmt;
 
 use serde::bin::{fnv1a64, Decode, DecodeError, Encode, Reader};
 
-use perigee_netsim::{
-    ChurnProcess, FaultPlan, GossipConfig, Population, QueueKind, Topology, TrafficConfig,
-    WorldDelta,
-};
+use perigee_netsim::{ChurnProcess, FaultPlan, GossipConfig, Population, Topology, TrafficConfig};
 
 use crate::config::PerigeeConfig;
 use crate::discovery::AddressBook;
@@ -79,11 +80,15 @@ const MAGIC: [u8; 4] = *b"PRGS";
 /// remains), the geographic latency model's jitter fraction, the arrival
 /// [`PopulationBuilder`](perigee_netsim::PopulationBuilder)'s region
 /// weights, and the uniform validation and lognormal/Weibull session
-/// variants (surviving variants keep their tags). Older envelopes are
+/// variants (surviving variants keep their tags); **7** — run state only
+/// tests chose left the body: the queue-kind byte, the churn mode tag
+/// with the trace-replay events and cursor (the [`ChurnProcess`] now
+/// encodes its arrival rate and session law directly) and the last-round
+/// [`WorldDelta`](perigee_netsim::WorldDelta). Older envelopes are
 /// rejected with [`SnapshotError::UnsupportedVersion`] — re-run the
 /// capture, don't guess at a world whose id space may have been
 /// renumbered.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Why a snapshot could not be read back.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,7 +142,6 @@ pub struct RunSnapshot {
     pub(crate) compaction_epoch: u64,
     pub(crate) config: PerigeeConfig,
     pub(crate) method: ScoringMethod,
-    pub(crate) queue: QueueKind,
     pub(crate) propagation: GossipConfig,
     pub(crate) adopters: Vec<bool>,
     pub(crate) histories: Vec<NodeHistory>,
@@ -148,7 +152,6 @@ pub struct RunSnapshot {
     pub(crate) churn: Option<ChurnProcess>,
     pub(crate) fault_plan: Option<FaultPlan>,
     pub(crate) traffic: Option<TrafficConfig>,
-    pub(crate) last_delta: WorldDelta,
     pub(crate) latency_bytes: Vec<u8>,
     pub(crate) rng_state: [u64; 4],
 }
@@ -193,7 +196,6 @@ impl RunSnapshot {
         self.compaction_epoch.encode(out);
         self.config.encode(out);
         self.method.encode(out);
-        self.queue.encode(out);
         self.propagation.encode(out);
         self.adopters.encode(out);
         self.histories.encode(out);
@@ -204,7 +206,6 @@ impl RunSnapshot {
         self.churn.encode(out);
         self.fault_plan.encode(out);
         self.traffic.encode(out);
-        self.last_delta.encode(out);
         self.latency_bytes.encode(out);
         self.rng_state.encode(out);
     }
@@ -216,7 +217,6 @@ impl RunSnapshot {
             compaction_epoch: u64::decode(r)?,
             config: Decode::decode(r)?,
             method: Decode::decode(r)?,
-            queue: Decode::decode(r)?,
             propagation: Decode::decode(r)?,
             adopters: Vec::decode(r)?,
             histories: Vec::decode(r)?,
@@ -227,7 +227,6 @@ impl RunSnapshot {
             churn: Option::decode(r)?,
             fault_plan: Option::decode(r)?,
             traffic: Option::decode(r)?,
-            last_delta: Decode::decode(r)?,
             latency_bytes: Vec::decode(r)?,
             rng_state: <[u64; 4]>::decode(r)?,
         };
@@ -276,6 +275,13 @@ impl RunSnapshot {
             if book.len() != n {
                 return Err(SnapshotError::Inconsistent(
                     "address book does not cover the population",
+                ));
+            }
+        }
+        if let Some(churn) = &self.churn {
+            if !churn.covers(n) {
+                return Err(SnapshotError::Inconsistent(
+                    "churn schedule names a node outside the population",
                 ));
             }
         }
@@ -368,7 +374,6 @@ mod tests {
             compaction_epoch: 0,
             config: PerigeeConfig::default(),
             method: ScoringMethod::Subset,
-            queue: QueueKind::Calendar,
             propagation: GossipConfig::flood(),
             adopters: vec![true, true],
             histories: vec![NodeHistory::default(); 2],
@@ -379,7 +384,6 @@ mod tests {
             churn: None,
             fault_plan: None,
             traffic: None,
-            last_delta: WorldDelta::default(),
             latency_bytes: vec![1, 2, 3],
             rng_state: [1, 2, 3, 4],
         }

@@ -307,56 +307,20 @@ fn per_neighbor_rows_match_legacy_exactly() {
     }
 }
 
-/// Whole learning trajectories are queue-kind independent: an engine on
-/// the calendar queue matches the `BinaryHeap` reference RoundStats for
-/// RoundStats and edge for edge — in analytic and gossip modes, at any
-/// thread count (wide pool × calendar vs 1-thread pool × heap crosses
-/// both axes at once).
-#[test]
-fn calendar_queue_rounds_match_heap_rounds_across_thread_counts() {
-    use perigee_netsim::QueueKind;
-    for config in [GossipConfig::flood(), GossipConfig::inv_getdata(0.0)] {
-        let (mut cal, mut rng_cal) = engine(90, 12, 53);
-        let (mut heap, mut rng_heap) = engine(90, 12, 53);
-        cal.set_queue_kind(QueueKind::Calendar);
-        heap.set_queue_kind(QueueKind::BinaryHeap);
-        assert_eq!(cal.queue_kind(), QueueKind::Calendar);
-        assert_eq!(heap.queue_kind(), QueueKind::BinaryHeap);
-        cal.set_propagation(config).unwrap();
-        heap.set_propagation(config).unwrap();
-        let narrow = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        for _ in 0..3 {
-            let a = cal.run_round(&mut rng_cal);
-            let b = narrow.install(|| heap.run_round(&mut rng_heap));
-            assert_eq!(a, b, "queue kinds diverged under {config:?}");
-        }
-        assert_eq!(cal.topology(), heap.topology());
-        assert_eq!(
-            cal.evaluate(0.9),
-            narrow.install(|| heap.evaluate(0.9)),
-            "static evaluation must not depend on queue kind or threads"
-        );
-    }
-}
-
 /// A *churny* 50-round run — arrivals, departures and growth driven by a
 /// seeded `ChurnProcess` — is bit-identical across thread counts (1, 2
-/// and 8 pinned rayon pools) and across both priority-queue kinds: same
-/// RoundStats floats (including the streaming p90 estimate and the
-/// join/depart counts), same learned topology, same grown population,
-/// and every run patches its snapshot incrementally (exactly one view
-/// build for the whole 50 rounds — the dynamics acceptance gate).
+/// and 8 pinned rayon pools): same RoundStats floats (including the
+/// streaming p90 estimate and the join/depart counts), same learned
+/// topology, same grown population, and every run patches its snapshot
+/// incrementally (exactly one view build for the whole 50 rounds — the
+/// dynamics acceptance gate).
 #[test]
-fn churny_rounds_are_thread_and_queue_independent() {
+fn churny_rounds_are_thread_independent() {
     use perigee_core::RoundStats;
-    use perigee_netsim::{ChurnProcess, QueueKind};
+    use perigee_netsim::ChurnProcess;
 
-    let run = |threads: Option<usize>, kind: QueueKind| {
+    let run = |threads: Option<usize>| {
         let (mut e, mut rng) = engine(80, 8, 61);
-        e.set_queue_kind(kind);
         e.set_churn(ChurnProcess::steady_state(80, 0.04, 99));
         let rounds = |e: &mut PerigeeEngine<GeoLatencyModel>,
                       rng: &mut StdRng|
@@ -378,25 +342,19 @@ fn churny_rounds_are_thread_and_queue_independent() {
         (stats, e.topology().clone(), e.population().clone())
     };
 
-    let (ref_stats, ref_topo, ref_pop) = run(None, QueueKind::Calendar);
+    let (ref_stats, ref_topo, ref_pop) = run(None);
     assert!(
         ref_stats.iter().any(|s| s.joined > 0) && ref_stats.iter().any(|s| s.departed > 0),
         "the process must actually churn for this test to mean anything"
     );
-    for (threads, kind) in [
-        (Some(1), QueueKind::Calendar),
-        (Some(2), QueueKind::BinaryHeap),
-        (Some(8), QueueKind::Calendar),
-        (Some(1), QueueKind::BinaryHeap),
-        (Some(8), QueueKind::BinaryHeap),
-    ] {
-        let (stats, topo, pop) = run(threads, kind);
+    for threads in [Some(1), Some(2), Some(8)] {
+        let (stats, topo, pop) = run(threads);
         assert_eq!(
             stats, ref_stats,
-            "RoundStats diverged at {threads:?} threads on {kind:?}"
+            "RoundStats diverged at {threads:?} threads"
         );
-        assert_eq!(topo, ref_topo, "topology diverged at {threads:?}/{kind:?}");
-        assert_eq!(pop, ref_pop, "population diverged at {threads:?}/{kind:?}");
+        assert_eq!(topo, ref_topo, "topology diverged at {threads:?} threads");
+        assert_eq!(pop, ref_pop, "population diverged at {threads:?} threads");
     }
 }
 
@@ -404,15 +362,15 @@ fn churny_rounds_are_thread_and_queue_independent() {
 /// under an *active* `FaultPlan` — burst loss, flapping links, a timed
 /// partition — with churn, stability gating and liveness eviction all
 /// firing, is bit-identical across thread counts (1, 2 and 8 pinned
-/// rayon pools) and across both priority-queue kinds. Fault decisions
-/// are pure hashes of `(seed, round, global block, edge)` and the
-/// degradation machinery consumes RNG in a fixed sequential order, so
-/// nothing about the schedule can depend on the execution interleaving.
+/// rayon pools). Fault decisions are pure hashes of `(seed, round,
+/// global block, edge)` and the degradation machinery consumes RNG in a
+/// fixed sequential order, so nothing about the schedule can depend on
+/// the execution interleaving.
 #[test]
-fn fault_injected_rounds_are_thread_and_queue_independent() {
+fn fault_injected_rounds_are_thread_independent() {
     use perigee_core::RoundStats;
     use perigee_netsim::{
-        ChurnProcess, FaultPlan, FaultWindow, LinkFaultRates, LinkFlaps, PartitionWindow, QueueKind,
+        ChurnProcess, FaultPlan, FaultWindow, LinkFaultRates, LinkFlaps, PartitionWindow,
     };
 
     let plan = FaultPlan {
@@ -446,7 +404,7 @@ fn fault_injected_rounds_are_thread_and_queue_independent() {
         regional: Vec::new(),
     };
 
-    let run = |threads: Option<usize>, kind: QueueKind| {
+    let run = |threads: Option<usize>| {
         // Hand-built engine: liveness on, so silence counters, eviction
         // and backoff state also prove themselves execution-order
         // independent.
@@ -459,7 +417,6 @@ fn fault_injected_rounds_are_thread_and_queue_independent() {
         cfg.blocks_per_round = 8;
         cfg.liveness = perigee_core::LivenessConfig::aggressive();
         let mut e = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg).unwrap();
-        e.set_queue_kind(kind);
         e.set_churn(ChurnProcess::steady_state(80, 0.03, 107));
         e.set_fault_plan(plan.clone()).unwrap();
         let stats = {
@@ -481,7 +438,7 @@ fn fault_injected_rounds_are_thread_and_queue_independent() {
         (stats, e.topology().clone(), e.population().clone())
     };
 
-    let (ref_stats, ref_topo, ref_pop) = run(None, QueueKind::Calendar);
+    let (ref_stats, ref_topo, ref_pop) = run(None);
     assert!(
         ref_stats.iter().any(|s| s.gated > 0),
         "the burst window must trip stability gating for this test to bite"
@@ -490,29 +447,23 @@ fn fault_injected_rounds_are_thread_and_queue_independent() {
         ref_stats.iter().any(|s| s.joined > 0) && ref_stats.iter().any(|s| s.departed > 0),
         "churn must fire under faults too"
     );
-    for (threads, kind) in [
-        (Some(1), QueueKind::Calendar),
-        (Some(2), QueueKind::BinaryHeap),
-        (Some(8), QueueKind::Calendar),
-        (Some(1), QueueKind::BinaryHeap),
-        (Some(8), QueueKind::BinaryHeap),
-    ] {
-        let (stats, topo, pop) = run(threads, kind);
+    for threads in [Some(1), Some(2), Some(8)] {
+        let (stats, topo, pop) = run(threads);
         assert_eq!(
             stats, ref_stats,
-            "faulted RoundStats diverged at {threads:?} threads on {kind:?}"
+            "faulted RoundStats diverged at {threads:?} threads"
         );
-        assert_eq!(topo, ref_topo, "topology diverged at {threads:?}/{kind:?}");
-        assert_eq!(pop, ref_pop, "population diverged at {threads:?}/{kind:?}");
+        assert_eq!(topo, ref_topo, "topology diverged at {threads:?} threads");
+        assert_eq!(pop, ref_pop, "population diverged at {threads:?} threads");
     }
 }
 
 /// Fault-injected *gossip* rounds (message-level INV/GETDATA) are
-/// likewise queue-kind and thread-count independent.
+/// likewise thread-count independent.
 #[test]
-fn fault_injected_gossip_rounds_are_queue_kind_independent() {
+fn fault_injected_gossip_rounds_are_thread_independent() {
     use perigee_core::RoundStats;
-    use perigee_netsim::{FaultPlan, LinkFaultRates, QueueKind};
+    use perigee_netsim::{FaultPlan, LinkFaultRates};
 
     let plan = FaultPlan {
         base: LinkFaultRates {
@@ -523,10 +474,9 @@ fn fault_injected_gossip_rounds_are_queue_kind_independent() {
         },
         ..FaultPlan::inert(0xBEEF)
     };
-    let run = |threads: Option<usize>, kind: QueueKind| {
+    let run = |threads: Option<usize>| {
         let (mut e, mut rng) = engine(70, 10, 71);
         e.set_propagation(GossipConfig::inv_getdata(0.0)).unwrap();
-        e.set_queue_kind(kind);
         e.set_fault_plan(plan.clone()).unwrap();
         let rounds: Vec<RoundStats> = match threads {
             None => (0..12).map(|_| e.run_round(&mut rng)).collect(),
@@ -538,14 +488,10 @@ fn fault_injected_gossip_rounds_are_queue_kind_independent() {
         };
         (rounds, e.topology().clone())
     };
-    let (ref_stats, ref_topo) = run(None, QueueKind::Calendar);
-    for (threads, kind) in [
-        (Some(1), QueueKind::BinaryHeap),
-        (Some(8), QueueKind::BinaryHeap),
-        (Some(1), QueueKind::Calendar),
-    ] {
-        let (stats, topo) = run(threads, kind);
-        assert_eq!(stats, ref_stats, "diverged at {threads:?}/{kind:?}");
+    let (ref_stats, ref_topo) = run(None);
+    for threads in [Some(1), Some(8)] {
+        let (stats, topo) = run(threads);
+        assert_eq!(stats, ref_stats, "diverged at {threads:?} threads");
         assert_eq!(topo, ref_topo);
     }
 }
@@ -617,16 +563,15 @@ fn ucb_parallel_rounds_are_bit_identical_to_sequential() {
 
 /// Sketch-backed rounds keep the determinism guarantee: with the
 /// observation store folded into per-edge P² sketches, whole learning
-/// trajectories are bit-identical across thread counts and queue kinds
-/// (the sketch fold consumes blocks in block order regardless of how
-/// chunks were scheduled).
+/// trajectories are bit-identical across thread counts (the sketch fold
+/// consumes blocks in block order regardless of how chunks were
+/// scheduled).
 #[test]
-fn sketch_backend_rounds_are_thread_and_queue_independent() {
+fn sketch_backend_rounds_are_thread_independent() {
     use perigee_core::{ObservationBackend, RoundStats};
-    use perigee_netsim::QueueKind;
 
     for method in [ScoringMethod::Vanilla, ScoringMethod::Subset] {
-        let run = |threads: Option<usize>, kind: QueueKind| {
+        let run = |threads: Option<usize>| {
             let mut rng = StdRng::seed_from_u64(83);
             let pop = PopulationBuilder::new(90).build(&mut rng).unwrap();
             let lat = GeoLatencyModel::new(&pop, 83);
@@ -636,7 +581,6 @@ fn sketch_backend_rounds_are_thread_and_queue_independent() {
             cfg.blocks_per_round = 12;
             cfg.observation_backend = ObservationBackend::Sketch;
             let mut e = PerigeeEngine::new(pop, lat, topo, method, cfg).unwrap();
-            e.set_queue_kind(kind);
             let rounds =
                 |e: &mut PerigeeEngine<GeoLatencyModel>, rng: &mut StdRng| -> Vec<RoundStats> {
                     (0..5).map(|_| e.run_round(rng)).collect()
@@ -651,17 +595,12 @@ fn sketch_backend_rounds_are_thread_and_queue_independent() {
             };
             (stats, e.topology().clone())
         };
-        let (ref_stats, ref_topo) = run(None, QueueKind::Calendar);
-        for (threads, kind) in [
-            (Some(1), QueueKind::Calendar),
-            (Some(2), QueueKind::BinaryHeap),
-            (Some(8), QueueKind::Calendar),
-            (Some(8), QueueKind::BinaryHeap),
-        ] {
-            let (stats, topo) = run(threads, kind);
+        let (ref_stats, ref_topo) = run(None);
+        for threads in [Some(1), Some(2), Some(8)] {
+            let (stats, topo) = run(threads);
             assert_eq!(
                 stats, ref_stats,
-                "sketch-backed {method:?} diverged at {threads:?}/{kind:?}"
+                "sketch-backed {method:?} diverged at {threads:?} threads"
             );
             assert_eq!(topo, ref_topo);
         }

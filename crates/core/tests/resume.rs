@@ -7,16 +7,16 @@
 //! (silence counters + backoff timers), Poisson churn (its own RNG
 //! stream), an *active* fault plan (burst loss, flaps, a timed
 //! partition) and an address book — across pinned 1/2/8-thread rayon
-//! pools and both priority-queue kinds, on the analytic flood and on
-//! bandwidth-limited INV/GETDATA blocks. The invariant auditor runs every
-//! round on both legs and must stay green throughout.
+//! pools, on the analytic flood and on bandwidth-limited INV/GETDATA
+//! blocks. The invariant auditor runs every round on both legs and must
+//! stay green throughout.
 
 use perigee_core::{
     PerigeeConfig, PerigeeEngine, RoundStats, RunSnapshot, ScoringMethod, SnapshotError,
 };
 use perigee_netsim::{
     ChurnProcess, ConnectionLimits, FaultPlan, FaultWindow, GeoLatencyModel, GossipConfig,
-    LinkFaultRates, LinkFlaps, PartitionWindow, PopulationBuilder, QueueKind,
+    LinkFaultRates, LinkFlaps, PartitionWindow, PopulationBuilder, SessionDist,
 };
 use perigee_topology::{RandomBuilder, TopologyBuilder};
 use rand::rngs::StdRng;
@@ -59,15 +59,14 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 
 /// The hardest engine we can build: UCB scores, aggressive liveness,
 /// Poisson churn, the chaos plan, an address book, auditing every round.
-fn chaos_engine(seed: u64, kind: QueueKind) -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
-    chaos_engine_with(seed, kind, ScoringMethod::Ucb, GossipConfig::flood())
+fn chaos_engine(seed: u64) -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
+    chaos_engine_with(seed, ScoringMethod::Ucb, GossipConfig::flood())
 }
 
 /// [`chaos_engine`] scoring with `method`, its blocks propagating under
 /// `propagation`.
 fn chaos_engine_with(
     seed: u64,
-    kind: QueueKind,
     method: ScoringMethod,
     propagation: GossipConfig,
 ) -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
@@ -79,7 +78,6 @@ fn chaos_engine_with(
     cfg.blocks_per_round = 6;
     cfg.liveness = perigee_core::LivenessConfig::aggressive();
     let mut engine = PerigeeEngine::new(pop, lat, topo, method, cfg).unwrap();
-    engine.set_queue_kind(kind);
     engine.set_propagation(propagation).unwrap();
     engine.set_churn(ChurnProcess::steady_state(70, 0.04, seed ^ 0x5EED));
     engine.set_fault_plan(chaos_plan(seed ^ 0xFA17)).unwrap();
@@ -93,11 +91,11 @@ fn chaos_engine_with(
 /// rayon pool.
 fn run_straight(
     seed: u64,
-    (method, kind, propagation): (ScoringMethod, QueueKind, GossipConfig),
+    (method, propagation): (ScoringMethod, GossipConfig),
     total: usize,
     threads: Option<usize>,
 ) -> (Vec<RoundStats>, PerigeeEngine<GeoLatencyModel>) {
-    let (mut engine, mut rng) = chaos_engine_with(seed, kind, method, propagation);
+    let (mut engine, mut rng) = chaos_engine_with(seed, method, propagation);
     let stats = match threads {
         None => (0..total).map(|_| engine.run_round(&mut rng)).collect(),
         Some(t) => rayon::ThreadPoolBuilder::new()
@@ -114,12 +112,12 @@ fn run_straight(
 /// and run the remaining `total - k` rounds in a pinned pool.
 fn run_killed(
     seed: u64,
-    (method, kind, propagation): (ScoringMethod, QueueKind, GossipConfig),
+    (method, propagation): (ScoringMethod, GossipConfig),
     total: usize,
     k: usize,
     threads: Option<usize>,
 ) -> (Vec<RoundStats>, PerigeeEngine<GeoLatencyModel>) {
-    let (mut engine, mut rng) = chaos_engine_with(seed, kind, method, propagation);
+    let (mut engine, mut rng) = chaos_engine_with(seed, method, propagation);
     let mut stats: Vec<RoundStats> = (0..k).map(|_| engine.run_round(&mut rng)).collect();
     assert!(engine.audit_failures().is_empty(), "pre-kill audit failed");
 
@@ -147,22 +145,19 @@ fn run_killed(
 /// serialized envelope, and every per-round statistic, the learned
 /// topology, the population (ids, hash power, free-list) and the final
 /// evaluation are the same IEEE-754 values as the uninterrupted run —
-/// for each scoring method and queue kind, on flooded and on 0.5 MB
-/// INV/GETDATA blocks (the block config rides the checkpoint), and
-/// regardless of which thread count either leg ran under.
+/// for each scoring method, on flooded and on 0.5 MB INV/GETDATA blocks
+/// (the block config rides the checkpoint), and regardless of which
+/// thread count either leg ran under.
 #[test]
 fn kill_and_resume_is_bit_identical_to_uninterrupted() {
     const SEED: u64 = 2020;
     const TOTAL: usize = 18;
     const K: usize = 9;
 
-    let kinds = [QueueKind::Calendar, QueueKind::BinaryHeap];
-    let flooded = ScoringMethod::ALL
-        .into_iter()
-        .flat_map(|m| kinds.map(|k| (m, k, GossipConfig::flood())));
-    let inv = kinds.map(|k| (ScoringMethod::Ucb, k, GossipConfig::inv_getdata(0.5)));
-    for case in flooded.chain(inv) {
-        let propagation = case.2;
+    let flooded = ScoringMethod::ALL.map(|m| (m, GossipConfig::flood()));
+    let inv = (ScoringMethod::Ucb, GossipConfig::inv_getdata(0.5));
+    for case in flooded.into_iter().chain([inv]) {
+        let propagation = case.1;
         let (ref_stats, ref_engine) = run_straight(SEED, case, TOTAL, None);
         assert!(
             ref_stats.iter().any(|s| s.joined > 0) && ref_stats.iter().any(|s| s.departed > 0),
@@ -214,14 +209,13 @@ fn kill_and_resume_is_bit_identical_to_uninterrupted() {
 /// taken from an engine that was never killed.
 #[test]
 fn checkpoint_of_resumed_engine_matches_original() {
-    let kind = QueueKind::Calendar;
-    let (mut a, mut rng_a) = chaos_engine(99, kind);
+    let (mut a, mut rng_a) = chaos_engine(99);
     for _ in 0..8 {
         a.run_round(&mut rng_a);
     }
     let straight = a.checkpoint(&rng_a).to_bytes();
 
-    let (mut b, mut rng_b) = chaos_engine(99, kind);
+    let (mut b, mut rng_b) = chaos_engine(99);
     for _ in 0..5 {
         b.run_round(&mut rng_b);
     }
@@ -241,7 +235,7 @@ fn checkpoint_of_resumed_engine_matches_original() {
 /// semantic consistency check each map to their own `SnapshotError`.
 #[test]
 fn corrupted_snapshots_are_rejected_with_structured_errors() {
-    let (mut engine, mut rng) = chaos_engine(7, QueueKind::BinaryHeap);
+    let (mut engine, mut rng) = chaos_engine(7);
     for _ in 0..4 {
         engine.run_round(&mut rng);
     }
@@ -313,25 +307,24 @@ fn corrupted_snapshots_are_rejected_with_structured_errors() {
 /// resuming into a process whose first round panics.
 #[test]
 fn invalid_churn_rate_in_a_hash_valid_checkpoint_is_corrupt() {
-    let (mut engine, mut rng) = chaos_engine(11, QueueKind::Calendar);
+    let (mut engine, mut rng) = chaos_engine(11);
     for _ in 0..3 {
         engine.run_round(&mut rng);
     }
     let bytes = engine.checkpoint(&rng).to_bytes();
-    // The churn process is `steady_state(70, 0.04, ..)`: the Poisson
-    // mode tag, its arrival rate, then the exponential session tag and
-    // its mean — a pattern that occurs once in the body.
+    // The churn process is `steady_state(70, 0.04, ..)`: its arrival
+    // rate, then the exponential session tag and its mean — a pattern
+    // that occurs once in the body.
     let rate = 70.0 * 0.04f64;
-    let mut pattern = vec![0u8];
-    pattern.extend_from_slice(&rate.to_le_bytes());
+    let mut pattern = rate.to_le_bytes().to_vec();
     pattern.push(1);
     pattern.extend_from_slice(&(1.0 / 0.04f64).to_le_bytes());
     let body_end = bytes.len() - 8;
     let hits: Vec<usize> = (16..body_end - pattern.len())
         .filter(|&i| bytes[i..i + pattern.len()] == pattern[..])
         .collect();
-    assert_eq!(hits.len(), 1, "the churn mode is found exactly once");
-    let at = hits[0] + 1;
+    assert_eq!(hits.len(), 1, "the churn rate is found exactly once");
+    let at = hits[0];
     for bad in [f64::NAN, -1.0, f64::INFINITY] {
         let mut tampered = bytes.clone();
         tampered[at..at + 8].copy_from_slice(&bad.to_le_bytes());
@@ -353,7 +346,7 @@ fn invalid_churn_rate_in_a_hash_valid_checkpoint_is_corrupt() {
 /// round that queues a relay behind the queue's cursor.
 #[test]
 fn negative_validation_delay_in_a_hash_valid_checkpoint_is_corrupt() {
-    let (mut engine, mut rng) = chaos_engine(13, QueueKind::Calendar);
+    let (mut engine, mut rng) = chaos_engine(13);
     for _ in 0..2 {
         engine.run_round(&mut rng);
     }
@@ -380,6 +373,49 @@ fn negative_validation_delay_in_a_hash_valid_checkpoint_is_corrupt() {
     assert!(RunSnapshot::from_bytes(&bytes).is_ok());
 }
 
+/// A checkpoint whose churn schedule names a slot past the world — one
+/// scheduled expiry's id rewritten from 59 to 6000, with the content
+/// hash recomputed — is refused as [`SnapshotError::Inconsistent`]
+/// instead of resuming into a round that indexes past the population
+/// when it pops that expiry.
+#[test]
+fn churn_schedule_outside_the_world_in_a_hash_valid_checkpoint_is_inconsistent() {
+    let mut rng = StdRng::seed_from_u64(60);
+    let pop = PopulationBuilder::new(60).build(&mut rng).unwrap();
+    let lat = GeoLatencyModel::new(&pop, 60);
+    let topo = RandomBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
+    let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Subset);
+    cfg.blocks_per_round = 4;
+    let mut engine = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg).unwrap();
+    engine.set_churn(ChurnProcess::poisson(0.0, SessionDist::Constant(4.0), 9));
+    engine.run_round(&mut rng);
+    let bytes = engine.checkpoint(&rng).to_bytes();
+    // Every node was attached before round 0 with a four-round session
+    // and nobody arrives, so the schedule is the 60 expiries
+    // (4, n0) … (4, n59), encoded in order behind their count.
+    let mut schedule = 60u64.to_le_bytes().to_vec();
+    for id in 0..60u32 {
+        schedule.extend_from_slice(&4u64.to_le_bytes());
+        schedule.extend_from_slice(&id.to_le_bytes());
+    }
+    let body_end = bytes.len() - 8;
+    let at = (16..body_end - schedule.len())
+        .find(|&i| bytes[i..i + schedule.len()] == schedule[..])
+        .expect("the churn schedule is in the body");
+    let last_id = at + schedule.len() - 4;
+    let mut tampered = bytes.clone();
+    tampered[last_id..last_id + 4].copy_from_slice(&6000u32.to_le_bytes());
+    let digest = serde::bin::fnv1a64(&tampered[16..body_end]);
+    tampered[body_end..].copy_from_slice(&digest.to_le_bytes());
+    assert_eq!(
+        RunSnapshot::from_bytes(&tampered).unwrap_err(),
+        SnapshotError::Inconsistent("churn schedule names a node outside the population")
+    );
+    // The untouched body still decodes and resumes.
+    let snapshot = RunSnapshot::from_bytes(&bytes).unwrap();
+    assert!(PerigeeEngine::<GeoLatencyModel>::resume(snapshot).is_ok());
+}
+
 /// Checked-in envelopes of older format versions — version 1 (written
 /// before the snapshot carried the compaction epoch and the latency
 /// placement keys), version 3 (a UCB run whose score state was still
@@ -388,17 +424,21 @@ fn negative_validation_delay_in_a_hash_valid_checkpoint_is_corrupt() {
 /// front of an optional gossip config) and version 5 (a UCB run with
 /// churn, aggressive liveness and a fault plan, whose configs still
 /// carried the score-staleness factor, the liveness timers, the
-/// geographic jitter fraction and the arrival region weights) — are
+/// geographic jitter fraction and the arrival region weights) and
+/// version 6 (a UCB run with churn, aggressive liveness, a fault plan
+/// and the heap queue, whose body still carried the queue-kind byte, the
+/// churn mode tag and the last round's world delta) — are
 /// rejected with a *structured* [`SnapshotError::UnsupportedVersion`] —
 /// never a panic, never a misdecoded world. Truncated prefixes of the
 /// old files must not panic either.
 #[test]
 fn old_snapshot_versions_are_rejected_with_unsupported_version() {
-    let fixtures: [(&[u8], u32); 4] = [
+    let fixtures: [(&[u8], u32); 5] = [
         (include_bytes!("fixtures/snapshot_v1.bin"), 1),
         (include_bytes!("fixtures/snapshot_v3.bin"), 3),
         (include_bytes!("fixtures/snapshot_v4.bin"), 4),
         (include_bytes!("fixtures/snapshot_v5.bin"), 5),
+        (include_bytes!("fixtures/snapshot_v6.bin"), 6),
     ];
     for (bytes, version) in fixtures {
         assert_eq!(&bytes[..4], b"PRGS", "fixture is a perigee envelope");
@@ -433,45 +473,42 @@ fn compaction_is_checkpoint_transparent_and_deterministic() {
     const TOTAL: usize = 18;
     const K: usize = 9;
 
-    for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-        let (mut ref_engine, mut rng) = chaos_engine(SEED, kind);
-        let mut ref_stats: Vec<RoundStats> =
-            (0..K).map(|_| ref_engine.run_round(&mut rng)).collect();
-        let reclaimed = ref_engine.compact();
-        assert!(
-            reclaimed.is_some_and(|r| r > 0),
-            "churn must have retired nodes by round {K} on {kind:?}"
-        );
-        assert_eq!(ref_engine.compaction_epoch(), 1);
-        ref_engine.assert_view_consistency();
-        assert!(
-            ref_engine.compact().is_none(),
-            "back-to-back compaction has nothing to reclaim"
-        );
-        ref_stats.extend((K..TOTAL).map(|_| ref_engine.run_round(&mut rng)));
-        assert!(
-            ref_engine.audit_failures().is_empty(),
-            "compacted run must audit clean on {kind:?}"
-        );
+    let (mut ref_engine, mut rng) = chaos_engine(SEED);
+    let mut ref_stats: Vec<RoundStats> = (0..K).map(|_| ref_engine.run_round(&mut rng)).collect();
+    let reclaimed = ref_engine.compact();
+    assert!(
+        reclaimed.is_some_and(|r| r > 0),
+        "churn must have retired nodes by round {K}"
+    );
+    assert_eq!(ref_engine.compaction_epoch(), 1);
+    ref_engine.assert_view_consistency();
+    assert!(
+        ref_engine.compact().is_none(),
+        "back-to-back compaction has nothing to reclaim"
+    );
+    ref_stats.extend((K..TOTAL).map(|_| ref_engine.run_round(&mut rng)));
+    assert!(
+        ref_engine.audit_failures().is_empty(),
+        "compacted run must audit clean"
+    );
 
-        let (mut engine, mut rng) = chaos_engine(SEED, kind);
-        let mut stats: Vec<RoundStats> = (0..K).map(|_| engine.run_round(&mut rng)).collect();
-        engine.compact();
-        let bytes = engine.checkpoint(&rng).to_bytes();
-        drop(engine);
-        let snapshot = RunSnapshot::from_bytes(&bytes).expect("envelope round-trip");
-        assert_eq!(snapshot.compaction_epoch(), 1, "epoch rides the snapshot");
-        let (mut resumed, mut rng) =
-            PerigeeEngine::<GeoLatencyModel>::resume(snapshot).expect("resume");
-        resumed.set_audit_every(1);
-        assert_eq!(resumed.compaction_epoch(), 1);
-        stats.extend((K..TOTAL).map(|_| resumed.run_round(&mut rng)));
+    let (mut engine, mut rng) = chaos_engine(SEED);
+    let mut stats: Vec<RoundStats> = (0..K).map(|_| engine.run_round(&mut rng)).collect();
+    engine.compact();
+    let bytes = engine.checkpoint(&rng).to_bytes();
+    drop(engine);
+    let snapshot = RunSnapshot::from_bytes(&bytes).expect("envelope round-trip");
+    assert_eq!(snapshot.compaction_epoch(), 1, "epoch rides the snapshot");
+    let (mut resumed, mut rng) =
+        PerigeeEngine::<GeoLatencyModel>::resume(snapshot).expect("resume");
+    resumed.set_audit_every(1);
+    assert_eq!(resumed.compaction_epoch(), 1);
+    stats.extend((K..TOTAL).map(|_| resumed.run_round(&mut rng)));
 
-        assert_eq!(stats, ref_stats, "stats diverged across resume on {kind:?}");
-        assert_eq!(resumed.topology(), ref_engine.topology());
-        assert_eq!(resumed.population(), ref_engine.population());
-        assert_eq!(resumed.evaluate(0.9), ref_engine.evaluate(0.9));
-        assert!(resumed.audit_failures().is_empty());
-        resumed.assert_view_consistency();
-    }
+    assert_eq!(stats, ref_stats, "stats diverged across resume");
+    assert_eq!(resumed.topology(), ref_engine.topology());
+    assert_eq!(resumed.population(), ref_engine.population());
+    assert_eq!(resumed.evaluate(0.9), ref_engine.evaluate(0.9));
+    assert!(resumed.audit_failures().is_empty());
+    resumed.assert_view_consistency();
 }

@@ -4,9 +4,9 @@
 //! pin that contract bit-for-bit in the hardest world the suite has —
 //! active link faults, steady-state churn, liveness eviction and a
 //! transaction stream all at once — across pinned 1/2/8-thread rayon
-//! pools and both priority-queue kinds. They also pin the counters
-//! themselves: the totals harvested through the parallel round path
-//! must equal a direct sequential scratch run over the same blocks.
+//! pools. They also pin the counters themselves: the totals harvested
+//! through the parallel round path must equal a direct sequential
+//! scratch run over the same blocks.
 
 use std::sync::{Arc, Mutex};
 
@@ -14,8 +14,7 @@ use perigee_core::{LivenessConfig, PerigeeConfig, PerigeeEngine, RoundStats, Sco
 use perigee_netsim::{
     reference, BroadcastScratch, ChurnProcess, ConnectionLimits, FaultPlan, FaultWindow,
     GeoLatencyModel, GossipConfig, GossipScratch, LinkFaultRates, LinkFlaps, MinerSampler,
-    Population, PopulationBuilder, QueueKind, SimCounters, SimTime, Topology, TopologyView,
-    TrafficConfig,
+    Population, PopulationBuilder, SimCounters, SimTime, Topology, TopologyView, TrafficConfig,
 };
 use perigee_telemetry::{RunTelemetry, TraceRecord, TraceSink};
 use perigee_topology::{RandomBuilder, TopologyBuilder};
@@ -66,7 +65,7 @@ fn churny_faulted_traffic_plan() -> FaultPlan {
     }
 }
 
-fn hard_world_engine(kind: QueueKind) -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
+fn hard_world_engine() -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
     let mut rng = StdRng::seed_from_u64(67);
     let pop = PopulationBuilder::new(70).build(&mut rng).unwrap();
     let lat = GeoLatencyModel::new(&pop, 67);
@@ -75,7 +74,6 @@ fn hard_world_engine(kind: QueueKind) -> (PerigeeEngine<GeoLatencyModel>, StdRng
     cfg.blocks_per_round = 6;
     cfg.liveness = LivenessConfig::aggressive();
     let mut e = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg).unwrap();
-    e.set_queue_kind(kind);
     e.set_churn(ChurnProcess::steady_state(70, 0.03, 107));
     e.set_fault_plan(churny_faulted_traffic_plan()).unwrap();
     e.set_traffic(TrafficConfig::paper_stream(0x7AFF)).unwrap();
@@ -90,10 +88,9 @@ type WorldOutcome = (Vec<RoundStats>, Topology, Population, Vec<f64>);
 fn run_world(
     rounds: usize,
     threads: Option<usize>,
-    kind: QueueKind,
     telemetry: bool,
 ) -> (WorldOutcome, Vec<TraceRecord>) {
-    let (mut e, mut rng) = hard_world_engine(kind);
+    let (mut e, mut rng) = hard_world_engine();
     let sink = CollectingSink::default();
     if telemetry {
         e.set_telemetry(RunTelemetry::new("test", 67).with_sink(Box::new(sink.clone())));
@@ -124,11 +121,11 @@ fn run_world(
 /// The flagship contract: telemetry-on and telemetry-off runs of the
 /// churny faulted traffic world produce the same IEEE-754 RoundStats,
 /// the same learned topology, the same population and the same final
-/// λ-curve — across pinned 1/2/8-thread pools and both queue kinds.
+/// λ-curve — across pinned 1/2/8-thread pools.
 #[test]
 fn telemetry_on_and_off_are_bit_identical_in_the_hard_world() {
     const ROUNDS: usize = 10;
-    let (reference, no_records) = run_world(ROUNDS, None, QueueKind::Calendar, false);
+    let (reference, no_records) = run_world(ROUNDS, None, false);
     assert!(
         no_records.is_empty(),
         "disabled telemetry must emit nothing"
@@ -138,30 +135,23 @@ fn telemetry_on_and_off_are_bit_identical_in_the_hard_world() {
         "churn must fire for this test to bite"
     );
 
-    for (threads, kind) in [
-        (None, QueueKind::Calendar),
-        (Some(1), QueueKind::Calendar),
-        (Some(2), QueueKind::BinaryHeap),
-        (Some(8), QueueKind::Calendar),
-        (Some(1), QueueKind::BinaryHeap),
-        (Some(8), QueueKind::BinaryHeap),
-    ] {
-        let (instrumented, records) = run_world(ROUNDS, threads, kind, true);
+    for threads in [None, Some(1), Some(2), Some(8)] {
+        let (instrumented, records) = run_world(ROUNDS, threads, true);
         assert_eq!(
             instrumented.0, reference.0,
-            "RoundStats diverged with telemetry on ({threads:?}/{kind:?})"
+            "RoundStats diverged with telemetry on ({threads:?} threads)"
         );
         assert_eq!(
             instrumented.1, reference.1,
-            "topology diverged with telemetry on ({threads:?}/{kind:?})"
+            "topology diverged with telemetry on ({threads:?} threads)"
         );
         assert_eq!(
             instrumented.2, reference.2,
-            "population diverged with telemetry on ({threads:?}/{kind:?})"
+            "population diverged with telemetry on ({threads:?} threads)"
         );
         assert_eq!(
             instrumented.3, reference.3,
-            "evaluation diverged with telemetry on ({threads:?}/{kind:?})"
+            "evaluation diverged with telemetry on ({threads:?} threads)"
         );
         assert_eq!(records.len(), ROUNDS, "one trace record per round");
     }
@@ -171,8 +161,9 @@ fn telemetry_on_and_off_are_bit_identical_in_the_hard_world() {
 /// on how the work was chunked. The excluded four are mechanical:
 /// `epoch_bumps`/`epoch_refills` count per-scratch reuse (each pool
 /// thread owns a scratch, so they scale with the pool width) and the
-/// two `*_peak` gauges watch transient queue/batch occupancy, which may
-/// differ between queue kinds even when every result is identical.
+/// two `*_peak` gauges watch transient queue/batch occupancy, which
+/// depends on how the work was batched and queued even when every
+/// result is identical.
 const SEMANTIC_COUNTERS: [&str; 11] = [
     "gossip_pops",
     "gossip_elided",
@@ -206,12 +197,11 @@ fn without_scratch_lifecycle(mut c: SimCounters) -> SimCounters {
 /// The *records* are deterministic too, modulo wall-clock phase
 /// timings and the mechanical pool-width counters: every semantic
 /// tally and scalar value a round emits is identical across thread
-/// counts and queue kinds, because counter merge is
-/// commutative/associative addition.
+/// counts, because counter merge is commutative/associative addition.
 #[test]
-fn trace_counters_and_values_are_thread_and_queue_independent() {
+fn trace_counters_and_values_are_thread_independent() {
     const ROUNDS: usize = 6;
-    let (_, reference) = run_world(ROUNDS, Some(1), QueueKind::Calendar, true);
+    let (_, reference) = run_world(ROUNDS, Some(1), true);
     assert_eq!(reference.len(), ROUNDS);
     for rec in &reference {
         assert_eq!(rec.kind, "round");
@@ -225,18 +215,15 @@ fn trace_counters_and_values_are_thread_and_queue_independent() {
         assert!(rec.get_value("mean_lambda90_ms").is_some());
         assert!(!rec.phases_s.is_empty(), "round must carry phase laps");
     }
-    for (threads, kind) in [
-        (Some(2), QueueKind::BinaryHeap),
-        (Some(8), QueueKind::Calendar),
-    ] {
-        let (_, records) = run_world(ROUNDS, threads, kind, true);
+    for threads in [Some(2), Some(8)] {
+        let (_, records) = run_world(ROUNDS, threads, true);
         for (a, b) in reference.iter().zip(&records) {
             assert_eq!(
                 semantic_counters(a),
                 semantic_counters(b),
-                "counters diverged ({threads:?}/{kind:?})"
+                "counters diverged ({threads:?} threads)"
             );
-            assert_eq!(a.values, b.values, "values diverged ({threads:?}/{kind:?})");
+            assert_eq!(a.values, b.values, "values diverged ({threads:?} threads)");
             assert_eq!((a.round, &a.run), (b.round, &b.run));
         }
     }
@@ -260,7 +247,7 @@ fn round_laps_come_in_pipeline_order() {
         "view_patch",
     ];
     const AUDIT_EVERY: u64 = 3;
-    let (mut e, mut rng) = hard_world_engine(QueueKind::Calendar);
+    let (mut e, mut rng) = hard_world_engine();
     let sink = CollectingSink::default();
     e.set_telemetry(RunTelemetry::new("laps", 67).with_sink(Box::new(sink.clone())));
     e.set_audit_every(AUDIT_EVERY as usize);
@@ -286,7 +273,7 @@ fn round_laps_come_in_pipeline_order() {
 /// `take_telemetry` round-trip.
 #[test]
 fn registry_accumulates_round_records_and_handle_round_trips() {
-    let (mut e, mut rng) = hard_world_engine(QueueKind::Calendar);
+    let (mut e, mut rng) = hard_world_engine();
     e.set_telemetry(RunTelemetry::new("agg", 67));
     assert!(e.telemetry().is_some());
     let mut blocks = 0u64;

@@ -1,9 +1,10 @@
 //! Combined block + transaction-stream rounds: the traffic phase must
 //! change *nothing* about the determinism contract. Batched observation
-//! rows are bit-identical to one `gossip_into` call per message, rounds
-//! with a workload installed are bit-identical across thread counts and
-//! queue kinds, the per-class λ-statistics are backend-independent, and
-//! a traffic workload rides checkpoints through the on-disk envelope.
+//! rows are bit-identical to one `gossip_into` call per message (on
+//! either queue a scratch can run on), rounds with a workload installed
+//! are bit-identical across thread counts, the per-class λ-statistics
+//! are backend-independent, and a traffic workload rides checkpoints
+//! through the on-disk envelope.
 
 use perigee_core::{
     ObservationBackend, ObservationCollector, PerigeeConfig, PerigeeEngine, RunSnapshot,
@@ -78,24 +79,23 @@ fn batched_observation_rows_match_sequential_single_passes() {
 }
 
 /// Combined rounds are bit-identical across pinned 1/2/3/8-thread rayon
-/// pools and both queue kinds, on both observation backends — the same
+/// pools, on both observation backends — the same
 /// guarantee the blocks-only engine gives, now under ~10× more messages
 /// per round. A sketch-mode fan-out runs in waves of one 8-item chunk
 /// per pool thread and folds each wave over one edge range per thread:
 /// 11 blocks end in a short chunk, and the rounds' message counts
 /// (checked below) leave a partial last wave on every multi-thread pool.
 #[test]
-fn combined_rounds_are_thread_and_queue_independent() {
+fn combined_rounds_are_thread_independent() {
     const ROUNDS: usize = 3;
     const BLOCKS: usize = 11;
-    let run = |backend, threads, kind| {
+    let run = |backend, threads| {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
         pool.install(|| {
             let (mut engine, mut rng) = engine_with(59, BLOCKS, 17, backend);
-            engine.set_queue_kind(kind);
             let stats = engine.run_rounds(ROUNDS, &mut rng);
             let traffic = engine.last_traffic_stats().unwrap().clone();
             (
@@ -126,16 +126,14 @@ fn combined_rounds_are_thread_and_queue_independent() {
     }
 
     for backend in [ObservationBackend::Dense, ObservationBackend::Sketch] {
-        let reference = run(backend, 1, QueueKind::Calendar);
+        let reference = run(backend, 1);
         for threads in [1, 2, 3, 8] {
-            for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-                let variant = run(backend, threads, kind);
-                let case = format!("{backend:?}, {threads} threads, {kind:?}");
-                assert_eq!(reference.0, variant.0, "RoundStats differ ({case})");
-                assert_eq!(reference.1, variant.1, "traffic stats differ ({case})");
-                assert_eq!(reference.2, variant.2, "evaluation differs ({case})");
-                assert_eq!(reference.3, variant.3, "topology differs ({case})");
-            }
+            let variant = run(backend, threads);
+            let case = format!("{backend:?}, {threads} threads");
+            assert_eq!(reference.0, variant.0, "RoundStats differ ({case})");
+            assert_eq!(reference.1, variant.1, "traffic stats differ ({case})");
+            assert_eq!(reference.2, variant.2, "evaluation differs ({case})");
+            assert_eq!(reference.3, variant.3, "topology differs ({case})");
         }
     }
 }

@@ -110,7 +110,8 @@ fn chaos_engine(scenario: &Scenario, seed: u64) -> (PerigeeEngine<GeoLatencyMode
 
 /// Drives `rounds` rounds under the auditor. Returns the per-round stats,
 /// or — in strict mode — a rendered violation report after snapshotting
-/// the offending round to `strict_out` (as `audit-violation.prgs`).
+/// the offending round to `strict_out` (as `audit-violation.prgs`,
+/// creating the directory if needed).
 pub fn drive_audited(
     engine: &mut PerigeeEngine<GeoLatencyModel>,
     rng: &mut StdRng,
@@ -128,7 +129,9 @@ pub fn drive_audited(
             let mut msg = format!("invariant audit failed:\n{report}");
             if let Some(dir) = strict_out {
                 let path = dir.join("audit-violation.prgs");
-                match std::fs::write(&path, engine.checkpoint(rng).to_bytes()) {
+                let written = std::fs::create_dir_all(dir)
+                    .and_then(|()| std::fs::write(&path, engine.checkpoint(rng).to_bytes()));
+                match written {
                     Ok(()) => msg.push_str(&format!(
                         "\n[offending round snapshotted to {}]",
                         path.display()
@@ -206,7 +209,8 @@ impl KillResumeResult {
 }
 
 /// The full workflow: run the chaos world with auto-checkpointing every
-/// `checkpoint_every` rounds (written to `out` when given), kill it at
+/// `checkpoint_every` rounds (written to `out` when given, which is
+/// created if missing), kill it at
 /// `rounds / 2`, resume from the newest snapshot — through the on-disk
 /// envelope when available, in-memory bytes otherwise — and run to the
 /// end. An uninterrupted control run over the same seed provides the
@@ -221,6 +225,9 @@ pub fn run_kill_resume(
     let total = scenario.rounds.max(2);
     let kill_at = total / 2;
     let every = checkpoint_every.max(1);
+    if let Some(dir) = out {
+        std::fs::create_dir_all(dir).map_err(|e| format!("output directory: {e}"))?;
+    }
 
     // Control leg: the uninterrupted run.
     let (mut control, mut control_rng) = chaos_engine(scenario, seed);

@@ -109,6 +109,41 @@ fn quick_resume_roundtrip_exits_zero() {
     assert!(stdout.contains("bit-identical"), "got: {stdout}");
 }
 
+/// `--out` names a directory `resume` creates, as every other command
+/// does: a missing nested path receives the summary CSV and the
+/// checkpoints.
+#[test]
+fn resume_creates_a_missing_out_directory() {
+    let base = std::env::temp_dir().join(format!("repro-cli-resume-out-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let dir = base.join("nested").join("deeper");
+    let out = repro(&[
+        "resume",
+        "--quick",
+        "--nodes",
+        "50",
+        "--rounds",
+        "8",
+        "--blocks",
+        "4",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "resume --out into a missing directory must succeed, stderr: {}",
+        stderr(&out)
+    );
+    assert!(dir.join("resume.csv").is_file(), "resume.csv is written");
+    let checkpoints = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with("checkpoint-r") && name.ends_with(".prgs"))
+        .count();
+    assert!(checkpoints > 0, "a checkpoint-r*.prgs file is written");
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
 #[test]
 fn failed_csv_write_exits_nonzero() {
     // Point --out at a regular file: every CSV write inside must fail,

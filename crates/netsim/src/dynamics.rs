@@ -7,20 +7,17 @@
 //! module makes node lifetime a first-class, seeded, bit-reproducible
 //! simulation input instead of a test fixture:
 //!
-//! * [`ChurnProcess`] — the lifetime driver. Either a stochastic process
-//!   (Poisson arrivals per round, session lengths drawn from a
-//!   [`SessionDist`] — constant or exponential) or a
-//!   deterministic trace replay of [`LifetimeEvent`]s. The process owns
-//!   its own seeded RNG, so the lifetime schedule is independent of the
-//!   protocol RNG and identical across thread counts and queue kinds.
-//! * [`WorldDelta`] — the per-round outcome: which ids joined and which
-//!   departed. A node listed in *both* is an in-place session reset (same
-//!   id, fresh edges, forgotten scores), planned by a traced
-//!   [`LifetimeEventKind::Reset`].
+//! * [`ChurnProcess`] — the lifetime driver, one stochastic process:
+//!   Poisson arrivals per round, each node's session length drawn from a
+//!   [`SessionDist`] (constant or exponential). The process owns its own
+//!   seeded RNG, so the lifetime schedule is independent of the protocol
+//!   RNG and identical across thread counts.
+//! * [`WorldDelta`] — the per-round outcome: which ids joined (freshly
+//!   spawned) and which departed (retired for good).
 //! * [`ChurnPlan`] — the raw per-round intent ([`ChurnProcess::begin_round`]):
 //!   how many nodes arrive (ids are assigned by
 //!   [`Population::spawn`](crate::Population::spawn), never by the
-//!   process) and which existing ids leave or reset.
+//!   process) and which existing ids leave.
 //!
 //! The driver loop is: call [`ChurnProcess::begin_round`] once per round,
 //! spawn one node per planned arrival (reporting each new id back via
@@ -54,15 +51,14 @@ use crate::population::{Population, PopulationBuilder};
 
 /// The net node-set change of one round: who joined, who departed.
 ///
-/// Ids appearing in both lists reset in place (same id, fresh state) —
-/// the population itself is untouched for them. Consumed by
+/// Consumed by
 /// [`TopologyView::apply_world_delta`](crate::TopologyView::apply_world_delta)
 /// and by the engine's score-state resize hook.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorldDelta {
-    /// Nodes that joined this round (fresh ids, plus any reset ids).
+    /// Nodes that joined this round (fresh ids).
     pub joined: Vec<NodeId>,
-    /// Nodes that departed this round (retired ids, plus any reset ids).
+    /// Nodes that departed this round (retired ids).
     pub departed: Vec<NodeId>,
 }
 
@@ -70,32 +66,6 @@ impl WorldDelta {
     /// `true` when the round changed no node's lifetime.
     pub fn is_empty(&self) -> bool {
         self.joined.is_empty() && self.departed.is_empty()
-    }
-
-    /// The one-node in-place reset: `v` departs and rejoins atomically,
-    /// keeping its id and profile but losing every edge and every learned
-    /// score about or of it.
-    pub fn reset(v: NodeId) -> Self {
-        WorldDelta {
-            joined: vec![v],
-            departed: vec![v],
-        }
-    }
-
-    /// Ids that joined as brand-new nodes (joined minus resets).
-    pub fn spawned(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.joined
-            .iter()
-            .copied()
-            .filter(|v| !self.departed.contains(v))
-    }
-
-    /// Ids that left for good (departed minus resets).
-    pub fn retired(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.departed
-            .iter()
-            .copied()
-            .filter(|v| !self.joined.contains(v))
     }
 }
 
@@ -158,64 +128,27 @@ fn poisson<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> usize {
     total
 }
 
-/// One scheduled lifetime event of a deterministic trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LifetimeEvent {
-    /// The round (0-based, counted in [`ChurnProcess::begin_round`] calls)
-    /// the event fires in.
-    pub round: usize,
-    /// What happens.
-    pub kind: LifetimeEventKind,
-}
-
-/// The kinds of lifetime event a trace can schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LifetimeEventKind {
-    /// One new node arrives (its id is assigned by the population).
-    Join,
-    /// The given node departs for good.
-    Leave(NodeId),
-    /// The given node resets in place (departs and rejoins, same id).
-    Reset(NodeId),
-}
-
 /// The raw intent for one round, produced by
 /// [`ChurnProcess::begin_round`]: the driver spawns `arrivals` nodes
-/// (reporting ids via [`ChurnProcess::note_join`]), retires `departures`
-/// and resets `resets`, then folds everything into one [`WorldDelta`].
+/// (reporting ids via [`ChurnProcess::note_join`]) and retires
+/// `departures`, then folds both into one [`WorldDelta`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChurnPlan {
     /// How many new nodes arrive this round.
     pub arrivals: usize,
     /// Which nodes depart for good this round, ascending by id.
     pub departures: Vec<NodeId>,
-    /// Which nodes reset in place this round, in trace order.
-    pub resets: Vec<NodeId>,
 }
 
 impl ChurnPlan {
     /// `true` when the round has no lifetime events.
     pub fn is_empty(&self) -> bool {
-        self.arrivals == 0 && self.departures.is_empty() && self.resets.is_empty()
+        self.arrivals == 0 && self.departures.is_empty()
     }
 }
 
-#[derive(Debug, Clone)]
-enum Mode {
-    Poisson {
-        arrival_rate: f64,
-        session: SessionDist,
-    },
-    Replay {
-        /// Events sorted by round (stable, so same-round order is the
-        /// caller's order).
-        events: Vec<LifetimeEvent>,
-        cursor: usize,
-    },
-}
-
 /// A seeded node-lifetime process: Poisson arrivals with sampled session
-/// lengths, or a deterministic [`LifetimeEvent`] trace.
+/// lengths.
 ///
 /// # Examples
 ///
@@ -244,7 +177,10 @@ enum Mode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChurnProcess {
-    mode: Mode,
+    /// Mean Poisson arrivals per round.
+    arrival_rate: f64,
+    /// How long each node's session lasts.
+    session: SessionDist,
     rng: StdRng,
     profile: PopulationBuilder,
     /// Index of the next plan ([`ChurnProcess::begin_round`] calls so far).
@@ -259,16 +195,18 @@ impl ChurnProcess {
     /// private RNG seeded with `seed`. Arrival profiles default to the
     /// paper's §5.1 population mix
     /// ([`ChurnProcess::with_arrival_profile`] overrides).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrival_rate` is negative, NaN or infinite.
     pub fn poisson(arrival_rate: f64, session: SessionDist, seed: u64) -> Self {
         assert!(
             valid_rate(arrival_rate),
             "arrival rate must be finite and non-negative"
         );
         ChurnProcess {
-            mode: Mode::Poisson {
-                arrival_rate,
-                session,
-            },
+            arrival_rate,
+            session,
             rng: StdRng::seed_from_u64(seed ^ 0xD11A_111C5),
             profile: PopulationBuilder::new(0),
             round: 0,
@@ -283,6 +221,10 @@ impl ChurnProcess {
     /// constant hazard makes the per-round departure rate equal
     /// `churn_fraction` from round zero (no warm-up toward the
     /// equilibrium age distribution).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < churn_fraction < 1`.
     pub fn steady_state(target: usize, churn_fraction: f64, seed: u64) -> Self {
         assert!(
             churn_fraction > 0.0 && churn_fraction < 1.0,
@@ -295,19 +237,6 @@ impl ChurnProcess {
             },
             seed,
         )
-    }
-
-    /// A deterministic trace replay: the given events fire at their
-    /// rounds, in order. `seed` still feeds arrival-profile sampling.
-    pub fn replay(mut events: Vec<LifetimeEvent>, seed: u64) -> Self {
-        events.sort_by_key(|e| e.round);
-        ChurnProcess {
-            mode: Mode::Replay { events, cursor: 0 },
-            rng: StdRng::seed_from_u64(seed ^ 0xD11A_111C5),
-            profile: PopulationBuilder::new(0),
-            round: 0,
-            expiries: BinaryHeap::new(),
-        }
     }
 
     /// Overrides the builder arrival profiles are sampled from
@@ -331,69 +260,74 @@ impl ChurnProcess {
 
     /// Assigns sessions to every currently live node of `population` —
     /// call once when installing the process, so the initial population
-    /// churns too (a Poisson-mode no-op for infinite sessions; replay
-    /// mode needs no attachment).
+    /// churns too (a no-op for infinite sessions).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the id, if an expiry already scheduled (through
+    /// [`ChurnProcess::note_join`]) names a slot outside `population`:
+    /// its departure round would index past the world.
     pub fn attach(&mut self, population: &Population) {
-        if let Mode::Poisson { session, .. } = self.mode {
-            let ids: Vec<NodeId> = population.ids_alive().collect();
-            for id in ids {
-                let len = session.sample(&mut self.rng);
-                self.schedule_expiry(id, len);
-            }
+        if let Some(id) = self.outside(population.len()) {
+            panic!(
+                "churn schedule names node {id}, outside the {}-slot world",
+                population.len()
+            );
         }
+        let ids: Vec<NodeId> = population.ids_alive().collect();
+        for id in ids {
+            let len = self.session.sample(&mut self.rng);
+            self.schedule_expiry(id, len);
+        }
+    }
+
+    /// Whether every scheduled session expiry names one of a world's `n`
+    /// slots — the rule [`ChurnProcess::attach`] and the checkpoint
+    /// consistency check apply, so a departure never indexes past the
+    /// population.
+    pub fn covers(&self, n: usize) -> bool {
+        self.outside(n).is_none()
+    }
+
+    /// The largest scheduled id at or past slot `n`, if any.
+    fn outside(&self, n: usize) -> Option<NodeId> {
+        self.expiries
+            .iter()
+            .map(|&Reverse((_, id))| id)
+            .filter(|&id| id as usize >= n)
+            .max()
+            .map(NodeId::new)
     }
 
     /// Plans one round of lifetime events. The `k`-th call plans round
-    /// `k`: due session expiries become departures (ascending by id),
-    /// Poisson arrivals are counted, trace events fire.
+    /// `k`: due session expiries become departures (ascending by id) and
+    /// Poisson arrivals are counted.
     pub fn begin_round(&mut self) -> ChurnPlan {
-        let r = self.round;
+        let r = self.round as u64;
         self.round += 1;
-        let mut plan = ChurnPlan::default();
+        let mut departures = Vec::new();
         while let Some(&Reverse((due, id))) = self.expiries.peek() {
-            if due > r as u64 {
+            if due > r {
                 break;
             }
             self.expiries.pop();
-            plan.departures.push(NodeId::new(id));
+            departures.push(NodeId::new(id));
         }
-        match &mut self.mode {
-            Mode::Poisson { arrival_rate, .. } => {
-                let rate = *arrival_rate;
-                plan.arrivals = poisson(&mut self.rng, rate);
-            }
-            Mode::Replay { events, cursor } => {
-                while let Some(e) = events.get(*cursor) {
-                    if e.round > r {
-                        break;
-                    }
-                    *cursor += 1;
-                    if e.round < r {
-                        continue; // rounds before the attach point: skipped
-                    }
-                    match e.kind {
-                        LifetimeEventKind::Join => plan.arrivals += 1,
-                        LifetimeEventKind::Leave(v) => plan.departures.push(v),
-                        LifetimeEventKind::Reset(v) => plan.resets.push(v),
-                    }
-                }
-            }
+        ChurnPlan {
+            arrivals: poisson(&mut self.rng, self.arrival_rate),
+            departures,
         }
-        plan
     }
 
     /// Reports a spawned arrival's id back to the process so its session
-    /// expiry gets scheduled (Poisson mode; replay traces schedule
-    /// departures explicitly). Call once per planned arrival, right after
+    /// expiry gets scheduled. Call once per planned arrival, right after
     /// [`Population::spawn`](crate::Population::spawn).
     pub fn note_join(&mut self, id: NodeId) {
-        if let Mode::Poisson { session, .. } = self.mode {
-            let len = session.sample(&mut self.rng);
-            // `round` already points past the joining round — which is the
-            // node's first round of participation, the same base an
-            // attached node gets: ⌈len⌉ full rounds either way.
-            self.schedule_expiry(id, len);
-        }
+        let len = self.session.sample(&mut self.rng);
+        // `round` already points past the joining round — which is the
+        // node's first round of participation, the same base an attached
+        // node gets: ⌈len⌉ full rounds either way.
+        self.schedule_expiry(id, len);
     }
 
     /// Samples the static profile of one arriving node from the
@@ -409,7 +343,7 @@ impl ChurnProcess {
         self.round
     }
 
-    /// Session expiries not yet fired (Poisson mode).
+    /// Session expiries not yet fired.
     pub fn pending_departures(&self) -> usize {
         self.expiries.len()
     }
@@ -417,12 +351,8 @@ impl ChurnProcess {
     /// Applies a free-list compaction plan (see
     /// [`Population::compaction_plan`](crate::Population::compaction_plan)):
     /// scheduled session expiries are renumbered to the survivors' new
-    /// ids (an expiry for a dead id — a node torn down by a trace before
-    /// its session ran out — is dropped), and, in replay mode, so are the
-    /// un-consumed trace events. A future `Leave`/`Reset` naming a node
-    /// that is already dead is dropped with its target; consumed events
-    /// are dropped too (they are never read again), with the cursor
-    /// adjusted so the replay continues from the same point.
+    /// ids, and an expiry for a dead id (a node retired before its
+    /// session ran out) is dropped.
     ///
     /// The RNG position, round counter and arrival stream are untouched —
     /// compaction renumbers ids, it does not alter the lifetime process.
@@ -435,44 +365,6 @@ impl ChurnProcess {
                 Some(Reverse((due, new.as_u32())))
             })
             .collect();
-        if let Mode::Replay { events, cursor } = &mut self.mode {
-            let mut kept = Vec::with_capacity(events.len());
-            let mut new_cursor = 0usize;
-            for (i, e) in events.iter().enumerate() {
-                let remapped = match e.kind {
-                    LifetimeEventKind::Join => Some(e.kind),
-                    LifetimeEventKind::Leave(v) => {
-                        if i < *cursor {
-                            None // consumed: never read again
-                        } else {
-                            plan.new_id(v).map(LifetimeEventKind::Leave)
-                        }
-                    }
-                    LifetimeEventKind::Reset(v) => {
-                        if i < *cursor {
-                            None
-                        } else {
-                            plan.new_id(v).map(LifetimeEventKind::Reset)
-                        }
-                    }
-                };
-                match remapped {
-                    Some(kind) => {
-                        kept.push(LifetimeEvent {
-                            round: e.round,
-                            kind,
-                        });
-                        if i < *cursor {
-                            new_cursor += 1;
-                        }
-                    }
-                    None if i < *cursor => {} // dropped consumed event
-                    None => {}                // dropped stale future event
-                }
-            }
-            *events = kept;
-            *cursor = new_cursor;
-        }
     }
 
     /// Schedules `id` to depart `⌈len⌉` (≥ 1) rounds after the next plan;
@@ -495,32 +387,16 @@ mod codec {
     //! Checkpoint codec impls (see `serde::bin`).
     //!
     //! A [`ChurnProcess`] is the one netsim subsystem with genuinely
-    //! *mutable* cross-round state: its private RNG position, the replay
-    //! cursor, the round counter and the scheduled-expiry heap. All four
-    //! are captured exactly — the RNG travels as its raw xoshiro state and
-    //! the heap as its element multiset (pop order over distinct
-    //! `(round, id)` keys is independent of internal heap layout), so a
-    //! restored process continues the lifetime stream bit for bit.
+    //! *mutable* cross-round state: its private RNG position, the round
+    //! counter and the scheduled-expiry heap. All three are captured
+    //! exactly — the RNG travels as its raw xoshiro state and the heap as
+    //! its element multiset (pop order over distinct `(round, id)` keys is
+    //! independent of internal heap layout), so a restored process
+    //! continues the lifetime stream bit for bit.
 
     use serde::bin::{Decode, DecodeError, Encode, Reader};
 
     use super::*;
-
-    impl Encode for WorldDelta {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.joined.encode(out);
-            self.departed.encode(out);
-        }
-    }
-
-    impl Decode for WorldDelta {
-        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            Ok(WorldDelta {
-                joined: Vec::decode(r)?,
-                departed: Vec::decode(r)?,
-            })
-        }
-    }
 
     impl Encode for SessionDist {
         fn encode(&self, out: &mut Vec<u8>) {
@@ -549,100 +425,10 @@ mod codec {
         }
     }
 
-    impl Encode for LifetimeEventKind {
-        fn encode(&self, out: &mut Vec<u8>) {
-            match *self {
-                LifetimeEventKind::Join => 0u8.encode(out),
-                LifetimeEventKind::Leave(v) => {
-                    1u8.encode(out);
-                    v.encode(out);
-                }
-                LifetimeEventKind::Reset(v) => {
-                    2u8.encode(out);
-                    v.encode(out);
-                }
-            }
-        }
-    }
-
-    impl Decode for LifetimeEventKind {
-        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            match u8::decode(r)? {
-                0 => Ok(LifetimeEventKind::Join),
-                1 => Ok(LifetimeEventKind::Leave(NodeId::decode(r)?)),
-                2 => Ok(LifetimeEventKind::Reset(NodeId::decode(r)?)),
-                _ => Err(DecodeError::new("invalid lifetime-event tag")),
-            }
-        }
-    }
-
-    impl Encode for LifetimeEvent {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.round.encode(out);
-            self.kind.encode(out);
-        }
-    }
-
-    impl Decode for LifetimeEvent {
-        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            Ok(LifetimeEvent {
-                round: usize::decode(r)?,
-                kind: LifetimeEventKind::decode(r)?,
-            })
-        }
-    }
-
-    impl Encode for Mode {
-        fn encode(&self, out: &mut Vec<u8>) {
-            match self {
-                Mode::Poisson {
-                    arrival_rate,
-                    session,
-                } => {
-                    0u8.encode(out);
-                    arrival_rate.encode(out);
-                    session.encode(out);
-                }
-                Mode::Replay { events, cursor } => {
-                    1u8.encode(out);
-                    events.encode(out);
-                    cursor.encode(out);
-                }
-            }
-        }
-    }
-
-    impl Decode for Mode {
-        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            match u8::decode(r)? {
-                0 => {
-                    let arrival_rate = f64::decode(r)?;
-                    if !valid_rate(arrival_rate) {
-                        return Err(DecodeError::new(
-                            "churn arrival rate must be finite and non-negative",
-                        ));
-                    }
-                    Ok(Mode::Poisson {
-                        arrival_rate,
-                        session: SessionDist::decode(r)?,
-                    })
-                }
-                1 => {
-                    let events: Vec<LifetimeEvent> = Vec::decode(r)?;
-                    let cursor = usize::decode(r)?;
-                    if cursor > events.len() {
-                        return Err(DecodeError::new("replay cursor past end of trace"));
-                    }
-                    Ok(Mode::Replay { events, cursor })
-                }
-                _ => Err(DecodeError::new("invalid churn-mode tag")),
-            }
-        }
-    }
-
     impl Encode for ChurnProcess {
         fn encode(&self, out: &mut Vec<u8>) {
-            self.mode.encode(out);
+            self.arrival_rate.encode(out);
+            self.session.encode(out);
             self.rng.state().encode(out);
             self.profile.encode(out);
             self.round.encode(out);
@@ -654,7 +440,13 @@ mod codec {
 
     impl Decode for ChurnProcess {
         fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            let mode = Mode::decode(r)?;
+            let arrival_rate = f64::decode(r)?;
+            if !valid_rate(arrival_rate) {
+                return Err(DecodeError::new(
+                    "churn arrival rate must be finite and non-negative",
+                ));
+            }
+            let session = SessionDist::decode(r)?;
             let rng_state = <[u64; 4]>::decode(r)?;
             if rng_state == [0; 4] {
                 return Err(DecodeError::new("all-zero churn rng state"));
@@ -663,7 +455,8 @@ mod codec {
             let round = usize::decode(r)?;
             let expiries: Vec<(u64, u32)> = Vec::decode(r)?;
             Ok(ChurnProcess {
-                mode,
+                arrival_rate,
+                session,
                 rng: StdRng::from_state(rng_state),
                 profile,
                 round,
@@ -676,15 +469,6 @@ mod codec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn world_delta_reset_shape() {
-        let d = WorldDelta::reset(NodeId::new(4));
-        assert!(!d.is_empty());
-        assert_eq!(d.spawned().count(), 0, "a reset spawns nobody");
-        assert_eq!(d.retired().count(), 0, "a reset retires nobody");
-        assert!(WorldDelta::default().is_empty());
-    }
 
     #[test]
     fn poisson_sample_mean_is_close() {
@@ -724,12 +508,12 @@ mod tests {
         let process = ChurnProcess::poisson(2.0, SessionDist::Exponential { mean: 10.0 }, 7);
         let bytes = process.to_bytes();
         assert!(ChurnProcess::from_bytes(&bytes).is_ok());
-        // The rate is the f64 right after the Poisson mode tag.
-        assert_eq!(bytes[1..9], 2.0f64.to_le_bytes());
+        // The rate is the encoding's leading f64.
+        assert_eq!(bytes[0..8], 2.0f64.to_le_bytes());
         for rate in [f64::NAN, -1.0, f64::INFINITY] {
             assert!(!valid_rate(rate));
             let mut tampered = bytes.clone();
-            tampered[1..9].copy_from_slice(&rate.to_le_bytes());
+            tampered[0..8].copy_from_slice(&rate.to_le_bytes());
             assert!(
                 ChurnProcess::from_bytes(&tampered).is_err(),
                 "rate {rate} must not decode"
@@ -857,82 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_fires_events_at_their_rounds() {
-        let events = vec![
-            LifetimeEvent {
-                round: 1,
-                kind: LifetimeEventKind::Leave(NodeId::new(3)),
-            },
-            LifetimeEvent {
-                round: 0,
-                kind: LifetimeEventKind::Join,
-            },
-            LifetimeEvent {
-                round: 1,
-                kind: LifetimeEventKind::Reset(NodeId::new(5)),
-            },
-            LifetimeEvent {
-                round: 3,
-                kind: LifetimeEventKind::Join,
-            },
-        ];
-        let mut p = ChurnProcess::replay(events, 1);
-        let r0 = p.begin_round();
-        assert_eq!(
-            (r0.arrivals, r0.departures.len(), r0.resets.len()),
-            (1, 0, 0)
-        );
-        let r1 = p.begin_round();
-        assert_eq!(r1.departures, vec![NodeId::new(3)]);
-        assert_eq!(r1.resets, vec![NodeId::new(5)]);
-        assert!(p.begin_round().is_empty(), "round 2 is quiet");
-        assert_eq!(p.begin_round().arrivals, 1);
-        assert_eq!(p.rounds_elapsed(), 4);
-    }
-
-    #[test]
-    fn compact_remaps_replay_events_and_expiries() {
-        use crate::population::IdRemap;
-        // A 6-node world where 1 and 4 die before the compaction.
-        let mut pop = crate::population::PopulationBuilder::new(6)
-            .build(&mut StdRng::seed_from_u64(2))
-            .unwrap();
-        pop.retire(NodeId::new(1));
-        pop.retire(NodeId::new(4));
-        let plan: IdRemap = pop.compaction_plan().unwrap();
-
-        let events = vec![
-            // Already consumed by round 0 (below): dropped on compact.
-            LifetimeEvent {
-                round: 0,
-                kind: LifetimeEventKind::Leave(NodeId::new(1)),
-            },
-            // Future events: 5 → 3, the dead-id Reset(4) is dropped.
-            LifetimeEvent {
-                round: 2,
-                kind: LifetimeEventKind::Leave(NodeId::new(5)),
-            },
-            LifetimeEvent {
-                round: 2,
-                kind: LifetimeEventKind::Reset(NodeId::new(4)),
-            },
-            LifetimeEvent {
-                round: 3,
-                kind: LifetimeEventKind::Join,
-            },
-        ];
-        let mut p = ChurnProcess::replay(events, 1);
-        assert_eq!(p.begin_round().departures, vec![NodeId::new(1)]);
-
-        p.compact(&plan);
-        assert!(p.begin_round().is_empty(), "round 1 is quiet");
-        let r2 = p.begin_round();
-        assert_eq!(r2.departures, vec![NodeId::new(3)], "5 renumbered to 3");
-        assert!(r2.resets.is_empty(), "dead-id reset dropped");
-        assert_eq!(p.begin_round().arrivals, 1, "joins always survive");
-    }
-
-    #[test]
     fn compact_remaps_poisson_session_expiries() {
         let mut pop = crate::population::PopulationBuilder::new(6)
             .build(&mut StdRng::seed_from_u64(2))
@@ -959,5 +667,18 @@ mod tests {
                 NodeId::new(3)
             ]
         );
+    }
+
+    #[test]
+    fn covers_checks_every_scheduled_expiry() {
+        let pop = PopulationBuilder::new(6)
+            .build(&mut StdRng::seed_from_u64(2))
+            .unwrap();
+        let mut p = ChurnProcess::poisson(0.0, SessionDist::Constant(4.0), 9);
+        p.attach(&pop);
+        assert!(p.covers(6));
+        assert!(!p.covers(5), "node 5's expiry lies outside a 5-slot world");
+        p.note_join(NodeId::new(6000));
+        assert!(!p.covers(6000) && p.covers(6001));
     }
 }

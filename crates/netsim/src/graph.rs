@@ -232,36 +232,15 @@ impl Topology {
     /// [`RoundDelta`](crate::RoundDelta) must log as removed.
     pub fn clear_node(&mut self, v: NodeId) -> Vec<NodeId> {
         let neighbors = self.neighbors(v);
-        self.clear_protocol_edges(v);
-        for &u in &self.pinned[v.index()].clone() {
+        for &u in &neighbors {
+            self.out[u.index()].remove(&v);
+            self.incoming[u.index()].remove(&v);
             self.pinned[u.index()].remove(&v);
         }
+        self.out[v.index()].clear();
+        self.incoming[v.index()].clear();
         self.pinned[v.index()].clear();
         neighbors
-    }
-
-    /// Tears down `v`'s *protocol* connections (outgoing and incoming)
-    /// but keeps pinned edges — the in-place **reset** path: the node
-    /// stays in the network, and §5.4 relay-overlay links are permanent
-    /// infrastructure no protocol decision (churn included) may remove.
-    /// Returns the severed neighbors (ascending, deduplicated, pinned
-    /// excluded) for the removal log.
-    pub fn clear_connections(&mut self, v: NodeId) -> Vec<NodeId> {
-        let mut severed: BTreeSet<NodeId> = self.out[v.index()].clone();
-        severed.extend(self.incoming[v.index()].iter().copied());
-        self.clear_protocol_edges(v);
-        severed.into_iter().collect()
-    }
-
-    fn clear_protocol_edges(&mut self, v: NodeId) {
-        for &u in &self.out[v.index()].clone() {
-            self.incoming[u.index()].remove(&v);
-        }
-        self.out[v.index()].clear();
-        for &u in &self.incoming[v.index()].clone() {
-            self.out[u.index()].remove(&v);
-        }
-        self.incoming[v.index()].clear();
     }
 
     /// Adds a permanent undirected edge that does not count against either
@@ -634,23 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_connections_preserves_pinned_edges() {
-        let mut t = Topology::new(5, ConnectionLimits::unlimited());
-        let v = NodeId::new(2);
-        t.connect(v, NodeId::new(0)).unwrap();
-        t.connect(NodeId::new(1), v).unwrap();
-        t.pin(v, NodeId::new(3)).unwrap();
-        let gone = t.clear_connections(v);
-        assert_eq!(gone, ids(&[0, 1]), "pinned neighbor not in the severed set");
-        assert!(
-            t.are_connected(v, NodeId::new(3)),
-            "relay link survives a reset"
-        );
-        assert_eq!(t.degree(v), 1);
-        t.assert_invariants();
-    }
-
-    #[test]
     fn connectivity_check() {
         let mut t = Topology::new(4, ConnectionLimits::unlimited());
         t.connect(NodeId::new(0), NodeId::new(1)).unwrap();
@@ -689,9 +651,6 @@ mod tests {
         assert_eq!(t.neighbors(NodeId::new(0)), ids(&[1, 2]));
         assert_eq!(t.neighbors(NodeId::new(1)), ids(&[0, 3]));
         assert_eq!(t.neighbors(NodeId::new(2)), ids(&[0, 3]));
-        // The 3—0 pin became 2—0: it survives a protocol-edge reset.
-        t.clear_connections(NodeId::new(2));
-        assert_eq!(t.neighbors(NodeId::new(2)), ids(&[0]), "pin survives");
         t.assert_invariants();
     }
 }

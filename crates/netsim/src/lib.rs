@@ -49,13 +49,13 @@
 //! * [`pq`] — the deterministic calendar/bucket priority queue both
 //!   scratch engines run on by default ([`QueueKind::Calendar`]): exact
 //!   packed keys inside sub-millisecond buckets, pop order bit-identical
-//!   to the reference `BinaryHeap` ([`QueueKind::BinaryHeap`], kept
-//!   runtime-selectable for the cross-engine equivalence suite).
+//!   to the reference `BinaryHeap` ([`QueueKind::BinaryHeap`], which a
+//!   scratch can still be built on as the equivalence suites' oracle).
 //! * [`MinerSampler`] — hash-power-proportional block sources.
 //! * [`dynamics`] — node lifetime as a simulated process:
-//!   [`ChurnProcess`] (Poisson arrivals, constant or exponential
-//!   session lengths, deterministic [`LifetimeEvent`] trace replay — all
-//!   seeded and bit-reproducible) plans each round's [`WorldDelta`];
+//!   [`ChurnProcess`] (one seeded, bit-reproducible Poisson process:
+//!   arrivals per round, constant or exponential session lengths) plans
+//!   each round's [`WorldDelta`] of joined and departed ids;
 //!   [`Population`] grows/shrinks through stable-id `spawn`/`retire` with
 //!   a free-list (ids are never reused *between* compactions, dead slots
 //!   are skipped; an explicit [`IdRemap`]-driven
@@ -168,9 +168,7 @@ pub mod view;
 
 pub use bandwidth::TransferModel;
 pub use counters::SimCounters;
-pub use dynamics::{
-    ChurnPlan, ChurnProcess, LifetimeEvent, LifetimeEventKind, SessionDist, WorldDelta,
-};
+pub use dynamics::{ChurnPlan, ChurnProcess, SessionDist, WorldDelta};
 pub use error::{ConnectError, NetsimError};
 pub use event::EventQueue;
 pub use faults::{

@@ -369,33 +369,6 @@ impl<K: TimeKey> PackedQueue<K> {
     }
 }
 
-mod codec {
-    //! Checkpoint codec impls (see `serde::bin`).
-
-    use serde::bin::{Decode, DecodeError, Encode, Reader};
-
-    use super::QueueKind;
-
-    impl Encode for QueueKind {
-        fn encode(&self, out: &mut Vec<u8>) {
-            match self {
-                QueueKind::BinaryHeap => 0u8.encode(out),
-                QueueKind::Calendar => 1u8.encode(out),
-            }
-        }
-    }
-
-    impl Decode for QueueKind {
-        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            match u8::decode(r)? {
-                0 => Ok(QueueKind::BinaryHeap),
-                1 => Ok(QueueKind::Calendar),
-                _ => Err(DecodeError::new("invalid queue-kind tag")),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -478,7 +478,7 @@ impl TopologyView {
         self.merge_rewiring(rewiring, latency, n_new);
         self.refresh_node_attributes(population);
         #[cfg(debug_assertions)]
-        for v in delta.retired() {
+        for &v in &delta.departed {
             debug_assert!(
                 self.edge_range(v).is_empty(),
                 "departed node {v} still holds edges — the rewiring log missed its teardown"

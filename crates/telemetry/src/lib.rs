@@ -28,8 +28,8 @@
 //! Nothing in this crate feeds back into the simulation: timers only
 //! read the clock, counters only sum events that already happened, and
 //! sinks only write out. An engine run with telemetry enabled is
-//! bit-identical to the same run with it disabled — across thread counts
-//! and queue kinds — and the determinism suite pins that contract. With
+//! bit-identical to the same run with it disabled — across thread
+//! counts — and the determinism suite pins that contract. With
 //! the handle absent the engine makes no clock reads and builds no
 //! records, so the disabled path costs nothing. The enabled cost is what
 //! roundbench reports as `trace.overhead` (the share by which the traced

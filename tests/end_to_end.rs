@@ -5,7 +5,7 @@ use perigee::core::{PerigeeConfig, PerigeeEngine, ScoringMethod};
 use perigee::experiments::{fig3, fig5, Algorithm, Scenario};
 use perigee::netsim::{
     reference, BroadcastScratch, ConnectionLimits, GossipConfig, GossipScratch, LatencyModel,
-    NodeId, QueueKind, TopologyView,
+    NodeId, QueueKind, SimTime, TopologyView,
 };
 use perigee::topology::{RandomBuilder, TopologyBuilder};
 use rand::SeedableRng;
@@ -182,8 +182,9 @@ fn end_to_end_determinism() {
 /// A message-level (INV/GETDATA) engine round end to end — closing the
 /// seed-era gap where this suite only ever exercised analytic rounds:
 /// per-round λ50/λ90 must be coherent, per-node coverage times must be
-/// monotone in the coverage fraction, and the round must be bit-identical
-/// on the calendar queue and the `BinaryHeap` reference.
+/// monotone in the coverage fraction, and the engine's evaluation (on
+/// the calendar queue) must be bit-identical to a sweep on a
+/// `BinaryHeap` reference scratch.
 #[test]
 fn gossip_mode_round_has_monotone_coverage() {
     let world = perigee::experiments::build_world(&ci_scenario(), 21);
@@ -196,33 +197,19 @@ fn gossip_mode_round_has_monotone_coverage() {
     );
     let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Subset);
     cfg.blocks_per_round = 20;
-    let build = |kind: QueueKind| {
-        let mut engine = PerigeeEngine::new(
-            world.population.clone(),
-            world.latency.clone(),
-            topo.clone(),
-            ScoringMethod::Subset,
-            cfg,
-        )
-        .expect("valid engine");
-        engine
-            .set_propagation(GossipConfig::inv_getdata(0.0))
-            .expect("a valid block config");
-        engine.set_queue_kind(kind);
-        engine
-    };
-    let mut engine = build(QueueKind::Calendar);
-    let mut reference = build(QueueKind::BinaryHeap);
+    let mut engine = PerigeeEngine::new(
+        world.population,
+        world.latency,
+        topo,
+        ScoringMethod::Subset,
+        cfg,
+    )
+    .expect("valid engine");
+    let inv = GossipConfig::inv_getdata(0.0);
+    engine.set_propagation(inv).expect("a valid block config");
 
-    let mut rng_ref = rand::rngs::StdRng::seed_from_u64(77);
     let mut rng = rand::rngs::StdRng::seed_from_u64(77);
     let stats = engine.run_round(&mut rng);
-    assert_eq!(
-        stats,
-        reference.run_round(&mut rng_ref),
-        "calendar-queue round diverged from the heap reference"
-    );
-    assert_eq!(engine.topology(), reference.topology());
     assert!(stats.mean_lambda90_ms.is_finite() && stats.mean_lambda90_ms > 0.0);
     assert!(
         stats.mean_lambda50_ms <= stats.mean_lambda90_ms,
@@ -233,10 +220,24 @@ fn gossip_mode_round_has_monotone_coverage() {
     engine.topology().assert_invariants();
 
     // Coverage monotonicity under the message-level engine: reaching a
-    // larger hash-power fraction can never be faster, for any source.
+    // larger hash-power fraction can never be faster, for any source. A
+    // heap-queue scratch sweep over the learned overlay reproduces every
+    // coverage time the calendar-queue evaluation reports.
     let fractions = [0.25, 0.5, 0.75, 0.9, 1.0];
     let per_fraction: Vec<Vec<f64>> = fractions.iter().map(|&f| engine.evaluate(f)).collect();
+    let view = TopologyView::new(engine.topology(), engine.latency(), engine.population());
+    let mut heap = GossipScratch::with_queue(QueueKind::BinaryHeap);
+    let mut coverage = vec![SimTime::ZERO; fractions.len()];
     for node in 0..ci_scenario().nodes {
+        view.gossip_into(NodeId::new(node as u32), &inv, &mut heap);
+        heap.coverage_times_into(&view, &fractions, &mut coverage);
+        for (k, t) in coverage.iter().enumerate() {
+            assert_eq!(
+                t.as_ms().to_bits(),
+                per_fraction[k][node].to_bits(),
+                "node {node}: the calendar-queue evaluation diverged from the heap reference"
+            );
+        }
         for w in per_fraction.windows(2) {
             assert!(
                 w[0][node] <= w[1][node],
