@@ -141,7 +141,20 @@ impl AddressBook {
 
     /// Inserts an address directly (e.g. a new inbound connection), evicting
     /// a pseudo-random entry if at capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the id, if `v` or `addr` is not a node of the
+    /// book's world (`≥` [`AddressBook::len`]): a refill would sample
+    /// that address and index past the population.
     pub fn insert<R: Rng + ?Sized>(&mut self, v: NodeId, addr: NodeId, rng: &mut R) {
+        for id in [v, addr] {
+            assert!(
+                id.index() < self.known.len(),
+                "address book entry {id} lies outside the {}-node world",
+                self.known.len()
+            );
+        }
         if v == addr {
             return;
         }
@@ -240,6 +253,17 @@ mod codec {
             if book.known.iter().any(|set| set.len() > book.capacity) {
                 return Err(DecodeError::new("address book exceeds its capacity"));
             }
+            // Sets are ordered, so each one's last address is its largest.
+            let world = book.known.len();
+            if book
+                .known
+                .iter()
+                .any(|set| set.last().is_some_and(|a| a.index() >= world))
+            {
+                return Err(DecodeError::new(
+                    "address book names a node outside the world",
+                ));
+            }
             Ok(book)
         }
     }
@@ -272,6 +296,14 @@ mod tests {
             book.insert(v, NodeId::new(i), &mut rng);
             assert!(book.known_count(v) <= 5);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "address book entry n6000 lies outside the 60-node world")]
+    fn insert_refuses_an_address_past_the_world() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut book = AddressBook::bootstrap(60, 4, 24, &mut rng);
+        book.insert(NodeId::new(7), NodeId::new(6000), &mut rng);
     }
 
     #[test]

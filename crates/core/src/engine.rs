@@ -785,8 +785,10 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// The config alone picks the kernel: when
     /// [`GossipConfig::is_analytic`] holds (flooding a zero-size block)
     /// the engine runs the analytic Dijkstra flood, whose arrivals and
-    /// observation rows equal the message-level event loop's bit for bit,
-    /// faults included; any other config runs the event loop.
+    /// observation rows equal the message-level engine's bit for bit,
+    /// faults included; any other config runs the message-level engine
+    /// (its label-setting kernel, with the event loop as the fallback for
+    /// exact INV ties).
     ///
     /// # Errors
     ///

@@ -30,7 +30,7 @@
 //!   the analytic Dijkstra flood when
 //!   [`GossipConfig::is_analytic`](perigee_netsim::GossipConfig::is_analytic)
 //!   holds (it equals the message-level flood bit for bit), the
-//!   message-level event loop otherwise. Three entry points measure:
+//!   message-level engine otherwise. Three entry points measure:
 //!   [`PerigeeEngine::evaluate`](engine::PerigeeEngine::evaluate) (λ per
 //!   live source), [`evaluate_topology`] (a static overlay) and
 //!   [`PerigeeEngine::observe_round`](engine::PerigeeEngine::observe_round)

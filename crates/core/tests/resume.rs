@@ -12,7 +12,8 @@
 //! stay green throughout.
 
 use perigee_core::{
-    PerigeeConfig, PerigeeEngine, RoundStats, RunSnapshot, ScoringMethod, SnapshotError,
+    AddressBook, PerigeeConfig, PerigeeEngine, RoundStats, RunSnapshot, ScoringMethod,
+    SnapshotError,
 };
 use perigee_netsim::{
     ChurnProcess, ConnectionLimits, FaultPlan, FaultWindow, GeoLatencyModel, GossipConfig,
@@ -21,6 +22,7 @@ use perigee_netsim::{
 use perigee_topology::{RandomBuilder, TopologyBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::bin::{DecodeError, Encode};
 
 /// An active plan: background loss, a mid-run burst window, flapping
 /// links and a timed partition — every fault family at once.
@@ -414,6 +416,49 @@ fn churn_schedule_outside_the_world_in_a_hash_valid_checkpoint_is_inconsistent()
     // The untouched body still decodes and resumes.
     let snapshot = RunSnapshot::from_bytes(&bytes).unwrap();
     assert!(PerigeeEngine::<GeoLatencyModel>::resume(snapshot).is_ok());
+}
+
+/// A hash-valid checkpoint whose address book names a node past the
+/// world — one address rewritten to 6000, with the content hash
+/// recomputed — is refused while decoding, as
+/// [`SnapshotError::Corrupt`], instead of resuming into a round whose
+/// refill samples that address and indexes past the population.
+#[test]
+fn address_book_entry_outside_the_world_in_a_hash_valid_checkpoint_is_corrupt() {
+    let mut rng = StdRng::seed_from_u64(61);
+    let pop = PopulationBuilder::new(60).build(&mut rng).unwrap();
+    let lat = GeoLatencyModel::new(&pop, 61);
+    let topo = RandomBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
+    let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Subset);
+    cfg.blocks_per_round = 4;
+    let mut engine = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg).unwrap();
+    engine.set_address_book(AddressBook::bootstrap(60, 4, 24, &mut rng));
+    let bytes = engine.checkpoint(&rng).to_bytes();
+    let mut book = Vec::new();
+    engine.address_book().unwrap().encode(&mut book);
+    let body_end = bytes.len() - 8;
+    let at = (16..body_end - book.len())
+        .find(|&i| bytes[i..i + book.len()] == book[..])
+        .expect("the address book is in the body");
+    // The book is its node count, then n0's address count and its
+    // ascending addresses: rewrite n0's last (largest) address.
+    let first = u64::from_le_bytes(book[8..16].try_into().unwrap()) as usize;
+    assert!(first > 0, "n0 was bootstrapped with addresses");
+    let last = at + 16 + 4 * (first - 1);
+    let mut tampered = bytes.clone();
+    tampered[last..last + 4].copy_from_slice(&6000u32.to_le_bytes());
+    let digest = serde::bin::fnv1a64(&tampered[16..body_end]);
+    tampered[body_end..].copy_from_slice(&digest.to_le_bytes());
+    assert_eq!(
+        RunSnapshot::from_bytes(&tampered).unwrap_err(),
+        SnapshotError::Corrupt(DecodeError::new(
+            "address book names a node outside the world"
+        ))
+    );
+    // The untouched body still decodes, resumes and runs a round.
+    let snapshot = RunSnapshot::from_bytes(&bytes).unwrap();
+    let (mut resumed, mut rng) = PerigeeEngine::<GeoLatencyModel>::resume(snapshot).unwrap();
+    resumed.run_round(&mut rng);
 }
 
 /// Checked-in envelopes of older format versions — version 1 (written

@@ -164,11 +164,12 @@ fn telemetry_on_and_off_are_bit_identical_in_the_hard_world() {
 /// two `*_peak` gauges watch transient queue/batch occupancy, which
 /// depends on how the work was batched and queued even when every
 /// result is identical.
-const SEMANTIC_COUNTERS: [&str; 11] = [
+const SEMANTIC_COUNTERS: [&str; 12] = [
     "gossip_pops",
     "gossip_elided",
     "gossip_relays",
     "gossip_deliveries",
+    "gossip_fallbacks",
     "flood_pops",
     "flood_relaxations",
     "flood_improvements",

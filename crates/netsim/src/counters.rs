@@ -17,15 +17,26 @@
 /// Hot-path event tallies for one scratch (or one merged round).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimCounters {
-    /// Packed gossip events popped from the priority queue.
+    /// Gossip queue pops. On the label-setting kernel, the path almost
+    /// every message takes: settle-key pops, stale entries included. On
+    /// the event loop (a fallback): packed events popped.
     pub gossip_pops: u64,
-    /// Gossip events elided as provably inert (sequence consumed, no
-    /// queue traffic; see `GossipScratch::skip_inert`).
+    /// Gossip queue work avoided. On the kernel: announce legs whose
+    /// label update queued no key (the neighbour had settled, or its key
+    /// did not move). On the event loop: events elided as provably inert
+    /// (sequence consumed, no queue traffic).
     pub gossip_elided: u64,
-    /// Announce legs relayed to neighbors (queue pushes for INV hops).
+    /// Nodes that relayed the message: one per node that announced it to
+    /// its neighbours (the same count on either path).
     pub gossip_relays: u64,
-    /// Full-block deliveries recorded into the delivery matrix.
+    /// Per-edge announcements recorded into the delivery matrix: pushes
+    /// and INVs alike, one per announce leg the fault lens did not drop
+    /// (the same count on either path).
     pub gossip_deliveries: u64,
+    /// Messages whose kernel pass met an exact INV tie and that were
+    /// re-run on the event loop. Their other gossip tallies are the
+    /// event loop's alone.
+    pub gossip_fallbacks: u64,
     /// Flood (Dijkstra) settles popped from the queue.
     pub flood_pops: u64,
     /// Directed edges scanned during flood relaxation.
@@ -60,6 +71,7 @@ impl SimCounters {
         gossip_elided: 0,
         gossip_relays: 0,
         gossip_deliveries: 0,
+        gossip_fallbacks: 0,
         flood_pops: 0,
         flood_relaxations: 0,
         flood_improvements: 0,
@@ -81,6 +93,7 @@ impl SimCounters {
         self.gossip_elided += other.gossip_elided;
         self.gossip_relays += other.gossip_relays;
         self.gossip_deliveries += other.gossip_deliveries;
+        self.gossip_fallbacks += other.gossip_fallbacks;
         self.flood_pops += other.flood_pops;
         self.flood_relaxations += other.flood_relaxations;
         self.flood_improvements += other.flood_improvements;
@@ -97,12 +110,13 @@ impl SimCounters {
     /// `(name, value)` pairs for every counter, in declaration order —
     /// the bridge into a telemetry registry or trace record without the
     /// consumer knowing the field list.
-    pub fn entries(&self) -> [(&'static str, u64); 15] {
+    pub fn entries(&self) -> [(&'static str, u64); 16] {
         [
             ("gossip_pops", self.gossip_pops),
             ("gossip_elided", self.gossip_elided),
             ("gossip_relays", self.gossip_relays),
             ("gossip_deliveries", self.gossip_deliveries),
+            ("gossip_fallbacks", self.gossip_fallbacks),
             ("flood_pops", self.flood_pops),
             ("flood_relaxations", self.flood_relaxations),
             ("flood_improvements", self.flood_improvements),
@@ -184,21 +198,22 @@ mod tests {
             gossip_elided: 2,
             gossip_relays: 3,
             gossip_deliveries: 4,
-            flood_pops: 5,
-            flood_relaxations: 6,
-            flood_improvements: 7,
-            queue_peak: 8,
-            epoch_bumps: 9,
-            epoch_refills: 10,
-            fault_drops: 11,
-            fault_delays: 12,
-            fault_dupes: 13,
-            batch_messages: 14,
-            batch_peak: 15,
+            gossip_fallbacks: 5,
+            flood_pops: 6,
+            flood_relaxations: 7,
+            flood_improvements: 8,
+            queue_peak: 9,
+            epoch_bumps: 10,
+            epoch_refills: 11,
+            fault_drops: 12,
+            fault_delays: 13,
+            fault_dupes: 14,
+            batch_messages: 15,
+            batch_peak: 16,
         };
         let entries = c.entries();
         let sum: u64 = entries.iter().map(|(_, v)| v).sum();
-        assert_eq!(sum, (1..=15).sum::<u64>());
+        assert_eq!(sum, (1..=16).sum::<u64>());
         assert!(!c.is_zero());
         assert!(SimCounters::ZERO.is_zero());
     }

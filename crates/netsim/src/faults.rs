@@ -521,8 +521,9 @@ impl BlockFaults<'_> {
     }
 }
 
-/// How a propagation kernel sees its links: the flood and the gossip
-/// event loop are each written once, generic over this lens. The
+/// How a propagation kernel sees its links: the flood, the gossip kernel
+/// and the gossip event loop are each written once, generic over this
+/// lens. The
 /// zero-size [`NoFaults`] lens returns every base latency untouched and
 /// is monomorphized into the plain fault-free loop; `&BlockFaults` is
 /// the faulted one.

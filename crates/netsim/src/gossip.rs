@@ -11,50 +11,82 @@
 //! then agrees exactly with the analytic one — arrivals, coverage and
 //! per-edge deliveries, under link faults too. Engines rely on that
 //! equality: for a config where [`GossipConfig::is_analytic`] holds they
-//! run the cheaper analytic flood instead of this event loop (the
-//! proptests and the core determinism suite pin it).
+//! run the cheaper analytic flood, which writes no delivery matrix
+//! (the proptests and the core determinism suite pin it).
 //!
-//! # Architecture: one event loop over a frozen view
+//! # Architecture: a label-setting kernel, with the event loop as its fallback
 //!
 //! Like the analytic path ([`TopologyView::broadcast_into`] +
 //! [`BroadcastScratch`](crate::BroadcastScratch)), the hot path here is a
-//! [`TopologyView`] plus a reusable [`GossipScratch`]. One event loop
-//! serves every entry point: [`TopologyView::gossip_batch_into`] runs it
-//! over a batch of messages, and [`TopologyView::gossip_into`] /
-//! [`TopologyView::gossip_into_faulted`] run it over a batch of one. The
-//! loop is generic over a crate-private link-fault lens, so the
-//! fault-free instance compiles to the plain loop and the faulted one
-//! reads the same code. Every fan-out policy is a push prefix of the
-//! announcer's CSR row followed by INVs: flooding pushes every leg,
-//! INV/GETDATA none, push/pull its first `push_degree`.
+//! [`TopologyView`] plus a reusable [`GossipScratch`]. Every entry point
+//! runs the same per-message pass: [`TopologyView::gossip_batch_into`]
+//! over a batch of messages, [`TopologyView::gossip_into`] /
+//! [`TopologyView::gossip_into_faulted`] over a batch of one. The pass is
+//! generic over a crate-private link-fault lens, so the fault-free
+//! instance compiles to the plain code and the faulted one reads the same
+//! code. Every fan-out policy is a push prefix of the announcer's CSR row
+//! followed by INVs: flooding pushes every leg, INV/GETDATA none,
+//! push/pull its first `push_degree`.
 //!
-//! Events are single packed `u128` words (time bits · insertion sequence
-//! · kind · CSR edge index — no boxed events, no per-event allocation) in
-//! one reusable [`PackedQueue`] — the calendar queue of [`crate::pq`] by
-//! default, the reference `BinaryHeap` on request, bit-identical pop
-//! order either way — and deliveries land in a flat per-edge matrix
-//! indexed by the view's CSR edge offsets (replacing one `BTreeMap` per
-//! node per block). Two structural wins over the generic queue: a node
-//! announces at most once, so each directed edge carries exactly one
-//! announcement whose delivery time is final at *schedule* time (written
-//! straight to the matrix), and events that can no longer have any
-//! effect — an INV to a node that already requested, a flood BLOCK to a
-//! node that already holds it — never enter the queue at all, only
-//! consuming their insertion-sequence number so every later tie-break
-//! stays exact. All per-message state is *epoch-stamped*: each
-//! delivery-matrix entry and each node's "holds it" / "requested it"
-//! stamp carries the number of the message that last wrote it, so moving
-//! on to the next message is one integer bump instead of an O(n + m)
-//! refill — entries stamped by an older message simply read as unset.
-//! After the first message of a given network size, simulating further
-//! messages performs no heap allocation.
+//! **The kernel.** Everything the message leaves behind follows from its
+//! per-node *have-times*. A node announces once, at `relay(u)`: its
+//! have-time plus validation, or `∞` for a silent node or a withholding
+//! miner. So every delivery-matrix entry is `relay(u)` plus the announce
+//! leg (plus the transfer, for a push), final as soon as `relay(u)` is
+//! known. And `have(v)` is a minimum: of the earliest push arrival, and of
+//! the block pulled from the announcer of `v`'s earliest INV, whose
+//! GETDATA and BLOCK legs are reliable. One Dijkstra-like pass therefore
+//! computes the whole message. Nodes settle in have-time order on the
+//! scratch's [`PackedQueue`], keyed `(have.to_bits(), node)` like the
+//! analytic flood. A settling node writes its row's deliveries and offers
+//! each neighbour a push or an INV. An earlier INV can come from an
+//! announcer with a slower round trip, so a node's key can *rise*: queue
+//! entries are lazy, and a pop is skipped when its node has settled or its
+//! time is no longer the node's key. Every key pushed is ≥ the pop that
+//! produced it, so the calendar queue's monotone contract holds. A message
+//! costs about one pop per node and one relaxation per directed edge.
 //!
-//! The engine is bit-identical to the seed's event-queue engine, kept as
+//! **The tie rule.** Only one choice of the event loop depends on order
+//! alone. When two INVs reach a node at the same float time, it requests
+//! from the one with the lower insertion sequence, and the kernel keeps no
+//! sequence numbers. So the kernel detects that tie: two equal-time INVs
+//! whose pulled blocks would land at different times, either of them
+//! before the node's best push. It also counts when the later INV reaches
+//! a node already settled by an INV, which is possible only over
+//! zero-latency legs. On a tie the message goes back to the event loop,
+//! which recomputes it under a fresh epoch. The kernel pass's tallies are
+//! dropped, so a fallback leaves the event loop's tallies plus one
+//! [`SimCounters::gossip_fallbacks`]. Continuous latencies practically
+//! never tie; integer-valued ones (metric grids, co-located pairs) do.
+//!
+//! **The event loop** stays private, as the one exact path for tied
+//! inputs. Its events are single packed `u128` words (time bits ·
+//! insertion sequence · kind · CSR edge index — no boxed events, no
+//! per-event allocation) in the same reusable queue, and it writes the
+//! same per-edge delivery matrix. A node announces at most once, so each
+//! directed edge carries exactly one announcement whose delivery time is
+//! final at *schedule* time (written straight to the matrix), and events
+//! that can no longer have any effect — an INV to a node that already
+//! requested, a flood BLOCK to a node that already holds it — never enter
+//! the queue at all, only consuming their insertion-sequence number so
+//! every later tie-break stays exact.
+//!
+//! **Epochs.** All per-message state is *epoch-stamped*: each
+//! delivery-matrix entry, each node's "holds it" stamp and each node's
+//! kernel label (or, on the event loop, "requested it" stamp) carries the
+//! number of the message that last wrote it, so moving on to the next
+//! message is one integer bump instead of an O(n + m) refill — entries
+//! stamped by an older message simply read as unset. The kernel takes one
+//! bump per message and a fallback one more. After the first message of a
+//! given network size, simulating further messages performs no heap
+//! allocation, except that the first fallbacks may grow the queue to the
+//! event loop's size.
+//!
+//! Both paths are bit-identical to the seed's event-queue engine, kept as
 //! the oracle [`reference::gossip_block`](crate::reference::gossip_block):
-//! side-effectful events are scheduled in the same order and pop in the
-//! same order, with time ties broken by insertion sequence exactly as
-//! [`EventQueue`](crate::EventQueue) did (checked event for event by
-//! `tests/gossip_legacy.rs`).
+//! the same arrivals and the same per-neighbour delivery logs
+//! (`tests/gossip_legacy.rs` on continuous latencies, `tests/gossip_ties.rs`
+//! on an exact-tie grid where the fallback runs).
 
 use crate::bandwidth::TransferModel;
 use crate::counters::SimCounters;
@@ -273,13 +305,66 @@ fn event_payload(word: u128) -> usize {
     (word as u32 & 0x3FFF_FFFF) as usize
 }
 
-/// Reusable message-level simulation state: the packed event queue,
-/// epoch-stamped per-node flags, the first-arrival vector and the flat
-/// per-edge delivery matrix.
+/// The kernel's settle key in the same `u128` queue: the have-time bits
+/// over the node id, so integer order is "by time, ties by ascending node
+/// id", the analytic flood's `(time.to_bits(), node)` order.
+#[inline]
+fn pack_settle(time: SimTime, node: u32) -> u128 {
+    ((time.as_ms().to_bits() as u128) << 64) | node as u128
+}
+
+/// A node's tentative labels in the label-setting kernel. They belong to
+/// the message whose epoch `stamp` carries; an older stamp reads as
+/// [`Label::UNSET`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Label {
+    stamp: u32,
+    /// The earliest push arrival offered so far.
+    push: SimTime,
+    /// The earliest INV arrival so far.
+    inv: SimTime,
+    /// When the block requested from that INV's announcer would land.
+    pull: SimTime,
+}
+
+impl Label {
+    const UNSET: Label = Label {
+        stamp: 0,
+        push: SimTime::INFINITY,
+        inv: SimTime::INFINITY,
+        pull: SimTime::INFINITY,
+    };
+
+    /// The node's have-time if it settled now. Raw `f64` compares, like
+    /// the analytic flood: times are never NaN and never `-0.0`.
+    #[inline]
+    fn key(&self) -> SimTime {
+        if self.push.as_ms() <= self.pull.as_ms() {
+            self.push
+        } else {
+            self.pull
+        }
+    }
+}
+
+/// The length of the push prefix of every announcer's row under `mode`.
+#[inline]
+fn push_degree(mode: GossipMode) -> u32 {
+    match mode {
+        GossipMode::Flood => u32::MAX,
+        GossipMode::InvGetData => 0,
+        GossipMode::PushPull { push_degree } => push_degree,
+    }
+}
+
+/// Reusable message-level simulation state: the packed queue, the
+/// epoch-stamped per-node flags and kernel labels, the first-arrival
+/// vector and the flat per-edge delivery matrix.
 ///
 /// Create once per worker thread and reuse across blocks; after the first
 /// block of a given network size, subsequent blocks perform no heap
-/// allocation. The delivery matrix is indexed by the view's CSR edge
+/// allocation (bar a fallback growing the queue, see the module docs).
+/// The delivery matrix is indexed by the view's CSR edge
 /// offsets: entry `e` ([`GossipScratch::delivery`]) is the first time
 /// `edges[e]` announced (INV mode) or delivered (flood mode) the block to
 /// the row owner of `e` (`INFINITY` if it never did) — the flat
@@ -289,23 +374,28 @@ fn event_payload(word: u128) -> usize {
 #[derive(Debug, Clone, Default)]
 pub struct GossipScratch {
     source: NodeId,
-    /// Min-queue of packed event words (see [`pack_event`]); calendar or
-    /// reference heap per [`GossipScratch::with_queue`]. Only events
-    /// with a possible side effect are ever pushed; provably-inert ones
-    /// (an INV to a node that has already requested, a flood BLOCK to a
-    /// node that already holds it) only consume a sequence number, so the
-    /// pop order of the rest replays the legacy queue exactly.
+    /// Min-queue of packed `u128` words; calendar or reference heap per
+    /// [`GossipScratch::with_queue`]. The kernel queues settle keys (see
+    /// [`pack_settle`]); the event loop queues events (see
+    /// [`pack_event`]). On the event loop only events with a possible
+    /// side effect are ever pushed; provably-inert ones (an INV to a node
+    /// that has already requested, a flood BLOCK to a node that already
+    /// holds it) only consume a sequence number, so the pop order of the
+    /// rest replays the legacy queue exactly.
     queue: PackedQueue<u128>,
-    /// Next insertion sequence (reset per message). Counts every event
-    /// the legacy engine would have scheduled, pushed or not.
+    /// Next insertion sequence of the event loop (reset per message).
+    /// Counts every event the legacy engine would have scheduled, pushed
+    /// or not.
     seq: u32,
     /// Per-node "holds the message" epoch stamps: node `v` holds the
-    /// current message iff `seen_stamp[v] == epoch`. Also gates
-    /// `first_arrival` validity inside a batch, replacing the
-    /// per-message O(n) `INFINITY` refill.
+    /// current message iff `seen_stamp[v] == epoch` (on the kernel path:
+    /// `v` has settled). Also gates `first_arrival` validity inside a
+    /// batch, replacing the per-message O(n) `INFINITY` refill.
     seen_stamp: Vec<u32>,
-    /// Per-node "already sent a GETDATA" epoch stamps.
+    /// Per-node "already sent a GETDATA" epoch stamps of the event loop.
     req_stamp: Vec<u32>,
+    /// Per-node kernel labels, epoch-stamped like the flags.
+    labels: Vec<Label>,
     first_arrival: Vec<SimTime>,
     /// Per-edge first announcement/delivery times; valid only where
     /// `delivery_stamp` carries the current `epoch`.
@@ -377,13 +467,13 @@ impl GossipScratch {
         check_payload_cap(nodes, directed_edges)?;
         Ok(GossipScratch {
             source: NodeId::new(0),
-            // INV mode fires ~1 event per directed edge plus ~3 per node,
-            // but inert events never reach the queue and only a fraction
-            // of the rest is pending at once.
-            queue: PackedQueue::with_kind_and_capacity(kind, directed_edges / 2 + nodes),
+            // The kernel queues about one key per node; only a fallback
+            // to the event loop grows the queue past that.
+            queue: PackedQueue::with_kind_and_capacity(kind, nodes),
             seq: 0,
             seen_stamp: Vec::new(),
             req_stamp: Vec::new(),
+            labels: Vec::new(),
             first_arrival: Vec::with_capacity(nodes),
             delivery: Vec::with_capacity(directed_edges),
             delivery_stamp: Vec::with_capacity(directed_edges),
@@ -556,31 +646,66 @@ impl GossipScratch {
     /// a fresh epoch.
     ///
     /// Sets `epoch` to the stamp *preceding* the batch's first message;
-    /// the per-message loop bumps it before simulating each message.
+    /// the per-message loop bumps it before simulating each message. The
+    /// reservation covers the kernel's one bump per message; a fallback's
+    /// extra bump checks the wrap itself ([`GossipScratch::bump_epoch`]).
     fn reset_batch(&mut self, nodes: usize, directed_edges: usize, batch_len: usize) {
         if self.delivery.len() != directed_edges
             || self.seen_stamp.len() != nodes
             || (self.epoch as u64) + (batch_len as u64) > u32::MAX as u64
         {
-            self.counters.epoch_refills += 1;
-            self.delivery.clear();
-            self.delivery.resize(directed_edges, SimTime::INFINITY);
-            self.delivery_stamp.clear();
-            self.delivery_stamp.resize(directed_edges, 0);
-            self.seen_stamp.clear();
-            self.seen_stamp.resize(nodes, 0);
-            self.req_stamp.clear();
-            self.req_stamp.resize(nodes, 0);
-            self.epoch = 0;
+            self.refill_stamps(nodes, directed_edges);
         }
         self.first_arrival.clear();
         self.first_arrival.resize(nodes, SimTime::INFINITY);
+    }
+
+    /// The full O(n + m) refill: every stamped buffer reads as unset and
+    /// the counter restarts at 0.
+    fn refill_stamps(&mut self, nodes: usize, directed_edges: usize) {
+        self.counters.epoch_refills += 1;
+        self.delivery.clear();
+        self.delivery.resize(directed_edges, SimTime::INFINITY);
+        self.delivery_stamp.clear();
+        self.delivery_stamp.resize(directed_edges, 0);
+        self.seen_stamp.clear();
+        self.seen_stamp.resize(nodes, 0);
+        self.req_stamp.clear();
+        self.req_stamp.resize(nodes, 0);
+        self.labels.clear();
+        self.labels.resize(nodes, Label::UNSET);
+        self.epoch = 0;
+    }
+
+    /// Starts a fresh message epoch, refilling the stamps first if the
+    /// counter would wrap.
+    #[inline]
+    fn bump_epoch(&mut self) {
+        if self.epoch == u32::MAX {
+            self.refill_stamps(self.seen_stamp.len(), self.delivery.len());
+        }
+        self.epoch += 1;
+        self.counters.epoch_bumps += 1;
     }
 
     /// Whether `v` holds the current message.
     #[inline]
     fn seen(&self, v: usize) -> bool {
         self.seen_stamp[v] == self.epoch
+    }
+
+    /// `v`'s kernel labels for the current message.
+    #[inline]
+    fn label(&self, v: usize) -> Label {
+        let label = self.labels[v];
+        if label.stamp == self.epoch {
+            label
+        } else {
+            Label {
+                stamp: self.epoch,
+                ..Label::UNSET
+            }
+        }
     }
 
     /// Whether `v` already sent a GETDATA for the current message.
@@ -636,14 +761,16 @@ impl TopologyView {
     /// level, writing arrivals and the per-edge delivery matrix into
     /// `scratch` without allocating (after `scratch` has warmed up to this
     /// network size once). A single message is a batch of one: this runs
-    /// the same event loop as [`TopologyView::gossip_batch_into`].
+    /// the same kernel, with the same event-loop fallback, as
+    /// [`TopologyView::gossip_batch_into`] (see the module docs).
     ///
-    /// Behaviour matches the seed's event-queue engine,
-    /// [`reference::gossip_block`](crate::reference::gossip_block), event
-    /// for event: identical schedule order, identical time-tie
-    /// insertion-sequence break, identical `δ(u,v)` call directions
-    /// (cached per directed edge), identical transfer-time floats. In [`GossipMode::Flood`] with negligible
-    /// transfer the arrivals are additionally bit-identical to
+    /// Arrivals and delivery logs equal the seed's event-queue engine,
+    /// [`reference::gossip_block`](crate::reference::gossip_block), bit
+    /// for bit: the same `δ(u,v)` call directions (cached per directed
+    /// edge), the same float order for every leg sum and the same
+    /// transfer-time floats, with exact INV ties resolved by its
+    /// insertion sequence on the fallback. In [`GossipMode::Flood`] with
+    /// negligible transfer the arrivals are additionally bit-identical to
     /// [`TopologyView::broadcast_into`].
     ///
     /// # Panics
@@ -657,14 +784,15 @@ impl TopologyView {
     /// [`TopologyView::gossip_into`] with a link-fault lens applied to
     /// every announcement leg (the flood-mode block push / the INV), per
     /// the [`faults`](crate::faults) module contract: a dropped or
-    /// down-link announcement records no delivery and consumes exactly
-    /// one sequence number (like an inert event), so the tie-break
-    /// numbering of every later event — and therefore the pop order on
-    /// both queue kinds — is unchanged. GETDATA and the block transfer it
-    /// pulls are reliable-but-slowed ([`BlockFaults::scaled`]): a
-    /// delivered INV can always complete.
+    /// down-link announcement records no delivery and offers its
+    /// neighbour nothing (on the event loop it consumes exactly one
+    /// sequence number, like an inert event, so the tie-break numbering
+    /// of every later event is unchanged). GETDATA and the block transfer
+    /// it pulls are reliable-but-slowed ([`BlockFaults::scaled`]): a
+    /// delivered INV can always complete. The lens sees every announce
+    /// leg exactly once on either path, so the fault tallies match.
     ///
-    /// With `faults: None` the loop runs on the no-fault lens, and with
+    /// With `faults: None` the pass runs on the no-fault lens, and with
     /// an inert plan the lens returns every base delay bitwise, so both
     /// are bit-identical to the fault-free run.
     ///
@@ -689,16 +817,15 @@ impl TopologyView {
         }
     }
 
-    /// Simulates a batch of messages through **one shared announcement
-    /// pass** over the scratch: per-node epoch stamps replace the O(n)
-    /// flag and arrival-vector resets, so each message inside the batch
-    /// costs a single epoch bump plus its own event traffic. With tens
-    /// of thousands of small messages per round this amortization is the
-    /// difference between the reset dominating and the event loop
-    /// dominating.
+    /// Simulates a batch of messages through **one shared scratch**:
+    /// per-node epoch stamps replace the O(n) flag, label and
+    /// arrival-vector resets, so each message inside the batch costs a
+    /// single epoch bump plus its own kernel pass. With tens of thousands
+    /// of small messages per round this amortization is the difference
+    /// between the reset dominating and the propagation dominating.
     ///
     /// Messages are simulated strictly in batch order, each from time
-    /// zero. After each message's queue drains, `visit(i, scratch)` runs
+    /// zero. After each message's pass ends, `visit(i, scratch)` runs
     /// with the scratch exposing *that message's* results:
     /// [`GossipScratch::batch_arrival`], [`GossipScratch::batch_reached`],
     /// [`GossipScratch::batch_coverage_times_into`],
@@ -730,8 +857,9 @@ impl TopologyView {
         self.gossip_loop(batch, scratch, NoFaults, visit);
     }
 
-    /// The one message-level event loop behind every gossip entry point,
-    /// over the links as the lens `faults` sees them.
+    /// The one per-message pass behind every gossip entry point, over the
+    /// links as the lens `faults` sees them: the label-setting kernel,
+    /// and the event loop for a message whose kernel pass met a tie.
     fn gossip_loop<L, F>(
         &self,
         batch: &[BatchMessage],
@@ -747,9 +875,9 @@ impl TopologyView {
         if let Err(e) = check_payload_cap(n, m) {
             panic!("{e}");
         }
-        // A negative size would schedule deliveries behind the queue's
-        // cursor and a NaN one would poison the event order: refuse the
-        // batch before any event is queued.
+        // A negative size would queue keys behind the queue's cursor and
+        // a NaN one would poison their order: refuse the batch before
+        // anything is queued.
         for msg in batch {
             if let Err(e) = msg.config.transfer.validate() {
                 panic!("{e}");
@@ -757,131 +885,250 @@ impl TopologyView {
         }
         scratch.reset_batch(n, m, batch.len());
         for (i, msg) in batch.iter().enumerate() {
-            scratch.epoch += 1;
-            scratch.counters.epoch_bumps += 1;
-            scratch.queue.clear();
-            scratch.seq = 0;
-            scratch.source = msg.source;
-            let config = &msg.config;
-            // Adding a zero transfer is a bitwise no-op on non-negative
-            // times, so the negligible-block default skips the per-edge
-            // computation.
-            let no_transfer = config.transfer.block_size_mb() == 0.0;
-            // Every mode is a push prefix of each announcer's row followed
-            // by INVs: flooding pushes every leg, INV/GETDATA none.
-            let push_degree = match config.mode {
-                GossipMode::Flood => u32::MAX,
-                GossipMode::InvGetData => 0,
-                GossipMode::PushPull { push_degree } => push_degree,
-            };
-            let src = msg.source.index();
-            scratch.seen_stamp[src] = scratch.epoch;
-            scratch.first_arrival[src] = SimTime::ZERO;
-            // The miner announces immediately (no validation of its own
-            // block), unless it is a withholding adversary.
-            let relay0 = self.relay[src].relay_time(SimTime::ZERO, true);
-            if relay0.is_finite() {
-                scratch.schedule(relay0, EventKind::Announce, msg.source.as_u32());
+            let before = scratch.counters;
+            scratch.bump_epoch();
+            if !self.settle(msg, scratch, faults) {
+                // A fallback counts as the event loop alone: the kernel
+                // pass's tallies are dropped, not doubled.
+                scratch.counters = before;
+                scratch.bump_epoch();
+                self.event_loop(msg, scratch, faults);
+                scratch.counters.gossip_fallbacks += 1;
             }
+            visit(i, scratch);
+        }
+    }
 
-            while let Some(word) = scratch.queue.pop() {
-                scratch.counters.gossip_pops += 1;
-                let t = event_time(word);
-                match event_kind(word) {
-                    k if k == EventKind::Announce as u32 => {
-                        // Payload: the announcing node u. A node announces
-                        // at most once, so each directed edge carries
-                        // exactly one push or INV: its delivery time is
-                        // final at schedule time and is written here
-                        // directly. Events that can no longer have any
-                        // other effect — the target already holds the
-                        // message (push) or has already requested it (INV)
-                        // — are provably no-ops at pop and skip the queue,
-                        // consuming only their sequence number, as does an
-                        // announcement the lens drops.
-                        scratch.counters.gossip_relays += 1;
-                        let u = event_payload(word);
-                        let (start, end) = (self.offsets[u], self.offsets[u + 1]);
-                        let row = self.edges[start..end]
-                            .iter()
-                            .zip(&self.delay[start..end])
-                            .zip(&self.reverse[start..end]);
-                        for (k, ((&v, &base), &rev)) in row.enumerate() {
-                            let Some(leg) = faults.announce(start + k, base, &mut scratch.counters)
-                            else {
-                                scratch.skip_inert();
-                                continue;
-                            };
-                            let vi = v as usize;
-                            if (k as u32) < push_degree {
-                                let tv = if no_transfer {
-                                    t + leg
-                                } else {
-                                    t + leg + self.edge_transfer(config, u, vi)
-                                };
-                                scratch.record_delivery(rev as usize, tv);
-                                if scratch.seen(vi) {
-                                    scratch.skip_inert();
-                                } else {
-                                    scratch.schedule(tv, EventKind::Block, v);
-                                }
+    /// The label-setting kernel (see the module docs): settles the
+    /// current message's nodes in have-time order, writing arrivals and
+    /// the delivery matrix under the current epoch. Returns `false` as
+    /// soon as an exact INV tie could decide a have-time; the caller then
+    /// re-runs the message on the event loop under a fresh epoch, which
+    /// rewrites every arrival and delivery written here (the reached set
+    /// does not depend on ties).
+    fn settle<L: FaultLens>(
+        &self,
+        msg: &BatchMessage,
+        scratch: &mut GossipScratch,
+        faults: L,
+    ) -> bool {
+        let config = &msg.config;
+        let push_degree = push_degree(config.mode);
+        let src = msg.source.as_u32();
+        scratch.source = msg.source;
+        scratch.queue.clear();
+        scratch.labels[src as usize] = Label {
+            stamp: scratch.epoch,
+            push: SimTime::ZERO,
+            ..Label::UNSET
+        };
+        scratch.queue.push(pack_settle(SimTime::ZERO, src));
+        while let Some(word) = scratch.queue.pop() {
+            scratch.counters.gossip_pops += 1;
+            let u = word as u32;
+            let ui = u as usize;
+            if scratch.seen(ui) || word != pack_settle(scratch.labels[ui].key(), u) {
+                continue; // settled already, or its key has moved since
+            }
+            let t = event_time(word);
+            scratch.seen_stamp[ui] = scratch.epoch;
+            scratch.first_arrival[ui] = t;
+            // The miner announces its own block without validating it.
+            let relay = self.relay[ui].relay_time(t, u == src);
+            if relay.is_infinite() {
+                continue; // silent, or a withholding miner
+            }
+            scratch.counters.gossip_relays += 1;
+            let (start, end) = (self.offsets[ui], self.offsets[ui + 1]);
+            let row = self.edges[start..end]
+                .iter()
+                .zip(&self.delay[start..end])
+                .zip(&self.reverse[start..end]);
+            for (k, ((&v, &base), &rev)) in row.enumerate() {
+                let e = start + k;
+                let Some(leg) = faults.announce(e, base, &mut scratch.counters) else {
+                    continue; // dropped, or the link is down
+                };
+                let (v, rev) = (v as usize, rev as usize);
+                let push = (k as u32) < push_degree;
+                let tv = if push {
+                    relay + leg + self.edge_transfer(config, ui, v)
+                } else {
+                    relay + leg
+                };
+                scratch.record_delivery(rev, tv);
+                let settled = scratch.seen(v);
+                let mut label = scratch.label(v);
+                let before = label.key();
+                let moved = if push {
+                    // A settled node's have-time is final.
+                    let lower = !settled && tv.as_ms() < label.push.as_ms();
+                    if lower {
+                        label.push = tv;
+                    }
+                    lower
+                } else if tv.as_ms() <= label.inv.as_ms() {
+                    // The event loop's float order: the GETDATA leg, then
+                    // the BLOCK leg, then the transfer.
+                    let pull = tv
+                        + faults.reliable(rev, self.delay[rev])
+                        + faults.reliable(e, self.delay[e])
+                        + self.edge_transfer(config, ui, v);
+                    if tv.as_ms() == label.inv.as_ms() {
+                        if pull != label.pull
+                            && pull.as_ms().min(label.pull.as_ms()) < label.push.as_ms()
+                        {
+                            return false; // which INV wins is up to sequence order
+                        }
+                        false
+                    } else if settled {
+                        // Only a node settled by a push can still hear an
+                        // earlier INV, and no pull undercuts that push.
+                        false
+                    } else {
+                        label.inv = tv;
+                        label.pull = pull;
+                        true
+                    }
+                } else {
+                    false
+                };
+                if moved {
+                    scratch.labels[v] = label;
+                    if label.key() != before {
+                        scratch.queue.push(pack_settle(label.key(), v as u32));
+                        continue;
+                    }
+                }
+                scratch.counters.gossip_elided += 1;
+            }
+            scratch.counters.queue_peak =
+                scratch.counters.queue_peak.max(scratch.queue.len() as u64);
+        }
+        true
+    }
+
+    /// The message-level event loop, exact on every input, INV ties
+    /// included: the kernel's fallback. It simulates the current message
+    /// under the current epoch, event for event like the oracle
+    /// [`reference::gossip_block`](crate::reference::gossip_block):
+    /// the same schedule order and the same time-tie insertion-sequence
+    /// break.
+    fn event_loop<L: FaultLens>(&self, msg: &BatchMessage, scratch: &mut GossipScratch, faults: L) {
+        scratch.queue.clear();
+        scratch.seq = 0;
+        scratch.source = msg.source;
+        let config = &msg.config;
+        // Adding a zero transfer is a bitwise no-op on non-negative
+        // times, so the negligible-block default skips the per-edge
+        // computation.
+        let no_transfer = config.transfer.block_size_mb() == 0.0;
+        let push_degree = push_degree(config.mode);
+        let src = msg.source.index();
+        scratch.seen_stamp[src] = scratch.epoch;
+        scratch.first_arrival[src] = SimTime::ZERO;
+        // The miner announces immediately (no validation of its own
+        // block), unless it is a withholding adversary.
+        let relay0 = self.relay[src].relay_time(SimTime::ZERO, true);
+        if relay0.is_finite() {
+            scratch.schedule(relay0, EventKind::Announce, msg.source.as_u32());
+        }
+
+        while let Some(word) = scratch.queue.pop() {
+            scratch.counters.gossip_pops += 1;
+            let t = event_time(word);
+            match event_kind(word) {
+                k if k == EventKind::Announce as u32 => {
+                    // Payload: the announcing node u. A node announces
+                    // at most once, so each directed edge carries
+                    // exactly one push or INV: its delivery time is
+                    // final at schedule time and is written here
+                    // directly. Events that can no longer have any
+                    // other effect — the target already holds the
+                    // message (push) or has already requested it (INV)
+                    // — are provably no-ops at pop and skip the queue,
+                    // consuming only their sequence number, as does an
+                    // announcement the lens drops.
+                    scratch.counters.gossip_relays += 1;
+                    let u = event_payload(word);
+                    let (start, end) = (self.offsets[u], self.offsets[u + 1]);
+                    let row = self.edges[start..end]
+                        .iter()
+                        .zip(&self.delay[start..end])
+                        .zip(&self.reverse[start..end]);
+                    for (k, ((&v, &base), &rev)) in row.enumerate() {
+                        let Some(leg) = faults.announce(start + k, base, &mut scratch.counters)
+                        else {
+                            scratch.skip_inert();
+                            continue;
+                        };
+                        let vi = v as usize;
+                        if (k as u32) < push_degree {
+                            let tv = if no_transfer {
+                                t + leg
                             } else {
-                                let tv = t + leg;
-                                scratch.record_delivery(rev as usize, tv);
-                                if scratch.seen(vi) || scratch.pulled(vi) {
-                                    scratch.skip_inert();
-                                } else {
-                                    scratch.schedule(tv, EventKind::Inv, rev);
-                                }
+                                t + leg + self.edge_transfer(config, u, vi)
+                            };
+                            scratch.record_delivery(rev as usize, tv);
+                            if scratch.seen(vi) {
+                                scratch.skip_inert();
+                            } else {
+                                scratch.schedule(tv, EventKind::Block, v);
+                            }
+                        } else {
+                            let tv = t + leg;
+                            scratch.record_delivery(rev as usize, tv);
+                            if scratch.seen(vi) || scratch.pulled(vi) {
+                                scratch.skip_inert();
+                            } else {
+                                scratch.schedule(tv, EventKind::Inv, rev);
                             }
                         }
                     }
-                    k if k == EventKind::Inv as u32 => {
-                        // Payload: the entry for the announcer u within
-                        // the announced-to node v's row (the delivery was
-                        // already recorded at schedule time).
-                        let rev = event_payload(word);
-                        let fwd = self.reverse[rev] as usize;
-                        let v = self.edges[fwd] as usize;
-                        if !scratch.seen(v) && !scratch.pulled(v) {
-                            scratch.req_stamp[v] = scratch.epoch;
-                            let leg = faults.reliable(rev, self.delay[rev]);
-                            scratch.schedule(t + leg, EventKind::GetData, fwd as u32);
-                        }
+                }
+                k if k == EventKind::Inv as u32 => {
+                    // Payload: the entry for the announcer u within
+                    // the announced-to node v's row (the delivery was
+                    // already recorded at schedule time).
+                    let rev = event_payload(word);
+                    let fwd = self.reverse[rev] as usize;
+                    let v = self.edges[fwd] as usize;
+                    if !scratch.seen(v) && !scratch.pulled(v) {
+                        scratch.req_stamp[v] = scratch.epoch;
+                        let leg = faults.reliable(rev, self.delay[rev]);
+                        scratch.schedule(t + leg, EventKind::GetData, fwd as u32);
                     }
-                    k if k == EventKind::GetData as u32 => {
-                        // Payload: the announcer u's entry for the
-                        // requester v (u must hold the message, since it
-                        // announced).
-                        let e = event_payload(word);
-                        debug_assert!(scratch.seen(self.edges[self.reverse[e] as usize] as usize));
-                        let v = self.edges[e];
-                        let leg = faults.reliable(e, self.delay[e]);
-                        let transfer = if no_transfer {
-                            SimTime::ZERO
-                        } else {
-                            let u = self.edges[self.reverse[e] as usize] as usize;
-                            self.edge_transfer(config, u, v as usize)
-                        };
-                        scratch.schedule(t + leg + transfer, EventKind::Block, v);
+                }
+                k if k == EventKind::GetData as u32 => {
+                    // Payload: the announcer u's entry for the
+                    // requester v (u must hold the message, since it
+                    // announced).
+                    let e = event_payload(word);
+                    debug_assert!(scratch.seen(self.edges[self.reverse[e] as usize] as usize));
+                    let v = self.edges[e];
+                    let leg = faults.reliable(e, self.delay[e]);
+                    let transfer = if no_transfer {
+                        SimTime::ZERO
+                    } else {
+                        let u = self.edges[self.reverse[e] as usize] as usize;
+                        self.edge_transfer(config, u, v as usize)
+                    };
+                    scratch.schedule(t + leg + transfer, EventKind::Block, v);
+                }
+                _ => {
+                    // Block. Payload: the receiving node v.
+                    let v = event_payload(word);
+                    if scratch.seen(v) {
+                        continue;
                     }
-                    _ => {
-                        // Block. Payload: the receiving node v.
-                        let v = event_payload(word);
-                        if scratch.seen(v) {
-                            continue;
-                        }
-                        scratch.seen_stamp[v] = scratch.epoch;
-                        scratch.first_arrival[v] = t;
-                        let relay = self.relay[v].relay_time(t, false);
-                        if relay.is_finite() {
-                            scratch.schedule(relay, EventKind::Announce, v as u32);
-                        }
+                    scratch.seen_stamp[v] = scratch.epoch;
+                    scratch.first_arrival[v] = t;
+                    let relay = self.relay[v].relay_time(t, false);
+                    if relay.is_finite() {
+                        scratch.schedule(relay, EventKind::Announce, v as u32);
                     }
                 }
             }
-
-            visit(i, scratch);
         }
     }
 
@@ -898,9 +1145,10 @@ impl TopologyView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultPlan, LinkFaultRates, LinkFlaps, RegionalWindow};
     use crate::graph::{ConnectionLimits, Topology};
-    use crate::latency::{GeoLatencyModel, LatencyModel};
-    use crate::node::Behavior;
+    use crate::latency::{GeoLatencyModel, LatencyModel, MetricLatencyModel};
+    use crate::node::{Behavior, NodeProfile, Region};
     use crate::population::{Population, PopulationBuilder};
     use crate::reference;
     use crate::view::BroadcastScratch;
@@ -944,6 +1192,162 @@ mod tests {
         let mut out = [SimTime::ZERO];
         s.coverage_times_into(view, &[fraction], &mut out);
         out[0]
+    }
+
+    /// A `side`×`side` integer grid at 10 ms per unit with 4-neighbour
+    /// links and zero validation: equal-time INVs from different
+    /// announcers are common here, so the kernel falls back.
+    fn tie_grid(side: u32) -> (Population, MetricLatencyModel, Topology) {
+        let n = (side * side) as usize;
+        let profiles = (0..side * side)
+            .map(|i| NodeProfile {
+                coords: vec![f64::from(i / side), f64::from(i % side)],
+                hash_power: 1.0,
+                validation_delay: SimTime::ZERO,
+                uplink_mbps: [10.0, 40.0, 20.0][i as usize % 3],
+                downlink_mbps: 100.0,
+                ..NodeProfile::default()
+            })
+            .collect();
+        let pop = Population::from_profiles(profiles).unwrap();
+        let lat = MetricLatencyModel::new(&pop, 10.0);
+        let mut topo = Topology::new(n, ConnectionLimits::unlimited());
+        for i in 0..side * side {
+            if i % side + 1 < side {
+                topo.connect(NodeId::new(i), NodeId::new(i + 1)).unwrap();
+            }
+            if i + side < side * side {
+                topo.connect(NodeId::new(i), NodeId::new(i + side)).unwrap();
+            }
+        }
+        (pop, lat, topo)
+    }
+
+    /// Runs one message on the private event loop alone, as the entry
+    /// points did before the kernel.
+    fn event_loop_into(
+        view: &TopologyView,
+        msg: BatchMessage,
+        scratch: &mut GossipScratch,
+        faults: &BlockFaults<'_>,
+    ) {
+        scratch.reset_batch(view.len(), view.directed_edge_count(), 1);
+        scratch.bump_epoch();
+        view.event_loop(&msg, scratch, faults);
+    }
+
+    /// The tallies both paths must agree on: what was simulated, not how.
+    fn semantic(c: &SimCounters) -> [u64; 5] {
+        [
+            c.gossip_relays,
+            c.gossip_deliveries,
+            c.fault_drops,
+            c.fault_delays,
+            c.fault_dupes,
+        ]
+    }
+
+    #[test]
+    fn kernel_equals_the_event_loop_under_active_faults() {
+        let hostile = FaultPlan {
+            seed: 5,
+            base: LinkFaultRates {
+                drop_prob: 0.15,
+                extra_delay: SimTime::from_ms(4.0),
+                jitter: SimTime::from_ms(6.0),
+                duplicate_prob: 0.3,
+            },
+            flaps: Some(LinkFlaps {
+                fraction: 0.2,
+                period: 3,
+                down: 1,
+            }),
+            regional: vec![RegionalWindow {
+                region: Region::Europe,
+                start: 0,
+                end: 2,
+                slow_factor: 2.5,
+            }],
+            ..FaultPlan::default()
+        };
+        // Drops and flaps keep every leg a multiple of 10 ms on the
+        // grid, so ties, and fallbacks, survive the lens.
+        let lossy = FaultPlan {
+            seed: 6,
+            base: LinkFaultRates {
+                drop_prob: 0.2,
+                ..LinkFaultRates::default()
+            },
+            flaps: hostile.flaps,
+            ..FaultPlan::default()
+        };
+        let (gpop, glat, gtopo) = random_world(40, 61);
+        let (tpop, tlat, ttopo) = tie_grid(6);
+        let worlds = [
+            (TopologyView::new(&gtopo, &glat, &gpop), &gpop),
+            (TopologyView::new(&ttopo, &tlat, &tpop), &tpop),
+        ];
+        let configs = [
+            GossipConfig::flood(),
+            GossipConfig {
+                mode: GossipMode::Flood,
+                transfer: TransferModel::new(0.5),
+            },
+            GossipConfig::inv_getdata(0.0),
+            GossipConfig::inv_getdata(0.5),
+            GossipConfig::push_pull(0.0, 2),
+            GossipConfig::push_pull(0.5, 2),
+        ];
+        let mut tie_fallbacks = 0;
+        for (w, (view, pop)) in worlds.iter().enumerate() {
+            let regions: Vec<Region> = pop.iter().map(|p| p.region).collect();
+            for plan in [&hostile, &lossy] {
+                for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
+                    let mut kernel = GossipScratch::with_queue(kind);
+                    let mut events = GossipScratch::with_queue(kind);
+                    for round in 0..2 {
+                        let rf = plan.compile(round, view, &regions);
+                        assert!(!rf.is_inert(), "the plan must be active");
+                        for (j, &config) in configs.iter().enumerate() {
+                            for s in (0..view.len() as u32).step_by(3) {
+                                let msg = BatchMessage {
+                                    source: NodeId::new(s),
+                                    config,
+                                };
+                                let bf = rf.block(j * view.len() + s as usize);
+                                view.gossip_into_faulted(
+                                    msg.source,
+                                    &config,
+                                    &mut kernel,
+                                    Some(&bf),
+                                );
+                                event_loop_into(view, msg, &mut events, &bf);
+                                let what = format!(
+                                    "world {w} round {round} {config:?} from {s} on {kind:?}"
+                                );
+                                assert_eq!(kernel.arrivals(), events.arrivals(), "{what}");
+                                assert_eq!(
+                                    deliveries(view, &kernel),
+                                    deliveries(view, &events),
+                                    "{what}"
+                                );
+                                let (k, e) = (kernel.take_counters(), events.take_counters());
+                                assert_eq!(semantic(&k), semantic(&e), "{what}: tallies");
+                                if w == 1 && plan.seed == lossy.seed {
+                                    tie_fallbacks += k.gossip_fallbacks;
+                                }
+                                if k.gossip_fallbacks > 0 {
+                                    // A fallback's tallies are the event loop's alone.
+                                    assert_eq!(k.gossip_pops, e.gossip_pops, "{what}");
+                                    assert_eq!(k.gossip_elided, e.gossip_elided, "{what}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(tie_fallbacks > 0, "the lossy tie grid must fall back");
     }
 
     #[test]

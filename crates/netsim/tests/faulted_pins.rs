@@ -7,8 +7,9 @@
 //! notices if a change applies the lens to the wrong leg (the GETDATA leg
 //! instead of the INV leg, say) in *both* places. These tests hash every
 //! observable of each faulted run — arrivals, relay starts, the full
-//! per-edge delivery matrix of the message-level engine, and the event
-//! and fault tallies — and compare the digest with a pinned constant.
+//! per-edge delivery matrix of the message-level engine, and the relay,
+//! delivery and fault tallies — and compare the digest with a pinned
+//! constant.
 //! Each digest must come out the same on both queue kinds.
 
 use rand::rngs::StdRng;
@@ -103,7 +104,7 @@ fn world() -> (TopologyView, Vec<Region>, Vec<Vec<NodeId>>) {
 
 /// Digest of every faulted message-level run of `config` on `kind`:
 /// per block, the arrivals and the whole delivery matrix, then the
-/// run's event and fault tallies.
+/// run's relay, delivery and fault tallies.
 fn gossip_digest(config: &GossipConfig, kind: QueueKind) -> (u64, usize) {
     let (view, regions, miners) = world();
     let plan = hostile_plan();
@@ -126,10 +127,10 @@ fn gossip_digest(config: &GossipConfig, kind: QueueKind) -> (u64, usize) {
             }
         }
     }
+    // Not the queue tallies (`gossip_pops`, `gossip_elided`): those count
+    // the work of whichever path ran, not what was simulated.
     let c = scratch.counters();
     for w in [
-        c.gossip_pops,
-        c.gossip_elided,
         c.gossip_relays,
         c.gossip_deliveries,
         c.fault_drops,
@@ -188,22 +189,22 @@ fn assert_gossip_pinned(config: GossipConfig, pinned: u64) {
 
 #[test]
 fn faulted_flood_gossip_matches_pinned_digest() {
-    assert_gossip_pinned(GossipConfig::flood(), 0xf292_1c6f_e846_07f3);
+    assert_gossip_pinned(GossipConfig::flood(), 0x03f9_348d_4256_02b2);
 }
 
 #[test]
 fn faulted_inv_getdata_matches_pinned_digest() {
-    assert_gossip_pinned(GossipConfig::inv_getdata(0.0), 0xcf1f_b232_641f_752d);
+    assert_gossip_pinned(GossipConfig::inv_getdata(0.0), 0xac0b_67ce_d860_2a0b);
 }
 
 #[test]
 fn faulted_inv_getdata_with_transfer_matches_pinned_digest() {
-    assert_gossip_pinned(GossipConfig::inv_getdata(0.5), 0xdd61_b3b6_384a_9872);
+    assert_gossip_pinned(GossipConfig::inv_getdata(0.5), 0x5d51_85bf_c691_23dd);
 }
 
 #[test]
 fn faulted_push_pull_matches_pinned_digest() {
-    assert_gossip_pinned(GossipConfig::push_pull(0.05, 3), 0x5d64_070b_640c_ee9d);
+    assert_gossip_pinned(GossipConfig::push_pull(0.05, 3), 0xf847_843a_1d40_a43e);
 }
 
 #[test]
