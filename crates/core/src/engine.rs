@@ -928,10 +928,10 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                         view.gossip_into_faulted(miner, config, scratch, bf.as_ref());
                         scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
                         stats.push(coverage, scratch.arrivals());
-                        // The delivery matrix already holds the faulted
-                        // announcement times, so the fault-free
-                        // collector reads it unchanged.
-                        collector.record_gossip_scratch(view, scratch);
+                        match &bf {
+                            Some(b) => collector.record_gossip_scratch_faulted(view, scratch, b),
+                            None => collector.record_gossip_scratch(view, scratch),
+                        }
                     }
                     (stats, scratch.take_counters())
                 },
@@ -987,7 +987,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 let mut per_message = Vec::with_capacity(chunk.len());
                 let mut coverage = [SimTime::ZERO; 2];
                 view.gossip_batch_into(chunk, scratch, |i, s| {
-                    s.batch_coverage_times_into(view, &[0.9, 0.5], &mut coverage);
+                    s.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
                     collector.record_gossip_scratch(view, s);
                     per_message.push((
                         messages[start + i].class,
@@ -2270,7 +2270,7 @@ mod tests {
             for (s, t) in seen.iter_mut().zip(scratch.arrivals()) {
                 *s += u32::from(t.is_finite());
             }
-            collector.record_gossip_scratch(&view, &scratch);
+            collector.record_gossip_scratch_faulted(&view, &scratch, &bf);
         }
         let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
         assert!((mean(round.lambda90_ms()) - mean(&lambda90)).abs() < 1e-6);

@@ -767,8 +767,8 @@ impl ExactSizeIterator for TimesIter<'_> {}
 pub struct ObservationCollector {
     store: ObservationStore,
     /// Reusable per-node row for the two-pass normalization of the
-    /// reference recorders and of the fast paths' miner and unreached
-    /// rows.
+    /// reference and gossip recorders and of the flood fast paths' miner
+    /// and unreached rows.
     row: Vec<f64>,
 }
 
@@ -857,9 +857,10 @@ impl ObservationCollector {
 
     /// Records one block simulated at the message level through a
     /// [`TopologyView`] into a [`GossipScratch`](perigee_netsim::GossipScratch):
-    /// per-neighbor announcement times are read straight off the scratch's
-    /// flat, epoch-stamped per-edge delivery matrix — no `BTreeMap` walk,
-    /// no allocation per node per block.
+    /// each node's row is [`GossipScratch::neighbor_deliveries`](perigee_netsim::GossipScratch::neighbor_deliveries),
+    /// computed from the scratch's relay times, normalized like every
+    /// other recorder — no `BTreeMap` walk, no allocation per node per
+    /// block.
     ///
     /// Produces bit-identical rows to [`ObservationCollector::record_gossip`]
     /// on the same block's delivery logs, provided this collector was
@@ -875,31 +876,47 @@ impl ObservationCollector {
         view: &TopologyView,
         scratch: &perigee_netsim::GossipScratch,
     ) {
+        self.record_gossip_rows(view, |v| scratch.neighbor_deliveries(view, v));
+    }
+
+    /// [`ObservationCollector::record_gossip_scratch`] for a block run
+    /// through [`TopologyView::gossip_into_faulted`] under `faults`: the
+    /// rows come from
+    /// [`GossipScratch::neighbor_deliveries_faulted`](perigee_netsim::GossipScratch::neighbor_deliveries_faulted),
+    /// which replays each announce leg through the same lens.
+    ///
+    /// # Panics
+    ///
+    /// As [`ObservationCollector::record_gossip_scratch`].
+    pub fn record_gossip_scratch_faulted(
+        &mut self,
+        view: &TopologyView,
+        scratch: &perigee_netsim::GossipScratch,
+        faults: &perigee_netsim::BlockFaults<'_>,
+    ) {
+        self.record_gossip_rows(view, |v| {
+            scratch.neighbor_deliveries_faulted(view, v, faults)
+        });
+    }
+
+    /// Appends one normalized row per node, `row(v)` yielding `v`'s
+    /// deliveries in CSR order.
+    fn record_gossip_rows<I: ExactSizeIterator<Item = SimTime>>(
+        &mut self,
+        view: &TopologyView,
+        mut row: impl FnMut(NodeId) -> I,
+    ) {
         assert_eq!(self.store.len(), view.len(), "view/collector size mismatch");
         for i in 0..self.store.len() {
-            let v = NodeId::new(i as u32);
-            let deliveries = scratch.neighbor_deliveries(view, v);
+            let deliveries = row(NodeId::new(i as u32));
             assert_eq!(
                 deliveries.len(),
                 self.store.offsets[i + 1] - self.store.offsets[i],
                 "neighbor snapshot disagrees with the view"
             );
-            // Two passes over the borrowed iterator — min, then subtract
-            // — with the subtraction in f64 before the f32 cast, exactly
-            // like `record_gossip` on the same values.
-            let min = deliveries
-                .clone()
-                .map(|t| t.as_ms())
-                .fold(f64::INFINITY, f64::min);
-            if min.is_finite() {
-                self.store
-                    .times
-                    .extend(deliveries.map(|t| (t.as_ms() - min) as f32));
-            } else {
-                self.store
-                    .times
-                    .extend(deliveries.map(|t| t.as_ms() as f32));
-            }
+            self.row.clear();
+            self.row.extend(deliveries.map(|t| t.as_ms()));
+            self.push_normalized_row();
         }
         self.store.blocks += 1;
     }

@@ -183,13 +183,13 @@ fn gossip_observe_round_matches_legacy_gossip_pipeline() {
 /// Flood-mode gossip is bit-identical to the analytic flood, which the
 /// engine runs for its default config: the two kernels — the Dijkstra
 /// (`broadcast_into_faulted` + `record_scratch_faulted`) and the
-/// message-level event loop (`gossip_into_faulted` +
-/// `record_gossip_scratch`) — compute the exact same arrival floats,
-/// coverage times and observation rows, block by block, under an active
-/// fault plan and with silent and delaying relays in the overlay. So the
-/// engine's own rounds carry the event loop's λs RoundStats for
-/// RoundStats, and its decisions read the same rows, round after round
-/// of a learning trajectory.
+/// message-level kernel (`gossip_into_faulted` +
+/// `record_gossip_scratch_faulted`) — compute the exact same arrival and
+/// relay floats, coverage times and observation rows, block by block,
+/// under an active fault plan and with silent and delaying relays in the
+/// overlay. So the engine's own rounds carry the message-level λs
+/// RoundStats for RoundStats, and its decisions read the same rows,
+/// round after round of a learning trajectory.
 #[test]
 fn flood_gossip_rounds_are_bit_identical_to_analytic_rounds() {
     const BLOCKS: usize = 20;
@@ -231,6 +231,11 @@ fn flood_gossip_rounds_are_bit_identical_to_analytic_rounds() {
                 gossip.arrivals(),
                 "round {round} block {i}: arrivals"
             );
+            assert_eq!(
+                analytic.relay_starts(),
+                gossip.relay_starts(),
+                "round {round} block {i}: relay starts"
+            );
             let mut via_analytic = [SimTime::ZERO; 2];
             let mut via_gossip = [SimTime::ZERO; 2];
             analytic.coverage_times_into(&view, &[0.9, 0.5], &mut via_analytic);
@@ -242,7 +247,7 @@ fn flood_gossip_rounds_are_bit_identical_to_analytic_rounds() {
             let mut rows_analytic = ObservationCollector::from_view(&view);
             let mut rows_gossip = ObservationCollector::from_view(&view);
             rows_analytic.record_scratch_faulted(&view, &analytic, &bf);
-            rows_gossip.record_gossip_scratch(&view, &gossip);
+            rows_gossip.record_gossip_scratch_faulted(&view, &gossip, &bf);
             assert_eq!(
                 rows_analytic.finish(),
                 rows_gossip.finish(),

@@ -158,12 +158,10 @@ fn telemetry_on_and_off_are_bit_identical_in_the_hard_world() {
 }
 
 /// Counter names whose totals depend only on *what was simulated*, not
-/// on how the work was chunked. The excluded four are mechanical:
-/// `epoch_bumps`/`epoch_refills` count per-scratch reuse (each pool
-/// thread owns a scratch, so they scale with the pool width) and the
-/// two `*_peak` gauges watch transient queue/batch occupancy, which
-/// depends on how the work was batched and queued even when every
-/// result is identical.
+/// on how the work was chunked. The excluded two are the `*_peak`
+/// gauges: they watch transient queue/batch occupancy, which depends on
+/// how the work was batched and queued even when every result is
+/// identical.
 const SEMANTIC_COUNTERS: [&str; 12] = [
     "gossip_pops",
     "gossip_elided",
@@ -186,17 +184,8 @@ fn semantic_counters(rec: &TraceRecord) -> Vec<(&str, u64)> {
         .collect()
 }
 
-/// Drops the scratch-lifecycle tallies (one scratch per pool thread →
-/// they scale with the pool width) so a parallel harvest can be
-/// compared field-for-field against a single-scratch sweep.
-fn without_scratch_lifecycle(mut c: SimCounters) -> SimCounters {
-    c.epoch_bumps = 0;
-    c.epoch_refills = 0;
-    c
-}
-
 /// The *records* are deterministic too, modulo wall-clock phase
-/// timings and the mechanical pool-width counters: every semantic
+/// timings and the occupancy peaks: every semantic
 /// tally and scalar value a round emits is identical across thread
 /// counts, because counter merge is commutative/associative addition.
 #[test]
@@ -269,13 +258,13 @@ fn round_laps_come_in_pipeline_order() {
     }
 }
 
-/// The registry folds every emitted record: whole-run counter totals
-/// equal the sum of the per-round records, and the handle survives a
-/// `take_telemetry` round-trip.
+/// The handle survives a `take_telemetry` round-trip, with its stamps
+/// and its sink, which saw every round's record.
 #[test]
-fn registry_accumulates_round_records_and_handle_round_trips() {
+fn telemetry_handle_round_trips() {
     let (mut e, mut rng) = hard_world_engine();
-    e.set_telemetry(RunTelemetry::new("agg", 67));
+    let sink = CollectingSink::default();
+    e.set_telemetry(RunTelemetry::new("agg", 67).with_sink(Box::new(sink.clone())));
     assert!(e.telemetry().is_some());
     let mut blocks = 0u64;
     for _ in 0..4 {
@@ -283,12 +272,14 @@ fn registry_accumulates_round_records_and_handle_round_trips() {
     }
     let tel = e.take_telemetry().expect("handle still installed");
     assert!(e.telemetry().is_none(), "take must uninstall");
-    assert_eq!(tel.registry().counter("blocks"), blocks);
-    assert!(tel.registry().counter("traffic_messages") > 0);
-    assert!(
-        tel.registry().histogram("phase_s/propagation").is_some(),
-        "phase laps must stream into per-phase histograms"
-    );
+    assert_eq!((tel.run(), tel.seed()), ("agg", 67));
+    let records = sink.0.lock().unwrap().clone();
+    assert_eq!(records.len(), 4, "one record per round");
+    let recorded: u64 = records
+        .iter()
+        .map(|r| r.get_counter("blocks").unwrap())
+        .sum();
+    assert_eq!(recorded, blocks);
 }
 
 /// Counter accuracy, flood mode: the totals the parallel round path
@@ -320,8 +311,7 @@ fn flood_counters_match_a_direct_scratch_sweep() {
     let direct = scratch.take_counters();
 
     assert_eq!(
-        without_scratch_lifecycle(harvested),
-        without_scratch_lifecycle(direct),
+        harvested, direct,
         "parallel harvest must equal direct sweep"
     );
     assert!(
@@ -360,8 +350,7 @@ fn gossip_counters_match_a_direct_scratch_sweep_and_the_outcome() {
     }
     let direct = scratch.take_counters();
     assert_eq!(
-        without_scratch_lifecycle(harvested),
-        without_scratch_lifecycle(direct),
+        harvested, direct,
         "parallel harvest must equal direct sweep"
     );
 

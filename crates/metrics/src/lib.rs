@@ -6,8 +6,7 @@
 //! constant-space streaming counterpart ([`P2Quantile`], the P² algorithm
 //! used for per-round λ-curve tracking in dynamic-world runs), the
 //! 48-byte per-edge variant powering sketch-backed observation stores
-//! ([`EdgeSketch`] + [`SketchParams`], with [`MultiQuantile`] bundling
-//! several percentiles for lexicographic score tuples), the paper's
+//! ([`EdgeSketch`] + [`SketchParams`]), the paper's
 //! sorted per-node delay curves ([`DelayCurve`], Figs. 3–4), fixed-bin
 //! histograms ([`Histogram`], Fig. 5), summary statistics ([`Summary`]) and
 //! text/CSV tables ([`Table`]) for the harness output.
@@ -31,6 +30,6 @@ pub use p2::P2Quantile;
 pub use percentile::{
     percentile, percentile_mut, percentile_or_inf, percentile_or_inf_f32_mut, percentile_or_inf_mut,
 };
-pub use sketch::{EdgeSketch, MultiQuantile, SketchParams};
+pub use sketch::{EdgeSketch, SketchParams};
 pub use stats::{mean, median, std_dev, Summary};
 pub use table::Table;

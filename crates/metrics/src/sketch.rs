@@ -51,12 +51,9 @@
 //! `u32` within the batch. The store layout does not change: the
 //! sketches stay 48-byte array-of-structs, and their codec with them.
 //!
-//! [`MultiQuantile`] bundles several [`P2Quantile`] trackers over one
-//! stream — sized for the production-Kaspa lexicographic score tuple
-//! (p90, p95, p97.5, p100), see [`MultiQuantile::kaspa_tuple`].
+//! [`P2Quantile`]: crate::P2Quantile
 
 use crate::percentile::percentile_mut;
-use crate::P2Quantile;
 
 /// Per-store parameters shared by every [`EdgeSketch`] tracking the same
 /// percentile: the initial desired marker positions and their
@@ -627,81 +624,12 @@ mod avx2 {
     }
 }
 
-/// Several [`P2Quantile`] trackers over one observation stream — the
-/// multi-percentile variant backing lexicographic score tuples.
-///
-/// # Examples
-///
-/// ```
-/// use perigee_metrics::MultiQuantile;
-///
-/// let mut m = MultiQuantile::kaspa_tuple();
-/// for x in 0..1000 {
-///     m.observe(f64::from(x % 100));
-/// }
-/// let t = m.estimates_or_inf();
-/// assert_eq!(t.len(), 4);
-/// assert!(t.windows(2).all(|w| w[0] <= w[1]), "tuple is sorted: {t:?}");
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiQuantile {
-    trackers: Vec<P2Quantile>,
-}
-
-impl MultiQuantile {
-    /// Trackers for each requested percentile, in the given order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any percentile is outside `[0, 100]`.
-    pub fn new(percentiles: &[f64]) -> Self {
-        MultiQuantile {
-            trackers: percentiles.iter().map(|&p| P2Quantile::new(p)).collect(),
-        }
-    }
-
-    /// The production-Kaspa lexicographic score tuple: (p90, p95,
-    /// p97.5, p100), compared element-wise (see ROADMAP's `KaspaScore`
-    /// item).
-    pub fn kaspa_tuple() -> Self {
-        Self::new(&[90.0, 95.0, 97.5, 100.0])
-    }
-
-    /// The tracked percentiles, in tuple order.
-    pub fn percentiles(&self) -> Vec<f64> {
-        self.trackers.iter().map(|t| t.percentile()).collect()
-    }
-
-    /// Feeds one observation to every tracker.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `NaN`.
-    pub fn observe(&mut self, x: f64) {
-        for t in &mut self.trackers {
-            t.observe(x);
-        }
-    }
-
-    /// Total observations so far.
-    pub fn count(&self) -> usize {
-        self.trackers.first().map_or(0, |t| t.count())
-    }
-
-    /// The current estimate tuple, mapping the empty stream to `+∞`
-    /// per element — ready for lexicographic comparison.
-    pub fn estimates_or_inf(&self) -> Vec<f64> {
-        self.trackers.iter().map(|t| t.estimate_or_inf()).collect()
-    }
-}
-
 mod codec {
     //! Checkpoint codec impls (see `serde::bin`).
 
     use serde::bin::{Decode, DecodeError, Encode, Reader};
 
-    use super::{EdgeSketch, MultiQuantile};
-    use crate::P2Quantile;
+    use super::EdgeSketch;
 
     impl Encode for EdgeSketch {
         fn encode(&self, out: &mut Vec<u8>) {
@@ -726,26 +654,13 @@ mod codec {
             Ok(s)
         }
     }
-
-    impl Encode for MultiQuantile {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.trackers.encode(out);
-        }
-    }
-
-    impl Decode for MultiQuantile {
-        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            Ok(MultiQuantile {
-                trackers: Vec::<P2Quantile>::decode(r)?,
-            })
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::percentile::percentile;
+    use crate::P2Quantile;
 
     /// Deterministic pseudo-random stream (splitmix64 over the index).
     fn noise(i: u64) -> f64 {
@@ -944,29 +859,6 @@ mod tests {
         }
         let back = EdgeSketch::from_bytes(&s.to_bytes()).unwrap();
         assert_eq!(back, s);
-
-        let mut m = MultiQuantile::kaspa_tuple();
-        for i in 0..100 {
-            m.observe(noise(i));
-        }
-        let back = MultiQuantile::from_bytes(&m.to_bytes()).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn multi_quantile_tracks_each_percentile() {
-        let mut m = MultiQuantile::new(&[50.0, 90.0]);
-        let exact: Vec<f64> = (0..4000).map(noise).collect();
-        for &x in &exact {
-            m.observe(x);
-        }
-        let t = m.estimates_or_inf();
-        let p50 = percentile(&exact, 50.0).unwrap();
-        let p90 = percentile(&exact, 90.0).unwrap();
-        assert!((t[0] - p50).abs() < 0.02, "p50 {} vs {p50}", t[0]);
-        assert!((t[1] - p90).abs() < 0.02, "p90 {} vs {p90}", t[1]);
-        assert_eq!(m.count(), 4000);
-        assert_eq!(m.percentiles(), vec![50.0, 90.0]);
     }
 
     #[test]

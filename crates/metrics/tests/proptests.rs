@@ -5,7 +5,7 @@ use serde::bin::Encode;
 
 use perigee_metrics::{
     mean, percentile, percentile_mut, percentile_or_inf, percentile_or_inf_f32_mut,
-    percentile_or_inf_mut, std_dev, DelayCurve, EdgeSketch, Histogram, MultiQuantile, SketchParams,
+    percentile_or_inf_mut, std_dev, DelayCurve, EdgeSketch, Histogram, P2Quantile, SketchParams,
     Summary,
 };
 
@@ -241,24 +241,25 @@ proptest! {
         );
     }
 
-    /// Each tracker of a [`MultiQuantile`] tuple lands in the infinite
-    /// tail exactly when the dense percentile at its rank does.
+    /// A [`P2Quantile`] tracker lands in the infinite tail exactly when
+    /// the dense percentile at its rank does, at each percentile of the
+    /// lexicographic score tuple (p90, p95, p97.5, p100).
     #[test]
-    fn multi_quantile_infinite_tails_agree_with_dense(
+    fn p2_infinite_tails_agree_with_dense(
         stream in proptest::collection::vec(adversarial_sample(), 1..150),
     ) {
-        let mut m = MultiQuantile::kaspa_tuple();
         let dense_vals: Vec<f64> = stream.iter().map(|&x| f64::from(x)).collect();
-        for &v in &dense_vals {
-            m.observe(v);
-        }
-        let estimates = m.estimates_or_inf();
-        for (p, est) in m.percentiles().into_iter().zip(estimates) {
+        for p in [90.0, 95.0, 97.5, 100.0] {
+            let mut tracker = P2Quantile::new(p);
+            for &v in &dense_vals {
+                tracker.observe(v);
+            }
+            let est = tracker.estimate_or_inf();
             let dense = percentile_or_inf(&dense_vals, p);
             prop_assert!(!est.is_nan());
             prop_assert_eq!(
                 est.is_infinite(), dense.is_infinite(),
-                "p{}: sketch {} vs dense {}", p, est, dense
+                "p{}: tracker {} vs dense {}", p, est, dense
             );
         }
     }

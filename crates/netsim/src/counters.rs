@@ -29,9 +29,8 @@ pub struct SimCounters {
     /// Nodes that relayed the message: one per node that announced it to
     /// its neighbours (the same count on either path).
     pub gossip_relays: u64,
-    /// Per-edge announcements recorded into the delivery matrix: pushes
-    /// and INVs alike, one per announce leg the fault lens did not drop
-    /// (the same count on either path).
+    /// Per-edge announcements: pushes and INVs alike, one per announce
+    /// leg the fault lens did not drop (the same count on either path).
     pub gossip_deliveries: u64,
     /// Messages whose kernel pass met an exact INV tie and that were
     /// re-run on the event loop. Their other gossip tallies are the
@@ -45,12 +44,6 @@ pub struct SimCounters {
     pub flood_improvements: u64,
     /// High-water mark of priority-queue occupancy (max-merge).
     pub queue_peak: u64,
-    /// Cheap epoch-bump scratch resets (buffers reinterpreted, not
-    /// rewritten).
-    pub epoch_bumps: u64,
-    /// Full scratch refills: first use, size change, or epoch-counter
-    /// wrap.
-    pub epoch_refills: u64,
     /// Announcements the fault lens dropped (link down or all copies
     /// lost).
     pub fault_drops: u64,
@@ -76,8 +69,6 @@ impl SimCounters {
         flood_relaxations: 0,
         flood_improvements: 0,
         queue_peak: 0,
-        epoch_bumps: 0,
-        epoch_refills: 0,
         fault_drops: 0,
         fault_delays: 0,
         fault_dupes: 0,
@@ -98,8 +89,6 @@ impl SimCounters {
         self.flood_relaxations += other.flood_relaxations;
         self.flood_improvements += other.flood_improvements;
         self.queue_peak = self.queue_peak.max(other.queue_peak);
-        self.epoch_bumps += other.epoch_bumps;
-        self.epoch_refills += other.epoch_refills;
         self.fault_drops += other.fault_drops;
         self.fault_delays += other.fault_delays;
         self.fault_dupes += other.fault_dupes;
@@ -108,9 +97,9 @@ impl SimCounters {
     }
 
     /// `(name, value)` pairs for every counter, in declaration order —
-    /// the bridge into a telemetry registry or trace record without the
-    /// consumer knowing the field list.
-    pub fn entries(&self) -> [(&'static str, u64); 16] {
+    /// the bridge into a trace record without the consumer knowing the
+    /// field list.
+    pub fn entries(&self) -> [(&'static str, u64); 14] {
         [
             ("gossip_pops", self.gossip_pops),
             ("gossip_elided", self.gossip_elided),
@@ -121,8 +110,6 @@ impl SimCounters {
             ("flood_relaxations", self.flood_relaxations),
             ("flood_improvements", self.flood_improvements),
             ("queue_peak", self.queue_peak),
-            ("epoch_bumps", self.epoch_bumps),
-            ("epoch_refills", self.epoch_refills),
             ("fault_drops", self.fault_drops),
             ("fault_delays", self.fault_delays),
             ("fault_dupes", self.fault_dupes),
@@ -203,17 +190,15 @@ mod tests {
             flood_relaxations: 7,
             flood_improvements: 8,
             queue_peak: 9,
-            epoch_bumps: 10,
-            epoch_refills: 11,
-            fault_drops: 12,
-            fault_delays: 13,
-            fault_dupes: 14,
-            batch_messages: 15,
-            batch_peak: 16,
+            fault_drops: 10,
+            fault_delays: 11,
+            fault_dupes: 12,
+            batch_messages: 13,
+            batch_peak: 14,
         };
         let entries = c.entries();
         let sum: u64 = entries.iter().map(|(_, v)| v).sum();
-        assert_eq!(sum, (1..=16).sum::<u64>());
+        assert_eq!(sum, (1..=14).sum::<u64>());
         assert!(!c.is_zero());
         assert!(SimCounters::ZERO.is_zero());
     }

@@ -21,9 +21,9 @@
 //! and jitter into *at most one* effective crossing (duplicated copies
 //! collapse to the earliest survivor), which preserves the gossip
 //! engine's one-announcement-per-edge invariant: a dropped announcement
-//! consumes exactly one sequence number (like an inert event) and records
-//! no delivery, so the event schedule — and therefore tie-breaking — is
-//! unchanged between queue kinds. Request/response legs (GETDATA and the
+//! consumes exactly one sequence number (like an inert event) and its row
+//! entry reads as never delivered, so the event schedule — and therefore
+//! tie-breaking — is unchanged between queue kinds. Request/response legs (GETDATA and the
 //! block transfer it pulls) are modelled as reliable-but-slowed: they pay
 //! the regional slow factor via [`BlockFaults::scaled`] but never drop,
 //! so a delivered INV can always complete (no request deadlock). Link

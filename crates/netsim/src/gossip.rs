@@ -8,19 +8,21 @@
 //! with optional per-transfer bandwidth delay.
 //!
 //! Flooding a zero-size block is the §2 model itself, and this engine
-//! then agrees exactly with the analytic one — arrivals, coverage and
-//! per-edge deliveries, under link faults too. Engines rely on that
-//! equality: for a config where [`GossipConfig::is_analytic`] holds they
-//! run the cheaper analytic flood, which writes no delivery matrix
-//! (the proptests and the core determinism suite pin it).
+//! then agrees exactly with the analytic one — arrivals, relay starts,
+//! coverage and per-neighbour deliveries, under link faults too. Engines
+//! rely on that equality: for a config where [`GossipConfig::is_analytic`]
+//! holds they run the cheaper analytic flood (the proptests and the core
+//! determinism suite pin it).
 //!
 //! # Architecture: a label-setting kernel, with the event loop as its fallback
 //!
 //! Like the analytic path ([`TopologyView::broadcast_into`] +
 //! [`BroadcastScratch`](crate::BroadcastScratch)), the hot path here is a
-//! [`TopologyView`] plus a reusable [`GossipScratch`]. Every entry point
-//! runs the same per-message pass: [`TopologyView::gossip_batch_into`]
-//! over a batch of messages, [`TopologyView::gossip_into`] /
+//! [`TopologyView`] plus a reusable [`GossipScratch`], and the scratch
+//! leaves what the flood's does: the last message's per-node first
+//! arrivals and relay (announce) times. Every entry point runs the same
+//! per-message pass: [`TopologyView::gossip_batch_into`] over a batch of
+//! messages, [`TopologyView::gossip_into`] /
 //! [`TopologyView::gossip_into_faulted`] over a batch of one. The pass is
 //! generic over a crate-private link-fault lens, so the fault-free
 //! instance compiles to the plain code and the faulted one reads the same
@@ -28,23 +30,29 @@
 //! followed by INVs: flooding pushes every leg, INV/GETDATA none,
 //! push/pull its first `push_degree`.
 //!
-//! **The kernel.** Everything the message leaves behind follows from its
-//! per-node *have-times*. A node announces once, at `relay(u)`: its
-//! have-time plus validation, or `∞` for a silent node or a withholding
-//! miner. So every delivery-matrix entry is `relay(u)` plus the announce
-//! leg (plus the transfer, for a push), final as soon as `relay(u)` is
-//! known. And `have(v)` is a minimum: of the earliest push arrival, and of
-//! the block pulled from the announcer of `v`'s earliest INV, whose
+//! **Rows from relay times.** A node announces once, at `relay(u)`: its
+//! have-time plus validation, or `∞` for a silent node, a withholding
+//! miner or a node the message never reached. So what `v` hears from its
+//! neighbour `u` is fixed the moment `u` announces: `relay(u) + δ(u,v)`,
+//! plus the transfer `u → v` when `u` pushes the whole message to `v`,
+//! and `∞` when the fault lens drops that announce leg.
+//! [`GossipScratch::neighbor_deliveries`] and
+//! [`GossipScratch::neighbor_deliveries_faulted`] derive each row by this
+//! rule when it is read, so no per-edge state is kept.
+//!
+//! **The kernel.** `have(v)` is a minimum: of the earliest push arrival,
+//! and of the block pulled from the announcer of `v`'s earliest INV, whose
 //! GETDATA and BLOCK legs are reliable. One Dijkstra-like pass therefore
 //! computes the whole message. Nodes settle in have-time order on the
 //! scratch's [`PackedQueue`], keyed `(have.to_bits(), node)` like the
-//! analytic flood. A settling node writes its row's deliveries and offers
-//! each neighbour a push or an INV. An earlier INV can come from an
+//! analytic flood. A settling node records its arrival and relay time and
+//! offers each neighbour a push or an INV. An earlier INV can come from an
 //! announcer with a slower round trip, so a node's key can *rise*: queue
 //! entries are lazy, and a pop is skipped when its node has settled or its
 //! time is no longer the node's key. Every key pushed is ≥ the pop that
 //! produced it, so the calendar queue's monotone contract holds. A message
-//! costs about one pop per node and one relaxation per directed edge.
+//! costs an O(n) reset, about one pop per node and one relaxation per
+//! directed edge.
 //!
 //! **The tie rule.** Only one choice of the event loop depends on order
 //! alone. When two INVs reach a node at the same float time, it requests
@@ -54,7 +62,7 @@
 //! before the node's best push. It also counts when the later INV reaches
 //! a node already settled by an INV, which is possible only over
 //! zero-latency legs. On a tie the message goes back to the event loop,
-//! which recomputes it under a fresh epoch. The kernel pass's tallies are
+//! which recomputes it from a fresh reset. The kernel pass's tallies are
 //! dropped, so a fallback leaves the event loop's tallies plus one
 //! [`SimCounters::gossip_fallbacks`]. Continuous latencies practically
 //! never tie; integer-valued ones (metric grids, co-located pairs) do.
@@ -62,25 +70,14 @@
 //! **The event loop** stays private, as the one exact path for tied
 //! inputs. Its events are single packed `u128` words (time bits ·
 //! insertion sequence · kind · CSR edge index — no boxed events, no
-//! per-event allocation) in the same reusable queue, and it writes the
-//! same per-edge delivery matrix. A node announces at most once, so each
-//! directed edge carries exactly one announcement whose delivery time is
-//! final at *schedule* time (written straight to the matrix), and events
-//! that can no longer have any effect — an INV to a node that already
-//! requested, a flood BLOCK to a node that already holds it — never enter
-//! the queue at all, only consuming their insertion-sequence number so
-//! every later tie-break stays exact.
-//!
-//! **Epochs.** All per-message state is *epoch-stamped*: each
-//! delivery-matrix entry, each node's "holds it" stamp and each node's
-//! kernel label (or, on the event loop, "requested it" stamp) carries the
-//! number of the message that last wrote it, so moving on to the next
-//! message is one integer bump instead of an O(n + m) refill — entries
-//! stamped by an older message simply read as unset. The kernel takes one
-//! bump per message and a fallback one more. After the first message of a
-//! given network size, simulating further messages performs no heap
-//! allocation, except that the first fallbacks may grow the queue to the
-//! event loop's size.
+//! per-event allocation) in the same reusable queue. A node announces at
+//! most once, so events that can no longer have any effect — an INV to a
+//! node that already requested, a flood BLOCK to a node that already
+//! holds it — never enter the queue at all, only consuming their
+//! insertion-sequence number so every later tie-break stays exact. After
+//! the first message of a given network size, simulating further messages
+//! performs no heap allocation, except that the first fallbacks size the
+//! GETDATA flags and grow the queue to the event loop's size.
 //!
 //! Both paths are bit-identical to the seed's event-queue engine, kept as
 //! the oracle [`reference::gossip_block`](crate::reference::gossip_block):
@@ -186,9 +183,10 @@ impl GossipConfig {
     }
 
     /// Whether this config is the §2 flood model itself — flooding with a
-    /// zero block size — whose arrivals, coverage and per-edge deliveries
-    /// the analytic flood ([`TopologyView::broadcast_into`], faulted or
-    /// not) computes bit for bit. An engine runs that cheaper kernel
+    /// zero block size — whose arrivals, relay times, coverage and
+    /// per-neighbour deliveries the analytic flood
+    /// ([`TopologyView::broadcast_into`], faulted or not) computes bit for
+    /// bit. An engine runs that cheaper kernel
     /// exactly when this holds.
     pub fn is_analytic(&self) -> bool {
         self.mode == GossipMode::Flood && self.transfer.block_size_mb() == 0.0
@@ -313,12 +311,10 @@ fn pack_settle(time: SimTime, node: u32) -> u128 {
     ((time.as_ms().to_bits() as u128) << 64) | node as u128
 }
 
-/// A node's tentative labels in the label-setting kernel. They belong to
-/// the message whose epoch `stamp` carries; an older stamp reads as
-/// [`Label::UNSET`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A node's tentative labels in the label-setting kernel, for the current
+/// message.
+#[derive(Debug, Clone, Copy)]
 struct Label {
-    stamp: u32,
     /// The earliest push arrival offered so far.
     push: SimTime,
     /// The earliest INV arrival so far.
@@ -329,7 +325,6 @@ struct Label {
 
 impl Label {
     const UNSET: Label = Label {
-        stamp: 0,
         push: SimTime::INFINITY,
         inv: SimTime::INFINITY,
         pull: SimTime::INFINITY,
@@ -357,23 +352,21 @@ fn push_degree(mode: GossipMode) -> u32 {
     }
 }
 
-/// Reusable message-level simulation state: the packed queue, the
-/// epoch-stamped per-node flags and kernel labels, the first-arrival
-/// vector and the flat per-edge delivery matrix.
+/// Reusable message-level simulation state: the packed queue, the kernel
+/// labels, the event loop's GETDATA flags, and what the last message
+/// leaves behind — its per-node first arrivals and relay times, and its
+/// config, from which every delivery row follows (see the module docs).
 ///
-/// Create once per worker thread and reuse across blocks; after the first
-/// block of a given network size, subsequent blocks perform no heap
-/// allocation (bar a fallback growing the queue, see the module docs).
-/// The delivery matrix is indexed by the view's CSR edge
-/// offsets: entry `e` ([`GossipScratch::delivery`]) is the first time
-/// `edges[e]` announced (INV mode) or delivered (flood mode) the block to
-/// the row owner of `e` (`INFINITY` if it never did) — the flat
-/// replacement for the reference engine's per-node `BTreeMap` logs.
-/// Entries are epoch-stamped per block, so resetting the matrix between
-/// blocks costs one integer bump instead of an O(m) refill.
+/// Create once per worker thread and reuse across messages; after the
+/// first message of a given network size, subsequent messages perform no
+/// heap allocation (bar a fallback growing the queue, see the module
+/// docs). Inside a [`TopologyView::gossip_batch_into`] visit every
+/// accessor reads the message just simulated.
 #[derive(Debug, Clone, Default)]
 pub struct GossipScratch {
     source: NodeId,
+    /// The last message's fan-out policy and transfer model.
+    config: GossipConfig,
     /// Min-queue of packed `u128` words; calendar or reference heap per
     /// [`GossipScratch::with_queue`]. The kernel queues settle keys (see
     /// [`pack_settle`]); the event loop queues events (see
@@ -387,26 +380,20 @@ pub struct GossipScratch {
     /// Counts every event the legacy engine would have scheduled, pushed
     /// or not.
     seq: u32,
-    /// Per-node "holds the message" epoch stamps: node `v` holds the
-    /// current message iff `seen_stamp[v] == epoch` (on the kernel path:
-    /// `v` has settled). Also gates `first_arrival` validity inside a
-    /// batch, replacing the per-message O(n) `INFINITY` refill.
-    seen_stamp: Vec<u32>,
-    /// Per-node "already sent a GETDATA" epoch stamps of the event loop.
-    req_stamp: Vec<u32>,
-    /// Per-node kernel labels, epoch-stamped like the flags.
+    /// Per-node "already sent a GETDATA" flags of the event loop, cleared
+    /// when a fallback starts.
+    pulled: Vec<bool>,
+    /// Per-node kernel labels.
     labels: Vec<Label>,
+    /// Per-node first arrivals; a node holds the message iff its entry is
+    /// finite.
     first_arrival: Vec<SimTime>,
-    /// Per-edge first announcement/delivery times; valid only where
-    /// `delivery_stamp` carries the current `epoch`.
-    delivery: Vec<SimTime>,
-    /// The message epoch that last wrote each `delivery` entry.
-    delivery_stamp: Vec<u32>,
-    /// Current message epoch (bumped once per simulated message).
-    epoch: u32,
+    /// Per-node announce times, `INFINITY` for a node that never
+    /// announced.
+    relay_at: Vec<SimTime>,
     coverage: Vec<(SimTime, f64)>,
     select: Vec<SimTime>,
-    /// Hot-path event tallies, accumulated across blocks until harvested
+    /// Hot-path event tallies, accumulated across messages until harvested
     /// with [`GossipScratch::take_counters`]. Write-only from the
     /// simulation's point of view (see [`crate::counters`]).
     counters: SimCounters,
@@ -427,9 +414,10 @@ impl GossipScratch {
         }
     }
 
-    /// Creates a scratch pre-sized for `nodes` nodes and `directed_edges`
-    /// directed adjacency entries (see
-    /// [`TopologyView::directed_edge_count`]) on the default queue kind.
+    /// Creates a scratch pre-sized for `nodes` nodes on the default queue
+    /// kind; `directed_edges` (see
+    /// [`TopologyView::directed_edge_count`]) is checked against the
+    /// packed-payload cap.
     pub fn with_capacity(nodes: usize, directed_edges: usize) -> Self {
         Self::with_capacity_and_queue(nodes, directed_edges, QueueKind::default())
     }
@@ -466,21 +454,15 @@ impl GossipScratch {
     ) -> Result<Self, NetsimError> {
         check_payload_cap(nodes, directed_edges)?;
         Ok(GossipScratch {
-            source: NodeId::new(0),
             // The kernel queues about one key per node; only a fallback
             // to the event loop grows the queue past that.
             queue: PackedQueue::with_kind_and_capacity(kind, nodes),
-            seq: 0,
-            seen_stamp: Vec::new(),
-            req_stamp: Vec::new(),
-            labels: Vec::new(),
+            labels: Vec::with_capacity(nodes),
             first_arrival: Vec::with_capacity(nodes),
-            delivery: Vec::with_capacity(directed_edges),
-            delivery_stamp: Vec::with_capacity(directed_edges),
-            epoch: 0,
+            relay_at: Vec::with_capacity(nodes),
             coverage: Vec::with_capacity(nodes),
             select: Vec::with_capacity(nodes),
-            counters: SimCounters::ZERO,
+            ..Self::default()
         })
     }
 
@@ -501,63 +483,114 @@ impl GossipScratch {
         self.queue.kind()
     }
 
-    /// The source of the last simulated block.
+    /// The source of the last simulated message.
     #[inline]
     pub fn source(&self) -> NodeId {
         self.source
     }
 
-    /// First (full-block) arrival time of the last block at `v`.
+    /// First (full-message) arrival time of the last message at `v`.
     #[inline]
     pub fn arrival(&self, v: NodeId) -> SimTime {
         self.first_arrival[v.index()]
     }
 
-    /// All first-arrival times of the last block, indexed by node.
+    /// All first-arrival times of the last message, indexed by node.
     #[inline]
     pub fn arrivals(&self) -> &[SimTime] {
         &self.first_arrival
     }
 
-    /// Number of nodes the last block reached.
+    /// Number of nodes the last message reached.
     pub fn reached(&self) -> usize {
         self.first_arrival.iter().filter(|t| t.is_finite()).count()
     }
 
-    /// Entry `e` of the last block's per-edge delivery matrix, indexed by
-    /// the view's CSR edge offsets ([`TopologyView::edge_range`]): the
-    /// first announcement (INV) or delivery (flood) time across the
-    /// directed edge `e`'s *reverse* direction — i.e. from the neighbor
-    /// `edges[e]` to `e`'s row owner — with `INFINITY` meaning never.
-    ///
-    /// The matrix is epoch-stamped: an entry not written by the last
-    /// block reads as `INFINITY` without ever having been refilled.
+    /// When `u` announced the last message to its neighbours
+    /// (`INFINITY` if it never did: unreached, silent, or a withholding
+    /// miner) — the [`BroadcastScratch::relay_start`](crate::BroadcastScratch::relay_start)
+    /// of the message level.
     #[inline]
-    pub fn delivery(&self, e: usize) -> SimTime {
-        if self.delivery_stamp[e] == self.epoch {
-            self.delivery[e]
-        } else {
-            SimTime::INFINITY
-        }
+    pub fn relay_start(&self, u: NodeId) -> SimTime {
+        self.relay_at[u.index()]
     }
 
-    /// Per-neighbor announcement/delivery times of node `v`, aligned with
-    /// [`TopologyView::neighbors_raw`] — the zero-copy equivalent of one
-    /// node's delivery log in
+    /// All announce times of the last message, indexed by node.
+    #[inline]
+    pub fn relay_starts(&self) -> &[SimTime] {
+        &self.relay_at
+    }
+
+    /// Per-neighbor announcement/delivery times of node `v` for the last
+    /// message, aligned with [`TopologyView::neighbors_raw`] — the
+    /// zero-copy equivalent of one node's delivery log in
     /// [`reference::gossip_block`](crate::reference::gossip_block), with
-    /// `INFINITY` for a neighbor that never delivered. The iterator is
-    /// `Clone`, so min-then-normalize consumers can take two passes
-    /// without allocating.
+    /// `INFINITY` for a neighbor that never delivered. Entry `e` of `v`'s
+    /// row is `relay(u) + δ(u,v)` for the neighbour `u = edges[e]`, plus
+    /// the transfer `u → v` when `v` lies in `u`'s push prefix (see the
+    /// module docs).
+    ///
+    /// Reads the view's cached `δ(v,u)`, which the [`LatencyModel`]
+    /// contract makes equal to `δ(u,v)`. `view` must be the view the
+    /// message ran on, and the run must have been fault-free; use
+    /// [`GossipScratch::neighbor_deliveries_faulted`] after
+    /// [`TopologyView::gossip_into_faulted`].
+    ///
+    /// [`LatencyModel`]: crate::LatencyModel
     #[inline]
     pub fn neighbor_deliveries<'a>(
         &'a self,
-        view: &TopologyView,
+        view: &'a TopologyView,
         v: NodeId,
     ) -> impl ExactSizeIterator<Item = SimTime> + Clone + 'a {
-        view.edge_range(v).map(move |e| self.delivery(e))
+        self.row(view, v, move |e| Some(view.delay[e]))
     }
 
-    /// Computes λ(fraction) of the last block for every entry of
+    /// [`GossipScratch::neighbor_deliveries`] of a message run through
+    /// [`TopologyView::gossip_into_faulted`] under `faults`: the
+    /// announcement over `v`'s row entry `e` crossed the opposite
+    /// directed edge `reverse[e]`, so the same lens replays that leg, and
+    /// a dropped or down-link announcement reads `INFINITY`.
+    #[inline]
+    pub fn neighbor_deliveries_faulted<'a>(
+        &'a self,
+        view: &'a TopologyView,
+        v: NodeId,
+        faults: &'a BlockFaults<'_>,
+    ) -> impl ExactSizeIterator<Item = SimTime> + Clone + 'a {
+        self.row(view, v, move |e| {
+            let rev = view.reverse[e] as usize;
+            faults.announce_leg(rev, view.delay[rev])
+        })
+    }
+
+    /// `v`'s row by the module docs' rule, `leg(e)` giving the announce
+    /// leg that reached `v` over its row entry `e`. The float order is
+    /// the kernel's: `(relay + leg) + transfer`.
+    #[inline]
+    fn row<'a>(
+        &'a self,
+        view: &'a TopologyView,
+        v: NodeId,
+        leg: impl Fn(usize) -> Option<SimTime> + Clone + 'a,
+    ) -> impl ExactSizeIterator<Item = SimTime> + Clone + 'a {
+        let push_degree = push_degree(self.config.mode);
+        view.edge_range(v).map(move |e| {
+            let u = view.edges[e] as usize;
+            let Some(leg) = leg(e) else {
+                return SimTime::INFINITY;
+            };
+            let t = self.relay_at[u] + leg;
+            // `v`'s place in `u`'s row decides whether `u` pushed.
+            if ((view.reverse[e] as usize - view.offsets[u]) as u32) < push_degree {
+                t + view.edge_transfer(&self.config, u, v.index())
+            } else {
+                t
+            }
+        })
+    }
+
+    /// Computes λ(fraction) of the last message for every entry of
     /// `fractions` in one pass over a reusable sorted buffer, writing into
     /// `out` (`out.len()` must equal `fractions.len()`). Bit-identical to
     /// [`reference::coverage_times`](crate::reference::coverage_times),
@@ -565,7 +598,8 @@ impl GossipScratch {
     ///
     /// # Panics
     ///
-    /// Panics if `out` and `fractions` have different lengths.
+    /// Panics if `out` and `fractions` have different lengths, or if any
+    /// fraction is NaN (out-of-range fractions clamp to `[0, 1]`).
     pub fn coverage_times_into(
         &mut self,
         view: &TopologyView,
@@ -582,146 +616,29 @@ impl GossipScratch {
         );
     }
 
-    /// First arrival time of the *current batch message* at `v` — the
-    /// batch-pass equivalent of [`GossipScratch::arrival`]. During a
-    /// [`TopologyView::gossip_batch_into`] visit the raw `first_arrival`
-    /// vector still holds stale times from earlier messages in the batch
-    /// for nodes the current message has not reached, so validity is
-    /// gated by the per-node epoch stamp.
-    #[inline]
-    pub fn batch_arrival(&self, v: NodeId) -> SimTime {
-        if self.seen(v.index()) {
-            self.first_arrival[v.index()]
-        } else {
-            SimTime::INFINITY
-        }
-    }
-
-    /// Number of nodes the current batch message reached.
-    pub fn batch_reached(&self) -> usize {
-        (0..self.seen_stamp.len()).filter(|&v| self.seen(v)).count()
-    }
-
-    /// Batch-pass equivalent of [`GossipScratch::coverage_times_into`]:
-    /// λ(fraction) of the *current batch message* for every entry of
-    /// `fractions`. Entries of the arrival vector left stale by earlier
-    /// messages in the batch are canonicalized to `INFINITY` in place
-    /// first (harmless — their validity stamp already marked them dead).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` and `fractions` have different lengths, or if any
-    /// fraction is NaN (out-of-range fractions clamp to `[0, 1]`).
+    /// [`GossipScratch::coverage_times_into`] under its former batch
+    /// name, kept only because roundbench's replay calls it.
     pub fn batch_coverage_times_into(
         &mut self,
         view: &TopologyView,
         fractions: &[f64],
         out: &mut [SimTime],
     ) {
-        for v in 0..self.first_arrival.len() {
-            if self.seen_stamp[v] != self.epoch {
-                self.first_arrival[v] = SimTime::INFINITY;
-            }
-        }
-        coverage_times_from_arrivals(
-            view,
-            &self.first_arrival,
-            fractions,
-            out,
-            &mut self.coverage,
-            &mut self.select,
-        );
+        self.coverage_times_into(view, fractions, out);
     }
 
-    /// Prepares the scratch for a batch of `batch_len` messages (a single
-    /// message is a batch of one) on a network of `nodes` nodes and
-    /// `directed_edges` CSR entries: the full O(n + m) refill of every
-    /// epoch-stamped buffer runs at most once per batch (only on size
-    /// change or when `batch_len` epoch bumps would wrap the counter),
-    /// and each message inside the batch then costs one epoch bump —
-    /// this is the batching amortization of the per-message flag and
-    /// arrival-vector resets. The refill zeroes *every* stamp vector
-    /// (older than any live epoch), because rolling the counter back
-    /// would otherwise let stamps written under a previous counter alias
-    /// a fresh epoch.
-    ///
-    /// Sets `epoch` to the stamp *preceding* the batch's first message;
-    /// the per-message loop bumps it before simulating each message. The
-    /// reservation covers the kernel's one bump per message; a fallback's
-    /// extra bump checks the wrap itself ([`GossipScratch::bump_epoch`]).
-    fn reset_batch(&mut self, nodes: usize, directed_edges: usize, batch_len: usize) {
-        if self.delivery.len() != directed_edges
-            || self.seen_stamp.len() != nodes
-            || (self.epoch as u64) + (batch_len as u64) > u32::MAX as u64
-        {
-            self.refill_stamps(nodes, directed_edges);
+    /// Readies the scratch for `msg` on a network of `nodes` nodes: no
+    /// node holds it, has announced it or carries a label.
+    fn reset(&mut self, msg: &BatchMessage, nodes: usize) {
+        self.source = msg.source;
+        self.config = msg.config;
+        self.queue.clear();
+        for times in [&mut self.first_arrival, &mut self.relay_at] {
+            times.clear();
+            times.resize(nodes, SimTime::INFINITY);
         }
-        self.first_arrival.clear();
-        self.first_arrival.resize(nodes, SimTime::INFINITY);
-    }
-
-    /// The full O(n + m) refill: every stamped buffer reads as unset and
-    /// the counter restarts at 0.
-    fn refill_stamps(&mut self, nodes: usize, directed_edges: usize) {
-        self.counters.epoch_refills += 1;
-        self.delivery.clear();
-        self.delivery.resize(directed_edges, SimTime::INFINITY);
-        self.delivery_stamp.clear();
-        self.delivery_stamp.resize(directed_edges, 0);
-        self.seen_stamp.clear();
-        self.seen_stamp.resize(nodes, 0);
-        self.req_stamp.clear();
-        self.req_stamp.resize(nodes, 0);
         self.labels.clear();
         self.labels.resize(nodes, Label::UNSET);
-        self.epoch = 0;
-    }
-
-    /// Starts a fresh message epoch, refilling the stamps first if the
-    /// counter would wrap.
-    #[inline]
-    fn bump_epoch(&mut self) {
-        if self.epoch == u32::MAX {
-            self.refill_stamps(self.seen_stamp.len(), self.delivery.len());
-        }
-        self.epoch += 1;
-        self.counters.epoch_bumps += 1;
-    }
-
-    /// Whether `v` holds the current message.
-    #[inline]
-    fn seen(&self, v: usize) -> bool {
-        self.seen_stamp[v] == self.epoch
-    }
-
-    /// `v`'s kernel labels for the current message.
-    #[inline]
-    fn label(&self, v: usize) -> Label {
-        let label = self.labels[v];
-        if label.stamp == self.epoch {
-            label
-        } else {
-            Label {
-                stamp: self.epoch,
-                ..Label::UNSET
-            }
-        }
-    }
-
-    /// Whether `v` already sent a GETDATA for the current message.
-    #[inline]
-    fn pulled(&self, v: usize) -> bool {
-        self.req_stamp[v] == self.epoch
-    }
-
-    /// Records the (final at schedule time) delivery across directed edge
-    /// `e`'s reverse direction, stamping the current block epoch.
-    #[inline]
-    fn record_delivery(&mut self, e: usize, t: SimTime) {
-        debug_assert!(self.delivery_stamp[e] != self.epoch, "edge delivered twice");
-        self.delivery[e] = t;
-        self.delivery_stamp[e] = self.epoch;
-        self.counters.gossip_deliveries += 1;
     }
 
     /// Schedules an event at `time`, stamping the next insertion sequence
@@ -758,20 +675,20 @@ pub struct BatchMessage {
 
 impl TopologyView {
     /// Simulates one block mined by `source` at time zero at the message
-    /// level, writing arrivals and the per-edge delivery matrix into
-    /// `scratch` without allocating (after `scratch` has warmed up to this
-    /// network size once). A single message is a batch of one: this runs
-    /// the same kernel, with the same event-loop fallback, as
+    /// level, writing arrivals and relay times into `scratch` without
+    /// allocating (after `scratch` has warmed up to this network size
+    /// once). A single message is a batch of one: this runs the same
+    /// kernel, with the same event-loop fallback, as
     /// [`TopologyView::gossip_batch_into`] (see the module docs).
     ///
-    /// Arrivals and delivery logs equal the seed's event-queue engine,
+    /// Arrivals and delivery rows equal the seed's event-queue engine,
     /// [`reference::gossip_block`](crate::reference::gossip_block), bit
     /// for bit: the same `δ(u,v)` call directions (cached per directed
     /// edge), the same float order for every leg sum and the same
     /// transfer-time floats, with exact INV ties resolved by its
     /// insertion sequence on the fallback. In [`GossipMode::Flood`] with
-    /// negligible transfer the arrivals are additionally bit-identical to
-    /// [`TopologyView::broadcast_into`].
+    /// negligible transfer the arrivals and relay times are additionally
+    /// bit-identical to [`TopologyView::broadcast_into`].
     ///
     /// # Panics
     ///
@@ -784,13 +701,14 @@ impl TopologyView {
     /// [`TopologyView::gossip_into`] with a link-fault lens applied to
     /// every announcement leg (the flood-mode block push / the INV), per
     /// the [`faults`](crate::faults) module contract: a dropped or
-    /// down-link announcement records no delivery and offers its
-    /// neighbour nothing (on the event loop it consumes exactly one
-    /// sequence number, like an inert event, so the tie-break numbering
-    /// of every later event is unchanged). GETDATA and the block transfer
-    /// it pulls are reliable-but-slowed ([`BlockFaults::scaled`]): a
-    /// delivered INV can always complete. The lens sees every announce
-    /// leg exactly once on either path, so the fault tallies match.
+    /// down-link announcement offers its neighbour nothing (on the event
+    /// loop it consumes exactly one sequence number, like an inert event,
+    /// so the tie-break numbering of every later event is unchanged), and
+    /// [`GossipScratch::neighbor_deliveries_faulted`] reads it as never
+    /// delivered. GETDATA and the block transfer it pulls are
+    /// reliable-but-slowed ([`BlockFaults::scaled`]): a delivered INV can
+    /// always complete. The lens sees every announce leg exactly once on
+    /// either path, so the fault tallies match.
     ///
     /// With `faults: None` the pass runs on the no-fault lens, and with
     /// an inert plan the lens returns every base delay bitwise, so both
@@ -817,24 +735,19 @@ impl TopologyView {
         }
     }
 
-    /// Simulates a batch of messages through **one shared scratch**:
-    /// per-node epoch stamps replace the O(n) flag, label and
-    /// arrival-vector resets, so each message inside the batch costs a
-    /// single epoch bump plus its own kernel pass. With tens of thousands
-    /// of small messages per round this amortization is the difference
-    /// between the reset dominating and the propagation dominating.
+    /// Simulates a batch of messages through **one shared scratch**, each
+    /// message costing an O(n) reset plus its own kernel pass.
     ///
     /// Messages are simulated strictly in batch order, each from time
     /// zero. After each message's pass ends, `visit(i, scratch)` runs
-    /// with the scratch exposing *that message's* results:
-    /// [`GossipScratch::batch_arrival`], [`GossipScratch::batch_reached`],
-    /// [`GossipScratch::batch_coverage_times_into`],
-    /// [`GossipScratch::delivery`] and
-    /// [`GossipScratch::neighbor_deliveries`] (the delivery matrix is
-    /// epoch-stamped per message, so the latter two need no batch-specific
-    /// variant). Results are **bit-identical** to running
-    /// [`TopologyView::gossip_into`] once per message on a fresh scratch,
-    /// on either queue kind — exercised by `tests/gossip_batch.rs`.
+    /// with the scratch exposing *that message's* results through every
+    /// accessor: [`GossipScratch::arrival`], [`GossipScratch::reached`],
+    /// [`GossipScratch::coverage_times_into`],
+    /// [`GossipScratch::relay_starts`] and
+    /// [`GossipScratch::neighbor_deliveries`]. Results are
+    /// **bit-identical** to running [`TopologyView::gossip_into`] once per
+    /// message on a fresh scratch, on either queue kind — exercised by
+    /// `tests/gossip_batch.rs`.
     ///
     /// Faults are a block-path concern and are not applied here; the
     /// traffic layer documents message streams as fault-free.
@@ -871,8 +784,7 @@ impl TopologyView {
         F: FnMut(usize, &mut GossipScratch),
     {
         let n = self.len();
-        let m = self.edges.len();
-        if let Err(e) = check_payload_cap(n, m) {
+        if let Err(e) = check_payload_cap(n, self.edges.len()) {
             panic!("{e}");
         }
         // A negative size would queue keys behind the queue's cursor and
@@ -883,15 +795,14 @@ impl TopologyView {
                 panic!("{e}");
             }
         }
-        scratch.reset_batch(n, m, batch.len());
         for (i, msg) in batch.iter().enumerate() {
             let before = scratch.counters;
-            scratch.bump_epoch();
+            scratch.reset(msg, n);
             if !self.settle(msg, scratch, faults) {
                 // A fallback counts as the event loop alone: the kernel
                 // pass's tallies are dropped, not doubled.
                 scratch.counters = before;
-                scratch.bump_epoch();
+                scratch.reset(msg, n);
                 self.event_loop(msg, scratch, faults);
                 scratch.counters.gossip_fallbacks += 1;
             }
@@ -900,12 +811,10 @@ impl TopologyView {
     }
 
     /// The label-setting kernel (see the module docs): settles the
-    /// current message's nodes in have-time order, writing arrivals and
-    /// the delivery matrix under the current epoch. Returns `false` as
+    /// message's nodes in have-time order, writing their arrivals and
+    /// relay times into the freshly reset scratch. Returns `false` as
     /// soon as an exact INV tie could decide a have-time; the caller then
-    /// re-runs the message on the event loop under a fresh epoch, which
-    /// rewrites every arrival and delivery written here (the reached set
-    /// does not depend on ties).
+    /// resets the scratch and re-runs the message on the event loop.
     fn settle<L: FaultLens>(
         &self,
         msg: &BatchMessage,
@@ -915,29 +824,25 @@ impl TopologyView {
         let config = &msg.config;
         let push_degree = push_degree(config.mode);
         let src = msg.source.as_u32();
-        scratch.source = msg.source;
-        scratch.queue.clear();
-        scratch.labels[src as usize] = Label {
-            stamp: scratch.epoch,
-            push: SimTime::ZERO,
-            ..Label::UNSET
-        };
+        scratch.labels[src as usize].push = SimTime::ZERO;
         scratch.queue.push(pack_settle(SimTime::ZERO, src));
         while let Some(word) = scratch.queue.pop() {
             scratch.counters.gossip_pops += 1;
             let u = word as u32;
             let ui = u as usize;
-            if scratch.seen(ui) || word != pack_settle(scratch.labels[ui].key(), u) {
+            if scratch.first_arrival[ui].is_finite()
+                || word != pack_settle(scratch.labels[ui].key(), u)
+            {
                 continue; // settled already, or its key has moved since
             }
             let t = event_time(word);
-            scratch.seen_stamp[ui] = scratch.epoch;
             scratch.first_arrival[ui] = t;
             // The miner announces its own block without validating it.
             let relay = self.relay[ui].relay_time(t, u == src);
             if relay.is_infinite() {
                 continue; // silent, or a withholding miner
             }
+            scratch.relay_at[ui] = relay;
             scratch.counters.gossip_relays += 1;
             let (start, end) = (self.offsets[ui], self.offsets[ui + 1]);
             let row = self.edges[start..end]
@@ -949,16 +854,16 @@ impl TopologyView {
                 let Some(leg) = faults.announce(e, base, &mut scratch.counters) else {
                     continue; // dropped, or the link is down
                 };
-                let (v, rev) = (v as usize, rev as usize);
+                scratch.counters.gossip_deliveries += 1;
+                let v = v as usize;
                 let push = (k as u32) < push_degree;
                 let tv = if push {
                     relay + leg + self.edge_transfer(config, ui, v)
                 } else {
                     relay + leg
                 };
-                scratch.record_delivery(rev, tv);
-                let settled = scratch.seen(v);
-                let mut label = scratch.label(v);
+                let settled = scratch.first_arrival[v].is_finite();
+                let mut label = scratch.labels[v];
                 let before = label.key();
                 let moved = if push {
                     // A settled node's have-time is final.
@@ -970,6 +875,7 @@ impl TopologyView {
                 } else if tv.as_ms() <= label.inv.as_ms() {
                     // The event loop's float order: the GETDATA leg, then
                     // the BLOCK leg, then the transfer.
+                    let rev = rev as usize;
                     let pull = tv
                         + faults.reliable(rev, self.delay[rev])
                         + faults.reliable(e, self.delay[e])
@@ -1009,15 +915,15 @@ impl TopologyView {
     }
 
     /// The message-level event loop, exact on every input, INV ties
-    /// included: the kernel's fallback. It simulates the current message
-    /// under the current epoch, event for event like the oracle
+    /// included: the kernel's fallback. It simulates the message into the
+    /// freshly reset scratch, event for event like the oracle
     /// [`reference::gossip_block`](crate::reference::gossip_block):
     /// the same schedule order and the same time-tie insertion-sequence
     /// break.
     fn event_loop<L: FaultLens>(&self, msg: &BatchMessage, scratch: &mut GossipScratch, faults: L) {
-        scratch.queue.clear();
         scratch.seq = 0;
-        scratch.source = msg.source;
+        scratch.pulled.clear();
+        scratch.pulled.resize(self.len(), false);
         let config = &msg.config;
         // Adding a zero transfer is a bitwise no-op on non-negative
         // times, so the negligible-block default skips the per-edge
@@ -1025,7 +931,6 @@ impl TopologyView {
         let no_transfer = config.transfer.block_size_mb() == 0.0;
         let push_degree = push_degree(config.mode);
         let src = msg.source.index();
-        scratch.seen_stamp[src] = scratch.epoch;
         scratch.first_arrival[src] = SimTime::ZERO;
         // The miner announces immediately (no validation of its own
         // block), unless it is a withholding adversary.
@@ -1041,16 +946,15 @@ impl TopologyView {
                 k if k == EventKind::Announce as u32 => {
                     // Payload: the announcing node u. A node announces
                     // at most once, so each directed edge carries
-                    // exactly one push or INV: its delivery time is
-                    // final at schedule time and is written here
-                    // directly. Events that can no longer have any
-                    // other effect — the target already holds the
+                    // exactly one push or INV. Events that can no longer
+                    // have any effect — the target already holds the
                     // message (push) or has already requested it (INV)
                     // — are provably no-ops at pop and skip the queue,
                     // consuming only their sequence number, as does an
                     // announcement the lens drops.
                     scratch.counters.gossip_relays += 1;
                     let u = event_payload(word);
+                    scratch.relay_at[u] = t;
                     let (start, end) = (self.offsets[u], self.offsets[u + 1]);
                     let row = self.edges[start..end]
                         .iter()
@@ -1062,39 +966,35 @@ impl TopologyView {
                             scratch.skip_inert();
                             continue;
                         };
+                        scratch.counters.gossip_deliveries += 1;
                         let vi = v as usize;
+                        let holds = scratch.first_arrival[vi].is_finite();
                         if (k as u32) < push_degree {
-                            let tv = if no_transfer {
-                                t + leg
-                            } else {
-                                t + leg + self.edge_transfer(config, u, vi)
-                            };
-                            scratch.record_delivery(rev as usize, tv);
-                            if scratch.seen(vi) {
+                            if holds {
                                 scratch.skip_inert();
                             } else {
+                                let tv = if no_transfer {
+                                    t + leg
+                                } else {
+                                    t + leg + self.edge_transfer(config, u, vi)
+                                };
                                 scratch.schedule(tv, EventKind::Block, v);
                             }
+                        } else if holds || scratch.pulled[vi] {
+                            scratch.skip_inert();
                         } else {
-                            let tv = t + leg;
-                            scratch.record_delivery(rev as usize, tv);
-                            if scratch.seen(vi) || scratch.pulled(vi) {
-                                scratch.skip_inert();
-                            } else {
-                                scratch.schedule(tv, EventKind::Inv, rev);
-                            }
+                            scratch.schedule(t + leg, EventKind::Inv, rev);
                         }
                     }
                 }
                 k if k == EventKind::Inv as u32 => {
                     // Payload: the entry for the announcer u within
-                    // the announced-to node v's row (the delivery was
-                    // already recorded at schedule time).
+                    // the announced-to node v's row.
                     let rev = event_payload(word);
                     let fwd = self.reverse[rev] as usize;
                     let v = self.edges[fwd] as usize;
-                    if !scratch.seen(v) && !scratch.pulled(v) {
-                        scratch.req_stamp[v] = scratch.epoch;
+                    if !scratch.first_arrival[v].is_finite() && !scratch.pulled[v] {
+                        scratch.pulled[v] = true;
                         let leg = faults.reliable(rev, self.delay[rev]);
                         scratch.schedule(t + leg, EventKind::GetData, fwd as u32);
                     }
@@ -1104,13 +1004,13 @@ impl TopologyView {
                     // requester v (u must hold the message, since it
                     // announced).
                     let e = event_payload(word);
-                    debug_assert!(scratch.seen(self.edges[self.reverse[e] as usize] as usize));
+                    let u = self.edges[self.reverse[e] as usize] as usize;
+                    debug_assert!(scratch.first_arrival[u].is_finite());
                     let v = self.edges[e];
                     let leg = faults.reliable(e, self.delay[e]);
                     let transfer = if no_transfer {
                         SimTime::ZERO
                     } else {
-                        let u = self.edges[self.reverse[e] as usize] as usize;
                         self.edge_transfer(config, u, v as usize)
                     };
                     scratch.schedule(t + leg + transfer, EventKind::Block, v);
@@ -1118,10 +1018,9 @@ impl TopologyView {
                 _ => {
                     // Block. Payload: the receiving node v.
                     let v = event_payload(word);
-                    if scratch.seen(v) {
+                    if scratch.first_arrival[v].is_finite() {
                         continue;
                     }
-                    scratch.seen_stamp[v] = scratch.epoch;
                     scratch.first_arrival[v] = t;
                     let relay = self.relay[v].relay_time(t, false);
                     if relay.is_finite() {
@@ -1180,10 +1079,22 @@ mod tests {
         scratch
     }
 
-    /// The last block's whole delivery matrix, in CSR edge order.
+    /// Every delivery row of the last fault-free block, in CSR edge
+    /// order.
     fn deliveries(view: &TopologyView, s: &GossipScratch) -> Vec<SimTime> {
-        (0..view.directed_edge_count())
-            .map(|e| s.delivery(e))
+        (0..view.len() as u32)
+            .flat_map(|v| s.neighbor_deliveries(view, NodeId::new(v)))
+            .collect()
+    }
+
+    /// [`deliveries`] of a block run under `faults`.
+    fn faulted_deliveries(
+        view: &TopologyView,
+        s: &GossipScratch,
+        faults: &BlockFaults<'_>,
+    ) -> Vec<SimTime> {
+        (0..view.len() as u32)
+            .flat_map(|v| s.neighbor_deliveries_faulted(view, NodeId::new(v), faults))
             .collect()
     }
 
@@ -1231,8 +1142,7 @@ mod tests {
         scratch: &mut GossipScratch,
         faults: &BlockFaults<'_>,
     ) {
-        scratch.reset_batch(view.len(), view.directed_edge_count(), 1);
-        scratch.bump_epoch();
+        scratch.reset(&msg, view.len());
         view.event_loop(&msg, scratch, faults);
     }
 
@@ -1326,9 +1236,10 @@ mod tests {
                                     "world {w} round {round} {config:?} from {s} on {kind:?}"
                                 );
                                 assert_eq!(kernel.arrivals(), events.arrivals(), "{what}");
+                                assert_eq!(kernel.relay_starts(), events.relay_starts(), "{what}");
                                 assert_eq!(
-                                    deliveries(view, &kernel),
-                                    deliveries(view, &events),
+                                    faulted_deliveries(view, &kernel, &bf),
+                                    faulted_deliveries(view, &events, &bf),
                                     "{what}"
                                 );
                                 let (k, e) = (kernel.take_counters(), events.take_counters());
@@ -1358,10 +1269,10 @@ mod tests {
         let mut fast = BroadcastScratch::new();
         view.broadcast_into(src, &mut fast);
         let slow = gossip(&view, 5, &GossipConfig::flood());
+        assert_eq!(fast.relay_starts(), slow.relay_starts());
         for v in (0..pop.len() as u32).map(NodeId::new) {
-            for (e, u) in view.edge_range(v).zip(view.neighbors(v)) {
+            for (t, u) in slow.neighbor_deliveries(&view, v).zip(view.neighbors(v)) {
                 let expect = fast.relay_start(u) + lat.delay(u, v);
-                let t = slow.delivery(e);
                 if t.is_finite() {
                     assert!((t.as_ms() - expect.as_ms()).abs() < 1e-9);
                 } else {
@@ -1511,7 +1422,7 @@ mod tests {
     }
 
     #[test]
-    fn delivery_matrix_aligns_with_view_rows() {
+    fn delivery_rows_match_the_reference_logs() {
         let (pop, lat, topo) = random_world(40, 21);
         let view = TopologyView::new(&topo, &lat, &pop);
         let cfg = GossipConfig::inv_getdata(0.0);
@@ -1527,92 +1438,9 @@ mod tests {
                     logs[v.index()].get(&u).copied(),
                     row[k].is_finite().then(|| row[k])
                 );
-                assert_eq!(scratch.delivery(view.edge_range(v).start + k), row[k]);
             }
         }
         assert_eq!(total, view.directed_edge_count());
-    }
-
-    #[test]
-    fn epoch_wrap_fully_clears_delivery_matrix() {
-        let (pop, lat, topo) = random_world(40, 77);
-        let view = TopologyView::new(&topo, &lat, &pop);
-        let cfg = GossipConfig::inv_getdata(0.0);
-        let mut scratch = GossipScratch::new();
-        // Populate stamps at a low epoch, then force the counter to the
-        // wrap point: without the full refill, entries stamped `1` by
-        // the pre-wrap block would alias the post-wrap epoch 1.
-        view.gossip_into(NodeId::new(1), &cfg, &mut scratch);
-        assert_eq!(scratch.epoch, 1);
-        scratch.epoch = u32::MAX;
-        view.gossip_into(NodeId::new(2), &cfg, &mut scratch);
-        assert_eq!(scratch.epoch, 1, "wrap restarts the epoch counter");
-        let mut fresh = GossipScratch::new();
-        view.gossip_into(NodeId::new(2), &cfg, &mut fresh);
-        assert_eq!(scratch.first_arrival, fresh.first_arrival);
-        assert_eq!(scratch.delivery, fresh.delivery, "matrix fully cleared");
-        assert_eq!(scratch.delivery_stamp, fresh.delivery_stamp);
-        assert_eq!(deliveries(&view, &scratch), deliveries(&view, &fresh));
-    }
-
-    #[test]
-    fn batch_near_epoch_wrap_refills_stamps() {
-        let (pop, lat, topo) = random_world(30, 78);
-        let view = TopologyView::new(&topo, &lat, &pop);
-        let batch: Vec<BatchMessage> = [3u32, 9, 21]
-            .into_iter()
-            .map(|s| BatchMessage {
-                source: NodeId::new(s),
-                config: GossipConfig::inv_getdata(0.0),
-            })
-            .collect();
-        let single = |s: &GossipScratch| {
-            let deliveries: Vec<SimTime> = (0..view.directed_edge_count())
-                .map(|e| s.delivery(e))
-                .collect();
-            (s.first_arrival.clone(), deliveries)
-        };
-        for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-            let mut scratch = GossipScratch::with_queue(kind);
-            let mut arrivals = Vec::new();
-            view.gossip_batch_into(&batch, &mut scratch, |_, s| {
-                arrivals.push(
-                    (0..30)
-                        .map(|v| s.batch_arrival(NodeId::new(v)))
-                        .collect::<Vec<_>>(),
-                );
-            });
-            // Park the counter where the next 3-message batch cannot fit
-            // without wrapping; reset_batch must refill instead.
-            scratch.epoch = u32::MAX - 2;
-            let mut wrapped = Vec::new();
-            view.gossip_batch_into(&batch, &mut scratch, |_, s| {
-                wrapped.push(
-                    (0..30)
-                        .map(|v| s.batch_arrival(NodeId::new(v)))
-                        .collect::<Vec<_>>(),
-                );
-            });
-            assert!(scratch.epoch <= 3, "refill restarted the counter");
-            assert_eq!(arrivals, wrapped);
-
-            // Single messages across the wrap: the first takes the last
-            // epoch before it, the second must refill instead of wrapping.
-            scratch.epoch = u32::MAX - 1;
-            for (k, msg) in batch.iter().enumerate() {
-                let mut fresh = GossipScratch::with_queue(kind);
-                view.gossip_into(msg.source, &msg.config, &mut fresh);
-                view.gossip_into(msg.source, &msg.config, &mut scratch);
-                assert_eq!(single(&fresh), single(&scratch), "message {k} ({kind:?})");
-                if k == 0 {
-                    assert_eq!(scratch.epoch, u32::MAX, "one bump fits before the wrap");
-                }
-            }
-            assert_eq!(
-                scratch.epoch, 2,
-                "the wrap refilled and restarted the counter"
-            );
-        }
     }
 
     #[test]
@@ -1740,18 +1568,17 @@ mod tests {
             view.gossip_into(msg.source, &msg.config, &mut single);
             for v in 0..view.len() as u32 {
                 let v = NodeId::new(v);
-                assert_eq!(
-                    s.batch_arrival(v),
-                    single.arrival(v),
-                    "message {i} node {v}"
-                );
+                assert_eq!(s.arrival(v), single.arrival(v), "message {i} node {v}");
             }
-            for e in 0..view.directed_edge_count() {
-                assert_eq!(s.delivery(e), single.delivery(e), "message {i} edge {e}");
-            }
-            assert_eq!(s.batch_reached(), single.reached());
+            assert_eq!(s.relay_starts(), single.relay_starts(), "message {i}");
+            assert_eq!(
+                deliveries(&view, s),
+                deliveries(&view, &single),
+                "message {i}"
+            );
+            assert_eq!(s.reached(), single.reached());
             let mut via_batch = [SimTime::ZERO; 2];
-            s.batch_coverage_times_into(&view, &[0.9, 0.5], &mut via_batch);
+            s.coverage_times_into(&view, &[0.9, 0.5], &mut via_batch);
             let mut via_single = [SimTime::ZERO; 2];
             single.coverage_times_into(&view, &[0.9, 0.5], &mut via_single);
             assert_eq!(via_batch, via_single, "message {i} coverage");

@@ -33,16 +33,19 @@
 //!   [`TopologyView::broadcast_into_faulted`]: it is generic over a
 //!   crate-private link-fault lens whose no-fault instance compiles to
 //!   the plain Dijkstra.
-//! * [`GossipScratch`] — reusable message-level state (packed event
-//!   queue, flat per-edge delivery matrix, epoch-stamped per-node flags)
-//!   for direct flood, Bitcoin's `INV`/`GETDATA` exchange or the
-//!   push/pull hybrid, with bandwidth. Flooding a zero-size block
+//! * [`GossipScratch`] — reusable message-level state for direct flood,
+//!   Bitcoin's `INV`/`GETDATA` exchange or the push/pull hybrid, with
+//!   bandwidth. Like [`BroadcastScratch`] it leaves per-node first
+//!   arrivals and relay starts, and each neighbour's delivery follows as
+//!   `relay_start(u) + δ(u,v)`, plus the transfer when `u` pushed the
+//!   whole message. Flooding a zero-size block
 //!   ([`GossipConfig::is_analytic`]) is exactly the analytic engine, so
-//!   block propagation runs that kernel for such a config. One event
-//!   loop serves
-//!   [`TopologyView::gossip_batch_into`], [`TopologyView::gossip_into`]
-//!   and [`TopologyView::gossip_into_faulted`]: a single message is a
-//!   batch of one, over the same fault lens.
+//!   block propagation runs that kernel for such a config. One
+//!   label-setting pass, with an event-loop fallback for exact INV ties,
+//!   serves [`TopologyView::gossip_batch_into`],
+//!   [`TopologyView::gossip_into`] and
+//!   [`TopologyView::gossip_into_faulted`]: a single message is a batch
+//!   of one, over the same fault lens.
 //! * [`reference`](mod@reference) — the crate's test oracles, kept off every hot path:
 //!   the seed's event-queue engine [`reference::gossip_block`] and the
 //!   sort-and-scan coverage time [`reference::coverage_times`].
@@ -71,8 +74,7 @@
 //!   hybrid [`GossipMode::PushPull`]), generated as
 //!   pure hashes and simulated in bulk through
 //!   [`TopologyView::gossip_batch_into`]: tens of thousands of messages
-//!   share one announcement pass over a [`GossipScratch`], per-batch
-//!   epoch stamps replacing the per-message O(n + m) buffer resets —
+//!   share one reused [`GossipScratch`], each paying an O(n) reset —
 //!   bit-identical to one [`TopologyView::gossip_into`] call per message.
 //! * [`faults`] — link-level fault injection: a seeded [`FaultPlan`]
 //!   (drop/jitter/duplication rates, timed windows, link flaps,

@@ -25,9 +25,9 @@
 //!
 //! A round's messages are meant to be pushed through
 //! [`TopologyView::gossip_batch_into`](crate::TopologyView::gossip_batch_into)
-//! — tens of thousands of messages share one announcement pass through a
-//! [`GossipScratch`](crate::GossipScratch), with per-batch epoch stamps
-//! replacing the per-message O(n + m) buffer resets. Traffic is
+//! — tens of thousands of messages share one reused
+//! [`GossipScratch`](crate::GossipScratch), each message paying an O(n)
+//! reset and its own kernel pass, with no per-edge state. Traffic is
 //! fault-free by contract: link faults are a block-path concern, and the
 //! traffic stream measures steady-state relay cost.
 

@@ -254,8 +254,8 @@ impl TopologyView {
     /// The CSR row-start array: node `u`'s adjacency entries occupy
     /// directed-edge indices `csr_offsets()[u]..csr_offsets()[u + 1]`.
     /// Length is `len() + 1`. This index space addresses all per-edge
-    /// data — the view's cached delays, the gossip delivery matrix, and
-    /// the flat observation store built on top of the view.
+    /// data — the view's cached delays, the delivery rows both scratches
+    /// derive, and the flat observation store built on top of the view.
     #[inline]
     pub fn csr_offsets(&self) -> &[usize] {
         &self.offsets
@@ -287,8 +287,8 @@ impl TopologyView {
     }
 
     /// The range of directed-edge indices forming `u`'s CSR row — the
-    /// index space of per-edge data such as the gossip engine's delivery
-    /// matrix ([`GossipScratch::delivery`](crate::GossipScratch::delivery)).
+    /// index space of per-edge data such as a delivery row
+    /// ([`GossipScratch::neighbor_deliveries`](crate::GossipScratch::neighbor_deliveries)).
     #[inline]
     pub fn edge_range(&self, u: NodeId) -> std::ops::Range<usize> {
         self.offsets[u.index()]..self.offsets[u.index() + 1]

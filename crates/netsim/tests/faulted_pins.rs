@@ -6,8 +6,8 @@
 //! flood-vs-analytic suites compare two engines that share a lens. Neither
 //! notices if a change applies the lens to the wrong leg (the GETDATA leg
 //! instead of the INV leg, say) in *both* places. These tests hash every
-//! observable of each faulted run — arrivals, relay starts, the full
-//! per-edge delivery matrix of the message-level engine, and the relay,
+//! observable of each faulted run — arrivals, relay starts, every
+//! faulted delivery row of the message-level engine, and the relay,
 //! delivery and fault tallies — and compare the digest with a pinned
 //! constant.
 //! Each digest must come out the same on both queue kinds.
@@ -103,8 +103,8 @@ fn world() -> (TopologyView, Vec<Region>, Vec<Vec<NodeId>>) {
 }
 
 /// Digest of every faulted message-level run of `config` on `kind`:
-/// per block, the arrivals and the whole delivery matrix, then the
-/// run's relay, delivery and fault tallies.
+/// per block, the arrivals and every faulted delivery row in CSR edge
+/// order, then the run's relay, delivery and fault tallies.
 fn gossip_digest(config: &GossipConfig, kind: QueueKind) -> (u64, usize) {
     let (view, regions, miners) = world();
     let plan = hostile_plan();
@@ -120,10 +120,11 @@ fn gossip_digest(config: &GossipConfig, kind: QueueKind) -> (u64, usize) {
             for &t in scratch.arrivals() {
                 fnv.time(t);
             }
-            for e in 0..view.directed_edge_count() {
-                let t = scratch.delivery(e);
-                drops += usize::from(t.is_infinite());
-                fnv.time(t);
+            for v in 0..view.len() as u32 {
+                for t in scratch.neighbor_deliveries_faulted(&view, NodeId::new(v), &bf) {
+                    drops += usize::from(t.is_infinite());
+                    fnv.time(t);
+                }
             }
         }
     }

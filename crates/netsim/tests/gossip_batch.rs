@@ -1,18 +1,19 @@
 //! Batched-vs-sequential bit-equality: a k-message
-//! [`TopologyView::gossip_batch_into`] pass must produce delivery
-//! matrices, arrivals and coverage times **bit-identical** to k
+//! [`TopologyView::gossip_batch_into`] pass must produce delivery rows,
+//! relay starts, arrivals and coverage times **bit-identical** to k
 //! independent [`TopologyView::gossip_into`] calls, on both
 //! [`QueueKind`]s — the correctness contract that lets the traffic layer
-//! amortize per-message buffer resets without changing a single float.
+//! share one scratch across a round's messages without changing a single
+//! float.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use perigee_netsim::gossip::BatchMessage;
 use perigee_netsim::{
-    ConnectionLimits, FaultPlan, GeoLatencyModel, GossipConfig, GossipScratch, LinkFaultRates,
-    NodeId, Population, PopulationBuilder, QueueKind, SimTime, Topology, TopologyView,
-    TrafficConfig,
+    BlockFaults, ConnectionLimits, FaultPlan, GeoLatencyModel, GossipConfig, GossipScratch,
+    LinkFaultRates, NodeId, Population, PopulationBuilder, QueueKind, SimTime, Topology,
+    TopologyView, TrafficConfig,
 };
 
 fn random_world(n: usize, seed: u64) -> (Population, GeoLatencyModel, Topology, StdRng) {
@@ -47,10 +48,28 @@ fn mixed_batch(n: u32, k: usize, rng: &mut StdRng) -> Vec<BatchMessage> {
         .collect()
 }
 
+/// Every delivery row of the scratch's last message, in CSR edge order,
+/// read through `faults` when the message ran under them.
+fn rows(view: &TopologyView, s: &GossipScratch, faults: Option<&BlockFaults<'_>>) -> Vec<SimTime> {
+    (0..view.len() as u32)
+        .map(NodeId::new)
+        .flat_map(|v| -> Vec<SimTime> {
+            match faults {
+                Some(f) => s.neighbor_deliveries_faulted(view, v, f).collect(),
+                None => s.neighbor_deliveries(view, v).collect(),
+            }
+        })
+        .collect()
+}
+
+/// The bit patterns of `times`.
+fn bits(times: &[SimTime]) -> Vec<u64> {
+    times.iter().map(|t| t.as_ms().to_bits()).collect()
+}
+
 /// Runs `batch` once batched and once as k sequential single passes on
 /// `kind`, asserting every per-message observable is bit-identical.
 fn assert_batch_equals_sequential(view: &TopologyView, batch: &[BatchMessage], kind: QueueKind) {
-    let m = view.directed_edge_count();
     let mut batched = GossipScratch::with_queue(kind);
     let mut single = GossipScratch::with_queue(kind);
     let mut visited = 0usize;
@@ -62,22 +81,25 @@ fn assert_batch_equals_sequential(view: &TopologyView, batch: &[BatchMessage], k
         for v in 0..view.len() as u32 {
             let v = NodeId::new(v);
             assert_eq!(
-                s.batch_arrival(v).as_ms().to_bits(),
+                s.arrival(v).as_ms().to_bits(),
                 single.arrival(v).as_ms().to_bits(),
                 "message {i} arrival at {v} ({kind:?})"
             );
         }
-        for e in 0..m {
-            assert_eq!(
-                s.delivery(e).as_ms().to_bits(),
-                single.delivery(e).as_ms().to_bits(),
-                "message {i} delivery matrix entry {e} ({kind:?})"
-            );
-        }
-        assert_eq!(s.batch_reached(), single.reached());
+        assert_eq!(
+            bits(s.relay_starts()),
+            bits(single.relay_starts()),
+            "message {i} relay starts ({kind:?})"
+        );
+        assert_eq!(
+            bits(&rows(view, s, None)),
+            bits(&rows(view, &single, None)),
+            "message {i} delivery rows ({kind:?})"
+        );
+        assert_eq!(s.reached(), single.reached());
         let fractions = [0.5, 0.9, 1.0];
         let mut via_batch = [SimTime::ZERO; 3];
-        s.batch_coverage_times_into(view, &fractions, &mut via_batch);
+        s.coverage_times_into(view, &fractions, &mut via_batch);
         let mut via_single = [SimTime::ZERO; 3];
         single.coverage_times_into(view, &fractions, &mut via_single);
         assert_eq!(via_batch, via_single, "message {i} coverage ({kind:?})");
@@ -97,12 +119,17 @@ fn batch_is_bit_identical_to_sequential_on_both_queue_kinds() {
     }
 }
 
-/// Every observable of the scratch's last single-message run.
-fn single_run(view: &TopologyView, s: &GossipScratch) -> (Vec<SimTime>, Vec<SimTime>) {
-    let deliveries = (0..view.directed_edge_count())
-        .map(|e| s.delivery(e))
-        .collect();
-    (s.arrivals().to_vec(), deliveries)
+/// Arrivals, relay starts and delivery rows of one message.
+type Run = (Vec<SimTime>, Vec<SimTime>, Vec<SimTime>);
+
+/// Every observable of the scratch's last single-message run, under
+/// `faults` when it ran under them.
+fn single_run(view: &TopologyView, s: &GossipScratch, faults: Option<&BlockFaults<'_>>) -> Run {
+    (
+        s.arrivals().to_vec(),
+        s.relay_starts().to_vec(),
+        rows(view, s, faults),
+    )
 }
 
 #[test]
@@ -121,20 +148,20 @@ fn repeated_batches_reuse_the_scratch_without_drift() {
         ..FaultPlan::default()
     };
     for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-        // Three consecutive batches through ONE scratch (epochs keep
-        // climbing), with plain and faulted single-message runs on the
-        // same scratch in between, must equal fresh-scratch runs.
+        // Three consecutive batches through ONE scratch, with plain and
+        // faulted single-message runs on the same scratch in between,
+        // must equal fresh-scratch runs.
         let mut carried = GossipScratch::with_queue(kind);
         for round in 0..3 {
             let batch = mixed_batch(50, 16, &mut rng);
             let mut fresh = GossipScratch::with_queue(kind);
             let mut expect: Vec<Vec<SimTime>> = Vec::new();
             view.gossip_batch_into(&batch, &mut fresh, |_, s| {
-                expect.push((0..50).map(|v| s.batch_arrival(NodeId::new(v))).collect());
+                expect.push(s.arrivals().to_vec());
             });
             let mut got: Vec<Vec<SimTime>> = Vec::new();
             view.gossip_batch_into(&batch, &mut carried, |_, s| {
-                got.push((0..50).map(|v| s.batch_arrival(NodeId::new(v))).collect());
+                got.push(s.arrivals().to_vec());
             });
             assert_eq!(expect, got, "round {round} ({kind:?})");
 
@@ -143,8 +170,8 @@ fn repeated_batches_reuse_the_scratch_without_drift() {
             view.gossip_into(msg.source, &msg.config, &mut fresh);
             view.gossip_into(msg.source, &msg.config, &mut carried);
             assert_eq!(
-                single_run(&view, &fresh),
-                single_run(&view, &carried),
+                single_run(&view, &fresh, None),
+                single_run(&view, &carried, None),
                 "single message after round {round} ({kind:?})"
             );
 
@@ -154,8 +181,8 @@ fn repeated_batches_reuse_the_scratch_without_drift() {
             view.gossip_into_faulted(msg.source, &msg.config, &mut fresh, Some(&bf));
             view.gossip_into_faulted(msg.source, &msg.config, &mut carried, Some(&bf));
             assert_eq!(
-                single_run(&view, &fresh),
-                single_run(&view, &carried),
+                single_run(&view, &fresh, Some(&bf)),
+                single_run(&view, &carried, Some(&bf)),
                 "faulted message after round {round} ({kind:?})"
             );
         }

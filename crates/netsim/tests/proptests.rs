@@ -8,8 +8,8 @@ use rand::{Rng, SeedableRng};
 
 use perigee_netsim::pq::{CalendarQueue, PackedQueue, QueueKind, TimeKey, BUCKET_WIDTH_MS};
 use perigee_netsim::{
-    reference, BroadcastScratch, ConnectionLimits, EventQueue, FaultPlan, GeoLatencyModel,
-    GossipConfig, GossipScratch, LatencyModel, LinkFaultRates, LinkFlaps, NodeId,
+    reference, BlockFaults, BroadcastScratch, ConnectionLimits, EventQueue, FaultPlan,
+    GeoLatencyModel, GossipConfig, GossipScratch, LatencyModel, LinkFaultRates, LinkFlaps, NodeId,
     PopulationBuilder, Region, RegionalWindow, RoundDelta, SimTime, Topology, TopologyView,
     WorldDelta,
 };
@@ -52,10 +52,22 @@ fn random_connected_topology(n: usize, rng: &mut StdRng) -> Topology {
     topo
 }
 
-/// The last gossiped block's whole delivery matrix, in CSR edge order.
+/// Every delivery row of the last fault-free gossiped block, in CSR edge
+/// order.
 fn deliveries(view: &TopologyView, s: &GossipScratch) -> Vec<SimTime> {
-    (0..view.directed_edge_count())
-        .map(|e| s.delivery(e))
+    (0..view.len() as u32)
+        .flat_map(|v| s.neighbor_deliveries(view, NodeId::new(v)))
+        .collect()
+}
+
+/// [`deliveries`] of a block gossiped under `faults`.
+fn faulted_deliveries(
+    view: &TopologyView,
+    s: &GossipScratch,
+    faults: &BlockFaults<'_>,
+) -> Vec<SimTime> {
+    (0..view.len() as u32)
+        .flat_map(|v| s.neighbor_deliveries_faulted(view, NodeId::new(v), faults))
         .collect()
 }
 
@@ -201,6 +213,7 @@ proptest! {
             view.broadcast_into(src, &mut flood);
             view.gossip_into(src, &cfg, &mut gossip);
             prop_assert_eq!(flood.arrivals(), gossip.arrivals());
+            prop_assert_eq!(flood.relay_starts(), gossip.relay_starts());
             let mut a = [SimTime::ZERO; 2];
             let mut b = [SimTime::ZERO; 2];
             flood.coverage_times_into(&view, &[0.9, 0.5], &mut a);
@@ -238,7 +251,7 @@ proptest! {
     /// An *inert* `FaultPlan` — zero rates, no windows, no flaps, no
     /// partitions, no regional brownouts — is bit-identical to running
     /// with no plan at all, through both faulted entry points, in every
-    /// gossip mode, including the full per-edge delivery matrix.
+    /// gossip mode, including every delivery row.
     #[test]
     fn inert_fault_plan_is_bit_identical_to_no_plan(n in 3usize..60, seed in 0u64..300) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -269,7 +282,11 @@ proptest! {
                 view.gossip_into(src, &cfg, &mut g_plain);
                 view.gossip_into_faulted(src, &cfg, &mut g_faulted, Some(&bf));
                 prop_assert_eq!(g_plain.arrivals(), g_faulted.arrivals());
-                prop_assert_eq!(deliveries(&view, &g_plain), deliveries(&view, &g_faulted));
+                prop_assert_eq!(g_plain.relay_starts(), g_faulted.relay_starts());
+                prop_assert_eq!(
+                    deliveries(&view, &g_plain),
+                    faulted_deliveries(&view, &g_faulted, &bf)
+                );
             }
         }
     }
@@ -313,6 +330,7 @@ proptest! {
             view.broadcast_into_faulted(src, &mut flood, Some(&bf));
             view.gossip_into_faulted(src, &cfg, &mut gossip, Some(&bf));
             prop_assert_eq!(flood.arrivals(), gossip.arrivals());
+            prop_assert_eq!(flood.relay_starts(), gossip.relay_starts());
             let mut a = [SimTime::ZERO; 2];
             let mut b = [SimTime::ZERO; 2];
             flood.coverage_times_into(&view, &[0.9, 0.5], &mut a);

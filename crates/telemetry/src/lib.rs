@@ -5,9 +5,6 @@
 //! run means understanding where each round's time went and what the hot
 //! paths actually did. This crate is that observability layer:
 //!
-//! - [`Registry`] — run-scoped counters, gauges and constant-space
-//!   streaming histograms (P² estimators from `perigee-metrics`, so a
-//!   million-round run costs the same memory as a ten-round one).
 //! - [`PhaseTimer`] / [`PhaseProfile`] — lap timers that attribute
 //!   wall-clock time to named phases of `PerigeeEngine::run_round`
 //!   (propagation, scoring, churn, …) and render the standard
@@ -17,8 +14,7 @@
 //!   the [`JsonlSink`] streams them as JSON lines for `repro --trace`,
 //!   and [`SharedSink`] lets many engines fan into one file.
 //! - [`RunTelemetry`] — the handle an engine carries
-//!   (`PerigeeEngine::set_telemetry`): label + seed stamps, the
-//!   aggregate registry, and the sink.
+//!   (`PerigeeEngine::set_telemetry`): label + seed stamps and the sink.
 //! - [`JsonValue`] — a minimal JSON parser (the vendored `serde` has no
 //!   JSON backend) used by `repro trace` and the CI trace gate to read
 //!   trace files back.
@@ -42,12 +38,10 @@
 
 pub mod json;
 pub mod phase;
-pub mod registry;
 pub mod trace;
 
 pub use json::{escape as json_escape, fmt_f64 as json_f64, JsonError, JsonValue};
 pub use phase::{PhaseEntry, PhaseProfile, PhaseTimer};
-pub use registry::{Registry, StreamingHistogram};
 pub use trace::{
     JsonlSink, MemorySink, RunTelemetry, SharedSink, TraceRecord, TraceSink, TRACE_SCHEMA_VERSION,
 };

@@ -16,7 +16,6 @@ use std::sync::{Arc, Mutex};
 
 use crate::json::{escape, fmt_f64, JsonValue};
 use crate::phase::PhaseProfile;
-use crate::registry::Registry;
 
 /// Version stamp written into every trace line as `"schema"`.
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
@@ -306,27 +305,23 @@ impl TraceSink for SharedSink {
 
 /// The run-scoped telemetry handle an engine carries.
 ///
-/// Holds the run label/seed (stamped onto every record), a [`Registry`]
-/// that accumulates whole-run aggregates, and an optional sink that
-/// receives each per-round record. The engine treats `Option<RunTelemetry>`
-/// as its on/off switch: `None` means no clock reads, no record
-/// construction, no registry updates.
+/// Holds the run label/seed (stamped onto every record) and an optional
+/// sink that receives each per-round record. The engine treats
+/// `Option<RunTelemetry>` as its on/off switch: `None` means no clock
+/// reads and no record construction.
 #[derive(Debug)]
 pub struct RunTelemetry {
     run: String,
     seed: u64,
-    registry: Registry,
     sink: Option<Box<dyn TraceSink>>,
 }
 
 impl RunTelemetry {
-    /// A handle with no sink: records still update the registry, then
-    /// are dropped.
+    /// A handle with no sink: records are built, then dropped.
     pub fn new(run: &str, seed: u64) -> Self {
         RunTelemetry {
             run: run.to_string(),
             seed,
-            registry: Registry::new(),
             sink: None,
         }
     }
@@ -352,26 +347,8 @@ impl RunTelemetry {
         TraceRecord::new("round", &self.run, self.seed, round)
     }
 
-    /// The whole-run aggregate registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Mutable access to the aggregate registry.
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
-    }
-
-    /// Folds a record into the registry (counters accumulate, phase
-    /// seconds stream into per-phase histograms) and forwards it to the
-    /// sink.
+    /// Forwards a record to the sink, if any.
     pub fn emit(&mut self, rec: &TraceRecord) {
-        for (name, v) in &rec.counters {
-            self.registry.incr(name, *v);
-        }
-        for (name, secs) in &rec.phases_s {
-            self.registry.observe(&format!("phase_s/{name}"), *secs);
-        }
         if let Some(sink) = &mut self.sink {
             sink.record(rec);
         }
@@ -432,16 +409,27 @@ mod tests {
         }
     }
 
+    /// Records the rounds it receives, readable through a clone.
+    #[derive(Debug, Clone, Default)]
+    struct Rounds(Arc<Mutex<Vec<u64>>>);
+
+    impl TraceSink for Rounds {
+        fn record(&mut self, rec: &TraceRecord) {
+            self.0.lock().unwrap().push(rec.round);
+        }
+    }
+
     #[test]
-    fn run_telemetry_accumulates_registry() {
-        let mut tel = RunTelemetry::new("test", 1).with_sink(Box::new(MemorySink::new()));
-        let mut rec = tel.round_record(0);
-        rec.counter("gossip_pops", 10);
-        tel.emit(&rec);
-        let mut rec = tel.round_record(1);
-        rec.counter("gossip_pops", 5);
-        tel.emit(&rec);
-        assert_eq!(tel.registry().counter("gossip_pops"), 15);
+    fn run_telemetry_forwards_every_record_to_its_sink() {
+        let rounds = Rounds::default();
+        let mut tel = RunTelemetry::new("test", 1).with_sink(Box::new(rounds.clone()));
+        for round in 0..2 {
+            let rec = tel.round_record(round);
+            tel.emit(&rec);
+        }
+        assert_eq!(*rounds.0.lock().unwrap(), [0, 1]);
+        // Without a sink, emitting is a no-op.
+        RunTelemetry::new("test", 1).emit(&sample_record());
     }
 
     #[test]
