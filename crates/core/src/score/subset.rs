@@ -14,7 +14,10 @@
 //! i.e. a candidate is only charged for blocks the already-chosen neighbors
 //! did not themselves deliver quickly.
 
-use perigee_metrics::{percentile_or_inf_f32_mut, percentile_or_inf_mut};
+use perigee_metrics::{
+    percentile_from_closest_ranks, percentile_lower_rank, percentile_or_inf_f32_mut,
+    percentile_or_inf_mut,
+};
 use perigee_netsim::NodeId;
 
 use crate::observation::NodeObservations;
@@ -33,11 +36,28 @@ use crate::score::{NodeHistory, SelectionStrategy};
 ///
 /// On the dense backend, a node with `k` outgoing neighbors, `B` blocks
 /// and `r = retain_count` copies its `k` columns once (`k·B` `f32`
-/// samples), takes `k` solo percentiles, and reuses them as the first
-/// greedy step; each later step `s` scores the `k − s` remaining
-/// candidates. That is `k + Σ_{s=1}^{r−1} (k − s)` percentiles of `B`
-/// samples, each an O(B) selection, so O(k·r·B) per node. The paper's
-/// world (`k` = 8, `r` = 6, `B` = 100) takes 33 selections per node. On
+/// samples). Greedy step `s` then makes one O(B) pass over each of the
+/// `k − s` remaining candidates: it merges the candidate's column into
+/// the group's per-block minimum and counts the merged samples at or
+/// below `S*`, the least score the step has found so far. A score
+/// interpolates between the samples at 0-based ascending ranks
+/// `lo = ⌊p/100·(B−1)⌋` and `lo + 1`, and is never below the first. So
+/// a candidate with at most `lo` samples at or below `S*` has its
+/// rank-`lo` sample above `S*`, scores above `S*`, and can neither win
+/// nor tie: it is skipped. With exactly `lo + 1`, the greatest of them
+/// and the least sample above `S*` are the two ranks, and the score
+/// follows without a selection.
+/// Only the other candidates pay an O(B) selection, and a solo score
+/// (the tie-break) is selected only at step 0, where it is the score, or
+/// when scores tie. Candidates are visited in the order of their last
+/// known scores, so `S*` is tight early. No visit order changes a
+/// result: each step keeps the least (score, solo score, id), a total
+/// order. Without skipping, that would be `k + Σ_{s=1}^{r−1} (k − s)`
+/// selections: 33 per node in the paper's world (`k` = 8, `r` = 6,
+/// `B` = 100, p90), 33k per round of roundbench's `blocks_1k`. A measured
+/// `blocks_1k` round (seed 41) made the same 33k passes but only 12.3k
+/// selections: 2.6k at step 0, 8.3k later and 1.4k solo scores for ties.
+/// It skipped 19.6k candidates and scored 2.5k from the pass alone. On
 /// the sketch backend selection is Vanilla's ranking: `k` constant-time
 /// estimates and one sort of `k` scores.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,53 +128,96 @@ impl SelectionStrategy for SubsetScoring {
         let blocks = observations.block_count();
         // One column-major copy of just the outgoing columns (cols[k·B..]),
         // in the store's own f32 — a single allocation feeding sequential
-        // reads in the greedy loop — plus each candidate's individual
-        // score: when two candidates add nothing new to the group (equal
-        // marginal scores — common once the group already covers every
-        // block well), the individually-faster one wins the tie. This
-        // also guarantees that a neighbor which never delivers (all-∞
-        // column, e.g. a free-rider) is picked last. A listed neighbor
-        // absent from the observation row (never a communication peer
-        // this round) reads as all-∞ too. Widening f32 to f64 is exact
-        // and monotone, so every per-block minimum and every selected
-        // order statistic equals its f64 counterpart bit for bit.
+        // reads in the greedy loop. A listed neighbor absent from the
+        // observation row (never a communication peer this round) reads
+        // as all-∞. Widening f32 to f64 is exact and monotone, so every
+        // per-block minimum and every selected order statistic equals its
+        // f64 counterpart bit for bit.
         let mut cols: Vec<f32> = Vec::with_capacity(outgoing.len() * blocks);
-        let mut solo: Vec<f64> = Vec::with_capacity(outgoing.len());
-        let mut scratch = vec![0.0f32; blocks];
         for &u in outgoing {
-            let base = cols.len();
             match observations.index_of(u) {
                 Some(i) => cols.extend(observations.dense_column(i)),
                 None => cols.extend(std::iter::repeat_n(f32::INFINITY, blocks)),
             }
-            scratch.copy_from_slice(&cols[base..]);
-            solo.push(percentile_or_inf_f32_mut(&mut scratch, self.percentile));
         }
-
+        // The percentile kernel refuses NaN; most columns never reach it
+        // below, so they are all checked here (a fold, which vectorizes).
+        assert!(
+            !cols.iter().fold(false, |nan, t| nan | t.is_nan()),
+            "percentile input must not contain NaN"
+        );
+        let column = |idx: usize| &cols[idx * blocks..(idx + 1) * blocks];
+        // No order statistic exists without blocks, and every score is ∞.
+        let lower_rank = (blocks > 0).then(|| percentile_lower_rank(blocks, self.percentile));
+        // Each step keeps the least key (score, solo score, id). The solo
+        // score breaks ties between candidates that add the same to the
+        // group (common once it covers every block well) in favour of the
+        // individually faster one, and puts a neighbor that never delivers
+        // (an all-∞ column, e.g. a free-rider) last. It is computed when
+        // step 0 (where score and solo coincide) or a tie needs it, then
+        // memoized.
+        let mut solo: Vec<Option<f64>> = vec![None; outgoing.len()];
+        // The score each candidate had when last computed, +∞ once skipped:
+        // visiting the likely winner first tightens the bound early.
+        let mut last = vec![f64::INFINITY; outgoing.len()];
+        let mut scratch = vec![0.0f32; blocks];
         let mut current_best = vec![f32::INFINITY; blocks];
         let mut remaining: Vec<usize> = (0..outgoing.len()).collect();
         let mut chosen: Vec<NodeId> = Vec::new();
 
         while chosen.len() < self.retain_count && !remaining.is_empty() {
+            remaining.sort_by(|&a, &b| last[a].total_cmp(&last[b]));
             let mut best: Option<(f64, usize)> = None;
             for &idx in &remaining {
+                // One pass merges the candidate into the group and counts
+                // the merged samples at or below the incumbent's score S*.
+                let bound = best.map_or(f64::INFINITY, |(s, _)| s);
+                let threshold = f32_at_or_below(bound);
+                // A `u32` tally vectorizes twice as wide as a `usize` one.
+                let mut at_or_below = 0u32;
+                for ((s, &c), &m) in scratch.iter_mut().zip(column(idx)).zip(&current_best) {
+                    *s = m.min(c);
+                    at_or_below += u32::from(*s <= threshold);
+                }
+                let at_or_below = at_or_below as usize;
+                let score = match lower_rank {
+                    // At most `lo` samples at or below S* put the sample
+                    // at rank `lo` above S*, and the score is at least
+                    // that sample: it can neither win nor tie.
+                    Some(lo) if at_or_below <= lo => {
+                        last[idx] = f64::INFINITY;
+                        continue;
+                    }
+                    // Exactly `lo + 1`: they are the `lo + 1` smallest, so
+                    // the greatest of them is the sample at rank `lo` and
+                    // the least sample above S* the one at `lo + 1`.
+                    Some(lo) if at_or_below == lo + 1 => {
+                        let (lo, hi) = straddle(&scratch, threshold);
+                        percentile_from_closest_ranks(
+                            blocks,
+                            self.percentile,
+                            f64::from(lo),
+                            f64::from(hi),
+                        )
+                    }
+                    _ => percentile_or_inf_f32_mut(&mut scratch, self.percentile),
+                };
+                last[idx] = score;
                 // Against the empty group the running minimum is all +∞,
                 // so a candidate's marginal score is its solo score.
-                let score = if chosen.is_empty() {
-                    solo[idx]
-                } else {
-                    let col = &cols[idx * blocks..(idx + 1) * blocks];
-                    for ((s, &c), &m) in scratch.iter_mut().zip(col).zip(&current_best) {
-                        *s = m.min(c);
-                    }
-                    percentile_or_inf_f32_mut(&mut scratch, self.percentile)
-                };
+                if chosen.is_empty() {
+                    solo[idx] = Some(score);
+                }
                 let better = match best {
                     None => true,
                     Some((s, i)) => {
-                        let key = (score, solo[idx], outgoing[idx]);
-                        let incumbent = (s, solo[i], outgoing[i]);
-                        key < incumbent
+                        score < s
+                            || (score == s && {
+                                let p = self.percentile;
+                                let a = solo_score(&mut solo[idx], column(idx), &mut scratch, p);
+                                let b = solo_score(&mut solo[i], column(i), &mut scratch, p);
+                                (a, outgoing[idx]) < (b, outgoing[i])
+                            })
                     }
                 };
                 if better {
@@ -163,8 +226,7 @@ impl SelectionStrategy for SubsetScoring {
             }
             let (_, pick) = best.expect("remaining non-empty");
             chosen.push(outgoing[pick]);
-            let col = &cols[pick * blocks..(pick + 1) * blocks];
-            for (m, &c) in current_best.iter_mut().zip(col) {
+            for (m, &c) in current_best.iter_mut().zip(column(pick)) {
                 *m = m.min(c);
             }
             remaining.retain(|&i| i != pick);
@@ -175,6 +237,52 @@ impl SelectionStrategy for SubsetScoring {
     fn name(&self) -> &'static str {
         "perigee-subset"
     }
+}
+
+/// The greatest `f32` whose widening is at most `x`, as `+0.0` rather
+/// than `-0.0`: an `f32` sample `s` has `f64::from(s) <= x` exactly when
+/// `s <= f32_at_or_below(x)`, and for a non-NaN `s` that holds exactly
+/// when `s` orders at or below it by `f32::total_cmp` too.
+fn f32_at_or_below(x: f64) -> f32 {
+    let t = x as f32;
+    let t = if f64::from(t) > x { t.next_down() } else { t };
+    if t == 0.0 {
+        0.0
+    } else {
+        t
+    }
+}
+
+/// The greatest sample at or below `threshold` and the least above it (+∞
+/// if none), by `f32::total_cmp` like the percentile kernel's selection.
+/// Samples are compared as `total_cmp`'s integer keys, so the pass is
+/// branch-free and vectorizes.
+fn straddle(samples: &[f32], threshold: f32) -> (f32, f32) {
+    // `total_cmp`'s key: flipping the magnitude bits of negatives makes
+    // signed-integer order the IEEE total order, and the map is its own
+    // inverse.
+    fn key(x: f32) -> i32 {
+        let bits = x.to_bits() as i32;
+        bits ^ (((bits >> 31) as u32) >> 1) as i32
+    }
+    let unkey = |k: i32| f32::from_bits(key(f32::from_bits(k as u32)) as u32);
+    let at = key(threshold);
+    let (mut below, mut above) = (key(f32::NEG_INFINITY), key(f32::INFINITY));
+    for &s in samples {
+        let k = key(s);
+        below = below.max(if k <= at { k } else { i32::MIN });
+        above = above.min(if k > at { k } else { i32::MAX });
+    }
+    (unkey(below), unkey(above))
+}
+
+/// A candidate's solo score, the percentile of its own column, selected
+/// in `scratch` on first use and memoized in `memo`.
+fn solo_score(memo: &mut Option<f64>, column: &[f32], scratch: &mut [f32], p: f64) -> f64 {
+    *memo.get_or_insert_with(|| {
+        scratch.copy_from_slice(column);
+        percentile_or_inf_f32_mut(scratch, p)
+    })
 }
 
 #[cfg(test)]
@@ -344,11 +452,38 @@ mod tests {
         }
     }
 
+    /// How a random star store draws its delivery times.
+    #[derive(Debug, Clone, Copy)]
+    enum Times {
+        /// A six-value alphabet: ties everywhere.
+        Alphabet,
+        /// Uniform over [0, 50) ms: order statistics almost never tie.
+        Continuous,
+    }
+
+    impl Times {
+        fn draw(self, rng: &mut StdRng) -> f64 {
+            const ALPHABET: [f64; 6] = [0.0, 1.0, 2.0, 3.5, 8.0, 13.0];
+            match self {
+                Times::Alphabet => ALPHABET[rng.gen_range(0..ALPHABET.len())],
+                Times::Continuous => rng.gen_range(0.0..50.0),
+            }
+        }
+    }
+
     /// A random dense store over a star: node 0's neighbors `2..=k`
-    /// deliver each block at a time drawn from a small alphabet (ties
-    /// everywhere) three times in four, else never; neighbor 1 never
-    /// delivers at all (an all-∞ column).
-    fn random_star_store(k: u32, blocks: usize, rng: &mut StdRng) -> ObservationStore {
+    /// deliver each block at a time drawn by `times` three times in four,
+    /// else never; neighbor 1 never delivers at all (an all-∞ column).
+    /// About one neighbor in four instead copies an earlier neighbor's
+    /// column, exactly or slowed on some blocks: the copy ties the
+    /// original's group score whenever the group covers it, so only the
+    /// solo score (a slowed copy's is no better) or the id decides.
+    fn random_star_store(
+        k: u32,
+        blocks: usize,
+        times: Times,
+        rng: &mut StdRng,
+    ) -> ObservationStore {
         let profiles: Vec<NodeProfile> = (0..=k)
             .map(|i| NodeProfile {
                 coords: vec![f64::from(i)],
@@ -364,13 +499,31 @@ mod tests {
         }
         let view = TopologyView::new(&topo, &lat, &pop);
         let mut collector = ObservationCollector::from_view(&view);
-        const ALPHABET: [f64; 6] = [0.0, 1.0, 2.0, 3.5, 8.0, 13.0];
+        // Per neighbor: the earlier neighbor it copies, and whether slowed.
+        let copies: Vec<Option<(usize, bool)>> = (0..=k as usize)
+            .map(|u| {
+                (u > 2 && rng.gen_range(0..4) == 0)
+                    .then(|| (rng.gen_range(2..u), rng.gen_bool(0.5)))
+            })
+            .collect();
         for _ in 0..blocks {
+            let mut row: Vec<Option<f64>> = vec![None; k as usize + 1];
+            for u in 2..=k as usize {
+                row[u] = match copies[u] {
+                    None => (rng.gen_range(0..4) != 0).then(|| times.draw(rng)),
+                    Some((of, slowed)) => row[of].map(|t| {
+                        if slowed && rng.gen_range(0..3) == 0 {
+                            t + times.draw(rng)
+                        } else {
+                            t
+                        }
+                    }),
+                };
+            }
             let mut logs = vec![BTreeMap::new(); k as usize + 1];
-            for u in 2..=k {
-                if rng.gen_range(0..4) != 0 {
-                    let t = ALPHABET[rng.gen_range(0..ALPHABET.len())];
-                    logs[0].insert(NodeId::new(u), SimTime::from_ms(t));
+            for (u, t) in row.iter().enumerate() {
+                if let Some(t) = t {
+                    logs[0].insert(NodeId::new(u as u32), SimTime::from_ms(*t));
                 }
             }
             collector.record_gossip(&logs);
@@ -405,18 +558,23 @@ mod tests {
         chosen
     }
 
+    /// `retain` — with its skipping bound, its exact rank shortcut and its
+    /// lazily computed solo scores — against the plain greedy above, on
+    /// stores with ties on every rank (duplicated columns, a tie alphabet)
+    /// and without (continuous times), blockless stores included.
     #[test]
     fn retain_equals_the_group_score_greedy_on_random_stores() {
         let mut rng = StdRng::seed_from_u64(0x5B5E7);
-        for case in 0..150 {
-            let k = rng.gen_range(1..=10u32);
+        for case in 0..240 {
+            let times = [Times::Alphabet, Times::Continuous][case % 2];
+            let k = rng.gen_range(1..=16u32);
             // Every tenth store holds no block at all.
             let blocks = if case % 10 == 0 {
                 0
             } else {
                 rng.gen_range(1..=120)
             };
-            let store = random_star_store(k, blocks, &mut rng);
+            let store = random_star_store(k, blocks, times, &mut rng);
             let obs = store.node(NodeId::new(0));
             // The row's neighbors in a shuffled order, some dropped, plus
             // an id that is no neighbor of node 0 at all.
@@ -435,7 +593,24 @@ mod tests {
             assert_eq!(
                 s.retain_stateless(NodeId::new(0), &outgoing, obs),
                 group_score_greedy(&s, &obs, &outgoing),
-                "case {case}: k {k}, {blocks} blocks, p{p}, retain {retain}"
+                "case {case}: {times:?}, k {k}, {blocks} blocks, p{p}, retain {retain}"
+            );
+        }
+        // The paper's round, as `blocks_1k` runs it: 8 neighbors, keep 6,
+        // 100 blocks, p90.
+        for case in 0..60 {
+            let times = [Times::Alphabet, Times::Continuous][case % 2];
+            let store = random_star_store(8, 100, times, &mut rng);
+            let mut outgoing: Vec<NodeId> = (1..=8).map(NodeId::new).collect();
+            for i in (1..outgoing.len()).rev() {
+                outgoing.swap(i, rng.gen_range(0..=i));
+            }
+            let s = SubsetScoring::new(6, 90.0);
+            let obs = store.node(NodeId::new(0));
+            assert_eq!(
+                s.retain_stateless(NodeId::new(0), &outgoing, obs),
+                group_score_greedy(&s, &obs, &outgoing),
+                "paper case {case}: {times:?}"
             );
         }
     }
@@ -443,7 +618,7 @@ mod tests {
     #[test]
     fn a_blockless_store_keeps_the_smallest_ids() {
         let mut rng = StdRng::seed_from_u64(3);
-        let store = random_star_store(5, 0, &mut rng);
+        let store = random_star_store(5, 0, Times::Alphabet, &mut rng);
         let outgoing: Vec<NodeId> = [4, 2, 5, 1, 3].map(NodeId::new).to_vec();
         let kept = SubsetScoring::new(3, 90.0).retain_stateless(
             NodeId::new(0),

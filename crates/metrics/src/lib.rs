@@ -28,7 +28,8 @@ pub use curve::DelayCurve;
 pub use histogram::Histogram;
 pub use p2::P2Quantile;
 pub use percentile::{
-    percentile, percentile_mut, percentile_or_inf, percentile_or_inf_f32_mut, percentile_or_inf_mut,
+    percentile, percentile_from_closest_ranks, percentile_lower_rank, percentile_mut,
+    percentile_or_inf, percentile_or_inf_f32_mut, percentile_or_inf_mut,
 };
 pub use sketch::{EdgeSketch, SketchParams};
 pub use stats::{mean, median, std_dev, Summary};

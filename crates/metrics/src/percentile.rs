@@ -82,6 +82,58 @@ pub fn percentile_or_inf_f32_mut(values: &mut [f32], p: f64) -> f64 {
     select_percentile(values, p).unwrap_or(f64::INFINITY)
 }
 
+/// The 0-based position, in ascending order, of the lower of the two
+/// closest ranks the `p`-th percentile of `len` samples interpolates
+/// between: `⌊p/100 · (len − 1)⌋`. Every percentile here is at least the
+/// sample at this rank, so a caller that knows at most `r` samples lie at
+/// or below some `x`, with `r ≤` this rank, knows the percentile exceeds
+/// `x` without selecting anything.
+///
+/// # Panics
+///
+/// Panics if `len` is 0 (no order statistic exists) or `p` is outside
+/// `[0, 100]`.
+pub fn percentile_lower_rank(len: usize, p: f64) -> usize {
+    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
+    assert!(len > 0, "an empty multiset has no ranks");
+    rank(len, p).floor() as usize
+}
+
+/// The `p`-th percentile of `len` samples whose order statistics at the
+/// two closest ranks are `lo` (at [`percentile_lower_rank`]) and `hi` (one
+/// rank up; unread when the rank is whole). It ends in the interpolation
+/// every percentile here ends in, so a caller that found the two order
+/// statistics some other way gets the bit pattern
+/// [`percentile_or_inf_f32_mut`] returns.
+///
+/// # Panics
+///
+/// Panics if `len` is 0 or `p` is outside `[0, 100]`.
+pub fn percentile_from_closest_ranks(len: usize, p: f64, lo: f64, hi: f64) -> f64 {
+    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
+    assert!(len > 0, "an empty multiset has no ranks");
+    interpolate(rank(len, p), lo, hi)
+}
+
+/// The fractional rank of the `p`-th percentile among `len ≥ 1` samples.
+fn rank(len: usize, p: f64) -> f64 {
+    p / 100.0 * (len - 1) as f64
+}
+
+/// Linear interpolation at `rank` between the order statistics `lo ≤ hi`
+/// at its floor and ceiling.
+fn interpolate(rank: f64, lo: f64, hi: f64) -> f64 {
+    let frac = rank - rank.floor();
+    if frac == 0.0 || lo == hi {
+        lo
+    } else if lo.is_infinite() || hi.is_infinite() {
+        // Interpolating toward (or from) ∞ is ∞; avoid ∞ − ∞ = NaN.
+        f64::INFINITY
+    } else {
+        lo + frac * (hi - lo)
+    }
+}
+
 /// A float width the percentile kernel selects over.
 trait Sample: Copy {
     fn is_nan(self) -> bool;
@@ -126,10 +178,9 @@ fn select_percentile<T: Sample>(values: &mut [T], p: f64) -> Option<f64> {
         values.iter().all(|v| !v.is_nan()),
         "percentile input must not contain NaN"
     );
-    let rank = p / 100.0 * (values.len() - 1) as f64;
+    let rank = rank(values.len(), p);
     let lo_idx = rank.floor() as usize;
     let hi_idx = rank.ceil() as usize;
-    let frac = rank - lo_idx as f64;
     let (_, lo, above) = values.select_nth_unstable_by(lo_idx, T::total_cmp);
     let lo = *lo;
     let hi = if hi_idx == lo_idx {
@@ -141,15 +192,7 @@ fn select_percentile<T: Sample>(values: &mut [T], p: f64) -> Option<f64> {
             .min_by(T::total_cmp)
             .expect("the upper rank lies above the lower one")
     };
-    let (lo, hi) = (lo.widen(), hi.widen());
-    if frac == 0.0 || lo == hi {
-        Some(lo)
-    } else if lo.is_infinite() || hi.is_infinite() {
-        // Interpolating toward (or from) ∞ is ∞; avoid ∞ − ∞ = NaN.
-        Some(f64::INFINITY)
-    } else {
-        Some(lo + frac * (hi - lo))
-    }
+    Some(interpolate(rank, lo.widen(), hi.widen()))
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@ use proptest::prelude::*;
 use serde::bin::Encode;
 
 use perigee_metrics::{
-    mean, percentile, percentile_mut, percentile_or_inf, percentile_or_inf_f32_mut,
-    percentile_or_inf_mut, std_dev, DelayCurve, EdgeSketch, Histogram, P2Quantile, SketchParams,
-    Summary,
+    mean, percentile, percentile_from_closest_ranks, percentile_lower_rank, percentile_mut,
+    percentile_or_inf, percentile_or_inf_f32_mut, percentile_or_inf_mut, std_dev, DelayCurve,
+    EdgeSketch, Histogram, P2Quantile, SketchParams, Summary,
 };
 
 proptest! {
@@ -520,6 +520,40 @@ proptest! {
             prop_assert_eq!(got.to_bits(), oracle.to_bits(), "f32 p{}: {} vs {}", p, got, oracle);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The order statistics at `percentile_lower_rank` and one rank up,
+    /// found by a sort, give the kernel's percentile bit for bit through
+    /// `percentile_from_closest_ranks`, and the percentile is never below
+    /// the lower one: the two facts Subset scoring's skipping bound and
+    /// its selection-free shortcut rest on.
+    #[test]
+    fn closest_ranks_rebuild_the_percentile_and_bound_it(
+        samples in kernel_samples(),
+        random_p in 0.0f64..=100.0,
+        k in 0usize..2000,
+    ) {
+        let mut sorted = samples.clone();
+        sorted.sort_by(f32::total_cmp);
+        for p in kernel_ps(samples.len(), random_p, k) {
+            let r = percentile_lower_rank(samples.len(), p);
+            let lo = f64::from(sorted[r]);
+            let hi = f64::from(sorted[(r + 1).min(sorted.len() - 1)]);
+            let got = percentile_from_closest_ranks(samples.len(), p, lo, hi);
+            let want = percentile_or_inf_f32_mut(&mut samples.clone(), p);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "p{}: {} vs {}", p, got, want);
+            prop_assert!(got >= lo, "p{}: {} below its lower rank {}", p, got, lo);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "an empty multiset has no ranks")]
+fn an_empty_multiset_has_no_lower_rank() {
+    let _ = percentile_lower_rank(0, 90.0);
 }
 
 #[test]

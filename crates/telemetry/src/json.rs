@@ -3,10 +3,11 @@
 //! The workspace vendors a work-alike `serde` without a JSON backend, so
 //! the trace layer carries its own emitter helpers and a small
 //! recursive-descent parser. The parser accepts the full JSON grammar
-//! (objects, arrays, strings with escapes, numbers, booleans, null); the
-//! emitter side lives with the types that serialize themselves (see
-//! [`crate::TraceRecord::to_json`]) and only needs the string-escape and
-//! number-formatting helpers here.
+//! (objects, arrays, strings with escapes, numbers, booleans, null) and
+//! keeps unsigned integer literals exact, so a `u64` seed or counter
+//! reads back as written; the emitter side lives with the types that
+//! serialize themselves (see [`crate::TraceRecord::to_json`]) and only
+//! needs the string-escape and number-formatting helpers here.
 
 use std::fmt;
 
@@ -39,8 +40,9 @@ pub fn escape(s: &str) -> String {
 /// Formats an `f64` as a JSON number.
 ///
 /// JSON has no NaN/Infinity literals, so non-finite values become
-/// `null`; integral values keep a trailing `.0` so the field reads as a
-/// float on the way back in.
+/// `null`. Integral values below 10^15 keep a trailing `.0`; larger ones
+/// print as plain digits and may parse as a [`JsonValue::Integer`], whose
+/// [`JsonValue::as_f64`] gives back the same `f64` exactly.
 pub fn fmt_f64(v: f64) -> String {
     if !v.is_finite() {
         return "null".to_string();
@@ -79,7 +81,10 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// A number written as an unsigned integer (digits only: no sign,
+    /// fraction or exponent) that fits a `u64`, kept exact.
+    Integer(u64),
+    /// Any other JSON number, parsed as `f64`.
     Number(f64),
     /// A string with escapes resolved.
     String(String),
@@ -121,21 +126,22 @@ impl JsonValue {
         }
     }
 
-    /// The value as a float, if it is a number.
+    /// The value as a float, if it is a number (an integer rounds to the
+    /// nearest `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Integer(n) => Some(*n as f64),
             JsonValue::Number(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The value as an unsigned integer, if it is a non-negative whole
-    /// number.
+    /// The value as an unsigned integer, if it was written as one that
+    /// fits a `u64`. A float such as `3.0`, or an integer literal past
+    /// `u64::MAX`, is refused rather than rounded.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Number(n) if *n >= 0.0 && n.trunc() == *n && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            JsonValue::Integer(n) => Some(*n),
             _ => None,
         }
     }
@@ -402,6 +408,13 @@ impl<'a> Parser<'a> {
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
+        // An integer literal is read exactly when it fits; one past
+        // `u64::MAX` is still a JSON number, read as the nearest `f64`.
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(JsonValue::Integer(n));
+            }
+        }
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| self.err("invalid number"))
@@ -424,6 +437,26 @@ mod tests {
             JsonValue::parse("\"a\\nb\"").unwrap(),
             JsonValue::String("a\nb".into())
         );
+    }
+
+    /// Integers past 2^53, where an `f64` can no longer hold every one,
+    /// read back exactly up to `u64::MAX`, and one past it is refused.
+    #[test]
+    fn integers_read_back_exactly() {
+        for n in [1 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let v = JsonValue::parse(&n.to_string()).unwrap();
+            assert_eq!(v, JsonValue::Integer(n));
+            assert_eq!(v.as_u64(), Some(n));
+        }
+        let past = JsonValue::parse("18446744073709551616").unwrap();
+        assert_eq!(past, JsonValue::Number(18_446_744_073_709_551_616.0));
+        assert_eq!(past.as_u64(), None);
+        // Not written as unsigned integers: still numbers, never a u64.
+        for text in ["-1", "3.0", "1e3", "-0"] {
+            let v = JsonValue::parse(text).unwrap();
+            assert!(v.as_f64().is_some(), "{text}");
+            assert_eq!(v.as_u64(), None, "{text}");
+        }
     }
 
     #[test]

@@ -131,11 +131,23 @@ impl TraceRecord {
     }
 
     /// Reconstructs a record from one parsed JSON trace line.
+    ///
+    /// `seed`, `round` and the counters must be unsigned integer literals
+    /// no greater than `u64::MAX`, and read back exactly. A `null` phase
+    /// or value reads as NaN, since [`to_json`](Self::to_json) writes
+    /// every non-finite float as `null`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first field that is missing or of
+    /// the wrong type.
     pub fn from_json(v: &JsonValue) -> Result<TraceRecord, String> {
-        let schema = v
-            .get("schema")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing schema field")?;
+        let field_u64 = |key: &str| -> Result<u64, String> {
+            v.get(key)
+                .and_then(JsonValue::as_u64)
+                .ok_or(format!("missing or non-u64 {key} field"))
+        };
+        let schema = field_u64("schema")?;
         if schema != TRACE_SCHEMA_VERSION as u64 {
             return Err(format!("unsupported trace schema {schema}"));
         }
@@ -148,30 +160,28 @@ impl TraceRecord {
         let mut rec = TraceRecord::new(
             &field_str("kind")?,
             &field_str("run")?,
-            v.get("seed")
-                .and_then(JsonValue::as_u64)
-                .ok_or("missing seed field")?,
-            v.get("round")
-                .and_then(JsonValue::as_u64)
-                .ok_or("missing round field")?,
+            field_u64("seed")?,
+            field_u64("round")?,
         );
         let pairs = |key: &str| -> Result<&[(String, JsonValue)], String> {
             v.get(key)
                 .and_then(JsonValue::as_object)
                 .ok_or(format!("missing {key} object"))
         };
+        let float = |what: &str, name: &str, val: &JsonValue| match val {
+            JsonValue::Null => Ok(f64::NAN),
+            val => val.as_f64().ok_or(format!("{what} {name} not a number")),
+        };
         for (name, val) in pairs("phases_s")? {
-            let secs = val.as_f64().ok_or(format!("phase {name} not a number"))?;
-            rec.phases_s.push((name.clone(), secs));
+            rec.phases_s
+                .push((name.clone(), float("phase", name, val)?));
         }
         for (name, val) in pairs("counters")? {
             let c = val.as_u64().ok_or(format!("counter {name} not a u64"))?;
             rec.counters.push((name.clone(), c));
         }
         for (name, val) in pairs("values")? {
-            // Values may be null (non-finite on the way out).
-            let f = val.as_f64().unwrap_or(f64::NAN);
-            rec.values.push((name.clone(), f));
+            rec.values.push((name.clone(), float("value", name, val)?));
         }
         Ok(rec)
     }
@@ -393,6 +403,22 @@ mod tests {
         // NaN became null on the way out, NaN again on the way in.
         assert!(back.get_value("nan_guard").unwrap().is_nan());
         assert_eq!(back.phases_s, rec.phases_s);
+    }
+
+    /// Seeds, rounds and counters past 2^53 read back exactly, up to
+    /// `u64::MAX`; a line with a seed past it is refused, not rounded.
+    #[test]
+    fn large_integers_round_trip_exactly() {
+        let mut rec = TraceRecord::new("round", "r", (1 << 53) + 1, u64::MAX - 1);
+        rec.counter("max", u64::MAX);
+        rec.counter("two_53", 1 << 53);
+        let line = rec.to_json();
+        let back = TraceRecord::from_json(&JsonValue::parse(&line).unwrap()).unwrap();
+        assert_eq!(back, rec);
+        let past = line.replace("\"seed\":9007199254740993", "\"seed\":18446744073709551616");
+        assert_ne!(past, line);
+        let err = TraceRecord::from_json(&JsonValue::parse(&past).unwrap()).unwrap_err();
+        assert_eq!(err, "missing or non-u64 seed field");
     }
 
     #[test]
