@@ -16,10 +16,9 @@ use rand::Rng;
 
 use perigee_metrics::P2Quantile;
 use perigee_netsim::{
-    BroadcastScratch, ChurnProcess, FaultPlan, GossipConfig, GossipScratch, LatencyModel,
-    MinerSampler, NetsimError, NodeId, NodeProfile, Population, QueueKind, Region, RoundDelta,
-    RoundFaults, SimCounters, SimTime, Topology, TopologyView, TrafficConfig, TrafficMessage,
-    WorldDelta,
+    BlockFaults, ChurnProcess, FaultPlan, GossipConfig, GossipScratch, LatencyModel, MinerSampler,
+    NetsimError, NodeId, NodeProfile, Population, QueueKind, Region, RoundDelta, RoundFaults,
+    SimCounters, SimTime, Topology, TopologyView, TrafficConfig, TrafficMessage, WorldDelta,
 };
 use perigee_telemetry::{PhaseTimer, RunTelemetry};
 
@@ -752,7 +751,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
 
     /// The priority-queue implementation rounds simulate on: always the
     /// calendar queue. The `BinaryHeap` is a scratch-level oracle
-    /// ([`BroadcastScratch::with_queue`]) for the equivalence suites.
+    /// ([`GossipScratch::with_queue`]) for the equivalence suites.
     pub fn queue_kind(&self) -> QueueKind {
         QueueKind::Calendar
     }
@@ -858,11 +857,11 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     ///
     /// Blocks are independent under the §2.1 model and consume no RNG, so
     /// each pool thread pushes contiguous chunks of blocks through the
-    /// snapshot with its own reused scratch — a [`BroadcastScratch`] when
-    /// the [`PerigeeEngine::propagation`] config is analytic, a
-    /// [`GossipScratch`] otherwise — and the chunks are merged back in
-    /// block order: the result is bit-identical to a sequential loop
-    /// either way.
+    /// snapshot with its own reused [`GossipScratch`] — on the analytic
+    /// flood when the [`PerigeeEngine::propagation`] config is analytic,
+    /// on the message-level kernel otherwise — and the chunks are merged
+    /// back in block order: the result is bit-identical to a sequential
+    /// loop either way.
     ///
     /// # Panics
     ///
@@ -891,52 +890,22 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         // Keyed on the block's global index, so a block's fault pattern
         // does not depend on the chunking.
         let block_faults = |i: usize| faults.map(|rf| rf.block(base_block + i));
-        let config = &self.propagation;
-        let (observations, parts, counters) = if config.is_analytic() {
-            self.fan_out(
-                view,
-                miners,
-                None,
-                || BroadcastScratch::with_capacity(view.len()),
-                |start, chunk, collector, scratch| {
-                    let mut stats = BlockStats::new(chunk.len(), view.len());
-                    let mut coverage = [SimTime::ZERO; 2];
-                    for (j, &miner) in chunk.iter().enumerate() {
-                        let bf = block_faults(start + j);
-                        view.broadcast_into_faulted(miner, scratch, bf.as_ref());
-                        scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
-                        stats.push(coverage, scratch.arrivals());
-                        match &bf {
-                            Some(b) => collector.record_scratch_faulted(view, scratch, b),
-                            None => collector.record_scratch(view, scratch),
-                        }
+        let (observations, parts, counters) =
+            self.fan_out(view, miners, None, |start, chunk, collector, scratch| {
+                let mut stats = BlockStats::new(chunk.len(), view.len());
+                let mut coverage = [SimTime::ZERO; 2];
+                for (j, &miner) in chunk.iter().enumerate() {
+                    let bf = block_faults(start + j);
+                    propagate(view, miner, &self.propagation, scratch, bf.as_ref());
+                    scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
+                    stats.push(coverage, scratch.arrivals());
+                    match &bf {
+                        Some(b) => collector.record_scratch_faulted(view, scratch, b),
+                        None => collector.record_scratch(view, scratch),
                     }
-                    (stats, scratch.take_counters())
-                },
-            )
-        } else {
-            self.fan_out(
-                view,
-                miners,
-                None,
-                || gossip_scratch(view),
-                |start, chunk, collector, scratch| {
-                    let mut stats = BlockStats::new(chunk.len(), view.len());
-                    let mut coverage = [SimTime::ZERO; 2];
-                    for (j, &miner) in chunk.iter().enumerate() {
-                        let bf = block_faults(start + j);
-                        view.gossip_into_faulted(miner, config, scratch, bf.as_ref());
-                        scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
-                        stats.push(coverage, scratch.arrivals());
-                        match &bf {
-                            Some(b) => collector.record_gossip_scratch_faulted(view, scratch, b),
-                            None => collector.record_gossip_scratch(view, scratch),
-                        }
-                    }
-                    (stats, scratch.take_counters())
-                },
-            )
-        };
+                }
+                (stats, scratch.take_counters())
+            });
         // Per-node seen counts are integer sums, so elementwise
         // accumulation is order-exact.
         let mut stats = BlockStats::new(miners.len(), view.len());
@@ -982,13 +951,12 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             view,
             &batch,
             Some(observations),
-            || gossip_scratch(view),
             |start, chunk, collector, scratch| {
                 let mut per_message = Vec::with_capacity(chunk.len());
                 let mut coverage = [SimTime::ZERO; 2];
                 view.gossip_batch_into(chunk, scratch, |i, s| {
                     s.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
-                    collector.record_gossip_scratch(view, s);
+                    collector.record_scratch(view, s);
                     per_message.push((
                         messages[start + i].class,
                         coverage[0].as_ms(),
@@ -1042,7 +1010,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// scratch)` for each on the rayon pool, where `start` is the
     /// chunk's offset into `items`. Chunks run in *waves* of one chunk
     /// per pool thread; each pool slot owns one collector and one
-    /// `scratch()`, made once per fan-out and reused by every wave.
+    /// scratch, made once per fan-out and reused by every wave.
     /// Rows append to (dense) or fold into (sketch) `store` — a fresh
     /// store of the configured backend when `None` — in item order, and
     /// the counters add up. Returns the store, each chunk's own results
@@ -1059,19 +1027,18 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// affects results (the dense merge is an ordered append, the sketch
     /// fold is chunking-invariant), so the outcome is bit-identical to a
     /// sequential loop whatever the thread count.
-    fn fan_out<I, S, P, B>(
+    fn fan_out<I, P, B>(
         &self,
         view: &TopologyView,
         items: &[I],
         store: Option<RoundStore>,
-        scratch: impl Fn() -> S,
         body: B,
     ) -> (RoundStore, Vec<P>, SimCounters)
     where
         I: Sync,
-        S: Send,
         P: Send,
-        B: Fn(usize, &[I], &mut ObservationCollector, &mut S) -> (P, SimCounters) + Sync,
+        B: Fn(usize, &[I], &mut ObservationCollector, &mut GossipScratch) -> (P, SimCounters)
+            + Sync,
     {
         let mut chunk_size = chunk_len(items.len());
         if self.config.observation_backend == ObservationBackend::Sketch {
@@ -1086,8 +1053,8 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         // leaves a store over the view's skeleton.
         let chunk_count = items.len().div_ceil(chunk_size).max(1);
         let width = rayon::current_num_threads().clamp(1, chunk_count);
-        let mut slots: Vec<(ObservationCollector, S)> = (0..width)
-            .map(|_| (ObservationCollector::from_view(view), scratch()))
+        let mut slots: Vec<(ObservationCollector, GossipScratch)> = (0..width)
+            .map(|_| (ObservationCollector::from_view(view), scratch_for(view)))
             .collect();
         let mut store = store.unwrap_or_else(|| match self.config.observation_backend {
             ObservationBackend::Dense => RoundStore::Dense(ObservationStore::default()),
@@ -1741,61 +1708,57 @@ pub fn evaluate_topology<L: LatencyModel + ?Sized>(
 }
 
 /// The per-source sweep behind both evaluations: propagates one block
-/// from each of `sources` through `view` under `config` —
-/// the analytic flood when [`GossipConfig::is_analytic`] holds, else the
-/// message-level engine — and returns λ for each entry of `fractions`,
-/// one vector per fraction, in `sources` order.
+/// from each of `sources` through `view` under `config` and returns λ for
+/// each entry of `fractions`, one vector per fraction, in `sources`
+/// order. Contiguous source chunks fan out over the rayon pool, one
+/// scratch per chunk, so the result is identical to a sequential loop
+/// whatever the pool width.
 fn evaluate_sources(
     view: &TopologyView,
     sources: &[NodeId],
     fractions: &[f64],
     config: &GossipConfig,
 ) -> Vec<Vec<f64>> {
-    let rows = if config.is_analytic() {
-        let scratch = || BroadcastScratch::with_capacity(view.len());
-        per_source(sources, scratch, |s, src| {
-            view.broadcast_into(src, s);
-            let mut coverage = vec![SimTime::ZERO; fractions.len()];
-            s.coverage_times_into(view, fractions, &mut coverage);
-            coverage
-        })
-    } else {
-        let scratch = || gossip_scratch(view);
-        per_source(sources, scratch, |s, src| {
-            view.gossip_into(src, config, s);
-            let mut coverage = vec![SimTime::ZERO; fractions.len()];
-            s.coverage_times_into(view, fractions, &mut coverage);
-            coverage
-        })
-    };
+    let chunk = chunk_len(sources.len());
+    let parts: Vec<Vec<Vec<SimTime>>> = rayon::par_map_index(sources.len().div_ceil(chunk), |ci| {
+        let mut scratch = scratch_for(view);
+        sources[ci * chunk..sources.len().min((ci + 1) * chunk)]
+            .iter()
+            .map(|&src| {
+                propagate(view, src, config, &mut scratch, None);
+                let mut coverage = vec![SimTime::ZERO; fractions.len()];
+                scratch.coverage_times_into(view, fractions, &mut coverage);
+                coverage
+            })
+            .collect()
+    });
+    let rows: Vec<Vec<SimTime>> = parts.into_iter().flatten().collect();
     (0..fractions.len())
         .map(|k| rows.iter().map(|row| row[k].as_ms()).collect())
         .collect()
 }
 
-/// A gossip scratch sized for `view`.
-fn gossip_scratch(view: &TopologyView) -> GossipScratch {
+/// A propagation scratch sized for `view`.
+fn scratch_for(view: &TopologyView) -> GossipScratch {
     GossipScratch::with_capacity(view.len(), view.directed_edge_count())
 }
 
-/// Runs `source` once per entry of `sources`, fanning contiguous source
-/// chunks over the rayon pool with one `scratch()` per chunk, and returns
-/// the results in `sources` order — identical to a sequential loop
-/// whatever the pool width.
-fn per_source<S, T: Send>(
-    sources: &[NodeId],
-    scratch: impl Fn() -> S + Sync,
-    source: impl Fn(&mut S, NodeId) -> T + Sync,
-) -> Vec<T> {
-    let chunk = chunk_len(sources.len());
-    let parts: Vec<Vec<T>> = rayon::par_map_index(sources.len().div_ceil(chunk), |ci| {
-        let mut s = scratch();
-        sources[ci * chunk..sources.len().min((ci + 1) * chunk)]
-            .iter()
-            .map(|&src| source(&mut s, src))
-            .collect()
-    });
-    parts.into_iter().flatten().collect()
+/// Propagates one block from `source` through `view` under `config`:
+/// the analytic flood when [`GossipConfig::is_analytic`] holds, else the
+/// message-level kernel. Either leaves the block's arrivals, relay times
+/// and config in `scratch`.
+fn propagate(
+    view: &TopologyView,
+    source: NodeId,
+    config: &GossipConfig,
+    scratch: &mut GossipScratch,
+    faults: Option<&BlockFaults<'_>>,
+) {
+    if config.is_analytic() {
+        view.broadcast_into_faulted(source, scratch, faults);
+    } else {
+        view.gossip_into_faulted(source, config, scratch, faults);
+    }
 }
 
 #[cfg(test)]
@@ -2228,10 +2191,13 @@ mod tests {
         engine.topology().assert_invariants();
     }
 
-    /// The default config runs the analytic kernel; the flood-mode event
-    /// loop must give the very same round — same λs, same rows, hence the
-    /// same decisions — with an active fault plan and silent and delaying
-    /// relays in the overlay.
+    /// The default config runs the analytic kernel; the message-level
+    /// kernel flooding the same blocks must give the very same round —
+    /// same λs, same rows, hence the same decisions — with an active
+    /// fault plan and silent and delaying relays in the overlay. The
+    /// round's rows, normalized fused against each first arrival, must
+    /// equal the message-level faulted rows normalized two-pass by their
+    /// own minima.
     #[test]
     fn analytic_and_flood_gossip_modes_agree() {
         use perigee_netsim::{Behavior, FaultPlan, LinkFaultRates};
@@ -2256,13 +2222,27 @@ mod tests {
         let miners = engine.sampler.sample_round(10, &mut rng);
         let round = engine.observe_round_faulted(&view, &miners, Some(&faults), 0);
 
-        let mut collector = ObservationCollector::from_view(&view);
+        let rows = round.observations().as_dense().unwrap();
         let mut scratch = GossipScratch::new();
         let (mut lambda90, mut lambda50) = (Vec::new(), Vec::new());
         let mut seen = vec![0u32; view.len()];
         for (i, &miner) in miners.iter().enumerate() {
             let bf = faults.block(i);
             view.gossip_into_faulted(miner, &GossipConfig::flood(), &mut scratch, Some(&bf));
+            for v in (0..view.len() as u32).map(NodeId::new) {
+                let row: Vec<f64> = scratch
+                    .neighbor_deliveries_faulted(&view, v, &bf)
+                    .map(SimTime::as_ms)
+                    .collect();
+                let min = row.iter().copied().fold(f64::INFINITY, f64::min);
+                let shift = if min.is_finite() { min } else { 0.0 };
+                let two_pass: Vec<u32> = row
+                    .iter()
+                    .map(|&t| ((t - shift) as f32).to_bits())
+                    .collect();
+                let recorded: Vec<u32> = rows.node(v).row(i).iter().map(|t| t.to_bits()).collect();
+                assert_eq!(recorded, two_pass, "block {i} node {v}: same rows");
+            }
             let mut coverage = [SimTime::ZERO; 2];
             scratch.coverage_times_into(&view, &[0.9, 0.5], &mut coverage);
             lambda90.push(coverage[0].as_ms());
@@ -2270,18 +2250,13 @@ mod tests {
             for (s, t) in seen.iter_mut().zip(scratch.arrivals()) {
                 *s += u32::from(t.is_finite());
             }
-            collector.record_gossip_scratch_faulted(&view, &scratch, &bf);
         }
         let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
         assert!((mean(round.lambda90_ms()) - mean(&lambda90)).abs() < 1e-6);
         assert_eq!(round.lambda90_ms(), lambda90.as_slice());
         assert_eq!(round.lambda50_ms(), lambda50.as_slice());
         assert_eq!(round.seen(), seen.as_slice());
-        assert_eq!(
-            round.observations().as_dense().unwrap(),
-            &collector.finish(),
-            "same rows, hence the same decisions either way"
-        );
+        assert_eq!(rows.block_count(), miners.len());
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //!   time-normalization (§4.1, eq. 2), stored as one flat
 //!   struct-of-arrays [`ObservationStore`] (`f32` normalized times on the
 //!   round snapshot's directed-edge offsets) read through borrowed
-//!   [`NodeObservations`] windows;
+//!   [`NodeObservations`] windows, and filled by one recorder for every
+//!   kernel and fault lens,
+//!   [`ObservationCollector::record_scratch`](observation::ObservationCollector::record_scratch)
+//!   (and its faulted twin), from the rows the propagation scratch
+//!   derives;
 //! * [`score`] — the three published scoring methods:
 //!   [`VanillaScoring`] (§4.2.1), [`UcbScoring`] (§4.2.2) and
 //!   [`SubsetScoring`] (§4.3), behind the [`SelectionStrategy`] trait; a
@@ -30,7 +34,9 @@
 //!   the analytic Dijkstra flood when
 //!   [`GossipConfig::is_analytic`](perigee_netsim::GossipConfig::is_analytic)
 //!   holds (it equals the message-level flood bit for bit), the
-//!   message-level engine otherwise. Three entry points measure:
+//!   message-level engine otherwise, both on one
+//!   [`GossipScratch`](perigee_netsim::GossipScratch) per pool slot.
+//!   Three entry points measure:
 //!   [`PerigeeEngine::evaluate`](engine::PerigeeEngine::evaluate) (λ per
 //!   live source), [`evaluate_topology`] (a static overlay) and
 //!   [`PerigeeEngine::observe_round`](engine::PerigeeEngine::observe_round)

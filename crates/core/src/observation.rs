@@ -72,7 +72,9 @@
 use std::collections::BTreeMap;
 
 use perigee_metrics::{percentile_or_inf_f32_mut, EdgeSketch, SketchParams};
-use perigee_netsim::{BroadcastScratch, LatencyModel, NodeId, SimTime, TopologyView};
+use perigee_netsim::{
+    BlockFaults, GossipScratch, LatencyModel, NodeId, RowSink, SimTime, TopologyView,
+};
 use serde::{Deserialize, Serialize};
 
 /// Which representation a round's observations are stored in.
@@ -766,9 +768,7 @@ impl ExactSizeIterator for TimesIter<'_> {}
 #[derive(Debug, Clone)]
 pub struct ObservationCollector {
     store: ObservationStore,
-    /// Reusable per-node row for the two-pass normalization of the
-    /// reference and gossip recorders and of the flood fast paths' miner
-    /// and unreached rows.
+    /// Reusable per-node row for the two-pass normalization.
     row: Vec<f64>,
 }
 
@@ -794,31 +794,16 @@ impl ObservationCollector {
             .reserve_exact(blocks * self.store.edges.len());
     }
 
-    /// Normalizes the freshly computed `self.row` (one node's f64
-    /// delivery times for one block) against its minimum and appends it
-    /// to the matrix as `f32`. Subtraction happens in `f64` *before* the
-    /// cast, so every recording path produces bit-identical `f32`s for
-    /// bit-identical `f64` inputs.
-    fn push_normalized_row(&mut self) {
-        let min = self.row.iter().copied().fold(f64::INFINITY, f64::min);
-        if min.is_finite() {
-            self.store
-                .times
-                .extend(self.row.iter().map(|&t| (t - min) as f32));
-        } else {
-            self.store.times.extend(self.row.iter().map(|&t| t as f32));
-        }
-    }
-
     /// Records one block flooded into `scratch`: appends, for every node
     /// `v`, its neighbors' normalized delivery times `relay_start(u) +
     /// δ(u,v)`, with `δ` from the latency model — the reference that
-    /// [`ObservationCollector::record_scratch`] must match bit for bit.
+    /// [`ObservationCollector::record_scratch`] must match bit for bit on
+    /// a fault-free flood.
     ///
     /// Normalization is relative to the first delivery from any neighbor
     /// (eq. 2). If no neighbor ever delivers, the row carries no
     /// information and stays all-infinite.
-    pub fn record<L: LatencyModel + ?Sized>(&mut self, scratch: &BroadcastScratch, latency: &L) {
+    pub fn record<L: LatencyModel + ?Sized>(&mut self, scratch: &GossipScratch, latency: &L) {
         for i in 0..self.store.len() {
             let v = NodeId::new(i as u32);
             let (start, end) = (self.store.offsets[i], self.store.offsets[i + 1]);
@@ -829,7 +814,7 @@ impl ObservationCollector {
                 self.row
                     .push((scratch.relay_start(u) + latency.delay(u, v)).as_ms());
             }
-            self.push_normalized_row();
+            push_normalized(&mut self.store.times, &self.row);
         }
         self.store.blocks += 1;
     }
@@ -838,8 +823,9 @@ impl ObservationCollector {
     /// [`reference::gossip_block`](perigee_netsim::reference::gossip_block)
     /// returns (a neighbor absent from a log never announced and reads
     /// `∞`, the paper's convention) — the reference that
-    /// [`ObservationCollector::record_gossip_scratch`] must match bit for
-    /// bit. Panics unless there is exactly one log per node.
+    /// [`ObservationCollector::record_scratch`] must match bit for bit
+    /// on a message-level run. Panics unless there is exactly one log per
+    /// node.
     pub fn record_gossip(&mut self, logs: &[BTreeMap<NodeId, SimTime>]) {
         assert_eq!(logs.len(), self.store.len(), "one delivery log per node");
         for (i, log) in logs.iter().enumerate() {
@@ -850,187 +836,78 @@ impl ObservationCollector {
                 self.row
                     .push(log.get(&u).map_or(f64::INFINITY, |t| t.as_ms()));
             }
-            self.push_normalized_row();
+            push_normalized(&mut self.store.times, &self.row);
         }
         self.store.blocks += 1;
     }
 
-    /// Records one block simulated at the message level through a
-    /// [`TopologyView`] into a [`GossipScratch`](perigee_netsim::GossipScratch):
-    /// each node's row is [`GossipScratch::neighbor_deliveries`](perigee_netsim::GossipScratch::neighbor_deliveries),
-    /// computed from the scratch's relay times, normalized like every
-    /// other recorder — no `BTreeMap` walk, no allocation per node per
-    /// block.
+    /// Records one block or message that `scratch` just ran through
+    /// `view`, on either kernel, fault-free: each node's row is
+    /// [`GossipScratch::neighbor_deliveries`](perigee_netsim::GossipScratch::neighbor_deliveries),
+    /// derived from the scratch's relay times and the view's **cached**
+    /// edge latencies (no latency-model call, no allocation per node per
+    /// block) and normalized against its first delivery (eq. 2).
     ///
-    /// Produces bit-identical rows to [`ObservationCollector::record_gossip`]
-    /// on the same block's delivery logs, provided this collector was
-    /// built from the same view ([`ObservationCollector::from_view`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view covers a different number of nodes than this
-    /// collector, or if a node's snapshotted neighbor set disagrees with
-    /// the view's CSR row.
-    pub fn record_gossip_scratch(
-        &mut self,
-        view: &TopologyView,
-        scratch: &perigee_netsim::GossipScratch,
-    ) {
-        self.record_gossip_rows(view, |v| scratch.neighbor_deliveries(view, v));
-    }
-
-    /// [`ObservationCollector::record_gossip_scratch`] for a block run
-    /// through [`TopologyView::gossip_into_faulted`] under `faults`: the
-    /// rows come from
-    /// [`GossipScratch::neighbor_deliveries_faulted`](perigee_netsim::GossipScratch::neighbor_deliveries_faulted),
-    /// which replays each announce leg through the same lens.
-    ///
-    /// # Panics
-    ///
-    /// As [`ObservationCollector::record_gossip_scratch`].
-    pub fn record_gossip_scratch_faulted(
-        &mut self,
-        view: &TopologyView,
-        scratch: &perigee_netsim::GossipScratch,
-        faults: &perigee_netsim::BlockFaults<'_>,
-    ) {
-        self.record_gossip_rows(view, |v| {
-            scratch.neighbor_deliveries_faulted(view, v, faults)
-        });
-    }
-
-    /// Appends one normalized row per node, `row(v)` yielding `v`'s
-    /// deliveries in CSR order.
-    fn record_gossip_rows<I: ExactSizeIterator<Item = SimTime>>(
-        &mut self,
-        view: &TopologyView,
-        mut row: impl FnMut(NodeId) -> I,
-    ) {
-        assert_eq!(self.store.len(), view.len(), "view/collector size mismatch");
-        for i in 0..self.store.len() {
-            let deliveries = row(NodeId::new(i as u32));
-            assert_eq!(
-                deliveries.len(),
-                self.store.offsets[i + 1] - self.store.offsets[i],
-                "neighbor snapshot disagrees with the view"
-            );
-            self.row.clear();
-            self.row.extend(deliveries.map(|t| t.as_ms()));
-            self.push_normalized_row();
-        }
-        self.store.blocks += 1;
-    }
-
-    /// Records one block flooded through a [`TopologyView`] into a
-    /// [`BroadcastScratch`]: per-neighbor delivery times come from the
-    /// view's **cached** edge latencies (`relay_start(u) + δ(u,v)`),
-    /// with no latency-model call per neighbor per block.
-    ///
-    /// Produces bit-identical rows to [`ObservationCollector::record`] on
-    /// the same scratch, provided this collector was built from the same
-    /// view ([`ObservationCollector::from_view`]).
+    /// Produces bit-identical rows to [`ObservationCollector::record`]
+    /// on a flood and to [`ObservationCollector::record_gossip`] on the
+    /// same message's delivery logs, provided this collector was built
+    /// from the same view ([`ObservationCollector::from_view`]).
     ///
     /// # Panics
     ///
     /// Panics if the view covers a different number of nodes than this
-    /// collector.
-    pub fn record_scratch(&mut self, view: &TopologyView, scratch: &BroadcastScratch) {
-        assert_eq!(self.store.len(), view.len(), "view/collector size mismatch");
-        let relay_at = scratch.relay_starts();
-        let source = scratch.source();
-        for i in 0..self.store.len() {
-            let v = NodeId::new(i as u32);
-            let neighbors = view.neighbors_raw(v);
-            let delays = view.neighbor_delays(v);
-            let arrival = scratch.arrival(v);
-            // `relay + δ` is ∞ exactly when the relay never happened
-            // (∞ + finite = ∞ in IEEE-754), so no branch per entry.
-            if v != source && arrival.is_finite() {
-                // Fast path: for every node but the miner, the first
-                // delivery from any neighbor IS the first arrival (both
-                // are `min_u relay(u) + δ(u,v)`, computed from the same
-                // floats), so normalization fuses into the fill loop.
-                let min = arrival.as_ms();
-                self.store.times.extend(
-                    neighbors
-                        .iter()
-                        .zip(delays)
-                        .map(|(&u, &delay)| ((relay_at[u as usize] + delay).as_ms() - min) as f32),
-                );
-            } else {
-                // The miner normalizes against its earliest *echo* (its
-                // own arrival is 0 at mining time), and unreached nodes
-                // keep their all-infinite row: two-pass like `record`.
-                self.row.clear();
-                self.row.extend(
-                    neighbors
-                        .iter()
-                        .zip(delays)
-                        .map(|(&u, &delay)| (relay_at[u as usize] + delay).as_ms()),
-                );
-                self.push_normalized_row();
-            }
-        }
-        self.store.blocks += 1;
+    /// collector, or if a node's snapshotted neighbor set is not as long
+    /// as the view's CSR row.
+    pub fn record_scratch(&mut self, view: &TopologyView, scratch: &GossipScratch) {
+        self.record_rows(view, scratch, None);
     }
 
-    /// [`ObservationCollector::record_scratch`] for a flood run through
-    /// [`TopologyView::broadcast_into_faulted`]: per-neighbor delivery
-    /// times replay the *faulted* announcement leg. The announcement that
-    /// reaches node `v` over its row entry `e` (neighbor `u`) crossed the
-    /// opposite directed edge `reverse[e]` — the entry the flood itself
-    /// consulted — so the same [`BlockFaults`](perigee_netsim::BlockFaults)
-    /// lens reproduces the exact crossing:
-    /// `relay(u) + announce_leg(reverse[e], δ)`, or `∞` when
-    /// that announcement was dropped or its link was down.
-    ///
-    /// The non-miner fast path still holds under faults: the first
-    /// arrival *is* the minimum faulted delivery over the row (both are
-    /// computed from the same floats by the same lens), so normalization
-    /// fuses into the fill loop exactly as in the fault-free path.
+    /// [`ObservationCollector::record_scratch`] for a run under `faults`
+    /// ([`TopologyView::broadcast_into_faulted`] or
+    /// [`TopologyView::gossip_into_faulted`]): the rows are
+    /// [`GossipScratch::neighbor_deliveries_faulted`](perigee_netsim::GossipScratch::neighbor_deliveries_faulted).
+    /// The announcement that reaches node `v` over its row entry `e`
+    /// crossed the opposite directed edge `reverse[e]`, so the same lens
+    /// replays that crossing — `∞` when the announcement was dropped or
+    /// its link was down.
     ///
     /// # Panics
     ///
-    /// Panics if the view covers a different number of nodes than this
-    /// collector.
+    /// As [`ObservationCollector::record_scratch`].
     pub fn record_scratch_faulted(
         &mut self,
         view: &TopologyView,
-        scratch: &BroadcastScratch,
-        faults: &perigee_netsim::BlockFaults<'_>,
+        scratch: &GossipScratch,
+        faults: &BlockFaults<'_>,
+    ) {
+        self.record_rows(view, scratch, Some(faults));
+    }
+
+    /// [`ObservationCollector::record_scratch`] under its former
+    /// message-level name, kept only because roundbench's replay calls
+    /// it.
+    pub fn record_gossip_scratch(&mut self, view: &TopologyView, scratch: &GossipScratch) {
+        self.record_scratch(view, scratch);
+    }
+
+    /// The recorders' shared body: one block's rows, each written by
+    /// [`RowWriter`].
+    fn record_rows(
+        &mut self,
+        view: &TopologyView,
+        scratch: &GossipScratch,
+        faults: Option<&BlockFaults<'_>>,
     ) {
         assert_eq!(self.store.len(), view.len(), "view/collector size mismatch");
-        let relay_at = scratch.relay_starts();
-        let source = scratch.source();
-        let edges = view.csr_edges();
-        let delays = view.csr_delays();
-        let reverse = view.csr_reverse();
-        let offsets = view.csr_offsets();
-        // The faulted delivery of `v`'s row entry `e`: ∞ when the
-        // announcement never crossed, else the announcer's relay start
-        // plus the faulted leg (∞ + finite = ∞ covers silent relays).
-        let leg = |e: usize| -> f64 {
-            let rev = reverse[e] as usize;
-            match faults.announce_leg(rev, delays[rev]) {
-                Some(l) => (relay_at[edges[e] as usize] + l).as_ms(),
-                None => f64::INFINITY,
-            }
+        let mut writer = RowWriter {
+            offsets: &self.store.offsets,
+            times: &mut self.store.times,
+            row: &mut self.row,
+            arrivals: scratch.arrivals(),
+            source: scratch.source(),
+            fused: scratch.config().is_analytic(),
         };
-        for i in 0..self.store.len() {
-            let v = NodeId::new(i as u32);
-            let (start, end) = (offsets[i], offsets[i + 1]);
-            let arrival = scratch.arrival(v);
-            if v != source && arrival.is_finite() {
-                let min = arrival.as_ms();
-                self.store
-                    .times
-                    .extend((start..end).map(|e| (leg(e) - min) as f32));
-            } else {
-                self.row.clear();
-                self.row.extend((start..end).map(leg));
-                self.push_normalized_row();
-            }
-        }
+        scratch.write_rows(view, faults, &mut writer);
         self.store.blocks += 1;
     }
 
@@ -1078,6 +955,66 @@ impl ObservationCollector {
     }
 }
 
+/// The one body that writes a recorded row: a [`RowSink`] appending one
+/// block's normalized rows to a collector's matrix.
+struct RowWriter<'a> {
+    /// The collector's CSR snapshot, which every row must match.
+    offsets: &'a [usize],
+    times: &'a mut Vec<f32>,
+    row: &'a mut Vec<f64>,
+    arrivals: &'a [SimTime],
+    source: NodeId,
+    /// The message is analytic ([`GossipConfig::is_analytic`](perigee_netsim::GossipConfig::is_analytic)),
+    /// so every reached node but the miner first held it at its earliest
+    /// delivery.
+    fused: bool,
+}
+
+impl RowSink for RowWriter<'_> {
+    #[inline]
+    fn row<I: ExactSizeIterator<Item = SimTime>>(&mut self, v: NodeId, deliveries: I) {
+        let i = v.index();
+        assert_eq!(
+            deliveries.len(),
+            self.offsets[i + 1] - self.offsets[i],
+            "neighbor snapshot disagrees with the view"
+        );
+        let arrival = self.arrivals[i];
+        if self.fused && v != self.source && arrival.is_finite() {
+            // Fast path: on an analytic message, for every node but the
+            // miner, the first delivery from any neighbor IS the first
+            // arrival (both are `min_u relay(u) + leg(u,v)`, computed
+            // from the same floats by the same lens), so normalization
+            // fuses into the fill loop. `relay + leg` is ∞ exactly when
+            // the relay never happened, so no branch per entry.
+            let min = arrival.as_ms();
+            self.times
+                .extend(deliveries.map(|t| (t.as_ms() - min) as f32));
+        } else {
+            // The miner normalizes against its earliest *echo* (its own
+            // arrival is 0 at mining time), unreached nodes keep their
+            // all-infinite row, and a pulled message's arrival lags its
+            // first announcement: two passes, like `record`.
+            self.row.clear();
+            self.row.extend(deliveries.map(SimTime::as_ms));
+            push_normalized(self.times, self.row);
+        }
+    }
+}
+
+/// Normalizes `row` (one node's f64 delivery times for one block) against
+/// its minimum and appends it to `times` as `f32`. Subtraction happens in
+/// `f64` *before* the cast, so every recording path produces bit-identical
+/// `f32`s for bit-identical `f64` inputs.
+fn push_normalized(times: &mut Vec<f32>, row: &[f64]) {
+    let min = row.iter().copied().fold(f64::INFINITY, f64::min);
+    if min.is_finite() {
+        times.extend(row.iter().map(|&t| (t - min) as f32));
+    } else {
+        times.extend(row.iter().map(|&t| t as f32));
+    }
+}
+
 /// Unit-test shorthand: floods one block from each of `sources` through
 /// a fresh view of the world and returns the round's store as the
 /// production recorder writes it, after asserting that the reference
@@ -1092,7 +1029,7 @@ pub(crate) fn observe_blocks<L: LatencyModel + ?Sized>(
     let view = TopologyView::new(topology, latency, population);
     let mut fast = ObservationCollector::from_view(&view);
     let mut reference = ObservationCollector::from_view(&view);
-    let mut scratch = BroadcastScratch::new();
+    let mut scratch = GossipScratch::new();
     for &source in sources {
         view.broadcast_into(NodeId::new(source), &mut scratch);
         fast.record_scratch(&view, &scratch);
@@ -1216,7 +1153,7 @@ mod tests {
         let mut seq = ObservationCollector::from_view(&view);
         let mut a = ObservationCollector::from_view(&view);
         let mut b = ObservationCollector::from_view(&view);
-        let mut scratch = BroadcastScratch::new();
+        let mut scratch = GossipScratch::new();
         for (i, src) in [0u32, 2, 1, 1].into_iter().enumerate() {
             view.broadcast_into(NodeId::new(src), &mut scratch);
             seq.record(&scratch, &lat);
@@ -1347,6 +1284,29 @@ mod tests {
             }
         }
         assert_eq!(sketch.sketch_bytes(), sketch.directed_edge_count() * 48);
+    }
+
+    /// A collector snapshotted from another overlay of the same size
+    /// refuses a flood's rows instead of writing a shifted matrix: a
+    /// 6-node ring (12 directed edges) against a flood over that ring
+    /// plus one chord (14).
+    #[test]
+    #[should_panic(expected = "neighbor snapshot disagrees with the view")]
+    fn a_collector_from_another_overlay_refuses_the_rows() {
+        let (pop, lat, mut topo) = world(&[0.0, 10.0, 20.0, 30.0, 40.0, 50.0]);
+        for i in 0..6 {
+            topo.connect(NodeId::new(i), NodeId::new((i + 1) % 6))
+                .unwrap();
+        }
+        let ring = TopologyView::new(&topo, &lat, &pop);
+        topo.connect(NodeId::new(0), NodeId::new(3)).unwrap();
+        let chord = TopologyView::new(&topo, &lat, &pop);
+        assert_eq!(ring.directed_edge_count(), 12);
+        assert_eq!(chord.directed_edge_count(), 14);
+        let mut collector = ObservationCollector::from_view(&ring);
+        let mut scratch = GossipScratch::new();
+        chord.broadcast_into(NodeId::new(0), &mut scratch);
+        collector.record_scratch(&chord, &scratch);
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! `ObservationCollector::record` (or `record_gossip`) and measured by
 //! `reference::coverage_times`.
 
-use perigee_core::{ObservationCollector, PerigeeConfig, PerigeeEngine, ScoringMethod};
+use perigee_core::{
+    ObservationCollector, ObservationStore, PerigeeConfig, PerigeeEngine, ScoringMethod,
+};
 use perigee_metrics::P2Quantile;
 use perigee_netsim::{
-    reference, Behavior, BroadcastScratch, ConnectionLimits, FaultPlan, GeoLatencyModel,
-    GossipConfig, GossipScratch, LinkFaultRates, MinerSampler, NodeId, PopulationBuilder, Region,
-    SimTime, TopologyView,
+    reference, Behavior, BlockFaults, ConnectionLimits, FaultPlan, GeoLatencyModel, GossipConfig,
+    GossipScratch, LinkFaultRates, MinerSampler, NodeId, PopulationBuilder, Region, SimTime,
+    TopologyView,
 };
 use perigee_topology::{RandomBuilder, TopologyBuilder};
 use rand::rngs::StdRng;
@@ -24,6 +26,33 @@ fn engine(n: usize, blocks: usize, seed: u64) -> (PerigeeEngine<GeoLatencyModel>
 /// A fresh snapshot of `engine`'s current world.
 fn view_of(engine: &PerigeeEngine<GeoLatencyModel>) -> TopologyView {
     TopologyView::new(engine.topology(), engine.latency(), engine.population())
+}
+
+/// The test-side reference recorder for a faulted run: every node's
+/// [`GossipScratch::neighbor_deliveries_faulted`] row normalized by its
+/// own minimum (eq. 2), two passes, as `f32` bits. The production
+/// recorder fuses that minimum with the first arrival on analytic
+/// messages; this reference never does.
+fn two_pass_rows(view: &TopologyView, scratch: &GossipScratch, faults: &BlockFaults) -> Vec<u32> {
+    let mut bits = Vec::new();
+    for v in (0..view.len() as u32).map(NodeId::new) {
+        let row: Vec<f64> = scratch
+            .neighbor_deliveries_faulted(view, v, faults)
+            .map(SimTime::as_ms)
+            .collect();
+        let min = row.iter().copied().fold(f64::INFINITY, f64::min);
+        let shift = if min.is_finite() { min } else { 0.0 };
+        bits.extend(row.iter().map(|&t| ((t - shift) as f32).to_bits()));
+    }
+    bits
+}
+
+/// Block `block`'s rows of a dense store, in CSR order, as `f32` bits.
+fn store_rows(store: &ObservationStore, block: usize) -> Vec<u32> {
+    (0..store.len() as u32)
+        .flat_map(|v| store.node(NodeId::new(v)).row(block).to_vec())
+        .map(f32::to_bits)
+        .collect()
 }
 
 /// Runs `f` inside a dedicated rayon pool of `threads` workers.
@@ -102,7 +131,7 @@ fn observe_round_matches_legacy_pipeline() {
     let round = engine_a.observe_round(&view, &miners);
 
     let mut collector = ObservationCollector::from_view(&view);
-    let mut scratch = BroadcastScratch::new();
+    let mut scratch = GossipScratch::new();
     let mut legacy90 = Vec::new();
     let mut legacy50 = Vec::new();
     for &miner in &miners {
@@ -182,14 +211,16 @@ fn gossip_observe_round_matches_legacy_gossip_pipeline() {
 
 /// Flood-mode gossip is bit-identical to the analytic flood, which the
 /// engine runs for its default config: the two kernels — the Dijkstra
-/// (`broadcast_into_faulted` + `record_scratch_faulted`) and the
-/// message-level kernel (`gossip_into_faulted` +
-/// `record_gossip_scratch_faulted`) — compute the exact same arrival and
-/// relay floats, coverage times and observation rows, block by block,
-/// under an active fault plan and with silent and delaying relays in the
-/// overlay. So the engine's own rounds carry the message-level λs
-/// RoundStats for RoundStats, and its decisions read the same rows,
-/// round after round of a learning trajectory.
+/// (`broadcast_into_faulted`) and the message-level kernel
+/// (`gossip_into_faulted`) — compute the exact same arrival and relay
+/// floats and coverage times, block by block, under an active fault plan
+/// and with silent and delaying relays in the overlay. The analytic
+/// block's rows, which `record_scratch_faulted` normalizes fused against
+/// each first arrival, equal the message-level block's faulted delivery
+/// rows normalized two-pass by their own minima. So the engine's own
+/// rounds carry the message-level λs RoundStats for RoundStats, and its
+/// decisions read the same rows, round after round of a learning
+/// trajectory.
 #[test]
 fn flood_gossip_rounds_are_bit_identical_to_analytic_rounds() {
     const BLOCKS: usize = 20;
@@ -219,7 +250,7 @@ fn flood_gossip_rounds_are_bit_identical_to_analytic_rounds() {
         assert!(!faults.is_inert(), "the plan must bite in round {round}");
         // The engine's own miner draw: the same sampler on the same RNG.
         let miners = MinerSampler::new(engine.population()).sample_round(BLOCKS, &mut rng.clone());
-        let (mut analytic, mut gossip) = (BroadcastScratch::new(), GossipScratch::new());
+        let (mut analytic, mut gossip) = (GossipScratch::new(), GossipScratch::new());
         let mut lambda90 = Vec::new();
         let mut lambda50 = Vec::new();
         for (i, &miner) in miners.iter().enumerate() {
@@ -244,13 +275,11 @@ fn flood_gossip_rounds_are_bit_identical_to_analytic_rounds() {
                 via_analytic, via_gossip,
                 "round {round} block {i}: coverage"
             );
-            let mut rows_analytic = ObservationCollector::from_view(&view);
-            let mut rows_gossip = ObservationCollector::from_view(&view);
-            rows_analytic.record_scratch_faulted(&view, &analytic, &bf);
-            rows_gossip.record_gossip_scratch_faulted(&view, &gossip, &bf);
+            let mut rows = ObservationCollector::from_view(&view);
+            rows.record_scratch_faulted(&view, &analytic, &bf);
             assert_eq!(
-                rows_analytic.finish(),
-                rows_gossip.finish(),
+                store_rows(&rows.finish(), 0),
+                two_pass_rows(&view, &gossip, &bf),
                 "round {round} block {i}: observation rows"
             );
             lambda90.push(via_gossip[0].as_ms());

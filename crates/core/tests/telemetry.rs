@@ -12,9 +12,9 @@ use std::sync::{Arc, Mutex};
 
 use perigee_core::{LivenessConfig, PerigeeConfig, PerigeeEngine, RoundStats, ScoringMethod};
 use perigee_netsim::{
-    reference, BroadcastScratch, ChurnProcess, ConnectionLimits, FaultPlan, FaultWindow,
-    GeoLatencyModel, GossipConfig, GossipScratch, LinkFaultRates, LinkFlaps, MinerSampler,
-    Population, PopulationBuilder, SimCounters, SimTime, Topology, TopologyView, TrafficConfig,
+    reference, ChurnProcess, ConnectionLimits, FaultPlan, FaultWindow, GeoLatencyModel,
+    GossipConfig, GossipScratch, LinkFaultRates, LinkFlaps, MinerSampler, Population,
+    PopulationBuilder, SimCounters, SimTime, Topology, TopologyView, TrafficConfig,
 };
 use perigee_telemetry::{RunTelemetry, TraceRecord, TraceSink};
 use perigee_topology::{RandomBuilder, TopologyBuilder};
@@ -298,7 +298,7 @@ fn flood_counters_match_a_direct_scratch_sweep() {
     let view = TopologyView::new(engine.topology(), engine.latency(), engine.population());
     let harvested = engine.observe_round(&view, &miners).counters();
 
-    let mut scratch = BroadcastScratch::with_capacity(view.len());
+    let mut scratch = GossipScratch::with_capacity(view.len(), view.directed_edge_count());
     let mut reached = 0u64;
     for &miner in &miners {
         view.broadcast_into(miner, &mut scratch);

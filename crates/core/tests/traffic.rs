@@ -60,14 +60,14 @@ fn batched_observation_rows_match_sequential_single_passes() {
         let mut batched = ObservationCollector::from_view(&view);
         let mut scratch = GossipScratch::with_queue(kind);
         view.gossip_batch_into(&batch, &mut scratch, |_, s| {
-            batched.record_gossip_scratch(&view, s);
+            batched.record_scratch(&view, s);
         });
 
         let mut sequential = ObservationCollector::from_view(&view);
         let mut single = GossipScratch::with_queue(kind);
         for m in &batch {
             view.gossip_into(m.source, &m.config, &mut single);
-            sequential.record_gossip_scratch(&view, &single);
+            sequential.record_scratch(&view, &single);
         }
 
         assert_eq!(

@@ -15,8 +15,8 @@ use rand::{Rng, SeedableRng};
 
 use perigee_metrics::{percentile_or_inf, Table};
 use perigee_netsim::{
-    BroadcastScratch, ConnectionLimits, MetricLatencyModel, NodeId, NodeProfile, Population,
-    SimTime, Topology, TopologyView,
+    ConnectionLimits, GossipScratch, MetricLatencyModel, NodeId, NodeProfile, Population, SimTime,
+    Topology, TopologyView,
 };
 use perigee_topology::{GeometricBuilder, RandomBuilder, TopologyBuilder};
 
@@ -77,7 +77,7 @@ pub fn median_stretch(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stretches = Vec::new();
     let view = TopologyView::new(topology, &world.latency, &world.population);
-    let mut prop = BroadcastScratch::new();
+    let mut prop = GossipScratch::new();
     for _ in 0..sources {
         let s = NodeId::new(rng.gen_range(0..n as u32));
         view.broadcast_into(s, &mut prop);
@@ -218,7 +218,7 @@ pub fn run_fig1(n: usize, seed: u64) -> Fig1Result {
         &mut rng,
     );
     let euclidean = world.latency.distance(a, b);
-    let mut scratch = BroadcastScratch::new();
+    let mut scratch = GossipScratch::new();
     let mut path = |topology: &Topology| {
         TopologyView::new(topology, &world.latency, &world.population)
             .broadcast_into(a, &mut scratch);

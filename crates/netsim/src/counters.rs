@@ -1,7 +1,7 @@
 //! Hot-path event counters ([`SimCounters`]).
 //!
-//! Every propagation scratch ([`crate::GossipScratch`],
-//! [`crate::BroadcastScratch`]) carries a `SimCounters` and bumps it
+//! The propagation scratch ([`crate::GossipScratch`]) carries a
+//! `SimCounters`, and both kernels that run on it bump it
 //! unconditionally as events flow: the increments are branch-free integer
 //! adds on values already in registers, so tallying costs nothing
 //! measurable and needs no enable flag. Crucially the counters are
@@ -15,6 +15,11 @@
 //! same totals as a sequential run.
 
 /// Hot-path event tallies for one scratch (or one merged round).
+///
+/// The `gossip_*` and `batch_*` fields tally the message-level kernel,
+/// the `flood_*` fields the analytic flood; `queue_peak` and the
+/// `fault_*` fields tally whichever kernel ran. A scratch that runs both
+/// kernels keeps one set of tallies for both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimCounters {
     /// Gossip queue pops. On the label-setting kernel, the path almost
@@ -36,7 +41,8 @@ pub struct SimCounters {
     /// re-run on the event loop. Their other gossip tallies are the
     /// event loop's alone.
     pub gossip_fallbacks: u64,
-    /// Flood (Dijkstra) settles popped from the queue.
+    /// Analytic-flood (Dijkstra) keys popped from the queue, stale
+    /// entries included.
     pub flood_pops: u64,
     /// Directed edges scanned during flood relaxation.
     pub flood_relaxations: u64,

@@ -5,13 +5,10 @@
 //! latencies are then assigned from region-pair measurements. Since the
 //! original crawl is a moving target (and IPs are irrelevant to the
 //! simulation), we reproduce the *region marginal distribution* of published
-//! Bitnodes snapshots circa 2020 and sample deterministic populations from
-//! it. See DESIGN.md §4 for the substitution rationale.
-
-use rand::Rng;
-
-use crate::error::NetsimError;
-use crate::population::{Population, PopulationBuilder};
+//! Bitnodes snapshots circa 2020, and
+//! [`PopulationBuilder`](crate::PopulationBuilder) samples deterministic
+//! populations from it: the paper's default 1000-node population is
+//! `PopulationBuilder::new(1000).build(rng)`.
 
 /// Region weights approximating the 2020 Bitnodes snapshot used in the
 /// paper, in [`Region::ALL`](crate::Region::ALL) order:
@@ -22,44 +19,13 @@ use crate::population::{Population, PopulationBuilder};
 /// cross-border latencies differ markedly.
 pub const BITNODES_REGION_WEIGHTS: [f64; 7] = [0.28, 0.04, 0.38, 0.12, 0.03, 0.12, 0.03];
 
-/// Builds the paper's default 1000-node population: Bitnodes-like region
-/// mix, uniform hash power, 50 ms validation delay.
-///
-/// # Errors
-///
-/// Returns an error only for `n == 0`.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-/// let pop = perigee_netsim::dataset::synthetic_bitnodes(1000, &mut rng).unwrap();
-/// assert_eq!(pop.len(), 1000);
-/// ```
-pub fn synthetic_bitnodes<R: Rng + ?Sized>(
-    n: usize,
-    rng: &mut R,
-) -> Result<Population, NetsimError> {
-    PopulationBuilder::new(n).build(rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn weights_sum_to_one() {
         let total: f64 = BITNODES_REGION_WEIGHTS.iter().sum();
         assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let a = synthetic_bitnodes(50, &mut StdRng::seed_from_u64(9)).unwrap();
-        let b = synthetic_bitnodes(50, &mut StdRng::seed_from_u64(9)).unwrap();
-        assert_eq!(a, b);
     }
 }

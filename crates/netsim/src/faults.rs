@@ -521,9 +521,9 @@ impl BlockFaults<'_> {
     }
 }
 
-/// How a propagation kernel sees its links: the flood, the gossip kernel
-/// and the gossip event loop are each written once, generic over this
-/// lens. The
+/// How a propagation kernel sees its links: the flood, the gossip kernel,
+/// the gossip event loop and the delivery-row rule are each written
+/// once, generic over this lens. The
 /// zero-size [`NoFaults`] lens returns every base latency untouched and
 /// is monomorphized into the plain fault-free loop; `&BlockFaults` is
 /// the faulted one.
@@ -535,6 +535,12 @@ pub(crate) trait FaultLens: Copy {
 
     /// A reliable request/response leg ([`BlockFaults::scaled`]).
     fn reliable(self, e: usize, base: SimTime) -> SimTime;
+
+    /// The announcement a delivery row replays, untallied: the leg the
+    /// announcer crossed over its entry `rev`, opposite the row's own
+    /// entry, whose cached latency `own` the latency contract makes
+    /// equal to `delays[rev]`.
+    fn replay(self, delays: &[SimTime], rev: usize, own: SimTime) -> Option<SimTime>;
 }
 
 /// The fault-free lens.
@@ -551,6 +557,11 @@ impl FaultLens for NoFaults {
     fn reliable(self, _: usize, base: SimTime) -> SimTime {
         base
     }
+
+    #[inline(always)]
+    fn replay(self, _: &[SimTime], _: usize, own: SimTime) -> Option<SimTime> {
+        Some(own)
+    }
 }
 
 impl FaultLens for &BlockFaults<'_> {
@@ -566,6 +577,11 @@ impl FaultLens for &BlockFaults<'_> {
     #[inline]
     fn reliable(self, e: usize, base: SimTime) -> SimTime {
         self.scaled(e, base)
+    }
+
+    #[inline]
+    fn replay(self, delays: &[SimTime], rev: usize, _: SimTime) -> Option<SimTime> {
+        self.announce_leg(rev, delays[rev])
     }
 }
 

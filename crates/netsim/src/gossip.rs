@@ -1,4 +1,4 @@
-//! Message-level gossip engine.
+//! Message-level gossip engine, and the one propagation scratch.
 //!
 //! The analytic engine, [`TopologyView::broadcast_into`], computes arrival
 //! times under the paper's §2 model. This module simulates the same
@@ -14,43 +14,52 @@
 //! holds they run the cheaper analytic flood (the proptests and the core
 //! determinism suite pin it).
 //!
-//! # Architecture: a label-setting kernel, with the event loop as its fallback
+//! # One scratch, two kernels
 //!
-//! Like the analytic path ([`TopologyView::broadcast_into`] +
-//! [`BroadcastScratch`](crate::BroadcastScratch)), the hot path here is a
-//! [`TopologyView`] plus a reusable [`GossipScratch`], and the scratch
-//! leaves what the flood's does: the last message's per-node first
-//! arrivals and relay (announce) times. Every entry point runs the same
-//! per-message pass: [`TopologyView::gossip_batch_into`] over a batch of
-//! messages, [`TopologyView::gossip_into`] /
-//! [`TopologyView::gossip_into_faulted`] over a batch of one. The pass is
-//! generic over a crate-private link-fault lens, so the fault-free
-//! instance compiles to the plain code and the faulted one reads the same
-//! code. Every fan-out policy is a push prefix of the announcer's CSR row
-//! followed by INVs: flooding pushes every leg, INV/GETDATA none,
-//! push/pull its first `push_degree`.
+//! Both kernels run on one reusable [`GossipScratch`] and leave the same
+//! state in it: the last message's config and its per-node first
+//! arrivals and relay (announce) times. The analytic flood
+//! ([`TopologyView::broadcast_into`]) is a Dijkstra over first arrivals;
+//! the message-level pass below is a label-setting kernel over
+//! have-times. Both queue the same settle keys, `(time.to_bits(), node)`
+//! packed into one `u128`, on the scratch's [`PackedQueue`].
+//! [`BroadcastScratch`](crate::BroadcastScratch) is only a constructor
+//! shim over this scratch.
+//!
+//! Every message-level entry point runs the same per-message pass:
+//! [`TopologyView::gossip_batch_into`] over a batch of messages,
+//! [`TopologyView::gossip_into`] / [`TopologyView::gossip_into_faulted`]
+//! over a batch of one. The pass is generic over a crate-private
+//! link-fault lens, so the fault-free instance compiles to the plain code
+//! and the faulted one reads the same code. Every fan-out policy is a
+//! push prefix of the announcer's CSR row followed by INVs: flooding
+//! pushes every leg, INV/GETDATA none, push/pull its first
+//! `push_degree`.
 //!
 //! **Rows from relay times.** A node announces once, at `relay(u)`: its
 //! have-time plus validation, or `∞` for a silent node, a withholding
 //! miner or a node the message never reached. So what `v` hears from its
 //! neighbour `u` is fixed the moment `u` announces: `relay(u) + δ(u,v)`,
 //! plus the transfer `u → v` when `u` pushes the whole message to `v`,
-//! and `∞` when the fault lens drops that announce leg.
+//! and `∞` when the fault lens drops that announce leg. That rule is
+//! written once, for both kernels' messages, and applied when a row is
+//! read, so no per-edge state is kept:
 //! [`GossipScratch::neighbor_deliveries`] and
-//! [`GossipScratch::neighbor_deliveries_faulted`] derive each row by this
-//! rule when it is read, so no per-edge state is kept.
+//! [`GossipScratch::neighbor_deliveries_faulted`] yield one node's row,
+//! and [`GossipScratch::write_rows`] hands every row of a message to a
+//! [`RowSink`], with the lens and the push shape picked once per message.
 //!
 //! **The kernel.** `have(v)` is a minimum: of the earliest push arrival,
 //! and of the block pulled from the announcer of `v`'s earliest INV, whose
 //! GETDATA and BLOCK legs are reliable. One Dijkstra-like pass therefore
-//! computes the whole message. Nodes settle in have-time order on the
-//! scratch's [`PackedQueue`], keyed `(have.to_bits(), node)` like the
-//! analytic flood. A settling node records its arrival and relay time and
-//! offers each neighbour a push or an INV. An earlier INV can come from an
-//! announcer with a slower round trip, so a node's key can *rise*: queue
-//! entries are lazy, and a pop is skipped when its node has settled or its
-//! time is no longer the node's key. Every key pushed is ≥ the pop that
-//! produced it, so the calendar queue's monotone contract holds. A message
+//! computes the whole message. Nodes settle in have-time order, keyed
+//! like the analytic flood's arrivals. A settling node records its
+//! arrival and relay time and offers each neighbour a push or an INV. An
+//! earlier INV can come from an announcer with a slower round trip, so a
+//! node's key can *rise*: queue entries are lazy, and a pop is skipped
+//! when its node has settled or its time is no longer the node's key.
+//! Every key pushed is ≥ the pop that produced it, so the calendar
+//! queue's monotone contract holds. A message
 //! costs an O(n) reset, about one pop per node and one relaxation per
 //! directed edge.
 //!
@@ -92,7 +101,7 @@ use crate::faults::{BlockFaults, FaultLens, NoFaults};
 use crate::node::NodeId;
 use crate::pq::{PackedQueue, QueueKind};
 use crate::time::SimTime;
-use crate::view::{coverage_times_from_arrivals, TopologyView};
+use crate::view::TopologyView;
 
 /// Packed events carry a 30-bit payload (a directed CSR edge index or a
 /// node id), so the message-level engine supports worlds with fewer than
@@ -289,7 +298,7 @@ fn pack_event(time: SimTime, seq: u32, kind: EventKind, payload: u32) -> u128 {
 }
 
 #[inline]
-fn event_time(word: u128) -> SimTime {
+pub(crate) fn event_time(word: u128) -> SimTime {
     SimTime::from_ms(f64::from_bits((word >> 64) as u64))
 }
 
@@ -303,11 +312,11 @@ fn event_payload(word: u128) -> usize {
     (word as u32 & 0x3FFF_FFFF) as usize
 }
 
-/// The kernel's settle key in the same `u128` queue: the have-time bits
-/// over the node id, so integer order is "by time, ties by ascending node
-/// id", the analytic flood's `(time.to_bits(), node)` order.
+/// The settle key both kernels queue: the time bits over the node id, so
+/// integer order is "by time, ties by ascending node id". The analytic
+/// flood keys first arrivals by it, the label-setting kernel have-times.
 #[inline]
-fn pack_settle(time: SimTime, node: u32) -> u128 {
+pub(crate) fn pack_settle(time: SimTime, node: u32) -> u128 {
     ((time.as_ms().to_bits() as u128) << 64) | node as u128
 }
 
@@ -352,10 +361,21 @@ fn push_degree(mode: GossipMode) -> u32 {
     }
 }
 
-/// Reusable message-level simulation state: the packed queue, the kernel
-/// labels, the event loop's GETDATA flags, and what the last message
-/// leaves behind — its per-node first arrivals and relay times, and its
-/// config, from which every delivery row follows (see the module docs).
+/// Receives the delivery rows [`GossipScratch::write_rows`] derives, one
+/// node at a time, in node order.
+pub trait RowSink {
+    /// Takes node `v`'s row: one delivery time per entry of
+    /// [`TopologyView::neighbors_raw`]`(v)`, in that order.
+    fn row<I: ExactSizeIterator<Item = SimTime>>(&mut self, v: NodeId, deliveries: I);
+}
+
+/// The one propagation scratch: the packed queue, and what the last
+/// message leaves behind — its per-node first arrivals and relay times,
+/// and its config, from which every delivery row follows (see the module
+/// docs) — plus the label-setting kernel's labels and the event loop's
+/// GETDATA flags. Both kernels run on it: the analytic flood
+/// ([`TopologyView::broadcast_into`]) and the message-level pass
+/// ([`TopologyView::gossip_into`]).
 ///
 /// Create once per worker thread and reuse across messages; after the
 /// first message of a given network size, subsequent messages perform no
@@ -368,14 +388,14 @@ pub struct GossipScratch {
     /// The last message's fan-out policy and transfer model.
     config: GossipConfig,
     /// Min-queue of packed `u128` words; calendar or reference heap per
-    /// [`GossipScratch::with_queue`]. The kernel queues settle keys (see
+    /// [`GossipScratch::with_queue`]. Both kernels queue settle keys (see
     /// [`pack_settle`]); the event loop queues events (see
     /// [`pack_event`]). On the event loop only events with a possible
     /// side effect are ever pushed; provably-inert ones (an INV to a node
     /// that has already requested, a flood BLOCK to a node that already
     /// holds it) only consume a sequence number, so the pop order of the
     /// rest replays the legacy queue exactly.
-    queue: PackedQueue<u128>,
+    pub(crate) queue: PackedQueue<u128>,
     /// Next insertion sequence of the event loop (reset per message).
     /// Counts every event the legacy engine would have scheduled, pushed
     /// or not.
@@ -383,20 +403,21 @@ pub struct GossipScratch {
     /// Per-node "already sent a GETDATA" flags of the event loop, cleared
     /// when a fallback starts.
     pulled: Vec<bool>,
-    /// Per-node kernel labels.
+    /// Per-node kernel labels, sized by the first message-level pass: a
+    /// scratch that only floods never allocates them.
     labels: Vec<Label>,
     /// Per-node first arrivals; a node holds the message iff its entry is
     /// finite.
-    first_arrival: Vec<SimTime>,
+    pub(crate) first_arrival: Vec<SimTime>,
     /// Per-node announce times, `INFINITY` for a node that never
     /// announced.
-    relay_at: Vec<SimTime>,
+    pub(crate) relay_at: Vec<SimTime>,
     coverage: Vec<(SimTime, f64)>,
     select: Vec<SimTime>,
     /// Hot-path event tallies, accumulated across messages until harvested
     /// with [`GossipScratch::take_counters`]. Write-only from the
     /// simulation's point of view (see [`crate::counters`]).
-    counters: SimCounters,
+    pub(crate) counters: SimCounters,
 }
 
 impl GossipScratch {
@@ -454,10 +475,9 @@ impl GossipScratch {
     ) -> Result<Self, NetsimError> {
         check_payload_cap(nodes, directed_edges)?;
         Ok(GossipScratch {
-            // The kernel queues about one key per node; only a fallback
+            // Both kernels queue about one key per node; only a fallback
             // to the event loop grows the queue past that.
             queue: PackedQueue::with_kind_and_capacity(kind, nodes),
-            labels: Vec::with_capacity(nodes),
             first_arrival: Vec::with_capacity(nodes),
             relay_at: Vec::with_capacity(nodes),
             coverage: Vec::with_capacity(nodes),
@@ -489,6 +509,13 @@ impl GossipScratch {
         self.source
     }
 
+    /// The last message's config: [`GossipConfig::flood`] after an
+    /// analytic flood.
+    #[inline]
+    pub fn config(&self) -> GossipConfig {
+        self.config
+    }
+
     /// First (full-message) arrival time of the last message at `v`.
     #[inline]
     pub fn arrival(&self, v: NodeId) -> SimTime {
@@ -506,10 +533,9 @@ impl GossipScratch {
         self.first_arrival.iter().filter(|t| t.is_finite()).count()
     }
 
-    /// When `u` announced the last message to its neighbours
+    /// When `u` announced (relayed) the last message to its neighbours
     /// (`INFINITY` if it never did: unreached, silent, or a withholding
-    /// miner) — the [`BroadcastScratch::relay_start`](crate::BroadcastScratch::relay_start)
-    /// of the message level.
+    /// miner).
     #[inline]
     pub fn relay_start(&self, u: NodeId) -> SimTime {
         self.relay_at[u.index()]
@@ -533,8 +559,8 @@ impl GossipScratch {
     /// Reads the view's cached `δ(v,u)`, which the [`LatencyModel`]
     /// contract makes equal to `δ(u,v)`. `view` must be the view the
     /// message ran on, and the run must have been fault-free; use
-    /// [`GossipScratch::neighbor_deliveries_faulted`] after
-    /// [`TopologyView::gossip_into_faulted`].
+    /// [`GossipScratch::neighbor_deliveries_faulted`] after a faulted
+    /// run.
     ///
     /// [`LatencyModel`]: crate::LatencyModel
     #[inline]
@@ -543,11 +569,12 @@ impl GossipScratch {
         view: &'a TopologyView,
         v: NodeId,
     ) -> impl ExactSizeIterator<Item = SimTime> + Clone + 'a {
-        self.row(view, v, move |e| Some(view.delay[e]))
+        self.row::<_, true>(view, v.index(), NoFaults)
     }
 
     /// [`GossipScratch::neighbor_deliveries`] of a message run through
-    /// [`TopologyView::gossip_into_faulted`] under `faults`: the
+    /// [`TopologyView::gossip_into_faulted`] or
+    /// [`TopologyView::broadcast_into_faulted`] under `faults`: the
     /// announcement over `v`'s row entry `e` crossed the opposite
     /// directed edge `reverse[e]`, so the same lens replays that leg, and
     /// a dropped or down-link announcement reads `INFINITY`.
@@ -558,32 +585,75 @@ impl GossipScratch {
         v: NodeId,
         faults: &'a BlockFaults<'_>,
     ) -> impl ExactSizeIterator<Item = SimTime> + Clone + 'a {
-        self.row(view, v, move |e| {
-            let rev = view.reverse[e] as usize;
-            faults.announce_leg(rev, view.delay[rev])
-        })
+        self.row::<_, true>(view, v.index(), faults)
     }
 
-    /// `v`'s row by the module docs' rule, `leg(e)` giving the announce
-    /// leg that reached `v` over its row entry `e`. The float order is
-    /// the kernel's: `(relay + leg) + transfer`.
+    /// Hands every node's delivery row of the last message to `sink`, in
+    /// node order: the rows [`GossipScratch::neighbor_deliveries`]
+    /// (`faults: None`) or [`GossipScratch::neighbor_deliveries_faulted`]
+    /// yield, with the fault lens and the push shape picked once for the
+    /// message rather than tested per entry.
+    pub fn write_rows<S: RowSink>(
+        &self,
+        view: &TopologyView,
+        faults: Option<&BlockFaults<'_>>,
+        sink: &mut S,
+    ) {
+        match faults {
+            Some(faults) => self.rows_through(view, faults, sink),
+            None => self.rows_through(view, NoFaults, sink),
+        }
+    }
+
+    /// [`GossipScratch::write_rows`] under one lens: a message whose rows
+    /// carry no transfer skips the push test.
+    fn rows_through<L: FaultLens, S: RowSink>(&self, view: &TopologyView, lens: L, sink: &mut S) {
+        let nodes = (0..view.len() as u32).map(NodeId::new);
+        if self.push_prefix() == 0 {
+            nodes.for_each(|v| sink.row(v, self.row::<L, false>(view, v.index(), lens)));
+        } else {
+            nodes.for_each(|v| sink.row(v, self.row::<L, true>(view, v.index(), lens)));
+        }
+    }
+
+    /// How many leading entries of each announcer's row carried the whole
+    /// message, hence a transfer: none for a zero-size message, since
+    /// adding a zero transfer is a bitwise no-op on non-negative times.
     #[inline]
-    fn row<'a>(
+    fn push_prefix(&self) -> u32 {
+        if self.config.transfer.block_size_mb() == 0.0 {
+            0
+        } else {
+            push_degree(self.config.mode)
+        }
+    }
+
+    /// The one row rule (see the module docs): `v`'s row, the announce
+    /// leg over each entry replayed through `lens`, plus the transfer
+    /// when `PUSH` and the announcer pushed. The float order is the
+    /// kernels': `(relay + leg) + transfer`.
+    #[inline]
+    fn row<'a, L: FaultLens + 'a, const PUSH: bool>(
         &'a self,
         view: &'a TopologyView,
-        v: NodeId,
-        leg: impl Fn(usize) -> Option<SimTime> + Clone + 'a,
+        v: usize,
+        lens: L,
     ) -> impl ExactSizeIterator<Item = SimTime> + Clone + 'a {
-        let push_degree = push_degree(self.config.mode);
-        view.edge_range(v).map(move |e| {
-            let u = view.edges[e] as usize;
-            let Some(leg) = leg(e) else {
+        let (start, end) = (view.offsets[v], view.offsets[v + 1]);
+        let degree = self.push_prefix();
+        let entries = view.edges[start..end]
+            .iter()
+            .zip(&view.delay[start..end])
+            .zip(&view.reverse[start..end]);
+        entries.map(move |((&u, &own), &rev)| {
+            let (u, rev) = (u as usize, rev as usize);
+            let Some(leg) = lens.replay(&view.delay, rev, own) else {
                 return SimTime::INFINITY;
             };
             let t = self.relay_at[u] + leg;
             // `v`'s place in `u`'s row decides whether `u` pushed.
-            if ((view.reverse[e] as usize - view.offsets[u]) as u32) < push_degree {
-                t + view.edge_transfer(&self.config, u, v.index())
+            if PUSH && ((rev - view.offsets[u]) as u32) < degree {
+                t + view.edge_transfer(&self.config, u, v)
             } else {
                 t
             }
@@ -593,8 +663,10 @@ impl GossipScratch {
     /// Computes λ(fraction) of the last message for every entry of
     /// `fractions` in one pass over a reusable sorted buffer, writing into
     /// `out` (`out.len()` must equal `fractions.len()`). Bit-identical to
+    /// the sort-and-scan definition,
     /// [`reference::coverage_times`](crate::reference::coverage_times),
-    /// without its per-call allocation.
+    /// without its per-call allocation, and without any sort when hash
+    /// power is uniform.
     ///
     /// # Panics
     ///
@@ -606,14 +678,48 @@ impl GossipScratch {
         fractions: &[f64],
         out: &mut [SimTime],
     ) {
-        coverage_times_from_arrivals(
-            view,
-            &self.first_arrival,
-            fractions,
-            out,
-            &mut self.coverage,
-            &mut self.select,
+        assert_eq!(fractions.len(), out.len(), "one output slot per fraction");
+        if let Some(w) = view.uniform_weight {
+            // Uniform hash power: the crossing index of the cumulative
+            // weight scan is independent of arrival order, so λ(f) is the
+            // k-th smallest arrival — an O(n) selection, no sort. The
+            // accumulation below replays the scan's float additions
+            // exactly, keeping the result bit-identical to the weighted
+            // path.
+            let select = &mut self.select;
+            select.clear();
+            select.extend_from_slice(&self.first_arrival);
+            for (slot, &fraction) in out.iter_mut().zip(fractions) {
+                let fraction = clamp_fraction(fraction);
+                let mut acc = 0.0;
+                let mut k = 0usize;
+                for _ in 0..select.len() {
+                    acc += w;
+                    k += 1;
+                    if acc >= fraction - 1e-12 {
+                        break;
+                    }
+                }
+                *slot = if k > 0 && acc >= fraction - 1e-12 {
+                    *select.select_nth_unstable(k - 1).1
+                } else {
+                    SimTime::INFINITY
+                };
+            }
+            return;
+        }
+        let coverage = &mut self.coverage;
+        coverage.clear();
+        coverage.extend(
+            self.first_arrival
+                .iter()
+                .zip(&view.hash_power)
+                .map(|(&t, &w)| (t, w)),
         );
+        coverage.sort_unstable_by_key(|&(t, _)| t);
+        for (slot, &fraction) in out.iter_mut().zip(fractions) {
+            *slot = coverage_scan(coverage, fraction);
+        }
     }
 
     /// [`GossipScratch::coverage_times_into`] under its former batch
@@ -627,16 +733,23 @@ impl GossipScratch {
         self.coverage_times_into(view, fractions, out);
     }
 
-    /// Readies the scratch for `msg` on a network of `nodes` nodes: no
-    /// node holds it, has announced it or carries a label.
-    fn reset(&mut self, msg: &BatchMessage, nodes: usize) {
-        self.source = msg.source;
-        self.config = msg.config;
+    /// Readies the scratch for a run of `config` from `source` on a
+    /// network of `nodes` nodes: no node holds it or has announced it.
+    /// Both kernels start here; the message-level one also resets its
+    /// labels.
+    pub(crate) fn begin(&mut self, source: NodeId, config: GossipConfig, nodes: usize) {
+        self.source = source;
+        self.config = config;
         self.queue.clear();
         for times in [&mut self.first_arrival, &mut self.relay_at] {
             times.clear();
             times.resize(nodes, SimTime::INFINITY);
         }
+    }
+
+    /// [`GossipScratch::begin`] for `msg`, with every kernel label unset.
+    fn reset(&mut self, msg: &BatchMessage, nodes: usize) {
+        self.begin(msg.source, msg.config, nodes);
         self.labels.clear();
         self.labels.resize(nodes, Label::UNSET);
     }
@@ -659,6 +772,33 @@ impl GossipScratch {
         self.seq += 1;
         self.counters.gossip_elided += 1;
     }
+}
+
+/// Validates a coverage fraction under the shared contract of every
+/// `coverage_time`/`coverage_times`/`coverage_times_into` entry point:
+/// `NaN` is a programming error and panics; any other out-of-range value
+/// clamps into `[0, 1]` (so `-0.3` asks for the first arrival and `1.7`
+/// for full coverage) instead of silently scanning past the cumulative
+/// weight and returning garbage.
+#[inline]
+pub(crate) fn clamp_fraction(fraction: f64) -> f64 {
+    assert!(!fraction.is_nan(), "coverage fraction must not be NaN");
+    fraction.clamp(0.0, 1.0)
+}
+
+/// Scans weighted arrivals (sorted ascending by time) for the first time
+/// at which the cumulative weight reaches `fraction`. The fraction goes
+/// through [`clamp_fraction`] (NaN panics, out-of-range clamps).
+fn coverage_scan(sorted: &[(SimTime, f64)], fraction: f64) -> SimTime {
+    let fraction = clamp_fraction(fraction);
+    let mut acc = 0.0;
+    for &(t, w) in sorted {
+        acc += w;
+        if acc >= fraction - 1e-12 {
+            return t;
+        }
+    }
+    SimTime::INFINITY
 }
 
 /// One message of a [`TopologyView::gossip_batch_into`] batch: who mines
@@ -1050,7 +1190,6 @@ mod tests {
     use crate::node::{Behavior, NodeProfile, Region};
     use crate::population::{Population, PopulationBuilder};
     use crate::reference;
-    use crate::view::BroadcastScratch;
     use rand::rngs::StdRng;
     use rand::Rng;
     use rand::SeedableRng;
@@ -1261,12 +1400,140 @@ mod tests {
         assert!(tie_fallbacks > 0, "the lossy tie grid must fall back");
     }
 
+    /// One step of [`one_scratch_alternates_kernels_like_fresh_scratches`].
+    #[derive(Clone, Copy)]
+    enum Step<'a> {
+        Flood(u32),
+        FaultedFlood(u32),
+        FaultedGossip(u32, GossipConfig),
+        Batch(&'a [BatchMessage]),
+    }
+
+    /// What one message leaves in a scratch: arrivals, relay starts,
+    /// delivery rows (through the lens the message ran under) and λ90/λ50.
+    type Left = (Vec<SimTime>, Vec<SimTime>, Vec<SimTime>, [SimTime; 2]);
+
+    fn left(view: &TopologyView, s: &mut GossipScratch, faults: Option<&BlockFaults<'_>>) -> Left {
+        let rows = match faults {
+            Some(f) => faulted_deliveries(view, s, f),
+            None => deliveries(view, s),
+        };
+        let mut coverage = [SimTime::ZERO; 2];
+        s.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
+        (
+            s.arrivals().to_vec(),
+            s.relay_starts().to_vec(),
+            rows,
+            coverage,
+        )
+    }
+
+    /// Runs `step` on `s`, returning what each of its messages left.
+    fn run_step(
+        view: &TopologyView,
+        s: &mut GossipScratch,
+        step: Step<'_>,
+        faults: &BlockFaults<'_>,
+    ) -> Vec<Left> {
+        match step {
+            Step::Flood(src) => {
+                view.broadcast_into(NodeId::new(src), s);
+                vec![left(view, s, None)]
+            }
+            Step::FaultedFlood(src) => {
+                view.broadcast_into_faulted(NodeId::new(src), s, Some(faults));
+                vec![left(view, s, Some(faults))]
+            }
+            Step::FaultedGossip(src, config) => {
+                view.gossip_into_faulted(NodeId::new(src), &config, s, Some(faults));
+                vec![left(view, s, Some(faults))]
+            }
+            Step::Batch(batch) => {
+                let mut out = Vec::new();
+                view.gossip_batch_into(batch, s, |_, s| out.push(left(view, s, None)));
+                out
+            }
+        }
+    }
+
+    /// One scratch alternates both kernels and every message shape on a
+    /// geographic world under an active fault plan, and each message
+    /// leaves exactly what it leaves in a fresh scratch: arrivals, relay
+    /// starts, rows and coverage. The last flood follows a push/pull
+    /// batch, so a flood that kept the batch's config would add its
+    /// transfers to the flood's rows. The same holds on the heap, through
+    /// the flood's former scratch type.
+    #[test]
+    fn one_scratch_alternates_kernels_like_fresh_scratches() {
+        let (pop, lat, topo) = random_world(60, 71);
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let regions: Vec<Region> = pop.iter().map(|p| p.region).collect();
+        let plan = FaultPlan {
+            seed: 12,
+            base: LinkFaultRates {
+                drop_prob: 0.1,
+                extra_delay: SimTime::from_ms(3.0),
+                jitter: SimTime::from_ms(8.0),
+                duplicate_prob: 0.2,
+            },
+            ..FaultPlan::default()
+        };
+        let rf = plan.compile(0, &view, &regions);
+        assert!(!rf.is_inert(), "the plan must be active");
+        let faults = rf.block(0);
+        let batch = [
+            BatchMessage {
+                source: NodeId::new(8),
+                config: GossipConfig::push_pull(0.5, 2),
+            },
+            BatchMessage {
+                source: NodeId::new(33),
+                config: GossipConfig::push_pull(0.25, 3),
+            },
+        ];
+        let steps = [
+            Step::Flood(3),
+            Step::FaultedGossip(17, GossipConfig::inv_getdata(1.0)),
+            Step::FaultedFlood(29),
+            Step::Batch(&batch),
+            Step::Flood(41),
+        ];
+        // Each message on a fresh scratch: a batch message as a single run.
+        let mut fresh = Vec::new();
+        for &step in &steps {
+            let singles: Vec<Step> = match step {
+                Step::Batch(b) => b
+                    .iter()
+                    .map(|m| Step::Batch(std::slice::from_ref(m)))
+                    .collect(),
+                step => vec![step],
+            };
+            for single in singles {
+                fresh.extend(run_step(&view, &mut GossipScratch::new(), single, &faults));
+            }
+        }
+        assert_eq!(fresh.len(), 6);
+        let mut calendar = GossipScratch::new();
+        let mut heap = crate::BroadcastScratch::with_queue(QueueKind::BinaryHeap);
+        for (kind, scratch) in [("calendar", &mut calendar), ("heap shim", &mut *heap)] {
+            let reused: Vec<Left> = steps
+                .iter()
+                .flat_map(|&step| run_step(&view, scratch, step, &faults))
+                .collect();
+            for (i, (a, b)) in reused.iter().zip(&fresh).enumerate() {
+                assert_eq!(a, b, "{kind}: message {i} differs from a fresh scratch");
+            }
+            assert_eq!(reused.len(), fresh.len());
+        }
+        assert_eq!(heap.queue_kind(), QueueKind::BinaryHeap);
+    }
+
     #[test]
     fn flood_per_neighbor_matches_fast_engine_delivery() {
         let (pop, lat, topo) = random_world(40, 3);
         let view = TopologyView::new(&topo, &lat, &pop);
         let src = NodeId::new(5);
-        let mut fast = BroadcastScratch::new();
+        let mut fast = GossipScratch::new();
         view.broadcast_into(src, &mut fast);
         let slow = gossip(&view, 5, &GossipConfig::flood());
         assert_eq!(fast.relay_starts(), slow.relay_starts());

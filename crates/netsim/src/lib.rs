@@ -8,15 +8,15 @@
 //!
 //! * [`Population`] — nodes with region, hash power `fv`, validation delay
 //!   `Δv`, optional metric-space coordinates, bandwidth and (adversarial)
-//!   behaviour, built via [`PopulationBuilder`] or the
-//!   [`dataset::synthetic_bitnodes`] stand-in for the paper's Bitnodes crawl.
+//!   behaviour, built via [`PopulationBuilder`], whose region mix is the
+//!   [`dataset`] stand-in for the paper's Bitnodes crawl.
 //! * [`LatencyModel`] — symmetric `δ(u,v)` oracles:
 //!   [`GeoLatencyModel`] (iPlane-flavoured region-pair latencies, §5.1),
 //!   [`MetricLatencyModel`] (`[0,1]^d` embedding, §3.1) and
 //!   [`OverrideLatencyModel`] (fast miner/relay links, §5.4).
 //! * [`Topology`] — the overlay graph with Bitcoin's `dout`/`din` connection
 //!   limits and pinned (relay) edges.
-//! * [`TopologyView`] — the propagation substrate underneath both engines:
+//! * [`TopologyView`] — the propagation substrate underneath both kernels:
 //!   a frozen CSR snapshot of the overlay with per-edge latencies, reverse
 //!   edge indices, relay profiles and link rates precomputed once. Between
 //!   rounds it is patched *incrementally*:
@@ -24,33 +24,36 @@
 //!   net dropped/refilled edges) into the CSR arrays in one linear pass,
 //!   paying latency-model calls only for added edges — field-for-field
 //!   equal to a fresh rebuild, at ~2·n instead of ~14·n delay evaluations.
-//! * [`BroadcastScratch`] — reusable state of the fast analytic
-//!   propagation engine, [`TopologyView::broadcast_into`]: a Dijkstra over
-//!   the store-validate-forward flood, exposing first arrivals and relay
-//!   starts, from which the per-neighbor delivery times `tᵇu,v` that
-//!   Perigee observes follow as `relay_start(u) + δ(u,v)`. One flood body
-//!   serves both [`TopologyView::broadcast_into`] and
-//!   [`TopologyView::broadcast_into_faulted`]: it is generic over a
-//!   crate-private link-fault lens whose no-fault instance compiles to
-//!   the plain Dijkstra.
-//! * [`GossipScratch`] — reusable message-level state for direct flood,
-//!   Bitcoin's `INV`/`GETDATA` exchange or the push/pull hybrid, with
-//!   bandwidth. Like [`BroadcastScratch`] it leaves per-node first
-//!   arrivals and relay starts, and each neighbour's delivery follows as
-//!   `relay_start(u) + δ(u,v)`, plus the transfer when `u` pushed the
-//!   whole message. Flooding a zero-size block
-//!   ([`GossipConfig::is_analytic`]) is exactly the analytic engine, so
-//!   block propagation runs that kernel for such a config. One
-//!   label-setting pass, with an event-loop fallback for exact INV ties,
-//!   serves [`TopologyView::gossip_batch_into`],
-//!   [`TopologyView::gossip_into`] and
-//!   [`TopologyView::gossip_into_faulted`]: a single message is a batch
-//!   of one, over the same fault lens.
+//! * [`GossipScratch`] — the one propagation scratch, which two kernels
+//!   run on and leave the same state in: the message's config, per-node
+//!   first arrivals and relay starts. Each delivery time `tᵇu,v` that
+//!   Perigee observes follows from them by one rule, `relay_start(u) +
+//!   δ(u,v)`, plus the transfer when `u` pushed the whole message:
+//!   [`GossipScratch::neighbor_deliveries`] yields one node's row, and
+//!   [`GossipScratch::write_rows`] hands a message's rows to a
+//!   [`RowSink`] such as the core crate's recorder. Both kernels are
+//!   generic over a crate-private link-fault lens whose no-fault instance
+//!   compiles to the plain loop.
+//!   * The analytic flood, [`TopologyView::broadcast_into`] and
+//!     [`TopologyView::broadcast_into_faulted`]: one Dijkstra over the
+//!     store-validate-forward flood, the §2 model.
+//!   * The message-level kernel, for direct flood, Bitcoin's
+//!     `INV`/`GETDATA` exchange or the push/pull hybrid, with bandwidth:
+//!     one label-setting pass, with an event-loop fallback for exact INV
+//!     ties, serves [`TopologyView::gossip_batch_into`],
+//!     [`TopologyView::gossip_into`] and
+//!     [`TopologyView::gossip_into_faulted`] (a single message is a batch
+//!     of one). Flooding a zero-size block
+//!     ([`GossipConfig::is_analytic`]) is exactly the analytic flood, so
+//!     block propagation runs that kernel for such a config.
+//!
+//!   [`BroadcastScratch`] is only a constructor shim that derefs to a
+//!   [`GossipScratch`].
 //! * [`reference`](mod@reference) — the crate's test oracles, kept off every hot path:
 //!   the seed's event-queue engine [`reference::gossip_block`] and the
 //!   sort-and-scan coverage time [`reference::coverage_times`].
 //! * [`pq`] — the deterministic calendar/bucket priority queue both
-//!   scratch engines run on by default ([`QueueKind::Calendar`]): exact
+//!   kernels run on by default ([`QueueKind::Calendar`]): exact
 //!   packed keys inside sub-millisecond buckets, pop order bit-identical
 //!   to the reference `BinaryHeap` ([`QueueKind::BinaryHeap`], which a
 //!   scratch can still be built on as the equivalence suites' oracle).
@@ -80,7 +83,7 @@
 //!   (drop/jitter/duplication rates, timed windows, link flaps,
 //!   partitions with heal, regional brownouts) compiled per round into a
 //!   [`RoundFaults`] over the view's CSR edge index and threaded through
-//!   both engines via [`TopologyView::broadcast_into_faulted`] and
+//!   both kernels via [`TopologyView::broadcast_into_faulted`] and
 //!   [`TopologyView::gossip_into_faulted`].
 //!
 //! ## Snapshot lifecycle and determinism
@@ -89,12 +92,12 @@
 //! in time: build one per Perigee round (connection updates run
 //! synchronously *between* rounds, §2.1, so a round sees a constant
 //! overlay), push all of the round's blocks through it — from as many
-//! threads as you like, each with its own [`BroadcastScratch`] or
-//! [`GossipScratch`] — and either drop it before the next rewiring or
-//! carry it forward through [`TopologyView::apply_rewiring`]. Both scratch
-//! engines allocate nothing per block after warming up to the network
-//! size, and a result depends only on the view and the block, never on
-//! what the scratch ran before or on which thread: a reused scratch is
+//! threads as you like, each with its own [`GossipScratch`] — and either
+//! drop it before the next rewiring or carry it forward through
+//! [`TopologyView::apply_rewiring`]. Both kernels allocate nothing per
+//! block after warming up to the network size, and a result depends only
+//! on the view and the block, never on what the scratch ran before (on
+//! either kernel) or on which thread: a reused scratch is
 //! **bit-identical** to a fresh one. Message-level runs are bit-identical
 //! to the event-queue oracle [`reference::gossip_block`] (identical
 //! adjacency order, identical `δ(u,v)` values, identical tie-breaking),
@@ -117,7 +120,7 @@
 //!
 //! ```
 //! use perigee_netsim::{
-//!     BroadcastScratch, ConnectionLimits, GeoLatencyModel, MinerSampler, NodeId,
+//!     ConnectionLimits, GeoLatencyModel, GossipScratch, MinerSampler, NodeId,
 //!     PopulationBuilder, SimTime, Topology, TopologyView,
 //! };
 //! use rand::SeedableRng;
@@ -135,7 +138,7 @@
 //!
 //! // One view per overlay, one scratch reused for every block.
 //! let view = TopologyView::new(&topology, &latency, &population);
-//! let mut scratch = BroadcastScratch::new();
+//! let mut scratch = GossipScratch::new();
 //! let miner = MinerSampler::new(&population).sample(&mut rng);
 //! view.broadcast_into(miner, &mut scratch);
 //! let mut lambda = [SimTime::ZERO];
@@ -177,7 +180,9 @@ pub use faults::{
     BlockFaults, FaultPlan, FaultWindow, LegOutcome, LinkFaultRates, LinkFlaps, PartitionWindow,
     RegionalWindow, RoundFaults,
 };
-pub use gossip::{BatchMessage, GossipConfig, GossipMode, GossipScratch, PACKED_PAYLOAD_CAP};
+pub use gossip::{
+    BatchMessage, GossipConfig, GossipMode, GossipScratch, RowSink, PACKED_PAYLOAD_CAP,
+};
 pub use graph::{ConnectionLimits, Topology};
 pub use latency::{
     GeoLatencyModel, LatencyModel, MetricLatencyModel, OverrideLatencyModel, ACCESS_DELAY_RANGE_MS,

@@ -886,6 +886,13 @@ mod tests {
     }
 
     #[test]
+    fn deterministic_given_seed() {
+        let a = PopulationBuilder::new(50).build(&mut StdRng::seed_from_u64(9));
+        let b = PopulationBuilder::new(50).build(&mut StdRng::seed_from_u64(9));
+        assert_eq!(a.unwrap(), b.unwrap());
+    }
+
+    #[test]
     fn empty_population_is_an_error() {
         let mut rng = StdRng::seed_from_u64(0);
         assert!(matches!(

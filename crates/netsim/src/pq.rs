@@ -1,12 +1,14 @@
 //! Deterministic calendar (bucket) priority queues for the propagation
 //! hot paths.
 //!
-//! Both propagation engines spend their remaining time in a
-//! `BinaryHeap`: the Dijkstra flood of
+//! Both propagation kernels spend their remaining time in a priority
+//! queue of packed `u128` words, the propagation scratch's: the Dijkstra
+//! flood of
 //! [`TopologyView::broadcast_into`](crate::TopologyView::broadcast_into)
-//! pops `(time-bits, node)` pairs, the message-level engine of
-//! [`TopologyView::gossip_into`](crate::TopologyView::gossip_into) pops
-//! packed `u128` event words. Simulated latencies span roughly 2–300 ms —
+//! and the label-setting kernel of
+//! [`TopologyView::gossip_into`](crate::TopologyView::gossip_into) pop
+//! settle keys (time bits over a node id), the kernel's event-loop
+//! fallback pops event words. Simulated latencies span roughly 2–300 ms —
 //! exactly the regime where a Dial/calendar queue with sub-millisecond
 //! buckets beats a comparison heap: `push` appends to the bucket the key's
 //! time quantizes into, `pop` drains the current bucket in sorted order
@@ -19,8 +21,9 @@
 //! events pop in **exactly** the `BinaryHeap` order — ascending by the
 //! full packed key, where the high bits are the IEEE-754 bits of the
 //! event time (non-negative, so bit order equals value order) and the low
-//! bits carry the tie-break (node id for the flood, insertion sequence
-//! for gossip). The calendar quantizes only the *placement*: a key lands
+//! bits carry the tie-break (the node id of a settle key, the insertion
+//! sequence of an event word). The calendar quantizes only the
+//! *placement*: a key lands
 //! in bucket `⌊t / 0.5 ms⌋`, but the bucket stores the exact packed key
 //! and is sorted on it before it is drained. Because bucketing by
 //! quantized time is a coarsening of ordering by exact time, ascending
@@ -32,7 +35,7 @@
 //! # Monotone contract
 //!
 //! [`CalendarQueue`] is a *monotone* priority queue: a key pushed after a
-//! pop must be ≥ the last popped key (asserted). Both engines satisfy
+//! pop must be ≥ the last popped key (asserted). Both kernels satisfy
 //! this by construction — Dijkstra relaxations and gossip schedules only
 //! ever add non-negative delays to the event time being processed. Keys
 //! must be NaN-free and non-negative; `SimTime::INFINITY` never enters
@@ -42,9 +45,9 @@
 //! simulated propagation) spill into an exact `BinaryHeap` overflow, so
 //! correctness never depends on the horizon.
 //!
-//! [`PackedQueue`] is the runtime-selectable front end: the scratch
-//! engines default to the calendar ([`QueueKind::Calendar`]) and keep the
-//! binary heap available as the bit-identical reference
+//! [`PackedQueue`] is the runtime-selectable front end: the propagation
+//! scratch defaults to the calendar ([`QueueKind::Calendar`]) and keeps
+//! the binary heap available as the bit-identical reference
 //! ([`QueueKind::BinaryHeap`]) for the cross-engine equivalence suite.
 
 use std::cmp::Reverse;
@@ -83,18 +86,10 @@ pub trait TimeKey: Copy + Ord {
     fn time_ms(self) -> f64;
 }
 
-/// The analytic flood's key: `(time.to_bits(), node id)` — tuple order is
-/// "by time, ties by ascending node id", exactly the legacy heap's.
-impl TimeKey for (u64, u32) {
-    #[inline]
-    fn time_ms(self) -> f64 {
-        f64::from_bits(self.0)
-    }
-}
-
-/// The gossip engine's packed event word (see `pack_event` in
-/// [`gossip`](crate::gossip)): bits 127..64 are the event-time bits, so
-/// integer order is "by time, ties by insertion sequence".
+/// The propagation scratch's packed word (see `pack_settle` and
+/// `pack_event` in [`gossip`](crate::gossip)): bits 127..64 are the
+/// time bits, so integer order is "by time, ties by the low bits" — the
+/// node id of a settle key, the insertion sequence of an event word.
 impl TimeKey for u128 {
     #[inline]
     fn time_ms(self) -> f64 {
@@ -102,7 +97,7 @@ impl TimeKey for u128 {
     }
 }
 
-/// Which priority-queue implementation a scratch engine runs on.
+/// Which priority-queue implementation a propagation scratch runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
     /// `std::collections::BinaryHeap` — the original engine and the
@@ -126,15 +121,16 @@ pub enum QueueKind {
 /// ```
 /// use perigee_netsim::pq::CalendarQueue;
 ///
+/// // Keys are the time bits over a payload: the same integer order as a
+/// // BinaryHeap of Reverse<u128>, popped ascending.
+/// let key = |t: f64, payload: u32| ((t.to_bits() as u128) << 64) | payload as u128;
 /// let mut q = CalendarQueue::new();
-/// // Keys are (time-bits, payload): same integer order as a BinaryHeap
-/// // of Reverse<(u64, u32)>, popped ascending.
-/// q.push((2.0f64.to_bits(), 7));
-/// q.push((0.25f64.to_bits(), 9));
-/// q.push((2.0f64.to_bits(), 3)); // exact time tie: payload breaks it
-/// assert_eq!(q.pop(), Some((0.25f64.to_bits(), 9)));
-/// assert_eq!(q.pop(), Some((2.0f64.to_bits(), 3)));
-/// assert_eq!(q.pop(), Some((2.0f64.to_bits(), 7)));
+/// q.push(key(2.0, 7));
+/// q.push(key(0.25, 9));
+/// q.push(key(2.0, 3)); // exact time tie: payload breaks it
+/// assert_eq!(q.pop(), Some(key(0.25, 9)));
+/// assert_eq!(q.pop(), Some(key(2.0, 3)));
+/// assert_eq!(q.pop(), Some(key(2.0, 7)));
 /// assert_eq!(q.pop(), None);
 /// ```
 #[derive(Debug, Clone)]
@@ -283,7 +279,7 @@ impl<K: TimeKey> CalendarQueue<K> {
     }
 }
 
-/// The runtime-selectable priority queue the scratch engines run on:
+/// The runtime-selectable priority queue the propagation scratch runs on:
 /// either the reference `BinaryHeap` or the [`CalendarQueue`], behind one
 /// push/pop interface. Pop order is bit-identical between the two (the
 /// calendar's exactness contract), so the choice is pure performance.
@@ -373,8 +369,8 @@ impl<K: TimeKey> PackedQueue<K> {
 mod tests {
     use super::*;
 
-    fn key(t: f64, payload: u32) -> (u64, u32) {
-        (t.to_bits(), payload)
+    fn key(t: f64, payload: u32) -> u128 {
+        ((t.to_bits() as u128) << 64) | payload as u128
     }
 
     fn drain<K: TimeKey>(q: &mut CalendarQueue<K>) -> Vec<K> {
@@ -420,7 +416,7 @@ mod tests {
             if pops > 400 {
                 continue;
             }
-            let t = f64::from_bits(k.0);
+            let t = k.time_ms();
             for _ in 0..(next() % 3) {
                 // Delays from sub-bucket (0.1 ms) to multi-second.
                 let delay = match next() % 4 {

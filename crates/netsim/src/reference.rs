@@ -9,7 +9,7 @@
 //!   [`TopologyView::gossip_into`](crate::TopologyView::gossip_into)
 //!   against it event for event.
 //! * [`coverage_times`] is λ(f) by its definition, which
-//!   [`BroadcastScratch::coverage_times_into`](crate::BroadcastScratch::coverage_times_into)
+//!   [`GossipScratch::coverage_times_into`](crate::GossipScratch::coverage_times_into)
 //!   computes from cached weights, by selection when hash power is
 //!   uniform.
 //!
@@ -19,13 +19,12 @@
 use std::collections::BTreeMap;
 
 use crate::event::EventQueue;
-use crate::gossip::{GossipConfig, GossipMode};
+use crate::gossip::{clamp_fraction, GossipConfig, GossipMode};
 use crate::graph::Topology;
 use crate::latency::LatencyModel;
 use crate::node::{Behavior, NodeId};
 use crate::population::Population;
 use crate::time::SimTime;
-use crate::view::clamp_fraction;
 
 #[derive(Debug)]
 enum Event {

@@ -25,34 +25,36 @@
 //! latencies are the exact `f64`s the latency model returns, and the
 //! Dijkstra queue breaks exact-time ties by ascending node id — so
 //! arrival, relay and delivery times are the same IEEE-754 values on any
-//! thread, through a fresh or a reused [`BroadcastScratch`], and equal to
-//! the message-level engine's in [`GossipMode::Flood`](crate::GossipMode).
+//! thread, through a fresh or a reused [`GossipScratch`] (the one
+//! propagation scratch, which the message-level kernel runs on too), and
+//! equal to the message-level engine's in
+//! [`GossipMode::Flood`](crate::GossipMode).
 //!
 //! # Bucket quantization and determinism
 //!
-//! The Dijkstra frontier is a [`PackedQueue`]: either the reference
-//! `BinaryHeap` or (by default) the calendar queue of [`crate::pq`],
-//! selected per scratch via [`QueueKind`]. The calendar *places* a key by
-//! quantizing its time into a sub-millisecond bucket but *orders* by the
-//! exact packed key — `(time.to_bits(), node id)`, whose high bits are
-//! the untouched IEEE-754 time — sorting each bucket before draining it.
-//! Quantized placement is a coarsening of the exact order, so ascending
+//! The Dijkstra frontier is the scratch's
+//! [`PackedQueue`](crate::PackedQueue): either the reference `BinaryHeap`
+//! or (by default) the calendar queue of [`crate::pq`], selected per
+//! scratch via [`QueueKind`]. The calendar *places* a key by quantizing
+//! its time into a sub-millisecond bucket but *orders* by the exact packed
+//! key — `time.to_bits()` over the node id in one `u128`, whose high bits
+//! are the untouched IEEE-754 time — sorting each bucket before draining
+//! it. Quantized placement is a coarsening of the exact order, so ascending
 //! buckets refined by ascending in-bucket keys reproduce the heap's pop
 //! sequence key for key: no float is rounded anywhere, ties at the exact
 //! same time still break by ascending node id, and every downstream
 //! arrival/relay float is bit-identical whichever queue ran (proven by
 //! `tests/pq_equivalence.rs` and the pq proptests).
 
-use crate::counters::SimCounters;
 use crate::dynamics::WorldDelta;
 use crate::error::NetsimError;
 use crate::faults::{BlockFaults, FaultLens, NoFaults};
-use crate::gossip::check_payload_cap;
+use crate::gossip::{check_payload_cap, event_time, pack_settle, GossipConfig, GossipScratch};
 use crate::graph::Topology;
 use crate::latency::LatencyModel;
 use crate::node::{Behavior, NodeId};
 use crate::population::{IdRemap, Population};
-use crate::pq::{PackedQueue, QueueKind};
+use crate::pq::QueueKind;
 use crate::time::SimTime;
 
 /// How a node relays once it first holds a block (resolved from
@@ -94,7 +96,7 @@ impl RelayProfile {
 ///
 /// ```
 /// use perigee_netsim::{
-///     BroadcastScratch, ConnectionLimits, GeoLatencyModel, NodeId, PopulationBuilder, SimTime,
+///     ConnectionLimits, GeoLatencyModel, GossipScratch, NodeId, PopulationBuilder, SimTime,
 ///     Topology, TopologyView,
 /// };
 /// use rand::SeedableRng;
@@ -108,7 +110,7 @@ impl RelayProfile {
 /// }
 ///
 /// let view = TopologyView::new(&topo, &lat, &pop);
-/// let mut scratch = BroadcastScratch::new();
+/// let mut scratch = GossipScratch::new();
 /// view.broadcast_into(NodeId::new(0), &mut scratch);
 /// assert_eq!(scratch.arrival(NodeId::new(0)), SimTime::ZERO);
 /// assert_eq!(scratch.reached(), 50);
@@ -254,8 +256,8 @@ impl TopologyView {
     /// The CSR row-start array: node `u`'s adjacency entries occupy
     /// directed-edge indices `csr_offsets()[u]..csr_offsets()[u + 1]`.
     /// Length is `len() + 1`. This index space addresses all per-edge
-    /// data — the view's cached delays, the delivery rows both scratches
-    /// derive, and the flat observation store built on top of the view.
+    /// data — the view's cached delays, the delivery rows the scratch
+    /// derives, and the flat observation store built on top of the view.
     #[inline]
     pub fn csr_offsets(&self) -> &[usize] {
         &self.offsets
@@ -313,7 +315,8 @@ impl TopologyView {
 
     /// Floods one block from `source`, writing arrival and relay times
     /// into `scratch` without allocating (after `scratch` has warmed up to
-    /// this network size once).
+    /// this network size once), and leaving [`GossipConfig::flood`] as its
+    /// config, so its delivery rows follow the flood's rule.
     ///
     /// Behavioural deviations are honoured: [`Behavior::Silent`] nodes
     /// receive but never relay; [`Behavior::Delay`] nodes add their extra
@@ -321,7 +324,7 @@ impl TopologyView {
     /// validating it; every other node validates (`Δu`) between first
     /// receipt and relaying. See the module docs for the determinism
     /// guarantee.
-    pub fn broadcast_into(&self, source: NodeId, scratch: &mut BroadcastScratch) {
+    pub fn broadcast_into(&self, source: NodeId, scratch: &mut GossipScratch) {
         self.flood(source, scratch, NoFaults);
     }
 
@@ -338,7 +341,7 @@ impl TopologyView {
     pub fn broadcast_into_faulted(
         &self,
         source: NodeId,
-        scratch: &mut BroadcastScratch,
+        scratch: &mut GossipScratch,
         faults: Option<&BlockFaults<'_>>,
     ) {
         match faults {
@@ -349,27 +352,21 @@ impl TopologyView {
 
     /// The one flood body: a Dijkstra over the announcement legs as the
     /// lens `faults` sees them.
-    fn flood<F: FaultLens>(&self, source: NodeId, scratch: &mut BroadcastScratch, faults: F) {
-        let n = self.len();
-        scratch.source = source;
-        scratch.arrival.clear();
-        scratch.arrival.resize(n, SimTime::INFINITY);
-        scratch.relay_at.clear();
-        scratch.relay_at.resize(n, SimTime::INFINITY);
-        scratch.queue.clear();
-
-        scratch.arrival[source.index()] = SimTime::ZERO;
+    fn flood<F: FaultLens>(&self, source: NodeId, scratch: &mut GossipScratch, faults: F) {
+        scratch.begin(source, GossipConfig::flood(), self.len());
+        scratch.first_arrival[source.index()] = SimTime::ZERO;
         scratch
             .queue
-            .push((SimTime::ZERO.as_ms().to_bits(), source.as_u32()));
+            .push(pack_settle(SimTime::ZERO, source.as_u32()));
 
-        while let Some((t_bits, u)) = scratch.queue.pop() {
+        while let Some(word) = scratch.queue.pop() {
             scratch.counters.flood_pops += 1;
+            let u = word as u32;
             let ui = u as usize;
-            let t = SimTime::from_ms(f64::from_bits(t_bits));
+            let t = event_time(word);
             // Raw f64 compare: times are never NaN and never -0.0, so
             // this matches SimTime's total order at lower cost.
-            if t.as_ms() > scratch.arrival[ui].as_ms() {
+            if t.as_ms() > scratch.first_arrival[ui].as_ms() {
                 continue; // stale entry
             }
             let relay = self.relay[ui].relay_time(t, u == source.as_u32());
@@ -386,10 +383,10 @@ impl TopologyView {
                 };
                 let vi = v as usize;
                 let tv = relay + leg;
-                if tv.as_ms() < scratch.arrival[vi].as_ms() {
-                    scratch.arrival[vi] = tv;
+                if tv.as_ms() < scratch.first_arrival[vi].as_ms() {
+                    scratch.first_arrival[vi] = tv;
                     scratch.counters.flood_improvements += 1;
-                    scratch.queue.push((tv.as_ms().to_bits(), v));
+                    scratch.queue.push(pack_settle(tv, v));
                 }
             }
             scratch.counters.queue_peak =
@@ -798,231 +795,53 @@ impl RoundDelta {
     }
 }
 
-/// Reusable flood state: arrival/relay buffers, the Dijkstra frontier
-/// queue and the coverage sort buffer.
-///
-/// Create once per worker thread and reuse across blocks; after the first
-/// flood of a given network size, subsequent floods perform no heap
-/// allocation. The frontier is a [`PackedQueue`] — the calendar queue by
-/// default, the reference `BinaryHeap` on request
-/// ([`BroadcastScratch::with_queue`]); pop order, and therefore every
-/// output float, is bit-identical either way (see the module docs).
+/// A constructor shim over the one propagation scratch: it holds a
+/// [`GossipScratch`] and derefs to it, so both kernels and every accessor
+/// take it. Kept only for callers that still build the flood's former
+/// scratch type by name.
 #[derive(Debug, Clone, Default)]
-pub struct BroadcastScratch {
-    source: NodeId,
-    arrival: Vec<SimTime>,
-    relay_at: Vec<SimTime>,
-    /// Keys are `(t.to_bits(), node)`: simulated times are non-negative,
-    /// where the IEEE-754 bit pattern is monotone in the value, so integer
-    /// ordering reproduces `SimTime`'s total order exactly at lower
-    /// compare cost, with exact-time ties broken by ascending node id.
-    queue: PackedQueue<(u64, u32)>,
-    coverage: Vec<(SimTime, f64)>,
-    select: Vec<SimTime>,
-    /// Hot-path event tallies, accumulated across floods until harvested
-    /// with [`BroadcastScratch::take_counters`]. Write-only from the
-    /// simulation's point of view (see [`crate::counters`]).
-    counters: SimCounters,
-}
+pub struct BroadcastScratch(GossipScratch);
 
 impl BroadcastScratch {
-    /// Creates an empty scratch (buffers grow on first use) on the
-    /// default queue kind.
+    /// [`GossipScratch::new`].
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty scratch running on the given queue kind.
+    /// [`GossipScratch::with_queue`].
     pub fn with_queue(kind: QueueKind) -> Self {
-        BroadcastScratch {
-            queue: PackedQueue::with_kind(kind),
-            ..Self::default()
-        }
+        BroadcastScratch(GossipScratch::with_queue(kind))
     }
 
-    /// Creates a scratch pre-sized for `n` nodes on the default queue
-    /// kind.
+    /// A scratch pre-sized for `n` nodes on the default queue kind.
     pub fn with_capacity(n: usize) -> Self {
         Self::with_capacity_and_queue(n, QueueKind::default())
     }
 
-    /// Creates a scratch pre-sized for `n` nodes on the given queue kind.
+    /// A scratch pre-sized for `n` nodes on the given queue kind
+    /// ([`GossipScratch::with_capacity_and_queue`], no edges checked).
     pub fn with_capacity_and_queue(n: usize, kind: QueueKind) -> Self {
-        BroadcastScratch {
-            source: NodeId::new(0),
-            arrival: Vec::with_capacity(n),
-            relay_at: Vec::with_capacity(n),
-            queue: PackedQueue::with_kind_and_capacity(kind, n),
-            coverage: Vec::with_capacity(n),
-            select: Vec::with_capacity(n),
-            counters: SimCounters::ZERO,
-        }
-    }
-
-    /// The hot-path tallies accumulated since the last
-    /// [`BroadcastScratch::take_counters`].
-    pub fn counters(&self) -> &SimCounters {
-        &self.counters
-    }
-
-    /// Harvests and zeroes the accumulated tallies (telemetry merge
-    /// point).
-    pub fn take_counters(&mut self) -> SimCounters {
-        std::mem::take(&mut self.counters)
-    }
-
-    /// Which priority-queue implementation this scratch floods on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
-    }
-
-    /// The source of the last flood.
-    #[inline]
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// First-arrival time of the last flood at `v`.
-    #[inline]
-    pub fn arrival(&self, v: NodeId) -> SimTime {
-        self.arrival[v.index()]
-    }
-
-    /// All first-arrival times of the last flood, indexed by node.
-    #[inline]
-    pub fn arrivals(&self) -> &[SimTime] {
-        &self.arrival
-    }
-
-    /// When `u` began relaying in the last flood (`INFINITY` for silent or
-    /// unreached nodes).
-    #[inline]
-    pub fn relay_start(&self, u: NodeId) -> SimTime {
-        self.relay_at[u.index()]
-    }
-
-    /// All relay-start times of the last flood, indexed by node.
-    #[inline]
-    pub fn relay_starts(&self) -> &[SimTime] {
-        &self.relay_at
-    }
-
-    /// Number of nodes the last flood reached.
-    pub fn reached(&self) -> usize {
-        self.arrival.iter().filter(|t| t.is_finite()).count()
-    }
-
-    /// Computes λ(fraction) of the last flood for every entry of
-    /// `fractions` in one pass over a reusable sorted buffer, writing into
-    /// `out` (`out.len()` must equal `fractions.len()`).
-    ///
-    /// Bit-identical to the sort-and-scan definition,
-    /// [`reference::coverage_times`](crate::reference::coverage_times),
-    /// without its per-call allocation, and without any sort when hash
-    /// power is uniform.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` and `fractions` have different lengths.
-    pub fn coverage_times_into(
-        &mut self,
-        view: &TopologyView,
-        fractions: &[f64],
-        out: &mut [SimTime],
-    ) {
-        coverage_times_from_arrivals(
-            view,
-            &self.arrival,
-            fractions,
-            out,
-            &mut self.coverage,
-            &mut self.select,
-        );
+        BroadcastScratch(GossipScratch::with_capacity_and_queue(n, 0, kind))
     }
 }
 
-/// Validates a coverage fraction under the shared contract of every
-/// `coverage_time`/`coverage_times`/`coverage_times_into` entry point:
-/// `NaN` is a programming error and panics; any other out-of-range value
-/// clamps into `[0, 1]` (so `-0.3` asks for the first arrival and `1.7`
-/// for full coverage) instead of silently scanning past the cumulative
-/// weight and returning garbage.
-#[inline]
-pub(crate) fn clamp_fraction(fraction: f64) -> f64 {
-    assert!(!fraction.is_nan(), "coverage fraction must not be NaN");
-    fraction.clamp(0.0, 1.0)
-}
+impl std::ops::Deref for BroadcastScratch {
+    type Target = GossipScratch;
 
-/// Computes λ(fraction) for every entry of `fractions` from one arrival
-/// vector, reusing the caller's sort/selection buffers — the shared
-/// implementation behind [`BroadcastScratch::coverage_times_into`] and
-/// [`GossipScratch::coverage_times_into`](crate::GossipScratch::coverage_times_into).
-/// Fractions go through [`clamp_fraction`] (NaN panics, out-of-range
-/// clamps).
-pub(crate) fn coverage_times_from_arrivals(
-    view: &TopologyView,
-    arrival: &[SimTime],
-    fractions: &[f64],
-    out: &mut [SimTime],
-    coverage: &mut Vec<(SimTime, f64)>,
-    select: &mut Vec<SimTime>,
-) {
-    assert_eq!(fractions.len(), out.len(), "one output slot per fraction");
-    if let Some(w) = view.uniform_weight {
-        // Uniform hash power: the crossing index of the cumulative
-        // weight scan is independent of arrival order, so λ(f) is the
-        // k-th smallest arrival — an O(n) selection, no sort. The
-        // accumulation below replays the scan's float additions
-        // exactly, keeping the result bit-identical to the weighted
-        // path.
-        select.clear();
-        select.extend_from_slice(arrival);
-        for (slot, &fraction) in out.iter_mut().zip(fractions) {
-            let fraction = clamp_fraction(fraction);
-            let mut acc = 0.0;
-            let mut k = 0usize;
-            for _ in 0..select.len() {
-                acc += w;
-                k += 1;
-                if acc >= fraction - 1e-12 {
-                    break;
-                }
-            }
-            *slot = if k > 0 && acc >= fraction - 1e-12 {
-                *select.select_nth_unstable(k - 1).1
-            } else {
-                SimTime::INFINITY
-            };
-        }
-        return;
-    }
-    coverage.clear();
-    coverage.extend(arrival.iter().zip(&view.hash_power).map(|(&t, &w)| (t, w)));
-    coverage.sort_unstable_by_key(|&(t, _)| t);
-    for (slot, &fraction) in out.iter_mut().zip(fractions) {
-        *slot = coverage_scan(coverage, fraction);
+    fn deref(&self) -> &GossipScratch {
+        &self.0
     }
 }
 
-/// Scans weighted arrivals (sorted ascending by time) for the first time
-/// at which the cumulative weight reaches `fraction`. The fraction goes
-/// through [`clamp_fraction`] (NaN panics, out-of-range clamps).
-fn coverage_scan(sorted: &[(SimTime, f64)], fraction: f64) -> SimTime {
-    let fraction = clamp_fraction(fraction);
-    let mut acc = 0.0;
-    for &(t, w) in sorted {
-        acc += w;
-        if acc >= fraction - 1e-12 {
-            return t;
-        }
+impl std::ops::DerefMut for BroadcastScratch {
+    fn deref_mut(&mut self) -> &mut GossipScratch {
+        &mut self.0
     }
-    SimTime::INFINITY
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gossip::GossipConfig;
     use crate::graph::ConnectionLimits;
     use crate::latency::{GeoLatencyModel, MetricLatencyModel};
     use crate::node::NodeProfile;
@@ -1085,7 +904,7 @@ mod tests {
             let (pop, lat, topo, _) = random_world_with(100, 9, dist.clone());
             let view = TopologyView::new(&topo, &lat, &pop);
             assert_eq!(view.uniform_weight.is_some(), uniform, "{dist:?}");
-            let mut scratch = BroadcastScratch::new();
+            let mut scratch = GossipScratch::new();
             for src in [4u32, 57] {
                 view.broadcast_into(NodeId::new(src), &mut scratch);
                 let fractions = [0.0, 0.5, 0.9, 1.0];
@@ -1105,7 +924,7 @@ mod tests {
         let view = TopologyView::new(&topo, &lat, &pop);
         let (expected, _) =
             reference::gossip_block(&topo, &lat, &pop, NodeId::new(0), &GossipConfig::flood());
-        let mut scratch = BroadcastScratch::new();
+        let mut scratch = GossipScratch::new();
         view.broadcast_into(NodeId::new(0), &mut scratch);
         assert_eq!(scratch.arrivals(), expected.as_slice());
         assert!(scratch.relay_start(NodeId::new(3)).is_infinite());
@@ -1113,7 +932,7 @@ mod tests {
 
     #[test]
     fn scratch_reuse_across_network_sizes() {
-        let mut scratch = BroadcastScratch::new();
+        let mut scratch = GossipScratch::new();
         for n in [10usize, 50, 20] {
             let (pop, lat, topo, _) = random_world(n, n as u64);
             let view = TopologyView::new(&topo, &lat, &pop);
@@ -1318,9 +1137,9 @@ mod tests {
         assert_eq!(view, fresh, "compacted view must equal a fresh build");
         // And the compacted world floods like any other.
         let src = NodeId::new(rng.gen_range(0..pop.len() as u32));
-        let mut scratch = BroadcastScratch::new();
+        let mut scratch = GossipScratch::new();
         view.broadcast_into(src, &mut scratch);
-        let mut expected = BroadcastScratch::new();
+        let mut expected = GossipScratch::new();
         fresh.broadcast_into(src, &mut expected);
         assert_eq!(scratch.arrivals(), expected.arrivals());
     }
@@ -1357,9 +1176,9 @@ mod tests {
         lat: &MetricLatencyModel,
         pop: &Population,
         source: u32,
-    ) -> (TopologyView, BroadcastScratch) {
+    ) -> (TopologyView, GossipScratch) {
         let view = TopologyView::new(topo, lat, pop);
-        let mut scratch = BroadcastScratch::new();
+        let mut scratch = GossipScratch::new();
         view.broadcast_into(NodeId::new(source), &mut scratch);
         (view, scratch)
     }

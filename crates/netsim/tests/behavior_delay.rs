@@ -8,8 +8,8 @@
 //! is exact IEEE-754 arithmetic and the equalities can be bitwise.
 
 use perigee_netsim::{
-    Behavior, BroadcastScratch, ConnectionLimits, GossipConfig, GossipScratch, LatencyModel,
-    NodeId, NodeProfile, Population, SimTime, Topology, TopologyView,
+    Behavior, ConnectionLimits, GossipConfig, GossipScratch, LatencyModel, NodeId, NodeProfile,
+    Population, SimTime, Topology, TopologyView,
 };
 
 /// A constant-latency model: every distinct pair is `delay_ms` apart.
@@ -63,7 +63,7 @@ fn world(extra: Option<f64>) -> (Topology, ConstLatency, Population) {
 fn analytic_arrivals(extra: Option<f64>) -> Vec<f64> {
     let (topology, latency, population) = world(extra);
     let view = TopologyView::new(&topology, &latency, &population);
-    let mut scratch = BroadcastScratch::with_capacity(4);
+    let mut scratch = GossipScratch::with_capacity(4, view.directed_edge_count());
     view.broadcast_into(NodeId::new(0), &mut scratch);
     scratch.arrivals().iter().map(|t| t.as_ms()).collect()
 }

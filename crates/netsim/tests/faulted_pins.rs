@@ -16,9 +16,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use perigee_netsim::{
-    BroadcastScratch, ConnectionLimits, FaultPlan, GeoLatencyModel, GossipConfig, GossipScratch,
-    LinkFaultRates, LinkFlaps, NodeId, Population, PopulationBuilder, QueueKind, Region,
-    RegionalWindow, SimTime, Topology, TopologyView,
+    ConnectionLimits, FaultPlan, GeoLatencyModel, GossipConfig, GossipScratch, LinkFaultRates,
+    LinkFlaps, NodeId, Population, PopulationBuilder, QueueKind, Region, RegionalWindow, SimTime,
+    Topology, TopologyView,
 };
 
 const NODES: usize = 90;
@@ -149,7 +149,7 @@ fn gossip_digest(config: &GossipConfig, kind: QueueKind) -> (u64, usize) {
 fn flood_digest(kind: QueueKind) -> u64 {
     let (view, regions, miners) = world();
     let plan = hostile_plan();
-    let mut scratch = BroadcastScratch::with_queue(kind);
+    let mut scratch = GossipScratch::with_queue(kind);
     let mut fnv = Fnv::new();
     for (round, blocks) in miners.iter().enumerate() {
         let rf = plan.compile(round, &view, &regions);

@@ -44,8 +44,8 @@ fn random_world(n: usize, seed: u64) -> (Population, GeoLatencyModel, Topology, 
 fn assert_flood_agrees(
     view: &TopologyView,
     src: NodeId,
-    heap: &mut BroadcastScratch,
-    cal: &mut BroadcastScratch,
+    heap: &mut GossipScratch,
+    cal: &mut GossipScratch,
 ) {
     assert_eq!(heap.queue_kind(), QueueKind::BinaryHeap);
     assert_eq!(cal.queue_kind(), QueueKind::Calendar);
@@ -101,8 +101,8 @@ fn calendar_flood_is_bit_identical_across_seeds_and_sizes() {
     for (n, seed) in [(20usize, 0u64), (50, 1), (50, 2), (120, 3), (250, 4)] {
         let (pop, lat, topo, mut rng) = random_world(n, seed);
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut heap = BroadcastScratch::with_queue(QueueKind::BinaryHeap);
-        let mut cal = BroadcastScratch::with_queue(QueueKind::Calendar);
+        let mut heap = GossipScratch::with_queue(QueueKind::BinaryHeap);
+        let mut cal = GossipScratch::with_queue(QueueKind::Calendar);
         for _ in 0..4 {
             let src = NodeId::new(rng.gen_range(0..n as u32));
             assert_flood_agrees(&view, src, &mut heap, &mut cal);
@@ -174,8 +174,8 @@ fn calendar_engines_agree_under_adversarial_behaviors() {
     pop.profile_mut(NodeId::new(11)).behavior = Behavior::Delay(SimTime::from_ms(2_500.0));
     pop.profile_mut(NodeId::new(29)).behavior = Behavior::Delay(SimTime::from_ms(301.5));
     let view = TopologyView::new(&topo, &lat, &pop);
-    let mut fheap = BroadcastScratch::with_queue(QueueKind::BinaryHeap);
-    let mut fcal = BroadcastScratch::with_queue(QueueKind::Calendar);
+    let mut fheap = GossipScratch::with_queue(QueueKind::BinaryHeap);
+    let mut fcal = GossipScratch::with_queue(QueueKind::Calendar);
     let mut gheap = GossipScratch::with_queue(QueueKind::BinaryHeap);
     let mut gcal = GossipScratch::with_queue(QueueKind::Calendar);
     for _ in 0..4 {

@@ -8,11 +8,16 @@ use rand::{Rng, SeedableRng};
 
 use perigee_netsim::pq::{CalendarQueue, PackedQueue, QueueKind, TimeKey, BUCKET_WIDTH_MS};
 use perigee_netsim::{
-    reference, BlockFaults, BroadcastScratch, ConnectionLimits, EventQueue, FaultPlan,
-    GeoLatencyModel, GossipConfig, GossipScratch, LatencyModel, LinkFaultRates, LinkFlaps, NodeId,
-    PopulationBuilder, Region, RegionalWindow, RoundDelta, SimTime, Topology, TopologyView,
-    WorldDelta,
+    reference, BlockFaults, ConnectionLimits, EventQueue, FaultPlan, GeoLatencyModel, GossipConfig,
+    GossipScratch, LatencyModel, LinkFaultRates, LinkFlaps, NodeId, PopulationBuilder, Region,
+    RegionalWindow, RoundDelta, SimTime, Topology, TopologyView, WorldDelta,
 };
+
+/// A calendar key like the propagation kernels' settle keys: the time
+/// bits over `payload`.
+fn settle_key(t: f64, payload: u32) -> u128 {
+    ((t.to_bits() as u128) << 64) | payload as u128
+}
 
 /// Maps a `(class, unit float, integer)` triple onto the f64 edge cases
 /// the calendar queue must order exactly: zero, subnormals, exact bucket
@@ -100,7 +105,7 @@ proptest! {
         let lat = GeoLatencyModel::new(&pop, seed);
         let topo = random_connected_topology(n, &mut rng);
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut scratch = BroadcastScratch::new();
+        let mut scratch = GossipScratch::new();
         view.broadcast_into(NodeId::new(0), &mut scratch);
         let mut cov = [SimTime::ZERO; 6];
         scratch.coverage_times_into(&view, &[0.1, 0.3, 0.5, 0.7, 0.9, 1.0], &mut cov);
@@ -121,7 +126,7 @@ proptest! {
         let topo = random_connected_topology(n, &mut rng);
         let src = NodeId::new(rng.gen_range(0..n as u32));
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut out = BroadcastScratch::new();
+        let mut out = GossipScratch::new();
         view.broadcast_into(src, &mut out);
         prop_assert_eq!(out.arrival(src), SimTime::ZERO);
         for i in 0..n as u32 {
@@ -180,11 +185,11 @@ proptest! {
         let lat = GeoLatencyModel::new(&pop, seed);
         let topo = random_connected_topology(n, &mut rng);
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut scratch = BroadcastScratch::new();
+        let mut scratch = GossipScratch::new();
         for _ in 0..4 {
             let src = NodeId::new(rng.gen_range(0..n as u32));
             view.broadcast_into(src, &mut scratch);
-            let mut fresh = BroadcastScratch::new();
+            let mut fresh = GossipScratch::new();
             view.broadcast_into(src, &mut fresh);
             prop_assert_eq!(scratch.arrivals(), fresh.arrivals());
             for i in 0..n as u32 {
@@ -205,7 +210,7 @@ proptest! {
         let lat = GeoLatencyModel::new(&pop, seed);
         let topo = random_connected_topology(n, &mut rng);
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut flood = BroadcastScratch::new();
+        let mut flood = GossipScratch::new();
         let mut gossip = GossipScratch::new();
         let cfg = GossipConfig::flood();
         for _ in 0..3 {
@@ -264,8 +269,8 @@ proptest! {
         prop_assert!(plan.is_inert());
         let rf = plan.compile((seed % 7) as usize, &view, &regions);
 
-        let mut plain = BroadcastScratch::new();
-        let mut faulted = BroadcastScratch::new();
+        let mut plain = GossipScratch::new();
+        let mut faulted = GossipScratch::new();
         let mut g_plain = GossipScratch::new();
         let mut g_faulted = GossipScratch::new();
         for block in 0..3 {
@@ -322,7 +327,7 @@ proptest! {
         };
         let rf = plan.compile((seed % 5) as usize, &view, &regions);
         let cfg = GossipConfig::flood();
-        let mut flood = BroadcastScratch::new();
+        let mut flood = GossipScratch::new();
         let mut gossip = GossipScratch::new();
         for block in 0..3 {
             let bf = rf.block(block);
@@ -469,9 +474,9 @@ proptest! {
         entries in proptest::collection::vec((0u8..8, 0.0f64..1.0, 0u32..70_000), 1..400)
     ) {
         let mut q = CalendarQueue::new();
-        let mut expect: Vec<(u64, u32)> = Vec::with_capacity(entries.len());
+        let mut expect: Vec<u128> = Vec::with_capacity(entries.len());
         for (i, &(class, x, k)) in entries.iter().enumerate() {
-            let key = (edge_case_time(class, x, k).to_bits(), i as u32);
+            let key = settle_key(edge_case_time(class, x, k), i as u32);
             q.push(key);
             expect.push(key);
         }
@@ -488,7 +493,7 @@ proptest! {
     /// Under monotone interleaving (every push ≥ the last pop — the
     /// Dijkstra/gossip discipline), the calendar agrees with a
     /// `BinaryHeap` oracle pop for pop, through the same [`PackedQueue`]
-    /// front end the scratch engines use.
+    /// front end the propagation scratch uses.
     #[test]
     fn packed_queue_kinds_agree_under_monotone_interleaving(
         seeds in proptest::collection::vec((0u8..8, 0.0f64..1.0, 0u32..70_000), 1..60),
@@ -498,7 +503,7 @@ proptest! {
         let mut heap = PackedQueue::with_kind(QueueKind::BinaryHeap);
         let mut seq = 0u32;
         for &(class, x, k) in &seeds {
-            let key = (edge_case_time(class, x, k).to_bits(), seq);
+            let key = settle_key(edge_case_time(class, x, k), seq);
             seq += 1;
             cal.push(key);
             heap.push(key);
@@ -513,7 +518,7 @@ proptest! {
                 let t = k.time_ms();
                 for _ in 0..fanout {
                     let &(class, x, kk) = deltas.next().unwrap();
-                    let key = ((t + edge_case_time(class, x, kk)).to_bits(), seq);
+                    let key = settle_key(t + edge_case_time(class, x, kk), seq);
                     seq += 1;
                     cal.push(key);
                     heap.push(key);
@@ -560,7 +565,7 @@ proptest! {
         let lat = GeoLatencyModel::new(&pop, seed);
         let topo = random_connected_topology(n, &mut rng);
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut out = BroadcastScratch::new();
+        let mut out = GossipScratch::new();
         view.broadcast_into(NodeId::new(0), &mut out);
         for i in 0..n as u32 {
             let v = NodeId::new(i);

@@ -49,7 +49,7 @@ impl TopologyBuilder for FullMeshBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perigee_netsim::{BroadcastScratch, GeoLatencyModel, PopulationBuilder, TopologyView};
+    use perigee_netsim::{GeoLatencyModel, GossipScratch, PopulationBuilder, TopologyView};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -73,7 +73,7 @@ mod tests {
             FullMeshBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
         let src = NodeId::new(3);
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut prop = BroadcastScratch::new();
+        let mut prop = GossipScratch::new();
         view.broadcast_into(src, &mut prop);
         for i in 0..25u32 {
             let v = NodeId::new(i);

@@ -123,7 +123,7 @@ impl RelayOverlay {
 mod tests {
     use super::*;
     use perigee_netsim::{
-        BroadcastScratch, ConnectionLimits, GeoLatencyModel, PopulationBuilder, TopologyView,
+        ConnectionLimits, GeoLatencyModel, GossipScratch, PopulationBuilder, TopologyView,
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -141,7 +141,7 @@ mod tests {
         // The tree alone connects all members.
         let src = overlay.members()[0];
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut prop = BroadcastScratch::new();
+        let mut prop = GossipScratch::new();
         view.broadcast_into(src, &mut prop);
         for &m in overlay.members() {
             assert!(prop.arrival(m).is_finite(), "member {m} reachable");

@@ -30,9 +30,8 @@ pub mod prelude {
     };
     pub use perigee_metrics::{percentile, DelayCurve, Histogram};
     pub use perigee_netsim::{
-        BroadcastScratch, ConnectionLimits, GeoLatencyModel, GossipConfig, GossipScratch,
-        LatencyModel, MinerSampler, NodeId, Population, PopulationBuilder, SimTime, Topology,
-        TopologyView,
+        ConnectionLimits, GeoLatencyModel, GossipConfig, GossipScratch, LatencyModel, MinerSampler,
+        NodeId, Population, PopulationBuilder, SimTime, Topology, TopologyView,
     };
     pub use perigee_topology::{
         FullMeshBuilder, GeographicBuilder, GeometricBuilder, KademliaBuilder, RandomBuilder,

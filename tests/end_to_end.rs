@@ -4,8 +4,8 @@
 use perigee::core::{PerigeeConfig, PerigeeEngine, ScoringMethod};
 use perigee::experiments::{fig3, fig5, Algorithm, Scenario};
 use perigee::netsim::{
-    reference, BroadcastScratch, ConnectionLimits, GossipConfig, GossipScratch, LatencyModel,
-    NodeId, QueueKind, SimTime, TopologyView,
+    reference, ConnectionLimits, GossipConfig, GossipScratch, LatencyModel, NodeId, QueueKind,
+    SimTime, TopologyView,
 };
 use perigee::topology::{RandomBuilder, TopologyBuilder};
 use rand::SeedableRng;
@@ -108,7 +108,7 @@ fn engines_agree_on_a_learned_topology() {
     let out = perigee::experiments::run_algorithm(Algorithm::PerigeeSubset, &scenario, 5);
     let cfg = GossipConfig::flood();
     let view = TopologyView::new(&out.topology, &out.latency, &out.population);
-    let mut fast = BroadcastScratch::new();
+    let mut fast = GossipScratch::new();
     for src in [0u32, 42, 141] {
         let src = NodeId::new(src);
         view.broadcast_into(src, &mut fast);

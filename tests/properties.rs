@@ -8,7 +8,7 @@ use perigee::core::{
 };
 use perigee::metrics::{percentile, DelayCurve};
 use perigee::netsim::{
-    BroadcastScratch, ConnectionLimits, GeoLatencyModel, LatencyModel, NodeId, Population,
+    ConnectionLimits, GeoLatencyModel, GossipScratch, LatencyModel, NodeId, Population,
     PopulationBuilder, Topology, TopologyView,
 };
 use rand::rngs::StdRng;
@@ -24,7 +24,7 @@ fn observe(
 ) -> ObservationStore {
     let view = TopologyView::new(topo, lat, pop);
     let mut collector = ObservationCollector::from_view(&view);
-    let mut scratch = BroadcastScratch::new();
+    let mut scratch = GossipScratch::new();
     for src in sources {
         view.broadcast_into(src, &mut scratch);
         collector.record_scratch(&view, &scratch);
@@ -115,7 +115,7 @@ proptest! {
         }
         let src = NodeId::new(rng.gen_range(0..n as u32));
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut prop_result = BroadcastScratch::new();
+        let mut prop_result = GossipScratch::new();
         view.broadcast_into(src, &mut prop_result);
         for i in 0..n as u32 {
             let v = NodeId::new(i);
