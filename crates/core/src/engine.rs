@@ -604,9 +604,10 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// pass after every `k`-th completed round, counting passes in
     /// [`PerigeeEngine::audits_run`] and keeping every non-clean
     /// [`AuditReport`] ([`PerigeeEngine::audit_failures`]). The pass is
-    /// O(nodes + edges): about 5% of a `hostile_1k` round on a 2-vCPU
-    /// Xeon, which audits every round (roundbench's `audit.pass_s` ÷
-    /// `round_s`).
+    /// O(nodes + edges): a median 5.0% (3.5–7.8% across seeds) of a
+    /// `hostile_1k` round on a 2-vCPU Xeon, which audits every round
+    /// (roundbench's `audit.pass_s` over the raw round median of traced
+    /// runs at six seeds; the README gives the method).
     pub fn set_audit_every(&mut self, every: usize) {
         self.audit_every = every;
     }
@@ -749,9 +750,9 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         Ok((engine, rand::rngs::StdRng::from_state(rng_state)))
     }
 
-    /// The priority-queue implementation rounds simulate on: always the
-    /// calendar queue. The `BinaryHeap` is a scratch-level oracle
-    /// ([`GossipScratch::with_queue`]) for the equivalence suites.
+    /// The priority queue rounds simulate on: always the calendar queue,
+    /// the only [`QueueKind`]. Kept only because roundbench's replay
+    /// passes it to [`GossipScratch::with_capacity_and_queue`].
     pub fn queue_kind(&self) -> QueueKind {
         QueueKind::Calendar
     }

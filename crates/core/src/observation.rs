@@ -187,8 +187,7 @@ impl ObservationStore {
     ///
     /// Panics if the two stores cover different CSR skeletons.
     pub fn append(&mut self, other: ObservationStore) {
-        assert_eq!(self.offsets, other.offsets, "CSR offset mismatch");
-        assert_eq!(self.edges, other.edges, "neighbor snapshot mismatch");
+        check_skeleton(&self.offsets, &self.edges, &other);
         self.times.extend_from_slice(&other.times);
         self.blocks += other.blocks;
     }
@@ -290,7 +289,7 @@ impl SketchObservationStore {
     ///
     /// Panics if `chunk` was collected over a different CSR skeleton.
     pub fn ingest(&mut self, chunk: &ObservationStore) {
-        self.check_skeleton(chunk);
+        check_skeleton(&self.offsets, &self.edges, chunk);
         fold_rows(&mut self.sketches, 0, &self.params, &[chunk]);
         self.blocks += chunk.blocks;
     }
@@ -307,7 +306,7 @@ impl SketchObservationStore {
     /// Panics if a chunk was collected over a different CSR skeleton.
     pub(crate) fn ingest_wave(&mut self, chunks: &[&ObservationStore]) {
         for chunk in chunks {
-            self.check_skeleton(chunk);
+            check_skeleton(&self.offsets, &self.edges, chunk);
         }
         let share = self
             .sketches
@@ -319,11 +318,6 @@ impl SketchObservationStore {
             fold_rows(sketches, i * share, params, chunks);
         });
         self.blocks += chunks.iter().map(|c| c.blocks).sum::<usize>();
-    }
-
-    fn check_skeleton(&self, chunk: &ObservationStore) {
-        assert_eq!(self.offsets, chunk.offsets, "CSR offset mismatch");
-        assert_eq!(self.edges, chunk.edges, "neighbor snapshot mismatch");
     }
 
     /// Borrowed, allocation-free view of node `v`'s observations.
@@ -340,6 +334,13 @@ impl SketchObservationStore {
             },
         }
     }
+}
+
+/// The one skeleton check behind every merge and fold: `chunk` must have
+/// been collected over the CSR skeleton `offsets`/`edges`.
+fn check_skeleton(offsets: &[usize], edges: &[u32], chunk: &ObservationStore) {
+    assert_eq!(offsets, chunk.offsets, "CSR offset mismatch");
+    assert_eq!(edges, chunk.edges, "neighbor snapshot mismatch");
 }
 
 /// The one sketch fold: feeds every block row of `chunks`, in order,
@@ -768,6 +769,9 @@ impl ExactSizeIterator for TimesIter<'_> {}
 #[derive(Debug, Clone)]
 pub struct ObservationCollector {
     store: ObservationStore,
+    /// The snapshotted view's [`TopologyView::csr_fingerprint`], which
+    /// every recorded view must match.
+    fingerprint: u64,
     /// Reusable per-node row for the two-pass normalization.
     row: Vec<f64>,
 }
@@ -782,6 +786,7 @@ impl ObservationCollector {
                 view.csr_offsets().to_vec(),
                 view.csr_edges().to_vec(),
             ),
+            fingerprint: view.csr_fingerprint(),
             row: Vec::new(),
         }
     }
@@ -855,9 +860,10 @@ impl ObservationCollector {
     ///
     /// # Panics
     ///
-    /// Panics if the view covers a different number of nodes than this
-    /// collector, or if a node's snapshotted neighbor set is not as long
-    /// as the view's CSR row.
+    /// Panics if the view is not the overlay this collector snapshotted:
+    /// if it covers a different number of nodes, if its
+    /// [`TopologyView::csr_fingerprint`] differs, or if a node's
+    /// snapshotted neighbor set is not as long as the view's CSR row.
     pub fn record_scratch(&mut self, view: &TopologyView, scratch: &GossipScratch) {
         self.record_rows(view, scratch, None);
     }
@@ -899,6 +905,11 @@ impl ObservationCollector {
         faults: Option<&BlockFaults<'_>>,
     ) {
         assert_eq!(self.store.len(), view.len(), "view/collector size mismatch");
+        assert_eq!(
+            self.fingerprint,
+            view.csr_fingerprint(),
+            "neighbor snapshot disagrees with the view: the collector was built from another overlay"
+        );
         let mut writer = RowWriter {
             offsets: &self.store.offsets,
             times: &mut self.store.times,
@@ -922,16 +933,7 @@ impl ObservationCollector {
     ///
     /// Panics if the two collectors snapshotted different CSR skeletons.
     pub fn append(&mut self, other: ObservationCollector) {
-        assert_eq!(
-            self.store.offsets, other.store.offsets,
-            "CSR offset mismatch"
-        );
-        assert_eq!(
-            self.store.edges, other.store.edges,
-            "neighbor snapshot mismatch"
-        );
-        self.store.times.extend_from_slice(&other.store.times);
-        self.store.blocks += other.store.blocks;
+        self.store.append(other.store);
     }
 
     /// Finishes the round, yielding the flat per-round store.
@@ -1307,6 +1309,32 @@ mod tests {
         let mut scratch = GossipScratch::new();
         chord.broadcast_into(NodeId::new(0), &mut scratch);
         collector.record_scratch(&chord, &scratch);
+    }
+
+    /// A collector from another overlay with the same degrees refuses the
+    /// rows too, though each of them is as long as the collector's: the
+    /// 4-ring 0-1-2-3 against a flood over the 4-ring 0-2-1-3, where node
+    /// 0's row lists neighbors [2, 3], not [1, 3].
+    #[test]
+    #[should_panic(expected = "the collector was built from another overlay")]
+    fn a_collector_from_a_same_degree_overlay_refuses_the_rows() {
+        let (pop, lat, mut ring) = world(&[0.0, 10.0, 20.0, 30.0]);
+        let mut other = ring.clone();
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            ring.connect(NodeId::new(u), NodeId::new(v)).unwrap();
+        }
+        for (u, v) in [(0, 2), (2, 1), (1, 3), (3, 0)] {
+            other.connect(NodeId::new(u), NodeId::new(v)).unwrap();
+        }
+        let ring = TopologyView::new(&ring, &lat, &pop);
+        let other = TopologyView::new(&other, &lat, &pop);
+        assert_eq!(ring.csr_offsets(), other.csr_offsets());
+        assert_eq!(ring.neighbors_raw(NodeId::new(0)), [1, 3]);
+        assert_eq!(other.neighbors_raw(NodeId::new(0)), [2, 3]);
+        let mut collector = ObservationCollector::from_view(&ring);
+        let mut scratch = GossipScratch::new();
+        other.broadcast_into(NodeId::new(0), &mut scratch);
+        collector.record_scratch(&other, &scratch);
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Combined block + transaction-stream rounds: the traffic phase must
 //! change *nothing* about the determinism contract. Batched observation
-//! rows are bit-identical to one `gossip_into` call per message (on
-//! either queue a scratch can run on), rounds with a workload installed
-//! are bit-identical across thread counts, the per-class λ-statistics
-//! are backend-independent, and a traffic workload rides checkpoints
-//! through the on-disk envelope.
+//! rows are bit-identical to one `gossip_into` call per message, rounds
+//! with a workload installed are bit-identical across thread counts, the
+//! per-class λ-statistics are backend-independent, and a traffic workload
+//! rides checkpoints through the on-disk envelope.
 
 use perigee_core::{
     ObservationBackend, ObservationCollector, PerigeeConfig, PerigeeEngine, RunSnapshot,
     ScoringMethod,
 };
 use perigee_netsim::{
-    ConnectionLimits, GeoLatencyModel, GossipConfig, GossipScratch, PopulationBuilder, QueueKind,
+    ConnectionLimits, GeoLatencyModel, GossipConfig, GossipScratch, PopulationBuilder,
     TopologyView, TrafficConfig,
 };
 use perigee_topology::{RandomBuilder, TopologyBuilder};
@@ -40,7 +39,7 @@ fn engine_with(
 
 /// The satellite contract at the observation layer: a k-message batch
 /// pass records observation rows **bit-identical** to k single-message
-/// passes through the same collector pipeline, on both queue kinds.
+/// passes through the same collector pipeline.
 #[test]
 fn batched_observation_rows_match_sequential_single_passes() {
     let mut rng = StdRng::seed_from_u64(3);
@@ -56,26 +55,24 @@ fn batched_observation_rows_match_sequential_single_passes() {
     traffic.batch_for(&messages, &mut batch);
     batch.truncate(150);
 
-    for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-        let mut batched = ObservationCollector::from_view(&view);
-        let mut scratch = GossipScratch::with_queue(kind);
-        view.gossip_batch_into(&batch, &mut scratch, |_, s| {
-            batched.record_scratch(&view, s);
-        });
+    let mut batched = ObservationCollector::from_view(&view);
+    let mut scratch = GossipScratch::new();
+    view.gossip_batch_into(&batch, &mut scratch, |_, s| {
+        batched.record_scratch(&view, s);
+    });
 
-        let mut sequential = ObservationCollector::from_view(&view);
-        let mut single = GossipScratch::with_queue(kind);
-        for m in &batch {
-            view.gossip_into(m.source, &m.config, &mut single);
-            sequential.record_scratch(&view, &single);
-        }
-
-        assert_eq!(
-            batched.finish(),
-            sequential.finish(),
-            "batched rows must equal sequential rows ({kind:?})"
-        );
+    let mut sequential = ObservationCollector::from_view(&view);
+    let mut single = GossipScratch::new();
+    for m in &batch {
+        view.gossip_into(m.source, &m.config, &mut single);
+        sequential.record_scratch(&view, &single);
     }
+
+    assert_eq!(
+        batched.finish(),
+        sequential.finish(),
+        "batched rows must equal sequential rows"
+    );
 }
 
 /// Combined rounds are bit-identical across pinned 1/2/3/8-thread rayon

@@ -4,13 +4,15 @@
 //! simulations are fully deterministic.
 //!
 //! This is the general-purpose, boxed-payload queue — the *reference*
-//! semantics for event ordering. The gossip hot path no longer uses it:
-//! [`GossipScratch`](crate::GossipScratch) inlines the same
-//! `(time, insertion-sequence)` ordering over a reusable index-based event
-//! pool, which avoids one slot allocation per event while reproducing this
-//! queue's pop order bit for bit. Keep the two in agreement: the legacy
-//! cross-validation suite (`tests/gossip_legacy.rs`) re-implements the old
-//! engine on top of this queue and asserts equality.
+//! semantics for event ordering. The gossip hot path does not use it:
+//! [`GossipScratch`](crate::GossipScratch)'s event loop packs each event
+//! into one `u128` word (time bits over the insertion sequence, the kind
+//! and a CSR edge index or node id) on the scratch's calendar queue,
+//! which pops them in this queue's order without a slot allocation per
+//! event. The oracle
+//! [`reference::gossip_block`](crate::reference::gossip_block) runs the
+//! seed's engine on this queue, and the suites (`tests/gossip_legacy.rs`,
+//! `tests/gossip_ties.rs`) assert the production kernels equal it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -7,9 +7,9 @@
 //! fault decision is a *pure function* of `(plan seed, round, global block
 //! index, CSR edge index, copy, purpose)` through a SplitMix64-style
 //! stateless hash: no protocol RNG is ever consumed mid-flood, so faulted
-//! rounds stay bit-identical across thread counts and both
-//! [`QueueKind`](crate::pq::QueueKind)s, and an inert plan (all rates
-//! zero, no windows) is bit-identical to running with no plan at all.
+//! rounds stay bit-identical across thread counts, and an inert plan (all
+//! rates zero, no windows) is bit-identical to running with no plan at
+//! all.
 //!
 //! # Where faults land in the event pipeline
 //!
@@ -23,7 +23,7 @@
 //! engine's one-announcement-per-edge invariant: a dropped announcement
 //! consumes exactly one sequence number (like an inert event) and its row
 //! entry reads as never delivered, so the event schedule — and therefore
-//! tie-breaking — is unchanged between queue kinds. Request/response legs (GETDATA and the
+//! tie-breaking — is unchanged. Request/response legs (GETDATA and the
 //! block transfer it pulls) are modelled as reliable-but-slowed: they pay
 //! the regional slow factor via [`BlockFaults::scaled`] but never drop,
 //! so a delivered INV can always complete (no request deadlock). Link

@@ -22,9 +22,9 @@
 //! ([`TopologyView::broadcast_into`]) is a Dijkstra over first arrivals;
 //! the message-level pass below is a label-setting kernel over
 //! have-times. Both queue the same settle keys, `(time.to_bits(), node)`
-//! packed into one `u128`, on the scratch's [`PackedQueue`].
+//! packed into one `u128`, on the scratch's [`CalendarQueue`].
 //! [`BroadcastScratch`](crate::BroadcastScratch) is only a constructor
-//! shim over this scratch.
+//! shim over this scratch, kept for roundbench's replay.
 //!
 //! Every message-level entry point runs the same per-message pass:
 //! [`TopologyView::gossip_batch_into`] over a batch of messages,
@@ -99,7 +99,7 @@ use crate::counters::SimCounters;
 use crate::error::NetsimError;
 use crate::faults::{BlockFaults, FaultLens, NoFaults};
 use crate::node::NodeId;
-use crate::pq::{PackedQueue, QueueKind};
+use crate::pq::{key_time, CalendarQueue, QueueKind};
 use crate::time::SimTime;
 use crate::view::TopologyView;
 
@@ -299,7 +299,7 @@ fn pack_event(time: SimTime, seq: u32, kind: EventKind, payload: u32) -> u128 {
 
 #[inline]
 pub(crate) fn event_time(word: u128) -> SimTime {
-    SimTime::from_ms(f64::from_bits((word >> 64) as u64))
+    SimTime::from_ms(key_time(word))
 }
 
 #[inline]
@@ -387,15 +387,14 @@ pub struct GossipScratch {
     source: NodeId,
     /// The last message's fan-out policy and transfer model.
     config: GossipConfig,
-    /// Min-queue of packed `u128` words; calendar or reference heap per
-    /// [`GossipScratch::with_queue`]. Both kernels queue settle keys (see
+    /// Min-queue of packed `u128` words. Both kernels queue settle keys (see
     /// [`pack_settle`]); the event loop queues events (see
     /// [`pack_event`]). On the event loop only events with a possible
     /// side effect are ever pushed; provably-inert ones (an INV to a node
     /// that has already requested, a flood BLOCK to a node that already
     /// holds it) only consume a sequence number, so the pop order of the
     /// rest replays the legacy queue exactly.
-    pub(crate) queue: PackedQueue<u128>,
+    pub(crate) queue: CalendarQueue,
     /// Next insertion sequence of the event loop (reset per message).
     /// Counts every event the legacy engine would have scheduled, pushed
     /// or not.
@@ -421,41 +420,36 @@ pub struct GossipScratch {
 }
 
 impl GossipScratch {
-    /// Creates an empty scratch (buffers grow on first use) on the
-    /// default queue kind.
+    /// Creates an empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty scratch running on the given queue kind.
-    pub fn with_queue(kind: QueueKind) -> Self {
-        GossipScratch {
-            queue: PackedQueue::with_kind(kind),
-            ..Self::default()
-        }
-    }
-
-    /// Creates a scratch pre-sized for `nodes` nodes on the default queue
-    /// kind; `directed_edges` (see
-    /// [`TopologyView::directed_edge_count`]) is checked against the
+    /// Creates a scratch pre-sized for `nodes` nodes; `directed_edges`
+    /// (see [`TopologyView::directed_edge_count`]) is checked against the
     /// packed-payload cap.
-    pub fn with_capacity(nodes: usize, directed_edges: usize) -> Self {
-        Self::with_capacity_and_queue(nodes, directed_edges, QueueKind::default())
-    }
-
-    /// Like [`GossipScratch::with_capacity`], on the given queue kind.
     ///
     /// # Panics
     ///
     /// Panics if `nodes` or `directed_edges` reaches
-    /// [`PACKED_PAYLOAD_CAP`]; use
-    /// [`GossipScratch::try_with_capacity_and_queue`] for a checked
-    /// error.
-    pub fn with_capacity_and_queue(nodes: usize, directed_edges: usize, kind: QueueKind) -> Self {
-        match Self::try_with_capacity_and_queue(nodes, directed_edges, kind) {
+    /// [`PACKED_PAYLOAD_CAP`]; use [`GossipScratch::try_with_capacity`]
+    /// for a checked error.
+    pub fn with_capacity(nodes: usize, directed_edges: usize) -> Self {
+        match Self::try_with_capacity(nodes, directed_edges) {
             Ok(scratch) => scratch,
             Err(e) => panic!("{e}"),
         }
+    }
+
+    /// [`GossipScratch::with_capacity`] under its former name, whose
+    /// [`QueueKind`] has one value. Kept only because roundbench's replay
+    /// calls it.
+    ///
+    /// # Panics
+    ///
+    /// As [`GossipScratch::with_capacity`].
+    pub fn with_capacity_and_queue(nodes: usize, directed_edges: usize, _: QueueKind) -> Self {
+        Self::with_capacity(nodes, directed_edges)
     }
 
     /// Checked [`GossipScratch::with_capacity`]: returns
@@ -463,21 +457,8 @@ impl GossipScratch {
     /// requested world reaches the [`PACKED_PAYLOAD_CAP`] packed-event
     /// payload cap.
     pub fn try_with_capacity(nodes: usize, directed_edges: usize) -> Result<Self, NetsimError> {
-        Self::try_with_capacity_and_queue(nodes, directed_edges, QueueKind::default())
-    }
-
-    /// Like [`GossipScratch::try_with_capacity`], on the given queue
-    /// kind.
-    pub fn try_with_capacity_and_queue(
-        nodes: usize,
-        directed_edges: usize,
-        kind: QueueKind,
-    ) -> Result<Self, NetsimError> {
         check_payload_cap(nodes, directed_edges)?;
         Ok(GossipScratch {
-            // Both kernels queue about one key per node; only a fallback
-            // to the event loop grows the queue past that.
-            queue: PackedQueue::with_kind_and_capacity(kind, nodes),
             first_arrival: Vec::with_capacity(nodes),
             relay_at: Vec::with_capacity(nodes),
             coverage: Vec::with_capacity(nodes),
@@ -496,11 +477,6 @@ impl GossipScratch {
     /// point).
     pub fn take_counters(&mut self) -> SimCounters {
         std::mem::take(&mut self.counters)
-    }
-
-    /// Which priority-queue implementation this scratch simulates on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// The source of the last simulated message.
@@ -886,8 +862,7 @@ impl TopologyView {
     /// [`GossipScratch::relay_starts`] and
     /// [`GossipScratch::neighbor_deliveries`]. Results are
     /// **bit-identical** to running [`TopologyView::gossip_into`] once per
-    /// message on a fresh scratch, on either queue kind — exercised by
-    /// `tests/gossip_batch.rs`.
+    /// message on a fresh scratch — exercised by `tests/gossip_batch.rs`.
     ///
     /// Faults are a block-path concern and are not applied here; the
     /// traffic layer documents message streams as fault-free.
@@ -1351,46 +1326,37 @@ mod tests {
         for (w, (view, pop)) in worlds.iter().enumerate() {
             let regions: Vec<Region> = pop.iter().map(|p| p.region).collect();
             for plan in [&hostile, &lossy] {
-                for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-                    let mut kernel = GossipScratch::with_queue(kind);
-                    let mut events = GossipScratch::with_queue(kind);
-                    for round in 0..2 {
-                        let rf = plan.compile(round, view, &regions);
-                        assert!(!rf.is_inert(), "the plan must be active");
-                        for (j, &config) in configs.iter().enumerate() {
-                            for s in (0..view.len() as u32).step_by(3) {
-                                let msg = BatchMessage {
-                                    source: NodeId::new(s),
-                                    config,
-                                };
-                                let bf = rf.block(j * view.len() + s as usize);
-                                view.gossip_into_faulted(
-                                    msg.source,
-                                    &config,
-                                    &mut kernel,
-                                    Some(&bf),
-                                );
-                                event_loop_into(view, msg, &mut events, &bf);
-                                let what = format!(
-                                    "world {w} round {round} {config:?} from {s} on {kind:?}"
-                                );
-                                assert_eq!(kernel.arrivals(), events.arrivals(), "{what}");
-                                assert_eq!(kernel.relay_starts(), events.relay_starts(), "{what}");
-                                assert_eq!(
-                                    faulted_deliveries(view, &kernel, &bf),
-                                    faulted_deliveries(view, &events, &bf),
-                                    "{what}"
-                                );
-                                let (k, e) = (kernel.take_counters(), events.take_counters());
-                                assert_eq!(semantic(&k), semantic(&e), "{what}: tallies");
-                                if w == 1 && plan.seed == lossy.seed {
-                                    tie_fallbacks += k.gossip_fallbacks;
-                                }
-                                if k.gossip_fallbacks > 0 {
-                                    // A fallback's tallies are the event loop's alone.
-                                    assert_eq!(k.gossip_pops, e.gossip_pops, "{what}");
-                                    assert_eq!(k.gossip_elided, e.gossip_elided, "{what}");
-                                }
+                let mut kernel = GossipScratch::new();
+                let mut events = GossipScratch::new();
+                for round in 0..2 {
+                    let rf = plan.compile(round, view, &regions);
+                    assert!(!rf.is_inert(), "the plan must be active");
+                    for (j, &config) in configs.iter().enumerate() {
+                        for s in (0..view.len() as u32).step_by(3) {
+                            let msg = BatchMessage {
+                                source: NodeId::new(s),
+                                config,
+                            };
+                            let bf = rf.block(j * view.len() + s as usize);
+                            view.gossip_into_faulted(msg.source, &config, &mut kernel, Some(&bf));
+                            event_loop_into(view, msg, &mut events, &bf);
+                            let what = format!("world {w} round {round} {config:?} from {s}");
+                            assert_eq!(kernel.arrivals(), events.arrivals(), "{what}");
+                            assert_eq!(kernel.relay_starts(), events.relay_starts(), "{what}");
+                            assert_eq!(
+                                faulted_deliveries(view, &kernel, &bf),
+                                faulted_deliveries(view, &events, &bf),
+                                "{what}"
+                            );
+                            let (k, e) = (kernel.take_counters(), events.take_counters());
+                            assert_eq!(semantic(&k), semantic(&e), "{what}: tallies");
+                            if w == 1 && plan.seed == lossy.seed {
+                                tie_fallbacks += k.gossip_fallbacks;
+                            }
+                            if k.gossip_fallbacks > 0 {
+                                // A fallback's tallies are the event loop's alone.
+                                assert_eq!(k.gossip_pops, e.gossip_pops, "{what}");
+                                assert_eq!(k.gossip_elided, e.gossip_elided, "{what}");
                             }
                         }
                     }
@@ -1461,8 +1427,8 @@ mod tests {
     /// leaves exactly what it leaves in a fresh scratch: arrivals, relay
     /// starts, rows and coverage. The last flood follows a push/pull
     /// batch, so a flood that kept the batch's config would add its
-    /// transfers to the flood's rows. The same holds on the heap, through
-    /// the flood's former scratch type.
+    /// transfers to the flood's rows. The same holds through the flood's
+    /// former scratch type, built by its one remaining constructor.
     #[test]
     fn one_scratch_alternates_kernels_like_fresh_scratches() {
         let (pop, lat, topo) = random_world(60, 71);
@@ -1513,9 +1479,10 @@ mod tests {
             }
         }
         assert_eq!(fresh.len(), 6);
-        let mut calendar = GossipScratch::new();
-        let mut heap = crate::BroadcastScratch::with_queue(QueueKind::BinaryHeap);
-        for (kind, scratch) in [("calendar", &mut calendar), ("heap shim", &mut *heap)] {
+        let mut scratch = GossipScratch::new();
+        let mut shim =
+            crate::BroadcastScratch::with_capacity_and_queue(view.len(), QueueKind::Calendar);
+        for (kind, scratch) in [("scratch", &mut scratch), ("shim", &mut *shim)] {
             let reused: Vec<Left> = steps
                 .iter()
                 .flat_map(|&step| run_step(&view, scratch, step, &faults))
@@ -1525,7 +1492,6 @@ mod tests {
             }
             assert_eq!(reused.len(), fresh.len());
         }
-        assert_eq!(heap.queue_kind(), QueueKind::BinaryHeap);
     }
 
     #[test]

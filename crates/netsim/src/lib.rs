@@ -48,15 +48,14 @@
 //!     block propagation runs that kernel for such a config.
 //!
 //!   [`BroadcastScratch`] is only a constructor shim that derefs to a
-//!   [`GossipScratch`].
+//!   [`GossipScratch`], kept for roundbench's replay.
 //! * [`reference`](mod@reference) — the crate's test oracles, kept off every hot path:
 //!   the seed's event-queue engine [`reference::gossip_block`] and the
 //!   sort-and-scan coverage time [`reference::coverage_times`].
-//! * [`pq`] — the deterministic calendar/bucket priority queue both
-//!   kernels run on by default ([`QueueKind::Calendar`]): exact
-//!   packed keys inside sub-millisecond buckets, pop order bit-identical
-//!   to the reference `BinaryHeap` ([`QueueKind::BinaryHeap`], which a
-//!   scratch can still be built on as the equivalence suites' oracle).
+//! * [`pq`] — [`CalendarQueue`], the deterministic calendar/bucket
+//!   priority queue both kernels run on: exact packed keys inside
+//!   sub-millisecond buckets, popped in exactly a `BinaryHeap`'s order
+//!   (the heap is its tests' oracle).
 //! * [`MinerSampler`] — hash-power-proportional block sources.
 //! * [`dynamics`] — node lifetime as a simulated process:
 //!   [`ChurnProcess`] (one seeded, bit-reproducible Poisson process:
@@ -112,9 +111,9 @@
 //! draws — applied to the announcement leg of each directed edge at the
 //! moment it is relaxed/scheduled (drops consume an event sequence number
 //! without scheduling, exactly like an inert event), so faulted floods
-//! are bit-identical across thread counts and queue kinds, and an inert
-//! plan is bit-identical to no plan at all. See the [`faults`] module
-//! docs for where each fault lands in the event pipeline.
+//! are bit-identical across thread counts, and an inert plan is
+//! bit-identical to no plan at all. See the [`faults`] module docs for
+//! where each fault lands in the event pipeline.
 //!
 //! ## Example: measure a block broadcast
 //!
@@ -191,7 +190,7 @@ pub use latency::{
 pub use mining::MinerSampler;
 pub use node::{Behavior, NodeId, NodeProfile, Region};
 pub use population::{HashPowerDist, IdRemap, Population, PopulationBuilder, ValidationDist};
-pub use pq::{CalendarQueue, PackedQueue, QueueKind, TimeKey};
+pub use pq::{CalendarQueue, QueueKind};
 pub use time::SimTime;
 pub use traffic::{TrafficClass, TrafficConfig, TrafficMessage};
 pub use view::{BroadcastScratch, RoundDelta, TopologyView};

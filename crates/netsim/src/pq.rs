@@ -1,5 +1,5 @@
-//! Deterministic calendar (bucket) priority queues for the propagation
-//! hot paths.
+//! The deterministic calendar (bucket) priority queue the propagation
+//! hot paths run on.
 //!
 //! Both propagation kernels spend their remaining time in a priority
 //! queue of packed `u128` words, the propagation scratch's: the Dijkstra
@@ -19,7 +19,7 @@
 //!
 //! The determinism guarantee every cross-engine test leans on is that
 //! events pop in **exactly** the `BinaryHeap` order — ascending by the
-//! full packed key, where the high bits are the IEEE-754 bits of the
+//! full packed key, where bits 127..64 are the IEEE-754 bits of the
 //! event time (non-negative, so bit order equals value order) and the low
 //! bits carry the tie-break (the node id of a settle key, the insertion
 //! sequence of an event word). The calendar quantizes only the
@@ -30,7 +30,9 @@
 //! bucket order refined by ascending in-bucket key order *is* ascending
 //! full-key order — no f64 is ever rounded, so the pop sequence (and
 //! therefore every arrival, relay and delivery float downstream) is
-//! bit-identical to the heap's.
+//! bit-identical to the heap's. A `BinaryHeap<Reverse<u128>>` stays the
+//! oracle of that claim in this module's tests and the netsim proptests,
+//! reuse through [`CalendarQueue::clear`] included.
 //!
 //! # Monotone contract
 //!
@@ -44,11 +46,6 @@
 //! Keys later than the [`HORIZON_MS`] wheel horizon (far beyond any
 //! simulated propagation) spill into an exact `BinaryHeap` overflow, so
 //! correctness never depends on the horizon.
-//!
-//! [`PackedQueue`] is the runtime-selectable front end: the propagation
-//! scratch defaults to the calendar ([`QueueKind::Calendar`]) and keeps
-//! the binary heap available as the bit-identical reference
-//! ([`QueueKind::BinaryHeap`]) for the cross-engine equivalence suite.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -75,42 +72,29 @@ const HORIZON_BUCKETS: usize = 1 << 16;
 /// (≈ 32.8 s), past which keys go to the exact overflow heap.
 pub const HORIZON_MS: f64 = BUCKET_WIDTH_MS * HORIZON_BUCKETS as f64;
 
-/// A packed priority-queue key whose high bits are the IEEE-754 bits of a
-/// non-negative event time — so integer `Ord` equals "by time, ties by
-/// the low-bit payload" — and which can report that time for bucket
-/// placement.
-pub trait TimeKey: Copy + Ord {
-    /// The event time in milliseconds. Must be non-negative and NaN-free,
-    /// and must order consistently with `Ord` on the full key (keys with
-    /// smaller time compare smaller).
-    fn time_ms(self) -> f64;
+/// The event time of a packed key, in milliseconds: bits 127..64 of
+/// the scratch's words (see `pack_settle` and `pack_event` in
+/// [`gossip`](crate::gossip)) are the time's IEEE-754 bits.
+#[inline]
+pub(crate) fn key_time(key: u128) -> f64 {
+    f64::from_bits((key >> 64) as u64)
 }
 
-/// The propagation scratch's packed word (see `pack_settle` and
-/// `pack_event` in [`gossip`](crate::gossip)): bits 127..64 are the
-/// time bits, so integer order is "by time, ties by the low bits" — the
-/// node id of a settle key, the insertion sequence of an event word.
-impl TimeKey for u128 {
-    #[inline]
-    fn time_ms(self) -> f64 {
-        f64::from_bits((self >> 64) as u64)
-    }
-}
-
-/// Which priority-queue implementation a propagation scratch runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The priority queue a propagation scratch runs on: only ever the
+/// calendar queue. Kept, with its one value, only because roundbench's
+/// replay passes core's `PerigeeEngine::queue_kind` to the scratch
+/// constructors that take a kind
+/// ([`GossipScratch::with_capacity_and_queue`](crate::GossipScratch::with_capacity_and_queue),
+/// [`BroadcastScratch::with_capacity_and_queue`](crate::BroadcastScratch::with_capacity_and_queue)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
-    /// `std::collections::BinaryHeap` — the original engine and the
-    /// bit-identical reference the equivalence suite compares against.
-    BinaryHeap,
-    /// The calendar/bucket queue of this module: O(1) amortized
-    /// operations, bit-identical pop order (the default).
-    #[default]
+    /// The [`CalendarQueue`] of this module.
     Calendar,
 }
 
-/// A monotone calendar queue over packed time keys (see the module docs
-/// for the exactness and monotonicity contracts).
+/// A monotone calendar queue over packed `u128` keys whose bits 127..64
+/// are a time (see the module docs for the exactness and monotonicity
+/// contracts).
 ///
 /// Reusable across blocks: [`CalendarQueue::clear`] is O(1) after a full
 /// drain, and no allocation happens after the wheel has grown to the
@@ -133,14 +117,14 @@ pub enum QueueKind {
 /// assert_eq!(q.pop(), Some(key(2.0, 7)));
 /// assert_eq!(q.pop(), None);
 /// ```
-#[derive(Debug, Clone)]
-pub struct CalendarQueue<K> {
+#[derive(Debug, Clone, Default)]
+pub struct CalendarQueue {
     /// `buckets[b]` holds the keys with `⌊t · BUCKET_INV_MS⌋ == b`.
     /// Buckets ahead of the cursor are unsorted append logs; the current
     /// bucket is sorted with `cursor` marking how far it has drained.
-    buckets: Vec<Vec<K>>,
+    buckets: Vec<Vec<u128>>,
     /// Exact fallback for keys at or beyond the wheel horizon.
-    overflow: BinaryHeap<Reverse<K>>,
+    overflow: BinaryHeap<Reverse<u128>>,
     /// Current bucket index (monotone between [`CalendarQueue::clear`]s).
     cur: usize,
     /// Drain position within the sorted current bucket.
@@ -151,20 +135,7 @@ pub struct CalendarQueue<K> {
     len: usize,
 }
 
-impl<K> Default for CalendarQueue<K> {
-    fn default() -> Self {
-        CalendarQueue {
-            buckets: Vec::new(),
-            overflow: BinaryHeap::new(),
-            cur: 0,
-            cursor: 0,
-            wheel_len: 0,
-            len: 0,
-        }
-    }
-}
-
-impl<K: TimeKey> CalendarQueue<K> {
+impl CalendarQueue {
     /// Creates an empty queue (the wheel grows on first use).
     pub fn new() -> Self {
         Self::default()
@@ -211,8 +182,8 @@ impl<K: TimeKey> CalendarQueue<K> {
     /// the caller violated the monotone contract (pushing a key smaller
     /// than the last popped one).
     #[inline]
-    pub fn push(&mut self, key: K) {
-        let t = key.time_ms();
+    pub fn push(&mut self, key: u128) {
+        let t = key_time(key);
         debug_assert!(
             t >= 0.0 && !t.is_nan(),
             "calendar keys must be non-negative and NaN-free"
@@ -246,9 +217,9 @@ impl<K: TimeKey> CalendarQueue<K> {
     }
 
     /// Pops the minimum key — exactly the key a `BinaryHeap` of
-    /// `Reverse<K>` would pop.
+    /// `Reverse<u128>` would pop.
     #[inline]
-    pub fn pop(&mut self) -> Option<K> {
+    pub fn pop(&mut self) -> Option<u128> {
         if self.len == 0 {
             return None;
         }
@@ -279,92 +250,6 @@ impl<K: TimeKey> CalendarQueue<K> {
     }
 }
 
-/// The runtime-selectable priority queue the propagation scratch runs on:
-/// either the reference `BinaryHeap` or the [`CalendarQueue`], behind one
-/// push/pop interface. Pop order is bit-identical between the two (the
-/// calendar's exactness contract), so the choice is pure performance.
-#[derive(Debug, Clone)]
-pub enum PackedQueue<K> {
-    /// The reference heap (`BinaryHeap<Reverse<K>>`).
-    Heap(BinaryHeap<Reverse<K>>),
-    /// The calendar queue.
-    Calendar(CalendarQueue<K>),
-}
-
-impl<K: TimeKey> Default for PackedQueue<K> {
-    fn default() -> Self {
-        PackedQueue::with_kind(QueueKind::default())
-    }
-}
-
-impl<K: TimeKey> PackedQueue<K> {
-    /// Creates an empty queue of the given kind.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::BinaryHeap => PackedQueue::Heap(BinaryHeap::new()),
-            QueueKind::Calendar => PackedQueue::Calendar(CalendarQueue::new()),
-        }
-    }
-
-    /// Creates an empty heap-kind queue with pre-sized capacity (the
-    /// calendar wheel sizes itself on first use instead).
-    pub fn with_kind_and_capacity(kind: QueueKind, capacity: usize) -> Self {
-        match kind {
-            QueueKind::BinaryHeap => PackedQueue::Heap(BinaryHeap::with_capacity(capacity)),
-            QueueKind::Calendar => PackedQueue::Calendar(CalendarQueue::new()),
-        }
-    }
-
-    /// Which implementation this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            PackedQueue::Heap(_) => QueueKind::BinaryHeap,
-            PackedQueue::Calendar(_) => QueueKind::Calendar,
-        }
-    }
-
-    /// Number of queued keys.
-    pub fn len(&self) -> usize {
-        match self {
-            PackedQueue::Heap(h) => h.len(),
-            PackedQueue::Calendar(c) => c.len(),
-        }
-    }
-
-    /// `true` when no keys are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes all keys, keeping allocations for reuse.
-    #[inline]
-    pub fn clear(&mut self) {
-        match self {
-            PackedQueue::Heap(h) => h.clear(),
-            PackedQueue::Calendar(c) => c.clear(),
-        }
-    }
-
-    /// Pushes a key (see [`CalendarQueue::push`] for the monotone
-    /// contract the calendar kind enforces).
-    #[inline]
-    pub fn push(&mut self, key: K) {
-        match self {
-            PackedQueue::Heap(h) => h.push(Reverse(key)),
-            PackedQueue::Calendar(c) => c.push(key),
-        }
-    }
-
-    /// Pops the minimum key; identical order for both kinds.
-    #[inline]
-    pub fn pop(&mut self) -> Option<K> {
-        match self {
-            PackedQueue::Heap(h) => h.pop().map(|Reverse(k)| k),
-            PackedQueue::Calendar(c) => c.pop(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,7 +258,7 @@ mod tests {
         ((t.to_bits() as u128) << 64) | payload as u128
     }
 
-    fn drain<K: TimeKey>(q: &mut CalendarQueue<K>) -> Vec<K> {
+    fn drain(q: &mut CalendarQueue) -> Vec<u128> {
         std::iter::from_fn(|| q.pop()).collect()
     }
 
@@ -416,7 +301,7 @@ mod tests {
             if pops > 400 {
                 continue;
             }
-            let t = k.time_ms();
+            let t = key_time(k);
             for _ in 0..(next() % 3) {
                 // Delays from sub-bucket (0.1 ms) to multi-second.
                 let delay = match next() % 4 {
@@ -503,31 +388,29 @@ mod tests {
     }
 
     #[test]
-    fn packed_queue_kinds_agree() {
-        let mut heap = PackedQueue::with_kind(QueueKind::BinaryHeap);
-        let mut cal = PackedQueue::with_kind(QueueKind::Calendar);
-        assert_eq!(heap.kind(), QueueKind::BinaryHeap);
-        assert_eq!(cal.kind(), QueueKind::Calendar);
+    fn bulk_loaded_queue_drains_like_the_heap() {
+        let mut heap = BinaryHeap::new();
+        let mut cal = CalendarQueue::new();
         for i in 0..200u32 {
             let k = key(f64::from(i * 37 % 100) * 0.77, i);
-            heap.push(k);
+            heap.push(Reverse(k));
             cal.push(k);
         }
         assert_eq!(heap.len(), cal.len());
         loop {
-            let (a, b) = (heap.pop(), cal.pop());
+            let (a, b) = (heap.pop().map(|Reverse(k)| k), cal.pop());
             assert_eq!(a, b);
             if a.is_none() {
                 break;
             }
         }
-        assert!(heap.is_empty() && cal.is_empty());
+        assert!(cal.is_empty());
     }
 
     #[test]
     fn u128_keys_bucket_by_high_time_bits() {
         let word = |t: f64, seq: u32| ((t.to_bits() as u128) << 64) | ((seq as u128) << 32);
-        let mut q: CalendarQueue<u128> = CalendarQueue::new();
+        let mut q = CalendarQueue::new();
         let mut keys = vec![word(5.0, 2), word(5.0, 1), word(0.2, 7), word(400.0, 0)];
         for &k in &keys {
             q.push(k);

@@ -16,8 +16,8 @@
 //! `(seed, round, class, node)` key is mixed through the same SplitMix64
 //! finalizer the fault layer uses and fed to Knuth's inversion loop, so
 //! the message list for a round is a function of the config alone —
-//! independent of thread count, queue kind, simulation order and of how
-//! many other subsystems consumed randomness. Messages are emitted in
+//! independent of thread count, simulation order and of how many other
+//! subsystems consumed randomness. Messages are emitted in
 //! canonical order (classes in config order, nodes ascending, repeats
 //! adjacent), which is the batch order the engine simulates them in.
 //!

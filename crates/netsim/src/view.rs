@@ -12,11 +12,21 @@
 //!
 //! # Lifecycle
 //!
-//! A view is a *snapshot*: build one per round (or per static evaluation),
-//! flood any number of blocks through it, drop it before mutating the
-//! topology again. The engine rebuilds its view at the start of every
-//! round, which keeps the §2.1 synchronous-round semantics: neighbor sets
-//! and latencies are constant within a round by construction.
+//! A view is a *snapshot* of one overlay: flood any number of blocks
+//! through it, and never mutate the topology under it. Either build a
+//! fresh one after each change, or patch it in step with the change
+//! ([`TopologyView::apply_rewiring`], [`TopologyView::apply_world_delta`],
+//! [`TopologyView::compact`]), which leaves it field-for-field equal to a
+//! fresh build. The engine builds its one view in its first round and
+//! patches it between rounds (its `view_rebuilds` counter stays 1 on
+//! churny runs), which keeps the §2.1 synchronous-round semantics:
+//! neighbor sets and latencies are constant within a round by
+//! construction.
+//!
+//! Every build, patch and compaction ends by folding the CSR `offsets`
+//! and `edges` into [`TopologyView::csr_fingerprint`], so anything keyed
+//! to one overlay's CSR index space (an observation collector, say) can
+//! check in O(1) that a view is that overlay.
 //!
 //! # Determinism
 //!
@@ -32,19 +42,19 @@
 //!
 //! # Bucket quantization and determinism
 //!
-//! The Dijkstra frontier is the scratch's
-//! [`PackedQueue`](crate::PackedQueue): either the reference `BinaryHeap`
-//! or (by default) the calendar queue of [`crate::pq`], selected per
-//! scratch via [`QueueKind`]. The calendar *places* a key by quantizing
-//! its time into a sub-millisecond bucket but *orders* by the exact packed
-//! key — `time.to_bits()` over the node id in one `u128`, whose high bits
-//! are the untouched IEEE-754 time — sorting each bucket before draining
-//! it. Quantized placement is a coarsening of the exact order, so ascending
-//! buckets refined by ascending in-bucket keys reproduce the heap's pop
-//! sequence key for key: no float is rounded anywhere, ties at the exact
-//! same time still break by ascending node id, and every downstream
-//! arrival/relay float is bit-identical whichever queue ran (proven by
-//! `tests/pq_equivalence.rs` and the pq proptests).
+//! The Dijkstra frontier is the scratch's calendar queue
+//! ([`CalendarQueue`](crate::CalendarQueue)). It *places* a key by
+//! quantizing its time into a sub-millisecond bucket but *orders* by the
+//! exact packed key — `time.to_bits()` over the node id in one `u128`,
+//! whose high bits are the untouched IEEE-754 time — sorting each bucket
+//! before draining it. Quantized placement is a coarsening of the exact
+//! order, so ascending buckets refined by ascending in-bucket keys pop
+//! keys in exactly a binary heap's order: no float is rounded anywhere,
+//! ties at the exact same time still break by ascending node id, and
+//! every downstream arrival/relay float is the one the seed's heap-based
+//! engines computed (the pq tests and proptests check the queue against a
+//! `BinaryHeap`, `tests/gossip_legacy.rs` the floods against
+//! [`reference::gossip_block`](crate::reference::gossip_block)).
 
 use crate::dynamics::WorldDelta;
 use crate::error::NetsimError;
@@ -143,6 +153,9 @@ pub struct TopologyView {
     /// uniform setting), coverage times reduce to an order statistic of
     /// the arrivals — computed by selection instead of a full sort.
     pub(crate) uniform_weight: Option<f64>,
+    /// A hash of `offsets` and `edges`, refolded by every path that
+    /// changes them (see [`TopologyView::csr_fingerprint`]).
+    fingerprint: u64,
 }
 
 impl TopologyView {
@@ -221,6 +234,7 @@ impl TopologyView {
             uplink_mbps: Vec::new(),
             downlink_mbps: Vec::new(),
             uniform_weight: None,
+            fingerprint: 0,
         };
         view.rebuild_reverse();
         view.refresh_node_attributes(population);
@@ -286,6 +300,18 @@ impl TopologyView {
     #[inline]
     pub fn csr_reverse(&self) -> &[u32] {
         &self.reverse
+    }
+
+    /// A 64-bit hash of [`TopologyView::csr_offsets`] and
+    /// [`TopologyView::csr_edges`], recomputed by every build, patch and
+    /// compaction. Two views over different CSR index spaces — even of
+    /// the same size and the same degrees — read different fingerprints
+    /// but for a hash collision, so state keyed to one view's edge
+    /// indices checks another view in O(1) instead of an m-length
+    /// comparison.
+    #[inline]
+    pub fn csr_fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// The range of directed-edge indices forming `u`'s CSR row — the
@@ -646,23 +672,32 @@ impl TopologyView {
         self.rebuild_reverse();
     }
 
-    /// Recomputes the reverse-edge map from the CSR arrays — integer work
-    /// only, no float math. Every construction and patch path ends here,
-    /// so patched and freshly built views can only agree or both be
-    /// wrong.
+    /// Recomputes the reverse-edge map and the CSR fingerprint from the
+    /// CSR arrays — integer work only, no float math. Every construction
+    /// and patch path ends here, so patched and freshly built views can
+    /// only agree or both be wrong.
     fn rebuild_reverse(&mut self) {
         self.reverse.clear();
         self.reverse.resize(self.edges.len(), 0);
+        // FNV-1a over whole words: each step is a bijection of the running
+        // hash, so two CSRs that differ in a single word always fold to
+        // different fingerprints, and one multiply per edge costs next to
+        // nothing beside the binary search.
+        let fold = |h: u64, word: usize| (h ^ word as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        let mut fingerprint = fold(0xCBF2_9CE4_8422_2325, self.len());
         for u in 0..self.len() {
             for e in self.offsets[u]..self.offsets[u + 1] {
                 let v = self.edges[e] as usize;
+                fingerprint = fold(fingerprint, v);
                 let row = &self.edges[self.offsets[v]..self.offsets[v + 1]];
                 let k = row
                     .binary_search(&(u as u32))
                     .expect("communication graph is symmetric");
                 self.reverse[e] = (self.offsets[v] + k) as u32;
             }
+            fingerprint = fold(fingerprint, self.offsets[u + 1]);
         }
+        self.fingerprint = fingerprint;
     }
 
     /// Installs the per-node attributes of `population` — relay profiles,
@@ -797,31 +832,21 @@ impl RoundDelta {
 
 /// A constructor shim over the one propagation scratch: it holds a
 /// [`GossipScratch`] and derefs to it, so both kernels and every accessor
-/// take it. Kept only for callers that still build the flood's former
-/// scratch type by name.
-#[derive(Debug, Clone, Default)]
+/// take it. Kept only because roundbench's replay builds the flood's
+/// former scratch type by name.
+#[derive(Debug, Clone)]
 pub struct BroadcastScratch(GossipScratch);
 
 impl BroadcastScratch {
-    /// [`GossipScratch::new`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// [`GossipScratch::with_queue`].
-    pub fn with_queue(kind: QueueKind) -> Self {
-        BroadcastScratch(GossipScratch::with_queue(kind))
-    }
-
-    /// A scratch pre-sized for `n` nodes on the default queue kind.
-    pub fn with_capacity(n: usize) -> Self {
-        Self::with_capacity_and_queue(n, QueueKind::default())
-    }
-
-    /// A scratch pre-sized for `n` nodes on the given queue kind
-    /// ([`GossipScratch::with_capacity_and_queue`], no edges checked).
-    pub fn with_capacity_and_queue(n: usize, kind: QueueKind) -> Self {
-        BroadcastScratch(GossipScratch::with_capacity_and_queue(n, 0, kind))
+    /// A scratch pre-sized for `n` nodes
+    /// ([`GossipScratch::with_capacity`], no edges checked), under the
+    /// name roundbench's replay calls; [`QueueKind`] has one value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` reaches the packed-payload cap.
+    pub fn with_capacity_and_queue(n: usize, _: QueueKind) -> Self {
+        BroadcastScratch(GossipScratch::with_capacity(n, 0))
     }
 }
 

@@ -10,15 +10,14 @@
 //! faulted delivery row of the message-level engine, and the relay,
 //! delivery and fault tallies — and compare the digest with a pinned
 //! constant.
-//! Each digest must come out the same on both queue kinds.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use perigee_netsim::{
     ConnectionLimits, FaultPlan, GeoLatencyModel, GossipConfig, GossipScratch, LinkFaultRates,
-    LinkFlaps, NodeId, Population, PopulationBuilder, QueueKind, Region, RegionalWindow, SimTime,
-    Topology, TopologyView,
+    LinkFlaps, NodeId, Population, PopulationBuilder, Region, RegionalWindow, SimTime, Topology,
+    TopologyView,
 };
 
 const NODES: usize = 90;
@@ -102,13 +101,13 @@ fn world() -> (TopologyView, Vec<Region>, Vec<Vec<NodeId>>) {
     (view, regions, miners)
 }
 
-/// Digest of every faulted message-level run of `config` on `kind`:
+/// Digest of every faulted message-level run of `config`:
 /// per block, the arrivals and every faulted delivery row in CSR edge
 /// order, then the run's relay, delivery and fault tallies.
-fn gossip_digest(config: &GossipConfig, kind: QueueKind) -> (u64, usize) {
+fn gossip_digest(config: &GossipConfig) -> (u64, usize) {
     let (view, regions, miners) = world();
     let plan = hostile_plan();
-    let mut scratch = GossipScratch::with_queue(kind);
+    let mut scratch = GossipScratch::new();
     let mut fnv = Fnv::new();
     let mut drops = 0;
     for (round, blocks) in miners.iter().enumerate() {
@@ -143,13 +142,13 @@ fn gossip_digest(config: &GossipConfig, kind: QueueKind) -> (u64, usize) {
     (fnv.0, drops)
 }
 
-/// Digest of every faulted analytic flood on `kind`: per block, the
+/// Digest of every faulted analytic flood: per block, the
 /// arrivals and the relay starts, then the run's event and fault
 /// tallies.
-fn flood_digest(kind: QueueKind) -> u64 {
+fn flood_digest() -> u64 {
     let (view, regions, miners) = world();
     let plan = hostile_plan();
-    let mut scratch = GossipScratch::with_queue(kind);
+    let mut scratch = GossipScratch::new();
     let mut fnv = Fnv::new();
     for (round, blocks) in miners.iter().enumerate() {
         let rf = plan.compile(round, &view, &regions);
@@ -177,15 +176,13 @@ fn flood_digest(kind: QueueKind) -> u64 {
 }
 
 fn assert_gossip_pinned(config: GossipConfig, pinned: u64) {
-    for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-        let (digest, drops) = gossip_digest(&config, kind);
-        assert!(drops > 0, "faults must leave some edges undelivered");
-        assert_eq!(
-            digest, pinned,
-            "faulted {:?} run diverged from its pinned digest on {kind:?}: got {digest:#018x}",
-            config.mode
-        );
-    }
+    let (digest, drops) = gossip_digest(&config);
+    assert!(drops > 0, "faults must leave some edges undelivered");
+    assert_eq!(
+        digest, pinned,
+        "faulted {:?} run diverged from its pinned digest: got {digest:#018x}",
+        config.mode
+    );
 }
 
 #[test]
@@ -210,11 +207,9 @@ fn faulted_push_pull_matches_pinned_digest() {
 
 #[test]
 fn faulted_analytic_flood_matches_pinned_digest() {
-    for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-        let digest = flood_digest(kind);
-        assert_eq!(
-            digest, 0x0ec0_e17b_2ca3_f513,
-            "faulted analytic flood diverged from its pinned digest on {kind:?}: got {digest:#018x}"
-        );
-    }
+    let digest = flood_digest();
+    assert_eq!(
+        digest, 0x0ec0_e17b_2ca3_f513,
+        "faulted analytic flood diverged from its pinned digest: got {digest:#018x}"
+    );
 }

@@ -1,10 +1,9 @@
 //! Batched-vs-sequential bit-equality: a k-message
 //! [`TopologyView::gossip_batch_into`] pass must produce delivery rows,
 //! relay starts, arrivals and coverage times **bit-identical** to k
-//! independent [`TopologyView::gossip_into`] calls, on both
-//! [`QueueKind`]s — the correctness contract that lets the traffic layer
-//! share one scratch across a round's messages without changing a single
-//! float.
+//! independent [`TopologyView::gossip_into`] calls — the correctness
+//! contract that lets the traffic layer share one scratch across a
+//! round's messages without changing a single float.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -12,8 +11,8 @@ use rand::{Rng, SeedableRng};
 use perigee_netsim::gossip::BatchMessage;
 use perigee_netsim::{
     BlockFaults, ConnectionLimits, FaultPlan, GeoLatencyModel, GossipConfig, GossipScratch,
-    LinkFaultRates, NodeId, Population, PopulationBuilder, QueueKind, SimTime, Topology,
-    TopologyView, TrafficConfig,
+    LinkFaultRates, NodeId, Population, PopulationBuilder, SimTime, Topology, TopologyView,
+    TrafficConfig,
 };
 
 fn random_world(n: usize, seed: u64) -> (Population, GeoLatencyModel, Topology, StdRng) {
@@ -67,11 +66,11 @@ fn bits(times: &[SimTime]) -> Vec<u64> {
     times.iter().map(|t| t.as_ms().to_bits()).collect()
 }
 
-/// Runs `batch` once batched and once as k sequential single passes on
-/// `kind`, asserting every per-message observable is bit-identical.
-fn assert_batch_equals_sequential(view: &TopologyView, batch: &[BatchMessage], kind: QueueKind) {
-    let mut batched = GossipScratch::with_queue(kind);
-    let mut single = GossipScratch::with_queue(kind);
+/// Runs `batch` once batched and once as k sequential single passes,
+/// asserting every per-message observable is bit-identical.
+fn assert_batch_equals_sequential(view: &TopologyView, batch: &[BatchMessage]) {
+    let mut batched = GossipScratch::new();
+    let mut single = GossipScratch::new();
     let mut visited = 0usize;
     view.gossip_batch_into(batch, &mut batched, |i, s| {
         visited += 1;
@@ -83,18 +82,18 @@ fn assert_batch_equals_sequential(view: &TopologyView, batch: &[BatchMessage], k
             assert_eq!(
                 s.arrival(v).as_ms().to_bits(),
                 single.arrival(v).as_ms().to_bits(),
-                "message {i} arrival at {v} ({kind:?})"
+                "message {i} arrival at {v}"
             );
         }
         assert_eq!(
             bits(s.relay_starts()),
             bits(single.relay_starts()),
-            "message {i} relay starts ({kind:?})"
+            "message {i} relay starts"
         );
         assert_eq!(
             bits(&rows(view, s, None)),
             bits(&rows(view, &single, None)),
-            "message {i} delivery rows ({kind:?})"
+            "message {i} delivery rows"
         );
         assert_eq!(s.reached(), single.reached());
         let fractions = [0.5, 0.9, 1.0];
@@ -102,20 +101,18 @@ fn assert_batch_equals_sequential(view: &TopologyView, batch: &[BatchMessage], k
         s.coverage_times_into(view, &fractions, &mut via_batch);
         let mut via_single = [SimTime::ZERO; 3];
         single.coverage_times_into(view, &fractions, &mut via_single);
-        assert_eq!(via_batch, via_single, "message {i} coverage ({kind:?})");
+        assert_eq!(via_batch, via_single, "message {i} coverage");
     });
     assert_eq!(visited, batch.len());
 }
 
 #[test]
-fn batch_is_bit_identical_to_sequential_on_both_queue_kinds() {
+fn batch_is_bit_identical_to_sequential() {
     for seed in 0..3 {
         let (pop, lat, topo, mut rng) = random_world(60, seed + 40);
         let view = TopologyView::new(&topo, &lat, &pop);
         let batch = mixed_batch(60, 24, &mut rng);
-        for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-            assert_batch_equals_sequential(&view, &batch, kind);
-        }
+        assert_batch_equals_sequential(&view, &batch);
     }
 }
 
@@ -147,45 +144,43 @@ fn repeated_batches_reuse_the_scratch_without_drift() {
         },
         ..FaultPlan::default()
     };
-    for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-        // Three consecutive batches through ONE scratch, with plain and
-        // faulted single-message runs on the same scratch in between,
-        // must equal fresh-scratch runs.
-        let mut carried = GossipScratch::with_queue(kind);
-        for round in 0..3 {
-            let batch = mixed_batch(50, 16, &mut rng);
-            let mut fresh = GossipScratch::with_queue(kind);
-            let mut expect: Vec<Vec<SimTime>> = Vec::new();
-            view.gossip_batch_into(&batch, &mut fresh, |_, s| {
-                expect.push(s.arrivals().to_vec());
-            });
-            let mut got: Vec<Vec<SimTime>> = Vec::new();
-            view.gossip_batch_into(&batch, &mut carried, |_, s| {
-                got.push(s.arrivals().to_vec());
-            });
-            assert_eq!(expect, got, "round {round} ({kind:?})");
+    // Three consecutive batches through ONE scratch, with plain and
+    // faulted single-message runs on the same scratch in between,
+    // must equal fresh-scratch runs.
+    let mut carried = GossipScratch::new();
+    for round in 0..3 {
+        let batch = mixed_batch(50, 16, &mut rng);
+        let mut fresh = GossipScratch::new();
+        let mut expect: Vec<Vec<SimTime>> = Vec::new();
+        view.gossip_batch_into(&batch, &mut fresh, |_, s| {
+            expect.push(s.arrivals().to_vec());
+        });
+        let mut got: Vec<Vec<SimTime>> = Vec::new();
+        view.gossip_batch_into(&batch, &mut carried, |_, s| {
+            got.push(s.arrivals().to_vec());
+        });
+        assert_eq!(expect, got, "round {round}");
 
-            let msg = &batch[round];
-            let mut fresh = GossipScratch::with_queue(kind);
-            view.gossip_into(msg.source, &msg.config, &mut fresh);
-            view.gossip_into(msg.source, &msg.config, &mut carried);
-            assert_eq!(
-                single_run(&view, &fresh, None),
-                single_run(&view, &carried, None),
-                "single message after round {round} ({kind:?})"
-            );
+        let msg = &batch[round];
+        let mut fresh = GossipScratch::new();
+        view.gossip_into(msg.source, &msg.config, &mut fresh);
+        view.gossip_into(msg.source, &msg.config, &mut carried);
+        assert_eq!(
+            single_run(&view, &fresh, None),
+            single_run(&view, &carried, None),
+            "single message after round {round}"
+        );
 
-            let rf = plan.compile(round, &view, &regions);
-            let bf = rf.block(round);
-            let mut fresh = GossipScratch::with_queue(kind);
-            view.gossip_into_faulted(msg.source, &msg.config, &mut fresh, Some(&bf));
-            view.gossip_into_faulted(msg.source, &msg.config, &mut carried, Some(&bf));
-            assert_eq!(
-                single_run(&view, &fresh, Some(&bf)),
-                single_run(&view, &carried, Some(&bf)),
-                "faulted message after round {round} ({kind:?})"
-            );
-        }
+        let rf = plan.compile(round, &view, &regions);
+        let bf = rf.block(round);
+        let mut fresh = GossipScratch::new();
+        view.gossip_into_faulted(msg.source, &msg.config, &mut fresh, Some(&bf));
+        view.gossip_into_faulted(msg.source, &msg.config, &mut carried, Some(&bf));
+        assert_eq!(
+            single_run(&view, &fresh, Some(&bf)),
+            single_run(&view, &carried, Some(&bf)),
+            "faulted message after round {round}"
+        );
     }
 }
 
@@ -198,7 +193,6 @@ fn traffic_stream_batches_match_sequential_passes() {
     assert!(messages.len() > 400, "paper stream should be dense");
     let mut batch = Vec::new();
     traffic.batch_for(&messages, &mut batch);
-    // Sample-check the full stream on the calendar queue (the whole
-    // stream on both kinds is covered by the smaller worlds above).
-    assert_batch_equals_sequential(&view, &batch[..200], QueueKind::Calendar);
+    // Sample-check the first 200 messages of the stream.
+    assert_batch_equals_sequential(&view, &batch[..200]);
 }

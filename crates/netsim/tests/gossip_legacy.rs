@@ -1,12 +1,17 @@
-//! Cross-validation of the pooled gossip engine against the reference
+//! Cross-validation of both propagation kernels against the reference
 //! engine [`perigee_netsim::reference::gossip_block`]: the original
 //! [`EventQueue`]-based
 //! engine with boxed events and per-node `BTreeMap` delivery logs. The
-//! pooled engine claims bit-identical behaviour by construction (same
+//! production kernels claim bit-identical behaviour by construction (same
 //! schedule order, same time-tie insertion-sequence break, same `δ(u,v)`
 //! call directions, same transfer floats); this suite checks the claim
 //! event for event across both modes, bandwidth models and adversarial
-//! behaviours.
+//! behaviours, on 20- to 250-node worlds. The analytic flood
+//! ([`TopologyView::broadcast_into`]) is checked against the reference's
+//! flood of a zero-size block, coverage times against
+//! [`perigee_netsim::reference::coverage_times`], and a scratch reused
+//! across blocks must leave each block exactly what the reference
+//! computes from nothing.
 //!
 //! [`EventQueue`]: perigee_netsim::EventQueue
 
@@ -15,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use std::collections::BTreeMap;
 
-use perigee_netsim::reference::gossip_block as legacy_gossip_block;
+use perigee_netsim::reference::{coverage_times, gossip_block as legacy_gossip_block};
 use perigee_netsim::{
     Behavior, ConnectionLimits, GeoLatencyModel, GossipConfig, GossipMode, GossipScratch, NodeId,
     Population, PopulationBuilder, SimTime, Topology, TopologyView, TransferModel,
@@ -37,19 +42,19 @@ fn random_world(n: usize, seed: u64) -> (Population, GeoLatencyModel, Topology, 
     (pop, lat, topo, rng)
 }
 
-/// Asserts the pooled engine equals the legacy replica bit for bit:
-/// arrivals AND every node's full per-neighbor delivery log.
-fn assert_engines_agree(
-    pop: &Population,
-    lat: &GeoLatencyModel,
-    topo: &Topology,
+/// Asserts the message `scratch` just simulated through `view` from
+/// `src` under `cfg` equals the legacy replica bit for bit: arrivals AND
+/// every node's full per-neighbor delivery log.
+fn assert_matches_legacy(
+    world: (&Population, &GeoLatencyModel, &Topology),
+    view: &TopologyView,
+    scratch: &GossipScratch,
     src: NodeId,
     cfg: &GossipConfig,
 ) {
+    let (pop, lat, topo) = world;
     let (legacy_arrival, legacy_deliveries) = legacy_gossip_block(topo, lat, pop, src, cfg);
-    let view = TopologyView::new(topo, lat, pop);
-    let mut scratch = GossipScratch::new();
-    view.gossip_into(src, cfg, &mut scratch);
+    assert_eq!(scratch.source(), src);
     assert_eq!(
         scratch.arrivals(),
         legacy_arrival.as_slice(),
@@ -61,7 +66,7 @@ fn assert_engines_agree(
         // that delivered, by id.
         let log: BTreeMap<NodeId, SimTime> = view
             .neighbors(v)
-            .zip(scratch.neighbor_deliveries(&view, v))
+            .zip(scratch.neighbor_deliveries(view, v))
             .filter(|(_, t)| t.is_finite())
             .collect();
         assert_eq!(
@@ -70,6 +75,42 @@ fn assert_engines_agree(
             "delivery log of {v} differs"
         );
     }
+}
+
+/// Asserts the pooled engine, on a fresh view and scratch, equals the
+/// legacy replica bit for bit.
+fn assert_engines_agree(
+    pop: &Population,
+    lat: &GeoLatencyModel,
+    topo: &Topology,
+    src: NodeId,
+    cfg: &GossipConfig,
+) {
+    let view = TopologyView::new(topo, lat, pop);
+    let mut scratch = GossipScratch::new();
+    view.gossip_into(src, cfg, &mut scratch);
+    assert_matches_legacy((pop, lat, topo), &view, &scratch, src, cfg);
+}
+
+/// Floods `src` analytically on `scratch` and asserts it equals the
+/// legacy replica's flood of a zero-size block: arrivals, delivery logs
+/// and multi-fraction coverage times.
+fn assert_flood_matches_legacy(
+    world: (&Population, &GeoLatencyModel, &Topology),
+    view: &TopologyView,
+    scratch: &mut GossipScratch,
+    src: NodeId,
+) {
+    view.broadcast_into(src, scratch);
+    assert_matches_legacy(world, view, scratch, src, &GossipConfig::flood());
+    let fractions = [0.1, 0.5, 0.9, 1.0];
+    let mut coverage = [SimTime::ZERO; 4];
+    scratch.coverage_times_into(view, &fractions, &mut coverage);
+    assert_eq!(
+        coverage.as_slice(),
+        coverage_times(scratch.arrivals(), world.0, &fractions),
+        "coverage times differ"
+    );
 }
 
 #[test]
@@ -113,8 +154,18 @@ fn push_pull_mode_is_bit_identical_to_legacy_engine() {
 
 #[test]
 fn bandwidth_limited_transfers_are_bit_identical_to_legacy_engine() {
-    for seed in 0..4 {
-        let mut rng = StdRng::seed_from_u64(seed + 500);
+    // (population seed, latency seed): two families of skewed worlds.
+    let worlds = [
+        (500, 0),
+        (501, 1),
+        (502, 2),
+        (503, 3),
+        (700, 0),
+        (701, 1),
+        (702, 2),
+    ];
+    for (pop_seed, seed) in worlds {
+        let mut rng = StdRng::seed_from_u64(pop_seed);
         let pop = PopulationBuilder::new(60)
             .bandwidth_skew(true)
             .build(&mut rng)
@@ -158,5 +209,76 @@ fn adversarial_behaviors_are_bit_identical_to_legacy_engine() {
         for src in [0u32, 9, 4] {
             assert_engines_agree(&pop, &lat, &topo, NodeId::new(src), &cfg);
         }
+    }
+}
+
+#[test]
+fn analytic_flood_is_bit_identical_to_legacy_engine_across_sizes() {
+    for (n, seed) in [(20usize, 0u64), (50, 1), (50, 2), (120, 3), (250, 4)] {
+        let (pop, lat, topo, mut rng) = random_world(n, seed);
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut scratch = GossipScratch::new();
+        for _ in 0..4 {
+            let src = NodeId::new(rng.gen_range(0..n as u32));
+            assert_flood_matches_legacy((&pop, &lat, &topo), &view, &mut scratch, src);
+        }
+    }
+}
+
+#[test]
+fn gossip_on_a_reused_scratch_is_bit_identical_to_legacy_engine_across_sizes() {
+    for (n, seed) in [(20usize, 10u64), (60, 11), (60, 12), (150, 13)] {
+        let (pop, lat, topo, mut rng) = random_world(n, seed);
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut scratch = GossipScratch::new();
+        for cfg in [
+            GossipConfig::flood(),
+            GossipConfig::inv_getdata(0.0),
+            GossipConfig::inv_getdata(1.0),
+        ] {
+            for _ in 0..3 {
+                let src = NodeId::new(rng.gen_range(0..n as u32));
+                view.gossip_into(src, &cfg, &mut scratch);
+                assert_matches_legacy((&pop, &lat, &topo), &view, &scratch, src, &cfg);
+            }
+        }
+    }
+}
+
+#[test]
+fn withholding_past_whole_seconds_is_bit_identical_to_legacy_engine() {
+    // Silent absorbers and long withholding delays push event times far
+    // from the typical latency band, past whole-second marks included.
+    let (mut pop, lat, topo, mut rng) = random_world(50, 77);
+    pop.profile_mut(NodeId::new(3)).behavior = Behavior::Silent;
+    pop.profile_mut(NodeId::new(11)).behavior = Behavior::Delay(SimTime::from_ms(2_500.0));
+    pop.profile_mut(NodeId::new(29)).behavior = Behavior::Delay(SimTime::from_ms(301.5));
+    let view = TopologyView::new(&topo, &lat, &pop);
+    let world = (&pop, &lat, &topo);
+    let mut flood = GossipScratch::new();
+    let mut gossip = GossipScratch::new();
+    for _ in 0..4 {
+        let src = NodeId::new(rng.gen_range(0..50));
+        assert_flood_matches_legacy(world, &view, &mut flood, src);
+        for cfg in [GossipConfig::flood(), GossipConfig::inv_getdata(0.0)] {
+            view.gossip_into(src, &cfg, &mut gossip);
+            assert_matches_legacy(world, &view, &gossip, src, &cfg);
+        }
+    }
+}
+
+#[test]
+fn one_scratch_across_25_blocks_is_bit_identical_to_legacy_engine() {
+    // The per-message reset and the calendar's O(1) clear leave no
+    // residue between blocks: every block of a long sequence through ONE
+    // scratch equals the reference, which starts each block from nothing.
+    let (pop, lat, topo, mut rng) = random_world(80, 99);
+    let view = TopologyView::new(&topo, &lat, &pop);
+    let mut scratch = GossipScratch::new();
+    let cfg = GossipConfig::inv_getdata(0.0);
+    for _ in 0..25 {
+        let src = NodeId::new(rng.gen_range(0..80));
+        view.gossip_into(src, &cfg, &mut scratch);
+        assert_matches_legacy((&pop, &lat, &topo), &view, &scratch, src, &cfg);
     }
 }

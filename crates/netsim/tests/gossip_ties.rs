@@ -16,15 +16,15 @@
 //! - a layout with co-located node pairs, whose link has δ = 0.
 //!
 //! Every message must equal the oracle [`reference::gossip_block`]
-//! (arrivals and delivery logs), single and batched, on both queue
-//! kinds, and some of them must have fallen back.
+//! (arrivals and delivery logs), single and batched, and some of them
+//! must have fallen back.
 
 use std::collections::BTreeMap;
 
 use perigee_netsim::reference;
 use perigee_netsim::{
     BatchMessage, ConnectionLimits, GossipConfig, GossipMode, GossipScratch, MetricLatencyModel,
-    NodeId, NodeProfile, Population, QueueKind, SimTime, Topology, TopologyView, TransferModel,
+    NodeId, NodeProfile, Population, SimTime, Topology, TopologyView, TransferModel,
 };
 
 const SIDE: u32 = 7;
@@ -133,20 +133,18 @@ fn tie_world_gossip_equals_the_oracle_and_falls_back() {
     for variant in variants() {
         let world = grid_world(variant);
         let view = TopologyView::new(&world.2, &world.1, &world.0);
-        for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-            let mut scratch = GossipScratch::with_queue(kind);
-            for config in configs() {
-                for s in 0..SIDE * SIDE {
-                    let source = NodeId::new(s);
-                    view.gossip_into(source, &config, &mut scratch);
-                    let what = format!("{variant:?} {config:?} from {source} on {kind:?}");
-                    assert_matches_oracle(&world, &view, &scratch, source, &config, &what);
-                }
+        let mut scratch = GossipScratch::new();
+        for config in configs() {
+            for s in 0..SIDE * SIDE {
+                let source = NodeId::new(s);
+                view.gossip_into(source, &config, &mut scratch);
+                let what = format!("{variant:?} {config:?} from {source}");
+                assert_matches_oracle(&world, &view, &scratch, source, &config, &what);
             }
-            let c = scratch.take_counters();
-            messages += (SIDE * SIDE) as u64 * configs().len() as u64;
-            fallbacks += c.gossip_fallbacks;
         }
+        let c = scratch.take_counters();
+        messages += (SIDE * SIDE) as u64 * configs().len() as u64;
+        fallbacks += c.gossip_fallbacks;
     }
     assert!(fallbacks > 0, "the tie world must exercise the fallback");
     assert!(
@@ -170,18 +168,16 @@ fn tie_world_batches_equal_the_oracle_message_by_message() {
                 })
             })
             .collect();
-        for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-            let mut scratch = GossipScratch::with_queue(kind);
-            let mut visited = 0;
-            view.gossip_batch_into(&batch, &mut scratch, |i, s| {
-                visited += 1;
-                let msg = &batch[i];
-                let what = format!("{variant:?} batch message {i} on {kind:?}");
-                assert_matches_oracle(&world, &view, s, msg.source, &msg.config, &what);
-            });
-            assert_eq!(visited, batch.len());
-            fallbacks += scratch.take_counters().gossip_fallbacks;
-        }
+        let mut scratch = GossipScratch::new();
+        let mut visited = 0;
+        view.gossip_batch_into(&batch, &mut scratch, |i, s| {
+            visited += 1;
+            let msg = &batch[i];
+            let what = format!("{variant:?} batch message {i}");
+            assert_matches_oracle(&world, &view, s, msg.source, &msg.config, &what);
+        });
+        assert_eq!(visited, batch.len());
+        fallbacks += scratch.take_counters().gossip_fallbacks;
     }
     assert!(fallbacks > 0, "the tie world must exercise the fallback");
 }

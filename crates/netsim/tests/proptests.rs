@@ -1,12 +1,13 @@
 //! Property-based tests of the simulator substrate.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use perigee_netsim::pq::{CalendarQueue, PackedQueue, QueueKind, TimeKey, BUCKET_WIDTH_MS};
+use perigee_netsim::pq::{CalendarQueue, BUCKET_WIDTH_MS};
 use perigee_netsim::{
     reference, BlockFaults, ConnectionLimits, EventQueue, FaultPlan, GeoLatencyModel, GossipConfig,
     GossipScratch, LatencyModel, LinkFaultRates, LinkFlaps, NodeId, PopulationBuilder, Region,
@@ -17,6 +18,11 @@ use perigee_netsim::{
 /// bits over `payload`.
 fn settle_key(t: f64, payload: u32) -> u128 {
     ((t.to_bits() as u128) << 64) | payload as u128
+}
+
+/// The time of a packed calendar key.
+fn key_time(key: u128) -> f64 {
+    f64::from_bits((key >> 64) as u64)
 }
 
 /// Maps a `(class, unit float, integer)` triple onto the f64 edge cases
@@ -492,40 +498,85 @@ proptest! {
 
     /// Under monotone interleaving (every push ≥ the last pop — the
     /// Dijkstra/gossip discipline), the calendar agrees with a
-    /// `BinaryHeap` oracle pop for pop, through the same [`PackedQueue`]
-    /// front end the propagation scratch uses.
+    /// `BinaryHeap` oracle pop for pop.
     #[test]
-    fn packed_queue_kinds_agree_under_monotone_interleaving(
+    fn calendar_agrees_with_the_heap_under_monotone_interleaving(
         seeds in proptest::collection::vec((0u8..8, 0.0f64..1.0, 0u32..70_000), 1..60),
         fanout in 1usize..4,
     ) {
-        let mut cal = PackedQueue::with_kind(QueueKind::Calendar);
-        let mut heap = PackedQueue::with_kind(QueueKind::BinaryHeap);
+        let mut cal = CalendarQueue::new();
+        let mut heap = BinaryHeap::new();
         let mut seq = 0u32;
         for &(class, x, k) in &seeds {
             let key = settle_key(edge_case_time(class, x, k), seq);
             seq += 1;
             cal.push(key);
-            heap.push(key);
+            heap.push(Reverse(key));
         }
         let mut deltas = seeds.iter().cycle();
         while let Some(k) = cal.pop() {
-            prop_assert_eq!(heap.pop(), Some(k));
+            prop_assert_eq!(heap.pop(), Some(Reverse(k)));
             // Schedule follow-ups relative to the popped time, like a
             // relaxation step: delays are non-negative, so the monotone
             // contract holds by construction.
             if seq < 300 {
-                let t = k.time_ms();
+                let t = key_time(k);
                 for _ in 0..fanout {
                     let &(class, x, kk) = deltas.next().unwrap();
                     let key = settle_key(t + edge_case_time(class, x, kk), seq);
                     seq += 1;
                     cal.push(key);
-                    heap.push(key);
+                    heap.push(Reverse(key));
                 }
             }
         }
         prop_assert_eq!(heap.pop(), None);
+    }
+
+    /// The reuse contract: one calendar queue driven through pushes, pops
+    /// and clears — clears after partial drains, pushes into the bucket
+    /// being drained (zero and subnormal delays) and keys past the wheel
+    /// horizon included — pops exactly what a `BinaryHeap` cleared at the
+    /// same steps pops, so a scratch's queue carries nothing from one
+    /// message to the next.
+    #[test]
+    fn reused_calendar_agrees_with_a_heap_cleared_at_the_same_steps(
+        ops in proptest::collection::vec((0u8..16, 0u8..8, 0.0f64..1.0, 0u32..70_000), 1..400)
+    ) {
+        let mut cal = CalendarQueue::new();
+        let mut heap = BinaryHeap::new();
+        // Every push lands at or after the last popped time, the monotone
+        // contract; a clear resets it.
+        let mut floor = 0.0;
+        for (seq, &(op, class, x, k)) in ops.iter().enumerate() {
+            match op {
+                0..=7 => {
+                    let key = settle_key(floor + edge_case_time(class, x, k), seq as u32);
+                    cal.push(key);
+                    heap.push(Reverse(key));
+                }
+                8..=13 => {
+                    let popped = cal.pop();
+                    prop_assert_eq!(popped, heap.pop().map(|Reverse(k)| k));
+                    if let Some(k) = popped {
+                        floor = key_time(k);
+                    }
+                }
+                _ => {
+                    cal.clear();
+                    heap.clear();
+                    floor = 0.0;
+                }
+            }
+            prop_assert_eq!(cal.len(), heap.len());
+        }
+        loop {
+            let popped = cal.pop();
+            prop_assert_eq!(popped, heap.pop().map(|Reverse(k)| k));
+            if popped.is_none() {
+                break;
+            }
+        }
     }
 
     /// The gossip engine's packed `u128` words pop in exact insertion-
@@ -535,7 +586,7 @@ proptest! {
     fn calendar_u128_ties_break_by_insertion_sequence(
         entries in proptest::collection::vec((0u8..8, 0.0f64..1.0, 0u32..70_000), 1..300)
     ) {
-        let mut q: CalendarQueue<u128> = CalendarQueue::new();
+        let mut q = CalendarQueue::new();
         let mut expect: Vec<u128> = Vec::with_capacity(entries.len());
         for (i, &(class, x, k)) in entries.iter().enumerate() {
             // Coarse grid on the time classes so exact duplicate times are

@@ -4,8 +4,7 @@
 use perigee::core::{PerigeeConfig, PerigeeEngine, ScoringMethod};
 use perigee::experiments::{fig3, fig5, Algorithm, Scenario};
 use perigee::netsim::{
-    reference, ConnectionLimits, GossipConfig, GossipScratch, LatencyModel, NodeId, QueueKind,
-    SimTime, TopologyView,
+    reference, ConnectionLimits, GossipConfig, GossipScratch, LatencyModel, NodeId, TopologyView,
 };
 use perigee::topology::{RandomBuilder, TopologyBuilder};
 use rand::SeedableRng;
@@ -182,9 +181,9 @@ fn end_to_end_determinism() {
 /// A message-level (INV/GETDATA) engine round end to end — closing the
 /// seed-era gap where this suite only ever exercised analytic rounds:
 /// per-round λ50/λ90 must be coherent, per-node coverage times must be
-/// monotone in the coverage fraction, and the engine's evaluation (on
-/// the calendar queue) must be bit-identical to a sweep on a
-/// `BinaryHeap` reference scratch.
+/// monotone in the coverage fraction, and the engine's evaluation must
+/// be bit-identical to the `reference` oracles: the seed's event-queue
+/// engine and the sort-and-scan coverage time.
 #[test]
 fn gossip_mode_round_has_monotone_coverage() {
     let world = perigee::experiments::build_world(&ci_scenario(), 21);
@@ -220,22 +219,26 @@ fn gossip_mode_round_has_monotone_coverage() {
     engine.topology().assert_invariants();
 
     // Coverage monotonicity under the message-level engine: reaching a
-    // larger hash-power fraction can never be faster, for any source. A
-    // heap-queue scratch sweep over the learned overlay reproduces every
-    // coverage time the calendar-queue evaluation reports.
+    // larger hash-power fraction can never be faster, for any source. The
+    // seed's event-queue engine and the sort-and-scan coverage oracle,
+    // run over the learned overlay, reproduce every coverage time the
+    // engine's evaluation reports.
     let fractions = [0.25, 0.5, 0.75, 0.9, 1.0];
     let per_fraction: Vec<Vec<f64>> = fractions.iter().map(|&f| engine.evaluate(f)).collect();
-    let view = TopologyView::new(engine.topology(), engine.latency(), engine.population());
-    let mut heap = GossipScratch::with_queue(QueueKind::BinaryHeap);
-    let mut coverage = vec![SimTime::ZERO; fractions.len()];
     for node in 0..ci_scenario().nodes {
-        view.gossip_into(NodeId::new(node as u32), &inv, &mut heap);
-        heap.coverage_times_into(&view, &fractions, &mut coverage);
+        let (arrivals, _) = reference::gossip_block(
+            engine.topology(),
+            engine.latency(),
+            engine.population(),
+            NodeId::new(node as u32),
+            &inv,
+        );
+        let coverage = reference::coverage_times(&arrivals, engine.population(), &fractions);
         for (k, t) in coverage.iter().enumerate() {
             assert_eq!(
                 t.as_ms().to_bits(),
                 per_fraction[k][node].to_bits(),
-                "node {node}: the calendar-queue evaluation diverged from the heap reference"
+                "node {node}: the engine's evaluation diverged from the reference engine"
             );
         }
         for w in per_fraction.windows(2) {
