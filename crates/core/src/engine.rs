@@ -939,6 +939,13 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// bit-identical to one
     /// sequential [`TopologyView::gossip_into`] call per message (the
     /// batch engine's contract), whatever the thread count.
+    ///
+    /// A message's run is a function of its source and config, and the
+    /// stream lists a node's messages of one class next to each other. So
+    /// a message equal to its predecessor in the chunk is not simulated,
+    /// covered or recorded again: the batch serves it from the scratch,
+    /// its λs are its predecessor's, and its rows a copy of the rows just
+    /// recorded.
     fn observe_traffic(
         &self,
         view: &TopologyView,
@@ -956,8 +963,12 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 let mut per_message = Vec::with_capacity(chunk.len());
                 let mut coverage = [SimTime::ZERO; 2];
                 view.gossip_batch_into(chunk, scratch, |i, s| {
-                    s.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
-                    collector.record_scratch(view, s);
+                    if i > 0 && chunk[i] == chunk[i - 1] {
+                        collector.repeat_last_block();
+                    } else {
+                        s.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
+                        collector.record_scratch(view, s);
+                    }
                     per_message.push((
                         messages[start + i].class,
                         coverage[0].as_ms(),
@@ -2303,6 +2314,133 @@ mod tests {
         let known = engine.address_book().unwrap().known_count(NodeId::new(0));
         assert!(known >= 20, "address gossip should grow views, got {known}");
         engine.topology().assert_invariants();
+    }
+
+    /// The oracle of the traffic fan-out: `messages` simulated, covered
+    /// and recorded one by one through `view` onto `store` (an empty store
+    /// of either backend). Returns the store, the per-class stats and the
+    /// tallies.
+    fn traffic_message_by_message(
+        view: &TopologyView,
+        traffic: &TrafficConfig,
+        messages: &[TrafficMessage],
+        store: RoundStore,
+    ) -> (RoundStore, TrafficRoundStats, SimCounters) {
+        let mut batch = Vec::new();
+        traffic.batch_for(messages, &mut batch);
+        let mut scratch = GossipScratch::new();
+        let mut collector = ObservationCollector::from_view(view);
+        let mut per_class: Vec<TrafficClassRoundStats> = traffic
+            .classes
+            .iter()
+            .map(|c| TrafficClassRoundStats {
+                name: c.name.clone(),
+                messages: 0,
+                mean_lambda90_ms: 0.0,
+                mean_lambda50_ms: 0.0,
+            })
+            .collect();
+        for (m, msg) in messages.iter().zip(&batch) {
+            view.gossip_into(msg.source, &msg.config, &mut scratch);
+            let mut coverage = [SimTime::ZERO; 2];
+            scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
+            collector.record_scratch(view, &scratch);
+            let c = &mut per_class[m.class as usize];
+            c.messages += 1;
+            c.mean_lambda90_ms += coverage[0].as_ms();
+            c.mean_lambda50_ms += coverage[1].as_ms();
+        }
+        for c in &mut per_class {
+            c.mean_lambda90_ms /= c.messages as f64;
+            c.mean_lambda50_ms /= c.messages as f64;
+        }
+        let stats = TrafficRoundStats {
+            messages: messages.len(),
+            per_class,
+        };
+        let store = match store {
+            RoundStore::Dense(_) => RoundStore::Dense(collector.finish()),
+            RoundStore::Sketch(mut sketch) => {
+                sketch.ingest(&collector.finish());
+                RoundStore::Sketch(sketch)
+            }
+        };
+        (store, stats, scratch.take_counters())
+    }
+
+    /// The traffic fan-out serves a repeat from its predecessor's run,
+    /// covers it with its predecessor's λs and copies its rows. On both
+    /// backends and 1, 2 and 3 threads, over a stream whose runs of 1 to
+    /// 9 copies straddle chunk starts (wherever there is more than one
+    /// chunk), that equals simulating, covering and recording every
+    /// message one by one; only the repeats inside a chunk are served, and
+    /// every other count is the loop's.
+    #[test]
+    fn traffic_repeats_equal_a_message_by_message_loop() {
+        let traffic = TrafficConfig::paper_stream(5);
+        let messages: Vec<TrafficMessage> = (0..3u32)
+            .flat_map(|class| {
+                (0..40u32).step_by(3).flat_map(move |v| {
+                    let copies = 1 + (5 * v + class) as usize % 9;
+                    std::iter::repeat_n(
+                        TrafficMessage {
+                            source: NodeId::new(v),
+                            class,
+                        },
+                        copies,
+                    )
+                })
+            })
+            .collect();
+        let repeat_at = |i: &usize| messages[*i] == messages[*i - 1];
+        for backend in [ObservationBackend::Dense, ObservationBackend::Sketch] {
+            let (mut engine, _) = small_engine(40, ScoringMethod::Subset, 4, 71);
+            engine.config.observation_backend = backend;
+            let view = engine.view();
+            let empty = || match backend {
+                ObservationBackend::Dense => RoundStore::Dense(ObservationStore::default()),
+                ObservationBackend::Sketch => RoundStore::Sketch(
+                    SketchObservationStore::from_view(&view, engine.config.percentile),
+                ),
+            };
+            let (store, stats, looped) =
+                traffic_message_by_message(&view, &traffic, &messages, empty());
+            for threads in [1, 2, 3] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let what = format!("{backend:?} on {threads} threads");
+                let (chunk, (got_store, got_stats, got)) = pool.install(|| {
+                    let mut chunk = chunk_len(messages.len());
+                    if backend == ObservationBackend::Sketch {
+                        chunk = chunk.min(SKETCH_CHUNK_BLOCKS);
+                    }
+                    let observed = engine.observe_traffic(&view, &traffic, &messages, empty());
+                    (chunk, observed)
+                });
+                let (starts, inside): (Vec<usize>, Vec<usize>) = (1..messages.len())
+                    .filter(repeat_at)
+                    .partition(|i| i % chunk == 0);
+                if chunk < messages.len() {
+                    assert!(
+                        !starts.is_empty(),
+                        "{what}: a run must straddle a chunk start"
+                    );
+                }
+                assert_eq!(got_store, store, "{what}: store");
+                assert_eq!(got_stats, stats, "{what}: traffic stats");
+                assert_eq!(got.batch_repeats, inside.len() as u64, "{what}: repeats");
+                assert_eq!(got.batch_messages, messages.len() as u64, "{what}");
+                let counts = SimCounters {
+                    batch_messages: 0,
+                    batch_peak: 0,
+                    batch_repeats: 0,
+                    ..got
+                };
+                assert_eq!(counts, looped, "{what}: counters");
+            }
+        }
     }
 
     #[test]

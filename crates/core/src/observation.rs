@@ -922,6 +922,21 @@ impl ObservationCollector {
         self.store.blocks += 1;
     }
 
+    /// Appends a copy of the last recorded block's rows: what recording
+    /// the same run again writes, without deriving a row. Within the room
+    /// [`ObservationCollector::reserve_blocks`] made, this never
+    /// reallocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the collector holds no block.
+    pub(crate) fn repeat_last_block(&mut self) {
+        assert!(self.store.blocks > 0, "no recorded block to repeat");
+        let last = self.store.times.len() - self.store.edges.len();
+        self.store.times.extend_from_within(last..);
+        self.store.blocks += 1;
+    }
+
     /// Appends another collector's blocks after this one's, in order —
     /// the merge step of the engine's parallel fan-out (each worker
     /// collects a contiguous chunk of the round's blocks; appending the
@@ -1167,6 +1182,45 @@ mod tests {
         }
         a.append(b);
         assert_eq!(a.finish(), seq.finish());
+    }
+
+    /// A repeat appends the last block's rows, not the first's: sources
+    /// 0 and 2 leave different rows, and the copy equals recording source
+    /// 2's block again.
+    #[test]
+    fn repeat_last_block_copies_exactly_the_last_block() {
+        let (pop, lat, mut topo) = world(&[0.0, 10.0, 30.0]);
+        topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
+        topo.connect(NodeId::new(1), NodeId::new(2)).unwrap();
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let mut repeated = ObservationCollector::from_view(&view);
+        let mut recorded = ObservationCollector::from_view(&view);
+        repeated.reserve_blocks(3);
+        let mut scratch = GossipScratch::new();
+        for src in [0u32, 2] {
+            view.broadcast_into(NodeId::new(src), &mut scratch);
+            repeated.record_scratch(&view, &scratch);
+            recorded.record_scratch(&view, &scratch);
+        }
+        let capacity = repeated.store.times.capacity();
+        repeated.repeat_last_block();
+        recorded.record_scratch(&view, &scratch);
+        assert_eq!(repeated.store.times.capacity(), capacity, "no reallocation");
+        let store = repeated.finish();
+        assert_eq!(store, recorded.finish());
+        assert_eq!(store.block_count(), 3);
+        let o1 = store.node(NodeId::new(1));
+        assert_ne!(o1.row(2), o1.row(0), "the first block differs");
+        assert_eq!(o1.row(2), o1.row(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "no recorded block to repeat")]
+    fn repeating_on_an_empty_collector_panics() {
+        let (pop, lat, mut topo) = world(&[0.0, 10.0]);
+        topo.connect(NodeId::new(0), NodeId::new(1)).unwrap();
+        let view = TopologyView::new(&topo, &lat, &pop);
+        ObservationCollector::from_view(&view).repeat_last_block();
     }
 
     #[test]

@@ -158,10 +158,13 @@ fn telemetry_on_and_off_are_bit_identical_in_the_hard_world() {
 }
 
 /// Counter names whose totals depend only on *what was simulated*, not
-/// on how the work was chunked. The excluded two are the `*_peak`
-/// gauges: they watch transient queue/batch occupancy, which depends on
-/// how the work was batched and queued even when every result is
-/// identical.
+/// on how the work was chunked. The excluded three follow the chunking.
+/// The two `*_peak` gauges watch transient queue/batch occupancy, which
+/// depends on how the work was batched and queued even when every result
+/// is identical. `batch_repeats` counts the messages a batch served from
+/// the run of an equal predecessor, and a chunk start splits such a run.
+/// A repeat is charged its predecessor's tallies, so the counters below
+/// read what simulating every copy counts.
 const SEMANTIC_COUNTERS: [&str; 12] = [
     "gossip_pops",
     "gossip_elided",

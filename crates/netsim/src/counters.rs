@@ -13,6 +13,13 @@
 //! Counts are plain sums and peaks are max-merges, both order-independent,
 //! so harvesting across parallel workers in any merge order yields the
 //! same totals as a sequential run.
+//!
+//! A batch serves a message equal to its predecessor from the run the
+//! scratch still holds, and charges it that run's tallies, so every
+//! other count reads what simulating each copy would have counted. Which
+//! copies a batch serves depends on where the work was split into
+//! batches, so [`SimCounters::batch_repeats`], like the two `*_peak`
+//! gauges, follows the chunking.
 
 /// Hot-path event tallies for one scratch (or one merged round).
 ///
@@ -61,6 +68,9 @@ pub struct SimCounters {
     pub batch_messages: u64,
     /// Largest single gossip batch (max-merge).
     pub batch_peak: u64,
+    /// Batch messages served from their equal predecessor's run instead
+    /// of simulated again; each is charged that run's tallies.
+    pub batch_repeats: u64,
 }
 
 impl SimCounters {
@@ -80,6 +90,7 @@ impl SimCounters {
         fault_dupes: 0,
         batch_messages: 0,
         batch_peak: 0,
+        batch_repeats: 0,
     };
 
     /// Folds `other` into `self`: counts add, peaks take the max. The
@@ -100,12 +111,13 @@ impl SimCounters {
         self.fault_dupes += other.fault_dupes;
         self.batch_messages += other.batch_messages;
         self.batch_peak = self.batch_peak.max(other.batch_peak);
+        self.batch_repeats += other.batch_repeats;
     }
 
     /// `(name, value)` pairs for every counter, in declaration order —
     /// the bridge into a trace record without the consumer knowing the
     /// field list.
-    pub fn entries(&self) -> [(&'static str, u64); 14] {
+    pub fn entries(&self) -> [(&'static str, u64); 15] {
         [
             ("gossip_pops", self.gossip_pops),
             ("gossip_elided", self.gossip_elided),
@@ -121,6 +133,7 @@ impl SimCounters {
             ("fault_dupes", self.fault_dupes),
             ("batch_messages", self.batch_messages),
             ("batch_peak", self.batch_peak),
+            ("batch_repeats", self.batch_repeats),
         ]
     }
 
@@ -201,10 +214,11 @@ mod tests {
             fault_dupes: 12,
             batch_messages: 13,
             batch_peak: 14,
+            batch_repeats: 15,
         };
         let entries = c.entries();
         let sum: u64 = entries.iter().map(|(_, v)| v).sum();
-        assert_eq!(sum, (1..=14).sum::<u64>());
+        assert_eq!(sum, (1..=15).sum::<u64>());
         assert!(!c.is_zero());
         assert!(SimCounters::ZERO.is_zero());
     }

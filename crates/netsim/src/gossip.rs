@@ -29,11 +29,14 @@
 //! Every message-level entry point runs the same per-message pass:
 //! [`TopologyView::gossip_batch_into`] over a batch of messages,
 //! [`TopologyView::gossip_into`] / [`TopologyView::gossip_into_faulted`]
-//! over a batch of one. The pass is generic over a crate-private
-//! link-fault lens, so the fault-free instance compiles to the plain code
-//! and the faulted one reads the same code. Every fan-out policy is a
-//! push prefix of the announcer's CSR row followed by INVs: flooding
-//! pushes every leg, INV/GETDATA none, push/pull its first
+//! over a batch of one. A run is a deterministic function of the view
+//! and the message, so a batch message equal to its predecessor is not
+//! simulated again: the scratch still holds that run, unless something
+//! else has run on the scratch since. The pass is generic over a
+//! crate-private link-fault lens, so the fault-free instance compiles to
+//! the plain code and the faulted one reads the same code. Every fan-out
+//! policy is a push prefix of the announcer's CSR row followed by INVs:
+//! flooding pushes every leg, INV/GETDATA none, push/pull its first
 //! `push_degree`.
 //!
 //! **Rows from relay times.** A node announces once, at `relay(u)`: its
@@ -381,7 +384,7 @@ pub trait RowSink {
 /// first message of a given network size, subsequent messages perform no
 /// heap allocation (bar a fallback growing the queue, see the module
 /// docs). Inside a [`TopologyView::gossip_batch_into`] visit every
-/// accessor reads the message just simulated.
+/// accessor reads the message being visited.
 #[derive(Debug, Clone, Default)]
 pub struct GossipScratch {
     source: NodeId,
@@ -417,6 +420,9 @@ pub struct GossipScratch {
     /// with [`GossipScratch::take_counters`]. Write-only from the
     /// simulation's point of view (see [`crate::counters`]).
     pub(crate) counters: SimCounters,
+    /// The run stamp: bumped by every [`GossipScratch::begin`], so a batch
+    /// can tell that nothing has run on the scratch since its last message.
+    run: u64,
 }
 
 impl GossipScratch {
@@ -714,6 +720,7 @@ impl GossipScratch {
     /// Both kernels start here; the message-level one also resets its
     /// labels.
     pub(crate) fn begin(&mut self, source: NodeId, config: GossipConfig, nodes: usize) {
+        self.run = self.run.wrapping_add(1);
         self.source = source;
         self.config = config;
         self.queue.clear();
@@ -851,18 +858,26 @@ impl TopologyView {
         }
     }
 
-    /// Simulates a batch of messages through **one shared scratch**, each
-    /// message costing an O(n) reset plus its own kernel pass.
+    /// Simulates a batch of messages through **one shared scratch**. A
+    /// message costs an O(n) reset plus its own kernel pass, except that
+    /// a message equal to its predecessor costs nothing: the scratch
+    /// still holds the predecessor's run, which is the repeat's too.
     ///
-    /// Messages are simulated strictly in batch order, each from time
-    /// zero. After each message's pass ends, `visit(i, scratch)` runs
-    /// with the scratch exposing *that message's* results through every
-    /// accessor: [`GossipScratch::arrival`], [`GossipScratch::reached`],
+    /// Messages are visited strictly in batch order, each simulated from
+    /// time zero. For every message, `visit(i, scratch)` runs with the
+    /// scratch exposing *that message's* results through every accessor:
+    /// [`GossipScratch::arrival`], [`GossipScratch::reached`],
     /// [`GossipScratch::coverage_times_into`],
     /// [`GossipScratch::relay_starts`] and
-    /// [`GossipScratch::neighbor_deliveries`]. Results are
-    /// **bit-identical** to running [`TopologyView::gossip_into`] once per
-    /// message on a fresh scratch — exercised by `tests/gossip_batch.rs`.
+    /// [`GossipScratch::neighbor_deliveries`]. `visit` may also run
+    /// another simulation on the scratch; a repeat that follows is then
+    /// simulated afresh. Results are **bit-identical** to running
+    /// [`TopologyView::gossip_into`] once per message on a fresh scratch —
+    /// exercised by `tests/gossip_batch.rs`.
+    ///
+    /// A repeat is charged its predecessor's tallies, so every count reads
+    /// what simulating each copy would have counted;
+    /// [`SimCounters::batch_repeats`] counts the repeats.
     ///
     /// Faults are a block-path concern and are not applied here; the
     /// traffic layer documents message streams as fault-free.
@@ -887,7 +902,9 @@ impl TopologyView {
 
     /// The one per-message pass behind every gossip entry point, over the
     /// links as the lens `faults` sees them: the label-setting kernel,
-    /// and the event loop for a message whose kernel pass met a tie.
+    /// and the event loop for a message whose kernel pass met a tie. A
+    /// message equal to its predecessor is served from the scratch while
+    /// its run stamp shows that nothing has run on it since.
     fn gossip_loop<L, F>(
         &self,
         batch: &[BatchMessage],
@@ -910,16 +927,32 @@ impl TopologyView {
                 panic!("{e}");
             }
         }
+        // The run the scratch holds: its stamp when it ended, and its own
+        // tallies.
+        let mut held: Option<(u64, SimCounters)> = None;
         for (i, msg) in batch.iter().enumerate() {
-            let before = scratch.counters;
-            scratch.reset(msg, n);
-            if !self.settle(msg, scratch, faults) {
-                // A fallback counts as the event loop alone: the kernel
-                // pass's tallies are dropped, not doubled.
-                scratch.counters = before;
-                scratch.reset(msg, n);
-                self.event_loop(msg, scratch, faults);
-                scratch.counters.gossip_fallbacks += 1;
+            match held {
+                Some((run, tally)) if run == scratch.run && *msg == batch[i - 1] => {
+                    scratch.counters.merge(&tally);
+                    scratch.counters.batch_repeats += 1;
+                }
+                _ => {
+                    // The run tallies from zero, then merges into the
+                    // scratch's counts: the same totals and peaks.
+                    let outer = std::mem::take(&mut scratch.counters);
+                    scratch.reset(msg, n);
+                    if !self.settle(msg, scratch, faults) {
+                        // A fallback counts as the event loop alone: the
+                        // kernel pass's tallies are dropped, not doubled.
+                        scratch.counters = SimCounters::ZERO;
+                        scratch.reset(msg, n);
+                        self.event_loop(msg, scratch, faults);
+                        scratch.counters.gossip_fallbacks += 1;
+                    }
+                    let tally = std::mem::replace(&mut scratch.counters, outer);
+                    scratch.counters.merge(&tally);
+                    held = Some((scratch.run, tally));
+                }
             }
             visit(i, scratch);
         }

@@ -76,8 +76,10 @@
 //!   hybrid [`GossipMode::PushPull`]), generated as
 //!   pure hashes and simulated in bulk through
 //!   [`TopologyView::gossip_batch_into`]: tens of thousands of messages
-//!   share one reused [`GossipScratch`], each paying an O(n) reset —
-//!   bit-identical to one [`TopologyView::gossip_into`] call per message.
+//!   share one reused [`GossipScratch`], each distinct message paying an
+//!   O(n) reset and its kernel pass, while a copy of the message before it
+//!   is served from the run the scratch holds — bit-identical to one
+//!   [`TopologyView::gossip_into`] call per message.
 //! * [`faults`] — link-level fault injection: a seeded [`FaultPlan`]
 //!   (drop/jitter/duplication rates, timed windows, link flaps,
 //!   partitions with heal, regional brownouts) compiled per round into a

@@ -26,8 +26,11 @@
 //! A round's messages are meant to be pushed through
 //! [`TopologyView::gossip_batch_into`](crate::TopologyView::gossip_batch_into)
 //! — tens of thousands of messages share one reused
-//! [`GossipScratch`](crate::GossipScratch), each message paying an O(n)
-//! reset and its own kernel pass, with no per-edge state. Traffic is
+//! [`GossipScratch`](crate::GossipScratch), with no per-edge state. The
+//! canonical order puts a node's messages of one class next to each
+//! other, and a message's run depends only on its source and class, so
+//! only the first of such a run of copies pays an O(n) reset and a kernel
+//! pass; the batch serves the others from the scratch. Traffic is
 //! fault-free by contract: link faults are a block-path concern, and the
 //! traffic stream measures steady-state relay cost.
 

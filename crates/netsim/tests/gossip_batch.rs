@@ -3,7 +3,9 @@
 //! relay starts, arrivals and coverage times **bit-identical** to k
 //! independent [`TopologyView::gossip_into`] calls — the correctness
 //! contract that lets the traffic layer share one scratch across a
-//! round's messages without changing a single float.
+//! round's messages without changing a single float. A message equal to
+//! its predecessor is served from the run the scratch holds, and must
+//! still equal its own fresh run, tallies included.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,8 +13,8 @@ use rand::{Rng, SeedableRng};
 use perigee_netsim::gossip::BatchMessage;
 use perigee_netsim::{
     BlockFaults, ConnectionLimits, FaultPlan, GeoLatencyModel, GossipConfig, GossipScratch,
-    LinkFaultRates, NodeId, Population, PopulationBuilder, SimTime, Topology, TopologyView,
-    TrafficConfig,
+    LinkFaultRates, NodeId, Population, PopulationBuilder, SimCounters, SimTime, Topology,
+    TopologyView, TrafficConfig,
 };
 
 fn random_world(n: usize, seed: u64) -> (Population, GeoLatencyModel, Topology, StdRng) {
@@ -67,8 +69,9 @@ fn bits(times: &[SimTime]) -> Vec<u64> {
 }
 
 /// Runs `batch` once batched and once as k sequential single passes,
-/// asserting every per-message observable is bit-identical.
-fn assert_batch_equals_sequential(view: &TopologyView, batch: &[BatchMessage]) {
+/// asserting every per-message observable is bit-identical. Returns the
+/// batch's tallies.
+fn assert_batch_equals_sequential(view: &TopologyView, batch: &[BatchMessage]) -> SimCounters {
     let mut batched = GossipScratch::new();
     let mut single = GossipScratch::new();
     let mut visited = 0usize;
@@ -104,6 +107,7 @@ fn assert_batch_equals_sequential(view: &TopologyView, batch: &[BatchMessage]) {
         assert_eq!(via_batch, via_single, "message {i} coverage");
     });
     assert_eq!(visited, batch.len());
+    batched.take_counters()
 }
 
 #[test]
@@ -195,4 +199,85 @@ fn traffic_stream_batches_match_sequential_passes() {
     traffic.batch_for(&messages, &mut batch);
     // Sample-check the first 200 messages of the stream.
     assert_batch_equals_sequential(&view, &batch[..200]);
+}
+
+/// The first 400 messages of a `paper_stream` round hold runs of equal
+/// messages; so does a mixed batch with each message repeated 1 to 6
+/// times. The repeats equal their fresh runs, and the batch's tallies
+/// are the sum of each message's fresh tallies: every repeat is charged
+/// its run's, and `batch_repeats` counts the adjacent equal pairs.
+#[test]
+fn repeated_messages_equal_fresh_runs_and_their_tallies() {
+    let (pop, lat, topo, mut rng) = random_world(80, 11);
+    let view = TopologyView::new(&topo, &lat, &pop);
+    let mut batch = Vec::new();
+    for msg in mixed_batch(80, 24, &mut rng) {
+        let copies = rng.gen_range(1..=6);
+        batch.extend(std::iter::repeat_n(msg, copies));
+    }
+    let traffic = TrafficConfig::paper_stream(31);
+    let mut stream = Vec::new();
+    traffic.batch_for(&traffic.messages_for_round(2, &pop), &mut stream);
+    batch.extend_from_slice(&stream[..400]);
+    let pairs = batch.windows(2).filter(|w| w[0] == w[1]).count() as u64;
+    assert!(
+        pairs > 100,
+        "the batch must be run-heavy, has {pairs} repeats"
+    );
+
+    let got = assert_batch_equals_sequential(&view, &batch);
+    let mut fresh = SimCounters::ZERO;
+    for msg in &batch {
+        let mut single = GossipScratch::new();
+        view.gossip_into(msg.source, &msg.config, &mut single);
+        fresh.merge(single.counters());
+    }
+    assert_eq!(got.batch_repeats, pairs);
+    assert_eq!(got.batch_messages, batch.len() as u64);
+    let counts = SimCounters {
+        batch_messages: 0,
+        batch_peak: 0,
+        batch_repeats: 0,
+        ..got
+    };
+    assert_eq!(counts, fresh, "a repeat is charged its run's tallies");
+}
+
+/// A visit that runs another message on the batch's own scratch (a
+/// message from another source, or a flood) replaces the run the scratch
+/// held, so the repeat that follows is simulated afresh, not served, and
+/// still equals its own fresh run; the repeat after it is served again.
+#[test]
+fn a_visit_that_runs_on_the_scratch_voids_the_held_run() {
+    let (pop, lat, topo, _) = random_world(60, 13);
+    let view = TopologyView::new(&topo, &lat, &pop);
+    let msg = BatchMessage {
+        source: NodeId::new(4),
+        config: GossipConfig::push_pull(0.002, 3),
+    };
+    let batch = [msg; 3];
+    let mut fresh = GossipScratch::new();
+    view.gossip_into(msg.source, &msg.config, &mut fresh);
+    let expect = single_run(&view, &fresh, None);
+    let other = NodeId::new(37);
+    for intruder in ["gossip", "flood"] {
+        let mut scratch = GossipScratch::new();
+        view.gossip_batch_into(&batch, &mut scratch, |i, s| {
+            assert_eq!(
+                single_run(&view, s, None),
+                expect,
+                "{intruder}: message {i}"
+            );
+            assert_eq!(s.source(), msg.source, "{intruder}: message {i}");
+            if i == 0 {
+                match intruder {
+                    "gossip" => view.gossip_into(other, &msg.config, s),
+                    _ => view.broadcast_into(other, s),
+                }
+                assert_ne!(single_run(&view, s, None), expect, "{intruder} must run");
+            }
+        });
+        let repeats = scratch.counters().batch_repeats;
+        assert_eq!(repeats, 1, "{intruder}: only the last copy is served");
+    }
 }

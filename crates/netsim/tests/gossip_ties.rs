@@ -181,3 +181,56 @@ fn tie_world_batches_equal_the_oracle_message_by_message() {
     }
     assert!(fallbacks > 0, "the tie world must exercise the fallback");
 }
+
+/// Every tie-world message twice in a row: the second copy is served from
+/// the run the first left, a fallen-back run included, and still equals
+/// the oracle; `gossip_fallbacks` counts one per copy.
+#[test]
+fn tie_world_repeats_equal_the_oracle_and_count_each_fallback() {
+    let mut served_fallbacks = 0;
+    for variant in variants() {
+        let world = grid_world(variant);
+        let view = TopologyView::new(&world.2, &world.1, &world.0);
+        let batch: Vec<BatchMessage> = configs()
+            .into_iter()
+            .flat_map(|config| {
+                (0..SIDE * SIDE).flat_map(move |s| {
+                    let msg = BatchMessage {
+                        source: NodeId::new(s),
+                        config,
+                    };
+                    [msg, msg]
+                })
+            })
+            .collect();
+        let mut single = GossipScratch::new();
+        let fell_back: Vec<u64> = batch
+            .iter()
+            .step_by(2)
+            .map(|msg| {
+                view.gossip_into(msg.source, &msg.config, &mut single);
+                single.take_counters().gossip_fallbacks
+            })
+            .collect();
+        let mut scratch = GossipScratch::new();
+        view.gossip_batch_into(&batch, &mut scratch, |i, s| {
+            let msg = &batch[i];
+            let what = format!("{variant:?} batch message {i}");
+            assert_matches_oracle(&world, &view, s, msg.source, &msg.config, &what);
+            if i % 2 == 1 {
+                served_fallbacks += fell_back[i / 2];
+            }
+        });
+        let c = scratch.take_counters();
+        assert_eq!(c.batch_repeats, fell_back.len() as u64, "{variant:?}");
+        assert_eq!(
+            c.gossip_fallbacks,
+            2 * fell_back.iter().sum::<u64>(),
+            "{variant:?}: one fallback per copy"
+        );
+    }
+    assert!(
+        served_fallbacks > 0,
+        "some repeat must serve a fallen-back run"
+    );
+}
