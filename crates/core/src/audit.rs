@@ -13,8 +13,10 @@
 //!
 //! The per-round pass is O(nodes + edges) with small constants. At
 //! audit-every-round on roundbench's `hostile_1k` world (1k nodes, UCB,
-//! churn, faults, liveness) it costs about 5% of the round on a 2-vCPU
-//! Xeon (`audit.pass_s` ÷ `round_s`). It checks:
+//! churn, faults, liveness) it costs 3.6–3.8% of the round on a 2-vCPU
+//! Xeon: the `audit` row's share of the self-time table of one traced run
+//! per seed (seeds 1–3 and 41), i.e. the row over the sum of all rows of
+//! the same run. It checks:
 //!
 //! * **CSR well-formedness** — the carried snapshot's offsets are
 //!   monotone and exhaustive, every directed edge is in range, non-self,
@@ -28,7 +30,9 @@
 //!   no dead slot holds edges (the stable-id contract);
 //! * **score-state legality** — every stored per-neighbor sample is
 //!   finite (∞ never enters `T̿u,v`; a NaN means corrupted state), via
-//!   each node's [`NodeHistory`](crate::NodeHistory) audit;
+//!   each node's [`NodeHistory`](crate::NodeHistory) audit, which reads
+//!   two entries per buffer: buffers are sorted, so the first and last
+//!   bound every other sample;
 //! * **liveness state-machine legality** — silence counters and backoff
 //!   records are sorted, in range, and no counter has escaped past
 //!   [`EVICT_AFTER`](crate::liveness::EVICT_AFTER) (a peer the engine

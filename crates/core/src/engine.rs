@@ -604,10 +604,10 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// pass after every `k`-th completed round, counting passes in
     /// [`PerigeeEngine::audits_run`] and keeping every non-clean
     /// [`AuditReport`] ([`PerigeeEngine::audit_failures`]). The pass is
-    /// O(nodes + edges): a median 5.0% (3.5–7.8% across seeds) of a
-    /// `hostile_1k` round on a 2-vCPU Xeon, which audits every round
-    /// (roundbench's `audit.pass_s` over the raw round median of traced
-    /// runs at six seeds; the README gives the method).
+    /// O(nodes + edges): 3.6–3.8% of a `hostile_1k` round on a 2-vCPU
+    /// Xeon, which audits every round (the `audit` row's share of the
+    /// self-time table of traced roundbench runs at four seeds; the
+    /// README gives the method).
     pub fn set_audit_every(&mut self, every: usize) {
         self.audit_every = every;
     }
@@ -2012,7 +2012,7 @@ mod tests {
         );
         // The new slots are usable immediately.
         let ucb = crate::UcbScoring::new(90.0, 1.0);
-        let bounds = ucb.bounds_of(histories[4].samples_for(a), &mut Vec::new());
+        let bounds = ucb.bounds_of(histories[4].samples_for(a));
         assert!(bounds.estimate.is_infinite());
     }
 

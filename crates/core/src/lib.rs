@@ -21,8 +21,10 @@
 //!   [`VanillaScoring`] (§4.2.1), [`UcbScoring`] (§4.2.2) and
 //!   [`SubsetScoring`] (§4.3), behind the [`SelectionStrategy`] trait; a
 //!   strategy holds only its parameters, and the engine passes each node
-//!   its own [`NodeHistory`] (UCB's connection history, blank otherwise),
-//!   so all three are scored through one fan-out over the rayon pool;
+//!   its own [`NodeHistory`] (UCB's connection history, each buffer
+//!   kept sorted so a bound reads its order statistics by index; blank
+//!   otherwise), so all three are scored through one fan-out over the
+//!   rayon pool;
 //! * [`engine`] — [`PerigeeEngine`], Algorithm 1's round loop
 //!   (observe → score → retain best → explore), including incremental
 //!   deployment; the round's CSR snapshot is carried across rounds and

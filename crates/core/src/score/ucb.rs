@@ -22,9 +22,11 @@
 //! [`NodeHistory`], which the engine owns and passes in. The strategy is
 //! therefore just its two parameters, shared by every rayon worker while
 //! each worker updates only its own chunk of histories — bit-identical
-//! to a sequential loop by construction.
+//! to a sequential loop by construction. The history keeps each buffer
+//! sorted, so a round's bounds read two order statistics per neighbor by
+//! index instead of selecting them from a copy of the whole buffer.
 
-use perigee_metrics::percentile_or_inf_f32_mut;
+use perigee_metrics::{percentile_from_closest_ranks, percentile_lower_rank};
 use perigee_netsim::NodeId;
 
 use crate::observation::NodeObservations;
@@ -63,11 +65,14 @@ impl UcbScoring {
     }
 
     /// Computes the bounds from a neighbor's accumulated sample buffer
-    /// ([`NodeHistory::samples_for`]). A neighbor with no finite samples
-    /// has all-infinite bounds — maximally distrusted. The percentile is
-    /// selected over an `f32` copy of the buffer in `scratch`,
-    /// bit-identical to selecting over the widened samples.
-    pub fn bounds_of(&self, samples: &[f32], scratch: &mut Vec<f32>) -> ConfidenceBounds {
+    /// ([`NodeHistory::samples_for`]), which must be sorted ascending
+    /// under [`f32::total_cmp`] as every [`NodeHistory`] buffer is. A
+    /// neighbor with no finite samples has all-infinite bounds —
+    /// maximally distrusted. The percentile reads its two closest ranks
+    /// by index, O(1), and is bit-identical to selecting them from an
+    /// unsorted copy: an order statistic under `total_cmp` depends only on
+    /// the multiset.
+    pub fn bounds_of(&self, samples: &[f32]) -> ConfidenceBounds {
         let m = samples.len();
         if m == 0 {
             return ConfidenceBounds {
@@ -77,9 +82,13 @@ impl UcbScoring {
                 samples: 0,
             };
         }
-        scratch.clear();
-        scratch.extend_from_slice(samples);
-        let estimate = percentile_or_inf_f32_mut(scratch, self.percentile);
+        let lo = percentile_lower_rank(m, self.percentile);
+        let estimate = percentile_from_closest_ranks(
+            m,
+            self.percentile,
+            f64::from(samples[lo]),
+            f64::from(samples[(lo + 1).min(m - 1)]),
+        );
         // log(1)/2 = 0 gives a zero-width interval at m = 1, matching the
         // formula; widths shrink as O(sqrt(log m / m)).
         let width = self.c * ((m as f64).ln() / (2.0 * m as f64)).sqrt();
@@ -108,10 +117,9 @@ impl SelectionStrategy for UcbScoring {
         if outgoing.len() <= 1 {
             return outgoing.to_vec();
         }
-        let mut scratch = Vec::new();
         let bounds: Vec<(NodeId, ConfidenceBounds)> = outgoing
             .iter()
-            .map(|&u| (u, self.bounds_of(history.samples_for(u), &mut scratch)))
+            .map(|&u| (u, self.bounds_of(history.samples_for(u))))
             .collect();
         // max lcb (worst plausible neighbor) vs min ucb (best pessimistic).
         let (worst, worst_b) = bounds
@@ -279,16 +287,15 @@ mod tests {
         let s = UcbScoring::new(90.0, 1.0);
         let outgoing = vec![NodeId::new(1), NodeId::new(2)];
         let mut h = NodeHistory::default();
-        let mut scratch = Vec::new();
         for _ in 0..2 {
             absorb(&mut h, &outgoing, &one_round(&pop, &lat, &topo, 1));
         }
-        let b2 = s.bounds_of(h.samples_for(NodeId::new(1)), &mut scratch);
+        let b2 = s.bounds_of(h.samples_for(NodeId::new(1)));
         let w2 = b2.ucb - b2.lcb;
         for _ in 0..30 {
             absorb(&mut h, &outgoing, &one_round(&pop, &lat, &topo, 1));
         }
-        let b32 = s.bounds_of(h.samples_for(NodeId::new(1)), &mut scratch);
+        let b32 = s.bounds_of(h.samples_for(NodeId::new(1)));
         let w32 = b32.ucb - b32.lcb;
         assert!(w32 < w2, "width {w32} should shrink below {w2}");
         assert_eq!(b32.samples, 32);
@@ -298,7 +305,7 @@ mod tests {
     fn unseen_neighbor_has_infinite_bounds() {
         let s = UcbScoring::new(90.0, 1.0);
         let h = NodeHistory::default();
-        let b = s.bounds_of(h.samples_for(NodeId::new(1)), &mut Vec::new());
+        let b = s.bounds_of(h.samples_for(NodeId::new(1)));
         assert!(b.estimate.is_infinite() && b.lcb.is_infinite() && b.ucb.is_infinite());
         assert_eq!(b.samples, 0);
     }

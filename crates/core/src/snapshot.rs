@@ -34,7 +34,7 @@
 //! across thread counts, churn and active fault plans (the `resume`
 //! integration suite is the enforcement).
 //!
-//! The current body layout is format **7**; [`FORMAT_VERSION`] records
+//! The current body layout is format **8**; [`FORMAT_VERSION`] records
 //! what each version changed.
 //!
 //! [`ChurnProcess`]: perigee_netsim::ChurnProcess
@@ -84,11 +84,14 @@ const MAGIC: [u8; 4] = *b"PRGS";
 /// tests chose left the body: the queue-kind byte, the churn mode tag
 /// with the trace-replay events and cursor (the [`ChurnProcess`] now
 /// encodes its arrival rate and session law directly) and the last-round
-/// [`WorldDelta`](perigee_netsim::WorldDelta). Older envelopes are
-/// rejected with [`SnapshotError::UnsupportedVersion`] — re-run the
-/// capture, don't guess at a world whose id space may have been
-/// renumbered.
-pub const FORMAT_VERSION: u32 = 7;
+/// [`WorldDelta`](perigee_netsim::WorldDelta); **8** — the byte layout of
+/// version 7, but every [`NodeHistory`] buffer is sorted ascending under
+/// [`f32::total_cmp`] (scoring reads its order statistics by index), and
+/// the decoder refuses a buffer that is unsorted or holds a non-finite
+/// sample. Older envelopes are rejected with
+/// [`SnapshotError::UnsupportedVersion`] — re-run the capture, don't
+/// guess at a world whose id space may have been renumbered.
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Why a snapshot could not be read back.
 #[derive(Debug, Clone, PartialEq, Eq)]

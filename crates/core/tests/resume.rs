@@ -461,6 +461,74 @@ fn address_book_entry_outside_the_world_in_a_hash_valid_checkpoint_is_corrupt() 
     resumed.run_round(&mut rng);
 }
 
+/// A hash-valid UCB checkpoint whose history holds a NaN sample, or
+/// two samples of one buffer swapped out of order — with the content
+/// hash recomputed — is refused while decoding, as
+/// [`SnapshotError::Corrupt`], instead of resuming into rounds that read
+/// each buffer's order statistics by index.
+#[test]
+fn unsorted_or_non_finite_history_in_a_hash_valid_checkpoint_is_corrupt() {
+    const N: usize = 30;
+    let mut rng = StdRng::seed_from_u64(5);
+    let pop = PopulationBuilder::new(N).build(&mut rng).unwrap();
+    let lat = GeoLatencyModel::new(&pop, 5);
+    let topo = RandomBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
+    let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Ucb);
+    cfg.blocks_per_round = 3;
+    let mut engine = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Ucb, cfg).unwrap();
+    for _ in 0..2 {
+        engine.run_round(&mut rng);
+    }
+    let bytes = engine.checkpoint(&rng).to_bytes();
+    // Every node adopts, so the adopter flags (their count, then one
+    // byte each) run straight into the histories' count; n0's history
+    // follows: its neighbor ids behind their count, then its buffers
+    // behind theirs, each buffer's samples behind its length.
+    let mut flags = (N as u64).to_le_bytes().to_vec();
+    flags.extend(std::iter::repeat_n(1u8, N));
+    flags.extend_from_slice(&(N as u64).to_le_bytes());
+    let body_end = bytes.len() - 8;
+    let at = (16..body_end - flags.len())
+        .find(|&i| bytes[i..i + flags.len()] == flags[..])
+        .expect("the adopter flags precede the histories");
+    let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap()) as usize;
+    let neighbors = word(at + flags.len());
+    let buffers = at + flags.len() + 8 + 4 * neighbors;
+    assert_eq!(word(buffers), neighbors, "one buffer per neighbor");
+    let first = buffers + 16;
+    let samples: Vec<f32> = (0..word(buffers + 8))
+        .map(|j| f32::from_le_bytes(bytes[first + 4 * j..first + 4 * j + 4].try_into().unwrap()))
+        .collect();
+    let rise = samples
+        .windows(2)
+        .position(|w| w[0] < w[1])
+        .expect("n0's first buffer holds two different samples");
+
+    let restamp = |mut tampered: Vec<u8>| {
+        let digest = serde::bin::fnv1a64(&tampered[16..body_end]);
+        tampered[body_end..].copy_from_slice(&digest.to_le_bytes());
+        tampered
+    };
+    let mut nan = bytes.clone();
+    nan[first..first + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+    assert_eq!(
+        RunSnapshot::from_bytes(&restamp(nan)).unwrap_err(),
+        SnapshotError::Corrupt(DecodeError::new("node history holds a non-finite sample"))
+    );
+    let mut swapped = bytes.clone();
+    let (lo, hi) = (first + 4 * rise, first + 4 * rise + 4);
+    swapped[lo..hi].copy_from_slice(&samples[rise + 1].to_le_bytes());
+    swapped[hi..hi + 4].copy_from_slice(&samples[rise].to_le_bytes());
+    assert_eq!(
+        RunSnapshot::from_bytes(&restamp(swapped)).unwrap_err(),
+        SnapshotError::Corrupt(DecodeError::new("node history buffer is not sorted"))
+    );
+    // The untouched body still decodes, resumes and runs a round.
+    let snapshot = RunSnapshot::from_bytes(&bytes).unwrap();
+    let (mut resumed, mut rng) = PerigeeEngine::<GeoLatencyModel>::resume(snapshot).unwrap();
+    resumed.run_round(&mut rng);
+}
+
 /// Checked-in envelopes of older format versions — version 1 (written
 /// before the snapshot carried the compaction epoch and the latency
 /// placement keys), version 3 (a UCB run whose score state was still
@@ -469,22 +537,32 @@ fn address_book_entry_outside_the_world_in_a_hash_valid_checkpoint_is_corrupt() 
 /// front of an optional gossip config) and version 5 (a UCB run with
 /// churn, aggressive liveness and a fault plan, whose configs still
 /// carried the score-staleness factor, the liveness timers, the
-/// geographic jitter fraction and the arrival region weights) and
+/// geographic jitter fraction and the arrival region weights),
 /// version 6 (a UCB run with churn, aggressive liveness, a fault plan
 /// and the heap queue, whose body still carried the queue-kind byte, the
-/// churn mode tag and the last round's world delta) — are
+/// churn mode tag and the last round's world delta) and version 7 (a UCB
+/// run with churn, aggressive liveness and a fault plan, whose history
+/// buffers are still in arrival order) — are
 /// rejected with a *structured* [`SnapshotError::UnsupportedVersion`] —
 /// never a panic, never a misdecoded world. Truncated prefixes of the
-/// old files must not panic either.
+/// old files must not panic either. The newest fixture is the version
+/// just before the current one, so a format bump must ship a fixture of
+/// the format it retires.
 #[test]
 fn old_snapshot_versions_are_rejected_with_unsupported_version() {
-    let fixtures: [(&[u8], u32); 5] = [
+    let fixtures: [(&[u8], u32); 6] = [
         (include_bytes!("fixtures/snapshot_v1.bin"), 1),
         (include_bytes!("fixtures/snapshot_v3.bin"), 3),
         (include_bytes!("fixtures/snapshot_v4.bin"), 4),
         (include_bytes!("fixtures/snapshot_v5.bin"), 5),
         (include_bytes!("fixtures/snapshot_v6.bin"), 6),
+        (include_bytes!("fixtures/snapshot_v7.bin"), 7),
     ];
+    assert_eq!(
+        fixtures.iter().map(|&(_, v)| v).max(),
+        Some(perigee_core::snapshot::FORMAT_VERSION - 1),
+        "ship a fixture of the retired format with every format bump"
+    );
     for (bytes, version) in fixtures {
         assert_eq!(&bytes[..4], b"PRGS", "fixture is a perigee envelope");
         assert_eq!(
