@@ -26,8 +26,8 @@
 //! * **hash-power normalization** — live mining power sums to 1, dead
 //!   slots hold exactly 0, and the snapshot's per-node copy is
 //!   bit-identical to the population's;
-//! * **no resurrected ids** — every free-list entry is a dead slot and
-//!   no dead slot holds edges (the stable-id contract);
+//! * **no resurrected ids** — no dead slot holds hash power or edges
+//!   (the stable-id contract);
 //! * **score-state legality** — every stored per-neighbor sample is
 //!   finite (∞ never enters `T̿u,v`; a NaN means corrupted state), via
 //!   each node's [`NodeHistory`](crate::NodeHistory) audit, which reads
@@ -51,7 +51,7 @@ pub enum AuditCheck {
     CsrWellFormed,
     /// Mining power is denormalized or out of sync with the snapshot.
     HashPowerNormalized,
-    /// A retired id is alive again, holds edges, or the free-list lies.
+    /// A retired id still holds hash power or edges.
     NoResurrectedIds,
     /// Cross-round score state holds a non-finite sample or is malformed.
     ScoreState,
@@ -257,15 +257,6 @@ pub(crate) fn audit_world(
             HashPowerNormalized,
             format!("live hash power sums to {live_total}, expected 1"),
         ));
-    }
-    for &raw in population.retired() {
-        let id = NodeId::new(raw);
-        if (raw as usize) < n && population.is_alive(id) {
-            out.push(AuditViolation::new(
-                NoResurrectedIds,
-                format!("free-list entry n{raw} is alive"),
-            ));
-        }
     }
 }
 

@@ -205,23 +205,14 @@ impl AddressBook {
         }
     }
 
-    /// Samples a random known address of `v` that is not in `exclude`.
-    pub fn sample_peer<R: Rng + ?Sized>(
-        &self,
-        v: NodeId,
-        exclude: &[NodeId],
-        rng: &mut R,
-    ) -> Option<NodeId> {
-        let candidates: Vec<NodeId> = self.known[v.index()]
-            .iter()
-            .copied()
-            .filter(|a| !exclude.contains(a))
-            .collect();
-        if candidates.is_empty() {
-            None
-        } else {
-            Some(candidates[rng.gen_range(0..candidates.len())])
+    /// Samples a uniformly random known address of `v` with one draw, or
+    /// returns `None` without drawing when `v` knows no address.
+    pub fn sample_peer<R: Rng + ?Sized>(&self, v: NodeId, rng: &mut R) -> Option<NodeId> {
+        let known = &self.known[v.index()];
+        if known.is_empty() {
+            return None;
         }
+        known.iter().nth(rng.gen_range(0..known.len())).copied()
     }
 }
 
@@ -338,16 +329,29 @@ mod tests {
     }
 
     #[test]
-    fn sample_peer_respects_exclusions() {
+    fn sample_peer_draws_from_the_book() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut book = AddressBook::bootstrap(5, 0, 5, &mut rng);
         let v = NodeId::new(0);
+        // An empty book yields nothing and leaves the stream untouched.
+        let before = rng.clone();
+        assert_eq!(book.sample_peer(v, &mut rng), None);
+        assert_eq!(rng, before);
         book.insert(v, NodeId::new(1), &mut rng);
-        book.insert(v, NodeId::new(2), &mut rng);
-        let got = book.sample_peer(v, &[NodeId::new(1)], &mut rng);
-        assert_eq!(got, Some(NodeId::new(2)));
-        let none = book.sample_peer(v, &[NodeId::new(1), NodeId::new(2)], &mut rng);
-        assert_eq!(none, None);
+        book.insert(v, NodeId::new(3), &mut rng);
+        let mut drawn = BTreeSet::new();
+        for _ in 0..64 {
+            // One draw per sample: its index picks the address.
+            let mut expect = rng.clone();
+            let i = expect.gen_range(0..2);
+            let got = book
+                .sample_peer(v, &mut rng)
+                .expect("the book is not empty");
+            assert_eq!(got, [NodeId::new(1), NodeId::new(3)][i]);
+            assert_eq!(rng, expect);
+            drawn.insert(got);
+        }
+        assert_eq!(drawn.len(), 2, "both addresses are drawn");
     }
 
     #[test]

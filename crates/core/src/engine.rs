@@ -176,10 +176,6 @@ pub struct PerigeeEngine<L> {
     /// the propagation phase. `None` (the default) takes the exact
     /// pre-fault code path.
     fault_plan: Option<FaultPlan>,
-    /// Run-global count of blocks simulated so far — the global block
-    /// index fault draws are keyed on, so a block's fault pattern does
-    /// not depend on how rounds chunk across threads.
-    blocks_simulated: usize,
     /// The installed continuous-traffic workload, if any. Pure config:
     /// each round's message list is regenerated from
     /// `(seed, round, class, node)` hashes, so checkpoints carry the
@@ -338,7 +334,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             view_rebuilds: 0,
             churn: None,
             fault_plan: None,
-            blocks_simulated: 0,
             traffic: None,
             last_traffic: None,
             liveness,
@@ -536,7 +531,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         }
     }
 
-    /// Compacts the population's free-list: every dead slot is reclaimed
+    /// Compacts the population: every dead slot is reclaimed
     /// and the survivors are renumbered contiguously (order-preserving,
     /// so every sorted id structure stays sorted). All world state moves
     /// together — topology, latency model, address books, liveness
@@ -554,7 +549,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// bit for bit, compactions included.
     ///
     /// Returns the number of reclaimed slots, or `None` (and does
-    /// nothing) when the free-list is empty.
+    /// nothing) when no slot is dead.
     ///
     /// # Panics
     ///
@@ -657,10 +652,11 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// (see [`crate::snapshot`] for the exact inventory and the on-disk
     /// envelope). `rng` is the run RNG driving
     /// [`PerigeeEngine::run_round`] — its raw state is captured so the
-    /// resumed run draws the identical stream. The carried CSR snapshot
-    /// and the miner sampler are *not* serialized: both are pure
-    /// functions of the captured state and are rebuilt bit-identically
-    /// on resume.
+    /// resumed run draws the identical stream. Derived state — the
+    /// carried CSR snapshot, the miner sampler, the global block counter,
+    /// the live count and the topology's adjacency mirrors — is *not*
+    /// serialized: each is a pure function of the captured state and is
+    /// rebuilt bit-identically on resume.
     ///
     /// Checkpoint at a round boundary (between `run_round` calls);
     /// resuming mid-round is not a meaningful state.
@@ -670,7 +666,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     {
         RunSnapshot {
             round: self.round as u64,
-            blocks_simulated: self.blocks_simulated as u64,
             compaction_epoch: self.compaction_epoch,
             config: self.config,
             method: self.method,
@@ -709,7 +704,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     {
         let RunSnapshot {
             round,
-            blocks_simulated,
             compaction_epoch,
             config,
             method,
@@ -741,7 +735,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         engine.round = round as usize;
         engine.churn = churn;
         engine.fault_plan = fault_plan;
-        engine.blocks_simulated = blocks_simulated as usize;
         engine.traffic = traffic;
         engine.liveness = liveness;
         engine.compaction_epoch = compaction_epoch;
@@ -1130,9 +1123,10 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         timer.lap("view");
         let faults = self.fault_compile(&view);
         timer.lap("fault_compile");
-        let base_block = self.blocks_simulated;
+        // Every round mines `k` blocks, so the run-global index of this
+        // round's first block — the key of its fault draws — is `round × k`.
+        let base_block = self.round * k;
         let round_obs = self.observe_round_faulted(&view, &miners, faults.as_ref(), base_block);
-        self.blocks_simulated += miners.len();
         timer.lap("propagation");
         let mut counters = round_obs.counters();
         let (observations, lambda90, lambda50, seen) = round_obs.into_parts();
@@ -1622,7 +1616,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         while self.topology.out_degree(v) < dout && attempts < 100 * dout.max(1) {
             attempts += 1;
             let u = match &self.address_book {
-                Some(book) => match book.sample_peer(v, &[], rng) {
+                Some(book) => match book.sample_peer(v, rng) {
                     Some(u) => u,
                     None => break, // no usable addresses this round
                 },

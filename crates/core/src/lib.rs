@@ -91,7 +91,7 @@
 //! (Vanilla/Subset keep their histories blank and are churn-immune by
 //! construction).
 //!
-//! Long churny runs accumulate dead free-list slots. An explicit
+//! Long churny runs accumulate dead slots. An explicit
 //! [`PerigeeEngine::compact`](engine::PerigeeEngine::compact) reclaims
 //! them under the id-remap contract of
 //! [`IdRemap`](perigee_netsim::IdRemap): survivors are renumbered

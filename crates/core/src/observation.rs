@@ -72,9 +72,7 @@
 use std::collections::BTreeMap;
 
 use perigee_metrics::{percentile_or_inf_f32_mut, EdgeSketch, SketchParams};
-use perigee_netsim::{
-    BlockFaults, GossipScratch, LatencyModel, NodeId, RowSink, SimTime, TopologyView,
-};
+use perigee_netsim::{BlockFaults, GossipScratch, NodeId, RowSink, SimTime, TopologyView};
 use serde::{Deserialize, Serialize};
 
 /// Which representation a round's observations are stored in.
@@ -799,37 +797,15 @@ impl ObservationCollector {
             .reserve_exact(blocks * self.store.edges.len());
     }
 
-    /// Records one block flooded into `scratch`: appends, for every node
-    /// `v`, its neighbors' normalized delivery times `relay_start(u) +
-    /// δ(u,v)`, with `δ` from the latency model — the reference that
-    /// [`ObservationCollector::record_scratch`] must match bit for bit on
-    /// a fault-free flood.
-    ///
-    /// Normalization is relative to the first delivery from any neighbor
-    /// (eq. 2). If no neighbor ever delivers, the row carries no
-    /// information and stays all-infinite.
-    pub fn record<L: LatencyModel + ?Sized>(&mut self, scratch: &GossipScratch, latency: &L) {
-        for i in 0..self.store.len() {
-            let v = NodeId::new(i as u32);
-            let (start, end) = (self.store.offsets[i], self.store.offsets[i + 1]);
-            self.row.clear();
-            for e in start..end {
-                let u = NodeId::new(self.store.edges[e]);
-                // ∞ (never relayed) + δ stays ∞.
-                self.row
-                    .push((scratch.relay_start(u) + latency.delay(u, v)).as_ms());
-            }
-            push_normalized(&mut self.store.times, &self.row);
-        }
-        self.store.blocks += 1;
-    }
-
     /// Records one block from the per-node delivery logs that
     /// [`reference::gossip_block`](perigee_netsim::reference::gossip_block)
     /// returns (a neighbor absent from a log never announced and reads
     /// `∞`, the paper's convention) — the reference that
-    /// [`ObservationCollector::record_scratch`] must match bit for bit
-    /// on a message-level run. Panics unless there is exactly one log per
+    /// [`ObservationCollector::record_scratch`] must match bit for bit on
+    /// every config: on a zero-size flood each log holds `relay(u) +
+    /// δ(u,v)` per neighbor. Normalization is relative to the first
+    /// delivery from any neighbor (eq. 2); a row no neighbor delivers
+    /// stays all-infinite. Panics unless there is exactly one log per
     /// node.
     pub fn record_gossip(&mut self, logs: &[BTreeMap<NodeId, SimTime>]) {
         assert_eq!(logs.len(), self.store.len(), "one delivery log per node");
@@ -853,10 +829,9 @@ impl ObservationCollector {
     /// edge latencies (no latency-model call, no allocation per node per
     /// block) and normalized against its first delivery (eq. 2).
     ///
-    /// Produces bit-identical rows to [`ObservationCollector::record`]
-    /// on a flood and to [`ObservationCollector::record_gossip`] on the
-    /// same message's delivery logs, provided this collector was built
-    /// from the same view ([`ObservationCollector::from_view`]).
+    /// Produces bit-identical rows to [`ObservationCollector::record_gossip`]
+    /// on the same message's delivery logs, provided this collector was
+    /// built from the same view ([`ObservationCollector::from_view`]).
     ///
     /// # Panics
     ///
@@ -1011,7 +986,7 @@ impl RowSink for RowWriter<'_> {
             // The miner normalizes against its earliest *echo* (its own
             // arrival is 0 at mining time), unreached nodes keep their
             // all-infinite row, and a pulled message's arrival lags its
-            // first announcement: two passes, like `record`.
+            // first announcement: two passes, like `record_gossip`.
             self.row.clear();
             self.row.extend(deliveries.map(SimTime::as_ms));
             push_normalized(self.times, self.row);
@@ -1034,29 +1009,33 @@ fn push_normalized(times: &mut Vec<f32>, row: &[f64]) {
 
 /// Unit-test shorthand: floods one block from each of `sources` through
 /// a fresh view of the world and returns the round's store as the
-/// production recorder writes it, after asserting that the reference
-/// recorder writes the same rows.
+/// production recorder writes it, after asserting that recording the
+/// seed engine's flood logs writes the same rows.
 #[cfg(test)]
-pub(crate) fn observe_blocks<L: LatencyModel + ?Sized>(
+pub(crate) fn observe_blocks<L: perigee_netsim::LatencyModel + ?Sized>(
     topology: &perigee_netsim::Topology,
     latency: &L,
     population: &perigee_netsim::Population,
     sources: &[u32],
 ) -> ObservationStore {
+    use perigee_netsim::{reference, GossipConfig};
     let view = TopologyView::new(topology, latency, population);
     let mut fast = ObservationCollector::from_view(&view);
-    let mut reference = ObservationCollector::from_view(&view);
+    let mut seed = ObservationCollector::from_view(&view);
     let mut scratch = GossipScratch::new();
+    let flood = GossipConfig::flood();
     for &source in sources {
-        view.broadcast_into(NodeId::new(source), &mut scratch);
+        let source = NodeId::new(source);
+        view.broadcast_into(source, &mut scratch);
         fast.record_scratch(&view, &scratch);
-        reference.record(&scratch, latency);
+        let (_, logs) = reference::gossip_block(topology, latency, population, source, &flood);
+        seed.record_gossip(&logs);
     }
     let store = fast.finish();
     assert_eq!(
         store,
-        reference.finish(),
-        "record_scratch must equal record"
+        seed.finish(),
+        "record_scratch must equal the seed engine's flood logs"
     );
     store
 }
@@ -1173,11 +1152,11 @@ mod tests {
         let mut scratch = GossipScratch::new();
         for (i, src) in [0u32, 2, 1, 1].into_iter().enumerate() {
             view.broadcast_into(NodeId::new(src), &mut scratch);
-            seq.record(&scratch, &lat);
+            seq.record_scratch(&view, &scratch);
             if i < 2 {
-                a.record(&scratch, &lat)
+                a.record_scratch(&view, &scratch)
             } else {
-                b.record(&scratch, &lat)
+                b.record_scratch(&view, &scratch)
             }
         }
         a.append(b);

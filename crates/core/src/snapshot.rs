@@ -3,19 +3,23 @@
 //!
 //! A snapshot captures *complete* cross-round run state — everything the
 //! determinism contract depends on: the engine configuration and round
-//! counter, the block [`GossipConfig`], the [`Population`] (free-list,
+//! counter, the block [`GossipConfig`], the [`Population`] (live flags,
 //! stable ids, hash power), the learned [`Topology`], the engine's
 //! per-node score histories ([`NodeHistory`] — UCB's per-connection
 //! `T̿u,v`, blank under Vanilla and Subset), the [`AddressBook`], the
 //! [`LivenessTracker`]'s counters and backoff timers, the
 //! [`ChurnProcess`]'s rate, session law, RNG and session queue, the
 //! [`FaultPlan`] (pure config — its per-block draws are keyed on the
-//! checkpointed global block counter), the latency model, and the run
-//! RNG's raw state. What is *not* serialized is derived state rebuilt on
-//! resume: the CSR snapshot (`TopologyView`) and the miner sampler, both
-//! pure functions of the state above — the patched-equals-fresh
-//! invariant guarantees the rebuilt view is bit-identical to the one the
-//! checkpointed run was carrying.
+//! global block index `round × blocks_per_round`), the latency model, and
+//! the run RNG's raw state. Each fact is stored once; what is *not*
+//! serialized is derived state rebuilt on resume: the CSR snapshot
+//! (`TopologyView`), the miner sampler, the global block counter (the
+//! round counter times the config's blocks per round), the population's
+//! live count (recounted from its `alive` flags) and the topology's
+//! incoming sets and pin mirrors (rebuilt from the outgoing sets and
+//! each pinned pair) — all pure functions of the state above. The
+//! patched-equals-fresh invariant guarantees the rebuilt view is
+//! bit-identical to the one the checkpointed run was carrying.
 //!
 //! # On-disk format
 //!
@@ -34,7 +38,7 @@
 //! across thread counts, churn and active fault plans (the `resume`
 //! integration suite is the enforcement).
 //!
-//! The current body layout is format **8**; [`FORMAT_VERSION`] records
+//! The current body layout is format **9**; [`FORMAT_VERSION`] records
 //! what each version changed.
 //!
 //! [`ChurnProcess`]: perigee_netsim::ChurnProcess
@@ -88,10 +92,17 @@ const MAGIC: [u8; 4] = *b"PRGS";
 /// version 7, but every [`NodeHistory`] buffer is sorted ascending under
 /// [`f32::total_cmp`] (scoring reads its order statistics by index), and
 /// the decoder refuses a buffer that is unsorted or holds a non-finite
-/// sample. Older envelopes are rejected with
+/// sample; **9** — each fact is stored once: the global block counter
+/// (always `round × blocks_per_round`), the population's free-list (the
+/// `alive` flags already say which slots are dead) and the topology's
+/// incoming sets and second pin copies (each pinned pair is written once)
+/// left the body and are rebuilt on resume, and the decoders refuse an
+/// edge naming a node outside the world, a self-loop, a pair held twice,
+/// and hash power that is NaN, infinite, negative or held by a dead
+/// slot. Older envelopes are rejected with
 /// [`SnapshotError::UnsupportedVersion`] — re-run the capture, don't
 /// guess at a world whose id space may have been renumbered.
-pub const FORMAT_VERSION: u32 = 8;
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Why a snapshot could not be read back.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,7 +152,6 @@ impl From<DecodeError> for SnapshotError {
 #[derive(Debug, Clone)]
 pub struct RunSnapshot {
     pub(crate) round: u64,
-    pub(crate) blocks_simulated: u64,
     pub(crate) compaction_epoch: u64,
     pub(crate) config: PerigeeConfig,
     pub(crate) method: ScoringMethod,
@@ -165,12 +175,7 @@ impl RunSnapshot {
         self.round
     }
 
-    /// The run-global block counter at capture time.
-    pub fn blocks_simulated(&self) -> u64 {
-        self.blocks_simulated
-    }
-
-    /// How many free-list compactions the captured run had performed
+    /// How many compactions the captured run had performed
     /// (see [`PerigeeEngine::compact`](crate::PerigeeEngine::compact)).
     /// Ids name different nodes across epochs, so this is part of the
     /// world's identity.
@@ -195,7 +200,6 @@ impl RunSnapshot {
 
     fn encode_body(&self, out: &mut Vec<u8>) {
         self.round.encode(out);
-        self.blocks_simulated.encode(out);
         self.compaction_epoch.encode(out);
         self.config.encode(out);
         self.method.encode(out);
@@ -216,7 +220,6 @@ impl RunSnapshot {
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         let snapshot = RunSnapshot {
             round: u64::decode(r)?,
-            blocks_simulated: u64::decode(r)?,
             compaction_epoch: u64::decode(r)?,
             config: Decode::decode(r)?,
             method: Decode::decode(r)?,
@@ -373,7 +376,6 @@ mod tests {
         topology.connect(NodeId::new(0), NodeId::new(1)).unwrap();
         RunSnapshot {
             round: 17,
-            blocks_simulated: 1700,
             compaction_epoch: 0,
             config: PerigeeConfig::default(),
             method: ScoringMethod::Subset,
@@ -400,7 +402,6 @@ mod tests {
         let back = RunSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(back.to_bytes(), bytes, "decode∘encode is the identity");
         assert_eq!(back.round(), 17);
-        assert_eq!(back.blocks_simulated(), 1700);
         assert_eq!(back.node_count(), 2);
     }
 

@@ -1,9 +1,9 @@
 //! The parallel round engine must be *bit-identical* to the sequential
 //! path — a one-thread rayon pool: same RoundStats floats, same learned
 //! topology, same observation rows — and its propagation phase must
-//! reproduce the reference pipeline exactly: a flood through a freshly
-//! built view (or the seed's event-queue gossip engine), recorded by
-//! `ObservationCollector::record` (or `record_gossip`) and measured by
+//! reproduce the reference pipeline exactly: the seed's event-queue
+//! gossip engine, its delivery logs recorded by
+//! `ObservationCollector::record_gossip` and its arrivals measured by
 //! `reference::coverage_times`.
 
 use perigee_core::{
@@ -118,10 +118,11 @@ fn pinned_thread_pool_matches_default_pool() {
     assert_eq!(wide.observations(), narrow.observations());
 }
 
-/// The engine's propagation phase — carried view, parallel fan-out,
-/// `record_scratch`, production coverage — reproduces the reference
-/// sequential pipeline — a fresh view, `record()` against the latency
-/// model, `reference::coverage_times` — bit for bit.
+/// The engine's propagation phase under its default block config —
+/// carried view, parallel fan-out, `record_scratch`, production
+/// coverage — reproduces the reference sequential pipeline — the seed
+/// engine's flood of each block, `record_gossip()` over its delivery
+/// logs, `reference::coverage_times` on its arrivals — bit for bit.
 #[test]
 fn observe_round_matches_legacy_pipeline() {
     let (engine_a, mut rng) = engine(130, 20, 11);
@@ -131,16 +132,20 @@ fn observe_round_matches_legacy_pipeline() {
     let round = engine_a.observe_round(&view, &miners);
 
     let mut collector = ObservationCollector::from_view(&view);
-    let mut scratch = GossipScratch::new();
     let mut legacy90 = Vec::new();
     let mut legacy50 = Vec::new();
     for &miner in &miners {
-        view.broadcast_into(miner, &mut scratch);
-        let coverage =
-            reference::coverage_times(scratch.arrivals(), engine_a.population(), &[0.9, 0.5]);
+        let (arrivals, logs) = reference::gossip_block(
+            engine_a.topology(),
+            engine_a.latency(),
+            engine_a.population(),
+            miner,
+            &GossipConfig::flood(),
+        );
+        let coverage = reference::coverage_times(&arrivals, engine_a.population(), &[0.9, 0.5]);
         legacy90.push(coverage[0].as_ms());
         legacy50.push(coverage[1].as_ms());
-        collector.record(&scratch, engine_a.latency());
+        collector.record_gossip(&logs);
     }
     let legacy_obs = collector.finish();
 

@@ -529,6 +529,72 @@ fn unsorted_or_non_finite_history_in_a_hash_valid_checkpoint_is_corrupt() {
     resumed.run_round(&mut rng);
 }
 
+/// A hash-valid checkpoint whose topology holds an edge the API never
+/// builds — n0's smallest outgoing id rewritten to a node past the world,
+/// to n0 itself, or to a node that already connects to n0, with the
+/// content hash recomputed — is refused while decoding, as
+/// [`SnapshotError::Corrupt`], instead of resuming into a view build
+/// that panics. The incoming sets are rebuilt, not stored, so none can
+/// disagree with the outgoing ones. A checkpoint whose dead slot holds
+/// hash power is refused the same way, instead of resuming a sampler
+/// that mines from it.
+#[test]
+fn impossible_world_in_a_hash_valid_checkpoint_is_corrupt() {
+    let mut rng = StdRng::seed_from_u64(62);
+    let pop = PopulationBuilder::new(60).build(&mut rng).unwrap();
+    let lat = GeoLatencyModel::new(&pop, 62);
+    let topo = RandomBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
+    let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Subset);
+    cfg.blocks_per_round = 4;
+    let mut engine = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg).unwrap();
+    engine.run_round(&mut rng);
+    let bytes = engine.checkpoint(&rng).to_bytes();
+    let mut topology = Vec::new();
+    engine.topology().encode(&mut topology);
+    let body_end = bytes.len() - 8;
+    let at = (16..body_end - topology.len())
+        .find(|&i| bytes[i..i + topology.len()] == topology[..])
+        .expect("the topology is in the body");
+    // The topology is its node count, then n0's outgoing count and its
+    // ascending ids: rewrite n0's first (smallest) id.
+    assert!(engine.topology().out_degree(perigee_netsim::NodeId::new(0)) > 0);
+    let first = at + 16;
+    let caller = engine
+        .topology()
+        .incoming(perigee_netsim::NodeId::new(0))
+        .next()
+        .expect("someone connects to n0");
+    for (id, why) in [
+        (6000, "topology edge names a node outside the world"),
+        (0, "topology edge is a self-loop"),
+        (caller.as_u32(), "topology holds a pair twice"),
+    ] {
+        let mut tampered = bytes.clone();
+        tampered[first..first + 4].copy_from_slice(&id.to_le_bytes());
+        let digest = serde::bin::fnv1a64(&tampered[16..body_end]);
+        tampered[body_end..].copy_from_slice(&digest.to_le_bytes());
+        assert_eq!(
+            RunSnapshot::from_bytes(&tampered).unwrap_err(),
+            SnapshotError::Corrupt(DecodeError::new(why)),
+            "n0 -> n{id}"
+        );
+    }
+    // The untouched body still decodes, resumes and runs a round.
+    let snapshot = RunSnapshot::from_bytes(&bytes).unwrap();
+    let (mut resumed, mut rng) = PerigeeEngine::<GeoLatencyModel>::resume(snapshot).unwrap();
+    resumed.run_round(&mut rng);
+
+    let dead = perigee_netsim::NodeId::new(59);
+    resumed.population_mut().retire(dead);
+    resumed.population_mut().profile_mut(dead).hash_power = 0.5;
+    assert_eq!(
+        RunSnapshot::from_bytes(&resumed.checkpoint(&rng).to_bytes()).unwrap_err(),
+        SnapshotError::Corrupt(DecodeError::new(
+            "hash power is NaN, infinite, negative or held by a dead slot"
+        ))
+    );
+}
+
 /// Checked-in envelopes of older format versions — version 1 (written
 /// before the snapshot carried the compaction epoch and the latency
 /// placement keys), version 3 (a UCB run whose score state was still
@@ -540,9 +606,12 @@ fn unsorted_or_non_finite_history_in_a_hash_valid_checkpoint_is_corrupt() {
 /// geographic jitter fraction and the arrival region weights),
 /// version 6 (a UCB run with churn, aggressive liveness, a fault plan
 /// and the heap queue, whose body still carried the queue-kind byte, the
-/// churn mode tag and the last round's world delta) and version 7 (a UCB
+/// churn mode tag and the last round's world delta), version 7 (a UCB
 /// run with churn, aggressive liveness and a fault plan, whose history
-/// buffers are still in arrival order) — are
+/// buffers are still in arrival order) and version 8 (the same run, its
+/// buffers sorted, whose body still carried the global block counter,
+/// the population's free-list of five dead slots, the topology's
+/// incoming sets and both copies of each pin) — are
 /// rejected with a *structured* [`SnapshotError::UnsupportedVersion`] —
 /// never a panic, never a misdecoded world. Truncated prefixes of the
 /// old files must not panic either. The newest fixture is the version
@@ -550,13 +619,14 @@ fn unsorted_or_non_finite_history_in_a_hash_valid_checkpoint_is_corrupt() {
 /// the format it retires.
 #[test]
 fn old_snapshot_versions_are_rejected_with_unsupported_version() {
-    let fixtures: [(&[u8], u32); 6] = [
+    let fixtures: [(&[u8], u32); 7] = [
         (include_bytes!("fixtures/snapshot_v1.bin"), 1),
         (include_bytes!("fixtures/snapshot_v3.bin"), 3),
         (include_bytes!("fixtures/snapshot_v4.bin"), 4),
         (include_bytes!("fixtures/snapshot_v5.bin"), 5),
         (include_bytes!("fixtures/snapshot_v6.bin"), 6),
         (include_bytes!("fixtures/snapshot_v7.bin"), 7),
+        (include_bytes!("fixtures/snapshot_v8.bin"), 8),
     ];
     assert_eq!(
         fixtures.iter().map(|&(_, v)| v).max(),

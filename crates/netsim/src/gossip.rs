@@ -273,15 +273,15 @@ enum EventKind {
 ///
 /// ```text
 /// bits 127..64   event time as f64 bits (non-negative ⇒ bit order = value order)
-/// bits  63..32   insertion sequence (the legacy EventQueue tie-break)
+/// bits  63..32   insertion sequence (the seed engine's tie-break)
 /// bits  31..30   EventKind
 /// bits  29..0    payload: a directed CSR edge index, or a node id
 /// ```
 ///
 /// Integer order on the whole word is therefore exactly "by time, ties by
 /// insertion sequence" (the sequence is unique, so the low bits never
-/// decide), which is the legacy [`EventQueue`](crate::EventQueue) pop
-/// order. The 30-bit payload caps supported snapshots at
+/// decide), which is the pop order of the seed engine,
+/// [`reference::gossip_block`](crate::reference::gossip_block). The 30-bit payload caps supported snapshots at
 /// [`PACKED_PAYLOAD_CAP`] nodes/directed edges — an 8 GB+ view, far
 /// beyond simulation scale. The cap is *guaranteed* before any event is
 /// packed: view and scratch construction return

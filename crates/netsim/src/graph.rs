@@ -8,6 +8,14 @@
 //!
 //! All collections are `BTreeSet`s so that iteration order — and therefore
 //! every simulation — is deterministic.
+//!
+//! The incoming sets mirror the outgoing ones and each pinned edge is held
+//! by both of its ends, so degrees stay O(1) reads. A checkpoint stores
+//! each fact once — the outgoing sets, every pinned pair once and the
+//! limits — and decoding rebuilds both mirrors through
+//! [`Topology::connect`] and [`Topology::pin`], so a body naming a node
+//! outside the world, a self-loop, a pair held twice or an overfull slot
+//! is refused rather than resumed.
 
 use std::collections::BTreeSet;
 
@@ -438,27 +446,54 @@ mod codec {
     }
 
     impl Encode for Topology {
+        /// The outgoing sets, each pinned pair once as `(u, v)` with
+        /// `u < v`, then the limits: no mirror is written.
         fn encode(&self, out: &mut Vec<u8>) {
             self.out.encode(out);
-            self.incoming.encode(out);
-            self.pinned.encode(out);
+            let pins: Vec<(NodeId, NodeId)> = self
+                .pinned
+                .iter()
+                .enumerate()
+                .flat_map(|(u, row)| {
+                    let u = NodeId::new(u as u32);
+                    row.iter().filter(move |&&v| u < v).map(move |&v| (u, v))
+                })
+                .collect();
+            pins.encode(out);
             self.limits.encode(out);
         }
     }
 
     impl Decode for Topology {
+        /// Replays every stored edge through [`Topology::connect`] and
+        /// [`Topology::pin`], which rebuild the mirrors and refuse what
+        /// the API never builds.
         fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            let topo = Topology {
-                out: Vec::decode(r)?,
-                incoming: Vec::decode(r)?,
-                pinned: Vec::decode(r)?,
-                limits: ConnectionLimits::decode(r)?,
-            };
-            if topo.incoming.len() != topo.out.len() || topo.pinned.len() != topo.out.len() {
-                return Err(DecodeError::new("topology adjacency lengths disagree"));
+            let out: Vec<BTreeSet<NodeId>> = Vec::decode(r)?;
+            let pins: Vec<(NodeId, NodeId)> = Vec::decode(r)?;
+            let mut topo = Topology::new(out.len(), ConnectionLimits::decode(r)?);
+            for (u, row) in out.iter().enumerate() {
+                for &v in row {
+                    topo.connect(NodeId::new(u as u32), v).map_err(refusal)?;
+                }
+            }
+            for (u, v) in pins {
+                topo.pin(u, v).map_err(refusal)?;
             }
             Ok(topo)
         }
+    }
+
+    /// The decode error for an edge the topology refuses.
+    fn refusal(e: ConnectError) -> DecodeError {
+        DecodeError::new(match e {
+            ConnectError::UnknownNode(_) => "topology edge names a node outside the world",
+            ConnectError::SelfConnection(_) => "topology edge is a self-loop",
+            ConnectError::AlreadyConnected(..) => "topology holds a pair twice",
+            ConnectError::OutgoingFull(_) | ConnectError::IncomingFull(_) => {
+                "topology exceeds its connection limits"
+            }
+        })
     }
 }
 
@@ -625,6 +660,72 @@ mod tests {
     #[test]
     fn empty_topology_is_connected() {
         assert!(Topology::new(0, ConnectionLimits::unlimited()).is_connected());
+    }
+
+    /// A topology body in the codec's layout: `out` rows, then pinned
+    /// pairs, then unlimited limits.
+    fn body(out: &[&[u32]], pins: &[(u32, u32)]) -> Vec<u8> {
+        use serde::bin::Encode;
+        let rows: Vec<BTreeSet<NodeId>> = out
+            .iter()
+            .map(|row| ids(row).into_iter().collect())
+            .collect();
+        let pins: Vec<(NodeId, NodeId)> = pins
+            .iter()
+            .map(|&(u, v)| (NodeId::new(u), NodeId::new(v)))
+            .collect();
+        let mut bytes = rows.to_bytes();
+        pins.encode(&mut bytes);
+        ConnectionLimits::unlimited().encode(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn roundtrip_rebuilds_the_mirrors_from_each_fact_once() {
+        use serde::bin::{Decode, Encode};
+        let mut t = Topology::new(5, ConnectionLimits::new(3, Some(4)));
+        t.connect(NodeId::new(0), NodeId::new(2)).unwrap();
+        t.connect(NodeId::new(4), NodeId::new(2)).unwrap();
+        t.connect(NodeId::new(2), NodeId::new(1)).unwrap();
+        t.pin(NodeId::new(3), NodeId::new(1)).unwrap();
+        t.pin(NodeId::new(0), NodeId::new(4)).unwrap();
+        let bytes = t.to_bytes();
+        let back = Topology::from_bytes(&bytes).unwrap();
+        assert_eq!(back, t, "incoming sets and pin mirrors are rebuilt");
+        assert_eq!(back.to_bytes(), bytes);
+        back.assert_invariants();
+        // No mirror is written: the same world in the codec's layout.
+        let mut plain = body(&[&[2], &[], &[1], &[], &[2]], &[(0, 4), (1, 3)]);
+        plain.truncate(plain.len() - 9);
+        ConnectionLimits::new(3, Some(4)).encode(&mut plain);
+        assert_eq!(bytes, plain);
+    }
+
+    /// Bodies the API never builds are refused while decoding, never
+    /// resumed into a view build that panics.
+    #[test]
+    fn decoding_refuses_edges_the_topology_never_holds() {
+        use serde::bin::{Decode, DecodeError};
+        let refused = |out: &[&[u32]], pins: &[(u32, u32)]| Topology::from_bytes(&body(out, pins));
+        let err = |why| Err(DecodeError::new(why));
+        let outside = "topology edge names a node outside the world";
+        assert_eq!(refused(&[&[7], &[], &[]], &[]), err(outside));
+        assert_eq!(refused(&[&[1], &[], &[]], &[(2, 9)]), err(outside));
+        let self_loop = "topology edge is a self-loop";
+        assert_eq!(refused(&[&[], &[1], &[]], &[]), err(self_loop));
+        assert_eq!(refused(&[&[], &[], &[]], &[(2, 2)]), err(self_loop));
+        let twice = "topology holds a pair twice";
+        assert_eq!(refused(&[&[1], &[0], &[]], &[]), err(twice));
+        assert_eq!(refused(&[&[1], &[], &[]], &[(1, 0)]), err(twice));
+        assert_eq!(refused(&[&[], &[], &[]], &[(0, 2), (2, 0)]), err(twice));
+        let mut full = body(&[&[1, 2], &[], &[]], &[]);
+        full.truncate(full.len() - 9);
+        serde::bin::Encode::encode(&ConnectionLimits::new(1, None), &mut full);
+        assert_eq!(
+            Topology::from_bytes(&full),
+            err("topology exceeds its connection limits")
+        );
+        assert!(refused(&[&[1], &[2], &[]], &[(0, 2)]).is_ok());
     }
 
     #[test]

@@ -61,11 +61,11 @@
 //!   [`ChurnProcess`] (one seeded, bit-reproducible Poisson process:
 //!   arrivals per round, constant or exponential session lengths) plans
 //!   each round's [`WorldDelta`] of joined and departed ids;
-//!   [`Population`] grows/shrinks through stable-id `spawn`/`retire` with
-//!   a free-list (ids are never reused *between* compactions, dead slots
-//!   are skipped; an explicit [`IdRemap`]-driven
-//!   [`Population::compact`] renumbers survivors when the free-list
-//!   grows large — see the `population` module docs for the contract),
+//!   [`Population`] grows/shrinks through stable-id `spawn`/`retire`
+//!   (ids are never reused *between* compactions, dead slots are
+//!   skipped; an explicit [`IdRemap`]-driven [`Population::compact`]
+//!   renumbers survivors when dead slots pile up — see the `population`
+//!   module docs for the contract),
 //!   and
 //!   [`TopologyView::apply_world_delta`] folds arrivals, departures and
 //!   the round's rewiring into the carried CSR snapshot in one linear
@@ -158,7 +158,6 @@ pub mod counters;
 pub mod dataset;
 pub mod dynamics;
 pub mod error;
-pub mod event;
 pub mod faults;
 pub mod gossip;
 pub mod graph;
@@ -176,7 +175,6 @@ pub use bandwidth::TransferModel;
 pub use counters::SimCounters;
 pub use dynamics::{ChurnPlan, ChurnProcess, SessionDist, WorldDelta};
 pub use error::{ConnectError, NetsimError};
-pub use event::EventQueue;
 pub use faults::{
     BlockFaults, FaultPlan, FaultWindow, LegOutcome, LinkFaultRates, LinkFlaps, PartitionWindow,
     RegionalWindow, RoundFaults,

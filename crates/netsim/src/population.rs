@@ -4,23 +4,25 @@
 //! attributes (region, hash power, validation delay, coordinates, bandwidth,
 //! behaviour). Build one with [`PopulationBuilder`].
 //!
-//! # Dynamic worlds: the stable-id / free-list contract
+//! # Dynamic worlds: the stable-id contract
 //!
 //! Populations are no longer frozen at construction: the
 //! [`dynamics`](crate::dynamics) subsystem grows and shrinks them through
 //! [`Population::spawn`] and [`Population::retire`] under one invariant —
 //! **a [`NodeId`] is never reused within a run**. `spawn` always appends a
-//! fresh slot (ids grow monotonically), and `retire` marks a slot dead and
-//! pushes it onto a free-list ([`Population::retired`]) instead of
-//! deleting it, so every flat per-node array in the workspace (topology
-//! adjacency, CSR views, score histories, address books) stays indexed by
-//! the same ids for the whole run and learned state can never silently
-//! alias a newcomer. Dead slots are *skipped*, not reclaimed: they hold
-//! zero hash power (so miners, coverage fractions and samplers ignore
-//! them), keep no edges, and [`Population::ids_alive`] /
-//! [`Population::alive_count`] expose the live subset.
+//! fresh slot (ids grow monotonically), and `retire` marks a slot dead
+//! instead of deleting it, so every flat per-node array in the workspace
+//! (topology adjacency, CSR views, score histories, address books) stays
+//! indexed by the same ids for the whole run and learned state can never
+//! silently alias a newcomer. Dead slots are *skipped*, not reclaimed:
+//! they hold zero hash power (so miners, coverage fractions and samplers
+//! ignore them), keep no edges, and [`Population::ids_alive`] /
+//! [`Population::alive_count`] expose the live subset. The per-slot
+//! `alive` flags are the one record of who is dead: the population keeps
+//! only a count of dead slots beside them (so `alive_count` is O(1)), and
+//! the checkpoint decoder recomputes that count from the flags.
 //!
-//! # Free-list compaction
+//! # Dead-slot compaction
 //!
 //! Dead slots are cheap but not free: every flat per-node array (CSR
 //! offsets, relay profiles, score histories) keeps paying one entry per
@@ -209,9 +211,8 @@ pub struct Population {
     /// `alive[i]` — whether slot `i` currently hosts a live node. All-true
     /// until [`Population::retire`] is first used.
     alive: Vec<bool>,
-    /// The free-list: retired slots in retirement order. Never popped —
-    /// ids are not reused within a run (see the module docs).
-    retired: Vec<u32>,
+    /// How many `alive` flags are false: derived, so never encoded.
+    dead: usize,
 }
 
 impl Population {
@@ -221,15 +222,16 @@ impl Population {
     ///
     /// Returns [`NetsimError::EmptyPopulation`] when `profiles` is empty,
     /// [`NetsimError::InvalidHashPower`] when hash powers are negative or sum
-    /// to zero, and [`NetsimError::InvalidDelay`] naming the first node
-    /// whose validation delay or [`Behavior::Delay`] extra is negative, NaN
-    /// or infinite.
+    /// to zero, NaN or infinity (normalizing by an infinite total would
+    /// leave NaN or zero power), and [`NetsimError::InvalidDelay`] naming
+    /// the first node whose validation delay or [`Behavior::Delay`] extra
+    /// is negative, NaN or infinite.
     pub fn from_profiles(mut profiles: Vec<NodeProfile>) -> Result<Self, NetsimError> {
         if profiles.is_empty() {
             return Err(NetsimError::EmptyPopulation);
         }
         let total: f64 = profiles.iter().map(|p| p.hash_power).sum();
-        if total <= 0.0 || total.is_nan() || profiles.iter().any(|p| p.hash_power < 0.0) {
+        if total <= 0.0 || !total.is_finite() || profiles.iter().any(|p| p.hash_power < 0.0) {
             return Err(NetsimError::InvalidHashPower);
         }
         if let Some(i) = profiles.iter().position(|p| !p.has_valid_delays()) {
@@ -242,7 +244,7 @@ impl Population {
         Ok(Population {
             profiles,
             alive,
-            retired: Vec::new(),
+            dead: 0,
         })
     }
 
@@ -254,10 +256,10 @@ impl Population {
         self.profiles.len()
     }
 
-    /// Number of live nodes (slots minus the free-list).
+    /// Number of live nodes (slots minus dead slots).
     #[inline]
     pub fn alive_count(&self) -> usize {
-        self.profiles.len() - self.retired.len()
+        self.profiles.len() - self.dead
     }
 
     /// Whether slot `id` hosts a live node.
@@ -268,13 +270,6 @@ impl Population {
     #[inline]
     pub fn is_alive(&self, id: NodeId) -> bool {
         self.alive[id.index()]
-    }
-
-    /// The free-list: retired slots in retirement order. Ids on it are
-    /// never reassigned within a run.
-    #[inline]
-    pub fn retired(&self) -> &[u32] {
-        &self.retired
     }
 
     /// Iterates over the ids of live nodes, ascending.
@@ -298,8 +293,9 @@ impl Population {
         id
     }
 
-    /// Retires a live node: its slot is marked dead, pushed onto the
-    /// free-list, and its hash power is zeroed so miners/coverage skip it.
+    /// Retires a live node: its slot is marked dead (its id is never
+    /// reassigned within a run) and its hash power is zeroed so
+    /// miners/coverage skip it.
     /// Returns `false` (and does nothing) if the node was already retired.
     ///
     /// # Panics
@@ -311,13 +307,13 @@ impl Population {
         }
         self.alive[id.index()] = false;
         self.profiles[id.index()].hash_power = 0.0;
-        self.retired.push(id.as_u32());
+        self.dead += 1;
         true
     }
 
-    /// Plans a free-list compaction: the order-preserving renumbering
-    /// that deletes every dead slot and shifts survivors down. Returns
-    /// `None` when the free-list is empty (nothing to reclaim).
+    /// Plans a compaction: the order-preserving renumbering that deletes
+    /// every dead slot and shifts survivors down. Returns `None` when no
+    /// slot is dead (nothing to reclaim).
     ///
     /// The plan is only valid against the exact population state it was
     /// built from — apply it to *every* id-holding structure (topology,
@@ -325,7 +321,7 @@ impl Population {
     /// in the same step, with [`Population::compact`] itself last or
     /// first but never mixed with other world edits.
     pub fn compaction_plan(&self) -> Option<IdRemap> {
-        if self.retired.is_empty() {
+        if self.dead == 0 {
             return None;
         }
         let mut forward = Vec::with_capacity(self.alive.len());
@@ -344,10 +340,10 @@ impl Population {
         })
     }
 
-    /// Applies a compaction plan: dead slots are deleted, survivors keep
-    /// their relative order under their new (shifted-down) ids, and the
-    /// free-list empties. Hash powers are untouched — dead slots held
-    /// zero power, so the live distribution is bit-identical.
+    /// Applies a compaction plan: dead slots are deleted and survivors keep
+    /// their relative order under their new (shifted-down) ids. Hash
+    /// powers are untouched — dead slots held zero power, so the live
+    /// distribution is bit-identical.
     ///
     /// # Panics
     ///
@@ -378,7 +374,7 @@ impl Population {
         self.profiles
             .retain(|_| alive.next().expect("lengths agree"));
         self.alive = vec![true; self.profiles.len()];
-        self.retired.clear();
+        self.dead = 0;
     }
 
     /// The mean hash power over live nodes — the natural power to assign
@@ -722,29 +718,36 @@ mod codec {
         fn encode(&self, out: &mut Vec<u8>) {
             self.profiles.encode(out);
             self.alive.encode(out);
-            self.retired.encode(out);
         }
     }
 
     impl Decode for Population {
+        /// Refuses hash power that [`Population::from_profiles`] and
+        /// [`Population::retire`] never leave: NaN, infinite or negative
+        /// power, or any power on a dead slot.
         fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            let pop = Population {
-                profiles: Vec::decode(r)?,
-                alive: Vec::decode(r)?,
-                retired: Vec::decode(r)?,
-            };
-            if pop.alive.len() != pop.profiles.len() {
+            let profiles: Vec<NodeProfile> = Vec::decode(r)?;
+            let alive: Vec<bool> = Vec::decode(r)?;
+            if alive.len() != profiles.len() {
                 return Err(DecodeError::new(
                     "population alive/profile lengths disagree",
                 ));
             }
-            for &id in &pop.retired {
-                match pop.alive.get(id as usize) {
-                    Some(false) => {}
-                    _ => return Err(DecodeError::new("free-list entry is not a dead slot")),
-                }
+            let legal = |(p, &a): (&NodeProfile, &bool)| {
+                let w = p.hash_power;
+                w.is_finite() && w >= 0.0 && (a || w == 0.0)
+            };
+            if !profiles.iter().zip(&alive).all(legal) {
+                return Err(DecodeError::new(
+                    "hash power is NaN, infinite, negative or held by a dead slot",
+                ));
             }
-            Ok(pop)
+            let dead = alive.iter().filter(|&&a| !a).count();
+            Ok(Population {
+                profiles,
+                alive,
+                dead,
+            })
         }
     }
 
@@ -991,7 +994,7 @@ mod tests {
     }
 
     #[test]
-    fn spawn_appends_fresh_ids_and_retire_feeds_the_free_list() {
+    fn spawn_appends_fresh_ids_and_retire_marks_the_slot_dead() {
         let mut rng = StdRng::seed_from_u64(8);
         let mut pop = PopulationBuilder::new(4).build(&mut rng).unwrap();
         assert_eq!(pop.alive_count(), 4);
@@ -1000,8 +1003,7 @@ mod tests {
         assert!(!pop.retire(v), "double retire is a no-op");
         assert!(!pop.is_alive(v));
         assert_eq!(pop.hash_power(v), 0.0, "dead slots hold no power");
-        assert_eq!(pop.retired(), &[1]);
-        assert_eq!(pop.alive_count(), 3);
+        assert_eq!(pop.alive_count(), 3, "a double retire counts once");
         // Spawn never reuses the retired slot: the id is brand new.
         let profile = NodeProfile {
             hash_power: pop.mean_alive_hash_power(),
@@ -1085,7 +1087,6 @@ mod tests {
         pop.compact(&plan);
         assert_eq!(pop.len(), 4);
         assert_eq!(pop.alive_count(), 4);
-        assert!(pop.retired().is_empty(), "free-list drained");
         assert!(pop.compaction_plan().is_none(), "idempotent");
         for (i, expect) in survivors.iter().enumerate() {
             let got = pop.profile(NodeId::new(i as u32));
@@ -1136,6 +1137,70 @@ mod tests {
             "power assigned by the world, not the builder"
         );
         assert!(p.behavior.is_honest());
+    }
+
+    /// The codec writes no dead-slot count: a population with
+    /// retirements decodes with the count recomputed from its `alive`
+    /// flags, so `alive_count` and the compaction plan agree with them.
+    #[test]
+    fn roundtrip_recomputes_the_dead_count_from_the_flags() {
+        use serde::bin::{Decode, Encode};
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut pop = PopulationBuilder::new(7).build(&mut rng).unwrap();
+        for dead in [5u32, 1, 3] {
+            pop.retire(NodeId::new(dead));
+        }
+        pop.renormalize_hash_power();
+        let back = Population::from_bytes(&pop.to_bytes()).unwrap();
+        assert_eq!(back, pop);
+        assert_eq!(back.alive_count(), back.ids_alive().count());
+        assert_eq!(back.alive_count(), 4);
+        let plan = back.compaction_plan().expect("three dead slots");
+        assert_eq!(plan.reclaimed(), 3);
+        assert_eq!(plan.new_len(), back.alive_count());
+        for id in back.ids() {
+            assert_eq!(plan.new_id(id).is_some(), back.is_alive(id));
+        }
+    }
+
+    /// Hash power that `from_profiles` and `retire` never leave — NaN,
+    /// infinite or negative on any slot, or nonzero on a dead one — is
+    /// refused while decoding, so no sampler ever mines from it.
+    #[test]
+    fn illegal_hash_power_is_refused_while_decoding() {
+        use serde::bin::{Decode, DecodeError, Encode};
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut pop = PopulationBuilder::new(4).build(&mut rng).unwrap();
+        pop.retire(NodeId::new(2));
+        pop.renormalize_hash_power();
+        let refusal = Err(DecodeError::new(
+            "hash power is NaN, infinite, negative or held by a dead slot",
+        ));
+        for (slot, bad) in [
+            (0, f64::NAN),
+            (1, f64::INFINITY),
+            (3, -0.25),
+            (2, 0.25), // the dead slot
+        ] {
+            let mut tampered = pop.clone();
+            tampered.profile_mut(NodeId::new(slot)).hash_power = bad;
+            assert_eq!(
+                Population::from_bytes(&tampered.to_bytes()),
+                refusal,
+                "power {bad} on n{slot}"
+            );
+        }
+        assert!(Population::from_bytes(&pop.to_bytes()).is_ok());
+        // Nor does `from_profiles` leave such power: an infinite total
+        // would normalize to NaN, so it is refused.
+        let infinite = [f64::INFINITY, 1.0].map(|hash_power| NodeProfile {
+            hash_power,
+            ..NodeProfile::default()
+        });
+        assert_eq!(
+            Population::from_profiles(infinite.to_vec()),
+            Err(NetsimError::InvalidHashPower)
+        );
     }
 
     #[test]

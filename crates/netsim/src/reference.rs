@@ -2,12 +2,12 @@
 //! check the production engines against, bit for bit. Neither is a hot
 //! path.
 //!
-//! * [`gossip_block`] is the seed's message-level engine, verbatim: a
-//!   generic [`EventQueue`] with one slot allocation per boxed event,
-//!   `Vec<bool>` flags, one `BTreeMap` delivery log per node and a
-//!   latency-model call per event leg. `tests/gossip_legacy.rs` checks
+//! * [`gossip_block`] is the seed's message-level engine: a binary heap
+//!   of events in time-then-insertion order, `Vec<bool>` flags, one
+//!   `BTreeMap` delivery log per node and a latency-model call per event
+//!   leg. `tests/gossip_legacy.rs` and `tests/gossip_ties.rs` check
 //!   [`TopologyView::gossip_into`](crate::TopologyView::gossip_into)
-//!   against it event for event.
+//!   against it event for event, exact ties included.
 //! * [`coverage_times`] is λ(f) by its definition, which
 //!   [`GossipScratch::coverage_times_into`](crate::GossipScratch::coverage_times_into)
 //!   computes from cached weights, by selection when hash power is
@@ -16,9 +16,9 @@
 //! Keeping the one copy of each here means every suite checks against
 //! the same oracle.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
-use crate::event::EventQueue;
 use crate::gossip::{clamp_fraction, GossipConfig, GossipMode};
 use crate::graph::Topology;
 use crate::latency::LatencyModel;
@@ -26,7 +26,10 @@ use crate::node::{Behavior, NodeId};
 use crate::population::Population;
 use crate::time::SimTime;
 
-#[derive(Debug)]
+/// An event of the seed engine. `Ord` only completes the heap key: the
+/// insertion counter in front of it is unique, so an event never decides
+/// the order.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     Inv {
         at: NodeId,
@@ -52,7 +55,8 @@ enum Event {
 
 /// Simulates one block mined by `source` at time zero with the reference
 /// event-queue engine, returning the first-arrival times and the
-/// per-node, per-neighbor delivery logs.
+/// per-node, per-neighbor delivery logs. Events fire in time order, and
+/// events due at the same time fire in the order they were scheduled.
 pub fn gossip_block<L: LatencyModel + ?Sized>(
     topology: &Topology,
     latency: &L,
@@ -61,7 +65,12 @@ pub fn gossip_block<L: LatencyModel + ?Sized>(
     config: &GossipConfig,
 ) -> (Vec<SimTime>, Vec<BTreeMap<NodeId, SimTime>>) {
     let n = topology.len();
-    let mut queue: EventQueue<Event> = EventQueue::new();
+    let mut queue: BinaryHeap<Reverse<(SimTime, u64, Event)>> = BinaryHeap::new();
+    let mut seq = 0u64;
+    let mut schedule = |queue: &mut BinaryHeap<_>, t: SimTime, event: Event| {
+        queue.push(Reverse((t, seq, event)));
+        seq += 1;
+    };
     let mut has_block = vec![false; n];
     let mut requested = vec![false; n];
     let mut first_arrival = vec![SimTime::INFINITY; n];
@@ -73,11 +82,11 @@ pub fn gossip_block<L: LatencyModel + ?Sized>(
     // unless it is a withholding adversary.
     match population.profile(source).behavior {
         Behavior::Silent => {}
-        Behavior::Honest => queue.schedule(SimTime::ZERO, Event::Announce { at: source }),
-        Behavior::Delay(d) => queue.schedule(d, Event::Announce { at: source }),
+        Behavior::Honest => schedule(&mut queue, SimTime::ZERO, Event::Announce { at: source }),
+        Behavior::Delay(d) => schedule(&mut queue, d, Event::Announce { at: source }),
     }
 
-    while let Some((t, event)) = queue.pop() {
+    while let Some(Reverse((t, _, event))) = queue.pop() {
         match event {
             Event::Announce { at } => {
                 for (k, v) in topology.neighbors(at).into_iter().enumerate() {
@@ -89,7 +98,8 @@ pub fn gossip_block<L: LatencyModel + ?Sized>(
                     };
                     if push {
                         let transfer = config.transfer.transfer_time(population, at, v);
-                        queue.schedule(
+                        schedule(
+                            &mut queue,
                             t + leg + transfer,
                             Event::Block {
                                 at: v,
@@ -98,7 +108,7 @@ pub fn gossip_block<L: LatencyModel + ?Sized>(
                             },
                         );
                     } else {
-                        queue.schedule(t + leg, Event::Inv { at: v, from: at });
+                        schedule(&mut queue, t + leg, Event::Inv { at: v, from: at });
                     }
                 }
             }
@@ -107,7 +117,7 @@ pub fn gossip_block<L: LatencyModel + ?Sized>(
                 if !has_block[at.index()] && !requested[at.index()] {
                     requested[at.index()] = true;
                     let leg = latency.delay(at, from);
-                    queue.schedule(t + leg, Event::GetData { at: from, from: at });
+                    schedule(&mut queue, t + leg, Event::GetData { at: from, from: at });
                 }
             }
             Event::GetData { at, from } => {
@@ -116,7 +126,8 @@ pub fn gossip_block<L: LatencyModel + ?Sized>(
                 debug_assert!(has_block[at.index()]);
                 let leg = latency.delay(at, from);
                 let transfer = config.transfer.transfer_time(population, at, from);
-                queue.schedule(
+                schedule(
+                    &mut queue,
                     t + leg + transfer,
                     Event::Block {
                         at: from,
@@ -137,10 +148,10 @@ pub fn gossip_block<L: LatencyModel + ?Sized>(
                 let profile = population.profile(at);
                 let validated = t + profile.validation_delay;
                 match profile.behavior {
-                    Behavior::Honest => queue.schedule(validated, Event::Announce { at }),
+                    Behavior::Honest => schedule(&mut queue, validated, Event::Announce { at }),
                     Behavior::Silent => {}
                     Behavior::Delay(extra) => {
-                        queue.schedule(validated + extra, Event::Announce { at })
+                        schedule(&mut queue, validated + extra, Event::Announce { at })
                     }
                 }
             }

@@ -1,7 +1,6 @@
 //! Cross-validation of both propagation kernels against the reference
 //! engine [`perigee_netsim::reference::gossip_block`]: the original
-//! [`EventQueue`]-based
-//! engine with boxed events and per-node `BTreeMap` delivery logs. The
+//! event-heap engine with per-node `BTreeMap` delivery logs. The
 //! production kernels claim bit-identical behaviour by construction (same
 //! schedule order, same time-tie insertion-sequence break, same `δ(u,v)`
 //! call directions, same transfer floats); this suite checks the claim
@@ -12,8 +11,6 @@
 //! [`perigee_netsim::reference::coverage_times`], and a scratch reused
 //! across blocks must leave each block exactly what the reference
 //! computes from nothing.
-//!
-//! [`EventQueue`]: perigee_netsim::EventQueue
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

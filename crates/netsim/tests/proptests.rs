@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 
 use perigee_netsim::pq::{CalendarQueue, BUCKET_WIDTH_MS};
 use perigee_netsim::{
-    reference, BlockFaults, ConnectionLimits, EventQueue, FaultPlan, GeoLatencyModel, GossipConfig,
+    reference, BlockFaults, ConnectionLimits, FaultPlan, GeoLatencyModel, GossipConfig,
     GossipScratch, LatencyModel, LinkFaultRates, LinkFlaps, NodeId, PopulationBuilder, Region,
     RegionalWindow, RoundDelta, SimTime, Topology, TopologyView, WorldDelta,
 };
@@ -140,24 +140,6 @@ proptest! {
             if v == src { continue; }
             prop_assert!(out.arrival(v).as_ms() >= lat.delay(src, v).as_ms() - 1e-9);
         }
-    }
-
-    /// The event queue dequeues in non-decreasing time order regardless of
-    /// insertion order.
-    #[test]
-    fn event_queue_is_time_ordered(times in proptest::collection::vec(0.0f64..1e5, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_ms(t), i);
-        }
-        let mut last = f64::NEG_INFINITY;
-        let mut count = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t.as_ms() >= last);
-            last = t.as_ms();
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
     }
 
     /// The frozen CSR snapshot exposes exactly `Topology::neighbors` (same
@@ -580,8 +562,8 @@ proptest! {
     }
 
     /// The gossip engine's packed `u128` words pop in exact insertion-
-    /// sequence order within duplicate-time ties — the legacy
-    /// `EventQueue` tie-break the whole determinism story rests on.
+    /// sequence order within duplicate-time ties — the seed engine's
+    /// tie-break the whole determinism story rests on.
     #[test]
     fn calendar_u128_ties_break_by_insertion_sequence(
         entries in proptest::collection::vec((0u8..8, 0.0f64..1.0, 0u32..70_000), 1..300)
