@@ -265,7 +265,6 @@ mod tests {
     use super::*;
     use perigee_netsim::{
         ConnectionLimits, MetricLatencyModel, NodeProfile, RoundDelta, SimTime, Topology,
-        WorldDelta,
     };
 
     fn line_world(n: usize) -> (Population, MetricLatencyModel, TopologyView) {
@@ -331,13 +330,9 @@ mod tests {
         // out of the snapshot — the exact desync the auditor exists for.
         pop.retire(NodeId::new(2));
         pop.renormalize_hash_power();
-        // Refresh attributes only (hash power sync), keeping the stale edges.
-        view.apply_world_delta(
-            &WorldDelta::default(),
-            &RoundDelta::new(Vec::new(), Vec::new()),
-            &lat,
-            &pop,
-        );
+        // An empty delta refreshes attributes only (hash power sync),
+        // keeping the stale edges.
+        view.apply_delta(&RoundDelta::default(), &lat, &pop);
         let mut out = Vec::new();
         audit_world(&view, &pop, &mut out);
         assert!(

@@ -158,10 +158,10 @@ pub struct PerigeeEngine<L> {
     address_book: Option<AddressBook>,
     round: usize,
     /// The CSR snapshot carried across rounds: after each rewiring the
-    /// engine patches it in place ([`TopologyView::apply_rewiring`], or
-    /// [`TopologyView::apply_world_delta`] when the node set moved)
-    /// instead of rebuilding — only the changed edges pay a latency-model
-    /// call. Invalidated (`None`) only by out-of-band population edits
+    /// engine patches it in place ([`TopologyView::apply_delta`], which
+    /// also follows a moved node set) instead of rebuilding — only the
+    /// changed edges pay a latency-model call. Invalidated (`None`) only
+    /// by out-of-band population edits
     /// ([`PerigeeEngine::population_mut`]); churn and growth patch.
     view: Option<TopologyView>,
     /// How many times a round had to build the snapshot from scratch —
@@ -479,7 +479,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// backfill through the normal exploration/discovery path), arrivals
     /// spawn with fresh stable ids and bootstrap random neighbors, and
     /// the carried snapshot is patched through
-    /// [`TopologyView::apply_world_delta`] instead of being rebuilt.
+    /// [`TopologyView::apply_delta`] instead of being rebuilt.
     /// The process is attached to the current population, so existing
     /// nodes get session lengths too.
     ///
@@ -1143,7 +1143,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         timer.lap("churn");
         let added = self.rewiring_refill(rng);
         timer.lap("rewiring");
-        self.view_patch(view, &delta, removed, added);
+        self.view_patch(view, removed, added);
         timer.lap("view_patch");
 
         // Track the round's λ90 distribution (not just its mean) with the
@@ -1417,16 +1417,11 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     fn view_patch(
         &mut self,
         mut view: TopologyView,
-        delta: &WorldDelta,
         removed: Vec<(NodeId, NodeId)>,
         added: Vec<(NodeId, NodeId)>,
     ) {
         let rewiring = RoundDelta::new(removed, added);
-        if delta.is_empty() {
-            view.apply_rewiring(&rewiring, &self.latency);
-        } else {
-            view.apply_world_delta(delta, &rewiring, &self.latency, &self.population);
-        }
+        view.apply_delta(&rewiring, &self.latency, &self.population);
         self.view = Some(view);
         #[cfg(debug_assertions)]
         self.assert_view_consistency();
@@ -2235,20 +2230,11 @@ mod tests {
         for (i, &miner) in miners.iter().enumerate() {
             let bf = faults.block(i);
             view.gossip_into_faulted(miner, &GossipConfig::flood(), &mut scratch, Some(&bf));
-            for v in (0..view.len() as u32).map(NodeId::new) {
-                let row: Vec<f64> = scratch
-                    .neighbor_deliveries_faulted(&view, v, &bf)
-                    .map(SimTime::as_ms)
-                    .collect();
-                let min = row.iter().copied().fold(f64::INFINITY, f64::min);
-                let shift = if min.is_finite() { min } else { 0.0 };
-                let two_pass: Vec<u32> = row
-                    .iter()
-                    .map(|&t| ((t - shift) as f32).to_bits())
-                    .collect();
-                let recorded: Vec<u32> = rows.node(v).row(i).iter().map(|t| t.to_bits()).collect();
-                assert_eq!(recorded, two_pass, "block {i} node {v}: same rows");
-            }
+            let two_pass: Vec<Vec<f32>> = perigee_oracle::collect_rows(&scratch, &view, Some(&bf))
+                .into_iter()
+                .map(perigee_oracle::normalize_row)
+                .collect();
+            crate::observation::assert_block_rows(rows, i, &two_pass, "same rows");
             let mut coverage = [SimTime::ZERO; 2];
             scratch.coverage_times_into(&view, &[0.9, 0.5], &mut coverage);
             lambda90.push(coverage[0].as_ms());

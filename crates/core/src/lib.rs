@@ -81,7 +81,7 @@
 //! exploration/[`AddressBook`] path), arrivals spawn under the stable-id
 //! contract (ids are never reused — see `perigee_netsim::population`) and
 //! bootstrap random neighbors, and the carried snapshot is *patched*
-//! through `TopologyView::apply_world_delta`, never rebuilt
+//! through `TopologyView::apply_delta`, never rebuilt
 //! ([`PerigeeEngine::view_rebuilds`](engine::PerigeeEngine::view_rebuilds)
 //! stays at 1 for an entire churny run). The engine's per-node
 //! [`NodeHistory`] array follows the node set: it grows by the delta and

@@ -69,8 +69,6 @@
 //!   marginal ranking in sketch mode (see
 //!   [`SubsetScoring`](crate::score::SubsetScoring)).
 
-use std::collections::BTreeMap;
-
 use perigee_metrics::{percentile_or_inf_f32_mut, EdgeSketch, SketchParams};
 use perigee_netsim::{BlockFaults, GossipScratch, NodeId, RowSink, SimTime, TopologyView};
 use serde::{Deserialize, Serialize};
@@ -797,41 +795,18 @@ impl ObservationCollector {
             .reserve_exact(blocks * self.store.edges.len());
     }
 
-    /// Records one block from the per-node delivery logs that
-    /// [`reference::gossip_block`](perigee_netsim::reference::gossip_block)
-    /// returns (a neighbor absent from a log never announced and reads
-    /// `∞`, the paper's convention) — the reference that
-    /// [`ObservationCollector::record_scratch`] must match bit for bit on
-    /// every config: on a zero-size flood each log holds `relay(u) +
-    /// δ(u,v)` per neighbor. Normalization is relative to the first
-    /// delivery from any neighbor (eq. 2); a row no neighbor delivers
-    /// stays all-infinite. Panics unless there is exactly one log per
-    /// node.
-    pub fn record_gossip(&mut self, logs: &[BTreeMap<NodeId, SimTime>]) {
-        assert_eq!(logs.len(), self.store.len(), "one delivery log per node");
-        for (i, log) in logs.iter().enumerate() {
-            let (start, end) = (self.store.offsets[i], self.store.offsets[i + 1]);
-            self.row.clear();
-            for e in start..end {
-                let u = NodeId::new(self.store.edges[e]);
-                self.row
-                    .push(log.get(&u).map_or(f64::INFINITY, |t| t.as_ms()));
-            }
-            push_normalized(&mut self.store.times, &self.row);
-        }
-        self.store.blocks += 1;
-    }
-
     /// Records one block or message that `scratch` just ran through
-    /// `view`, on either kernel, fault-free: each node's row is
-    /// [`GossipScratch::neighbor_deliveries`](perigee_netsim::GossipScratch::neighbor_deliveries),
-    /// derived from the scratch's relay times and the view's **cached**
-    /// edge latencies (no latency-model call, no allocation per node per
-    /// block) and normalized against its first delivery (eq. 2).
+    /// `view`, on either kernel, fault-free: each node's row is the one
+    /// [`GossipScratch::write_rows`] hands out, derived from the
+    /// scratch's relay times and the view's **cached** edge latencies (no
+    /// latency-model call, no allocation per node per block) and
+    /// normalized against its first delivery (eq. 2).
     ///
-    /// Produces bit-identical rows to [`ObservationCollector::record_gossip`]
-    /// on the same message's delivery logs, provided this collector was
-    /// built from the same view ([`ObservationCollector::from_view`]).
+    /// Produces bit-identical rows to eq. 2 by its definition over the
+    /// seed engine's delivery logs of the same message (the dev-only
+    /// `perigee-oracle` crate's `normalized_rows`, which the suites
+    /// compare), provided this collector was built from the same view
+    /// ([`ObservationCollector::from_view`]).
     ///
     /// # Panics
     ///
@@ -845,8 +820,8 @@ impl ObservationCollector {
 
     /// [`ObservationCollector::record_scratch`] for a run under `faults`
     /// ([`TopologyView::broadcast_into_faulted`] or
-    /// [`TopologyView::gossip_into_faulted`]): the rows are
-    /// [`GossipScratch::neighbor_deliveries_faulted`](perigee_netsim::GossipScratch::neighbor_deliveries_faulted).
+    /// [`TopologyView::gossip_into_faulted`]): the rows are the ones
+    /// [`GossipScratch::write_rows`] hands out under the same `faults`.
     /// The announcement that reaches node `v` over its row entry `e`
     /// crossed the opposite directed edge `reverse[e]`, so the same lens
     /// replays that crossing — `∞` when the announcement was dropped or
@@ -986,7 +961,7 @@ impl RowSink for RowWriter<'_> {
             // The miner normalizes against its earliest *echo* (its own
             // arrival is 0 at mining time), unreached nodes keep their
             // all-infinite row, and a pulled message's arrival lags its
-            // first announcement: two passes, like `record_gossip`.
+            // first announcement: two passes, like eq. 2's definition.
             self.row.clear();
             self.row.extend(deliveries.map(SimTime::as_ms));
             push_normalized(self.times, self.row);
@@ -1009,8 +984,8 @@ fn push_normalized(times: &mut Vec<f32>, row: &[f64]) {
 
 /// Unit-test shorthand: floods one block from each of `sources` through
 /// a fresh view of the world and returns the round's store as the
-/// production recorder writes it, after asserting that recording the
-/// seed engine's flood logs writes the same rows.
+/// production recorder writes it, after asserting that every row equals
+/// eq. 2 over the seed engine's flood logs.
 #[cfg(test)]
 pub(crate) fn observe_blocks<L: perigee_netsim::LatencyModel + ?Sized>(
     topology: &perigee_netsim::Topology,
@@ -1018,26 +993,70 @@ pub(crate) fn observe_blocks<L: perigee_netsim::LatencyModel + ?Sized>(
     population: &perigee_netsim::Population,
     sources: &[u32],
 ) -> ObservationStore {
-    use perigee_netsim::{reference, GossipConfig};
     let view = TopologyView::new(topology, latency, population);
-    let mut fast = ObservationCollector::from_view(&view);
-    let mut seed = ObservationCollector::from_view(&view);
+    let mut collector = ObservationCollector::from_view(&view);
     let mut scratch = GossipScratch::new();
-    let flood = GossipConfig::flood();
+    let flood = perigee_netsim::GossipConfig::flood();
+    let mut expected = Vec::new();
     for &source in sources {
         let source = NodeId::new(source);
         view.broadcast_into(source, &mut scratch);
-        fast.record_scratch(&view, &scratch);
-        let (_, logs) = reference::gossip_block(topology, latency, population, source, &flood);
-        seed.record_gossip(&logs);
+        collector.record_scratch(&view, &scratch);
+        let (_, logs) = perigee_oracle::gossip_block(topology, latency, population, source, &flood);
+        expected.push(perigee_oracle::normalized_rows(&view, &logs));
     }
-    let store = fast.finish();
-    assert_eq!(
-        store,
-        seed.finish(),
-        "record_scratch must equal the seed engine's flood logs"
-    );
+    let store = collector.finish();
+    for (block, rows) in expected.iter().enumerate() {
+        assert_block_rows(
+            &store,
+            block,
+            rows,
+            "record_scratch against the seed engine's flood",
+        );
+    }
     store
+}
+
+/// Unit-test check: block `block` of a dense `store`, read through
+/// [`NodeObservations::row`], holds exactly the `f32` bits of `expected`,
+/// one row per node.
+#[cfg(test)]
+pub(crate) fn assert_block_rows(
+    store: &ObservationStore,
+    block: usize,
+    expected: &[Vec<f32>],
+    what: &str,
+) {
+    assert_eq!(expected.len(), store.len(), "{what}: one row per node");
+    let bits = |row: &[f32]| row.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+    for (v, row) in (0u32..).zip(expected) {
+        let recorded = store.node(NodeId::new(v)).row(block);
+        assert_eq!(bits(recorded), bits(row), "{what}: block {block} node n{v}");
+    }
+}
+
+#[cfg(test)]
+impl ObservationCollector {
+    /// Unit-test entry: records one block of raw delivery rows — one per
+    /// node, in node order, each aligned with the node's CSR row —
+    /// through the recorders' own [`RowWriter`], two-pass, as for a
+    /// message whose arrivals do not fuse.
+    pub(crate) fn record_raw_rows(&mut self, rows: &[Vec<SimTime>]) {
+        assert_eq!(rows.len(), self.store.len(), "one row per node");
+        let arrivals = vec![SimTime::INFINITY; rows.len()];
+        let mut writer = RowWriter {
+            offsets: &self.store.offsets,
+            times: &mut self.store.times,
+            row: &mut self.row,
+            arrivals: &arrivals,
+            source: NodeId::new(0),
+            fused: false,
+        };
+        for (v, row) in (0u32..).zip(rows) {
+            writer.row(NodeId::new(v), row.iter().copied());
+        }
+        self.store.blocks += 1;
+    }
 }
 
 #[cfg(test)]

@@ -81,8 +81,8 @@ impl SubsetScoring {
     }
 
     /// The group score of an explicit neighbor set: percentile of the
-    /// per-block minimum over the set. Exposed for tests and for the
-    /// ablation comparing greedy vs exhaustive selection.
+    /// per-block minimum over the set. Exposed for tests, which spell
+    /// out the greedy and an exhaustive search with it.
     ///
     /// **Dense-only** (panics on the sketch backend): the per-block joint
     /// minimum is exactly the statistic a marginal per-edge sketch cannot
@@ -291,7 +291,8 @@ mod tests {
 
     use super::*;
     use crate::observation::{
-        observe_blocks, ObservationCollector, ObservationStore, SketchObservationStore,
+        assert_block_rows, observe_blocks, ObservationCollector, ObservationStore,
+        SketchObservationStore,
     };
     use perigee_netsim::{
         ConnectionLimits, MetricLatencyModel, NodeProfile, Population, SimTime, Topology,
@@ -506,6 +507,7 @@ mod tests {
                     .then(|| (rng.gen_range(2..u), rng.gen_bool(0.5)))
             })
             .collect();
+        let mut expected = Vec::with_capacity(blocks);
         for _ in 0..blocks {
             let mut row: Vec<Option<f64>> = vec![None; k as usize + 1];
             for u in 2..=k as usize {
@@ -520,15 +522,26 @@ mod tests {
                     }),
                 };
             }
+            // Node 0 hears its neighbors 1..=k; no leaf hears anything.
+            let mut rows = vec![vec![SimTime::INFINITY]; k as usize + 1];
+            rows[0] = row[1..]
+                .iter()
+                .map(|t| t.map_or(SimTime::INFINITY, SimTime::from_ms))
+                .collect();
+            collector.record_raw_rows(&rows);
             let mut logs = vec![BTreeMap::new(); k as usize + 1];
             for (u, t) in row.iter().enumerate() {
                 if let Some(t) = t {
                     logs[0].insert(NodeId::new(u as u32), SimTime::from_ms(*t));
                 }
             }
-            collector.record_gossip(&logs);
+            expected.push(perigee_oracle::normalized_rows(&view, &logs));
         }
-        collector.finish()
+        let store = collector.finish();
+        for (block, rows) in expected.iter().enumerate() {
+            assert_block_rows(&store, block, rows, "star store against eq. 2");
+        }
+        store
     }
 
     /// The greedy spelled out with the public group score: each step

@@ -2,19 +2,21 @@
 //! path — a one-thread rayon pool: same RoundStats floats, same learned
 //! topology, same observation rows — and its propagation phase must
 //! reproduce the reference pipeline exactly: the seed's event-queue
-//! gossip engine, its delivery logs recorded by
-//! `ObservationCollector::record_gossip` and its arrivals measured by
-//! `reference::coverage_times`.
+//! gossip engine, eq. 2 over its delivery logs and λ(f) over its
+//! arrivals, all three by their definitions in `perigee-oracle`.
+
+use std::collections::BTreeMap;
 
 use perigee_core::{
     ObservationCollector, ObservationStore, PerigeeConfig, PerigeeEngine, ScoringMethod,
 };
 use perigee_metrics::P2Quantile;
 use perigee_netsim::{
-    reference, Behavior, BlockFaults, ConnectionLimits, FaultPlan, GeoLatencyModel, GossipConfig,
+    Behavior, BlockFaults, ConnectionLimits, FaultPlan, GeoLatencyModel, GossipConfig,
     GossipScratch, LinkFaultRates, MinerSampler, NodeId, PopulationBuilder, Region, SimTime,
     TopologyView,
 };
+use perigee_oracle::{collect_rows, coverage_times, gossip_block, normalize_row, normalized_rows};
 use perigee_topology::{RandomBuilder, TopologyBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,22 +31,26 @@ fn view_of(engine: &PerigeeEngine<GeoLatencyModel>) -> TopologyView {
 }
 
 /// The test-side reference recorder for a faulted run: every node's
-/// [`GossipScratch::neighbor_deliveries_faulted`] row normalized by its
-/// own minimum (eq. 2), two passes, as `f32` bits. The production
-/// recorder fuses that minimum with the first arrival on analytic
-/// messages; this reference never does.
+/// faulted delivery row normalized by its own minimum (eq. 2), two
+/// passes, as `f32` bits. The production recorder fuses that minimum
+/// with the first arrival on analytic messages; this reference never
+/// does.
 fn two_pass_rows(view: &TopologyView, scratch: &GossipScratch, faults: &BlockFaults) -> Vec<u32> {
-    let mut bits = Vec::new();
-    for v in (0..view.len() as u32).map(NodeId::new) {
-        let row: Vec<f64> = scratch
-            .neighbor_deliveries_faulted(view, v, faults)
-            .map(SimTime::as_ms)
-            .collect();
-        let min = row.iter().copied().fold(f64::INFINITY, f64::min);
-        let shift = if min.is_finite() { min } else { 0.0 };
-        bits.extend(row.iter().map(|&t| ((t - shift) as f32).to_bits()));
-    }
-    bits
+    collect_rows(scratch, view, Some(faults))
+        .into_iter()
+        .flat_map(normalize_row)
+        .map(f32::to_bits)
+        .collect()
+}
+
+/// Eq. 2 over the seed engine's delivery logs, in CSR order, as `f32`
+/// bits: the oracle's rows of one block.
+fn oracle_rows(view: &TopologyView, logs: &[BTreeMap<NodeId, SimTime>]) -> Vec<u32> {
+    normalized_rows(view, logs)
+        .concat()
+        .into_iter()
+        .map(f32::to_bits)
+        .collect()
 }
 
 /// Block `block`'s rows of a dense store, in CSR order, as `f32` bits.
@@ -121,8 +127,8 @@ fn pinned_thread_pool_matches_default_pool() {
 /// The engine's propagation phase under its default block config —
 /// carried view, parallel fan-out, `record_scratch`, production
 /// coverage — reproduces the reference sequential pipeline — the seed
-/// engine's flood of each block, `record_gossip()` over its delivery
-/// logs, `reference::coverage_times` on its arrivals — bit for bit.
+/// engine's flood of each block, eq. 2 over its delivery logs, λ(f) on
+/// its arrivals — bit for bit.
 #[test]
 fn observe_round_matches_legacy_pipeline() {
     let (engine_a, mut rng) = engine(130, 20, 11);
@@ -130,28 +136,31 @@ fn observe_round_matches_legacy_pipeline() {
 
     let view = view_of(&engine_a);
     let round = engine_a.observe_round(&view, &miners);
+    let store = round.observations().as_dense().unwrap();
+    assert_eq!(store.block_count(), miners.len());
 
-    let mut collector = ObservationCollector::from_view(&view);
     let mut legacy90 = Vec::new();
     let mut legacy50 = Vec::new();
-    for &miner in &miners {
-        let (arrivals, logs) = reference::gossip_block(
+    for (block, &miner) in miners.iter().enumerate() {
+        let (arrivals, logs) = gossip_block(
             engine_a.topology(),
             engine_a.latency(),
             engine_a.population(),
             miner,
             &GossipConfig::flood(),
         );
-        let coverage = reference::coverage_times(&arrivals, engine_a.population(), &[0.9, 0.5]);
+        let coverage = coverage_times(&arrivals, engine_a.population(), &[0.9, 0.5]);
         legacy90.push(coverage[0].as_ms());
         legacy50.push(coverage[1].as_ms());
-        collector.record_gossip(&logs);
+        assert_eq!(
+            store_rows(store, block),
+            oracle_rows(&view, &logs),
+            "block {block}: observation rows"
+        );
     }
-    let legacy_obs = collector.finish();
 
     assert_eq!(round.lambda90_ms(), legacy90.as_slice());
     assert_eq!(round.lambda50_ms(), legacy50.as_slice());
-    assert_eq!(round.observations().as_dense().unwrap(), &legacy_obs);
 }
 
 /// Gossip-mode rounds go through the same chunked fan-out; they too must
@@ -172,10 +181,9 @@ fn gossip_mode_is_thread_count_independent() {
 
 /// `observe_round` under every kind of block config reproduces the
 /// legacy sequential gossip pipeline — the seed's event-queue engine
-/// `reference::gossip_block()`, `record_gossip()` over its BTreeMap
-/// delivery logs, `reference::coverage_times` on its arrivals — bit for
-/// bit: flooding (which the engine runs on the analytic kernel),
-/// INV/GETDATA, and bandwidth-limited transfers.
+/// `gossip_block()`, eq. 2 over its BTreeMap delivery logs, λ(f) on its
+/// arrivals — bit for bit: flooding (which the engine runs on the
+/// analytic kernel), INV/GETDATA, and bandwidth-limited transfers.
 #[test]
 fn gossip_observe_round_matches_legacy_gossip_pipeline() {
     for cfg in [
@@ -189,28 +197,31 @@ fn gossip_observe_round_matches_legacy_gossip_pipeline() {
 
         let view = view_of(&engine_a);
         let round = engine_a.observe_round(&view, &miners);
+        let store = round.observations().as_dense().unwrap();
+        assert_eq!(store.block_count(), miners.len());
 
-        let mut collector = ObservationCollector::from_view(&view);
         let mut legacy90 = Vec::new();
         let mut legacy50 = Vec::new();
-        for &miner in &miners {
-            let (arrivals, logs) = reference::gossip_block(
+        for (block, &miner) in miners.iter().enumerate() {
+            let (arrivals, logs) = gossip_block(
                 engine_a.topology(),
                 engine_a.latency(),
                 engine_a.population(),
                 miner,
                 &cfg,
             );
-            let coverage = reference::coverage_times(&arrivals, engine_a.population(), &[0.9, 0.5]);
+            let coverage = coverage_times(&arrivals, engine_a.population(), &[0.9, 0.5]);
             legacy90.push(coverage[0].as_ms());
             legacy50.push(coverage[1].as_ms());
-            collector.record_gossip(&logs);
+            assert_eq!(
+                store_rows(store, block),
+                oracle_rows(&view, &logs),
+                "{cfg:?} block {block}: observation rows"
+            );
         }
-        let legacy_obs = collector.finish();
 
         assert_eq!(round.lambda90_ms(), legacy90.as_slice());
         assert_eq!(round.lambda50_ms(), legacy50.as_slice());
-        assert_eq!(round.observations().as_dense().unwrap(), &legacy_obs);
     }
 }
 

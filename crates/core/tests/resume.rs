@@ -595,6 +595,30 @@ fn impossible_world_in_a_hash_valid_checkpoint_is_corrupt() {
     );
 }
 
+/// A hash-valid checkpoint whose live nodes hold no hash power at all —
+/// every live node's power zeroed before writing it — is refused while
+/// decoding, as [`SnapshotError::Corrupt`], instead of resuming a
+/// sampler that mines a dead slot. The byte layout is format 9's.
+#[test]
+fn zero_live_power_in_a_hash_valid_checkpoint_is_corrupt() {
+    let (mut engine, mut rng) = chaos_engine(17);
+    for _ in 0..2 {
+        engine.run_round(&mut rng);
+    }
+    let live: Vec<_> = engine.population().ids_alive().collect();
+    assert!(
+        live.len() < engine.population().len(),
+        "churn left dead slots"
+    );
+    for v in live {
+        engine.population_mut().profile_mut(v).hash_power = 0.0;
+    }
+    assert_eq!(
+        RunSnapshot::from_bytes(&engine.checkpoint(&rng).to_bytes()).unwrap_err(),
+        SnapshotError::Corrupt(DecodeError::new("live nodes hold zero total hash power"))
+    );
+}
+
 /// Checked-in envelopes of older format versions — version 1 (written
 /// before the snapshot carried the compaction epoch and the latency
 /// placement keys), version 3 (a UCB run whose score state was still

@@ -12,9 +12,9 @@ use std::sync::{Arc, Mutex};
 
 use perigee_core::{LivenessConfig, PerigeeConfig, PerigeeEngine, RoundStats, ScoringMethod};
 use perigee_netsim::{
-    reference, ChurnProcess, ConnectionLimits, FaultPlan, FaultWindow, GeoLatencyModel,
-    GossipConfig, GossipScratch, LinkFaultRates, LinkFlaps, MinerSampler, Population,
-    PopulationBuilder, SimCounters, SimTime, Topology, TopologyView, TrafficConfig,
+    ChurnProcess, ConnectionLimits, FaultPlan, FaultWindow, GeoLatencyModel, GossipConfig,
+    GossipScratch, LinkFaultRates, LinkFlaps, MinerSampler, Population, PopulationBuilder,
+    SimCounters, SimTime, Topology, TopologyView, TrafficConfig,
 };
 use perigee_telemetry::{RunTelemetry, TraceRecord, TraceSink};
 use perigee_topology::{RandomBuilder, TopologyBuilder};
@@ -329,7 +329,7 @@ fn flood_counters_match_a_direct_scratch_sweep() {
 
 /// Counter accuracy, gossip mode: same contract against a sequential
 /// `gossip_into` sweep, plus a cross-check against the reference engine
-/// [`reference::gossip_block`] — a counted delivery for every node it
+/// [`perigee_oracle::gossip_block`] — a counted delivery for every node it
 /// says the block reached.
 #[test]
 fn gossip_counters_match_a_direct_scratch_sweep_and_the_outcome() {
@@ -363,7 +363,7 @@ fn gossip_counters_match_a_direct_scratch_sweep_and_the_outcome() {
     let reached: u64 = miners
         .iter()
         .map(|&m| {
-            let (arrivals, _) = reference::gossip_block(
+            let (arrivals, _) = perigee_oracle::gossip_block(
                 engine.topology(),
                 engine.latency(),
                 engine.population(),

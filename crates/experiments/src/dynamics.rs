@@ -16,7 +16,7 @@
 //!
 //! Both report the engine's snapshot-rebuild counter: a dynamic run pays
 //! exactly **one** view build (the first round) — arrivals, departures
-//! and rewirings all ride `TopologyView::apply_world_delta`.
+//! and rewirings all ride `TopologyView::apply_delta`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

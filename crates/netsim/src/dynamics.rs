@@ -22,11 +22,12 @@
 //! The driver loop is: call [`ChurnProcess::begin_round`] once per round,
 //! spawn one node per planned arrival (reporting each new id back via
 //! [`ChurnProcess::note_join`] so its session expiry gets scheduled), tear
-//! down departures, and hand the resulting [`WorldDelta`] — together with
-//! the edge-level [`RoundDelta`](crate::RoundDelta) of everything the
-//! teardown/bootstrap touched — to
-//! [`TopologyView::apply_world_delta`](crate::TopologyView::apply_world_delta)
-//! so the CSR snapshot is patched, never rebuilt.
+//! down departures, and hand the edge-level
+//! [`RoundDelta`](crate::RoundDelta) of everything the
+//! teardown/bootstrap touched, with the post-round population, to
+//! [`TopologyView::apply_delta`](crate::TopologyView::apply_delta)
+//! so the CSR snapshot is patched, never rebuilt. The resulting
+//! [`WorldDelta`] drives the per-node state that follows the node set.
 //!
 //! # Determinism
 //!
@@ -51,9 +52,8 @@ use crate::population::{Population, PopulationBuilder};
 
 /// The net node-set change of one round: who joined, who departed.
 ///
-/// Consumed by
-/// [`TopologyView::apply_world_delta`](crate::TopologyView::apply_world_delta)
-/// and by the engine's score-state resize hook.
+/// Consumed by the engine's score-state resize hook and reported in its
+/// round statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorldDelta {
     /// Nodes that joined this round (fresh ids).

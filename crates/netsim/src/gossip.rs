@@ -46,11 +46,9 @@
 //! plus the transfer `u → v` when `u` pushes the whole message to `v`,
 //! and `∞` when the fault lens drops that announce leg. That rule is
 //! written once, for both kernels' messages, and applied when a row is
-//! read, so no per-edge state is kept:
-//! [`GossipScratch::neighbor_deliveries`] and
-//! [`GossipScratch::neighbor_deliveries_faulted`] yield one node's row,
-//! and [`GossipScratch::write_rows`] hands every row of a message to a
-//! [`RowSink`], with the lens and the push shape picked once per message.
+//! read, so no per-edge state is kept: [`GossipScratch::write_rows`]
+//! hands every row of a message to a [`RowSink`], with the lens and the
+//! push shape picked once per message.
 //!
 //! **The kernel.** `have(v)` is a minimum: of the earliest push arrival,
 //! and of the block pulled from the announcer of `v`'s earliest INV, whose
@@ -92,8 +90,8 @@
 //! GETDATA flags and grow the queue to the event loop's size.
 //!
 //! Both paths are bit-identical to the seed's event-queue engine, kept as
-//! the oracle [`reference::gossip_block`](crate::reference::gossip_block):
-//! the same arrivals and the same per-neighbour delivery logs
+//! the oracle `gossip_block` of the dev-only `perigee-oracle` crate: the
+//! same arrivals and the same per-neighbour delivery logs
 //! (`tests/gossip_legacy.rs` on continuous latencies, `tests/gossip_ties.rs`
 //! on an exact-tie grid where the fallback runs).
 
@@ -280,8 +278,8 @@ enum EventKind {
 ///
 /// Integer order on the whole word is therefore exactly "by time, ties by
 /// insertion sequence" (the sequence is unique, so the low bits never
-/// decide), which is the pop order of the seed engine,
-/// [`reference::gossip_block`](crate::reference::gossip_block). The 30-bit payload caps supported snapshots at
+/// decide), which is the pop order of the seed engine, the oracle
+/// `perigee_oracle::gossip_block`. The 30-bit payload caps supported snapshots at
 /// [`PACKED_PAYLOAD_CAP`] nodes/directed edges — an 8 GB+ view, far
 /// beyond simulation scale. The cap is *guaranteed* before any event is
 /// packed: view and scratch construction return
@@ -529,52 +527,26 @@ impl GossipScratch {
         &self.relay_at
     }
 
-    /// Per-neighbor announcement/delivery times of node `v` for the last
-    /// message, aligned with [`TopologyView::neighbors_raw`] — the
-    /// zero-copy equivalent of one node's delivery log in
-    /// [`reference::gossip_block`](crate::reference::gossip_block), with
-    /// `INFINITY` for a neighbor that never delivered. Entry `e` of `v`'s
-    /// row is `relay(u) + δ(u,v)` for the neighbour `u = edges[e]`, plus
-    /// the transfer `u → v` when `v` lies in `u`'s push prefix (see the
-    /// module docs).
+    /// Hands every node's delivery row of the last message to `sink`, in
+    /// node order — the zero-copy equivalent of the seed engine's
+    /// per-node delivery logs. Row `v` is aligned with
+    /// [`TopologyView::neighbors_raw`]: entry `e` is `relay(u) + δ(u,v)`
+    /// for the neighbour `u = edges[e]`, plus the transfer `u → v` when
+    /// `v` lies in `u`'s push prefix (see the module docs), and
+    /// `INFINITY` for a neighbour that never delivered. It reads the
+    /// view's cached `δ(v,u)`, which the [`LatencyModel`] contract makes
+    /// equal to `δ(u,v)`, so `view` must be the view the message ran on.
     ///
-    /// Reads the view's cached `δ(v,u)`, which the [`LatencyModel`]
-    /// contract makes equal to `δ(u,v)`. `view` must be the view the
-    /// message ran on, and the run must have been fault-free; use
-    /// [`GossipScratch::neighbor_deliveries_faulted`] after a faulted
-    /// run.
+    /// Pass the `faults` a message ran under
+    /// ([`TopologyView::gossip_into_faulted`] or
+    /// [`TopologyView::broadcast_into_faulted`]), `None` after a
+    /// fault-free run: the announcement over `v`'s row entry `e` crossed
+    /// the opposite directed edge `reverse[e]`, so the same lens replays
+    /// that leg, and a dropped or down-link announcement reads
+    /// `INFINITY`. The lens and the push shape are picked once for the
+    /// message rather than tested per entry.
     ///
     /// [`LatencyModel`]: crate::LatencyModel
-    #[inline]
-    pub fn neighbor_deliveries<'a>(
-        &'a self,
-        view: &'a TopologyView,
-        v: NodeId,
-    ) -> impl ExactSizeIterator<Item = SimTime> + Clone + 'a {
-        self.row::<_, true>(view, v.index(), NoFaults)
-    }
-
-    /// [`GossipScratch::neighbor_deliveries`] of a message run through
-    /// [`TopologyView::gossip_into_faulted`] or
-    /// [`TopologyView::broadcast_into_faulted`] under `faults`: the
-    /// announcement over `v`'s row entry `e` crossed the opposite
-    /// directed edge `reverse[e]`, so the same lens replays that leg, and
-    /// a dropped or down-link announcement reads `INFINITY`.
-    #[inline]
-    pub fn neighbor_deliveries_faulted<'a>(
-        &'a self,
-        view: &'a TopologyView,
-        v: NodeId,
-        faults: &'a BlockFaults<'_>,
-    ) -> impl ExactSizeIterator<Item = SimTime> + Clone + 'a {
-        self.row::<_, true>(view, v.index(), faults)
-    }
-
-    /// Hands every node's delivery row of the last message to `sink`, in
-    /// node order: the rows [`GossipScratch::neighbor_deliveries`]
-    /// (`faults: None`) or [`GossipScratch::neighbor_deliveries_faulted`]
-    /// yield, with the fault lens and the push shape picked once for the
-    /// message rather than tested per entry.
     pub fn write_rows<S: RowSink>(
         &self,
         view: &TopologyView,
@@ -645,9 +617,9 @@ impl GossipScratch {
     /// Computes λ(fraction) of the last message for every entry of
     /// `fractions` in one pass over a reusable sorted buffer, writing into
     /// `out` (`out.len()` must equal `fractions.len()`). Bit-identical to
-    /// the sort-and-scan definition,
-    /// [`reference::coverage_times`](crate::reference::coverage_times),
-    /// without its per-call allocation, and without any sort when hash
+    /// the sort-and-scan definition, the oracle
+    /// `perigee_oracle::coverage_times`, without its per-call
+    /// allocation, and without any sort when hash
     /// power is uniform.
     ///
     /// # Panics
@@ -805,7 +777,7 @@ impl TopologyView {
     /// [`TopologyView::gossip_batch_into`] (see the module docs).
     ///
     /// Arrivals and delivery rows equal the seed's event-queue engine,
-    /// [`reference::gossip_block`](crate::reference::gossip_block), bit
+    /// the oracle `perigee_oracle::gossip_block`, bit
     /// for bit: the same `δ(u,v)` call directions (cached per directed
     /// edge), the same float order for every leg sum and the same
     /// transfer-time floats, with exact INV ties resolved by its
@@ -827,8 +799,8 @@ impl TopologyView {
     /// down-link announcement offers its neighbour nothing (on the event
     /// loop it consumes exactly one sequence number, like an inert event,
     /// so the tie-break numbering of every later event is unchanged), and
-    /// [`GossipScratch::neighbor_deliveries_faulted`] reads it as never
-    /// delivered. GETDATA and the block transfer it pulls are
+    /// [`GossipScratch::write_rows`] under the same `faults` reads it as
+    /// never delivered. GETDATA and the block transfer it pulls are
     /// reliable-but-slowed ([`BlockFaults::scaled`]): a delivered INV can
     /// always complete. The lens sees every announce leg exactly once on
     /// either path, so the fault tallies match.
@@ -869,7 +841,7 @@ impl TopologyView {
     /// [`GossipScratch::arrival`], [`GossipScratch::reached`],
     /// [`GossipScratch::coverage_times_into`],
     /// [`GossipScratch::relay_starts`] and
-    /// [`GossipScratch::neighbor_deliveries`]. `visit` may also run
+    /// [`GossipScratch::write_rows`]. `visit` may also run
     /// another simulation on the scratch; a repeat that follows is then
     /// simulated afresh. Results are **bit-identical** to running
     /// [`TopologyView::gossip_into`] once per message on a fresh scratch —
@@ -1065,7 +1037,7 @@ impl TopologyView {
     /// The message-level event loop, exact on every input, INV ties
     /// included: the kernel's fallback. It simulates the message into the
     /// freshly reset scratch, event for event like the oracle
-    /// [`reference::gossip_block`](crate::reference::gossip_block):
+    /// `perigee_oracle::gossip_block`:
     /// the same schedule order and the same time-tie insertion-sequence
     /// break.
     fn event_loop<L: FaultLens>(&self, msg: &BatchMessage, scratch: &mut GossipScratch, faults: L) {
@@ -1197,7 +1169,6 @@ mod tests {
     use crate::latency::{GeoLatencyModel, LatencyModel, MetricLatencyModel};
     use crate::node::{Behavior, NodeProfile, Region};
     use crate::population::{Population, PopulationBuilder};
-    use crate::reference;
     use rand::rngs::StdRng;
     use rand::Rng;
     use rand::SeedableRng;
@@ -1226,12 +1197,34 @@ mod tests {
         scratch
     }
 
+    /// Collects each node's row through [`GossipScratch::write_rows`], in
+    /// node order.
+    #[derive(Default)]
+    struct Rows(Vec<Vec<SimTime>>);
+
+    impl RowSink for Rows {
+        fn row<I: ExactSizeIterator<Item = SimTime>>(&mut self, v: NodeId, deliveries: I) {
+            assert_eq!(v.index(), self.0.len(), "rows arrive in node order");
+            self.0.push(deliveries.collect());
+        }
+    }
+
+    /// Every node's delivery row of the last block, read through `faults`
+    /// when it ran under them.
+    fn rows(
+        view: &TopologyView,
+        s: &GossipScratch,
+        faults: Option<&BlockFaults<'_>>,
+    ) -> Vec<Vec<SimTime>> {
+        let mut rows = Rows::default();
+        s.write_rows(view, faults, &mut rows);
+        rows.0
+    }
+
     /// Every delivery row of the last fault-free block, in CSR edge
     /// order.
     fn deliveries(view: &TopologyView, s: &GossipScratch) -> Vec<SimTime> {
-        (0..view.len() as u32)
-            .flat_map(|v| s.neighbor_deliveries(view, NodeId::new(v)))
-            .collect()
+        rows(view, s, None).concat()
     }
 
     /// [`deliveries`] of a block run under `faults`.
@@ -1240,9 +1233,7 @@ mod tests {
         s: &GossipScratch,
         faults: &BlockFaults<'_>,
     ) -> Vec<SimTime> {
-        (0..view.len() as u32)
-            .flat_map(|v| s.neighbor_deliveries_faulted(view, NodeId::new(v), faults))
-            .collect()
+        rows(view, s, Some(faults)).concat()
     }
 
     /// λ(`fraction`) of the last block.
@@ -1536,8 +1527,9 @@ mod tests {
         view.broadcast_into(src, &mut fast);
         let slow = gossip(&view, 5, &GossipConfig::flood());
         assert_eq!(fast.relay_starts(), slow.relay_starts());
+        let rows = rows(&view, &slow, None);
         for v in (0..pop.len() as u32).map(NodeId::new) {
-            for (t, u) in slow.neighbor_deliveries(&view, v).zip(view.neighbors(v)) {
+            for (&t, u) in rows[v.index()].iter().zip(view.neighbors(v)) {
                 let expect = fast.relay_start(u) + lat.delay(u, v);
                 if t.is_finite() {
                     assert!((t.as_ms() - expect.as_ms()).abs() < 1e-9);
@@ -1575,13 +1567,12 @@ mod tests {
         let view = TopologyView::new(&topo, &lat, &pop);
         let src = 2;
         let out = gossip(&view, src, &GossipConfig::inv_getdata(0.0));
+        let rows = rows(&view, &out, None);
         for i in (0..pop.len() as u32).filter(|&i| i != src) {
             let v = NodeId::new(i);
             // Every honest neighbor eventually announces to v.
             assert_eq!(
-                out.neighbor_deliveries(&view, v)
-                    .filter(|t| t.is_finite())
-                    .count(),
+                rows[v.index()].iter().filter(|t| t.is_finite()).count(),
                 topo.neighbors(v).len(),
                 "all neighbors of {v} announce"
             );
@@ -1688,28 +1679,6 @@ mod tests {
     }
 
     #[test]
-    fn delivery_rows_match_the_reference_logs() {
-        let (pop, lat, topo) = random_world(40, 21);
-        let view = TopologyView::new(&topo, &lat, &pop);
-        let cfg = GossipConfig::inv_getdata(0.0);
-        let scratch = gossip(&view, 3, &cfg);
-        let (_, logs) = reference::gossip_block(&topo, &lat, &pop, NodeId::new(3), &cfg);
-        let mut total = 0;
-        for i in 0..view.len() as u32 {
-            let v = NodeId::new(i);
-            let row: Vec<SimTime> = scratch.neighbor_deliveries(&view, v).collect();
-            total += row.len();
-            for (k, u) in view.neighbors(v).enumerate() {
-                assert_eq!(
-                    logs[v.index()].get(&u).copied(),
-                    row[k].is_finite().then(|| row[k])
-                );
-            }
-        }
-        assert_eq!(total, view.directed_edge_count());
-    }
-
-    #[test]
     fn push_pull_degenerates_to_inv_and_flood() {
         let (pop, lat, topo) = random_world(50, 91);
         let view = TopologyView::new(&topo, &lat, &pop);
@@ -1781,27 +1750,6 @@ mod tests {
     }
 
     #[test]
-    fn coverage_fractions_clamp_but_reject_nan() {
-        let (pop, lat, topo) = random_world(30, 93);
-        let view = TopologyView::new(&topo, &lat, &pop);
-        let mut scratch = gossip(&view, 0, &GossipConfig::flood());
-        let cov = reference::coverage_times(scratch.arrivals(), &pop, &[1.7, 1.0, -0.3, 0.0]);
-        assert_eq!(
-            cov[0], cov[1],
-            "over-unity fractions clamp to full coverage"
-        );
-        assert_eq!(
-            cov[2], cov[3],
-            "negative fractions clamp to the first arrival"
-        );
-        let mut clamped = [SimTime::ZERO; 2];
-        scratch.coverage_times_into(&view, &[-1.0, 2.0], &mut clamped);
-        let mut exact = [SimTime::ZERO; 2];
-        scratch.coverage_times_into(&view, &[0.0, 1.0], &mut exact);
-        assert_eq!(clamped, exact);
-    }
-
-    #[test]
     #[should_panic(expected = "coverage fraction must not be NaN")]
     fn nan_coverage_fraction_panics() {
         let (pop, lat, topo) = random_world(20, 94);
@@ -1850,18 +1798,5 @@ mod tests {
             assert_eq!(via_batch, via_single, "message {i} coverage");
         });
         assert_eq!(visited, batch.len());
-    }
-
-    #[test]
-    fn scratch_coverage_matches_reference_coverage() {
-        let (pop, lat, topo) = random_world(60, 29);
-        let view = TopologyView::new(&topo, &lat, &pop);
-        let mut scratch = gossip(&view, 7, &GossipConfig::inv_getdata(0.0));
-        let fractions = [0.5, 0.9, 1.0];
-        let mut multi = [SimTime::ZERO; 3];
-        scratch.coverage_times_into(&view, &fractions, &mut multi);
-        let expected = reference::coverage_times(scratch.arrivals(), &pop, &fractions);
-        assert_eq!(multi.as_slice(), expected.as_slice());
-        assert_eq!(multi[1], coverage(&view, &mut scratch, 0.9));
     }
 }

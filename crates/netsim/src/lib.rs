@@ -20,7 +20,7 @@
 //!   a frozen CSR snapshot of the overlay with per-edge latencies, reverse
 //!   edge indices, relay profiles and link rates precomputed once. Between
 //!   rounds it is patched *incrementally*:
-//!   [`TopologyView::apply_rewiring`] merges a [`RoundDelta`] (the round's
+//!   [`TopologyView::apply_delta`] merges a [`RoundDelta`] (the round's
 //!   net dropped/refilled edges) into the CSR arrays in one linear pass,
 //!   paying latency-model calls only for added edges — field-for-field
 //!   equal to a fresh rebuild, at ~2·n instead of ~14·n delay evaluations.
@@ -29,7 +29,6 @@
 //!   first arrivals and relay starts. Each delivery time `tᵇu,v` that
 //!   Perigee observes follows from them by one rule, `relay_start(u) +
 //!   δ(u,v)`, plus the transfer when `u` pushed the whole message:
-//!   [`GossipScratch::neighbor_deliveries`] yields one node's row, and
 //!   [`GossipScratch::write_rows`] hands a message's rows to a
 //!   [`RowSink`] such as the core crate's recorder. Both kernels are
 //!   generic over a crate-private link-fault lens whose no-fault instance
@@ -49,9 +48,6 @@
 //!
 //!   [`BroadcastScratch`] is only a constructor shim that derefs to a
 //!   [`GossipScratch`], kept for roundbench's replay.
-//! * [`reference`](mod@reference) — the crate's test oracles, kept off every hot path:
-//!   the seed's event-queue engine [`reference::gossip_block`] and the
-//!   sort-and-scan coverage time [`reference::coverage_times`].
 //! * [`pq`] — [`CalendarQueue`], the deterministic calendar/bucket
 //!   priority queue both kernels run on: exact packed keys inside
 //!   sub-millisecond buckets, popped in exactly a `BinaryHeap`'s order
@@ -66,10 +62,10 @@
 //!   skipped; an explicit [`IdRemap`]-driven [`Population::compact`]
 //!   renumbers survivors when dead slots pile up — see the `population`
 //!   module docs for the contract),
-//!   and
-//!   [`TopologyView::apply_world_delta`] folds arrivals, departures and
-//!   the round's rewiring into the carried CSR snapshot in one linear
-//!   pass — latency-model calls only for new edges, zero full rebuilds.
+//!   and the same [`TopologyView::apply_delta`] folds arrivals,
+//!   departures and the round's rewiring into the carried CSR snapshot
+//!   in one linear pass — latency-model calls only for new edges, zero
+//!   full rebuilds.
 //! * [`traffic`] — continuous transaction-stream workloads: a seeded
 //!   [`TrafficConfig`] of Poisson-originating message classes (per-class
 //!   size and [`GossipMode`] — flood, `INV`/`GETDATA`, or the push/pull
@@ -95,12 +91,13 @@
 //! overlay), push all of the round's blocks through it — from as many
 //! threads as you like, each with its own [`GossipScratch`] — and either
 //! drop it before the next rewiring or carry it forward through
-//! [`TopologyView::apply_rewiring`]. Both kernels allocate nothing per
+//! [`TopologyView::apply_delta`]. Both kernels allocate nothing per
 //! block after warming up to the network size, and a result depends only
 //! on the view and the block, never on what the scratch ran before (on
 //! either kernel) or on which thread: a reused scratch is
 //! **bit-identical** to a fresh one. Message-level runs are bit-identical
-//! to the event-queue oracle [`reference::gossip_block`] (identical
+//! to the seed's event-queue engine, which the dev-only `perigee-oracle`
+//! crate keeps as the suites' oracle `gossip_block` (identical
 //! adjacency order, identical `δ(u,v)` values, identical tie-breaking),
 //! and flood-mode gossip of a zero-size block reproduces the analytic
 //! flood, faults included. Blocks within a
@@ -166,7 +163,6 @@ pub mod mining;
 pub mod node;
 pub mod population;
 pub mod pq;
-pub mod reference;
 pub mod time;
 pub mod traffic;
 pub mod view;

@@ -411,8 +411,10 @@ impl Population {
 
     /// Rescales live hash powers to sum to 1 (dead slots stay at zero) —
     /// call once after a batch of [`Population::spawn`] /
-    /// [`Population::retire`] edits. A no-op when the live total is zero
-    /// or not finite.
+    /// [`Population::retire`] edits. When live nodes exist but hold no
+    /// power at all (every miner retired), each gets `1 / alive_count`,
+    /// so blocks are still mined by live nodes. A no-op without live
+    /// nodes, or when the live total is negative or not finite.
     pub fn renormalize_hash_power(&mut self) {
         let total: f64 = self
             .profiles
@@ -421,6 +423,16 @@ impl Population {
             .filter(|(_, &a)| a)
             .map(|(p, _)| p.hash_power)
             .sum();
+        let alive = self.alive_count();
+        if total == 0.0 && alive > 0 {
+            let share = 1.0 / alive as f64;
+            for (p, &a) in self.profiles.iter_mut().zip(&self.alive) {
+                if a {
+                    p.hash_power = share;
+                }
+            }
+            return;
+        }
         if total <= 0.0 || !total.is_finite() {
             return;
         }
@@ -722,9 +734,12 @@ mod codec {
     }
 
     impl Decode for Population {
-        /// Refuses hash power that [`Population::from_profiles`] and
-        /// [`Population::retire`] never leave: NaN, infinite or negative
-        /// power, or any power on a dead slot.
+        /// Refuses hash power that [`Population::from_profiles`],
+        /// [`Population::retire`] and
+        /// [`Population::renormalize_hash_power`] never leave: NaN,
+        /// infinite or negative power, any power on a dead slot, or live
+        /// nodes that hold no power at all, which no sampler could mine
+        /// from.
         fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
             let profiles: Vec<NodeProfile> = Vec::decode(r)?;
             let alive: Vec<bool> = Vec::decode(r)?;
@@ -743,6 +758,11 @@ mod codec {
                 ));
             }
             let dead = alive.iter().filter(|&&a| !a).count();
+            // Dead slots hold none, so this sums the live power.
+            let total: f64 = profiles.iter().map(|p| p.hash_power).sum();
+            if dead < alive.len() && total == 0.0 {
+                return Err(DecodeError::new("live nodes hold zero total hash power"));
+            }
             Ok(Population {
                 profiles,
                 alive,
@@ -1120,6 +1140,37 @@ mod tests {
         assert_eq!(pop.hash_power(NodeId::new(2)), 0.0);
     }
 
+    /// With every live miner retired, the live nodes left hold no power;
+    /// renormalizing shares it out evenly, so blocks keep coming from live
+    /// nodes instead of the sampler's last (dead) slot.
+    #[test]
+    fn renormalize_spreads_power_over_powerless_live_nodes() {
+        let profiles = [0.0, 1.0].map(|hash_power| NodeProfile {
+            hash_power,
+            ..NodeProfile::default()
+        });
+        let mut pop = Population::from_profiles(profiles.to_vec()).unwrap();
+        pop.retire(NodeId::new(1));
+        pop.renormalize_hash_power();
+        assert_eq!(pop.hash_power(NodeId::new(0)), 1.0);
+        assert_eq!(pop.hash_power(NodeId::new(1)), 0.0);
+        let sampler = crate::MinerSampler::new(&pop);
+        let mut rng = StdRng::seed_from_u64(4);
+        let miners = sampler.sample_round(5, &mut rng);
+        assert_eq!(miners, vec![NodeId::new(0); 5], "5 of 5 blocks from n0");
+        // Several powerless live nodes share evenly.
+        let profiles = [0.0, 0.0, 0.0, 2.0].map(|hash_power| NodeProfile {
+            hash_power,
+            ..NodeProfile::default()
+        });
+        let mut pop = Population::from_profiles(profiles.to_vec()).unwrap();
+        pop.retire(NodeId::new(3));
+        pop.renormalize_hash_power();
+        for v in 0..3 {
+            assert_eq!(pop.hash_power(NodeId::new(v)), 1.0 / 3.0);
+        }
+    }
+
     #[test]
     fn sample_profile_follows_builder_knobs() {
         let mut rng = StdRng::seed_from_u64(12);
@@ -1163,9 +1214,10 @@ mod tests {
         }
     }
 
-    /// Hash power that `from_profiles` and `retire` never leave — NaN,
-    /// infinite or negative on any slot, or nonzero on a dead one — is
-    /// refused while decoding, so no sampler ever mines from it.
+    /// Hash power that `from_profiles`, `retire` and renormalization
+    /// never leave — NaN, infinite or negative on any slot, nonzero on a
+    /// dead one, or zero on every live one — is refused while decoding,
+    /// so no sampler ever mines from it.
     #[test]
     fn illegal_hash_power_is_refused_while_decoding() {
         use serde::bin::{Decode, DecodeError, Encode};
@@ -1191,6 +1243,15 @@ mod tests {
             );
         }
         assert!(Population::from_bytes(&pop.to_bytes()).is_ok());
+        // Live nodes without any power: the live total is zero.
+        let mut powerless = pop.clone();
+        for v in powerless.ids_alive().collect::<Vec<_>>() {
+            powerless.profile_mut(v).hash_power = 0.0;
+        }
+        assert_eq!(
+            Population::from_bytes(&powerless.to_bytes()),
+            Err(DecodeError::new("live nodes hold zero total hash power"))
+        );
         // Nor does `from_profiles` leave such power: an infinite total
         // would normalize to NaN, so it is refused.
         let infinite = [f64::INFINITY, 1.0].map(|hash_power| NodeProfile {

@@ -15,8 +15,8 @@
 //! A view is a *snapshot* of one overlay: flood any number of blocks
 //! through it, and never mutate the topology under it. Either build a
 //! fresh one after each change, or patch it in step with the change
-//! ([`TopologyView::apply_rewiring`], [`TopologyView::apply_world_delta`],
-//! [`TopologyView::compact`]), which leaves it field-for-field equal to a
+//! ([`TopologyView::apply_delta`], [`TopologyView::compact`]), which
+//! leaves it field-for-field equal to a
 //! fresh build. The engine builds its one view in its first round and
 //! patches it between rounds (its `view_rebuilds` counter stays 1 on
 //! churny runs), which keeps the §2.1 synchronous-round semantics:
@@ -53,10 +53,9 @@
 //! ties at the exact same time still break by ascending node id, and
 //! every downstream arrival/relay float is the one the seed's heap-based
 //! engines computed (the pq tests and proptests check the queue against a
-//! `BinaryHeap`, `tests/gossip_legacy.rs` the floods against
-//! [`reference::gossip_block`](crate::reference::gossip_block)).
+//! `BinaryHeap`, `tests/gossip_legacy.rs` the floods against the seed
+//! engine, `gossip_block` of the dev-only `perigee-oracle` crate).
 
-use crate::dynamics::WorldDelta;
 use crate::error::NetsimError;
 use crate::faults::{BlockFaults, FaultLens, NoFaults};
 use crate::gossip::{check_payload_cap, event_time, pack_settle, GossipConfig, GossipScratch};
@@ -190,8 +189,7 @@ impl TopologyView {
     /// [`NetsimError::WorldTooLarge`] instead of letting the gossip
     /// engine's packed `u128` event words silently corrupt in release
     /// builds. Incremental growth is guarded too:
-    /// [`TopologyView::apply_rewiring`] and
-    /// [`TopologyView::apply_world_delta`] panic rather than grow a
+    /// [`TopologyView::apply_delta`] panics rather than grow a
     /// snapshot past the cap.
     ///
     /// # Errors
@@ -316,7 +314,7 @@ impl TopologyView {
 
     /// The range of directed-edge indices forming `u`'s CSR row — the
     /// index space of per-edge data such as a delivery row
-    /// ([`GossipScratch::neighbor_deliveries`](crate::GossipScratch::neighbor_deliveries)).
+    /// ([`GossipScratch::write_rows`](crate::GossipScratch::write_rows)).
     #[inline]
     pub fn edge_range(&self, u: NodeId) -> std::ops::Range<usize> {
         self.offsets[u.index()]..self.offsets[u.index() + 1]
@@ -420,8 +418,9 @@ impl TopologyView {
         }
     }
 
-    /// Patches the snapshot to reflect one round of rewiring instead of
-    /// rebuilding it from scratch.
+    /// Patches the snapshot across one round instead of rebuilding it:
+    /// the round's edge rewiring and, in a dynamic world, node arrivals
+    /// and departures, in one incremental pass.
     ///
     /// A Perigee round rewires only the dropped/refilled connections —
     /// about `2·n` of the `~14·n` directed edges — yet a fresh
@@ -430,64 +429,39 @@ impl TopologyView {
     /// and one `BTreeSet` walk plus a `Vec` allocation per node. This
     /// method merges the delta into the CSR arrays in one linear pass:
     /// cached delays of surviving edges are copied verbatim, the latency
-    /// model is consulted only for the added edges, and the reverse-edge
-    /// map is recomputed index-for-index. Per-node state (relay profiles,
-    /// hash power, link rates) is untouched — rewiring never changes it.
+    /// model is consulted only for the added edges (which include every
+    /// new node's bootstrap links), and the reverse-edge map is
+    /// recomputed index-for-index.
+    ///
+    /// `delta` must contain every communication edge the round tore down
+    /// or created, *including* the torn-down edges of departing nodes and
+    /// the bootstrap edges of joiners — exactly what a caller that logs
+    /// all disconnect/connect operations already produces. `population`
+    /// is the **post-round** population: new slots grow the CSR by empty
+    /// rows in the same linear pass as the edge merge, departed slots keep
+    /// an empty row (the stable-id contract — ids are never reused, so a
+    /// dead row costs one `offsets` entry and nothing else), and the
+    /// per-node attributes (relay profiles, hash power, link rates) are
+    /// refilled from it in place, because retirements zero hash power and
+    /// the renormalization rescales every live node. An empty delta on an
+    /// unchanged node count leaves the CSR arrays untouched.
     ///
     /// The patched view is **field-for-field equal** to a freshly built
-    /// `TopologyView::new` on the rewired topology (asserted by the
+    /// `TopologyView::new` on the post-round world (asserted by the
     /// `netsim` proptest suite and, in debug builds, by the engine after
     /// every round).
     ///
     /// # Panics
     ///
-    /// Panics if the delta is inconsistent with the snapshot: a removed
-    /// edge that the view does not hold, an added edge it already holds,
-    /// or an endpoint out of range.
-    pub fn apply_rewiring<L: LatencyModel + ?Sized>(&mut self, delta: &RoundDelta, latency: &L) {
-        if delta.is_empty() {
-            return;
-        }
-        let n = self.len();
-        self.merge_rewiring(delta, latency, n);
-    }
-
-    /// Patches the snapshot across one round of a *dynamic* world —
-    /// node arrivals, departures and the round's edge rewiring in one
-    /// incremental pass, extending [`TopologyView::apply_rewiring`] to
-    /// worlds whose node set moves.
-    ///
-    /// `rewiring` must contain every communication edge the round tore
-    /// down or created, *including* the torn-down edges of departing
-    /// nodes and the bootstrap edges of joiners — exactly what a driver
-    /// that logs all disconnect/connect operations already produces.
-    /// `population` is the **post-delta** population: new slots grow the
-    /// CSR by empty rows before the merge (CSR row insert/delete happens
-    /// in the same one linear pass as the edge merge), departed slots
-    /// keep an empty row (the stable-id contract — ids are never reused,
-    /// so a dead row costs one `offsets` entry and nothing else), and all
-    /// per-node attributes (relay profiles, hash power, link rates) are
-    /// refreshed from the population because retirements zero hash power
-    /// and the renormalization rescales every live node.
-    ///
-    /// Cost: one linear merge over the CSR arrays plus an `O(n)`
-    /// attribute copy — latency-model calls **only** for the added edges
-    /// (which include every new node's bootstrap links). The patched view
-    /// is field-for-field equal to `TopologyView::new` on the post-delta
-    /// world (asserted by the netsim proptests and, in debug builds, by
-    /// the engine after every churny round).
-    ///
-    /// # Panics
-    ///
     /// Panics if the population shrank (ids are stable, worlds only grow
     /// in slot count), if the latency model does not cover the grown
-    /// population, if `rewiring` is inconsistent with the snapshot (see
-    /// [`TopologyView::apply_rewiring`]), or if a node's validation delay
-    /// or [`Behavior::Delay`] extra is negative, NaN or infinite.
-    pub fn apply_world_delta<L: LatencyModel + ?Sized>(
+    /// population, if the delta is inconsistent with the snapshot (a
+    /// removed edge that the view does not hold, an added edge it already
+    /// holds, or an endpoint out of range), or if a node's validation
+    /// delay or [`Behavior::Delay`] extra is negative, NaN or infinite.
+    pub fn apply_delta<L: LatencyModel + ?Sized>(
         &mut self,
-        delta: &WorldDelta,
-        rewiring: &RoundDelta,
+        delta: &RoundDelta,
         latency: &L,
         population: &Population,
     ) {
@@ -498,17 +472,10 @@ impl TopologyView {
             n_new,
             "latency model must cover the grown population"
         );
-        self.merge_rewiring(rewiring, latency, n_new);
-        self.refresh_node_attributes(population);
-        #[cfg(debug_assertions)]
-        for &v in &delta.departed {
-            debug_assert!(
-                self.edge_range(v).is_empty(),
-                "departed node {v} still holds edges — the rewiring log missed its teardown"
-            );
+        if !delta.is_empty() || n_new != self.len() {
+            self.merge_rewiring(delta, latency, n_new);
         }
-        #[cfg(not(debug_assertions))]
-        let _ = delta;
+        self.refresh_node_attributes(population);
     }
 
     /// Applies a free-list compaction plan to the carried snapshot in one
@@ -574,10 +541,9 @@ impl TopologyView {
         self.refresh_node_attributes(population);
     }
 
-    /// The shared one-pass CSR merge behind [`TopologyView::apply_rewiring`]
-    /// and [`TopologyView::apply_world_delta`]: rows `>= self.len()` are
-    /// treated as (new, empty) rows, so growing the world and patching its
-    /// edges is a single linear sweep.
+    /// The one-pass CSR merge behind [`TopologyView::apply_delta`]: rows
+    /// `>= self.len()` are treated as (new, empty) rows, so growing the
+    /// world and patching its edges is a single linear sweep.
     fn merge_rewiring<L: LatencyModel + ?Sized>(
         &mut self,
         delta: &RoundDelta,
@@ -719,9 +685,11 @@ impl TopologyView {
                 p.behavior
             );
         }
-        self.relay = population
-            .iter()
-            .map(|p| match p.behavior {
+        let n = population.len();
+        refill(
+            &mut self.relay,
+            n,
+            population.iter().map(|p| match p.behavior {
                 Behavior::Honest => RelayProfile::Honest {
                     validation: p.validation_delay,
                 },
@@ -730,16 +698,38 @@ impl TopologyView {
                     validation: p.validation_delay,
                     extra,
                 },
-            })
-            .collect();
-        self.hash_power = population.iter().map(|p| p.hash_power).collect();
+            }),
+        );
+        refill(
+            &mut self.hash_power,
+            n,
+            population.iter().map(|p| p.hash_power),
+        );
         self.uniform_weight = match self.hash_power.split_first() {
             Some((&w, rest)) if rest.iter().all(|&x| x == w) => Some(w),
             _ => None,
         };
-        self.uplink_mbps = population.iter().map(|p| p.uplink_mbps).collect();
-        self.downlink_mbps = population.iter().map(|p| p.downlink_mbps).collect();
+        refill(
+            &mut self.uplink_mbps,
+            n,
+            population.iter().map(|p| p.uplink_mbps),
+        );
+        refill(
+            &mut self.downlink_mbps,
+            n,
+            population.iter().map(|p| p.downlink_mbps),
+        );
     }
+}
+
+/// Refills a per-node vector with `len` items in place: a refresh over an
+/// unchanged node count allocates nothing, and one over a grown or
+/// compacted world leaves exactly `len` of capacity, as a fresh build does.
+fn refill<T>(v: &mut Vec<T>, len: usize, items: impl Iterator<Item = T>) {
+    v.clear();
+    v.reserve_exact(len);
+    v.extend(items);
+    v.shrink_to(len);
 }
 
 /// The net change one round of rewiring makes to the undirected
@@ -749,7 +739,7 @@ impl TopologyView {
 /// rewiring phase; pairs are normalized (`u < v`), deduplicated, and an
 /// edge that was removed and then re-added within the same round cancels
 /// out entirely (its cached latency is still valid). Consumed by
-/// [`TopologyView::apply_rewiring`].
+/// [`TopologyView::apply_delta`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundDelta {
     removed: Vec<(u32, u32)>,
@@ -871,7 +861,7 @@ mod tests {
     use crate::latency::{GeoLatencyModel, MetricLatencyModel};
     use crate::node::NodeProfile;
     use crate::population::{HashPowerDist, PopulationBuilder};
-    use crate::{reference, LatencyModel};
+    use crate::LatencyModel;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -915,44 +905,6 @@ mod tests {
                 assert_eq!(delays[k], lat.delay(u, v));
             }
         }
-    }
-
-    /// Both branches of the production λ(f) — the selection under
-    /// uniform hash power and the sort-and-scan otherwise — against the
-    /// reference definition.
-    #[test]
-    fn scratch_coverage_matches_reference_coverage() {
-        for (dist, uniform) in [
-            (HashPowerDist::Uniform, true),
-            (HashPowerDist::Exponential, false),
-        ] {
-            let (pop, lat, topo, _) = random_world_with(100, 9, dist.clone());
-            let view = TopologyView::new(&topo, &lat, &pop);
-            assert_eq!(view.uniform_weight.is_some(), uniform, "{dist:?}");
-            let mut scratch = GossipScratch::new();
-            for src in [4u32, 57] {
-                view.broadcast_into(NodeId::new(src), &mut scratch);
-                let fractions = [0.0, 0.5, 0.9, 1.0];
-                let mut cov = [SimTime::ZERO; 4];
-                scratch.coverage_times_into(&view, &fractions, &mut cov);
-                let expected = reference::coverage_times(scratch.arrivals(), &pop, &fractions);
-                assert_eq!(cov.as_slice(), expected.as_slice(), "{dist:?} source {src}");
-            }
-        }
-    }
-
-    #[test]
-    fn behaviors_are_honoured_through_the_view() {
-        let (mut pop, lat, topo, _) = random_world(40, 5);
-        pop.profile_mut(NodeId::new(3)).behavior = Behavior::Silent;
-        pop.profile_mut(NodeId::new(7)).behavior = Behavior::Delay(SimTime::from_ms(250.0));
-        let view = TopologyView::new(&topo, &lat, &pop);
-        let (expected, _) =
-            reference::gossip_block(&topo, &lat, &pop, NodeId::new(0), &GossipConfig::flood());
-        let mut scratch = GossipScratch::new();
-        view.broadcast_into(NodeId::new(0), &mut scratch);
-        assert_eq!(scratch.arrivals(), expected.as_slice());
-        assert!(scratch.relay_start(NodeId::new(3)).is_infinite());
     }
 
     #[test]
@@ -1007,7 +959,7 @@ mod tests {
                 .filter(|&(a, b, _)| a != b)
                 .collect();
             let (removed, added) = apply_ops(&mut topo, &ops);
-            view.apply_rewiring(&RoundDelta::new(removed, added), &lat);
+            view.apply_delta(&RoundDelta::new(removed, added), &lat, &pop);
             assert_eq!(
                 view,
                 TopologyView::new(&topo, &lat, &pop),
@@ -1069,11 +1021,7 @@ mod tests {
                 }
             }
             pop.renormalize_hash_power();
-            let delta = crate::dynamics::WorldDelta {
-                joined: vec![id],
-                departed: vec![depart],
-            };
-            view.apply_world_delta(&delta, &RoundDelta::new(removed, added), &lat, &pop);
+            view.apply_delta(&RoundDelta::new(removed, added), &lat, &pop);
             assert_eq!(
                 view,
                 TopologyView::new(&topo, &lat, &pop),
@@ -1087,8 +1035,16 @@ mod tests {
         let (pop, lat, topo, _) = random_world(30, 4);
         let mut view = TopologyView::new(&topo, &lat, &pop);
         let before = view.clone();
-        view.apply_rewiring(&RoundDelta::default(), &lat);
+        view.apply_delta(&RoundDelta::default(), &lat, &pop);
         assert_eq!(view, before);
+        // The CSR stays, but the node attributes follow the population,
+        // so a departure that tore down no edge still reaches the view.
+        let mut pop = pop;
+        pop.profile_mut(NodeId::new(2)).hash_power *= 3.0;
+        pop.renormalize_hash_power();
+        view.apply_delta(&RoundDelta::default(), &lat, &pop);
+        assert_ne!(view, before);
+        assert_eq!(view, TopologyView::new(&topo, &lat, &pop));
     }
 
     #[test]
@@ -1127,7 +1083,7 @@ mod tests {
             }
         }
         let (a, b) = pair.expect("a sparse graph has a non-edge");
-        view.apply_rewiring(&RoundDelta::new(vec![(a, b)], Vec::new()), &lat);
+        view.apply_delta(&RoundDelta::new(vec![(a, b)], Vec::new()), &lat, &pop);
     }
 
     #[test]
@@ -1151,7 +1107,7 @@ mod tests {
             let severed: Vec<(NodeId, NodeId)> =
                 topo.clear_node(v).into_iter().map(|u| (v, u)).collect();
             pop.retire(v);
-            view.apply_rewiring(&RoundDelta::new(severed, Vec::new()), &lat);
+            view.apply_delta(&RoundDelta::new(severed, Vec::new()), &lat, &pop);
         }
         let plan = pop.compaction_plan().expect("four dead slots");
         topo.compact(&plan);

@@ -119,11 +119,9 @@ fn gossip_digest(config: &GossipConfig) -> (u64, usize) {
             for &t in scratch.arrivals() {
                 fnv.time(t);
             }
-            for v in 0..view.len() as u32 {
-                for t in scratch.neighbor_deliveries_faulted(&view, NodeId::new(v), &bf) {
-                    drops += usize::from(t.is_infinite());
-                    fnv.time(t);
-                }
+            for t in perigee_oracle::collect_rows(&scratch, &view, Some(&bf)).concat() {
+                drops += usize::from(t.is_infinite());
+                fnv.time(t);
             }
         }
     }

@@ -52,15 +52,7 @@ fn mixed_batch(n: u32, k: usize, rng: &mut StdRng) -> Vec<BatchMessage> {
 /// Every delivery row of the scratch's last message, in CSR edge order,
 /// read through `faults` when the message ran under them.
 fn rows(view: &TopologyView, s: &GossipScratch, faults: Option<&BlockFaults<'_>>) -> Vec<SimTime> {
-    (0..view.len() as u32)
-        .map(NodeId::new)
-        .flat_map(|v| -> Vec<SimTime> {
-            match faults {
-                Some(f) => s.neighbor_deliveries_faulted(view, v, f).collect(),
-                None => s.neighbor_deliveries(view, v).collect(),
-            }
-        })
-        .collect()
+    perigee_oracle::collect_rows(s, view, faults).concat()
 }
 
 /// The bit patterns of `times`.

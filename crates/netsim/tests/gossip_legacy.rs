@@ -1,5 +1,5 @@
 //! Cross-validation of both propagation kernels against the reference
-//! engine [`perigee_netsim::reference::gossip_block`]: the original
+//! engine [`perigee_oracle::gossip_block`]: the original
 //! event-heap engine with per-node `BTreeMap` delivery logs. The
 //! production kernels claim bit-identical behaviour by construction (same
 //! schedule order, same time-tie insertion-sequence break, same `δ(u,v)`
@@ -8,7 +8,7 @@
 //! behaviours, on 20- to 250-node worlds. The analytic flood
 //! ([`TopologyView::broadcast_into`]) is checked against the reference's
 //! flood of a zero-size block, coverage times against
-//! [`perigee_netsim::reference::coverage_times`], and a scratch reused
+//! [`perigee_oracle::coverage_times`], and a scratch reused
 //! across blocks must leave each block exactly what the reference
 //! computes from nothing.
 
@@ -17,11 +17,11 @@ use rand::{Rng, SeedableRng};
 
 use std::collections::BTreeMap;
 
-use perigee_netsim::reference::{coverage_times, gossip_block as legacy_gossip_block};
 use perigee_netsim::{
     Behavior, ConnectionLimits, GeoLatencyModel, GossipConfig, GossipMode, GossipScratch, NodeId,
     Population, PopulationBuilder, SimTime, Topology, TopologyView, TransferModel,
 };
+use perigee_oracle::{collect_rows, coverage_times, gossip_block as legacy_gossip_block};
 
 fn random_world(n: usize, seed: u64) -> (Population, GeoLatencyModel, Topology, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -57,13 +57,14 @@ fn assert_matches_legacy(
         legacy_arrival.as_slice(),
         "arrivals differ"
     );
+    let rows = collect_rows(scratch, view, None);
     for i in 0..pop.len() as u32 {
         let v = NodeId::new(i);
         // The scratch's row of `v`, as the legacy log keys it: neighbors
         // that delivered, by id.
         let log: BTreeMap<NodeId, SimTime> = view
             .neighbors(v)
-            .zip(scratch.neighbor_deliveries(view, v))
+            .zip(rows[v.index()].iter().copied())
             .filter(|(_, t)| t.is_finite())
             .collect();
         assert_eq!(

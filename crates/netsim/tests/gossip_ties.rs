@@ -15,17 +15,17 @@
 //!   whole milliseconds too;
 //! - a layout with co-located node pairs, whose link has δ = 0.
 //!
-//! Every message must equal the oracle [`reference::gossip_block`]
+//! Every message must equal the oracle [`perigee_oracle::gossip_block`]
 //! (arrivals and delivery logs), single and batched, and some of them
 //! must have fallen back.
 
 use std::collections::BTreeMap;
 
-use perigee_netsim::reference;
 use perigee_netsim::{
     BatchMessage, ConnectionLimits, GossipConfig, GossipMode, GossipScratch, MetricLatencyModel,
     NodeId, NodeProfile, Population, SimTime, Topology, TopologyView, TransferModel,
 };
+use perigee_oracle::{collect_rows, gossip_block};
 
 const SIDE: u32 = 7;
 const UNIT_MS: f64 = 10.0;
@@ -113,13 +113,14 @@ fn assert_matches_oracle(
     what: &str,
 ) {
     let (pop, lat, topo) = world;
-    let (arrivals, logs) = reference::gossip_block(topo, lat, pop, source, config);
+    let (arrivals, logs) = gossip_block(topo, lat, pop, source, config);
+    let rows = collect_rows(scratch, view, None);
     for (i, &expected) in arrivals.iter().enumerate() {
         let v = NodeId::new(i as u32);
         assert_eq!(scratch.arrival(v), expected, "{what}: arrival at {v}");
         let log: BTreeMap<NodeId, SimTime> = view
             .neighbors(v)
-            .zip(scratch.neighbor_deliveries(view, v))
+            .zip(rows[i].iter().copied())
             .filter(|(_, t)| t.is_finite())
             .collect();
         assert_eq!(log, logs[i], "{what}: delivery log of {v}");

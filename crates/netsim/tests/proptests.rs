@@ -9,10 +9,11 @@ use rand::{Rng, SeedableRng};
 
 use perigee_netsim::pq::{CalendarQueue, BUCKET_WIDTH_MS};
 use perigee_netsim::{
-    reference, BlockFaults, ConnectionLimits, FaultPlan, GeoLatencyModel, GossipConfig,
-    GossipScratch, LatencyModel, LinkFaultRates, LinkFlaps, NodeId, PopulationBuilder, Region,
-    RegionalWindow, RoundDelta, SimTime, Topology, TopologyView, WorldDelta,
+    BlockFaults, ConnectionLimits, FaultPlan, GeoLatencyModel, GossipConfig, GossipScratch,
+    LatencyModel, LinkFaultRates, LinkFlaps, NodeId, PopulationBuilder, Region, RegionalWindow,
+    RoundDelta, SimTime, Topology, TopologyView,
 };
+use perigee_oracle::collect_rows;
 
 /// A calendar key like the propagation kernels' settle keys: the time
 /// bits over `payload`.
@@ -66,9 +67,7 @@ fn random_connected_topology(n: usize, rng: &mut StdRng) -> Topology {
 /// Every delivery row of the last fault-free gossiped block, in CSR edge
 /// order.
 fn deliveries(view: &TopologyView, s: &GossipScratch) -> Vec<SimTime> {
-    (0..view.len() as u32)
-        .flat_map(|v| s.neighbor_deliveries(view, NodeId::new(v)))
-        .collect()
+    collect_rows(s, view, None).concat()
 }
 
 /// [`deliveries`] of a block gossiped under `faults`.
@@ -77,9 +76,7 @@ fn faulted_deliveries(
     s: &GossipScratch,
     faults: &BlockFaults<'_>,
 ) -> Vec<SimTime> {
-    (0..view.len() as u32)
-        .flat_map(|v| s.neighbor_deliveries_faulted(view, NodeId::new(v), faults))
-        .collect()
+    collect_rows(s, view, Some(faults)).concat()
 }
 
 proptest! {
@@ -228,13 +225,14 @@ proptest! {
         let cfg = GossipConfig::inv_getdata(0.0);
         let src = NodeId::new(rng.gen_range(0..n as u32));
         view.gossip_into(src, &cfg, &mut scratch);
-        let (arrivals, logs) = reference::gossip_block(&topo, &lat, &pop, src, &cfg);
+        let (arrivals, logs) = perigee_oracle::gossip_block(&topo, &lat, &pop, src, &cfg);
         prop_assert_eq!(scratch.arrivals(), arrivals.as_slice());
+        let rows = collect_rows(&scratch, &view, None);
         for i in 0..n as u32 {
             let v = NodeId::new(i);
             let log: BTreeMap<NodeId, SimTime> = view
                 .neighbors(v)
-                .zip(scratch.neighbor_deliveries(&view, v))
+                .zip(rows[v.index()].iter().copied())
                 .filter(|(_, t)| t.is_finite())
                 .collect();
             prop_assert_eq!(&log, &logs[v.index()], "delivery log of {}", v);
@@ -365,7 +363,7 @@ proptest! {
                     }
                 }
             }
-            view.apply_rewiring(&RoundDelta::new(removed, added), &lat);
+            view.apply_delta(&RoundDelta::new(removed, added), &lat, &pop);
             prop_assert_eq!(&view, &TopologyView::new(&topo, &lat, &pop));
         }
     }
@@ -393,7 +391,8 @@ proptest! {
         builder.bandwidth_skew(true);
         for round in 0..rounds {
             let (mut removed, mut added) = (Vec::new(), Vec::new());
-            let (mut joined, mut departed) = (Vec::new(), Vec::new());
+            // Whether a node joined or departed this round.
+            let mut moved = false;
             // Departures: up to 2 live nodes leave entirely.
             for _ in 0..rng.gen_range(0..3u8) {
                 let alive: Vec<NodeId> = pop.ids_alive().collect();
@@ -403,7 +402,7 @@ proptest! {
                     removed.push((v, u));
                 }
                 pop.retire(v);
-                departed.push(v);
+                moved = true;
             }
             // Joins: up to 2 fresh nodes spawn and bootstrap random edges.
             for _ in 0..rng.gen_range(0..3u8) {
@@ -419,7 +418,7 @@ proptest! {
                         added.push((id, u));
                     }
                 }
-                joined.push(id);
+                moved = true;
             }
             // Plus ordinary rewiring among survivors — including edges
             // removed and re-added within the same round.
@@ -439,11 +438,10 @@ proptest! {
                     }
                 }
             }
-            if !joined.is_empty() || !departed.is_empty() {
+            if moved {
                 pop.renormalize_hash_power();
             }
-            let delta = WorldDelta { joined, departed };
-            view.apply_world_delta(&delta, &RoundDelta::new(removed, added), &lat, &pop);
+            view.apply_delta(&RoundDelta::new(removed, added), &lat, &pop);
             prop_assert_eq!(
                 &view,
                 &TopologyView::new(&topo, &lat, &pop),

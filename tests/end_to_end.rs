@@ -4,9 +4,10 @@
 use perigee::core::{PerigeeConfig, PerigeeEngine, ScoringMethod};
 use perigee::experiments::{fig3, fig5, Algorithm, Scenario};
 use perigee::netsim::{
-    reference, ConnectionLimits, GossipConfig, GossipScratch, LatencyModel, NodeId, TopologyView,
+    ConnectionLimits, GossipConfig, GossipScratch, LatencyModel, NodeId, TopologyView,
 };
 use perigee::topology::{RandomBuilder, TopologyBuilder};
+use perigee_oracle::{coverage_times, gossip_block};
 use rand::SeedableRng;
 
 fn ci_scenario() -> Scenario {
@@ -111,8 +112,7 @@ fn engines_agree_on_a_learned_topology() {
     for src in [0u32, 42, 141] {
         let src = NodeId::new(src);
         view.broadcast_into(src, &mut fast);
-        let (slow, _) =
-            reference::gossip_block(&out.topology, &out.latency, &out.population, src, &cfg);
+        let (slow, _) = gossip_block(&out.topology, &out.latency, &out.population, src, &cfg);
         for i in 0..scenario.nodes as u32 {
             let v = NodeId::new(i);
             assert!(
@@ -226,14 +226,14 @@ fn gossip_mode_round_has_monotone_coverage() {
     let fractions = [0.25, 0.5, 0.75, 0.9, 1.0];
     let per_fraction: Vec<Vec<f64>> = fractions.iter().map(|&f| engine.evaluate(f)).collect();
     for node in 0..ci_scenario().nodes {
-        let (arrivals, _) = reference::gossip_block(
+        let (arrivals, _) = gossip_block(
             engine.topology(),
             engine.latency(),
             engine.population(),
             NodeId::new(node as u32),
             &inv,
         );
-        let coverage = reference::coverage_times(&arrivals, engine.population(), &fractions);
+        let coverage = coverage_times(&arrivals, engine.population(), &fractions);
         for (k, t) in coverage.iter().enumerate() {
             assert_eq!(
                 t.as_ms().to_bits(),
