@@ -1039,21 +1039,19 @@ pub(crate) fn assert_block_rows(
 impl ObservationCollector {
     /// Unit-test entry: records one block of raw delivery rows — one per
     /// node, in node order, each aligned with the node's CSR row —
-    /// through the recorders' own [`RowWriter`], two-pass, as for a
-    /// message whose arrivals do not fuse.
+    /// normalized by [`push_normalized`], the two-pass rule of every
+    /// row that does not fuse.
     pub(crate) fn record_raw_rows(&mut self, rows: &[Vec<SimTime>]) {
         assert_eq!(rows.len(), self.store.len(), "one row per node");
-        let arrivals = vec![SimTime::INFINITY; rows.len()];
-        let mut writer = RowWriter {
-            offsets: &self.store.offsets,
-            times: &mut self.store.times,
-            row: &mut self.row,
-            arrivals: &arrivals,
-            source: NodeId::new(0),
-            fused: false,
-        };
-        for (v, row) in (0u32..).zip(rows) {
-            writer.row(NodeId::new(v), row.iter().copied());
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(
+                row.len(),
+                self.store.offsets[i + 1] - self.store.offsets[i],
+                "neighbor snapshot disagrees with the view"
+            );
+            self.row.clear();
+            self.row.extend(row.iter().map(|t| t.as_ms()));
+            push_normalized(&mut self.store.times, &self.row);
         }
         self.store.blocks += 1;
     }

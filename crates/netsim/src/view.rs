@@ -61,7 +61,7 @@ use crate::faults::{BlockFaults, FaultLens, NoFaults};
 use crate::gossip::{check_payload_cap, event_time, pack_settle, GossipConfig, GossipScratch};
 use crate::graph::Topology;
 use crate::latency::LatencyModel;
-use crate::node::{Behavior, NodeId};
+use crate::node::{Behavior, NodeId, NodeProfile};
 use crate::population::{IdRemap, Population};
 use crate::pq::QueueKind;
 use crate::time::SimTime;
@@ -685,51 +685,35 @@ impl TopologyView {
                 p.behavior
             );
         }
-        let n = population.len();
-        refill(
-            &mut self.relay,
-            n,
-            population.iter().map(|p| match p.behavior {
-                Behavior::Honest => RelayProfile::Honest {
-                    validation: p.validation_delay,
-                },
-                Behavior::Silent => RelayProfile::Silent,
-                Behavior::Delay(extra) => RelayProfile::Delayed {
-                    validation: p.validation_delay,
-                    extra,
-                },
-            }),
-        );
-        refill(
-            &mut self.hash_power,
-            n,
-            population.iter().map(|p| p.hash_power),
-        );
+        refill(&mut self.relay, population, |p| match p.behavior {
+            Behavior::Honest => RelayProfile::Honest {
+                validation: p.validation_delay,
+            },
+            Behavior::Silent => RelayProfile::Silent,
+            Behavior::Delay(extra) => RelayProfile::Delayed {
+                validation: p.validation_delay,
+                extra,
+            },
+        });
+        refill(&mut self.hash_power, population, |p| p.hash_power);
         self.uniform_weight = match self.hash_power.split_first() {
             Some((&w, rest)) if rest.iter().all(|&x| x == w) => Some(w),
             _ => None,
         };
-        refill(
-            &mut self.uplink_mbps,
-            n,
-            population.iter().map(|p| p.uplink_mbps),
-        );
-        refill(
-            &mut self.downlink_mbps,
-            n,
-            population.iter().map(|p| p.downlink_mbps),
-        );
+        refill(&mut self.uplink_mbps, population, |p| p.uplink_mbps);
+        refill(&mut self.downlink_mbps, population, |p| p.downlink_mbps);
     }
 }
 
-/// Refills a per-node vector with `len` items in place: a refresh over an
-/// unchanged node count allocates nothing, and one over a grown or
-/// compacted world leaves exactly `len` of capacity, as a fresh build does.
-fn refill<T>(v: &mut Vec<T>, len: usize, items: impl Iterator<Item = T>) {
+/// Refills a per-node vector from `population` in place: a refresh over
+/// an unchanged node count allocates nothing, and one over a grown or
+/// compacted world leaves exactly one slot of capacity per node, as a
+/// fresh build does.
+fn refill<T>(v: &mut Vec<T>, population: &Population, f: impl Fn(&NodeProfile) -> T) {
     v.clear();
-    v.reserve_exact(len);
-    v.extend(items);
-    v.shrink_to(len);
+    v.reserve_exact(population.len());
+    v.extend(population.iter().map(f));
+    v.shrink_to(population.len());
 }
 
 /// The net change one round of rewiring makes to the undirected
@@ -1222,6 +1206,30 @@ mod tests {
         pop.profile_mut(NodeId::new(0)).behavior = Behavior::Silent;
         let (_, s) = flood(&path_topology(2), &lat, &pop, 0);
         assert!(s.arrival(NodeId::new(1)).is_infinite());
+    }
+
+    /// The production λ(f) takes the selection branch exactly when every
+    /// node holds the same power, on a fresh build and after each patch. `tests/oracle.rs` checks both branches' values
+    /// on these worlds against the sort-and-scan definition.
+    #[test]
+    fn uniform_power_takes_the_selection_branch() {
+        for (dist, uniform) in [
+            (HashPowerDist::Uniform, true),
+            (HashPowerDist::Exponential, false),
+        ] {
+            let (mut pop, lat, topo, _) = random_world_with(100, 9, dist.clone());
+            let mut view = TopologyView::new(&topo, &lat, &pop);
+            assert_eq!(view.uniform_weight.is_some(), uniform, "{dist:?}");
+            view.apply_delta(&RoundDelta::default(), &lat, &pop);
+            assert_eq!(view.uniform_weight.is_some(), uniform, "{dist:?}, patched");
+            // Swap the branch: flatten a skewed world, skew a flat one.
+            for v in 0..100u32 {
+                let skewed = uniform && v == 0;
+                pop.profile_mut(NodeId::new(v)).hash_power = if skewed { 0.5 } else { 0.01 };
+            }
+            view.apply_delta(&RoundDelta::default(), &lat, &pop);
+            assert_eq!(view.uniform_weight.is_some(), !uniform, "{dist:?}, swapped");
+        }
     }
 
     #[test]

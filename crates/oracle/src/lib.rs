@@ -350,27 +350,4 @@ mod tests {
         logs.push(BTreeMap::new());
         normalized_rows(&view, &logs);
     }
-
-    /// The rows `write_rows` hands out are the seed engine's logs: a
-    /// finite entry per delivering neighbor, in CSR order.
-    #[test]
-    fn collected_rows_are_the_seed_engines_logs() {
-        let (pop, lat, topo) = triangle();
-        let view = TopologyView::new(&topo, &lat, &pop);
-        for config in [GossipConfig::flood(), GossipConfig::inv_getdata(0.0)] {
-            let mut scratch = GossipScratch::new();
-            view.gossip_into(NodeId::new(1), &config, &mut scratch);
-            let (_, logs) = gossip_block(&topo, &lat, &pop, NodeId::new(1), &config);
-            let rows = collect_rows(&scratch, &view, None);
-            for (i, row) in rows.iter().enumerate() {
-                let v = NodeId::new(i as u32);
-                let log: BTreeMap<NodeId, SimTime> = view
-                    .neighbors(v)
-                    .zip(row.iter().copied())
-                    .filter(|(_, t)| t.is_finite())
-                    .collect();
-                assert_eq!(log, logs[i], "{config:?}: row of {v}");
-            }
-        }
-    }
 }

@@ -182,8 +182,8 @@ fn end_to_end_determinism() {
 /// seed-era gap where this suite only ever exercised analytic rounds:
 /// per-round λ50/λ90 must be coherent, per-node coverage times must be
 /// monotone in the coverage fraction, and the engine's evaluation must
-/// be bit-identical to the `reference` oracles: the seed's event-queue
-/// engine and the sort-and-scan coverage time.
+/// be bit-identical to the `perigee_oracle` crate's oracles: the seed's
+/// event-queue engine and the sort-and-scan coverage time.
 #[test]
 fn gossip_mode_round_has_monotone_coverage() {
     let world = perigee::experiments::build_world(&ci_scenario(), 21);
